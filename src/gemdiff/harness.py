@@ -29,7 +29,9 @@ Environment overrides (command-line flags win)::
     GEM_OUT             default for --out
     GEM_MAX_CELL_STEPS  runtime guard cap on estimated cell updates
 
-Sweep points are dispatched to a thread pool and gathered in sweep-index
+The 1D sweep points that share a time grid run as rows of one batched
+solve (see solver1d.run_cycle).  Batches, and the cycles of the real-space
+experiments, are dispatched to a thread pool and gathered in sweep-index
 order, so output files are byte-identical for any thread count (the header
 records the command line without machine-local paths for the same reason).
 """
@@ -69,6 +71,7 @@ from .analytic import (
 from .solver1d import Grid1D, efficiency_1d, run_cycle, spectrum_centroid
 from .transverse import (
     ModeGrid,
+    Quasi1DRecord,
     TransverseGrid,
     extract_phase,
     fit_effective_diffusion,
@@ -315,68 +318,61 @@ def _exp_sweep_write(spec: ExperimentSpec):
         rate = _tau_write_rate(cfg.params, protocol, signal)
         cases.append((protocol, signal, [tau / rate for tau in _WRITE_TAUS]))
 
+    # one batch per (t_lead, eta_write) case: its points share a time grid
     estimate = 0.0
     tasks = []
-    labels = []  # (case index, diffusivity)
-    for index, (protocol, signal, diffs) in enumerate(cases):
-        for diff in [0.0] + diffs:
-            params = cfg.params.with_diffusivity(diff)
-            estimate += _estimate_cell_steps(
-                params, protocol, signal, n_medium=n_medium, steps_per_width=steps
-            )
-            tasks.append(
-                lambda p=params, pr=protocol, s=signal: efficiency_1d(
-                    run_cycle(
-                        p,
-                        pr,
-                        s,
-                        n_medium=n_medium,
-                        steps_per_width=steps,
-                        diffusion_phases=("write",),
-                    )
+    for protocol, signal, diffs in cases:
+        batch = [cfg.params.with_diffusivity(diff) for diff in [0.0] + diffs]
+        estimate += sum(
+            _estimate_cell_steps(p, protocol, signal, n_medium=n_medium, steps_per_width=steps)
+            for p in batch
+        )
+        tasks.append(
+            lambda b=batch, pr=protocol, s=signal: [
+                efficiency_1d(rec)
+                for rec in run_cycle(
+                    b,
+                    pr,
+                    s,
+                    n_medium=n_medium,
+                    steps_per_width=steps,
+                    diffusion_phases=("write",),
                 )
-            )
-            labels.append((index, diff))
+            ]
+        )
     _check_budget(spec, estimate)
-    effs = _run_tasks(tasks, spec.threads)
-
-    base = {}
-    for (index, diff), eff in zip(labels, effs):
-        if diff == 0.0:
-            base[index] = eff
+    case_effs = _run_tasks(tasks, spec.threads)
 
     rows = []
     checks = []
-    for (index, diff), eff in zip(labels, effs):
-        if diff == 0.0:
-            continue
-        protocol, signal, _ = cases[index]
-        groups = derive_groups(cfg.params.with_diffusivity(diff), protocol, signal)
-        ratio = eff / base[index]
-        predicted = math.exp(-groups.tau_write)
-        dev = ratio / predicted - 1.0
-        rows.append(
-            (
-                len(rows),
-                signal.t_lead,
-                protocol.eta_write,
-                diff,
-                groups.tau_write,
-                groups.alpha_write,
-                ratio,
-                predicted,
-                dev,
+    for (protocol, signal, diffs), (base, *effs) in zip(cases, case_effs):
+        for diff, eff in zip(diffs, effs):
+            groups = derive_groups(cfg.params.with_diffusivity(diff), protocol, signal)
+            ratio = eff / base
+            predicted = math.exp(-groups.tau_write)
+            dev = ratio / predicted - 1.0
+            rows.append(
+                (
+                    len(rows),
+                    signal.t_lead,
+                    protocol.eta_write,
+                    diff,
+                    groups.tau_write,
+                    groups.alpha_write,
+                    ratio,
+                    predicted,
+                    dev,
+                )
             )
-        )
-        checks.append(
-            _check(
-                "write_collapse[%d]" % (len(rows) - 1),
-                ratio,
-                predicted,
-                0.03,
-                "eps(D)/eps(0) = exp(-tau_write), write-phase diffusion decay",
+            checks.append(
+                _check(
+                    "write_collapse[%d]" % (len(rows) - 1),
+                    ratio,
+                    predicted,
+                    0.03,
+                    "eps(D)/eps(0) = exp(-tau_write), write-phase diffusion decay",
+                )
             )
-        )
 
     _write_csv(
         spec,
@@ -442,27 +438,29 @@ def _exp_sweep_hold(spec: ExperimentSpec):
         )
     diffs = [tau / (protocol.t_hold * k_hold**2) for tau in _HOLD_TAUS]
 
-    estimate = 0.0
-    tasks = []
-    for diff in [0.0] + diffs:
-        params = cfg.params.with_diffusivity(diff)
-        estimate += _estimate_cell_steps(
-            params, protocol, signal, n_medium=n_medium, steps_per_width=steps
-        )
-        tasks.append(
-            lambda p=params: efficiency_1d(
-                run_cycle(
-                    p,
+    # one batch: the diffusion-free write is solved once and fans out at the hold
+    batch = [cfg.params.with_diffusivity(diff) for diff in [0.0] + diffs]
+    estimate = sum(
+        _estimate_cell_steps(p, protocol, signal, n_medium=n_medium, steps_per_width=steps)
+        for p in batch
+    )
+    _check_budget(spec, estimate)
+    (effs,) = _run_tasks(
+        [
+            lambda: [
+                efficiency_1d(rec)
+                for rec in run_cycle(
+                    batch,
                     protocol,
                     signal,
                     n_medium=n_medium,
                     steps_per_width=steps,
                     diffusion_phases=("hold",),
                 )
-            )
-        )
-    _check_budget(spec, estimate)
-    effs = _run_tasks(tasks, spec.threads)
+            ]
+        ],
+        spec.threads,
+    )
 
     rows = []
     checks = []
@@ -566,43 +564,39 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
     hg_grid = ModeGrid.build(waist, (1, 1), n=_MODE_CELLS[spec.fidelity], window_factor=9.0)
     hg_grid00 = ModeGrid.build(waist, (0, 0), n=_MODE_CELLS[spec.fidelity], window_factor=9.0)
 
-    tasks = []
-    estimate = 0.0
+    # one batch over every hold time: the diffusion-free write is solved
+    # once, the exact hold fans it out, and each (0,0)/(1,1) HG pair
+    # shares its 1D base
+    collapse_holds = [hold_for(tau) for tau in _PERP_TAUS]
+    hg_holds = [hold_for(tau) for tau in _HG_TAUS]
+    protocols = [
+        StorageProtocol.standard(cfg.protocol.eta_write, t_hold=t_hold)
+        for t_hold in collapse_holds + hg_holds
+    ]
+    estimate = sum(
+        _estimate_cell_steps(params, pr, signal, n_medium=n_medium, steps_per_width=steps)
+        for pr in protocols
+    )
+    _check_budget(spec, estimate)
 
-    def add_task(protocol, sig, grid):
-        tasks.append(
-            lambda pr=protocol, s=sig, g=grid: run_cycle_quasi1d(
+    (records,) = _run_tasks(
+        [
+            lambda: run_cycle_quasi1d(
                 params,
-                pr,
-                s,
-                g,
+                protocols,
+                signal,
+                mode_grid,
                 n_medium=n_medium,
                 steps_per_width=steps,
                 diffusion_phases=(),
             )
-        )
-
-    collapse_holds = [hold_for(tau) for tau in _PERP_TAUS]
-    for t_hold in collapse_holds:
-        protocol = StorageProtocol.standard(cfg.protocol.eta_write, t_hold=t_hold)
-        estimate += _estimate_cell_steps(
-            params, protocol, signal, n_medium=n_medium, steps_per_width=steps
-        )
-        add_task(protocol, signal, mode_grid)
-
-    hg_holds = [hold_for(tau) for tau in _HG_TAUS]
-    for t_hold in hg_holds:
-        protocol = StorageProtocol.standard(cfg.protocol.eta_write, t_hold=t_hold)
-        estimate += 2.0 * _estimate_cell_steps(
-            params, protocol, signal, n_medium=n_medium, steps_per_width=steps
-        )
-        add_task(protocol, signal, hg_grid00)
-        add_task(protocol, replace(signal, mode=(1, 1)), hg_grid)
-    _check_budget(spec, estimate)
-
-    records = _run_tasks(tasks, spec.threads)
+        ],
+        spec.threads,
+    )
     collapse_recs = records[: len(collapse_holds)]
-    hg_recs = records[len(collapse_holds):]
+    hg_bases = [rec.base for rec in records[len(collapse_holds):]]
+    hg_recs00 = Quasi1DRecord.from_bases(hg_bases, signal, hg_grid00)
+    hg_recs11 = Quasi1DRecord.from_bases(hg_bases, replace(signal, mode=(1, 1)), hg_grid)
 
     rows = []
     checks = []
@@ -639,8 +633,7 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
     )
 
     hg_rows = []
-    for i in range(0, len(hg_recs), 2):
-        rec00, rec11 = hg_recs[i], hg_recs[i + 1]
+    for rec00, rec11 in zip(hg_recs00, hg_recs11):
         groups = derive_groups(params, rec00.base.protocol, signal)
         ratio = rec11.efficiency_kspace() / rec00.efficiency_kspace()
         predicted = hg_ratio(groups.tau_perp)
@@ -728,18 +721,19 @@ def _exp_storage_cycle(spec: ExperimentSpec):
     )
     _check_budget(spec, estimate)
 
-    tasks = [
-        lambda d=diff: run_cycle_quasi1d(
-            cfg.params.with_diffusivity(d),
-            cfg.protocol,
-            cfg.signal,
-            mode_grid,
-            n_medium=n_medium,
-            steps_per_width=steps,
-        )
-        for diff in (cfg.params.diffusivity, 0.0)
-    ]
-    rec_d, rec_0 = _run_tasks(tasks, spec.threads)
+    ((rec_d, rec_0),) = _run_tasks(
+        [
+            lambda: run_cycle_quasi1d(
+                [cfg.params, cfg.params.with_diffusivity(0.0)],
+                cfg.protocol,
+                cfg.signal,
+                mode_grid,
+                n_medium=n_medium,
+                steps_per_width=steps,
+            )
+        ],
+        spec.threads,
+    )
 
     groups = derive_groups(cfg.params, cfg.protocol, cfg.signal)
     totals = eff_total(cfg.params, cfg.protocol, cfg.signal)
@@ -1228,18 +1222,22 @@ def _exp_efficiency_budget(spec: ExperimentSpec):
         cfg.params, cfg.protocol, cfg.signal, n_medium=n_medium, steps_per_width=steps
     )
     _check_budget(spec, estimate)
-    tasks = [
-        lambda d=diff: run_cycle_quasi1d(
-            cfg.params.with_diffusivity(d),
-            cfg.protocol,
-            cfg.signal,
-            mode_grid,
-            n_medium=n_medium,
-            steps_per_width=steps,
-        ).efficiency_kspace()
-        for diff in diffs
-    ]
-    effs = _run_tasks(tasks, spec.threads)
+    (effs,) = _run_tasks(
+        [
+            lambda: [
+                rec.efficiency_kspace()
+                for rec in run_cycle_quasi1d(
+                    [cfg.params.with_diffusivity(diff) for diff in diffs],
+                    cfg.protocol,
+                    cfg.signal,
+                    mode_grid,
+                    n_medium=n_medium,
+                    steps_per_width=steps,
+                )
+            ]
+        ],
+        spec.threads,
+    )
 
     rows = []
     checks = []

@@ -25,17 +25,30 @@ single exact step.
 All step kernels broadcast over leading axes of sigma, with per-row
 couplings and detunings passed as (..., 1) arrays; the transverse module
 reuses them column by column.
+
+Batched rows: run_cycle also takes sequences of parameter sets and
+protocols and advances them together as one (rows, n_z) state, one record
+per row.  The rows must share one time grid, so they may differ only in
+the diffusivity (each row gets its own spectral kernel; rows without
+diffusion skip the FFT pair) and, when the hold is exact (gradient and
+control off, no snapshot inside it), in t_hold (the single exact hold step
+takes a per-row duration).  Any other difference is a ParameterError.  A
+phase whose operator is the same for every row, such as a write with
+diffusion off, runs on a single shared row, and the state fans out to one
+row per point at the first phase that tells the rows apart.  Guard
+ratios, peak references and snapshot frames are kept per row.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import fft, ifft
-from scipy.integrate import cumulative_trapezoid
 
 from .model import (
     GuardBandError,
@@ -96,11 +109,12 @@ class Grid1D:
         """Index slice covering the medium, faces included."""
         return slice(self.i_left, self.i_right + 1)
 
-    @property
+    @cached_property
     def mask(self) -> np.ndarray:
-        """1.0 inside the medium, 0.0 in the padding."""
+        """1.0 inside the medium, 0.0 in the padding (read-only, built once)."""
         m = np.zeros(self.n_z)
         m[self.medium] = 1.0
+        m.flags.writeable = False
         return m
 
     @property
@@ -129,7 +143,11 @@ def slave_field(
     padding (fin before the medium, the exit value after it).  Per-row
     couplings and inputs broadcast over leading axes when shaped (..., 1).
     """
-    cum = cumulative_trapezoid(sigma[..., grid.medium], dx=grid.dz, axis=-1, initial=0.0)
+    # cumulative trapezoid from the entrance face, in the operation order
+    # of scipy's cumulative_trapezoid (bit-identical, without its overhead)
+    y = sigma[..., grid.medium]
+    cum = np.zeros(y.shape, dtype=complex)
+    np.cumsum(grid.dz * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1, out=cum[..., 1:])
     e = np.empty(sigma.shape, dtype=complex)
     e[..., : grid.i_left] = fin_tilde
     e[..., grid.medium] = fin_tilde + 1j * (coupling_eff * density / light_speed) * cum
@@ -139,32 +157,57 @@ def slave_field(
 
 @dataclass(eq=False)
 class StepKernels:
-    """Precomputed per-phase factors for one step size."""
+    """Precomputed per-phase factors for one step size.
 
-    dt: float
+    dt and diffusivity are scalars, or (rows, 1) columns with one value
+    per row of the state.  Rows with no diffusion over the step (D = 0 or
+    a zero-length step) are left out of diff_rows (None: every row
+    diffuses) and skip the FFT pair, so they match a solve of their own.
+    """
+
+    dt: float | np.ndarray
     rot_full: np.ndarray
     rot_half: np.ndarray
     diff_half: np.ndarray | None
+    diff_rows: np.ndarray | None = None
 
     @classmethod
     def build(
         cls,
         grid: Grid1D,
-        dt: float,
+        dt,
         eta: float,
-        diffusivity: float,
+        diffusivity,
         k_matched: float,
         use_diffusion: bool,
     ) -> "StepKernels":
-        diff_half = None
-        if use_diffusion and diffusivity > 0.0:
-            diff_half = np.exp(-diffusivity * (grid.q + k_matched) ** 2 * (0.5 * dt))
+        diff_half = diff_rows = None
+        active = np.asarray(diffusivity * dt) > 0.0
+        if use_diffusion and np.any(active):
+            d, d_dt = diffusivity, dt
+            if not np.all(active):
+                diff_rows = np.flatnonzero(active)
+                d = diffusivity[diff_rows] if np.ndim(diffusivity) else diffusivity
+                d_dt = dt[diff_rows] if np.ndim(dt) else dt
+            diff_half = np.exp(-d * (grid.q + k_matched) ** 2 * (0.5 * d_dt))
         return cls(
             dt=dt,
             rot_full=np.exp(-1j * eta * grid.z * dt),
             rot_half=np.exp(-1j * eta * grid.z * (0.5 * dt)),
             diff_half=diff_half,
+            diff_rows=diff_rows,
         )
+
+    def diffuse_half(self, sigma: np.ndarray) -> np.ndarray:
+        """Exact spectral diffusion over half a step."""
+        if self.diff_half is None:
+            return sigma
+        if self.diff_rows is None:
+            return ifft(fft(sigma, axis=-1) * self.diff_half, axis=-1)
+        out = sigma.copy()
+        rows = self.diff_rows
+        out[rows] = ifft(fft(sigma[rows], axis=-1) * self.diff_half, axis=-1)
+        return out
 
 
 def advance_step(
@@ -188,8 +231,7 @@ def advance_step(
     the drive off the step is a pure (exact) rotation between exact
     diffusion half-steps.
     """
-    if kern.diff_half is not None:
-        sigma = ifft(fft(sigma, axis=-1) * kern.diff_half, axis=-1)
+    sigma = kern.diffuse_half(sigma)
     if drive_on:
         dt = kern.dt
         mask = grid.mask
@@ -203,9 +245,7 @@ def advance_step(
         )
     else:
         sigma = (kern.rot_full * res_full) * sigma
-    if kern.diff_half is not None:
-        sigma = ifft(fft(sigma, axis=-1) * kern.diff_half, axis=-1)
-    return sigma
+    return kern.diffuse_half(sigma)
 
 
 @dataclass(eq=False)
@@ -339,9 +379,70 @@ def _check_guard(
     return ratio
 
 
+def _rows_of(params, protocol) -> tuple[list, list]:
+    """Per-row parameter sets and protocols; a single value serves every row."""
+    param_rows = [params] if isinstance(params, PhysicalParams) else list(params)
+    protocol_rows = [protocol] if isinstance(protocol, StorageProtocol) else list(protocol)
+    n_rows = max(len(param_rows), len(protocol_rows))
+    if len(param_rows) == 1:
+        param_rows *= n_rows
+    if len(protocol_rows) == 1:
+        protocol_rows *= n_rows
+    if n_rows == 0 or len(param_rows) != len(protocol_rows):
+        raise ParameterError(
+            "params and protocol rows must be non-empty and equal in number "
+            "(got %d and %d)" % (len(param_rows), len(protocol_rows))
+        )
+    _require_shared(param_rows, "diffusivity")
+    _require_shared(protocol_rows, "t_hold")
+    return param_rows, protocol_rows
+
+
+def _require_shared(rows, free: str) -> None:
+    """Batched rows must agree in every field but `free`."""
+    first = vars(rows[0])
+    differ = sorted(
+        {key for row in rows[1:] for key, value in vars(row).items() if value != first[key]}
+        - {free}
+    )
+    if differ:
+        raise ParameterError(
+            "batched rows may differ only in %s; these differ in %s" % (free, ", ".join(differ))
+        )
+
+
+def _shared(values):
+    """The common value of a per-row list, else the values as an array."""
+    first = values[0]
+    return first if all(value == first for value in values) else np.array(values, dtype=float)
+
+
+def _col(values):
+    """Per-row values as a (rows, 1) column; a shared scalar passes through."""
+    return values[:, None] if np.ndim(values) else values
+
+
+def _rotation(rate: float, span):
+    """exp(-i rate span); per-row spans give a (rows, 1) column."""
+    if np.ndim(span) == 0:
+        return cmath.exp(-1j * rate * span)
+    return np.array([cmath.exp(-1j * rate * float(s)) for s in span])[:, None]
+
+
+def _steps_by_row(samples) -> np.ndarray:
+    """Per-step samples (shared scalars, or one value per state row) as (rows, steps)."""
+    a = np.asarray(samples)
+    return a.reshape(1, -1) if a.ndim == 1 else a.T
+
+
+def _row(values: np.ndarray, r: int) -> np.ndarray:
+    """Row r of a (rows, ...) array whose single row may stand for all rows."""
+    return values[min(r, len(values) - 1)]
+
+
 def run_cycle(
-    params: PhysicalParams,
-    protocol: StorageProtocol,
+    params: PhysicalParams | Sequence[PhysicalParams],
+    protocol: StorageProtocol | Sequence[StorageProtocol],
     signal: SignalSpec,
     *,
     n_medium: int = 256,
@@ -353,7 +454,7 @@ def run_cycle(
     sigma_times=(),
     spectrum_times=(),
     guard_threshold: float = 1e-4,
-) -> CycleRecord:
+) -> CycleRecord | list[CycleRecord]:
     """Integrate one full write / hold / read cycle and record it.
 
     The write phase covers [-t_write, 0] with the input envelope injected
@@ -362,6 +463,18 @@ def run_cycle(
     gradient reversed.  diffusion_phases restricts which phases see the
     diffusion operator, which isolates per-phase decay in tests; physical
     runs keep all three.
+
+    Batched rows: params and protocol may each be a sequence (a single
+    value serves every row).  The rows advance together as one (rows, n_z)
+    state and a list of records comes back in row order; a single
+    PhysicalParams with a single StorageProtocol returns one CycleRecord.
+    Rows may differ only in diffusivity, and in t_hold when the hold is
+    exact (gradient and control off, no snapshot inside it); any other
+    difference raises ParameterError.  The state stays one shared row
+    while every row sees the same operator, so a write with diffusion off
+    is solved once, and fans out to one row per point at the first span
+    whose operator differs between rows.  Guard ratios, peak references
+    and snapshot frames are kept per row.
 
     Raises GuardBandError if coherence reaches the outer padding band.
     """
@@ -373,7 +486,15 @@ def run_cycle(
     if dt is not None and dt <= 0.0:
         raise ParameterError("dt must be positive")
 
-    derive_groups(params, protocol, signal)  # validates gradient and widths
+    single = isinstance(params, PhysicalParams) and isinstance(protocol, StorageProtocol)
+    param_rows, protocol_rows = _rows_of(params, protocol)
+    for row_params, row_protocol in zip(param_rows, protocol_rows):
+        derive_groups(row_params, row_protocol, signal)  # validates gradient and widths
+    n_rows = len(param_rows)
+    params, protocol = param_rows[0], protocol_rows[0]  # every field but two is shared
+    diffs = _shared([p.diffusivity for p in param_rows])
+    holds = _shared([p.t_hold for p in protocol_rows])
+
     grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
     g_eff = params.coupling_eff
     k_matched = params.k_matched
@@ -390,39 +511,62 @@ def run_cycle(
     res_on = stark_residual(params, params.rabi_control)
     res_off = stark_residual(params, 0.0)
 
-    frames = _FrameTaker(sigma_times, spectrum_times, grid, k_matched)
-    sigma = np.zeros(grid.n_z, dtype=complex)
+    takers = [_FrameTaker(sigma_times, spectrum_times, grid, k_matched) for _ in range(n_rows)]
+    want_frames = bool(takers[0].pending_sigma or takers[0].pending_spec)
+    if np.ndim(holds):
+        if protocol.eta_hold != 0.0 or protocol.control_on_hold:
+            raise ParameterError(
+                "rows may differ in t_hold only when the hold is exact "
+                "(gradient and control off during the hold)"
+            )
+        if takers[0].pending_in(0.0, float(np.max(holds))):
+            raise ParameterError("rows that differ in t_hold take no snapshot inside the hold")
+    sigma = np.zeros((1, grid.n_z), dtype=complex)
 
     def fin_write(t: float) -> complex:
         return face_phase * complex(sample_temporal(signal, t))
 
+    def exit_field(e) -> list[complex]:
+        # physical-frame exit field per row, as scalar products: numpy's
+        # vector complex multiply may fuse multiply-adds and move last bits
+        return [face_phase * value for value in e[:, grid.i_right]]
+
+    def mark(t, drive_on, fin_fn, recorder):
+        """Record the state at a step boundary and take the snapshots due."""
+        e = slave_field(sigma, grid, g_eff, density, light_speed, fin_fn(t)) if drive_on else None
+        recorder(t, sigma, e)
+        if want_frames:
+            for r, taker in enumerate(takers):
+                taker.take(float(t[r]) if np.ndim(t) else t, _row(sigma, r))
+
     def advance_span(t0, duration, eta, drive_on, residual, fin_fn, use_diff, recorder):
-        """Run one constant-gradient span; recorder(t, sigma, e) per boundary."""
+        """Run one constant-gradient span; recorder(t, sigma, e) per boundary.
+
+        t0 is per row after a per-row hold; duration is per row only in
+        an exact hold.
+        """
         nonlocal sigma
+        diffusivity = diffs if use_diff else 0.0
+        if (np.ndim(duration) or np.ndim(diffusivity)) and len(sigma) < n_rows:
+            sigma = np.repeat(sigma, n_rows, axis=0)  # the rows part ways here
         exact_ok = (not drive_on) and eta == 0.0
-        if exact_ok:
-            cuts = [t0] + frames.pending_in(t0, t0 + duration) + [t0 + duration]
-            pieces = [(cuts[i], cuts[i + 1] - cuts[i]) for i in range(len(cuts) - 1)]
-            plan = [(start, span, 1) for start, span in pieces]
+        if exact_ok and np.ndim(duration):
+            plan = [(t0, duration, 1)]
+        elif exact_ok:
+            cuts = [t0] + takers[0].pending_in(t0, t0 + duration) + [t0 + duration]
+            plan = [(cuts[i], cuts[i + 1] - cuts[i], 1) for i in range(len(cuts) - 1)]
         else:
-            n_steps = max(1, math.ceil(duration / dt0))
-            plan = [(t0, duration, n_steps)]
+            plan = [(t0, duration, max(1, math.ceil(duration / dt0)))]
 
         first = True
         for start, span, n_steps in plan:
             step = span / n_steps
-            kern = StepKernels.build(grid, step, eta, params.diffusivity, k_matched, use_diff)
-            res_full = cmath.exp(-1j * residual * step)
-            res_half = cmath.exp(-1j * residual * (0.5 * step))
+            kern = StepKernels.build(grid, _col(step), eta, _col(diffusivity), k_matched, use_diff)
+            res_full = _rotation(residual, step)
+            res_half = _rotation(residual, 0.5 * step)
             t = start
             if first:
-                e = (
-                    slave_field(sigma, grid, g_eff, density, light_speed, fin_fn(t))
-                    if drive_on
-                    else None
-                )
-                recorder(t, sigma, e)
-                frames.take(t, sigma)
+                mark(t, drive_on, fin_fn, recorder)
                 first = False
             for j in range(n_steps):
                 sigma = advance_step(
@@ -439,13 +583,13 @@ def run_cycle(
                     light_speed=light_speed,
                 )
                 t = start + (j + 1) * step
-                e = (
-                    slave_field(sigma, grid, g_eff, density, light_speed, fin_fn(t))
-                    if drive_on
-                    else None
-                )
-                recorder(t, sigma, e)
-                frames.take(t, sigma)
+                mark(t, drive_on, fin_fn, recorder)
+
+    def guard(phase: str, peaks: np.ndarray) -> list[float]:
+        return [
+            _check_guard(_row(sigma, r), grid, guard_threshold, phase, float(peaks[r]))
+            for r in range(n_rows)
+        ]
 
     # -- write ---------------------------------------------------------
     t_w, in_w, out_w = [], [], []
@@ -453,7 +597,7 @@ def run_cycle(
     def rec_write(t, sig, e):
         t_w.append(t)
         in_w.append(complex(sample_temporal(signal, t)))
-        out_w.append(face_phase * e[grid.i_right])
+        out_w.append(exit_field(e))
 
     advance_span(
         -t_write_len,
@@ -465,8 +609,8 @@ def run_cycle(
         "write" in diffusion_phases,
         rec_write,
     )
-    peak_ref = float(np.max(np.abs(sigma)))
-    guard_write = _check_guard(sigma, grid, guard_threshold, "write", peak_ref)
+    peak_ref = np.broadcast_to(np.max(np.abs(sigma), axis=-1), (n_rows,))
+    guard_write = guard("write", peak_ref)
     sigma_end_write = sigma.copy()
 
     # -- hold ----------------------------------------------------------
@@ -475,12 +619,9 @@ def run_cycle(
     def rec_hold(t, sig, e):
         if e is not None:
             t_h.append(t)
-            out_h.append(face_phase * e[grid.i_right])
+            out_h.append(exit_field(e))
 
-    def rec_quiet(t, sig, e):
-        pass
-
-    if protocol.t_hold > 0.0:
+    if np.any(np.greater(holds, 0.0)):
         drive_hold = protocol.control_on_hold
         res_hold = res_on if drive_hold else res_off
         use_diff_hold = "hold" in diffusion_phases
@@ -488,9 +629,9 @@ def run_cycle(
             flip = protocol.flip_time()
             hold_spans = [(0.0, flip, protocol.eta_hold), (flip, protocol.t_hold - flip, -protocol.eta_hold)]
         else:
-            hold_spans = [(0.0, protocol.t_hold, 0.0)]
+            hold_spans = [(0.0, holds, 0.0)]
         for start, span, eta_h in hold_spans:
-            if span <= 0.0:
+            if np.all(np.less_equal(span, 0.0)):
                 continue
             advance_span(
                 start,
@@ -500,10 +641,10 @@ def run_cycle(
                 res_hold,
                 lambda t: 0.0j,
                 use_diff_hold,
-                rec_hold if drive_hold else rec_quiet,
+                rec_hold,
             )
-    peak_ref = max(peak_ref, float(np.max(np.abs(sigma))))
-    guard_hold = _check_guard(sigma, grid, guard_threshold, "hold", peak_ref)
+    peak_ref = np.maximum(peak_ref, np.max(np.abs(sigma), axis=-1))
+    guard_hold = guard("hold", peak_ref)
     sigma_end_hold = sigma.copy()
 
     # -- read ----------------------------------------------------------
@@ -511,10 +652,10 @@ def run_cycle(
 
     def rec_read(t, sig, e):
         t_r.append(t)
-        out_r.append(face_phase * e[grid.i_right])
+        out_r.append(exit_field(e))
 
     advance_span(
-        protocol.t_hold,
+        holds,
         t_read_len,
         -protocol.eta_write,
         True,
@@ -523,49 +664,62 @@ def run_cycle(
         "read" in diffusion_phases,
         rec_read,
     )
-    guard_read = _check_guard(sigma, grid, guard_threshold, "read", peak_ref)
+    guard_read = guard("read", peak_ref)
 
     t_write_axis = np.array(t_w)
     f_in = np.array(in_w)
-    f_trans = np.array(out_w)
-    t_hold_axis = np.array(t_h)
-    f_hold = np.array(out_h)
-    t_out = np.array(t_r)
-    f_out = np.array(out_r)
+    input_energy = float(np.trapezoid(np.abs(f_in) ** 2, t_write_axis))
+    f_trans, t_hold_axis, f_hold, t_out, f_out = (
+        _steps_by_row(samples) for samples in (out_w, t_h, out_h, t_r, out_r)
+    )
 
     stored_scale = density / light_speed
     spectrum_k = None
-    if frames.spectrum_frames:
+    if any(taker.spectrum_frames for taker in takers):
         spectrum_k, _ = spinwave_spectrum(sigma, grid, k_matched)
 
-    return CycleRecord(
-        params=params,
-        protocol=protocol,
-        signal=signal,
-        grid=grid,
-        t_write=t_write_axis,
-        f_in=f_in,
-        f_trans=f_trans,
-        t_hold=t_hold_axis,
-        f_hold_leak=f_hold,
-        t_out=t_out,
-        f_out=f_out,
-        sigma_end_write=sigma_end_write,
-        sigma_end_hold=sigma_end_hold,
-        sigma_end_read=sigma.copy(),
-        sigma_frames=frames.sigma_frames,
-        spectrum_k=spectrum_k,
-        spectrum_frames=frames.spectrum_frames,
-        input_energy=float(np.trapezoid(np.abs(f_in) ** 2, t_write_axis)),
-        transmitted_energy=float(np.trapezoid(np.abs(f_trans) ** 2, t_write_axis)),
-        output_energy=float(np.trapezoid(np.abs(f_out) ** 2, t_out)),
-        hold_leak_energy=(
-            float(np.trapezoid(np.abs(f_hold) ** 2, t_hold_axis)) if t_h else 0.0
-        ),
-        stored_end_write=stored_scale
-        * float(np.trapezoid(np.abs(sigma_end_write) ** 2, grid.z)),
-        stored_end_hold=stored_scale
-        * float(np.trapezoid(np.abs(sigma_end_hold) ** 2, grid.z)),
-        stored_end_read=stored_scale * float(np.trapezoid(np.abs(sigma) ** 2, grid.z)),
-        guard_ratio={"write": guard_write, "hold": guard_hold, "read": guard_read},
-    )
+    records = []
+    for r in range(n_rows):
+        row_out, row_t_out = _row(f_out, r), _row(t_out, r)
+        row_trans = _row(f_trans, r)
+        row_hold, row_t_hold = _row(f_hold, r), _row(t_hold_axis, r)
+        end_write, end_hold, end_read = (
+            _row(state, r) for state in (sigma_end_write, sigma_end_hold, sigma)
+        )
+        records.append(
+            CycleRecord(
+                params=param_rows[r],
+                protocol=protocol_rows[r],
+                signal=signal,
+                grid=grid,
+                t_write=t_write_axis,
+                f_in=f_in,
+                f_trans=row_trans,
+                t_hold=row_t_hold,
+                f_hold_leak=row_hold,
+                t_out=row_t_out,
+                f_out=row_out,
+                sigma_end_write=end_write,
+                sigma_end_hold=end_hold,
+                sigma_end_read=end_read,
+                sigma_frames=takers[r].sigma_frames,
+                spectrum_k=spectrum_k,
+                spectrum_frames=takers[r].spectrum_frames,
+                input_energy=input_energy,
+                transmitted_energy=float(np.trapezoid(np.abs(row_trans) ** 2, t_write_axis)),
+                output_energy=float(np.trapezoid(np.abs(row_out) ** 2, row_t_out)),
+                hold_leak_energy=(
+                    float(np.trapezoid(np.abs(row_hold) ** 2, row_t_hold))
+                    if row_t_hold.size
+                    else 0.0
+                ),
+                stored_end_write=stored_scale
+                * float(np.trapezoid(np.abs(end_write) ** 2, grid.z)),
+                stored_end_hold=stored_scale
+                * float(np.trapezoid(np.abs(end_hold) ** 2, grid.z)),
+                stored_end_read=stored_scale
+                * float(np.trapezoid(np.abs(end_read) ** 2, grid.z)),
+                guard_ratio={"write": guard_write[r], "hold": guard_hold[r], "read": guard_read[r]},
+            )
+        )
+    return records[0] if single else records

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,6 +211,28 @@ class Quasi1DRecord:
     mode_amp: np.ndarray
     gamma: np.ndarray
 
+    @classmethod
+    def from_bases(
+        cls, bases: Sequence[CycleRecord], signal: SignalSpec, grid: ModeGrid
+    ) -> list["Quasi1DRecord"]:
+        """Wrap 1D cycles with the mode spectrum of signal on grid.
+
+        The longitudinal cycle does not depend on the transverse mode, so
+        one base can serve several modes (each wrapped on its own grid).
+        """
+        samples = sample_transverse(signal, grid.x[:, None], grid.y[None, :])
+        mode_amp = fft2(samples) * grid.dx * grid.dx
+        k_squared = grid.k_squared()
+        return [
+            cls(
+                base=base,
+                mode_grid=grid,
+                mode_amp=mode_amp,
+                gamma=base.params.diffusivity * k_squared,
+            )
+            for base in bases
+        ]
+
     @property
     def read_offsets(self) -> np.ndarray:
         return self.base.t_out - self.base.protocol.t_hold
@@ -276,19 +299,22 @@ class Quasi1DRecord:
 
 
 def run_cycle_quasi1d(
-    params: PhysicalParams,
-    protocol: StorageProtocol,
+    params: PhysicalParams | Sequence[PhysicalParams],
+    protocol: StorageProtocol | Sequence[StorageProtocol],
     signal: SignalSpec,
     grid: ModeGrid,
     control: ControlProfile | None = None,
     **solver_kwargs,
-) -> Quasi1DRecord:
+) -> Quasi1DRecord | list[Quasi1DRecord]:
     """Full 3D cycle for a homogeneous control via one 1D solve.
 
     The tilded longitudinal system is identical for every transverse
     Fourier mode, so exactly one solver1d cycle is run; each mode then
     carries its own decay factor.  A transversely varying control breaks
     the equivalence; such profiles must go through run_cycle_realspace.
+    params and protocol may be row sequences under the batching rules of
+    run_cycle; each row's base is then wrapped on its own, one record per
+    row.
     """
     if control is not None and not control.is_homogeneous:
         raise ParameterError(
@@ -296,10 +322,9 @@ def run_cycle_quasi1d(
             "use run_cycle_realspace for a gaussian control beam"
         )
     base = run_cycle(params, protocol, signal, **solver_kwargs)
-    samples = sample_transverse(signal, grid.x[:, None], grid.y[None, :])
-    mode_amp = fft2(samples) * grid.dx * grid.dx
-    gamma = params.diffusivity * grid.k_squared()
-    return Quasi1DRecord(base=base, mode_grid=grid, mode_amp=mode_amp, gamma=gamma)
+    if isinstance(base, CycleRecord):
+        return Quasi1DRecord.from_bases([base], signal, grid)[0]
+    return Quasi1DRecord.from_bases(base, signal, grid)
 
 
 # ---------------------------------------------------------------------------

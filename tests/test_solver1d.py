@@ -6,8 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.fft import fft, ifft
+from scipy.integrate import cumulative_trapezoid
 
 from gemdiff import (
     CycleRecord,
@@ -87,6 +90,39 @@ def test_slave_field_integrates_from_entrance(bench_params):
     ramp = 1j * slope * (grid.z[grid.medium] + bench_params.half_length)
     assert_allclose(e[grid.medium], 2.0 + ramp, rtol=1e-12)
     assert e[-1] == pytest.approx(e[grid.i_right])
+
+
+@pytest.mark.parametrize("rows", [(), (1,), (5,)])
+def test_slave_field_integral_is_scipy_cumulative_trapezoid(bench_params, rows):
+    # the inline cumulative sum keeps scipy's operation order, so the
+    # field is bit-identical to the cumulative_trapezoid reference on the
+    # 385-point medium slice, for one row and for (rows, n_z) states
+    grid = Grid1D.build(bench_params.half_length, n_medium=384)
+    rng = np.random.default_rng(7)
+    full = rows + (grid.n_z,)
+    sigma = rng.standard_normal(full) + 1j * rng.standard_normal(full)
+    fin = 0.3 - 0.2j
+    scale = bench_params.coupling_eff * bench_params.density / bench_params.light_speed
+    e = slave_field(
+        sigma,
+        grid,
+        bench_params.coupling_eff,
+        bench_params.density,
+        bench_params.light_speed,
+        fin,
+    )
+    cum = cumulative_trapezoid(
+        sigma[..., grid.medium], dx=grid.dz, axis=-1, initial=0.0
+    )
+    assert np.array_equal(e[..., grid.medium], fin + 1j * scale * cum)
+    assert np.array_equal(e[..., : grid.i_left], np.broadcast_to(fin, e[..., : grid.i_left].shape))
+
+
+def test_grid_mask_is_built_once_and_read_only():
+    grid = Grid1D.build(0.1, n_medium=96)
+    assert grid.mask is grid.mask
+    with pytest.raises(ValueError):
+        grid.mask[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -324,3 +360,115 @@ def test_guard_ratio_reported_per_phase(bench_params, bench_protocol, bench_sign
     )
     assert set(rec.guard_ratio) == {"write", "hold", "read"}
     assert all(0.0 <= v < 1e-4 for v in rec.guard_ratio.values())
+
+
+# ---------------------------------------------------------------------------
+# batched rows
+# ---------------------------------------------------------------------------
+
+BATCH = dict(n_medium=64, steps_per_width=16.0)
+
+
+def _assert_rows_match(batch, singles):
+    assert len(batch) == len(singles)
+    for got, want in zip(batch, singles):
+        assert got.params == want.params and got.protocol == want.protocol
+        assert_allclose(got.t_out, want.t_out, rtol=1e-12, atol=0.0)
+        scale = np.max(np.abs(want.f_out))
+        assert_allclose(got.f_out, want.f_out, rtol=0.0, atol=1e-12 * scale)
+        assert efficiency_1d(got) == pytest.approx(efficiency_1d(want), rel=1e-12)
+        for name in ("stored_end_write", "stored_end_hold", "stored_end_read"):
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
+        assert set(got.guard_ratio) == set(want.guard_ratio)
+        for phase, ratio in want.guard_ratio.items():
+            assert got.guard_ratio[phase] == pytest.approx(ratio, rel=1e-12, abs=1e-300)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    diffs=st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=8e-3)),
+        min_size=1,
+        max_size=4,
+    ),
+    phases=st.sampled_from(
+        [(), ("write",), ("hold",), ("read",), ("write", "hold", "read")]
+    ),
+)
+def test_batched_rows_match_single_solves(
+    bench_params, bench_signal, diffs, phases
+):
+    proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=3e-6)
+    rows = [bench_params.with_diffusivity(d) for d in diffs]
+    batch = run_cycle(rows, proto, bench_signal, diffusion_phases=phases, **BATCH)
+    singles = [
+        run_cycle(p, proto, bench_signal, diffusion_phases=phases, **BATCH) for p in rows
+    ]
+    _assert_rows_match(batch, singles)
+
+
+def test_per_row_exact_holds_match_direct_solves(bench_params, bench_signal):
+    # rows differ in t_hold (one of them not holding at all) and in D;
+    # frames outside the holds stay per row on each row's own clock
+    holds = (0.0, 3e-6, 1e-6, 7e-6)
+    protos = [StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=h) for h in holds]
+    rows = [bench_params.with_diffusivity(d) for d in (0.004, 0.0, 0.002, 0.004)]
+    frames = dict(sigma_times=(-1e-6, 8e-6), spectrum_times=(12e-6,))
+    batch = run_cycle(rows, protos, bench_signal, **frames, **BATCH)
+    singles = [
+        run_cycle(p, pr, bench_signal, **frames, **BATCH) for p, pr in zip(rows, protos)
+    ]
+    _assert_rows_match(batch, singles)
+    for got, want in zip(batch, singles):
+        assert got.t_out[0] == want.protocol.t_hold
+        assert [t for t, _ in got.sigma_frames] == [t for t, _ in want.sigma_frames]
+        assert [t for t, _ in got.spectrum_frames] == [t for t, _ in want.spectrum_frames]
+        for (_, a), (_, b) in zip(got.sigma_frames, want.sigma_frames):
+            assert_allclose(a, b, rtol=0.0, atol=1e-12 * np.max(np.abs(b)))
+
+
+def test_single_row_returns_a_record_and_sequences_a_list(
+    bench_params, bench_protocol, bench_signal
+):
+    assert isinstance(run_cycle(bench_params, bench_protocol, bench_signal, **BATCH), CycleRecord)
+    recs = run_cycle([bench_params], bench_protocol, bench_signal, **BATCH)
+    assert isinstance(recs, list) and len(recs) == 1
+
+
+@pytest.mark.parametrize(
+    "make_rows, match",
+    [
+        (
+            lambda p, s: ([p, p], [
+                StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=1e-6),
+                StorageProtocol.standard(eta_write=-TAU * 12e6, t_hold=1e-6),
+            ]),
+            "differ in eta_write",
+        ),
+        (
+            lambda p, s: ([p, replace(p, density=0.4e18)], s),
+            "differ in density",
+        ),
+        (
+            lambda p, s: (p, [
+                StorageProtocol.gradient_through_hold(-TAU * 10e6, 2e-6),
+                StorageProtocol.gradient_through_hold(-TAU * 10e6, 4e-6),
+            ]),
+            "only when the hold is exact",
+        ),
+        (lambda p, s: ([p, p, p], [s, s]), "equal in number"),
+        (lambda p, s: ([], s), "non-empty"),
+    ],
+)
+def test_batched_rows_reject_what_needs_two_time_grids(
+    bench_params, bench_protocol, bench_signal, make_rows, match
+):
+    params, protocols = make_rows(bench_params, bench_protocol)
+    with pytest.raises(ParameterError, match=match):
+        run_cycle(params, protocols, bench_signal, **BATCH)
+
+
+def test_per_row_holds_take_no_snapshot_inside_a_hold(bench_params, bench_signal):
+    protos = [StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=h) for h in (1e-6, 3e-6)]
+    with pytest.raises(ParameterError, match="no snapshot inside the hold"):
+        run_cycle(bench_params, protos, bench_signal, sigma_times=(2e-6,), **BATCH)

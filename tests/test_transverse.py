@@ -1,6 +1,7 @@
 """Transverse routes: mode decomposition, real-space solvers, beam observables."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -170,6 +171,21 @@ def test_quasi1d_requires_homogeneous_control(
             grid,
             control=ControlProfile.gaussian(bench_params.rabi_control, 3e-3),
         )
+
+
+@pytest.mark.parametrize("mode, window", [((0, 0), 8.0), ((1, 1), 9.0)])
+def test_batched_quasi1d_matches_single_calls(bench_params, bench_signal, mode, window):
+    # rows differ in D and in the exact hold; each row's base is wrapped
+    # with its own transverse decay rates
+    signal = replace(bench_signal, mode=mode)
+    grid = ModeGrid.build(signal.waist, mode, n=32, window_factor=window)
+    rows = [bench_params.with_diffusivity(d) for d in (0.004, 0.0, 0.002)]
+    protos = [StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=h) for h in (2e-6, 2e-6, 5e-6)]
+    batch = run_cycle_quasi1d(rows, protos, signal, grid, **FAST)
+    for rec, params, proto in zip(batch, rows, protos):
+        single = run_cycle_quasi1d(params, proto, signal, grid, **FAST)
+        assert rec.efficiency_kspace() == pytest.approx(single.efficiency_kspace(), rel=1e-12)
+        assert np.array_equal(rec.gamma, single.gamma)
 
 
 def test_quasi1d_kspace_and_realspace_efficiencies_agree(quasi_record):
