@@ -61,13 +61,16 @@ def known_keys() -> frozenset:
 
 
 _VALUE_RE = re.compile(
-    r"^(?P<sign>[+-])?(?P<tau>2pi\*)?(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?inf)"
+    r"^(?P<sign>[+-])?(?P<tau>2pi\*)?(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"\s*(?P<unit>[A-Za-z][\w^/\-]*)?$"
 )
 
 
 def parse_value(text: str) -> float:
-    """Parse one scalar config value: [sign][2pi*]<float> [unit-suffix]."""
+    """Parse one scalar config value: [sign][2pi*]<float> [unit-suffix].
+
+    The value must be finite, also after unit scaling (``1e308 GHz`` is not).
+    """
     match = _VALUE_RE.match(text.strip())
     if match is None:
         raise ParameterError(f"cannot parse value {text!r}")
@@ -82,6 +85,8 @@ def parse_value(text: str) -> float:
         if scale is None:
             raise ParameterError(f"unknown unit suffix {unit!r} in {text!r}")
         value *= scale
+    if not math.isfinite(value):
+        raise ParameterError(f"value {text!r} is not finite")
     return value
 
 

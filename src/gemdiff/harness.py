@@ -68,7 +68,7 @@ from .analytic import (
     hg_ratio,
     phase_theta,
 )
-from .solver1d import Grid1D, efficiency_1d, run_cycle, spectrum_centroid
+from .solver1d import Grid1D, _cycle_plan, efficiency_1d, run_cycle, spectrum_centroid
 from .transverse import (
     ModeGrid,
     Quasi1DRecord,
@@ -139,7 +139,7 @@ class ExperimentSpec:
             )
         if self.threads < 1:
             raise ParameterError("threads must be at least 1")
-        if self.max_cell_steps <= 0:
+        if not self.max_cell_steps > 0:
             raise ParameterError("max_cell_steps must be positive")
         keys = known_keys()
         for axis in self.sweep_axes:
@@ -241,19 +241,22 @@ def _run_tasks(tasks, threads: int) -> list:
 def _estimate_cell_steps(
     params, protocol, signal, *, n_medium, steps_per_width, n_cols=1
 ) -> float:
-    """Estimated cost of one cycle in cell updates (cells x time steps).
+    """Cost of one cycle in cell updates: cells x the steps the solver plans.
 
-    Transverse columns and a gradient or control kept through the hold
-    force real stepping; otherwise the hold costs a handful of exact
-    spectral steps.
+    n_cols > 1 is a real-space run, whose plan also cuts the hold at its
+    mid-hold snapshot and, with diffusion on, steps exact spans at dt0.
     """
-    grid = Grid1D.build(params.half_length, n_medium)
-    dt0 = signal.t_width / steps_per_width
-    window = protocol.write_window(signal)
-    steps = 2.0 * math.ceil(window / dt0)
-    stepped_hold = n_cols > 1 or protocol.eta_hold != 0.0 or protocol.control_on_hold
-    steps += math.ceil(protocol.t_hold / dt0) if stepped_hold else 4
-    return float(grid.n_z) * float(n_cols) * steps
+    realspace = n_cols > 1
+    plan = _cycle_plan(
+        protocol,
+        signal,
+        steps_per_width=steps_per_width,
+        holds=protocol.t_hold,
+        cut_times=(protocol.flip_time(),) if realspace else (),
+        substep_exact=realspace and params.diffusivity > 0.0,
+    )
+    steps = sum(n for _, spans in plan for *_, pieces in spans for _, _, n in pieces)
+    return float(Grid1D.build(params.half_length, n_medium).n_z) * float(n_cols) * steps
 
 
 def _check_budget(spec: ExperimentSpec, estimate: float) -> None:
@@ -1417,6 +1420,18 @@ exit status: 0 all tolerance checks passed, 1 a check failed,
 """
 
 
+def _env_number(name: str, cast, default):
+    """Environment override `name` read by cast, else default; junk or NaN is bad input."""
+    text = os.environ.get(name) or default
+    try:
+        value = cast(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise ParameterError("%s=%r is not a valid %s" % (name, text, cast.__name__))
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="gem",
@@ -1448,17 +1463,16 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("GEM_THREADS", "0") or 0) or None,
         help="worker threads for sweep points (default: up to 4)",
     )
     args = parser.parse_args(argv)
 
-    threads = args.threads if args.threads else min(4, os.cpu_count() or 1)
-    cap = float(os.environ.get("GEM_MAX_CELL_STEPS", _DEFAULT_CELL_STEP_CAP))
     command = "gem %s --fidelity %s" % (args.experiment, args.fidelity)
     command += "".join(" --set %s" % item for item in args.overrides)
 
     try:
+        threads = args.threads or _env_number("GEM_THREADS", int, 0) or min(4, os.cpu_count() or 1)
+        cap = _env_number("GEM_MAX_CELL_STEPS", float, _DEFAULT_CELL_STEP_CAP)
         config = load_config(args.config, args.overrides)
         spec = ExperimentSpec(
             experiment=args.experiment,

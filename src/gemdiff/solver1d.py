@@ -23,8 +23,13 @@ re-fitted to each phase; holds with everything off are advanced in a
 single exact step.
 
 All step kernels broadcast over leading axes of sigma, with per-row
-couplings and detunings passed as (..., 1) arrays; the transverse module
-reuses them column by column.
+couplings and detunings passed as (..., 1) arrays.
+
+One driver, _drive_cycle, runs the cycle of both routes on a (rows, n_z)
+state by the step plan of _cycle_plan, which the harness cost guard sums.
+A record owns a group of rows: each 1D batch row is a record of its own;
+a real-space run is one record over all its transverse columns.  Guard
+ratios, peak references and snapshot frames are kept per record.
 
 Batched rows: run_cycle also takes sequences of parameter sets and
 protocols and advances them together as one (rows, n_z) state, one record
@@ -35,8 +40,7 @@ control off, no snapshot inside it), in t_hold (the single exact hold step
 takes a per-row duration).  Any other difference is a ParameterError.  A
 phase whose operator is the same for every row, such as a write with
 diffusion off, runs on a single shared row, and the state fans out to one
-row per point at the first phase that tells the rows apart.  Guard
-ratios, peak references and snapshot frames are kept per row.
+row per point at the first phase that tells the rows apart.
 """
 
 from __future__ import annotations
@@ -179,11 +183,10 @@ class StepKernels:
         eta: float,
         diffusivity,
         k_matched: float,
-        use_diffusion: bool,
     ) -> "StepKernels":
         diff_half = diff_rows = None
         active = np.asarray(diffusivity * dt) > 0.0
-        if use_diffusion and np.any(active):
+        if np.any(active):
             d, d_dt = diffusivity, dt
             if not np.all(active):
                 diff_rows = np.flatnonzero(active)
@@ -335,11 +338,6 @@ class _FrameTaker:
         self.sigma_frames: list[tuple[float, np.ndarray]] = []
         self.spectrum_frames: list[tuple[float, np.ndarray]] = []
 
-    def pending_in(self, t0: float, t1: float) -> list[float]:
-        eps = 1e-12 * max(1.0, abs(t0), abs(t1))
-        merged = sorted(set(self.pending_sigma) | set(self.pending_spec))
-        return [t for t in merged if t0 + eps < t < t1 - eps]
-
     def take(self, t: float, sigma: np.ndarray) -> None:
         eps = 1e-12 * max(1.0, abs(t))
         while self.pending_sigma and self.pending_sigma[0] <= t + eps:
@@ -377,6 +375,82 @@ def _check_guard(
             "increase pad_fraction or n_medium, or shorten the cycle" % (ratio, threshold),
         )
     return ratio
+
+
+def _inside(times, t0: float, t1: float) -> list[float]:
+    """The distinct times strictly inside (t0, t1), ends excluded to round-off, sorted."""
+    eps = 1e-12 * max(1.0, abs(t0), abs(t1))
+    return [t for t in sorted({float(t) for t in times}) if t0 + eps < t < t1 - eps]
+
+
+def _cycle_plan(
+    protocol: StorageProtocol,
+    signal: SignalSpec,
+    *,
+    steps_per_width: float,
+    holds,
+    dt: float | None = None,
+    t_read: float | None = None,
+    diffusion_phases: tuple[str, ...] = _PHASES,
+    cut_times=(),
+    substep_exact: bool = False,
+) -> list[tuple[str, list[tuple]]]:
+    """The step plan of one cycle: the driver runs it, the cost guard sums it.
+
+    Per phase, its constant-operator spans (start, length, eta, drive_on,
+    use_diff, pieces), each run as pieces (start, length, n_steps).  A
+    span with drive or gradient steps at dt0.  One with both off is exact
+    at any step size: one step per piece, cut at the cut_times inside it,
+    unless substep_exact (an inexact transverse operator) and the phase
+    diffuses, which steps it at dt0 too.
+    """
+    for name in diffusion_phases:
+        if name not in _PHASES:
+            raise ParameterError("unknown diffusion phase %r" % (name,))
+    if steps_per_width <= 0.0:
+        raise ParameterError("steps_per_width must be positive")
+    if dt is not None and dt <= 0.0:
+        raise ParameterError("dt must be positive")
+    dt0 = dt if dt is not None else signal.t_width / steps_per_width
+    t_write_len = protocol.write_window(signal)
+    t_read_len = t_read if t_read is not None else t_write_len
+    if t_read_len <= 0.0:
+        raise ParameterError("t_read must be positive")
+
+    def span(phase, start, length, eta, drive_on):
+        use_diff = phase in diffusion_phases
+        if drive_on or eta != 0.0:
+            pieces = [(start, length, max(1, math.ceil(length / dt0)))]
+        elif np.ndim(length):
+            pieces = [(start, length, 1)]  # a per-row exact hold
+        else:
+            cuts = [start, *_inside(cut_times, start, start + length), start + length]
+            pieces = [
+                (a, b - a, max(1, math.ceil((b - a) / dt0)) if substep_exact and use_diff else 1)
+                for a, b in zip(cuts, cuts[1:])
+            ]
+        return start, length, eta, drive_on, use_diff, pieces
+
+    hold = []
+    if np.any(np.greater(holds, 0.0)):
+        if protocol.eta_hold != 0.0:
+            flip = protocol.flip_time()
+            parts = [
+                (0.0, flip, protocol.eta_hold),
+                (flip, protocol.t_hold - flip, -protocol.eta_hold),
+            ]
+        else:
+            parts = [(0.0, holds, 0.0)]
+        hold = [
+            span("hold", start, length, eta, protocol.control_on_hold)
+            for start, length, eta in parts
+            if not np.all(np.less_equal(length, 0.0))
+        ]
+    return [
+        ("write", [span("write", -t_write_len, t_write_len, protocol.eta_write, True)]),
+        ("hold", hold),
+        ("read", [span("read", holds, t_read_len, -protocol.eta_write, True)]),
+    ]
 
 
 def _rows_of(params, protocol) -> tuple[list, list]:
@@ -422,8 +496,11 @@ def _col(values):
     return values[:, None] if np.ndim(values) else values
 
 
-def _rotation(rate: float, span):
-    """exp(-i rate span); per-row spans give a (rows, 1) column."""
+def _rotation(rate, span):
+    """exp(-i rate span): np.exp for a per-row rate column, else cmath
+    (per-row spans give a (rows, 1) column)."""
+    if np.ndim(rate):
+        return np.exp(-1j * rate * span)
     if np.ndim(span) == 0:
         return cmath.exp(-1j * rate * span)
     return np.array([cmath.exp(-1j * rate * float(s)) for s in span])[:, None]
@@ -438,6 +515,108 @@ def _steps_by_row(samples) -> np.ndarray:
 def _row(values: np.ndarray, r: int) -> np.ndarray:
     """Row r of a (rows, ...) array whose single row may stand for all rows."""
     return values[min(r, len(values) - 1)]
+
+
+def _drive_cycle(
+    params: PhysicalParams,
+    protocol: StorageProtocol,
+    signal: SignalSpec,
+    grid: Grid1D,
+    *,
+    n_rows: int,
+    row_records: bool,
+    rabi,
+    diffs,
+    fin_write,
+    recorders,
+    transverse=None,
+    sigma_times,
+    guard_threshold: float,
+    spectrum_times=(),
+    **plan_options,
+):
+    """Run the write / hold / read phases of _cycle_plan on a (rows, n_z) state.
+
+    rabi (scalar or (n_rows, 1) column) sets the coupling and light-shift
+    residual; fin_write(t) is the entrance-face input.  With row_records
+    each row is a record (one shared row stands for all until a span tells
+    them apart), else the rows form one record.  recorders[phase](t, exit)
+    gets the solver-frame exit field per row at each boundary of a driven
+    span.  transverse(step) returns the step that wraps advance_step in
+    transverse half-steps, for the phases that diffuse.
+
+    Returns (ends, guards, takers): with row_records the state at the end
+    of each phase, and per record its guard ratios and its _FrameTaker.
+    """
+    plan = _cycle_plan(
+        protocol,
+        signal,
+        cut_times=[*sigma_times, *spectrum_times],
+        substep_exact=transverse is not None,
+        **plan_options,
+    )
+    coupling = params.coupling_g * rabi / params.detuning
+    residuals = stark_residual(params, rabi), stark_residual(params, 0.0 * rabi)
+    n_records = n_rows if row_records else 1
+    takers = [
+        _FrameTaker(sigma_times, spectrum_times, grid, params.k_matched) for _ in range(n_records)
+    ]
+    want_frames = bool(takers[0].pending_sigma or takers[0].pending_spec)
+    sigma = np.zeros((1 if row_records else n_rows, grid.n_z), dtype=complex)
+    density, light_speed = params.density, params.light_speed
+
+    def views() -> list[np.ndarray]:
+        return [_row(sigma, r) for r in range(n_rows)] if row_records else [sigma]
+
+    def mark(t, drive_on, fin_fn, recorder):
+        """Record the state at a step boundary and take the snapshots due."""
+        if recorder is not None and drive_on:
+            e = slave_field(sigma, grid, coupling, density, light_speed, fin_fn(t))
+            recorder(t, e[:, grid.i_right])
+        if want_frames:
+            for r, (taker, view) in enumerate(zip(takers, views())):
+                taker.take(float(t[r]) if np.ndim(t) else t, view)
+
+    ends, peaks, guards = {}, [0.0] * n_records, [{} for _ in range(n_records)]
+    for phase, spans in plan:
+        fin_fn = fin_write if phase == "write" else (lambda t: 0.0j)
+        recorder = recorders.get(phase)
+        for span_start, length, eta, drive_on, use_diff, pieces in spans:
+            residual = residuals[0] if drive_on else residuals[1]
+            diffusivity = diffs if use_diff else 0.0
+            if (np.ndim(length) or np.ndim(diffusivity)) and len(sigma) < n_rows:
+                sigma = np.repeat(sigma, n_rows, axis=0)  # the rows part ways here
+            mark(span_start, drive_on, fin_fn, recorder)
+            for start, piece, n_steps in pieces:
+                step = piece / n_steps
+                kern = StepKernels.build(grid, _col(step), eta, _col(diffusivity), params.k_matched)
+                res_full = _rotation(residual, step)
+                res_half = _rotation(residual, 0.5 * step)
+                use_transverse = transverse is not None and use_diff
+                stepper = transverse(step) if use_transverse else advance_step
+                t = start
+                for j in range(n_steps):
+                    sigma = stepper(
+                        sigma,
+                        kern,
+                        grid,
+                        coupling_eff=coupling,
+                        res_full=res_full,
+                        res_half=res_half,
+                        fin_now=fin_fn(t),
+                        fin_mid=fin_fn(t + 0.5 * step),
+                        drive_on=drive_on,
+                        density=density,
+                        light_speed=light_speed,
+                    )
+                    t = start + (j + 1) * step
+                    mark(t, drive_on, fin_fn, recorder)
+        for r, view in enumerate(views()):
+            peaks[r] = max(peaks[r], float(np.max(np.abs(view))))
+            guards[r][phase] = _check_guard(view, grid, guard_threshold, phase, peaks[r])
+        if row_records:  # for the 1D records; no step writes into a state in place
+            ends[phase] = sigma
+    return ends, guards, takers
 
 
 def run_cycle(
@@ -478,214 +657,77 @@ def run_cycle(
 
     Raises GuardBandError if coherence reaches the outer padding band.
     """
-    for name in diffusion_phases:
-        if name not in _PHASES:
-            raise ParameterError("unknown diffusion phase %r" % (name,))
-    if steps_per_width <= 0.0:
-        raise ParameterError("steps_per_width must be positive")
-    if dt is not None and dt <= 0.0:
-        raise ParameterError("dt must be positive")
-
     single = isinstance(params, PhysicalParams) and isinstance(protocol, StorageProtocol)
     param_rows, protocol_rows = _rows_of(params, protocol)
     for row_params, row_protocol in zip(param_rows, protocol_rows):
         derive_groups(row_params, row_protocol, signal)  # validates gradient and widths
     n_rows = len(param_rows)
     params, protocol = param_rows[0], protocol_rows[0]  # every field but two is shared
-    diffs = _shared([p.diffusivity for p in param_rows])
     holds = _shared([p.t_hold for p in protocol_rows])
-
-    grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
-    g_eff = params.coupling_eff
-    k_matched = params.k_matched
-    density = params.density
-    light_speed = params.light_speed
-    face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
-
-    dt0 = dt if dt is not None else signal.t_width / steps_per_width
-    t_write_len = protocol.write_window(signal)
-    t_read_len = t_read if t_read is not None else t_write_len
-    if t_read_len <= 0.0:
-        raise ParameterError("t_read must be positive")
-
-    res_on = stark_residual(params, params.rabi_control)
-    res_off = stark_residual(params, 0.0)
-
-    takers = [_FrameTaker(sigma_times, spectrum_times, grid, k_matched) for _ in range(n_rows)]
-    want_frames = bool(takers[0].pending_sigma or takers[0].pending_spec)
     if np.ndim(holds):
         if protocol.eta_hold != 0.0 or protocol.control_on_hold:
             raise ParameterError(
                 "rows may differ in t_hold only when the hold is exact "
                 "(gradient and control off during the hold)"
             )
-        if takers[0].pending_in(0.0, float(np.max(holds))):
+        if _inside([*sigma_times, *spectrum_times], 0.0, float(np.max(holds))):
             raise ParameterError("rows that differ in t_hold take no snapshot inside the hold")
-    sigma = np.zeros((1, grid.n_z), dtype=complex)
 
-    def fin_write(t: float) -> complex:
-        return face_phase * complex(sample_temporal(signal, t))
+    face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
+    samples = {phase: ([], []) for phase in _PHASES}  # step times, exit fields
 
-    def exit_field(e) -> list[complex]:
-        # physical-frame exit field per row, as scalar products: numpy's
-        # vector complex multiply may fuse multiply-adds and move last bits
-        return [face_phase * value for value in e[:, grid.i_right]]
+    def recorder(phase):
+        times, fields = samples[phase]
 
-    def mark(t, drive_on, fin_fn, recorder):
-        """Record the state at a step boundary and take the snapshots due."""
-        e = slave_field(sigma, grid, g_eff, density, light_speed, fin_fn(t)) if drive_on else None
-        recorder(t, sigma, e)
-        if want_frames:
-            for r, taker in enumerate(takers):
-                taker.take(float(t[r]) if np.ndim(t) else t, _row(sigma, r))
+        def record(t, exit_field):
+            # physical-frame exit field per row, as scalar products: numpy's
+            # vector complex multiply may fuse multiply-adds and move last bits
+            times.append(t)
+            fields.append([face_phase * value for value in exit_field])
 
-    def advance_span(t0, duration, eta, drive_on, residual, fin_fn, use_diff, recorder):
-        """Run one constant-gradient span; recorder(t, sigma, e) per boundary.
+        return record
 
-        t0 is per row after a per-row hold; duration is per row only in
-        an exact hold.
-        """
-        nonlocal sigma
-        diffusivity = diffs if use_diff else 0.0
-        if (np.ndim(duration) or np.ndim(diffusivity)) and len(sigma) < n_rows:
-            sigma = np.repeat(sigma, n_rows, axis=0)  # the rows part ways here
-        exact_ok = (not drive_on) and eta == 0.0
-        if exact_ok and np.ndim(duration):
-            plan = [(t0, duration, 1)]
-        elif exact_ok:
-            cuts = [t0] + takers[0].pending_in(t0, t0 + duration) + [t0 + duration]
-            plan = [(cuts[i], cuts[i + 1] - cuts[i], 1) for i in range(len(cuts) - 1)]
-        else:
-            plan = [(t0, duration, max(1, math.ceil(duration / dt0)))]
-
-        first = True
-        for start, span, n_steps in plan:
-            step = span / n_steps
-            kern = StepKernels.build(grid, _col(step), eta, _col(diffusivity), k_matched, use_diff)
-            res_full = _rotation(residual, step)
-            res_half = _rotation(residual, 0.5 * step)
-            t = start
-            if first:
-                mark(t, drive_on, fin_fn, recorder)
-                first = False
-            for j in range(n_steps):
-                sigma = advance_step(
-                    sigma,
-                    kern,
-                    grid,
-                    coupling_eff=g_eff,
-                    res_full=res_full,
-                    res_half=res_half,
-                    fin_now=fin_fn(t),
-                    fin_mid=fin_fn(t + 0.5 * step),
-                    drive_on=drive_on,
-                    density=density,
-                    light_speed=light_speed,
-                )
-                t = start + (j + 1) * step
-                mark(t, drive_on, fin_fn, recorder)
-
-    def guard(phase: str, peaks: np.ndarray) -> list[float]:
-        return [
-            _check_guard(_row(sigma, r), grid, guard_threshold, phase, float(peaks[r]))
-            for r in range(n_rows)
-        ]
-
-    # -- write ---------------------------------------------------------
-    t_w, in_w, out_w = [], [], []
-
-    def rec_write(t, sig, e):
-        t_w.append(t)
-        in_w.append(complex(sample_temporal(signal, t)))
-        out_w.append(exit_field(e))
-
-    advance_span(
-        -t_write_len,
-        t_write_len,
-        protocol.eta_write,
-        True,
-        res_on,
-        fin_write,
-        "write" in diffusion_phases,
-        rec_write,
+    grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
+    ends, guards, takers = _drive_cycle(
+        params,
+        protocol,
+        signal,
+        grid,
+        n_rows=n_rows,
+        row_records=True,
+        rabi=params.rabi_control,
+        diffs=_shared([p.diffusivity for p in param_rows]),
+        holds=holds,
+        fin_write=lambda t: face_phase * complex(sample_temporal(signal, t)),
+        recorders={phase: recorder(phase) for phase in _PHASES},
+        steps_per_width=steps_per_width,
+        dt=dt,
+        t_read=t_read,
+        diffusion_phases=diffusion_phases,
+        sigma_times=sigma_times,
+        spectrum_times=spectrum_times,
+        guard_threshold=guard_threshold,
     )
-    peak_ref = np.broadcast_to(np.max(np.abs(sigma), axis=-1), (n_rows,))
-    guard_write = guard("write", peak_ref)
-    sigma_end_write = sigma.copy()
 
-    # -- hold ----------------------------------------------------------
-    t_h, out_h = [], []
-
-    def rec_hold(t, sig, e):
-        if e is not None:
-            t_h.append(t)
-            out_h.append(exit_field(e))
-
-    if np.any(np.greater(holds, 0.0)):
-        drive_hold = protocol.control_on_hold
-        res_hold = res_on if drive_hold else res_off
-        use_diff_hold = "hold" in diffusion_phases
-        if protocol.eta_hold != 0.0:
-            flip = protocol.flip_time()
-            hold_spans = [(0.0, flip, protocol.eta_hold), (flip, protocol.t_hold - flip, -protocol.eta_hold)]
-        else:
-            hold_spans = [(0.0, holds, 0.0)]
-        for start, span, eta_h in hold_spans:
-            if np.all(np.less_equal(span, 0.0)):
-                continue
-            advance_span(
-                start,
-                span,
-                eta_h,
-                drive_hold,
-                res_hold,
-                lambda t: 0.0j,
-                use_diff_hold,
-                rec_hold,
-            )
-    peak_ref = np.maximum(peak_ref, np.max(np.abs(sigma), axis=-1))
-    guard_hold = guard("hold", peak_ref)
-    sigma_end_hold = sigma.copy()
-
-    # -- read ----------------------------------------------------------
-    t_r, out_r = [], []
-
-    def rec_read(t, sig, e):
-        t_r.append(t)
-        out_r.append(exit_field(e))
-
-    advance_span(
-        holds,
-        t_read_len,
-        -protocol.eta_write,
-        True,
-        res_on,
-        lambda t: 0.0j,
-        "read" in diffusion_phases,
-        rec_read,
-    )
-    guard_read = guard("read", peak_ref)
-
+    t_w = samples["write"][0]
     t_write_axis = np.array(t_w)
-    f_in = np.array(in_w)
+    f_in = np.array([complex(sample_temporal(signal, t)) for t in t_w])
     input_energy = float(np.trapezoid(np.abs(f_in) ** 2, t_write_axis))
-    f_trans, t_hold_axis, f_hold, t_out, f_out = (
-        _steps_by_row(samples) for samples in (out_w, t_h, out_h, t_r, out_r)
-    )
+    f_trans = _steps_by_row(samples["write"][1])
+    t_hold_axis, f_hold = (_steps_by_row(s) for s in samples["hold"])
+    t_out, f_out = (_steps_by_row(s) for s in samples["read"])
 
-    stored_scale = density / light_speed
+    stored_scale = params.density / params.light_speed
     spectrum_k = None
     if any(taker.spectrum_frames for taker in takers):
-        spectrum_k, _ = spinwave_spectrum(sigma, grid, k_matched)
+        spectrum_k, _ = spinwave_spectrum(ends["read"], grid, params.k_matched)
 
     records = []
     for r in range(n_rows):
         row_out, row_t_out = _row(f_out, r), _row(t_out, r)
         row_trans = _row(f_trans, r)
         row_hold, row_t_hold = _row(f_hold, r), _row(t_hold_axis, r)
-        end_write, end_hold, end_read = (
-            _row(state, r) for state in (sigma_end_write, sigma_end_hold, sigma)
-        )
+        end_write, end_hold, end_read = (_row(ends[phase], r) for phase in _PHASES)
         records.append(
             CycleRecord(
                 params=param_rows[r],
@@ -719,7 +761,7 @@ def run_cycle(
                 * float(np.trapezoid(np.abs(end_hold) ** 2, grid.z)),
                 stored_end_read=stored_scale
                 * float(np.trapezoid(np.abs(end_read) ** 2, grid.z)),
-                guard_ratio={"write": guard_write[r], "hold": guard_hold[r], "read": guard_read[r]},
+                guard_ratio=guards[r],
             )
         )
     return records[0] if single else records

@@ -11,8 +11,10 @@ Two complementary routes:
 * run_cycle_realspace - for a transversely varying control field the
   columns stop being equivalent (local Rabi frequency shifts both the
   coupling and the two-photon detuning), so the cycle is stepped on an
-  explicit transverse grid: transverse diffusion half-steps around the
-  longitudinal split step of solver1d, applied column by column.  An
+  explicit transverse grid.  It runs on the shared cycle driver of
+  solver1d, with the columns as the rows of one record (column-local
+  coupling and light shift) and a transverse operator: transverse
+  diffusion half-steps around the longitudinal split step.  An
   axisymmetric problem runs on a radial finite-volume grid (conservative
   Crank-Nicolson diffusion); the general case runs on a Cartesian grid
   with spectral transverse diffusion.
@@ -29,6 +31,7 @@ import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.fft import fft2, ifft2
@@ -40,20 +43,16 @@ from .model import (
     PhysicalParams,
     StorageProtocol,
     derive_groups,
-    stark_residual,
 )
 from .pulses import ControlProfile, SignalSpec, control_rabi, sample_temporal, sample_transverse
 from .solver1d import (
+    _PHASES,
     CycleRecord,
     Grid1D,
-    StepKernels,
-    _check_guard,
+    _drive_cycle,
     advance_step,
     run_cycle,
-    slave_field,
 )
-
-_PHASES = ("write", "hold", "read")
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +414,17 @@ class RealspaceRecord:
         return self.output_energy / self.input_energy
 
 
+def _strang_step(tgrid: TransverseGrid, diffusivity: float, step: float):
+    """Real space's time step: transverse half-step, advance_step, transverse half-step."""
+    half_step = _RadialDiffusion if tgrid.kind == "radial" else _CartesianDiffusion
+    trans = half_step(tgrid, diffusivity, 0.5 * step)
+
+    def strang(sigma, kern, grid, **kwargs):
+        return trans.apply(advance_step(trans.apply(sigma), kern, grid, **kwargs))
+
+    return strang
+
+
 def run_cycle_realspace(
     params: PhysicalParams,
     protocol: StorageProtocol,
@@ -434,15 +444,15 @@ def run_cycle_realspace(
 ) -> RealspaceRecord:
     """Full cycle on an explicit transverse grid with a local control field.
 
-    Per step: transverse diffusion half-step, longitudinal split step with
-    column-local coupling and light shift, transverse half-step.  The
-    radial grid requires an axisymmetric input mode; Cartesian grids take
-    any mode.  A coherence snapshot at mid-hold is always recorded (the
-    phase-map extraction needs it); extra snapshot times may be requested.
+    The cycle runs on the cycle driver shared with solver1d.run_cycle,
+    with the transverse columns as the rows of one record: column-local
+    coupling and light shift, and a transverse operator.  Per step: transverse
+    diffusion half-step, longitudinal split step, transverse half-step;
+    with diffusion on, even the exact holds step at dt0.  The radial grid
+    requires an axisymmetric input mode; Cartesian grids take any mode.
+    A coherence snapshot at mid-hold is always recorded (the phase-map
+    extraction needs it); extra snapshot times may be requested.
     """
-    for name in diffusion_phases:
-        if name not in _PHASES:
-            raise ParameterError("unknown diffusion phase %r" % (name,))
     if tgrid.kind == "radial" and signal.mode != (0, 0):
         raise ParameterError(
             "radial grid is restricted to the axisymmetric (0,0) mode; "
@@ -455,23 +465,9 @@ def run_cycle_realspace(
         )
     derive_groups(params, protocol, signal)
 
-    grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
-    k_matched = params.k_matched
-    density = params.density
-    light_speed = params.light_speed
     face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
-
-    dt0 = dt if dt is not None else signal.t_width / steps_per_width
-    t_write_len = protocol.write_window(signal)
-    t_read_len = t_read if t_read is not None else t_write_len
     if store_fields is None:
         store_fields = tgrid.kind == "radial"
-
-    # column-local control: Rabi frequency, coupling, light-shift residual
-    rabi_cols = control_rabi(control, tgrid.r)[:, None]
-    g_eff_cols = params.coupling_g * rabi_cols / params.detuning
-    res_on_cols = stark_residual(params, rabi_cols)
-    res_off = stark_residual(params, 0.0)
 
     if tgrid.kind == "radial":
         profile = sample_transverse(signal, tgrid.r[:, None], np.zeros((1, 1)))[:, 0]
@@ -481,156 +477,51 @@ def run_cycle_realspace(
         ).ravel()
     profile = profile[:, None]
 
-    sigma = np.zeros((tgrid.n_cols, grid.n_z), dtype=complex)
-
-    snap_times = sorted(set(float(t) for t in sigma_times) | {protocol.flip_time()})
-    snap_frames: list[tuple[float, np.ndarray]] = []
-
     weights = tgrid.weights
     intensity = np.zeros(tgrid.n_cols)
     out_rows: list[np.ndarray] = []
     out_times: list[float] = []
     energy_out = 0.0
-    guard: dict[str, float] = {}
+    prev = None  # (t, |exit field|^2) at the last read boundary
 
-    def fin_write(t: float):
-        return face_phase * complex(sample_temporal(signal, t)) * profile
-
-    def fin_zero(t: float):
-        return 0.0j
-
-    state = {"prev_t": None, "prev_row": None}
-
-    def record_read(t: float, exit_field: np.ndarray) -> None:
-        nonlocal energy_out
+    def record_read(t: float, exit_col: np.ndarray) -> None:
+        nonlocal energy_out, prev
+        exit_field = face_phase * exit_col
         row_sq = np.abs(exit_field) ** 2
-        if state["prev_t"] is not None and t > state["prev_t"]:
-            panel = 0.5 * (t - state["prev_t"]) * (row_sq + state["prev_row"])
+        if prev is not None and t > prev[0]:
+            panel = 0.5 * (t - prev[0]) * (row_sq + prev[1])
             intensity[:] += panel
             energy_out += float(np.sum(weights * panel))
-        state["prev_t"] = t
-        state["prev_row"] = row_sq
+        prev = (t, row_sq)
         if store_fields:
             out_times.append(t)
-            out_rows.append(exit_field.copy())
+            out_rows.append(exit_field)
 
-    def advance_span(t0, duration, eta, drive_on, res_cols, fin_fn, use_diff, on_read):
-        nonlocal sigma
-        pending = [s for s in snap_times if t0 < s <= t0 + duration + 1e-15 * max(1.0, abs(t0))]
-        trans_active = use_diff and params.diffusivity > 0.0
-        exact_ok = (not drive_on) and eta == 0.0
-        if exact_ok:
-            # longitudinal part is exact at any step size; the transverse
-            # Crank-Nicolson is not, so sub-step it when diffusion is on
-            cuts = [t0] + [s for s in pending if t0 < s < t0 + duration] + [t0 + duration]
-            plan = [
-                (
-                    cuts[i],
-                    cuts[i + 1] - cuts[i],
-                    max(1, math.ceil((cuts[i + 1] - cuts[i]) / dt0))
-                    if trans_active
-                    else 1,
-                )
-                for i in range(len(cuts) - 1)
-            ]
-        else:
-            n_steps = max(1, math.ceil(duration / dt0))
-            plan = [(t0, duration, n_steps)]
-
-        for start, span, n_steps in plan:
-            step = span / n_steps
-            kern = StepKernels.build(
-                grid, step, eta, params.diffusivity, k_matched, use_diff
-            )
-            trans = None
-            if trans_active:
-                if tgrid.kind == "radial":
-                    trans = _RadialDiffusion(tgrid, params.diffusivity, 0.5 * step)
-                else:
-                    trans = _CartesianDiffusion(tgrid, params.diffusivity, 0.5 * step)
-            res_full = np.exp(-1j * res_cols * step)
-            res_half = np.exp(-1j * res_cols * (0.5 * step))
-            t = start
-            if on_read and state["prev_t"] is None:
-                e = slave_field(sigma, grid, g_eff_cols, density, light_speed, fin_fn(t))
-                record_read(t, face_phase * e[:, grid.i_right])
-            for j in range(n_steps):
-                if trans is not None:
-                    sigma = trans.apply(sigma)
-                sigma = advance_step(
-                    sigma,
-                    kern,
-                    grid,
-                    coupling_eff=g_eff_cols,
-                    res_full=res_full,
-                    res_half=res_half,
-                    fin_now=fin_fn(t),
-                    fin_mid=fin_fn(t + 0.5 * step),
-                    drive_on=drive_on,
-                    density=density,
-                    light_speed=light_speed,
-                )
-                if trans is not None:
-                    sigma = trans.apply(sigma)
-                t = start + (j + 1) * step
-                while pending and pending[0] <= t + 1e-15 * max(1.0, abs(t)):
-                    pending.pop(0)
-                    snap_frames.append((t, sigma.copy()))
-                if on_read:
-                    e = slave_field(
-                        sigma, grid, g_eff_cols, density, light_speed, fin_fn(t)
-                    )
-                    record_read(t, face_phase * e[:, grid.i_right])
-
-    # -- write -----------------------------------------------------------
-    advance_span(
-        -t_write_len,
-        t_write_len,
-        protocol.eta_write,
-        True,
-        res_on_cols,
-        fin_write,
-        "write" in diffusion_phases,
-        False,
+    grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
+    _, (guard,), (frames,) = _drive_cycle(
+        params,
+        protocol,
+        signal,
+        grid,
+        n_rows=tgrid.n_cols,
+        row_records=False,
+        rabi=control_rabi(control, tgrid.r)[:, None],  # column-local control
+        diffs=params.diffusivity,
+        holds=protocol.t_hold,
+        fin_write=lambda t: face_phase * complex(sample_temporal(signal, t)) * profile,
+        recorders={"read": record_read},
+        transverse=(
+            partial(_strang_step, tgrid, params.diffusivity) if params.diffusivity > 0.0 else None
+        ),
+        steps_per_width=steps_per_width,
+        dt=dt,
+        t_read=t_read,
+        diffusion_phases=diffusion_phases,
+        sigma_times={*sigma_times, protocol.flip_time()},
+        guard_threshold=guard_threshold,
     )
-    peak_ref = float(np.max(np.abs(sigma)))
-    guard["write"] = _check_guard(sigma, grid, guard_threshold, "write", peak_ref)
 
-    # -- hold ------------------------------------------------------------
-    if protocol.t_hold > 0.0:
-        drive_hold = protocol.control_on_hold
-        res_hold = res_on_cols if drive_hold else np.full_like(res_on_cols, res_off)
-        use_diff_hold = "hold" in diffusion_phases
-        if protocol.eta_hold != 0.0:
-            flip = protocol.flip_time()
-            spans = [
-                (0.0, flip, protocol.eta_hold),
-                (flip, protocol.t_hold - flip, -protocol.eta_hold),
-            ]
-        else:
-            spans = [(0.0, protocol.t_hold, 0.0)]
-        for start, span, eta_h in spans:
-            if span <= 0.0:
-                continue
-            advance_span(
-                start, span, eta_h, drive_hold, res_hold, fin_zero, use_diff_hold, False
-            )
-    peak_ref = max(peak_ref, float(np.max(np.abs(sigma))))
-    guard["hold"] = _check_guard(sigma, grid, guard_threshold, "hold", peak_ref)
-
-    # -- read ------------------------------------------------------------
-    advance_span(
-        protocol.t_hold,
-        t_read_len,
-        -protocol.eta_write,
-        True,
-        res_on_cols,
-        fin_zero,
-        "read" in diffusion_phases,
-        True,
-    )
-    guard["read"] = _check_guard(sigma, grid, guard_threshold, "read", peak_ref)
-
+    t_write_len = protocol.write_window(signal)
     envelope_energy = float(
         np.trapezoid(
             np.abs(sample_temporal(signal, np.linspace(-t_write_len, 0.0, 2049))) ** 2,
@@ -647,13 +538,13 @@ def run_cycle_realspace(
         control=control,
         grid=grid,
         tgrid=tgrid,
-        t_out=np.array(out_times) if store_fields else np.array([]),
-        f_out=np.array(out_rows).T if store_fields and out_rows else None,
+        t_out=np.array(out_times),
+        f_out=np.array(out_rows).T if out_rows else None,
         intensity=intensity,
         intensity_in=intensity_in,
         input_energy=input_energy,
         output_energy=energy_out,
-        sigma_frames=snap_frames,
+        sigma_frames=frames.sigma_frames,
         guard_ratio=guard,
     )
 

@@ -51,7 +51,9 @@ def test_parse_value(text, expected):
     assert parse_value(text) == pytest.approx(expected, rel=1e-15)
 
 
-@pytest.mark.parametrize("text", ["", "abc", "1.2.3", "10 parsecs", "2pi* MHz"])
+@pytest.mark.parametrize(
+    "text", ["", "abc", "1.2.3", "10 parsecs", "2pi* MHz", "inf", "-inf", "1e400", "1e308 GHz"]
+)
 def test_parse_value_rejects_garbage(text):
     with pytest.raises(ParameterError):
         parse_value(text)
@@ -93,6 +95,7 @@ def test_resolve_values_types():
             "control_on_hold": "yes",
             "mode_m": "1",
             "control_waist": "none",
+            "t_write": "inf",
             "t_hold": "10 us",
         }
     )
@@ -100,6 +103,7 @@ def test_resolve_values_types():
     assert values["control_on_hold"] is True
     assert values["mode_m"] == 1 and isinstance(values["mode_m"], int)
     assert values["control_waist"] is None
+    assert values["t_write"] is None  # "inf" still spells None for optional keys
     assert values["t_hold"] == pytest.approx(1e-5)
     with pytest.raises(ParameterError):
         resolve_values({"stark_absorbed": "maybe"})

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gemdiff import ParameterError, SignalSpec, StorageProtocol
+from gemdiff import (
+    ParameterError,
+    SignalSpec,
+    StorageProtocol,
+    TransverseGrid,
+    run_cycle,
+    run_cycle_realspace,
+    solver1d,
+)
 from gemdiff.config import load_config
 from gemdiff.harness import (
     CSV_FORMAT,
@@ -24,6 +33,7 @@ from gemdiff.harness import (
     _run_tasks,
     main,
 )
+from gemdiff.pulses import ControlProfile
 
 TAU = 2.0 * math.pi
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "rubidium_benchmark.cfg"
@@ -69,6 +79,7 @@ def cycle_run(tmp_path_factory):
         (dict(max_cell_steps=0.0), "max_cell_steps"),
         (dict(sweep_axes=(("warp_factor", (1.0,)),)), "not a config key"),
         (dict(sweep_axes=(("t_hold", ()),)), "no values"),
+        (dict(max_cell_steps=math.nan), "max_cell_steps"),
     ],
 )
 def test_experiment_spec_validation(bench_config, tmp_path, kwargs, match):
@@ -151,6 +162,54 @@ def test_cost_estimate_and_budget(bench_config, tmp_path):
     with pytest.raises(RuntimeGuardError, match="GEM_MAX_CELL_STEPS"):
         _check_budget(spec, 1e6)
     _check_budget(spec, 1e3)  # under the cap: no complaint
+
+
+def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch):
+    # the estimate is n_z x n_cols x the planned steps; count the steps the
+    # solvers take through every binding of advance_step
+    calls = []
+    real = solver1d.advance_step
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("gemdiff"):
+            for key, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, key, counted)
+
+    cfg = bench_config
+    fast = dict(n_medium=64, steps_per_width=16.0)
+    exact = StorageProtocol.standard(eta_write=cfg.protocol.eta_write, t_hold=3e-6)
+    driven = replace(exact, control_on_hold=True)
+    tgrid = TransverseGrid.radial(cfg.signal.waist, n_r=16)
+    control = ControlProfile.gaussian(cfg.params.rabi_control, 3e-3)
+    still = cfg.params.with_diffusivity(0.0)
+    cycles = [
+        (cfg.params, exact, 1, lambda: run_cycle(cfg.params, exact, cfg.signal, **fast)),
+        (cfg.params, driven, 1, lambda: run_cycle(cfg.params, driven, cfg.signal, **fast)),
+        (
+            cfg.params,
+            exact,
+            tgrid.n_cols,
+            lambda: run_cycle_realspace(cfg.params, exact, cfg.signal, control, tgrid, **fast),
+        ),
+        (
+            still,
+            exact,
+            tgrid.n_cols,
+            lambda: run_cycle_realspace(still, exact, cfg.signal, control, tgrid, **fast),
+        ),
+    ]
+    for params, protocol, n_cols, run in cycles:
+        calls.clear()
+        record = run()
+        estimate = _estimate_cell_steps(
+            params, protocol, cfg.signal, n_cols=n_cols, **fast
+        )
+        assert estimate == record.grid.n_z * n_cols * len(calls)
 
 
 def test_parked_lead_flips_the_carrier_when_needed(bench_config):
@@ -301,6 +360,25 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", str(CONFIG)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("override", ["diffusivity=inf", "t_width=inf"])
+def test_cli_rejects_non_finite_values(tmp_path, capsys, override):
+    argv = ["storage-cycle", "--config", str(CONFIG), "--out", str(tmp_path)]
+    assert main(argv + ["--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gem:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("GEM_THREADS", "abc"), ("GEM_MAX_CELL_STEPS", "x"), ("GEM_MAX_CELL_STEPS", "nan")],
+)
+def test_cli_rejects_bad_environment(tmp_path, capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    assert main(["storage-cycle", "--config", str(CONFIG), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gem:") and name in err
 
 
 def test_environment_supplies_defaults(tmp_path, monkeypatch, capsys):

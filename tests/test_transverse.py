@@ -18,10 +18,11 @@ from gemdiff import (
     fit_effective_diffusion,
     intensity_and_width,
     output_width,
+    run_cycle,
     run_cycle_quasi1d,
     run_cycle_realspace,
 )
-from gemdiff.pulses import ControlProfile
+from gemdiff.pulses import ControlProfile, sample_transverse
 from gemdiff.transverse import (
     RealspaceRecord,
     _CartesianDiffusion,
@@ -236,6 +237,44 @@ def test_three_routes_agree_with_the_closed_form(
         assert abs(eff - full) < 0.01, (name, eff, full)
     vals = list(routes.values())
     assert max(vals) - min(vals) < 0.005
+
+
+def test_radial_columns_are_scaled_1d_cycles_without_diffusion(bench_params, bench_signal):
+    # with a homogeneous control and D = 0 the columns decouple into the
+    # 1D cycle times the input profile; the routes integrate the input
+    # envelope on different grids, so output energies are compared
+    params = bench_params.with_diffusivity(0.0)
+    proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=2e-6)
+    control = ControlProfile.homogeneous(params.rabi_control)
+    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
+    rec = run_cycle_realspace(params, proto, bench_signal, control, tgrid, **FAST)
+    base = run_cycle(params, proto, bench_signal, **FAST)
+    profile = sample_transverse(bench_signal, tgrid.r, 0.0)
+    assert np.array_equal(rec.t_out, base.t_out)
+    expected = profile[:, None] * base.f_out
+    peak = np.max(np.abs(expected), axis=1, keepdims=True)
+    assert np.all(np.abs(rec.f_out - expected) <= 1e-10 * peak)
+    assert_allclose(rec.intensity / np.abs(profile) ** 2, base.output_energy, rtol=1e-10)
+
+
+def test_realspace_snapshots_at_requested_times(bench_params, bench_signal):
+    proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=6e-6)
+    control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
+    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
+    t_w, t_h = -3.3e-6, 2e-6  # inside the write; inside the exact hold (D > 0)
+    rec = run_cycle_realspace(
+        bench_params, proto, bench_signal, control, tgrid, sigma_times=(t_w, t_h), **FAST
+    )
+    times = [t for t, _ in rec.sigma_frames]
+    assert len(times) == 3
+    window = proto.write_window(bench_signal)
+    dt0 = bench_signal.t_width / FAST["steps_per_width"]
+    dt = window / math.ceil(window / dt0)  # the write's step, re-fitted to its window
+    assert t_w <= times[0] < t_w + dt  # first write step boundary at or after t_w
+    assert times[1] == t_h  # the hold is cut there
+    assert times[2] == pytest.approx(proto.flip_time(), rel=1e-12)  # mid-hold, always taken
+    for _, frame in rec.sigma_frames:
+        assert frame.shape == (tgrid.n_cols, rec.grid.n_z)
 
 
 def test_cartesian_output_stays_axisymmetric(cart_record):
