@@ -29,28 +29,34 @@ Environment overrides (command-line flags win)::
     GEM_OUT             default for --out
     GEM_MAX_CELL_STEPS  runtime guard cap on estimated cell updates
 
-The 1D sweep points that share a time grid run as rows of one batched
-solve (see solver1d.run_cycle).  Batches, and the cycles of the real-space
-experiments, are dispatched to a thread pool and gathered in sweep-index
-order, so output files are byte-identical for any thread count (the header
+Every experiment hands its solver calls to one step, _solve, which prices
+them from their own arguments against the cap before any runs.  The 1D
+sweep points that share a time grid run as rows of one batched solve (see
+solver1d.run_cycle), inline: small 1D arrays only lose under the GIL.
+Only the real-space cycles use the thread pool, gathered in call order,
+so output files are byte-identical for any thread count (the header
 records the command line without machine-local paths for the same reason).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import svgplot
-from .config import RunConfig, known_keys, load_config
+from .config import RunConfig, load_config
 from .model import (
     GuardBandError,
     ParameterError,
@@ -68,11 +74,20 @@ from .analytic import (
     hg_ratio,
     phase_theta,
 )
-from .solver1d import Grid1D, _cycle_plan, efficiency_1d, run_cycle, spectrum_centroid
+from .solver1d import (
+    Grid1D,
+    _cycle_plan,
+    _rows_of,
+    _shared,
+    efficiency_1d,
+    run_cycle,
+    spectrum_centroid,
+)
 from .transverse import (
     ModeGrid,
     Quasi1DRecord,
     TransverseGrid,
+    _realspace_plan,
     extract_phase,
     fit_effective_diffusion,
     intensity_and_width,
@@ -110,19 +125,13 @@ class RuntimeGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment invocation: what to run, against which config, where.
-
-    sweep_axes names the config keys a sweep varies together with the
-    values used; the built-in experiments fill it in for the summary.
-    Axis names must be real config keys.
-    """
+    """One experiment invocation: what to run, against which config, where."""
 
     experiment: str
     config: RunConfig
     out_dir: Path
     fidelity: str = "standard"
     threads: int = 1
-    sweep_axes: tuple = ()
     max_cell_steps: float = _DEFAULT_CELL_STEP_CAP
     command: str = ""
 
@@ -141,13 +150,6 @@ class ExperimentSpec:
             raise ParameterError("threads must be at least 1")
         if not self.max_cell_steps > 0:
             raise ParameterError("max_cell_steps must be positive")
-        keys = known_keys()
-        for axis in self.sweep_axes:
-            name, values = axis
-            if name not in keys:
-                raise ParameterError("sweep axis %r is not a config key" % (name,))
-            if len(values) == 0:
-                raise ParameterError("sweep axis %r has no values" % (name,))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,7 @@ def _check(name, value, target, tolerance, comparison, kind="rel") -> dict:
 def _run_tasks(tasks, threads: int) -> list:
     """Run zero-arg callables; results come back in submission order.
 
-    The order is the sweep index, never completion order, so emitted
+    The order is the call order, never completion order, so emitted
     files do not depend on the thread count.
     """
     if threads <= 1 or len(tasks) <= 1:
@@ -238,35 +240,140 @@ def _run_tasks(tasks, threads: int) -> list:
         return [future.result() for future in futures]
 
 
-def _estimate_cell_steps(
-    params, protocol, signal, *, n_medium, steps_per_width, n_cols=1
-) -> float:
-    """Cost of one cycle in cell updates: cells x the steps the solver plans.
+def _estimate_cell_steps(call: partial) -> float:
+    """Cost of one solver call in cell updates: rows x n_z x the planned steps.
 
-    n_cols > 1 is a real-space run, whose plan also cuts the hold at its
-    mid-hold snapshot and, with diffusion on, steps exact spans at dt0.
+    The call's own arguments, bound to its solver's signature, rebuild the
+    _cycle_plan that _drive_cycle runs.  A single-row call is priced exactly.  A
+    batched 1D call charges every row every step, an upper bound: a phase
+    whose operator all rows share runs on one shared row.
     """
-    realspace = n_cols > 1
+    bound = inspect.signature(call.func).bind(*call.args, **call.keywords)
+    if call.func is run_cycle_quasi1d:  # one run_cycle serves every mode
+        args = bound.arguments
+        bound = inspect.signature(run_cycle).bind(
+            args["params"], args["protocol"], args["signal"], **args.get("solver_kwargs", {})
+        )
+    bound.apply_defaults()
+    args = bound.arguments
+    param_rows, protocol_rows = _rows_of(args["params"], args["protocol"])
+    params, protocol = param_rows[0], protocol_rows[0]
+    if call.func is run_cycle_realspace:  # one record over the transverse columns
+        n_rows = args["tgrid"].n_cols
+        cut_times, substep_exact = _realspace_plan(params, protocol, args["sigma_times"])
+    else:
+        n_rows = len(param_rows)
+        cut_times, substep_exact = [*args["sigma_times"], *args["spectrum_times"]], False
     plan = _cycle_plan(
         protocol,
-        signal,
-        steps_per_width=steps_per_width,
-        holds=protocol.t_hold,
-        cut_times=(protocol.flip_time(),) if realspace else (),
-        substep_exact=realspace and params.diffusivity > 0.0,
+        args["signal"],
+        steps_per_width=args["steps_per_width"],
+        holds=_shared([p.t_hold for p in protocol_rows]),
+        dt=args["dt"],
+        t_read=args["t_read"],
+        diffusion_phases=args["diffusion_phases"],
+        cut_times=cut_times,
+        substep_exact=substep_exact,
     )
     steps = sum(n for _, spans in plan for *_, pieces in spans for _, _, n in pieces)
-    return float(Grid1D.build(params.half_length, n_medium).n_z) * float(n_cols) * steps
+    n_z = Grid1D.build(params.half_length, args["n_medium"], args["pad_fraction"]).n_z
+    return float(n_z) * n_rows * steps
 
 
-def _check_budget(spec: ExperimentSpec, estimate: float) -> None:
-    if estimate <= spec.max_cell_steps:
-        return
-    raise RuntimeGuardError(
-        "estimated cost %.2g cell updates exceeds the cap %.2g; use a coarser "
-        "--fidelity, shorten the hold times, or raise GEM_MAX_CELL_STEPS"
-        % (estimate, spec.max_cell_steps)
+def _solve(spec: ExperimentSpec, calls: list) -> list:
+    """Price, guard and run an experiment's solver calls; results in call order.
+
+    calls are functools.partial calls of the solver bindings run_cycle,
+    run_cycle_quasi1d and run_cycle_realspace.  Their summed cost must fit
+    the cap before any of them runs.  Only real-space calls use the thread
+    pool: small 1D arrays only lose under the GIL.
+    """
+    estimate = sum(_estimate_cell_steps(call) for call in calls)
+    if estimate > spec.max_cell_steps:
+        raise RuntimeGuardError(
+            "estimated cost %.2g cell updates exceeds the cap %.2g; use a coarser "
+            "--fidelity, shorten the hold times, or raise GEM_MAX_CELL_STEPS"
+            % (estimate, spec.max_cell_steps)
+        )
+    pooled = any(call.func is run_cycle_realspace for call in calls)
+    return _run_tasks(calls, spec.threads if pooled else 1)
+
+
+class _Law(NamedTuple):
+    """A collapse law: the dataset's checks, CSV and plot all read it."""
+
+    tau: str  # the column the law is a function of
+    predict: Callable[[float], float]  # scalar math, so the CSV digits stay put
+    label: str
+    title: str
+    comparison: str
+    tolerance: float = 0.03
+    ylabel: str = "eps(D) / eps(0)"
+
+
+_LAWS = {
+    "write_collapse": _Law(
+        "tau_write",
+        lambda tau: math.exp(-tau),
+        "exp(-tau)",
+        "write-phase collapse",
+        "eps(D)/eps(0) = exp(-tau_write), write-phase diffusion decay",
+    ),
+    "hold_collapse": _Law(
+        "tau_hold",
+        lambda tau: math.exp(-2.0 * tau),
+        "exp(-2 tau)",
+        "hold-phase collapse",
+        "eps(D)/eps(0) = exp(-2 tau_hold), hold-phase diffusion decay",
+    ),
+    "transverse_collapse": _Law(
+        "tau_perp",
+        lambda tau: 1.0 / (1.0 + tau),
+        "1/(1+tau)",
+        "transverse collapse",
+        "eps_perp = 1/(1 + tau_perp), transverse diffusion of the (0,0) mode",
+    ),
+    "hg_ratio": _Law(
+        "tau_perp",
+        hg_ratio,
+        "(1/(1+tau))^2",
+        "HG (1,1)/(0,0) efficiency ratio",
+        "eps(1,1)/eps(0,0) = (1/(1 + tau_perp))^2, Hermite-Gauss mode ordering",
+        tolerance=0.02,
+        ylabel="eps(1,1) / eps(0,0)",
+    ),
+}
+
+
+def _law_table(spec: ExperimentSpec, name: str, columns, points):
+    """One collapse dataset against its law in _LAWS: name[i] checks, CSV and SVG.
+
+    points are (values of columns, eff_ratio) pairs, and columns hold the
+    law's tau column.  Returns (checks, taus, max |rel_dev|).
+    """
+    law = _LAWS[name]
+    at = columns.index(law.tau)
+    rows, checks = [], []
+    for i, (values, ratio) in enumerate(points):
+        predicted = law.predict(values[at])
+        rows.append((i, *values, ratio, predicted, ratio / predicted - 1.0))
+        checks.append(
+            _check("%s[%d]" % (name, i), ratio, predicted, law.tolerance, law.comparison)
+        )
+    _write_csv(spec, name, ("index", *columns, "eff_ratio", "predicted", "rel_dev"), rows)
+    taus = [values[at] for values, _ in points]
+    curve = np.linspace(0.0, max(taus) * 1.05, 200)
+    svgplot.line_plot(
+        spec.out_dir / (name + ".svg"),
+        law.title,
+        law.tau,
+        law.ylabel,
+        [
+            ("numeric", taus, [ratio for _, ratio in points], "markers"),
+            (law.label, curve, [law.predict(tau) for tau in curve], "dashed"),
+        ],
     )
+    return checks, taus, max(abs(row[-1]) for row in rows)
 
 
 def _parked_lead(params, protocol, signal):
@@ -288,6 +395,14 @@ def _parked_lead(params, protocol, signal):
     )
 
 
+def _require_gaussian_control(spec: ExperimentSpec) -> None:
+    if spec.config.control.is_homogeneous:
+        raise ParameterError(
+            "%s needs a Gaussian control beam; set control_waist in the config"
+            % spec.experiment
+        )
+
+
 def _tau_write_rate(params, protocol, signal) -> float:
     """d tau_write / d diffusivity at fixed timing (tau_write is linear in D)."""
     probe = 1e-9
@@ -298,6 +413,32 @@ def _tau_write_rate(params, protocol, signal) -> float:
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
+
+
+def _baseline_ratios(spec: ExperimentSpec, cases, phase: str) -> list:
+    """eps(D)/eps(0) per case and diffusivity, with diffusion in one phase only.
+
+    cases are (protocol, signal, diffusivities); each runs as one batch with
+    a D = 0 baseline row, since its points share a time grid.
+    """
+    n_medium, steps = _SWEEP_GRID[spec.fidelity]
+    batches = _solve(
+        spec,
+        [
+            partial(
+                run_cycle,
+                [spec.config.params.with_diffusivity(diff) for diff in [0.0] + diffs],
+                protocol,
+                signal,
+                n_medium=n_medium,
+                steps_per_width=steps,
+                diffusion_phases=(phase,),
+            )
+            for protocol, signal, diffs in cases
+        ],
+    )
+    return [[efficiency_1d(rec) / efficiency_1d(base) for rec in recs] for base, *recs in batches]
+
 
 _WRITE_POINTS = ((12e-6, 1.0), (10e-6, 1.2), (8e-6, 1.5))
 _WRITE_TAUS = (0.25, 0.75, 1.5)
@@ -312,110 +453,33 @@ def _exp_sweep_write(spec: ExperimentSpec):
     phase only, so the efficiency ratio isolates the write decay factor.
     """
     cfg = spec.config
-    n_medium, steps = _SWEEP_GRID[spec.fidelity]
-
-    cases = []  # (t_lead, eta, diffusivity or 0, protocol, signal)
+    cases = []  # (protocol, signal, diffusivities)
     for t_lead, scale in _WRITE_POINTS:
         signal = replace(cfg.signal, t_lead=t_lead)
         protocol = StorageProtocol.standard(cfg.protocol.eta_write * scale, t_hold=0.0)
         rate = _tau_write_rate(cfg.params, protocol, signal)
         cases.append((protocol, signal, [tau / rate for tau in _WRITE_TAUS]))
 
-    # one batch per (t_lead, eta_write) case: its points share a time grid
-    estimate = 0.0
-    tasks = []
-    for protocol, signal, diffs in cases:
-        batch = [cfg.params.with_diffusivity(diff) for diff in [0.0] + diffs]
-        estimate += sum(
-            _estimate_cell_steps(p, protocol, signal, n_medium=n_medium, steps_per_width=steps)
-            for p in batch
-        )
-        tasks.append(
-            lambda b=batch, pr=protocol, s=signal: [
-                efficiency_1d(rec)
-                for rec in run_cycle(
-                    b,
-                    pr,
-                    s,
-                    n_medium=n_medium,
-                    steps_per_width=steps,
-                    diffusion_phases=("write",),
-                )
-            ]
-        )
-    _check_budget(spec, estimate)
-    case_effs = _run_tasks(tasks, spec.threads)
-
-    rows = []
-    checks = []
-    for (protocol, signal, diffs), (base, *effs) in zip(cases, case_effs):
-        for diff, eff in zip(diffs, effs):
+    points = []
+    for (protocol, signal, diffs), ratios in zip(cases, _baseline_ratios(spec, cases, "write")):
+        for diff, ratio in zip(diffs, ratios):
             groups = derive_groups(cfg.params.with_diffusivity(diff), protocol, signal)
-            ratio = eff / base
-            predicted = math.exp(-groups.tau_write)
-            dev = ratio / predicted - 1.0
-            rows.append(
-                (
-                    len(rows),
-                    signal.t_lead,
-                    protocol.eta_write,
-                    diff,
-                    groups.tau_write,
-                    groups.alpha_write,
-                    ratio,
-                    predicted,
-                    dev,
-                )
-            )
-            checks.append(
-                _check(
-                    "write_collapse[%d]" % (len(rows) - 1),
-                    ratio,
-                    predicted,
-                    0.03,
-                    "eps(D)/eps(0) = exp(-tau_write), write-phase diffusion decay",
-                )
-            )
+            values = (signal.t_lead, protocol.eta_write, diff, groups.tau_write, groups.alpha_write)
+            points.append((values, ratio))
+    columns = ("t_lead", "eta_write", "diffusivity", "tau_write", "alpha_write")
+    checks, taus, max_dev = _law_table(spec, "write_collapse", columns, points)
 
-    _write_csv(
-        spec,
-        "write_collapse",
-        (
-            "index",
-            "t_lead",
-            "eta_write",
-            "diffusivity",
-            "tau_write",
-            "alpha_write",
-            "eff_ratio",
-            "predicted",
-            "rel_dev",
-        ),
-        rows,
-    )
-    taus = [row[4] for row in rows]
-    curve = np.linspace(0.0, max(taus) * 1.05, 200)
-    svgplot.line_plot(
-        spec.out_dir / "write_collapse.svg",
-        "write-phase collapse",
-        "tau_write",
-        "eps(D) / eps(0)",
-        [
-            ("numeric", taus, [row[6] for row in rows], "markers"),
-            ("exp(-tau)", curve, np.exp(-curve), "dashed"),
-        ],
-    )
     axes = (
         ("t_lead", tuple(point[0] for point in _WRITE_POINTS)),
         ("eta_write", tuple(cfg.protocol.eta_write * p[1] for p in _WRITE_POINTS)),
-        ("diffusivity", tuple(row[3] for row in rows)),
+        ("diffusivity", tuple(values[2] for values, _ in points)),
     )
     results = {
-        "points": len(rows),
-        "max_abs_rel_dev": max(abs(row[8]) for row in rows),
+        "points": len(points),
+        "max_abs_rel_dev": max_dev,
         "tau_write_range": [min(taus), max(taus)],
     }
-    return results, checks, replace(spec, sweep_axes=axes)
+    return results, checks, axes
 
 
 _HOLD_TAUS = (0.25, 0.5, 1.0, 1.5, 2.0)
@@ -430,7 +494,6 @@ def _exp_sweep_hold(spec: ExperimentSpec):
     ratio isolates the hold decay at the parked wavenumber k_hold.
     """
     cfg = spec.config
-    n_medium, steps = _SWEEP_GRID[spec.fidelity]
     signal = replace(cfg.signal, t_width=0.4e-6, t_lead=10e-6)
     protocol = StorageProtocol.standard(cfg.protocol.eta_write, t_hold=50e-6)
     k_hold = derive_groups(cfg.params, protocol, signal).k_hold
@@ -441,94 +504,23 @@ def _exp_sweep_hold(spec: ExperimentSpec):
         )
     diffs = [tau / (protocol.t_hold * k_hold**2) for tau in _HOLD_TAUS]
 
-    # one batch: the diffusion-free write is solved once and fans out at the hold
-    batch = [cfg.params.with_diffusivity(diff) for diff in [0.0] + diffs]
-    estimate = sum(
-        _estimate_cell_steps(p, protocol, signal, n_medium=n_medium, steps_per_width=steps)
-        for p in batch
-    )
-    _check_budget(spec, estimate)
-    (effs,) = _run_tasks(
-        [
-            lambda: [
-                efficiency_1d(rec)
-                for rec in run_cycle(
-                    batch,
-                    protocol,
-                    signal,
-                    n_medium=n_medium,
-                    steps_per_width=steps,
-                    diffusion_phases=("hold",),
-                )
-            ]
-        ],
-        spec.threads,
-    )
-
-    rows = []
-    checks = []
-    for diff, eff in zip(diffs, effs[1:]):
+    # the diffusion-free write is solved once and fans out at the hold
+    (ratios,) = _baseline_ratios(spec, [(protocol, signal, diffs)], "hold")
+    points = []
+    for diff, ratio in zip(diffs, ratios):
         groups = derive_groups(cfg.params.with_diffusivity(diff), protocol, signal)
-        ratio = eff / effs[0]
-        predicted = math.exp(-2.0 * groups.tau_hold)
-        rows.append(
-            (
-                len(rows),
-                protocol.t_hold,
-                diff,
-                groups.k_hold,
-                groups.tau_hold,
-                groups.alpha_hold,
-                ratio,
-                predicted,
-                ratio / predicted - 1.0,
-            )
-        )
-        checks.append(
-            _check(
-                "hold_collapse[%d]" % (len(rows) - 1),
-                ratio,
-                predicted,
-                0.03,
-                "eps(D)/eps(0) = exp(-2 tau_hold), hold-phase diffusion decay",
-            )
-        )
+        values = (protocol.t_hold, diff, groups.k_hold, groups.tau_hold, groups.alpha_hold)
+        points.append((values, ratio))
+    columns = ("t_hold", "diffusivity", "k_hold", "tau_hold", "alpha_hold")
+    checks, taus, max_dev = _law_table(spec, "hold_collapse", columns, points)
 
-    _write_csv(
-        spec,
-        "hold_collapse",
-        (
-            "index",
-            "t_hold",
-            "diffusivity",
-            "k_hold",
-            "tau_hold",
-            "alpha_hold",
-            "eff_ratio",
-            "predicted",
-            "rel_dev",
-        ),
-        rows,
-    )
-    taus = [row[4] for row in rows]
-    curve = np.linspace(0.0, max(taus) * 1.05, 200)
-    svgplot.line_plot(
-        spec.out_dir / "hold_collapse.svg",
-        "hold-phase collapse",
-        "tau_hold",
-        "eps(D) / eps(0)",
-        [
-            ("numeric", taus, [row[6] for row in rows], "markers"),
-            ("exp(-2 tau)", curve, np.exp(-2.0 * curve), "dashed"),
-        ],
-    )
     results = {
-        "points": len(rows),
+        "points": len(points),
         "k_hold": k_hold,
-        "max_abs_rel_dev": max(abs(row[8]) for row in rows),
+        "max_abs_rel_dev": max_dev,
         "tau_hold_range": [min(taus), max(taus)],
     }
-    return results, checks, replace(spec, sweep_axes=(("diffusivity", tuple(diffs)),))
+    return results, checks, (("diffusivity", tuple(diffs)),)
 
 
 _PERP_TAUS = (0.25, 0.75, 1.5, 2.25, 3.0)
@@ -576,15 +568,11 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
         StorageProtocol.standard(cfg.protocol.eta_write, t_hold=t_hold)
         for t_hold in collapse_holds + hg_holds
     ]
-    estimate = sum(
-        _estimate_cell_steps(params, pr, signal, n_medium=n_medium, steps_per_width=steps)
-        for pr in protocols
-    )
-    _check_budget(spec, estimate)
-
-    (records,) = _run_tasks(
+    (records,) = _solve(
+        spec,
         [
-            lambda: run_cycle_quasi1d(
+            partial(
+                run_cycle_quasi1d,
                 params,
                 protocols,
                 signal,
@@ -594,111 +582,69 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
                 diffusion_phases=(),
             )
         ],
-        spec.threads,
     )
     collapse_recs = records[: len(collapse_holds)]
     hg_bases = [rec.base for rec in records[len(collapse_holds):]]
     hg_recs00 = Quasi1DRecord.from_bases(hg_bases, signal, hg_grid00)
     hg_recs11 = Quasi1DRecord.from_bases(hg_bases, replace(signal, mode=(1, 1)), hg_grid)
 
-    rows = []
-    checks = []
-    for rec in collapse_recs:
-        groups = derive_groups(params, rec.base.protocol, signal)
-        ratio = rec.efficiency_kspace() / efficiency_1d(rec.base)
-        predicted = 1.0 / (1.0 + groups.tau_perp)
-        rows.append(
-            (
-                len(rows),
-                rec.base.protocol.t_hold,
-                diff,
-                groups.tau_perp,
-                ratio,
-                predicted,
-                ratio / predicted - 1.0,
-            )
-        )
-        checks.append(
-            _check(
-                "transverse_collapse[%d]" % (len(rows) - 1),
-                ratio,
-                predicted,
-                0.03,
-                "eps_perp = 1/(1 + tau_perp), transverse diffusion of the "
-                "(0,0) mode",
-            )
-        )
-    _write_csv(
-        spec,
-        "transverse_collapse",
-        ("index", "t_hold", "diffusivity", "tau_perp", "eff_ratio", "predicted", "rel_dev"),
-        rows,
-    )
+    def tau_perp(rec) -> float:
+        return derive_groups(params, rec.base.protocol, signal).tau_perp
 
-    hg_rows = []
-    for rec00, rec11 in zip(hg_recs00, hg_recs11):
-        groups = derive_groups(params, rec00.base.protocol, signal)
-        ratio = rec11.efficiency_kspace() / rec00.efficiency_kspace()
-        predicted = hg_ratio(groups.tau_perp)
-        hg_rows.append(
-            (
-                len(hg_rows),
-                rec00.base.protocol.t_hold,
-                groups.tau_perp,
-                ratio,
-                predicted,
-                ratio / predicted - 1.0,
-            )
+    points = [
+        (
+            (rec.base.protocol.t_hold, diff, tau_perp(rec)),
+            rec.efficiency_kspace() / efficiency_1d(rec.base),
         )
-        checks.append(
-            _check(
-                "hg_ratio[%d]" % (len(hg_rows) - 1),
-                ratio,
-                predicted,
-                0.02,
-                "eps(1,1)/eps(0,0) = (1/(1 + tau_perp))^2, Hermite-Gauss "
-                "mode ordering",
-            )
-        )
-    _write_csv(
-        spec,
-        "hg_ratio",
-        ("index", "t_hold", "tau_perp", "eff_ratio", "predicted", "rel_dev"),
-        hg_rows,
+        for rec in collapse_recs
+    ]
+    checks, taus, max_dev = _law_table(
+        spec, "transverse_collapse", ("t_hold", "diffusivity", "tau_perp"), points
     )
+    hg_points = [
+        (
+            (rec00.base.protocol.t_hold, tau_perp(rec00)),
+            rec11.efficiency_kspace() / rec00.efficiency_kspace(),
+        )
+        for rec00, rec11 in zip(hg_recs00, hg_recs11)
+    ]
+    hg_checks, _, hg_max_dev = _law_table(spec, "hg_ratio", ("t_hold", "tau_perp"), hg_points)
 
-    taus = [row[3] for row in rows]
-    curve = np.linspace(0.0, max(taus) * 1.05, 200)
-    svgplot.line_plot(
-        spec.out_dir / "transverse_collapse.svg",
-        "transverse collapse",
-        "tau_perp",
-        "eps(D) / eps(0)",
-        [
-            ("numeric", taus, [row[4] for row in rows], "markers"),
-            ("1/(1+tau)", curve, 1.0 / (1.0 + curve), "dashed"),
-        ],
-    )
-    hg_taus = [row[2] for row in hg_rows]
-    svgplot.line_plot(
-        spec.out_dir / "hg_ratio.svg",
-        "HG (1,1)/(0,0) efficiency ratio",
-        "tau_perp",
-        "eps(1,1) / eps(0,0)",
-        [
-            ("numeric", hg_taus, [row[3] for row in hg_rows], "markers"),
-            ("(1/(1+tau))^2", curve, 1.0 / (1.0 + curve) ** 2, "dashed"),
-        ],
-    )
     results = {
         "write_lead": lead,
         "carrier_mismatch": params.carrier_mismatch,
-        "max_abs_rel_dev_collapse": max(abs(row[6]) for row in rows),
-        "max_abs_rel_dev_hg": max(abs(row[5]) for row in hg_rows),
+        "max_abs_rel_dev_collapse": max_dev,
+        "max_abs_rel_dev_hg": hg_max_dev,
         "tau_perp_range": [min(taus), max(taus)],
     }
-    axes = (("t_hold", tuple(collapse_holds + hg_holds)),)
-    return results, checks, replace(spec, sweep_axes=axes)
+    return results, checks + hg_checks, (("t_hold", tuple(collapse_holds + hg_holds)),)
+
+
+def _config_cycles(spec: ExperimentSpec, diffusivities) -> list:
+    """Quasi-1D cycles of the config's protocol and signal, one per diffusivity."""
+    cfg = spec.config
+    n_medium, steps = _CYCLE_GRID[spec.fidelity]
+    mode_grid = ModeGrid.build(
+        cfg.signal.waist,
+        cfg.signal.mode,
+        n=_MODE_CELLS[spec.fidelity],
+        window_factor=9.0 if any(cfg.signal.mode) else 8.0,
+    )
+    (records,) = _solve(
+        spec,
+        [
+            partial(
+                run_cycle_quasi1d,
+                [cfg.params.with_diffusivity(diff) for diff in diffusivities],
+                cfg.protocol,
+                cfg.signal,
+                mode_grid,
+                n_medium=n_medium,
+                steps_per_width=steps,
+            )
+        ],
+    )
+    return records
 
 
 def _exp_storage_cycle(spec: ExperimentSpec):
@@ -711,32 +657,7 @@ def _exp_storage_cycle(spec: ExperimentSpec):
     real-space experiments cover the inhomogeneous case.
     """
     cfg = spec.config
-    n_medium, steps = _CYCLE_GRID[spec.fidelity]
-    window_factor = 9.0 if any(cfg.signal.mode) else 8.0
-    mode_grid = ModeGrid.build(
-        cfg.signal.waist,
-        cfg.signal.mode,
-        n=_MODE_CELLS[spec.fidelity],
-        window_factor=window_factor,
-    )
-    estimate = 2.0 * _estimate_cell_steps(
-        cfg.params, cfg.protocol, cfg.signal, n_medium=n_medium, steps_per_width=steps
-    )
-    _check_budget(spec, estimate)
-
-    ((rec_d, rec_0),) = _run_tasks(
-        [
-            lambda: run_cycle_quasi1d(
-                [cfg.params, cfg.params.with_diffusivity(0.0)],
-                cfg.protocol,
-                cfg.signal,
-                mode_grid,
-                n_medium=n_medium,
-                steps_per_width=steps,
-            )
-        ],
-        spec.threads,
-    )
+    rec_d, rec_0 = _config_cycles(spec, [cfg.params.diffusivity, 0.0])
 
     groups = derive_groups(cfg.params, cfg.protocol, cfg.signal)
     totals = eff_total(cfg.params, cfg.protocol, cfg.signal)
@@ -827,7 +748,7 @@ def _exp_storage_cycle(spec: ExperimentSpec):
     ]
     results = dict(breakdown)
     results["bound_note"] = totals.bound_note
-    return results, checks, spec
+    return results, checks, ()
 
 
 def _exp_spinwave_kspace(spec: ExperimentSpec):
@@ -855,17 +776,19 @@ def _exp_spinwave_kspace(spec: ExperimentSpec):
     fit_times = np.linspace(fit_lo, fit_hi, 12)
     times = np.unique(np.concatenate([coarse, fit_times]))
 
-    estimate = _estimate_cell_steps(
-        params, protocol, signal, n_medium=n_medium, steps_per_width=steps
-    )
-    _check_budget(spec, estimate)
-    record = run_cycle(
-        params,
-        protocol,
-        signal,
-        n_medium=n_medium,
-        steps_per_width=steps,
-        spectrum_times=times,
+    (record,) = _solve(
+        spec,
+        [
+            partial(
+                run_cycle,
+                params,
+                protocol,
+                signal,
+                n_medium=n_medium,
+                steps_per_width=steps,
+                spectrum_times=times,
+            )
+        ],
     )
 
     k = record.spectrum_k
@@ -940,7 +863,7 @@ def _exp_spinwave_kspace(spec: ExperimentSpec):
         "frames": len(frames),
         "fit_window": [fit_lo, fit_hi],
     }
-    return results, checks, spec
+    return results, checks, ()
 
 
 _WIDTH_HOLDS = (0.0, 4e-6, 8e-6, 12e-6, 16e-6, 20e-6, 24e-6)
@@ -957,11 +880,7 @@ def _exp_beam_width(spec: ExperimentSpec):
     apparent rate D_eff drops by about half.
     """
     cfg = spec.config
-    if cfg.control.is_homogeneous:
-        raise ParameterError(
-            "beam-width needs a Gaussian control beam; set control_waist "
-            "in the config"
-        )
+    _require_gaussian_control(spec)
     n_medium, steps, n_r = _SPACE_GRID[spec.fidelity]
     signal = replace(cfg.signal, t_lead=2e-6, mode=(0, 0))
     tgrid = TransverseGrid.radial(signal.waist, n_r=n_r)
@@ -970,39 +889,25 @@ def _exp_beam_width(spec: ExperimentSpec):
         ("gaussian", cfg.control),
     )
 
-    estimate = 0.0
-    tasks = []
-    labels = []
-    for name, control in controls:
-        for t_hold in _WIDTH_HOLDS:
-            protocol = StorageProtocol.gradient_through_hold(
-                cfg.protocol.eta_write, t_hold
-            )
-            estimate += _estimate_cell_steps(
-                cfg.params,
-                protocol,
-                signal,
-                n_medium=n_medium,
-                steps_per_width=steps,
-                n_cols=n_r,
-            )
-            tasks.append(
-                lambda c=control, pr=protocol: run_cycle_realspace(
-                    cfg.params,
-                    pr,
-                    signal,
-                    c,
-                    tgrid,
-                    n_medium=n_medium,
-                    steps_per_width=steps,
-                    store_fields=False,
-                )
-            )
-            labels.append((name, t_hold))
-    _check_budget(spec, estimate)
+    labels = [(name, t_hold) for name, _ in controls for t_hold in _WIDTH_HOLDS]
+    calls = [
+        partial(
+            run_cycle_realspace,
+            cfg.params,
+            StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, t_hold),
+            signal,
+            control,
+            tgrid,
+            n_medium=n_medium,
+            steps_per_width=steps,
+            store_fields=False,
+        )
+        for _, control in controls
+        for t_hold in _WIDTH_HOLDS
+    ]
     # fits run serially after the gather; the solver releases the GIL in
     # its FFT work, the fitter does not
-    profiles = [intensity_and_width(rec) for rec in _run_tasks(tasks, spec.threads)]
+    profiles = [intensity_and_width(rec) for rec in _solve(spec, calls)]
 
     diff = cfg.params.diffusivity
     w0_sq = signal.waist**2 / 4.0 + diff * 2.0 * signal.t_lead
@@ -1090,7 +995,7 @@ def _exp_beam_width(spec: ExperimentSpec):
         "control_waist": cfg.control.waist,
         "write_lead": signal.t_lead,
     }
-    return results, checks, replace(spec, sweep_axes=(("t_hold", _WIDTH_HOLDS),))
+    return results, checks, (("t_hold", _WIDTH_HOLDS),)
 
 
 def _exp_phase_profile(spec: ExperimentSpec):
@@ -1103,38 +1008,30 @@ def _exp_phase_profile(spec: ExperimentSpec):
     coefficient is fitted through the origin over r <= w_c / 2 at z = 0.
     """
     cfg = spec.config
-    if cfg.control.is_homogeneous:
-        raise ParameterError(
-            "phase-profile needs a Gaussian control beam; set control_waist "
-            "in the config"
-        )
+    _require_gaussian_control(spec)
     n_medium, steps, n_r = _PHASE_GRID[spec.fidelity]
     params = cfg.params.with_diffusivity(0.0)
     signal = replace(cfg.signal, t_width=0.35e-6, t_lead=2e-6, mode=(0, 0))
     protocol = StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, 16e-6)
     tgrid = TransverseGrid.radial(signal.waist, n_r=n_r)
 
-    estimate = 2.0 * _estimate_cell_steps(
-        params, protocol, signal, n_medium=n_medium, steps_per_width=steps, n_cols=n_r
+    rec_gauss, rec_homo = _solve(
+        spec,
+        [
+            partial(
+                run_cycle_realspace,
+                params,
+                protocol,
+                signal,
+                control,
+                tgrid,
+                n_medium=n_medium,
+                steps_per_width=steps,
+                store_fields=False,
+            )
+            for control in (cfg.control, ControlProfile.homogeneous(cfg.params.rabi_control))
+        ],
     )
-    _check_budget(spec, estimate)
-    tasks = [
-        lambda c=control: run_cycle_realspace(
-            params,
-            protocol,
-            signal,
-            c,
-            tgrid,
-            n_medium=n_medium,
-            steps_per_width=steps,
-            store_fields=False,
-        )
-        for control in (
-            cfg.control,
-            ControlProfile.homogeneous(cfg.params.rabi_control),
-        )
-    ]
-    rec_gauss, rec_homo = _run_tasks(tasks, spec.threads)
 
     pmap = extract_phase(rec_gauss, rec_homo)
     map_rows = []
@@ -1191,7 +1088,7 @@ def _exp_phase_profile(spec: ExperimentSpec):
         "snapshot_time": pmap.t,
         "t_hold": protocol.t_hold,
     }
-    return results, checks, spec
+    return results, checks, ()
 
 
 _BUDGET_SCALES = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
@@ -1211,36 +1108,8 @@ def _exp_efficiency_budget(spec: ExperimentSpec):
             "efficiency-budget sweeps multiples of the config diffusivity; "
             "set diffusivity > 0"
         )
-    n_medium, steps = _CYCLE_GRID[spec.fidelity]
     diffs = [scale * cfg.params.diffusivity for scale in _BUDGET_SCALES]
-    window_factor = 9.0 if any(cfg.signal.mode) else 8.0
-    mode_grid = ModeGrid.build(
-        cfg.signal.waist,
-        cfg.signal.mode,
-        n=_MODE_CELLS[spec.fidelity],
-        window_factor=window_factor,
-    )
-
-    estimate = len(diffs) * _estimate_cell_steps(
-        cfg.params, cfg.protocol, cfg.signal, n_medium=n_medium, steps_per_width=steps
-    )
-    _check_budget(spec, estimate)
-    (effs,) = _run_tasks(
-        [
-            lambda: [
-                rec.efficiency_kspace()
-                for rec in run_cycle_quasi1d(
-                    [cfg.params.with_diffusivity(diff) for diff in diffs],
-                    cfg.protocol,
-                    cfg.signal,
-                    mode_grid,
-                    n_medium=n_medium,
-                    steps_per_width=steps,
-                )
-            ]
-        ],
-        spec.threads,
-    )
+    effs = [rec.efficiency_kspace() for rec in _config_cycles(spec, diffs)]
 
     rows = []
     checks = []
@@ -1349,7 +1218,7 @@ def _exp_efficiency_budget(spec: ExperimentSpec):
         "eff_full_at_config": fulls[_BUDGET_SCALES.index(1.0)],
         "numeric_ratio_at_config": ratios[_BUDGET_SCALES.index(1.0)],
     }
-    return results, checks, replace(spec, sweep_axes=(("diffusivity", tuple(diffs)),))
+    return results, checks, (("diffusivity", tuple(diffs)),)
 
 
 EXPERIMENTS = {
@@ -1367,7 +1236,7 @@ EXPERIMENTS = {
 def run_experiment(spec: ExperimentSpec) -> dict:
     """Run one experiment, write its artifacts, return the summary dict."""
     spec.out_dir.mkdir(parents=True, exist_ok=True)
-    results, checks, spec = EXPERIMENTS[spec.experiment](spec)
+    results, checks, axes = EXPERIMENTS[spec.experiment](spec)
     passed = all(check["passed"] for check in checks)
     summary = _jsonable(
         {
@@ -1376,7 +1245,7 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             "config_digest": spec.config.digest,
             "config_values": dict(sorted(spec.config.values.items())),
             "fidelity": spec.fidelity,
-            "sweep_axes": [[name, list(values)] for name, values in spec.sweep_axes],
+            "sweep_axes": [[name, list(values)] for name, values in axes],
             "results": results,
             "checks": checks,
             "passed": passed,
@@ -1463,7 +1332,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--threads",
         type=int,
-        help="worker threads for sweep points (default: up to 4)",
+        help="worker threads for the real-space cycles (default: up to 4)",
     )
     args = parser.parse_args(argv)
 

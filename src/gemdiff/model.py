@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from .pulses import SignalSpec
+if TYPE_CHECKING:  # pulses imports ParameterError from here
+    from .pulses import SignalSpec
 
 
 class ParameterError(ValueError):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_hermite
 
+from .model import ParameterError
+
 
 @dataclass(frozen=True)
 class SignalSpec:
@@ -36,16 +38,16 @@ class SignalSpec:
 
     def __post_init__(self):
         if self.amplitude <= 0:
-            raise ValueError("amplitude must be positive")
+            raise ParameterError("amplitude must be positive")
         if self.t_width <= 0:
-            raise ValueError("t_width must be positive")
+            raise ParameterError("t_width must be positive")
         if self.t_lead < 0:
-            raise ValueError("t_lead must be non-negative")
+            raise ParameterError("t_lead must be non-negative")
         if self.waist <= 0:
-            raise ValueError("waist must be positive")
+            raise ParameterError("waist must be positive")
         m, n = self.mode
         if m < 0 or n < 0 or m != int(m) or n != int(n):
-            raise ValueError("mode indices must be non-negative integers")
+            raise ParameterError("mode indices must be non-negative integers")
 
     @property
     def energy_time_integral(self) -> float:
@@ -69,9 +71,9 @@ class ControlProfile:
 
     def __post_init__(self):
         if self.rabi_peak < 0:
-            raise ValueError("rabi_peak must be non-negative")
+            raise ParameterError("rabi_peak must be non-negative")
         if self.waist is not None and self.waist <= 0:
-            raise ValueError("waist must be positive (or None for homogeneous)")
+            raise ParameterError("waist must be positive (or None for homogeneous)")
 
     @classmethod
     def homogeneous(cls, rabi_peak: float) -> "ControlProfile":

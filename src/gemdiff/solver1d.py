@@ -65,6 +65,7 @@ from .model import (
 from .pulses import SignalSpec, sample_temporal
 
 _PHASES = ("write", "hold", "read")
+_GUARD_THRESHOLD = 1e-4  # largest edge/peak coherence ratio the padding may hold
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,10 +350,8 @@ class _FrameTaker:
             self.spectrum_frames.append((t, power))
 
 
-def _check_guard(
-    sigma: np.ndarray, grid: Grid1D, threshold: float, phase: str, peak_ref: float = 0.0
-) -> float:
-    """Coherence at the outer padding must stay below threshold * peak.
+def _check_guard(sigma: np.ndarray, grid: Grid1D, phase: str, peak_ref: float = 0.0) -> float:
+    """Coherence at the outer padding must stay below _GUARD_THRESHOLD * peak.
 
     The reference peak is the largest coherence seen so far in the cycle;
     without it a nearly complete readout would inflate the ratio (the
@@ -368,11 +367,11 @@ def _check_guard(
         float(np.max(np.abs(sigma[..., right]), initial=0.0)),
     )
     ratio = edge / peak
-    if ratio > threshold:
+    if ratio > _GUARD_THRESHOLD:
         raise GuardBandError(
             phase,
             "coherence reached the grid padding (edge/peak %.2e > %.0e); "
-            "increase pad_fraction or n_medium, or shorten the cycle" % (ratio, threshold),
+            "increase pad_fraction or n_medium, or shorten the cycle" % (ratio, _GUARD_THRESHOLD),
         )
     return ratio
 
@@ -531,7 +530,6 @@ def _drive_cycle(
     recorders,
     transverse=None,
     sigma_times,
-    guard_threshold: float,
     spectrum_times=(),
     **plan_options,
 ):
@@ -613,7 +611,7 @@ def _drive_cycle(
                     mark(t, drive_on, fin_fn, recorder)
         for r, view in enumerate(views()):
             peaks[r] = max(peaks[r], float(np.max(np.abs(view))))
-            guards[r][phase] = _check_guard(view, grid, guard_threshold, phase, peaks[r])
+            guards[r][phase] = _check_guard(view, grid, phase, peaks[r])
         if row_records:  # for the 1D records; no step writes into a state in place
             ends[phase] = sigma
     return ends, guards, takers
@@ -632,7 +630,6 @@ def run_cycle(
     diffusion_phases: tuple[str, ...] = _PHASES,
     sigma_times=(),
     spectrum_times=(),
-    guard_threshold: float = 1e-4,
 ) -> CycleRecord | list[CycleRecord]:
     """Integrate one full write / hold / read cycle and record it.
 
@@ -706,7 +703,6 @@ def run_cycle(
         diffusion_phases=diffusion_phases,
         sigma_times=sigma_times,
         spectrum_times=spectrum_times,
-        guard_threshold=guard_threshold,
     )
 
     t_w = samples["write"][0]

@@ -425,6 +425,16 @@ def _strang_step(tgrid: TransverseGrid, diffusivity: float, step: float):
     return strang
 
 
+def _realspace_plan(params: PhysicalParams, protocol: StorageProtocol, sigma_times):
+    """Real space's plan rule: (snapshot times, whether the transverse step acts).
+
+    The mid-hold snapshot is always taken (the phase-map extraction needs
+    it), so it cuts the hold; with diffusion on, the transverse step acts
+    and steps even the exact spans at dt0.
+    """
+    return {*sigma_times, protocol.flip_time()}, params.diffusivity > 0.0
+
+
 def run_cycle_realspace(
     params: PhysicalParams,
     protocol: StorageProtocol,
@@ -439,7 +449,6 @@ def run_cycle_realspace(
     t_read: float | None = None,
     diffusion_phases: tuple[str, ...] = _PHASES,
     sigma_times=(),
-    guard_threshold: float = 1e-4,
     store_fields: bool | None = None,
 ) -> RealspaceRecord:
     """Full cycle on an explicit transverse grid with a local control field.
@@ -497,6 +506,7 @@ def run_cycle_realspace(
             out_times.append(t)
             out_rows.append(exit_field)
 
+    snapshots, transverse_on = _realspace_plan(params, protocol, sigma_times)
     grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
     _, (guard,), (frames,) = _drive_cycle(
         params,
@@ -510,15 +520,12 @@ def run_cycle_realspace(
         holds=protocol.t_hold,
         fin_write=lambda t: face_phase * complex(sample_temporal(signal, t)) * profile,
         recorders={"read": record_read},
-        transverse=(
-            partial(_strang_step, tgrid, params.diffusivity) if params.diffusivity > 0.0 else None
-        ),
+        transverse=partial(_strang_step, tgrid, params.diffusivity) if transverse_on else None,
         steps_per_width=steps_per_width,
         dt=dt,
         t_read=t_read,
         diffusion_phases=diffusion_phases,
-        sigma_times={*sigma_times, protocol.flip_time()},
-        guard_threshold=guard_threshold,
+        sigma_times=snapshots,
     )
 
     t_write_len = protocol.write_window(signal)

@@ -1,25 +1,30 @@
 """Experiment harness: spec validation, artifacts, CLI behaviour, determinism."""
 
+import functools
 import json
 import math
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gemdiff import (
+    ModeGrid,
     ParameterError,
     SignalSpec,
     StorageProtocol,
     TransverseGrid,
+    harness,
     run_cycle,
+    run_cycle_quasi1d,
     run_cycle_realspace,
     solver1d,
 )
-from gemdiff.config import load_config
+from gemdiff.config import known_keys, load_config
 from gemdiff.harness import (
     CSV_FORMAT,
     JSON_FORMAT,
@@ -27,11 +32,12 @@ from gemdiff.harness import (
     RuntimeGuardError,
     _cell,
     _check,
-    _check_budget,
     _estimate_cell_steps,
     _parked_lead,
     _run_tasks,
+    _solve,
     main,
+    run_experiment,
 )
 from gemdiff.pulses import ControlProfile
 
@@ -77,8 +83,6 @@ def cycle_run(tmp_path_factory):
         (dict(fidelity="ultra"), "unknown fidelity"),
         (dict(threads=0), "threads"),
         (dict(max_cell_steps=0.0), "max_cell_steps"),
-        (dict(sweep_axes=(("warp_factor", (1.0,)),)), "not a config key"),
-        (dict(sweep_axes=(("t_hold", ()),)), "no values"),
         (dict(max_cell_steps=math.nan), "max_cell_steps"),
     ],
 )
@@ -128,57 +132,79 @@ def test_tasks_return_in_submission_order():
     assert _run_tasks([job(i) for i in range(4)], threads=1) == [0, 1, 2, 3]
 
 
-def test_cost_estimate_and_budget(bench_config, tmp_path):
+def test_cost_estimate_and_budget(bench_config, tmp_path, monkeypatch):
     cfg = bench_config
-    one = _estimate_cell_steps(
-        cfg.params, cfg.protocol, cfg.signal, n_medium=128, steps_per_width=32.0
+    coarse = dict(n_medium=128, steps_per_width=32.0)
+    one = _estimate_cell_steps(partial(run_cycle, cfg.params, cfg.protocol, cfg.signal, **coarse))
+    tgrid = TransverseGrid.radial(cfg.signal.waist, n_r=40)
+    realspace = partial(
+        run_cycle_realspace, cfg.params, cfg.protocol, cfg.signal, cfg.control, tgrid, **coarse
     )
-    many = _estimate_cell_steps(
-        cfg.params,
-        cfg.protocol,
-        cfg.signal,
-        n_medium=128,
-        steps_per_width=32.0,
-        n_cols=40,
-    )
+    many = _estimate_cell_steps(realspace)
     assert many > 30.0 * one
     # an idle hold costs a few exact steps, a driven hold real stepping
     idle = StorageProtocol.standard(eta_write=cfg.protocol.eta_write, t_hold=1e-3)
     driven = replace(idle, control_on_hold=True)
-    cheap = _estimate_cell_steps(
-        cfg.params, idle, cfg.signal, n_medium=128, steps_per_width=32.0
-    )
-    dear = _estimate_cell_steps(
-        cfg.params, driven, cfg.signal, n_medium=128, steps_per_width=32.0
-    )
+    cheap = _estimate_cell_steps(partial(run_cycle, cfg.params, idle, cfg.signal, **coarse))
+    dear = _estimate_cell_steps(partial(run_cycle, cfg.params, driven, cfg.signal, **coarse))
     assert dear > 10.0 * cheap
 
+    # over the cap _solve refuses the whole list before any solver runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran before the budget refusal")
+
+    for name, binding in (("sweep-write", "run_cycle"), ("phase-profile", "run_cycle_realspace")):
+        real = getattr(harness, binding)
+        monkeypatch.setattr(harness, binding, functools.wraps(real)(refuse))
+        spec = ExperimentSpec(
+            experiment=name,
+            config=cfg,
+            out_dir=tmp_path / name,
+            fidelity="coarse",
+            max_cell_steps=1e4,
+        )
+        with pytest.raises(RuntimeGuardError, match="GEM_MAX_CELL_STEPS"):
+            run_experiment(spec)
+        monkeypatch.undo()
+
+    # under the cap: no complaint, results in call order
+    fast = dict(n_medium=64, steps_per_width=16.0)
+    calls = [
+        partial(run_cycle, cfg.params.with_diffusivity(diff), idle, cfg.signal, **fast)
+        for diff in (0.0, 0.004)
+    ]
     spec = ExperimentSpec(
         experiment="storage-cycle",
         config=cfg,
         out_dir=tmp_path,
-        max_cell_steps=1e4,
+        max_cell_steps=sum(_estimate_cell_steps(call) for call in calls),
     )
-    with pytest.raises(RuntimeGuardError, match="GEM_MAX_CELL_STEPS"):
-        _check_budget(spec, 1e6)
-    _check_budget(spec, 1e3)  # under the cap: no complaint
+    records = _solve(spec, calls)
+    assert [rec.params.diffusivity for rec in records] == [0.0, 0.004]
+    with pytest.raises(RuntimeGuardError, match="exceeds the cap"):
+        _solve(spec, calls + calls[:1])
 
 
 def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch):
-    # the estimate is n_z x n_cols x the planned steps; count the steps the
-    # solvers take through every binding of advance_step
-    calls = []
+    # the estimate is rows x n_z x the planned steps; sum the cells that
+    # advance_step updates through every binding of it
+    cells = []
     real = solver1d.advance_step
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(sigma, *args, **kwargs):
+        cells.append(sigma.size)
+        return real(sigma, *args, **kwargs)
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("gemdiff"):
             for key, value in list(vars(module).items()):
                 if value is real:
                     monkeypatch.setattr(module, key, counted)
+
+    def solved_cells(call):
+        cells.clear()
+        call()
+        return sum(cells)
 
     cfg = bench_config
     fast = dict(n_medium=64, steps_per_width=16.0)
@@ -187,29 +213,59 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
     tgrid = TransverseGrid.radial(cfg.signal.waist, n_r=16)
     control = ControlProfile.gaussian(cfg.params.rabi_control, 3e-3)
     still = cfg.params.with_diffusivity(0.0)
-    cycles = [
-        (cfg.params, exact, 1, lambda: run_cycle(cfg.params, exact, cfg.signal, **fast)),
-        (cfg.params, driven, 1, lambda: run_cycle(cfg.params, driven, cfg.signal, **fast)),
-        (
-            cfg.params,
-            exact,
-            tgrid.n_cols,
-            lambda: run_cycle_realspace(cfg.params, exact, cfg.signal, control, tgrid, **fast),
-        ),
-        (
-            still,
-            exact,
-            tgrid.n_cols,
-            lambda: run_cycle_realspace(still, exact, cfg.signal, control, tgrid, **fast),
-        ),
+    modes = ModeGrid.build(cfg.signal.waist, n=32)
+    exact_calls = [
+        partial(run_cycle, cfg.params, exact, cfg.signal, **fast),
+        partial(run_cycle, cfg.params, driven, cfg.signal, **fast),
+        partial(run_cycle_realspace, cfg.params, exact, cfg.signal, control, tgrid, **fast),
+        partial(run_cycle_realspace, still, exact, cfg.signal, control, tgrid, **fast),
+        # spectrum frames inside the exact hold cut it into pieces
+        partial(run_cycle, cfg.params, exact, cfg.signal, spectrum_times=(1e-6, 2e-6), **fast),
+        partial(run_cycle_quasi1d, cfg.params, driven, cfg.signal, modes, dt=2e-8, **fast),
     ]
-    for params, protocol, n_cols, run in cycles:
-        calls.clear()
-        record = run()
-        estimate = _estimate_cell_steps(
-            params, protocol, cfg.signal, n_cols=n_cols, **fast
+    for call in exact_calls:
+        assert _estimate_cell_steps(call) == solved_cells(call)
+
+    # a batched call charges every row every step: an upper bound, since
+    # the diffusion-free write runs on one shared row
+    hold_only = dict(diffusion_phases=("hold",), **fast)
+    rows = [cfg.params.with_diffusivity(diff) for diff in (0.0, 0.004, 0.008)]
+    batched = partial(run_cycle, rows, exact, cfg.signal, **hold_only)
+    single = partial(run_cycle, cfg.params, exact, cfg.signal, **hold_only)
+    assert solved_cells(batched) < _estimate_cell_steps(batched)
+    assert _estimate_cell_steps(batched) <= len(rows) * _estimate_cell_steps(single)
+
+
+def test_only_real_space_calls_use_the_pool(bench_config, tmp_path, monkeypatch):
+    seen = []
+
+    class Dispatched(Exception):
+        pass
+
+    def spy(tasks, threads):
+        seen.append(threads)
+        raise Dispatched  # the dispatch is all this test reads
+
+    monkeypatch.setattr(harness, "_run_tasks", spy)
+    for name in ("sweep-write", "phase-profile"):
+        spec = ExperimentSpec(
+            experiment=name, config=bench_config, out_dir=tmp_path / name, threads=4
         )
-        assert estimate == record.grid.n_z * n_cols * len(calls)
+        with pytest.raises(Dispatched):
+            run_experiment(spec)
+    assert seen == [1, 4]
+
+
+def test_sweep_axes_name_config_keys(bench_config, tmp_path, cycle_run):
+    spec = ExperimentSpec(
+        experiment="sweep-hold", config=bench_config, out_dir=tmp_path, fidelity="coarse"
+    )
+    axes = run_experiment(spec)["sweep_axes"]
+    assert axes
+    for name, values in axes:
+        assert name in known_keys() and len(values) > 0
+    # an experiment that sweeps nothing reports no axes
+    assert json.loads((cycle_run / "summary.json").read_text())["sweep_axes"] == []
 
 
 def test_parked_lead_flips_the_carrier_when_needed(bench_config):
@@ -364,6 +420,24 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("override", ["diffusivity=inf", "t_width=inf"])
 def test_cli_rejects_non_finite_values(tmp_path, capsys, override):
+    argv = ["storage-cycle", "--config", str(CONFIG), "--out", str(tmp_path)]
+    assert main(argv + ["--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gem:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "t_width=-1 us",
+        "waist=0",
+        "amplitude=0",
+        "t_lead=-1 us",
+        "mode_m=-1",
+        "control_waist=-1 mm",
+    ],
+)
+def test_cli_rejects_bad_signal_and_control(tmp_path, capsys, override):
     argv = ["storage-cycle", "--config", str(CONFIG), "--out", str(tmp_path)]
     assert main(argv + ["--set", override]) == 2
     err = capsys.readouterr().err
