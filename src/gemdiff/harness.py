@@ -171,7 +171,10 @@ def _cell(value) -> str:
 
 
 def _write_csv(spec: ExperimentSpec, name: str, columns, rows, notes=()) -> Path:
-    """One dataset file; header comments carry the provenance."""
+    """One dataset file; header comments carry the provenance.
+
+    rows are streamed to the file, so a generator is never held whole.
+    """
     path = spec.out_dir / (name + ".csv")
     lines = [
         "# format: " + CSV_FORMAT,
@@ -185,9 +188,9 @@ def _write_csv(spec: ExperimentSpec, name: str, columns, rows, notes=()) -> Path
     for note in notes:
         lines.append("# " + note)
     lines.append("# columns: " + ",".join(columns))
-    for row in rows:
-        lines.append(",".join(_cell(value) for value in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as out:
+        out.writelines(line + "\n" for line in lines)
+        out.writelines(",".join(_cell(value) for value in row) + "\n" for row in rows)
     return path
 
 
@@ -269,6 +272,7 @@ def _estimate_cell_steps(call: partial) -> float:
         args["signal"],
         steps_per_width=args["steps_per_width"],
         holds=_shared([p.t_hold for p in protocol_rows]),
+        diffusivity=_shared([p.diffusivity for p in param_rows]),
         dt=args["dt"],
         t_read=args["t_read"],
         diffusion_phases=args["diffusion_phases"],
@@ -1034,10 +1038,9 @@ def _exp_phase_profile(spec: ExperimentSpec):
     )
 
     pmap = extract_phase(rec_gauss, rec_homo)
-    map_rows = []
-    for j, z in enumerate(pmap.z):
-        for i, r in enumerate(pmap.r):
-            map_rows.append((r, z, pmap.theta[i, j]))
+    map_rows = (
+        (r, z, pmap.theta[i, j]) for j, z in enumerate(pmap.z) for i, r in enumerate(pmap.r)
+    )
     _write_csv(spec, "phase_map", ("r", "z", "theta"), map_rows)
 
     r, theta = pmap.at_z(0.0)

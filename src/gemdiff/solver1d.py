@@ -14,13 +14,24 @@ Physical-frame fields are recovered at the cell faces by the constant
 phases exp(i dispersion_shift * half_length).
 
 Each time step is a symmetric split: exact spectral diffusion half-steps
-around a midpoint rule for the gradient rotation and the field drive.
-The rotation sub-flow is exact, and the field is re-slaved to the
-coherence at every evaluation (d_z E integrated from the entrance face),
-so the only stepping error is the second-order midpoint error of the
-drive coupling.  Phase boundaries land exactly because the step size is
-re-fitted to each phase; holds with everything off are advanced in a
-single exact step.
+around a core, advance_step, that applies the gradient rotation and the
+field drive by a midpoint rule.  The rotation sub-flow is exact, and the
+field is re-slaved to the coherence at every evaluation (d_z E integrated
+from the entrance face), so the only stepping error is the second-order
+midpoint error of the drive coupling.  Phase boundaries land exactly
+because the step size is re-fitted to each phase; a span with the drive
+off and no gradient, or no diffusion acting, is exact and advances in a
+single step per piece.
+
+The driver applies the diffusion half-steps around the core itself and
+merges the two that meet at a step boundary nothing reads: one FFT pair
+with the full-step kernel, and one transverse propagation in real space.
+A boundary is read when its span is driven and its phase has a recorder,
+when a snapshot is due at it, or when it ends a piece; every owed
+half-step is applied before it is read.  With the drive off every column
+sees the same longitudinal operator, which commutes with the transverse
+one, so the transverse half-steps up to the next read boundary are
+applied there in one shot.
 
 All step kernels broadcast over leading axes of sigma, with per-row
 couplings and detunings passed as (..., 1) arrays.
@@ -162,12 +173,14 @@ def slave_field(
 
 @dataclass(eq=False)
 class StepKernels:
-    """Precomputed per-phase factors for one step size.
+    """Precomputed factors of one piece's step size.
 
     dt and diffusivity are scalars, or (rows, 1) columns with one value
-    per row of the state.  Rows with no diffusion over the step (D = 0 or
-    a zero-length step) are left out of diff_rows (None: every row
-    diffuses) and skip the FFT pair, so they match a solve of their own.
+    per row of the state.  rot_full and rot_half are the gradient rotation
+    times the light-shift residual over a step and over half a step, built
+    once per piece.  Rows with no diffusion over the step (D = 0 or a
+    zero-length step) are left out of diff_rows (None: every row diffuses)
+    and skip the FFT pair, so they match a solve of their own.
     """
 
     dt: float | np.ndarray
@@ -182,6 +195,7 @@ class StepKernels:
         grid: Grid1D,
         dt,
         eta: float,
+        residual,
         diffusivity,
         k_matched: float,
     ) -> "StepKernels":
@@ -196,21 +210,22 @@ class StepKernels:
             diff_half = np.exp(-d * (grid.q + k_matched) ** 2 * (0.5 * d_dt))
         return cls(
             dt=dt,
-            rot_full=np.exp(-1j * eta * grid.z * dt),
-            rot_half=np.exp(-1j * eta * grid.z * (0.5 * dt)),
+            rot_full=np.exp(-1j * eta * grid.z * dt) * _rotation(residual, dt),
+            rot_half=np.exp(-1j * eta * grid.z * (0.5 * dt)) * _rotation(residual, 0.5 * dt),
             diff_half=diff_half,
             diff_rows=diff_rows,
         )
 
-    def diffuse_half(self, sigma: np.ndarray) -> np.ndarray:
-        """Exact spectral diffusion over half a step."""
+    def diffuse(self, sigma: np.ndarray, halves: int) -> np.ndarray:
+        """Exact spectral diffusion over `halves` half-steps, in one FFT pair."""
         if self.diff_half is None:
             return sigma
+        kernel = self.diff_half if halves == 1 else self.diff_half**halves
         if self.diff_rows is None:
-            return ifft(fft(sigma, axis=-1) * self.diff_half, axis=-1)
+            return ifft(fft(sigma, axis=-1) * kernel, axis=-1)
         out = sigma.copy()
         rows = self.diff_rows
-        out[rows] = ifft(fft(sigma[rows], axis=-1) * self.diff_half, axis=-1)
+        out[rows] = ifft(fft(sigma[rows], axis=-1) * kernel, axis=-1)
         return out
 
 
@@ -220,36 +235,33 @@ def advance_step(
     grid: Grid1D,
     *,
     coupling_eff,
-    res_full,
-    res_half,
     fin_now,
     fin_mid,
     drive_on: bool,
     density: float,
     light_speed: float,
 ) -> np.ndarray:
-    """One symmetric split step: diffusion half, rotation + drive, diffusion half.
+    """The core of one split step: gradient rotation, light shift and drive.
 
     The drive uses the midpoint rule: the field is slaved once at the step
     start for the predictor and once at mid-step for the corrector.  With
-    the drive off the step is a pure (exact) rotation between exact
-    diffusion half-steps.
+    the drive off the step is a pure (exact) rotation.  The exact
+    diffusion half-steps around the core are the caller's (_drive_cycle).
     """
-    sigma = kern.diffuse_half(sigma)
-    if drive_on:
-        dt = kern.dt
-        mask = grid.mask
-        e_now = slave_field(sigma, grid, coupling_eff, density, light_speed, fin_now)
-        sig_p = (kern.rot_half * res_half) * (
-            sigma + (0.5 * dt) * (1j * coupling_eff) * e_now * mask
-        )
-        e_mid = slave_field(sig_p, grid, coupling_eff, density, light_speed, fin_mid)
-        sigma = (kern.rot_full * res_full) * sigma + dt * (kern.rot_half * res_half) * (
-            (1j * coupling_eff) * e_mid * mask
-        )
-    else:
-        sigma = (kern.rot_full * res_full) * sigma
-    return kern.diffuse_half(sigma)
+    if not drive_on:
+        return kern.rot_full * sigma
+    dt = kern.dt
+    mask = grid.mask
+    # drop each (rows, n_z) intermediate once it is spent: that pays for the
+    # per-piece rotation products StepKernels holds
+    e_now = slave_field(sigma, grid, coupling_eff, density, light_speed, fin_now)
+    sig_p = kern.rot_half * (sigma + (0.5 * dt) * (1j * coupling_eff) * e_now * mask)
+    del e_now
+    e_mid = slave_field(sig_p, grid, coupling_eff, density, light_speed, fin_mid)
+    del sig_p
+    kick = (1j * coupling_eff) * e_mid * mask
+    del e_mid
+    return kern.rot_full * sigma + dt * kern.rot_half * kick
 
 
 @dataclass(eq=False)
@@ -339,6 +351,11 @@ class _FrameTaker:
         self.sigma_frames: list[tuple[float, np.ndarray]] = []
         self.spectrum_frames: list[tuple[float, np.ndarray]] = []
 
+    def due(self, t: float) -> bool:
+        """Whether a snapshot falls due at boundary t."""
+        late = t + 1e-12 * max(1.0, abs(t))
+        return any(p and p[0] <= late for p in (self.pending_sigma, self.pending_spec))
+
     def take(self, t: float, sigma: np.ndarray) -> None:
         eps = 1e-12 * max(1.0, abs(t))
         while self.pending_sigma and self.pending_sigma[0] <= t + eps:
@@ -388,6 +405,7 @@ def _cycle_plan(
     *,
     steps_per_width: float,
     holds,
+    diffusivity,
     dt: float | None = None,
     t_read: float | None = None,
     diffusion_phases: tuple[str, ...] = _PHASES,
@@ -397,11 +415,13 @@ def _cycle_plan(
     """The step plan of one cycle: the driver runs it, the cost guard sums it.
 
     Per phase, its constant-operator spans (start, length, eta, drive_on,
-    use_diff, pieces), each run as pieces (start, length, n_steps).  A
-    span with drive or gradient steps at dt0.  One with both off is exact
-    at any step size: one step per piece, cut at the cut_times inside it,
-    unless substep_exact (an inexact transverse operator) and the phase
-    diffuses, which steps it at dt0 too.
+    use_diff, pieces), each run as pieces (start, length, n_steps);
+    use_diff says diffusion acts (the phase diffuses and some row of
+    diffusivity is positive).  A driven span steps at dt0, and so does one
+    whose gradient rotates while diffusion acts.  Any other span is exact
+    at any step size, a rotation with or without diffusion: one step per
+    piece, cut at the cut_times inside it, unless substep_exact (an
+    inexact transverse operator) and diffusion acts, which steps it at dt0.
     """
     for name in diffusion_phases:
         if name not in _PHASES:
@@ -417,8 +437,8 @@ def _cycle_plan(
         raise ParameterError("t_read must be positive")
 
     def span(phase, start, length, eta, drive_on):
-        use_diff = phase in diffusion_phases
-        if drive_on or eta != 0.0:
+        use_diff = phase in diffusion_phases and bool(np.any(np.greater(diffusivity, 0.0)))
+        if drive_on or (eta != 0.0 and use_diff):
             pieces = [(start, length, max(1, math.ceil(length / dt0)))]
         elif np.ndim(length):
             pieces = [(start, length, 1)]  # a per-row exact hold
@@ -497,12 +517,12 @@ def _col(values):
 
 def _rotation(rate, span):
     """exp(-i rate span): np.exp for a per-row rate column, else cmath
-    (per-row spans give a (rows, 1) column)."""
+    (a (rows, 1) column of per-row spans gives a (rows, 1) column)."""
     if np.ndim(rate):
         return np.exp(-1j * rate * span)
     if np.ndim(span) == 0:
         return cmath.exp(-1j * rate * span)
-    return np.array([cmath.exp(-1j * rate * float(s)) for s in span])[:, None]
+    return np.array([cmath.exp(-1j * rate * float(s)) for s in np.ravel(span)])[:, None]
 
 
 def _steps_by_row(samples) -> np.ndarray:
@@ -540,8 +560,9 @@ def _drive_cycle(
     each row is a record (one shared row stands for all until a span tells
     them apart), else the rows form one record.  recorders[phase](t, exit)
     gets the solver-frame exit field per row at each boundary of a driven
-    span.  transverse(step) returns the step that wraps advance_step in
-    transverse half-steps, for the phases that diffuse.
+    span.  For the spans where diffusion acts, transverse(dt_half) returns
+    the transverse diffusion of half a step, whose propagate(sigma, n)
+    applies n half-steps at once.
 
     Returns (ends, guards, takers): with row_records the state at the end
     of each phase, and per record its guard ratios and its _FrameTaker.
@@ -551,6 +572,7 @@ def _drive_cycle(
         signal,
         cut_times=[*sigma_times, *spectrum_times],
         substep_exact=transverse is not None,
+        diffusivity=diffs,
         **plan_options,
     )
     coupling = params.coupling_g * rabi / params.detuning
@@ -585,30 +607,40 @@ def _drive_cycle(
             if (np.ndim(length) or np.ndim(diffusivity)) and len(sigma) < n_rows:
                 sigma = np.repeat(sigma, n_rows, axis=0)  # the rows part ways here
             mark(span_start, drive_on, fin_fn, recorder)
+            recorded = drive_on and recorder is not None
             for start, piece, n_steps in pieces:
                 step = piece / n_steps
-                kern = StepKernels.build(grid, _col(step), eta, _col(diffusivity), params.k_matched)
-                res_full = _rotation(residual, step)
-                res_half = _rotation(residual, 0.5 * step)
-                use_transverse = transverse is not None and use_diff
-                stepper = transverse(step) if use_transverse else advance_step
+                kern = StepKernels.build(
+                    grid, _col(step), eta, residual, _col(diffusivity), params.k_matched
+                )
+                trans = transverse(0.5 * step) if transverse is not None and use_diff else None
+                owed_z = owed_t = 0  # diffusion half-steps not yet applied: along z, transverse
                 t = start
                 for j in range(n_steps):
-                    sigma = stepper(
+                    sigma = kern.diffuse(sigma, owed_z + 1)
+                    owed_t += 1
+                    if trans is not None and drive_on:  # the drive tells the columns apart
+                        sigma, owed_t = trans.propagate(sigma, owed_t), 0
+                    sigma = advance_step(
                         sigma,
                         kern,
                         grid,
                         coupling_eff=coupling,
-                        res_full=res_full,
-                        res_half=res_half,
                         fin_now=fin_fn(t),
                         fin_mid=fin_fn(t + 0.5 * step),
                         drive_on=drive_on,
                         density=density,
                         light_speed=light_speed,
                     )
+                    owed_z, owed_t = 1, owed_t + 1
                     t = start + (j + 1) * step
-                    mark(t, drive_on, fin_fn, recorder)
+                    # an unread boundary merges the halves on either side of it
+                    if j == n_steps - 1 or recorded or any(taker.due(t) for taker in takers):
+                        sigma = kern.diffuse(sigma, owed_z)
+                        if trans is not None:
+                            sigma = trans.propagate(sigma, owed_t)
+                        owed_z = owed_t = 0
+                        mark(t, drive_on, fin_fn, recorder)
         for r, view in enumerate(views()):
             peaks[r] = max(peaks[r], float(np.max(np.abs(view))))
             guards[r][phase] = _check_guard(view, grid, phase, peaks[r])

@@ -13,11 +13,14 @@ Two complementary routes:
   coupling and the two-photon detuning), so the cycle is stepped on an
   explicit transverse grid.  It runs on the shared cycle driver of
   solver1d, with the columns as the rows of one record (column-local
-  coupling and light shift) and a transverse operator: transverse
-  diffusion half-steps around the longitudinal split step.  An
-  axisymmetric problem runs on a radial finite-volume grid (conservative
-  Crank-Nicolson diffusion); the general case runs on a Cartesian grid
-  with spectral transverse diffusion.
+  coupling and light shift) and a transverse diffusion operator, whose
+  half-steps the driver applies with the longitudinal ones around each
+  step core, merged across the boundaries nothing reads.  An
+  axisymmetric problem runs on a radial finite-volume grid: conservative
+  Crank-Nicolson diffusion, whose half-step is a propagator matrix built
+  once per step size and applied as one real GEMM (n merged half-steps
+  are its cached n-th power).  The general case runs on a Cartesian grid
+  with spectral transverse diffusion (n half-steps are one FFT pair).
 
 Beam observables (intensity profile, fitted width, spin-wave phase maps,
 effective diffusion rate) are extracted from the records here as well.
@@ -50,7 +53,7 @@ from .solver1d import (
     CycleRecord,
     Grid1D,
     _drive_cycle,
-    advance_step,
+    advance_step,  # noqa: F401  (the real-space step core; perfbench traces it per module)
     run_cycle,
 )
 
@@ -336,51 +339,63 @@ class _RadialDiffusion:
 
     Finite-volume discretization of (1/r) d/dr (r d/dr) on the staggered
     grid; no-flux at the axis (built in by r_{-1/2} = 0) and at the outer
-    edge.  Unconditionally stable; second order in dr and dt.
+    edge.  Unconditionally stable; second order in dr and dt.  The
+    half-step is the real n_r x n_r propagator P = (I - A)^-1 (I + A),
+    built by one banded solve; n half-steps are the matrix power P^n
+    (cached per n), applied as one real GEMM on the complex state viewed
+    as float.
     """
 
     def __init__(self, grid: TransverseGrid, diffusivity: float, dt_half: float):
-        n = grid.n_cols
         r = grid.r
         dr = grid.dr
         lower_face = r - 0.5 * dr
         upper_face = r + 0.5 * dr
         lower_face[0] = 0.0
-        a = lower_face / (r * dr * dr)
-        c = upper_face / (r * dr * dr)
-        c[-1] = 0.0
         coef = 0.5 * diffusivity * dt_half
-        self._a = coef * a
-        self._c = coef * c
-        self._band = np.zeros((3, n), dtype=complex)
-        self._band[0, 1:] = -self._c[:-1]
-        self._band[1, :] = 1.0 + self._a + self._c
-        self._band[2, :-1] = -self._a[1:]
+        a = coef * (lower_face / (r * dr * dr))
+        c = coef * (upper_face / (r * dr * dr))
+        c[-1] = 0.0
+        implicit = np.array([np.r_[0.0, -c[:-1]], 1.0 + a + c, np.r_[-a[1:], 0.0]])
+        explicit = np.diag(1.0 - a - c) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)
+        self._powers = {1: solve_banded((1, 1), implicit, explicit)}
 
-    def apply(self, sigma: np.ndarray) -> np.ndarray:
-        """One half-step on sigma of shape (n_r, n_z)."""
-        rhs = (1.0 - self._a - self._c)[:, None] * sigma
-        rhs[1:] += self._a[1:, None] * sigma[:-1]
-        rhs[:-1] += self._c[:-1, None] * sigma[1:]
-        return solve_banded((1, 1), self._band, rhs)
+    def propagate(self, sigma: np.ndarray, n_halves: int = 1) -> np.ndarray:
+        """n_halves half-steps on sigma of shape (n_r, n_z)."""
+        if n_halves not in self._powers:
+            self._powers[n_halves] = np.linalg.matrix_power(self._powers[1], n_halves)
+        flat = np.ascontiguousarray(sigma).view(float)
+        return np.matmul(self._powers[n_halves], flat).view(complex)
+
+    apply = propagate
 
 
 class _CartesianDiffusion:
-    """Spectral transverse diffusion half-step on the Cartesian grid."""
+    """Spectral transverse diffusion on the Cartesian grid.
+
+    n half-steps are one FFT pair with the kernel exp(-D k^2 n dt_half),
+    cached per n.
+    """
 
     def __init__(self, grid: TransverseGrid, diffusivity: float, dt_half: float):
         n = grid.x.size
         kx = 2.0 * math.pi * np.fft.fftfreq(n, grid.dr)
         k_sq = kx[:, None] ** 2 + kx[None, :] ** 2
         self._n = n
-        self._kernel = np.exp(-diffusivity * k_sq * dt_half)[..., None]
+        self._rate = -diffusivity * k_sq
+        self._dt_half = dt_half
+        self._kernels = {}
 
-    def apply(self, sigma: np.ndarray) -> np.ndarray:
-        """One half-step on sigma of shape (n_x * n_y, n_z)."""
+    def propagate(self, sigma: np.ndarray, n_halves: int = 1) -> np.ndarray:
+        """n_halves half-steps on sigma of shape (n_x * n_y, n_z)."""
+        if n_halves not in self._kernels:
+            self._kernels[n_halves] = np.exp(self._rate * (n_halves * self._dt_half))[..., None]
         n = self._n
         cube = sigma.reshape(n, n, -1)
-        cube = ifft2(fft2(cube, axes=(0, 1)) * self._kernel, axes=(0, 1))
+        cube = ifft2(fft2(cube, axes=(0, 1)) * self._kernels[n_halves], axes=(0, 1))
         return cube.reshape(sigma.shape)
+
+    apply = propagate
 
 
 @dataclass(eq=False)
@@ -414,17 +429,6 @@ class RealspaceRecord:
         return self.output_energy / self.input_energy
 
 
-def _strang_step(tgrid: TransverseGrid, diffusivity: float, step: float):
-    """Real space's time step: transverse half-step, advance_step, transverse half-step."""
-    half_step = _RadialDiffusion if tgrid.kind == "radial" else _CartesianDiffusion
-    trans = half_step(tgrid, diffusivity, 0.5 * step)
-
-    def strang(sigma, kern, grid, **kwargs):
-        return trans.apply(advance_step(trans.apply(sigma), kern, grid, **kwargs))
-
-    return strang
-
-
 def _realspace_plan(params: PhysicalParams, protocol: StorageProtocol, sigma_times):
     """Real space's plan rule: (snapshot times, whether the transverse step acts).
 
@@ -455,9 +459,10 @@ def run_cycle_realspace(
 
     The cycle runs on the cycle driver shared with solver1d.run_cycle,
     with the transverse columns as the rows of one record: column-local
-    coupling and light shift, and a transverse operator.  Per step: transverse
-    diffusion half-step, longitudinal split step, transverse half-step;
-    with diffusion on, even the exact holds step at dt0.  The radial grid
+    coupling and light shift, and a transverse operator.  Per step:
+    diffusion half-steps, longitudinal and transverse, around the
+    longitudinal step core, merged across unread step boundaries; with
+    diffusion on, even the exact holds step at dt0.  The radial grid
     requires an axisymmetric input mode; Cartesian grids take any mode.
     A coherence snapshot at mid-hold is always recorded (the phase-map
     extraction needs it); extra snapshot times may be requested.
@@ -507,6 +512,7 @@ def run_cycle_realspace(
             out_rows.append(exit_field)
 
     snapshots, transverse_on = _realspace_plan(params, protocol, sigma_times)
+    diffusion = _RadialDiffusion if tgrid.kind == "radial" else _CartesianDiffusion
     grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
     _, (guard,), (frames,) = _drive_cycle(
         params,
@@ -520,7 +526,7 @@ def run_cycle_realspace(
         holds=protocol.t_hold,
         fin_write=lambda t: face_phase * complex(sample_temporal(signal, t)) * profile,
         recorders={"read": record_read},
-        transverse=partial(_strang_step, tgrid, params.diffusivity) if transverse_on else None,
+        transverse=partial(diffusion, tgrid, params.diffusivity) if transverse_on else None,
         steps_per_width=steps_per_width,
         dt=dt,
         t_read=t_read,

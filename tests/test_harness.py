@@ -213,6 +213,7 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
     tgrid = TransverseGrid.radial(cfg.signal.waist, n_r=16)
     control = ControlProfile.gaussian(cfg.params.rabi_control, 3e-3)
     still = cfg.params.with_diffusivity(0.0)
+    rotating = StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, 3e-6)
     modes = ModeGrid.build(cfg.signal.waist, n=32)
     exact_calls = [
         partial(run_cycle, cfg.params, exact, cfg.signal, **fast),
@@ -222,6 +223,11 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
         # spectrum frames inside the exact hold cut it into pieces
         partial(run_cycle, cfg.params, exact, cfg.signal, spectrum_times=(1e-6, 2e-6), **fast),
         partial(run_cycle_quasi1d, cfg.params, driven, cfg.signal, modes, dt=2e-8, **fast),
+        # a gradient-on hold with no diffusion acting is an exact rotation
+        partial(run_cycle_realspace, still, rotating, cfg.signal, control, tgrid, **fast),
+        partial(
+            run_cycle, cfg.params, rotating, cfg.signal, diffusion_phases=("write", "read"), **fast
+        ),
     ]
     for call in exact_calls:
         assert _estimate_cell_steps(call) == solved_cells(call)
@@ -234,6 +240,35 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
     single = partial(run_cycle, cfg.params, exact, cfg.signal, **hold_only)
     assert solved_cells(batched) < _estimate_cell_steps(batched)
     assert _estimate_cell_steps(batched) <= len(rows) * _estimate_cell_steps(single)
+
+
+def test_realspace_records_do_not_depend_on_the_pool(bench_config):
+    # the radial propagator's GEMM runs in concurrent threads on the pool
+    cfg = bench_config
+    signal = replace(cfg.signal, t_lead=2e-6, mode=(0, 0))
+    protocol = StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, 2e-6)
+    tgrid = TransverseGrid.radial(signal.waist, n_r=24)
+    calls = [
+        partial(
+            run_cycle_realspace,
+            cfg.params,
+            protocol,
+            signal,
+            control,
+            tgrid,
+            n_medium=64,
+            steps_per_width=16.0,
+        )
+        for control in (cfg.control, ControlProfile.homogeneous(cfg.params.rabi_control))
+    ]
+    inline, pooled = _run_tasks(calls, threads=1), _run_tasks(calls, threads=2)
+    for a, b in zip(inline, pooled):
+        assert a.output_energy == b.output_energy and a.guard_ratio == b.guard_ratio
+        for name in ("t_out", "f_out", "intensity"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert [t for t, _ in a.sigma_frames] == [t for t, _ in b.sigma_frames]
+        for (_, frame_a), (_, frame_b) in zip(a.sigma_frames, b.sigma_frames):
+            assert np.array_equal(frame_a, frame_b)
 
 
 def test_only_real_space_calls_use_the_pool(bench_config, tmp_path, monkeypatch):

@@ -184,6 +184,33 @@ def test_idle_hold_is_one_exact_heat_step(bench_params, bench_signal):
     assert dev < 1e-12
 
 
+def test_gradient_only_hold_without_diffusion_is_one_exact_rotation(bench_params, bench_signal):
+    # with no diffusion acting, a gradient-on hold is a pure rotation,
+    # exact at any step size: one step per piece, cut at a snapshot time
+    proto = StorageProtocol.gradient_through_hold(-TAU * 10e6, 6e-6)
+    t_snap = 1.2345e-6  # no step boundary of a dt0 grid
+    rec = run_cycle(
+        bench_params,
+        proto,
+        bench_signal,
+        n_medium=96,
+        steps_per_width=24.0,
+        diffusion_phases=("write", "read"),
+        sigma_times=(t_snap,),
+    )
+    z, eta = rec.grid.z, proto.eta_hold
+    residual = stark_residual(bench_params, 0.0)
+    start = rec.sigma_end_write
+    peak = np.max(np.abs(start))
+    ((t, frame),) = rec.sigma_frames
+    assert t == t_snap
+    expected = start * np.exp(-1j * eta * z * t_snap) * cmath.exp(-1j * residual * t_snap)
+    assert np.max(np.abs(frame - expected)) <= 1e-12 * peak
+    # the gradient flips at mid-hold, so the two halves' rotations cancel
+    expected = start * cmath.exp(-1j * residual * proto.t_hold)
+    assert np.max(np.abs(rec.sigma_end_hold - expected)) <= 1e-12 * peak
+
+
 def test_self_convergence_is_second_order(bench_params, bench_protocol, bench_signal):
     # halving dt four-folds the error of the midpoint drive split:
     # ||s(h) - s(h/4)|| / ||s(h/2) - s(h/4)|| -> (16 + 4) / 4 = 5

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_banded
 
 from gemdiff import (
     ModeGrid,
@@ -133,6 +134,67 @@ def test_radial_step_spreads_a_gaussian_conservatively():
     assert dev < 2e-3
     mass1 = float(np.sum(grid.weights * sigma[:, 0].real))
     assert mass1 == pytest.approx(mass0, rel=1e-12)
+
+
+def _banded_cn_half_step(grid, d, dt_half):
+    """Oracle: one Crank-Nicolson half-step as a banded solve of its own."""
+    r, dr = grid.r, grid.dr
+    inner = np.r_[0.0, r[:-1] + 0.5 * dr] / (r * dr * dr)  # the axis face carries no flux
+    outer = np.r_[r[:-1] + 0.5 * dr, 0.0] / (r * dr * dr)  # nor does the outer edge
+    lam = 0.5 * d * dt_half
+    band = np.array(
+        [np.r_[0.0, -lam * outer[:-1]], 1.0 + lam * (inner + outer), np.r_[-lam * inner[1:], 0.0]]
+    )
+
+    def step(sigma):
+        rhs = (1.0 - lam * (inner + outer))[:, None] * sigma
+        rhs[1:] += lam * inner[1:, None] * sigma[:-1]
+        rhs[:-1] += lam * outer[:-1, None] * sigma[1:]
+        return solve_banded((1, 1), band, rhs)
+
+    return step
+
+
+@pytest.mark.parametrize("k", [1, 2, 40])
+def test_radial_propagator_equals_banded_solves(k):
+    grid = TransverseGrid.radial(WAIST, n_r=64, window_factor=8.0)
+    d, dt_half = 0.004, 1e-6
+    rng = np.random.default_rng(k)
+    sigma0 = np.exp(-grid.r[:, None] ** 2 / WAIST**2) * (
+        rng.normal(size=(1, 8)) + 1j * rng.normal(size=(1, 8))
+    )
+    step = _banded_cn_half_step(grid, d, dt_half)
+    expected = sigma0
+    for _ in range(k):
+        expected = step(expected)
+    op = _RadialDiffusion(grid, d, dt_half)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(op.propagate(sigma0, k) - expected)) <= 1e-13 * scale
+    stepped = sigma0
+    for _ in range(k):
+        stepped = op.propagate(stepped)
+    assert np.max(np.abs(stepped - expected)) <= 1e-13 * scale
+
+
+def test_radial_propagator_power_conserves_mass():
+    grid = TransverseGrid.radial(WAIST, n_r=128, window_factor=8.0)
+    op = _RadialDiffusion(grid, 0.004, dt_half=1e-6)
+    sigma = np.exp(-grid.r[:, None] ** 2 / WAIST**2).astype(complex)
+    mass0 = float(np.sum(grid.weights * sigma[:, 0].real))
+    spread = op.propagate(sigma, 2 * 160)
+    mass1 = float(np.sum(grid.weights * spread[:, 0].real))
+    assert mass1 == pytest.approx(mass0, rel=1e-12)
+    assert spread[0, 0].real < 0.5 * sigma[0, 0].real  # and it did spread
+
+
+def test_cartesian_fused_kernel_equals_two_half_steps():
+    grid = TransverseGrid.cartesian(WAIST, n=32, window_factor=8.0)
+    op = _CartesianDiffusion(grid, 0.004, dt_half=5e-6)
+    x = grid.x
+    sigma = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / WAIST**2).reshape(-1, 1)
+    sigma = sigma * np.exp(1j * np.arange(4))[None, :]
+    twice = op.propagate(op.propagate(sigma))
+    assert np.max(np.abs(op.propagate(sigma, 2) - twice)) <= 1e-13 * np.max(np.abs(twice))
 
 
 def test_cartesian_step_is_spectrally_exact_on_a_gaussian():
@@ -275,6 +337,38 @@ def test_realspace_snapshots_at_requested_times(bench_params, bench_signal):
     assert times[2] == pytest.approx(proto.flip_time(), rel=1e-12)  # mid-hold, always taken
     for _, frame in rec.sigma_frames:
         assert frame.shape == (tgrid.n_cols, rec.grid.n_z)
+
+
+def test_snapshots_inside_fused_steps_leave_the_cycle_unchanged(bench_params, bench_signal):
+    # unread step boundaries merge the diffusion half-steps on either side;
+    # a snapshot due at one (in the driven write, in a gradient-on hold)
+    # settles them there and must not move the cycle
+    proto = StorageProtocol.gradient_through_hold(-TAU * 10e6, 6e-6)
+    control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
+    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
+    dt0 = bench_signal.t_width / FAST["steps_per_width"]
+    window = proto.write_window(bench_signal)
+    flip = proto.flip_time()
+    t_w = -window + 7 * (window / math.ceil(window / dt0))  # a write step boundary
+    t_h = 3 * (flip / math.ceil(flip / dt0))  # a hold step boundary before the flip
+
+    def run(protocol, times=()):
+        return run_cycle_realspace(
+            bench_params, protocol, bench_signal, control, tgrid, sigma_times=times, **FAST
+        )
+
+    base, extra = run(proto), run(proto, (t_w, t_h))
+    assert extra.efficiency == pytest.approx(base.efficiency, rel=1e-12)
+    assert np.max(np.abs(extra.intensity - base.intensity)) <= 1e-12 * np.max(base.intensity)
+    (time_w, frame_w), (time_h, frame_h), _ = extra.sigma_frames
+    assert time_w == pytest.approx(t_w, rel=1e-12)
+    assert time_h == pytest.approx(t_h, rel=1e-12)
+    assert frame_w.shape == frame_h.shape == (tgrid.n_cols, extra.grid.n_z)
+    # a hold that flips at t_h ends a piece there, with the same steps
+    # before it: its mid-hold snapshot is the settled state at t_h
+    assert math.ceil(t_h / dt0) == 3
+    settled = run(replace(proto, hold_flip_time=t_h)).sigma_frames[0][1]
+    assert np.max(np.abs(frame_h - settled)) <= 1e-12 * np.max(np.abs(settled))
 
 
 def test_cartesian_output_stays_axisymmetric(cart_record):
