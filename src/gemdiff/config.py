@@ -185,6 +185,8 @@ def build_config(values: dict) -> RunConfig:
         light_speed=values.get("light_speed", 299_792_458.0),
         stark_absorbed=values.get("stark_absorbed", True),
     )
+    if params.rabi_control == 0.0:
+        raise ParameterError("rabi_control must be nonzero: with no control nothing is stored")
     protocol = StorageProtocol(
         eta_write=_require(values, "eta_write"),
         t_hold=_require(values, "t_hold"),

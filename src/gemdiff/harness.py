@@ -263,21 +263,18 @@ def _estimate_cell_steps(call: partial) -> float:
     params, protocol = param_rows[0], protocol_rows[0]
     if call.func is run_cycle_realspace:  # one record over the transverse columns
         n_rows = args["tgrid"].n_cols
-        cut_times, substep_exact = _realspace_plan(params, protocol, args["sigma_times"])
+        cut_times = _realspace_plan(protocol, args["sigma_times"])
     else:
         n_rows = len(param_rows)
-        cut_times, substep_exact = [*args["sigma_times"], *args["spectrum_times"]], False
-    plan = _cycle_plan(
+        cut_times = [*args["sigma_times"], *args["spectrum_times"]]
+    _, plan = _cycle_plan(
         protocol,
         args["signal"],
         steps_per_width=args["steps_per_width"],
         holds=_shared([p.t_hold for p in protocol_rows]),
-        diffusivity=_shared([p.diffusivity for p in param_rows]),
         dt=args["dt"],
         t_read=args["t_read"],
-        diffusion_phases=args["diffusion_phases"],
         cut_times=cut_times,
-        substep_exact=substep_exact,
     )
     steps = sum(n for _, spans in plan for *_, pieces in spans for _, _, n in pieces)
     n_z = Grid1D.build(params.half_length, args["n_medium"], args["pad_fraction"]).n_z

@@ -19,9 +19,12 @@ field drive by a midpoint rule.  The rotation sub-flow is exact, and the
 field is re-slaved to the coherence at every evaluation (d_z E integrated
 from the entrance face), so the only stepping error is the second-order
 midpoint error of the drive coupling.  Phase boundaries land exactly
-because the step size is re-fitted to each phase; a span with the drive
-off and no gradient, or no diffusion acting, is exact and advances in a
-single step per piece.
+because the step size is re-fitted to each phase.
+
+One step rule serves both routes: a driven span steps at dt0, and every
+undriven span is one exact step per piece (StepKernels), cut only at
+snapshot times, whatever its gradient and diffusivity.  Its transverse
+part takes sub-steps near dt0, as one matrix power at the piece end.
 
 The driver applies the diffusion half-steps around the core itself and
 merges the two that meet at a step boundary nothing reads: one FFT pair
@@ -46,12 +49,13 @@ Batched rows: run_cycle also takes sequences of parameter sets and
 protocols and advances them together as one (rows, n_z) state, one record
 per row.  The rows must share one time grid, so they may differ only in
 the diffusivity (each row gets its own spectral kernel; rows without
-diffusion skip the FFT pair) and, when the hold is exact (gradient and
-control off, no snapshot inside it), in t_hold (the single exact hold step
-takes a per-row duration).  Any other difference is a ParameterError.  A
-phase whose operator is the same for every row, such as a write with
-diffusion off, runs on a single shared row, and the state fans out to one
-row per point at the first phase that tells the rows apart.
+diffusion skip the FFT pair) and, when the hold has no gradient (which
+flips at a per-row time), control or snapshot inside it, in t_hold (the
+single exact hold step takes a per-row duration).  Any other difference
+is a ParameterError.  A phase whose operator is the same for every row,
+such as a write with diffusion off, runs on a single shared row, and the
+state fans out to one row per point at the first phase that tells the
+rows apart.
 """
 
 from __future__ import annotations
@@ -178,15 +182,24 @@ class StepKernels:
     dt and diffusivity are scalars, or (rows, 1) columns with one value
     per row of the state.  rot_full and rot_half are the gradient rotation
     times the light-shift residual over a step and over half a step, built
-    once per piece.  Rows with no diffusion over the step (D = 0 or a
-    zero-length step) are left out of diff_rows (None: every row diffuses)
-    and skip the FFT pair, so they match a solve of their own.
+    once per piece.  before and after, the diffusion halves on either side
+    of the core (full = after * before, merged at an unread boundary),
+    decay the wave by exp(-D int_0^h (kappa -+ drift s)^2 ds), kappa = q +
+    k_matched entering or leaving the core.  An undriven step passes its
+    gradient as drift and is exact for the continuous operator (on the
+    periodic grid, cutting a gradient-on piece moves the state by about
+    5e-9); a driven step passes 0, the Strang halves.  Rows with no
+    diffusion over the step (D = 0 or a zero-length step) are left out of
+    diff_rows (None: every row diffuses) and skip the FFT pair, so they
+    match a solve of their own.
     """
 
     dt: float | np.ndarray
     rot_full: np.ndarray
     rot_half: np.ndarray
-    diff_half: np.ndarray | None
+    before: np.ndarray | None
+    after: np.ndarray | None
+    full: np.ndarray | None
     diff_rows: np.ndarray | None = None
 
     @classmethod
@@ -198,8 +211,9 @@ class StepKernels:
         residual,
         diffusivity,
         k_matched: float,
+        drift: float,
     ) -> "StepKernels":
-        diff_half = diff_rows = None
+        before = after = full = diff_rows = None
         active = np.asarray(diffusivity * dt) > 0.0
         if np.any(active):
             d, d_dt = diffusivity, dt
@@ -207,20 +221,25 @@ class StepKernels:
                 diff_rows = np.flatnonzero(active)
                 d = diffusivity[diff_rows] if np.ndim(diffusivity) else diffusivity
                 d_dt = dt[diff_rows] if np.ndim(dt) else dt
-            diff_half = np.exp(-d * (grid.q + k_matched) ** 2 * (0.5 * d_dt))
+            kappa, h = grid.q + k_matched, 0.5 * d_dt
+            # at drift = 0 these are exp(-d kappa^2 h), bit for bit
+            core, tilt = -d * kappa**2 * h - d * drift**2 * h**3 / 3.0, d * drift * kappa * h**2
+            before, after = np.exp(core + tilt), np.exp(core - tilt)
+            full = after * before
         return cls(
             dt=dt,
             rot_full=np.exp(-1j * eta * grid.z * dt) * _rotation(residual, dt),
             rot_half=np.exp(-1j * eta * grid.z * (0.5 * dt)) * _rotation(residual, 0.5 * dt),
-            diff_half=diff_half,
+            before=before,
+            after=after,
+            full=full,
             diff_rows=diff_rows,
         )
 
-    def diffuse(self, sigma: np.ndarray, halves: int) -> np.ndarray:
-        """Exact spectral diffusion over `halves` half-steps, in one FFT pair."""
-        if self.diff_half is None:
+    def diffuse(self, sigma: np.ndarray, kernel: np.ndarray | None) -> np.ndarray:
+        """Exact spectral diffusion by one of before, after and full, in one FFT pair."""
+        if kernel is None:
             return sigma
-        kernel = self.diff_half if halves == 1 else self.diff_half**halves
         if self.diff_rows is None:
             return ifft(fft(sigma, axis=-1) * kernel, axis=-1)
         out = sigma.copy()
@@ -405,27 +424,18 @@ def _cycle_plan(
     *,
     steps_per_width: float,
     holds,
-    diffusivity,
     dt: float | None = None,
     t_read: float | None = None,
-    diffusion_phases: tuple[str, ...] = _PHASES,
     cut_times=(),
-    substep_exact: bool = False,
-) -> list[tuple[str, list[tuple]]]:
+) -> tuple[float, list[tuple[str, list[tuple]]]]:
     """The step plan of one cycle: the driver runs it, the cost guard sums it.
 
-    Per phase, its constant-operator spans (start, length, eta, drive_on,
-    use_diff, pieces), each run as pieces (start, length, n_steps);
-    use_diff says diffusion acts (the phase diffuses and some row of
-    diffusivity is positive).  A driven span steps at dt0, and so does one
-    whose gradient rotates while diffusion acts.  Any other span is exact
-    at any step size, a rotation with or without diffusion: one step per
-    piece, cut at the cut_times inside it, unless substep_exact (an
-    inexact transverse operator) and diffusion acts, which steps it at dt0.
+    Returns the base step dt0 and, per phase, its constant-operator spans
+    (start, length, eta, drive_on, pieces), each run as pieces (start,
+    length, n_steps).  A driven span steps at dt0.  Every undriven span is
+    exact at any step size, whatever its gradient and diffusivity: one
+    step per piece, cut only at the cut_times inside it.
     """
-    for name in diffusion_phases:
-        if name not in _PHASES:
-            raise ParameterError("unknown diffusion phase %r" % (name,))
     if steps_per_width <= 0.0:
         raise ParameterError("steps_per_width must be positive")
     if dt is not None and dt <= 0.0:
@@ -436,19 +446,13 @@ def _cycle_plan(
     if t_read_len <= 0.0:
         raise ParameterError("t_read must be positive")
 
-    def span(phase, start, length, eta, drive_on):
-        use_diff = phase in diffusion_phases and bool(np.any(np.greater(diffusivity, 0.0)))
-        if drive_on or (eta != 0.0 and use_diff):
+    def span(start, length, eta, drive_on):
+        if drive_on:
             pieces = [(start, length, max(1, math.ceil(length / dt0)))]
-        elif np.ndim(length):
-            pieces = [(start, length, 1)]  # a per-row exact hold
-        else:
-            cuts = [start, *_inside(cut_times, start, start + length), start + length]
-            pieces = [
-                (a, b - a, max(1, math.ceil((b - a) / dt0)) if substep_exact and use_diff else 1)
-                for a, b in zip(cuts, cuts[1:])
-            ]
-        return start, length, eta, drive_on, use_diff, pieces
+        else:  # a per-row hold length (no snapshot inside it) is one piece
+            inside = () if np.ndim(length) else _inside(cut_times, start, start + length)
+            pieces = [(a, b - a, 1) for a, b in zip([start, *inside], [*inside, start + length])]
+        return start, length, eta, drive_on, pieces
 
     hold = []
     if np.any(np.greater(holds, 0.0)):
@@ -461,14 +465,14 @@ def _cycle_plan(
         else:
             parts = [(0.0, holds, 0.0)]
         hold = [
-            span("hold", start, length, eta, protocol.control_on_hold)
+            span(start, length, eta, protocol.control_on_hold)
             for start, length, eta in parts
             if not np.all(np.less_equal(length, 0.0))
         ]
-    return [
-        ("write", [span("write", -t_write_len, t_write_len, protocol.eta_write, True)]),
+    return dt0, [
+        ("write", [span(-t_write_len, t_write_len, protocol.eta_write, True)]),
         ("hold", hold),
-        ("read", [span("read", holds, t_read_len, -protocol.eta_write, True)]),
+        ("read", [span(holds, t_read_len, -protocol.eta_write, True)]),
     ]
 
 
@@ -549,6 +553,7 @@ def _drive_cycle(
     fin_write,
     recorders,
     transverse=None,
+    diffusion_phases: tuple[str, ...] = _PHASES,
     sigma_times,
     spectrum_times=(),
     **plan_options,
@@ -560,20 +565,19 @@ def _drive_cycle(
     each row is a record (one shared row stands for all until a span tells
     them apart), else the rows form one record.  recorders[phase](t, exit)
     gets the solver-frame exit field per row at each boundary of a driven
-    span.  For the spans where diffusion acts, transverse(dt_half) returns
-    the transverse diffusion of half a step, whose propagate(sigma, n)
-    applies n half-steps at once.
+    span.  In the diffusion_phases diffusion acts along z by diffs and
+    across columns by transverse(dt_half), whose propagate(sigma, n)
+    applies n half-steps: an undriven piece of length T takes
+    n = 2 ceil(T / dt0) of them at its end.
 
     Returns (ends, guards, takers): with row_records the state at the end
     of each phase, and per record its guard ratios and its _FrameTaker.
     """
-    plan = _cycle_plan(
-        protocol,
-        signal,
-        cut_times=[*sigma_times, *spectrum_times],
-        substep_exact=transverse is not None,
-        diffusivity=diffs,
-        **plan_options,
+    for name in diffusion_phases:
+        if name not in _PHASES:
+            raise ParameterError("unknown diffusion phase %r" % (name,))
+    dt0, plan = _cycle_plan(
+        protocol, signal, cut_times=[*sigma_times, *spectrum_times], **plan_options
     )
     coupling = params.coupling_g * rabi / params.detuning
     residuals = stark_residual(params, rabi), stark_residual(params, 0.0 * rabi)
@@ -601,23 +605,28 @@ def _drive_cycle(
     for phase, spans in plan:
         fin_fn = fin_write if phase == "write" else (lambda t: 0.0j)
         recorder = recorders.get(phase)
-        for span_start, length, eta, drive_on, use_diff, pieces in spans:
+        diffusing = phase in diffusion_phases
+        diffusivity = diffs if diffusing else 0.0
+        for span_start, length, eta, drive_on, pieces in spans:
             residual = residuals[0] if drive_on else residuals[1]
-            diffusivity = diffs if use_diff else 0.0
             if (np.ndim(length) or np.ndim(diffusivity)) and len(sigma) < n_rows:
                 sigma = np.repeat(sigma, n_rows, axis=0)  # the rows part ways here
             mark(span_start, drive_on, fin_fn, recorder)
             recorded = drive_on and recorder is not None
             for start, piece, n_steps in pieces:
                 step = piece / n_steps
+                drift = 0.0 if drive_on else eta
                 kern = StepKernels.build(
-                    grid, _col(step), eta, residual, _col(diffusivity), params.k_matched
+                    grid, _col(step), eta, residual, _col(diffusivity), params.k_matched, drift
                 )
-                trans = transverse(0.5 * step) if transverse is not None and use_diff else None
-                owed_z = owed_t = 0  # diffusion half-steps not yet applied: along z, transverse
+                trans = None
+                if transverse is not None and diffusing:  # undriven: ceil(piece / dt0) sub-steps
+                    sub = 1 if drive_on else math.ceil(piece / dt0 * (1.0 - 1e-12))  # round-off
+                    trans = transverse(0.5 * (step / sub))
+                owed_z, owed_t = False, 0  # owed along z: the after half; transverse: halves
                 t = start
                 for j in range(n_steps):
-                    sigma = kern.diffuse(sigma, owed_z + 1)
+                    sigma = kern.diffuse(sigma, kern.full if owed_z else kern.before)
                     owed_t += 1
                     if trans is not None and drive_on:  # the drive tells the columns apart
                         sigma, owed_t = trans.propagate(sigma, owed_t), 0
@@ -632,14 +641,14 @@ def _drive_cycle(
                         density=density,
                         light_speed=light_speed,
                     )
-                    owed_z, owed_t = 1, owed_t + 1
+                    owed_z, owed_t = True, owed_t + 1
                     t = start + (j + 1) * step
                     # an unread boundary merges the halves on either side of it
                     if j == n_steps - 1 or recorded or any(taker.due(t) for taker in takers):
-                        sigma = kern.diffuse(sigma, owed_z)
+                        sigma = kern.diffuse(sigma, kern.after)
                         if trans is not None:
-                            sigma = trans.propagate(sigma, owed_t)
-                        owed_z = owed_t = 0
+                            sigma = trans.propagate(sigma, owed_t * sub)
+                        owed_z, owed_t = False, 0
                         mark(t, drive_on, fin_fn, recorder)
         for r, view in enumerate(views()):
             peaks[r] = max(peaks[r], float(np.max(np.abs(view))))
@@ -676,13 +685,13 @@ def run_cycle(
     value serves every row).  The rows advance together as one (rows, n_z)
     state and a list of records comes back in row order; a single
     PhysicalParams with a single StorageProtocol returns one CycleRecord.
-    Rows may differ only in diffusivity, and in t_hold when the hold is
-    exact (gradient and control off, no snapshot inside it); any other
-    difference raises ParameterError.  The state stays one shared row
-    while every row sees the same operator, so a write with diffusion off
-    is solved once, and fans out to one row per point at the first span
-    whose operator differs between rows.  Guard ratios, peak references
-    and snapshot frames are kept per row.
+    Rows may differ only in diffusivity, and in t_hold when the hold has
+    no gradient, control or snapshot inside it; any other difference
+    raises ParameterError.  The state stays one shared row while every
+    row sees the same operator, so a write with diffusion off is solved
+    once, and fans out to one row per point at the first span whose
+    operator differs between rows.  Guard ratios, peak references and
+    snapshot frames are kept per row.
 
     Raises GuardBandError if coherence reaches the outer padding band.
     """
@@ -696,8 +705,8 @@ def run_cycle(
     if np.ndim(holds):
         if protocol.eta_hold != 0.0 or protocol.control_on_hold:
             raise ParameterError(
-                "rows may differ in t_hold only when the hold is exact "
-                "(gradient and control off during the hold)"
+                "rows may differ in t_hold only when the hold has no gradient (it "
+                "would flip at a per-row time) and no control"
             )
         if _inside([*sigma_times, *spectrum_times], 0.0, float(np.max(holds))):
             raise ParameterError("rows that differ in t_hold take no snapshot inside the hold")

@@ -272,15 +272,7 @@ class Quasi1DRecord:
     def efficiency_realspace(self) -> float:
         """Same efficiency via the inverse transform (Parseval route)."""
         dx = self.mode_grid.dx
-        spec = self.mode_amp[..., None] * np.exp(
-            -self.gamma[..., None]
-            * (2.0 * self.read_offsets + self.base.protocol.t_hold)
-        )
-        # (n, n, nt) transverse profile factors; recombine with f_out(t)
-        fields = ifft2(spec, axes=(0, 1)) / dx**2
-        out_sq = np.abs(fields) ** 2 * np.abs(self.base.f_out) ** 2
-        per_cell = np.trapezoid(out_sq, self.base.t_out, axis=-1)
-        total_out = float(np.sum(per_cell)) * dx**2
+        total_out = float(np.sum(self.intensity_realspace()[1])) * dx**2
         profile = ifft2(self.mode_amp) / dx**2
         total_in = (
             float(np.sum(np.abs(profile) ** 2)) * dx**2 * self.base.input_energy
@@ -429,14 +421,9 @@ class RealspaceRecord:
         return self.output_energy / self.input_energy
 
 
-def _realspace_plan(params: PhysicalParams, protocol: StorageProtocol, sigma_times):
-    """Real space's plan rule: (snapshot times, whether the transverse step acts).
-
-    The mid-hold snapshot is always taken (the phase-map extraction needs
-    it), so it cuts the hold; with diffusion on, the transverse step acts
-    and steps even the exact spans at dt0.
-    """
-    return {*sigma_times, protocol.flip_time()}, params.diffusivity > 0.0
+def _realspace_plan(protocol: StorageProtocol, sigma_times) -> set:
+    """Real space's snapshot times: the mid-hold one, which phase maps need, cuts the hold."""
+    return {*sigma_times, protocol.flip_time()}
 
 
 def run_cycle_realspace(
@@ -461,11 +448,10 @@ def run_cycle_realspace(
     with the transverse columns as the rows of one record: column-local
     coupling and light shift, and a transverse operator.  Per step:
     diffusion half-steps, longitudinal and transverse, around the
-    longitudinal step core, merged across unread step boundaries; with
-    diffusion on, even the exact holds step at dt0.  The radial grid
-    requires an axisymmetric input mode; Cartesian grids take any mode.
-    A coherence snapshot at mid-hold is always recorded (the phase-map
-    extraction needs it); extra snapshot times may be requested.
+    longitudinal step core, merged across unread step boundaries.  The
+    radial grid requires an axisymmetric input mode; Cartesian grids take
+    any mode.  A coherence snapshot at mid-hold is always recorded (the
+    phase-map extraction needs it); extra snapshot times may be requested.
     """
     if tgrid.kind == "radial" and signal.mode != (0, 0):
         raise ParameterError(
@@ -511,7 +497,6 @@ def run_cycle_realspace(
             out_times.append(t)
             out_rows.append(exit_field)
 
-    snapshots, transverse_on = _realspace_plan(params, protocol, sigma_times)
     diffusion = _RadialDiffusion if tgrid.kind == "radial" else _CartesianDiffusion
     grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
     _, (guard,), (frames,) = _drive_cycle(
@@ -526,12 +511,14 @@ def run_cycle_realspace(
         holds=protocol.t_hold,
         fin_write=lambda t: face_phase * complex(sample_temporal(signal, t)) * profile,
         recorders={"read": record_read},
-        transverse=partial(diffusion, tgrid, params.diffusivity) if transverse_on else None,
+        transverse=(
+            partial(diffusion, tgrid, params.diffusivity) if params.diffusivity > 0.0 else None
+        ),
         steps_per_width=steps_per_width,
         dt=dt,
         t_read=t_read,
         diffusion_phases=diffusion_phases,
-        sigma_times=snapshots,
+        sigma_times=_realspace_plan(protocol, sigma_times),
     )
 
     t_write_len = protocol.write_window(signal)

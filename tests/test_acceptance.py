@@ -377,6 +377,53 @@ def _hold_heat_propagator(params, signal):
     return dev < 1e-12
 
 
+def _gradient_hold_propagator(params, signal):
+    """Gradient-on hold equals the closed-form propagator of its +-eta pieces.
+
+    Each piece of length 2h decays the wave k = q + k_matched, which the
+    gradient drifts to k - eta s, by exp(-D int (k - eta s)^2 ds): the half
+    before the rotation at the entering k, the half after it at the leaving
+    one.  A finely stepped Strang hold converges to it at second order,
+    down to a floor set by the grid (the rotation is not a pure shift of
+    the periodic grid's spectrum).
+    """
+    eta = -TAU * 10e6
+    proto = StorageProtocol.gradient_through_hold(eta, 6e-6)
+    rec = run_cycle(
+        params, proto, signal, n_medium=96, steps_per_width=24.0, diffusion_phases=("hold",)
+    )
+    z, kappa = rec.grid.z, rec.grid.q + params.k_matched
+    d, residual = params.diffusivity, stark_residual(params, 0.0)
+    pieces = ((eta, proto.flip_time()), (-eta, proto.t_hold - proto.flip_time()))
+
+    def rotate(sigma, drift, t):
+        return sigma * np.exp(-1j * drift * z * t) * cmath.exp(-1j * residual * t)
+
+    def decay(sigma, drift, h):
+        # exp(-D int_0^h (kappa - drift s)^2 ds)
+        return ifft(
+            fft(sigma) * np.exp(-d * (kappa**2 * h - drift * kappa * h**2 + drift**2 * h**3 / 3))
+        )
+
+    expected = rec.sigma_end_write
+    for drift, length in pieces:
+        h = 0.5 * length
+        expected = decay(rotate(decay(expected, drift, h), drift, length), -drift, h)
+    peak = np.max(np.abs(rec.sigma_end_hold))
+    exact = np.max(np.abs(rec.sigma_end_hold - expected)) / peak < 1e-12
+
+    devs = []
+    for dt in (100e-9, 50e-9, 25e-9):
+        strang = rec.sigma_end_write
+        for drift, length in pieces:
+            n = round(length / dt)
+            for _ in range(n):
+                strang = decay(rotate(decay(strang, 0.0, 0.5 * dt), drift, dt), 0.0, 0.5 * dt)
+        devs.append(np.max(np.abs(strang - rec.sigma_end_hold)) / peak)
+    # measured: 1.6e-7, 4.5e-8, then the floor of 2.3e-8
+    return exact and devs[0] > 3.0 * devs[1] and devs[2] < 5e-8
+
+
 def _parseval_equivalence(params, signal):
     """Quasi-1D efficiency agrees between k-space and real-space quadrature."""
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=10e-6)
@@ -426,8 +473,8 @@ def _thread_determinism(tmp_path_factory):
 
 def test_10_property_suite(bench_config, tmp_path_factory, record_acceptance):
     # structural invariants: unit-modulus phase, monotone decay, D = 0
-    # identity, exact hold propagator, Parseval, 2nd-order convergence,
-    # thread-count determinism
+    # identity, exact idle and gradient-on hold propagators, Parseval,
+    # 2nd-order convergence, thread-count determinism
     cfg = bench_config
     params, protocol, signal = cfg.params, cfg.protocol, cfg.signal
     start = time.perf_counter()
@@ -438,6 +485,7 @@ def test_10_property_suite(bench_config, tmp_path_factory, record_acceptance):
             "monotone_numeric": _monotone_numeric(params, protocol, signal),
             "zero_d_identity": _zero_diffusion_identity(params, protocol, signal),
             "hold_propagator": _hold_heat_propagator(params, signal),
+            "gradient_hold_propagator": _gradient_hold_propagator(params, signal),
             "parseval": _parseval_equivalence(params, signal),
             "self_convergence": _self_convergence(params, protocol, signal),
             "thread_determinism": _thread_determinism(tmp_path_factory),

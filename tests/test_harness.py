@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gemdiff import (
+    Grid1D,
     ModeGrid,
     ParameterError,
     SignalSpec,
@@ -148,6 +149,27 @@ def test_cost_estimate_and_budget(bench_config, tmp_path, monkeypatch):
     cheap = _estimate_cell_steps(partial(run_cycle, cfg.params, idle, cfg.signal, **coarse))
     dear = _estimate_cell_steps(partial(run_cycle, cfg.params, driven, cfg.signal, **coarse))
     assert dear > 10.0 * cheap
+    # in real space at D > 0 too: a 30 us standard hold at steps_per_width
+    # 40 is two exact steps, cut at the mid-hold snapshot
+    space = dict(n_medium=160, steps_per_width=40.0)
+    tgrid_space = TransverseGrid.radial(cfg.signal.waist, n_r=128)
+    costs = [
+        _estimate_cell_steps(
+            partial(
+                run_cycle_realspace,
+                cfg.params,
+                replace(idle, t_hold=t_hold),
+                cfg.signal,
+                cfg.control,
+                tgrid_space,
+                **space,
+            )
+        )
+        for t_hold in (0.0, 30e-6)
+    ]
+    n_z = Grid1D.build(cfg.params.half_length, space["n_medium"]).n_z
+    assert cfg.params.diffusivity > 0.0
+    assert (costs[1] - costs[0]) / (n_z * tgrid_space.n_cols) == 2
 
     # over the cap _solve refuses the whole list before any solver runs
     def refuse(*args, **kwargs):
@@ -227,6 +249,18 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
         partial(run_cycle_realspace, still, rotating, cfg.signal, control, tgrid, **fast),
         partial(
             run_cycle, cfg.params, rotating, cfg.signal, diffusion_phases=("write", "read"), **fast
+        ),
+        # every undriven hold is one exact step per piece: beam-width's
+        # diffusing gradient-on hold, and a diffusing Cartesian one
+        partial(run_cycle_realspace, cfg.params, rotating, cfg.signal, control, tgrid, **fast),
+        partial(
+            run_cycle_realspace,
+            cfg.params,
+            exact,
+            cfg.signal,
+            control,
+            TransverseGrid.cartesian(cfg.signal.waist, n=8),
+            **fast,
         ),
     ]
     for call in exact_calls:
@@ -470,6 +504,7 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, override):
         "t_lead=-1 us",
         "mode_m=-1",
         "control_waist=-1 mm",
+        "rabi_control=0",
     ],
 )
 def test_cli_rejects_bad_signal_and_control(tmp_path, capsys, override):

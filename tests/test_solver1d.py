@@ -481,7 +481,7 @@ def test_single_row_returns_a_record_and_sequences_a_list(
                 StorageProtocol.gradient_through_hold(-TAU * 10e6, 2e-6),
                 StorageProtocol.gradient_through_hold(-TAU * 10e6, 4e-6),
             ]),
-            "only when the hold is exact",
+            "only when the hold has no gradient",
         ),
         (lambda p, s: ([p, p, p], [s, s]), "equal in number"),
         (lambda p, s: ([], s), "non-empty"),

@@ -341,8 +341,8 @@ def test_realspace_snapshots_at_requested_times(bench_params, bench_signal):
 
 def test_snapshots_inside_fused_steps_leave_the_cycle_unchanged(bench_params, bench_signal):
     # unread step boundaries merge the diffusion half-steps on either side;
-    # a snapshot due at one (in the driven write, in a gradient-on hold)
-    # settles them there and must not move the cycle
+    # a snapshot due at one in the driven write settles them there and
+    # must not move the cycle
     proto = StorageProtocol.gradient_through_hold(-TAU * 10e6, 6e-6)
     control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
     tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
@@ -350,23 +350,35 @@ def test_snapshots_inside_fused_steps_leave_the_cycle_unchanged(bench_params, be
     window = proto.write_window(bench_signal)
     flip = proto.flip_time()
     t_w = -window + 7 * (window / math.ceil(window / dt0))  # a write step boundary
-    t_h = 3 * (flip / math.ceil(flip / dt0))  # a hold step boundary before the flip
+    t_h = 3 * (flip / math.ceil(flip / dt0))  # inside the first exact hold piece
 
     def run(protocol, times=()):
         return run_cycle_realspace(
             bench_params, protocol, bench_signal, control, tgrid, sigma_times=times, **FAST
         )
 
-    base, extra = run(proto), run(proto, (t_w, t_h))
-    assert extra.efficiency == pytest.approx(base.efficiency, rel=1e-12)
-    assert np.max(np.abs(extra.intensity - base.intensity)) <= 1e-12 * np.max(base.intensity)
+    base, written, extra = run(proto), run(proto, (t_w,)), run(proto, (t_w, t_h))
+    assert written.efficiency == pytest.approx(base.efficiency, rel=1e-12)
+    assert np.max(np.abs(written.intensity - base.intensity)) <= 1e-12 * np.max(base.intensity)
     (time_w, frame_w), (time_h, frame_h), _ = extra.sigma_frames
     assert time_w == pytest.approx(t_w, rel=1e-12)
     assert time_h == pytest.approx(t_h, rel=1e-12)
     assert frame_w.shape == frame_h.shape == (tgrid.n_cols, extra.grid.n_z)
-    # a hold that flips at t_h ends a piece there, with the same steps
-    # before it: its mid-hold snapshot is the settled state at t_h
-    assert math.ceil(t_h / dt0) == 3
+    # a snapshot inside the hold cuts the exact gradient-on piece [0, flip]
+    # in two.  The pieces are exact for the continuous operator, but on the
+    # periodic grid the rotation is not a pure shift of the spectrum: they
+    # move the state at the flip by 6e-9 of its peak (measured), the output
+    # by at most twice that to first order.  The transverse sub-steps match,
+    # 3 + 45 of the uncut 48 (the 45 is 45.00000000000001 before round-off)
+    cut_error = 2e-8
+    mid, mid_cut = base.sigma_frames[-1][1], extra.sigma_frames[-1][1]
+    assert np.max(np.abs(mid_cut - mid)) <= cut_error * np.max(np.abs(mid))
+    assert extra.efficiency == pytest.approx(base.efficiency, rel=2 * cut_error)
+    assert np.max(np.abs(extra.intensity - base.intensity)) <= 2 * cut_error * np.max(
+        base.intensity
+    )
+    # a hold that flips at t_h ends its first piece there: its mid-hold
+    # snapshot is the snapshot at t_h
     settled = run(replace(proto, hold_flip_time=t_h)).sigma_frames[0][1]
     assert np.max(np.abs(frame_h - settled)) <= 1e-12 * np.max(np.abs(settled))
 
