@@ -33,9 +33,11 @@ Every experiment hands its solver calls to one step, _solve, which prices
 them from their own arguments against the cap before any runs.  The 1D
 sweep points that share a time grid run as rows of one batched solve (see
 solver1d.run_cycle), inline: small 1D arrays only lose under the GIL.
-Only the real-space cycles use the thread pool, gathered in call order,
-so output files are byte-identical for any thread count (the header
-records the command line without machine-local paths for the same reason).
+beam-width's hold times run as the groups of one real-space call per
+control, which shares the write.  Only the real-space cycles use the
+thread pool, gathered in call order, so output files are byte-identical
+for any thread count (the header records the command line without
+machine-local paths for the same reason).
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from .solver1d import (
     Grid1D,
     _cycle_plan,
     _rows_of,
-    _shared,
     efficiency_1d,
     run_cycle,
     spectrum_centroid,
@@ -198,9 +199,10 @@ def _check(name, value, target, tolerance, comparison, kind="rel") -> dict:
     """One tolerance check row for the summary.
 
     kind "rel": |value - target| <= tolerance * |target|; "abs": the same
-    unscaled; "range": target = (lo, hi) bounds on the value; "bool":
-    value must be truthy.  comparison names the formula the target came
-    from (its provenance).
+    unscaled, and failed when |target| <= tolerance (a null result of zero
+    would pass it, so it tells nothing); "range": target = (lo, hi) bounds
+    on the value; "bool": value must be truthy.  comparison names the
+    formula the target came from (its provenance).
     """
     if kind != "bool":
         value = None if value is None else float(value)
@@ -209,7 +211,7 @@ def _check(name, value, target, tolerance, comparison, kind="rel") -> dict:
     if kind == "rel":
         passed = value is not None and abs(value - target) <= tolerance * abs(target)
     elif kind == "abs":
-        passed = value is not None and abs(value - target) <= tolerance
+        passed = value is not None and abs(target) > tolerance >= abs(value - target)
     elif kind == "range":
         lo, hi = target
         passed = value is not None and lo <= value <= hi
@@ -247,9 +249,10 @@ def _estimate_cell_steps(call: partial) -> float:
     """Cost of one solver call in cell updates: rows x n_z x the planned steps.
 
     The call's own arguments, bound to its solver's signature, rebuild the
-    _cycle_plan that _drive_cycle runs.  A single-row call is priced exactly.  A
-    batched 1D call charges every row every step, an upper bound: a phase
-    whose operator all rows share runs on one shared row.
+    _cycle_plan that _drive_cycle runs.  A single-group call is priced
+    exactly.  A batched call charges every row of every group every step
+    (a real-space group has n_cols rows), an upper bound: a phase whose
+    operator all groups share, such as the write, runs on one shared group.
     """
     bound = inspect.signature(call.func).bind(*call.args, **call.keywords)
     if call.func is run_cycle_quasi1d:  # one run_cycle serves every mode
@@ -260,24 +263,22 @@ def _estimate_cell_steps(call: partial) -> float:
     bound.apply_defaults()
     args = bound.arguments
     param_rows, protocol_rows = _rows_of(args["params"], args["protocol"])
-    params, protocol = param_rows[0], protocol_rows[0]
-    if call.func is run_cycle_realspace:  # one record over the transverse columns
-        n_rows = args["tgrid"].n_cols
-        cut_times = _realspace_plan(protocol, args["sigma_times"])
+    if call.func is run_cycle_realspace:  # a group of transverse columns per protocol
+        n_rows = args["tgrid"].n_cols * len(protocol_rows)
+        cut_times = _realspace_plan(protocol_rows, args["sigma_times"])
     else:
         n_rows = len(param_rows)
         cut_times = [*args["sigma_times"], *args["spectrum_times"]]
     _, plan = _cycle_plan(
-        protocol,
+        protocol_rows,
         args["signal"],
         steps_per_width=args["steps_per_width"],
-        holds=_shared([p.t_hold for p in protocol_rows]),
         dt=args["dt"],
         t_read=args["t_read"],
         cut_times=cut_times,
     )
     steps = sum(n for _, spans in plan for *_, pieces in spans for _, _, n in pieces)
-    n_z = Grid1D.build(params.half_length, args["n_medium"], args["pad_fraction"]).n_z
+    n_z = Grid1D.build(param_rows[0].half_length, args["n_medium"], args["pad_fraction"]).n_z
     return float(n_z) * n_rows * steps
 
 
@@ -875,10 +876,11 @@ def _exp_beam_width(spec: ExperimentSpec):
 
     Fixture: write lead 2 us, gradient kept on through the hold and
     flipped mid-hold, control off while holding; both control profiles
-    run at every hold time on the radial grid.  The w^2-vs-t_hold slope
-    recovers D under a homogeneous control; under a Gaussian control beam
-    the imprinted transverse phase curvature refocuses the beam and the
-    apparent rate D_eff drops by about half.
+    run at every hold time on the radial grid, one call per control with
+    a group per hold time, so each control's write is solved once.  The
+    w^2-vs-t_hold slope recovers D under a homogeneous control; under a
+    Gaussian control beam the imprinted transverse phase curvature
+    refocuses the beam and the apparent rate D_eff drops by about half.
     """
     cfg = spec.config
     _require_gaussian_control(spec)
@@ -890,45 +892,36 @@ def _exp_beam_width(spec: ExperimentSpec):
         ("gaussian", cfg.control),
     )
 
-    labels = [(name, t_hold) for name, _ in controls for t_hold in _WIDTH_HOLDS]
+    protocols = [
+        StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, h) for h in _WIDTH_HOLDS
+    ]
     calls = [
         partial(
             run_cycle_realspace,
             cfg.params,
-            StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, t_hold),
+            protocols,
             signal,
             control,
             tgrid,
             n_medium=n_medium,
             steps_per_width=steps,
-            store_fields=False,
         )
         for _, control in controls
-        for t_hold in _WIDTH_HOLDS
     ]
-    # fits run serially after the gather; the solver releases the GIL in
-    # its FFT work, the fitter does not
-    profiles = [intensity_and_width(rec) for rec in _solve(spec, calls)]
 
     diff = cfg.params.diffusivity
     w0_sq = signal.waist**2 / 4.0 + diff * 2.0 * signal.t_lead
-    rows = []
-    widths = {"homogeneous": [], "gaussian": []}
-    for (name, t_hold), prof in zip(labels, profiles):
-        analytic = w0_sq + diff * t_hold if name == "homogeneous" else math.nan
-        rows.append(
-            (
-                len(rows),
-                name,
-                t_hold,
-                prof.width,
-                prof.width**2,
-                prof.width_moment,
-                analytic,
-                prof.fit_ok,
-            )
-        )
-        widths[name].append(prof.width**2)
+    rows, widths = [], {}
+    # fits run serially after the gather; the solver releases the GIL in
+    # its FFT work, the fitter does not
+    for (name, _), records in zip(controls, _solve(spec, calls)):
+        widths[name] = []
+        for t_hold, rec in zip(_WIDTH_HOLDS, records):
+            prof = intensity_and_width(rec)
+            analytic = w0_sq + diff * t_hold if name == "homogeneous" else math.nan
+            row = (name, t_hold, prof.width, prof.width**2, prof.width_moment, analytic)
+            rows.append((len(rows), *row, prof.fit_ok))
+            widths[name].append(prof.width**2)
     _write_csv(
         spec,
         "widths",
@@ -1028,7 +1021,6 @@ def _exp_phase_profile(spec: ExperimentSpec):
                 tgrid,
                 n_medium=n_medium,
                 steps_per_width=steps,
-                store_fields=False,
             )
             for control in (cfg.control, ControlProfile.homogeneous(cfg.params.rabi_control))
         ],

@@ -39,23 +39,16 @@ applied there in one shot.
 All step kernels broadcast over leading axes of sigma, with per-row
 couplings and detunings passed as (..., 1) arrays.
 
-One driver, _drive_cycle, runs the cycle of both routes on a (rows, n_z)
-state by the step plan of _cycle_plan, which the harness cost guard sums.
-A record owns a group of rows: each 1D batch row is a record of its own;
-a real-space run is one record over all its transverse columns.  Guard
-ratios, peak references and snapshot frames are kept per record.
-
-Batched rows: run_cycle also takes sequences of parameter sets and
-protocols and advances them together as one (rows, n_z) state, one record
-per row.  The rows must share one time grid, so they may differ only in
-the diffusivity (each row gets its own spectral kernel; rows without
-diffusion skip the FFT pair) and, when the hold has no gradient (which
-flips at a per-row time), control or snapshot inside it, in t_hold (the
-single exact hold step takes a per-row duration).  Any other difference
-is a ParameterError.  A phase whose operator is the same for every row,
-such as a write with diffusion off, runs on a single shared row, and the
-state fans out to one row per point at the first phase that tells the
-rows apart.
+One driver, _drive_cycle, runs both routes on a (groups, rows, n_z) state
+by the step plan of _cycle_plan, which the harness cost guard sums.  Each
+group is a record: a 1D batch is G groups of one row, a real-space call G
+groups of its transverse columns, one per protocol.  Per-group values are
+(G, 1, 1) columns and per-row ones (rows, 1) columns, so both broadcast
+without tiling.  The state starts as one shared group and fans out along
+axis 0 at the first span that tells the groups apart, so a write they all
+share runs once.  Groups may differ in the diffusivity and, whenever the
+hold is undriven, in t_hold (the hold splits at each group's own flip
+time); any other difference is a ParameterError.
 """
 
 from __future__ import annotations
@@ -179,9 +172,9 @@ def slave_field(
 class StepKernels:
     """Precomputed factors of one piece's step size.
 
-    dt and diffusivity are scalars, or (rows, 1) columns with one value
-    per row of the state.  rot_full and rot_half are the gradient rotation
-    times the light-shift residual over a step and over half a step, built
+    dt and diffusivity are scalars, or (groups, 1, 1) columns with one value
+    per group.  rot_full and rot_half are the gradient rotation times the
+    light-shift residual over a step and over half a step, built
     once per piece.  before and after, the diffusion halves on either side
     of the core (full = after * before, merged at an unread boundary),
     decay the wave by exp(-D int_0^h (kappa -+ drift s)^2 ds), kappa = q +
@@ -223,7 +216,9 @@ class StepKernels:
                 d_dt = dt[diff_rows] if np.ndim(dt) else dt
             kappa, h = grid.q + k_matched, 0.5 * d_dt
             # at drift = 0 these are exp(-d kappa^2 h), bit for bit
-            core, tilt = -d * kappa**2 * h - d * drift**2 * h**3 / 3.0, d * drift * kappa * h**2
+            # products, not powers: numpy's array power may move a scalar's last bit
+            core = -d * kappa**2 * h - d * drift**2 * (h * h * h) / 3.0
+            tilt = d * drift * kappa * (h * h)
             before, after = np.exp(core + tilt), np.exp(core - tilt)
             full = after * before
         return cls(
@@ -271,16 +266,17 @@ def advance_step(
         return kern.rot_full * sigma
     dt = kern.dt
     mask = grid.mask
-    # drop each (rows, n_z) intermediate once it is spent: that pays for the
-    # per-piece rotation products StepKernels holds
+    # drop each state-sized intermediate once spent and rotate fresh ones in place
+    # (operand order as written, which fixes the last bits of a complex product)
     e_now = slave_field(sigma, grid, coupling_eff, density, light_speed, fin_now)
-    sig_p = kern.rot_half * (sigma + (0.5 * dt) * (1j * coupling_eff) * e_now * mask)
+    sig_p = sigma + (0.5 * dt) * (1j * coupling_eff) * e_now * mask
     del e_now
+    np.multiply(kern.rot_half, sig_p, out=sig_p)
     e_mid = slave_field(sig_p, grid, coupling_eff, density, light_speed, fin_mid)
     del sig_p
     kick = (1j * coupling_eff) * e_mid * mask
     del e_mid
-    return kern.rot_full * sigma + dt * kern.rot_half * kick
+    return kern.rot_full * sigma + np.multiply(dt * kern.rot_half, kick, out=kick)
 
 
 @dataclass(eq=False)
@@ -326,6 +322,11 @@ class CycleRecord:
         return float(self.t_out[np.argmax(np.abs(self.f_out))])
 
 
+def _energy(values: np.ndarray, axis: np.ndarray) -> float:
+    """Trapezoid integral of |values|^2 over axis."""
+    return float(np.trapezoid(np.abs(values) ** 2, axis))
+
+
 def efficiency_1d(record: CycleRecord) -> float:
     """Time-integrated output over input intensity of a recorded cycle."""
     if record.input_energy == 0.0:
@@ -360,22 +361,25 @@ def spectrum_centroid(k: np.ndarray, power: np.ndarray) -> float:
 
 
 class _FrameTaker:
-    """Collects coherence and spectrum snapshots as step boundaries pass."""
+    """Collects group g's snapshots as step boundaries pass (times: scalar or per group)."""
 
-    def __init__(self, sigma_times, spectrum_times, grid: Grid1D, k_matched: float):
-        self.pending_sigma = sorted(float(t) for t in sigma_times)
-        self.pending_spec = sorted(float(t) for t in spectrum_times)
+    def __init__(self, g: int, sigma_times, spectrum_times, grid: Grid1D, k_matched: float):
+        self.g = g
+        self.pending_sigma = sorted(_at(t, g) for t in sigma_times)
+        self.pending_spec = sorted(_at(t, g) for t in spectrum_times)
         self.grid = grid
         self.k_matched = k_matched
         self.sigma_frames: list[tuple[float, np.ndarray]] = []
         self.spectrum_frames: list[tuple[float, np.ndarray]] = []
 
-    def due(self, t: float) -> bool:
+    def due(self, t) -> bool:
         """Whether a snapshot falls due at boundary t."""
+        t = _at(t, self.g)
         late = t + 1e-12 * max(1.0, abs(t))
         return any(p and p[0] <= late for p in (self.pending_sigma, self.pending_spec))
 
-    def take(self, t: float, sigma: np.ndarray) -> None:
+    def take(self, t, sigma: np.ndarray) -> None:
+        t, sigma = _at(t, self.g), _row(sigma, self.g)
         eps = 1e-12 * max(1.0, abs(t))
         while self.pending_sigma and self.pending_sigma[0] <= t + eps:
             self.pending_sigma.pop(0)
@@ -419,49 +423,58 @@ def _inside(times, t0: float, t1: float) -> list[float]:
 
 
 def _cycle_plan(
-    protocol: StorageProtocol,
+    protocols: Sequence[StorageProtocol],
     signal: SignalSpec,
     *,
     steps_per_width: float,
-    holds,
     dt: float | None = None,
     t_read: float | None = None,
     cut_times=(),
 ) -> tuple[float, list[tuple[str, list[tuple]]]]:
     """The step plan of one cycle: the driver runs it, the cost guard sums it.
 
-    Returns the base step dt0 and, per phase, its constant-operator spans
-    (start, length, eta, drive_on, pieces), each run as pieces (start,
-    length, n_steps).  A driven span steps at dt0.  Every undriven span is
-    exact at any step size, whatever its gradient and diffusivity: one
-    step per piece, cut only at the cut_times inside it.
+    protocols has one protocol per group, alike but for t_hold.  Returns
+    the base step dt0 and, per phase, its constant-operator spans (start,
+    length, eta, drive_on, pieces), each run as pieces (start, length,
+    n_steps); a start or length the groups differ in is a per-group array.
+    A driven span steps at dt0.  Every undriven span is exact at any step
+    size, whatever its gradient and diffusivity: one step per piece, cut
+    only at the cut_times inside it.  The hold splits into two spans at
+    each group's flip time when the gradient flips there or a cut (real
+    space's mid-hold snapshot, per group) falls there.
     """
     if steps_per_width <= 0.0:
         raise ParameterError("steps_per_width must be positive")
     if dt is not None and dt <= 0.0:
         raise ParameterError("dt must be positive")
+    protocol = protocols[0]  # every field but t_hold is shared
     dt0 = dt if dt is not None else signal.t_width / steps_per_width
     t_write_len = protocol.write_window(signal)
     t_read_len = t_read if t_read is not None else t_write_len
     if t_read_len <= 0.0:
         raise ParameterError("t_read must be positive")
+    holds = _shared([p.t_hold for p in protocols])
+    flips = _shared([p.flip_time() for p in protocols])
+    cuts = [c for c in cut_times if not np.array_equal(c, flips)]  # shared times
+    if np.ndim(holds):
+        if protocol.control_on_hold:
+            raise ParameterError("rows may differ in t_hold only when the hold is undriven")
+        if _inside(cuts, 0.0, float(np.max(holds))):
+            raise ParameterError("rows that differ in t_hold take no snapshot inside the hold")
 
     def span(start, length, eta, drive_on):
         if drive_on:
             pieces = [(start, length, max(1, math.ceil(length / dt0)))]
-        else:  # a per-row hold length (no snapshot inside it) is one piece
-            inside = () if np.ndim(length) else _inside(cut_times, start, start + length)
+        else:  # a per-group span has no cut inside it (checked above)
+            inside = () if np.ndim(length) else _inside(cuts, start, start + length)
             pieces = [(a, b - a, 1) for a, b in zip([start, *inside], [*inside, start + length])]
         return start, length, eta, drive_on, pieces
 
     hold = []
     if np.any(np.greater(holds, 0.0)):
-        if protocol.eta_hold != 0.0:
-            flip = protocol.flip_time()
-            parts = [
-                (0.0, flip, protocol.eta_hold),
-                (flip, protocol.t_hold - flip, -protocol.eta_hold),
-            ]
+        eta = protocol.eta_hold
+        if eta != 0.0 or len(cuts) < len(cut_times):
+            parts = [(0.0, flips, eta), (flips, holds - flips, -eta if eta else 0.0)]
         else:
             parts = [(0.0, holds, 0.0)]
         hold = [
@@ -515,39 +528,63 @@ def _shared(values):
 
 
 def _col(values):
-    """Per-row values as a (rows, 1) column; a shared scalar passes through."""
-    return values[:, None] if np.ndim(values) else values
+    """Per-group values as a (groups, 1, 1) column; a shared scalar passes through."""
+    return values[:, None, None] if np.ndim(values) else values
+
+
+def _at(values, g: int):
+    """Group g's value of a shared scalar or a per-group array."""
+    return float(values[g]) if np.ndim(values) else values
 
 
 def _rotation(rate, span):
     """exp(-i rate span): np.exp for a per-row rate column, else cmath
-    (a (rows, 1) column of per-row spans gives a (rows, 1) column)."""
+    (a column of per-group spans gives a column of the same shape)."""
     if np.ndim(rate):
         return np.exp(-1j * rate * span)
     if np.ndim(span) == 0:
         return cmath.exp(-1j * rate * span)
-    return np.array([cmath.exp(-1j * rate * float(s)) for s in np.ravel(span)])[:, None]
+    return np.array([cmath.exp(-1j * rate * s) for s in span.ravel().tolist()]).reshape(span.shape)
 
 
 def _steps_by_row(samples) -> np.ndarray:
-    """Per-step samples (shared scalars, or one value per state row) as (rows, steps)."""
+    """Per-step samples (shared scalars, or one value per group) as (groups, steps)."""
     a = np.asarray(samples)
     return a.reshape(1, -1) if a.ndim == 1 else a.T
 
 
 def _row(values: np.ndarray, r: int) -> np.ndarray:
-    """Row r of a (rows, ...) array whose single row may stand for all rows."""
+    """Entry r along axis 0 of an array whose single entry may stand for all."""
     return values[min(r, len(values) - 1)]
+
+
+def _transverse_halves(transverse, step, dt0: float, drive_on: bool):
+    """across(sigma, n): n owed transverse half-steps of one piece's step.
+
+    Driven, a half is one half-step of step / 2.  Undriven, the piece is one
+    step of length T, and a half is ceil(T / dt0) sub-steps near dt0, one
+    matrix power, by an operator per group when the groups' steps differ
+    (a zero-length step leaves its group as it is).
+    """
+    if drive_on:
+        return transverse(0.5 * step).propagate
+    lengths = np.ravel(step).tolist()
+    subs = [math.ceil(length / dt0 * (1.0 - 1e-12)) for length in lengths]  # round-off
+    ops = [transverse(0.5 * (length / n)) if n else None for length, n in zip(lengths, subs)]
+    if np.ndim(step) == 0:
+        return lambda sigma, halves: ops[0].propagate(sigma, halves * subs[0])
+    return lambda sigma, halves: np.stack(
+        [op.propagate(group, halves * n) if n else group for op, group, n in zip(ops, sigma, subs)]
+    )
 
 
 def _drive_cycle(
     params: PhysicalParams,
-    protocol: StorageProtocol,
+    protocols: Sequence[StorageProtocol],
     signal: SignalSpec,
     grid: Grid1D,
     *,
     n_rows: int,
-    row_records: bool,
     rabi,
     diffs,
     fin_write,
@@ -558,50 +595,49 @@ def _drive_cycle(
     spectrum_times=(),
     **plan_options,
 ):
-    """Run the write / hold / read phases of _cycle_plan on a (rows, n_z) state.
+    """Run the write / hold / read phases of _cycle_plan on a (groups, rows, n_z) state.
 
+    One group of n_rows rows per protocol; the state fans out from one
+    shared group at the first span with a per-group length or diffusivity.
     rabi (scalar or (n_rows, 1) column) sets the coupling and light-shift
-    residual; fin_write(t) is the entrance-face input.  With row_records
-    each row is a record (one shared row stands for all until a span tells
-    them apart), else the rows form one record.  recorders[phase](t, exit)
-    gets the solver-frame exit field per row at each boundary of a driven
-    span.  In the diffusion_phases diffusion acts along z by diffs and
-    across columns by transverse(dt_half), whose propagate(sigma, n)
-    applies n half-steps: an undriven piece of length T takes
-    n = 2 ceil(T / dt0) of them at its end.
+    residual, diffs (scalar or one value per group) the diffusivity, and
+    fin_write(t) the entrance-face input.  recorders[phase](t, exit) gets
+    the solver-frame exit field, (groups, n_rows), at each boundary of a
+    driven span; t, like a snapshot time, is a scalar or one per group.  In
+    the diffusion_phases diffusion acts along z by diffs and across rows
+    by transverse(dt_half), whose propagate(sigma, n) applies n half-steps:
+    an undriven piece of length T takes n = 2 ceil(T / dt0) of them at its end.
 
-    Returns (ends, guards, takers): with row_records the state at the end
-    of each phase, and per record its guard ratios and its _FrameTaker.
+    Returns (ends, guards, takers): the state at the end of each phase,
+    and per group its guard ratios and its _FrameTaker.
     """
     for name in diffusion_phases:
         if name not in _PHASES:
             raise ParameterError("unknown diffusion phase %r" % (name,))
     dt0, plan = _cycle_plan(
-        protocol, signal, cut_times=[*sigma_times, *spectrum_times], **plan_options
+        protocols, signal, cut_times=[*sigma_times, *spectrum_times], **plan_options
     )
     coupling = params.coupling_g * rabi / params.detuning
     residuals = stark_residual(params, rabi), stark_residual(params, 0.0 * rabi)
-    n_records = n_rows if row_records else 1
+    n_groups = len(protocols)
     takers = [
-        _FrameTaker(sigma_times, spectrum_times, grid, params.k_matched) for _ in range(n_records)
+        _FrameTaker(g, sigma_times, spectrum_times, grid, params.k_matched)
+        for g in range(n_groups)
     ]
     want_frames = bool(takers[0].pending_sigma or takers[0].pending_spec)
-    sigma = np.zeros((1 if row_records else n_rows, grid.n_z), dtype=complex)
+    sigma = np.zeros((1, n_rows, grid.n_z), dtype=complex)
     density, light_speed = params.density, params.light_speed
-
-    def views() -> list[np.ndarray]:
-        return [_row(sigma, r) for r in range(n_rows)] if row_records else [sigma]
 
     def mark(t, drive_on, fin_fn, recorder):
         """Record the state at a step boundary and take the snapshots due."""
         if recorder is not None and drive_on:
             e = slave_field(sigma, grid, coupling, density, light_speed, fin_fn(t))
-            recorder(t, e[:, grid.i_right])
+            recorder(t, e[..., grid.i_right])
         if want_frames:
-            for r, (taker, view) in enumerate(zip(takers, views())):
-                taker.take(float(t[r]) if np.ndim(t) else t, view)
+            for taker in takers:
+                taker.take(t, sigma)
 
-    ends, peaks, guards = {}, [0.0] * n_records, [{} for _ in range(n_records)]
+    ends, peaks, guards = {}, [0.0] * n_groups, [{} for _ in range(n_groups)]
     for phase, spans in plan:
         fin_fn = fin_write if phase == "write" else (lambda t: 0.0j)
         recorder = recorders.get(phase)
@@ -609,8 +645,8 @@ def _drive_cycle(
         diffusivity = diffs if diffusing else 0.0
         for span_start, length, eta, drive_on, pieces in spans:
             residual = residuals[0] if drive_on else residuals[1]
-            if (np.ndim(length) or np.ndim(diffusivity)) and len(sigma) < n_rows:
-                sigma = np.repeat(sigma, n_rows, axis=0)  # the rows part ways here
+            if (np.ndim(length) or np.ndim(diffusivity)) and len(sigma) < n_groups:
+                sigma = np.repeat(sigma, n_groups, axis=0)  # the groups part ways here
             mark(span_start, drive_on, fin_fn, recorder)
             recorded = drive_on and recorder is not None
             for start, piece, n_steps in pieces:
@@ -619,17 +655,16 @@ def _drive_cycle(
                 kern = StepKernels.build(
                     grid, _col(step), eta, residual, _col(diffusivity), params.k_matched, drift
                 )
-                trans = None
-                if transverse is not None and diffusing:  # undriven: ceil(piece / dt0) sub-steps
-                    sub = 1 if drive_on else math.ceil(piece / dt0 * (1.0 - 1e-12))  # round-off
-                    trans = transverse(0.5 * (step / sub))
+                across = None
+                if transverse is not None and diffusing:
+                    across = _transverse_halves(transverse, step, dt0, drive_on)
                 owed_z, owed_t = False, 0  # owed along z: the after half; transverse: halves
                 t = start
                 for j in range(n_steps):
                     sigma = kern.diffuse(sigma, kern.full if owed_z else kern.before)
                     owed_t += 1
-                    if trans is not None and drive_on:  # the drive tells the columns apart
-                        sigma, owed_t = trans.propagate(sigma, owed_t), 0
+                    if across is not None and drive_on:  # the drive tells the rows apart
+                        sigma, owed_t = across(sigma, owed_t), 0
                     sigma = advance_step(
                         sigma,
                         kern,
@@ -646,15 +681,15 @@ def _drive_cycle(
                     # an unread boundary merges the halves on either side of it
                     if j == n_steps - 1 or recorded or any(taker.due(t) for taker in takers):
                         sigma = kern.diffuse(sigma, kern.after)
-                        if trans is not None:
-                            sigma = trans.propagate(sigma, owed_t * sub)
+                        if across is not None:
+                            sigma = across(sigma, owed_t)
                         owed_z, owed_t = False, 0
                         mark(t, drive_on, fin_fn, recorder)
-        for r, view in enumerate(views()):
-            peaks[r] = max(peaks[r], float(np.max(np.abs(view))))
-            guards[r][phase] = _check_guard(view, grid, phase, peaks[r])
-        if row_records:  # for the 1D records; no step writes into a state in place
-            ends[phase] = sigma
+        for g in range(n_groups):
+            view = _row(sigma, g)
+            peaks[g] = max(peaks[g], float(np.max(np.abs(view))))
+            guards[g][phase] = _check_guard(view, grid, phase, peaks[g])
+        ends[phase] = sigma  # no step writes into a state in place
     return ends, guards, takers
 
 
@@ -682,16 +717,13 @@ def run_cycle(
     runs keep all three.
 
     Batched rows: params and protocol may each be a sequence (a single
-    value serves every row).  The rows advance together as one (rows, n_z)
-    state and a list of records comes back in row order; a single
-    PhysicalParams with a single StorageProtocol returns one CycleRecord.
-    Rows may differ only in diffusivity, and in t_hold when the hold has
-    no gradient, control or snapshot inside it; any other difference
-    raises ParameterError.  The state stays one shared row while every
-    row sees the same operator, so a write with diffusion off is solved
-    once, and fans out to one row per point at the first span whose
-    operator differs between rows.  Guard ratios, peak references and
-    snapshot frames are kept per row.
+    value serves every row), and a list of records comes back in row
+    order; a single PhysicalParams with a single StorageProtocol returns
+    one CycleRecord.  Each row is a group of the driver's state.  Rows may
+    differ only in diffusivity, and rows may differ in t_hold whenever the
+    hold is undriven and takes no snapshot; any other difference raises
+    ParameterError.  A span whose operator every row shares, such as a
+    write with diffusion off, is solved once.
 
     Raises GuardBandError if coherence reaches the outer padding band.
     """
@@ -699,18 +731,7 @@ def run_cycle(
     param_rows, protocol_rows = _rows_of(params, protocol)
     for row_params, row_protocol in zip(param_rows, protocol_rows):
         derive_groups(row_params, row_protocol, signal)  # validates gradient and widths
-    n_rows = len(param_rows)
-    params, protocol = param_rows[0], protocol_rows[0]  # every field but two is shared
-    holds = _shared([p.t_hold for p in protocol_rows])
-    if np.ndim(holds):
-        if protocol.eta_hold != 0.0 or protocol.control_on_hold:
-            raise ParameterError(
-                "rows may differ in t_hold only when the hold has no gradient (it "
-                "would flip at a per-row time) and no control"
-            )
-        if _inside([*sigma_times, *spectrum_times], 0.0, float(np.max(holds))):
-            raise ParameterError("rows that differ in t_hold take no snapshot inside the hold")
-
+    params = param_rows[0]  # every field but the diffusivity is shared
     face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
     samples = {phase: ([], []) for phase in _PHASES}  # step times, exit fields
 
@@ -721,21 +742,19 @@ def run_cycle(
             # physical-frame exit field per row, as scalar products: numpy's
             # vector complex multiply may fuse multiply-adds and move last bits
             times.append(t)
-            fields.append([face_phase * value for value in exit_field])
+            fields.append([face_phase * value for value in exit_field[:, 0]])
 
         return record
 
     grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
     ends, guards, takers = _drive_cycle(
         params,
-        protocol,
+        protocol_rows,
         signal,
         grid,
-        n_rows=n_rows,
-        row_records=True,
+        n_rows=1,
         rabi=params.rabi_control,
         diffs=_shared([p.diffusivity for p in param_rows]),
-        holds=holds,
         fin_write=lambda t: face_phase * complex(sample_temporal(signal, t)),
         recorders={phase: recorder(phase) for phase in _PHASES},
         steps_per_width=steps_per_width,
@@ -749,7 +768,6 @@ def run_cycle(
     t_w = samples["write"][0]
     t_write_axis = np.array(t_w)
     f_in = np.array([complex(sample_temporal(signal, t)) for t in t_w])
-    input_energy = float(np.trapezoid(np.abs(f_in) ** 2, t_write_axis))
     f_trans = _steps_by_row(samples["write"][1])
     t_hold_axis, f_hold = (_steps_by_row(s) for s in samples["hold"])
     t_out, f_out = (_steps_by_row(s) for s in samples["read"])
@@ -760,11 +778,10 @@ def run_cycle(
         spectrum_k, _ = spinwave_spectrum(ends["read"], grid, params.k_matched)
 
     records = []
-    for r in range(n_rows):
-        row_out, row_t_out = _row(f_out, r), _row(t_out, r)
-        row_trans = _row(f_trans, r)
-        row_hold, row_t_hold = _row(f_hold, r), _row(t_hold_axis, r)
-        end_write, end_hold, end_read = (_row(ends[phase], r) for phase in _PHASES)
+    for r, taker in enumerate(takers):  # a group of one row per record
+        row_trans, row_hold, row_out = (_row(f, r) for f in (f_trans, f_hold, f_out))
+        row_t_hold, row_t_out = _row(t_hold_axis, r), _row(t_out, r)
+        end_write, end_hold, end_read = (_row(ends[phase], r)[0] for phase in _PHASES)
         records.append(
             CycleRecord(
                 params=param_rows[r],
@@ -781,23 +798,16 @@ def run_cycle(
                 sigma_end_write=end_write,
                 sigma_end_hold=end_hold,
                 sigma_end_read=end_read,
-                sigma_frames=takers[r].sigma_frames,
+                sigma_frames=[(t, frame[0]) for t, frame in taker.sigma_frames],
                 spectrum_k=spectrum_k,
-                spectrum_frames=takers[r].spectrum_frames,
-                input_energy=input_energy,
-                transmitted_energy=float(np.trapezoid(np.abs(row_trans) ** 2, t_write_axis)),
-                output_energy=float(np.trapezoid(np.abs(row_out) ** 2, row_t_out)),
-                hold_leak_energy=(
-                    float(np.trapezoid(np.abs(row_hold) ** 2, row_t_hold))
-                    if row_t_hold.size
-                    else 0.0
-                ),
-                stored_end_write=stored_scale
-                * float(np.trapezoid(np.abs(end_write) ** 2, grid.z)),
-                stored_end_hold=stored_scale
-                * float(np.trapezoid(np.abs(end_hold) ** 2, grid.z)),
-                stored_end_read=stored_scale
-                * float(np.trapezoid(np.abs(end_read) ** 2, grid.z)),
+                spectrum_frames=[(t, power[0]) for t, power in taker.spectrum_frames],
+                input_energy=_energy(f_in, t_write_axis),
+                transmitted_energy=_energy(row_trans, t_write_axis),
+                output_energy=_energy(row_out, row_t_out),
+                hold_leak_energy=_energy(row_hold, row_t_hold),  # 0.0 with no samples
+                stored_end_write=stored_scale * _energy(end_write, grid.z),
+                stored_end_hold=stored_scale * _energy(end_hold, grid.z),
+                stored_end_read=stored_scale * _energy(end_read, grid.z),
                 guard_ratio=guards[r],
             )
         )

@@ -12,15 +12,17 @@ Two complementary routes:
   columns stop being equivalent (local Rabi frequency shifts both the
   coupling and the two-photon detuning), so the cycle is stepped on an
   explicit transverse grid.  It runs on the shared cycle driver of
-  solver1d, with the columns as the rows of one record (column-local
-  coupling and light shift) and a transverse diffusion operator, whose
-  half-steps the driver applies with the longitudinal ones around each
-  step core, merged across the boundaries nothing reads.  An
+  solver1d, with the columns as the rows of one group per protocol
+  (column-local coupling and light shift) and a transverse diffusion
+  operator, whose half-steps the driver applies with the longitudinal
+  ones around each step core, merged across the boundaries nothing
+  reads.  Protocols that differ only in t_hold share one write.  An
   axisymmetric problem runs on a radial finite-volume grid: conservative
   Crank-Nicolson diffusion, whose half-step is a propagator matrix built
-  once per step size and applied as one real GEMM (n merged half-steps
-  are its cached n-th power).  The general case runs on a Cartesian grid
-  with spectral transverse diffusion (n half-steps are one FFT pair).
+  once per step size and applied as one real GEMM per group (n merged
+  half-steps are its cached n-th power).  The general case runs on a
+  Cartesian grid with spectral transverse diffusion (n half-steps are
+  one FFT pair).
 
 Beam observables (intensity profile, fitted width, spin-wave phase maps,
 effective diffusion rate) are extracted from the records here as well.
@@ -53,6 +55,11 @@ from .solver1d import (
     CycleRecord,
     Grid1D,
     _drive_cycle,
+    _energy,
+    _row,
+    _rows_of,
+    _shared,
+    _steps_by_row,
     advance_step,  # noqa: F401  (the real-space step core; perfbench traces it per module)
     run_cycle,
 )
@@ -353,13 +360,11 @@ class _RadialDiffusion:
         self._powers = {1: solve_banded((1, 1), implicit, explicit)}
 
     def propagate(self, sigma: np.ndarray, n_halves: int = 1) -> np.ndarray:
-        """n_halves half-steps on sigma of shape (n_r, n_z)."""
+        """n_halves half-steps on sigma of shape (..., n_r, n_z), one GEMM per group."""
         if n_halves not in self._powers:
             self._powers[n_halves] = np.linalg.matrix_power(self._powers[1], n_halves)
         flat = np.ascontiguousarray(sigma).view(float)
         return np.matmul(self._powers[n_halves], flat).view(complex)
-
-    apply = propagate
 
 
 class _CartesianDiffusion:
@@ -379,15 +384,13 @@ class _CartesianDiffusion:
         self._kernels = {}
 
     def propagate(self, sigma: np.ndarray, n_halves: int = 1) -> np.ndarray:
-        """n_halves half-steps on sigma of shape (n_x * n_y, n_z)."""
+        """n_halves half-steps on sigma of shape (..., n_x * n_y, n_z)."""
         if n_halves not in self._kernels:
             self._kernels[n_halves] = np.exp(self._rate * (n_halves * self._dt_half))[..., None]
         n = self._n
-        cube = sigma.reshape(n, n, -1)
-        cube = ifft2(fft2(cube, axes=(0, 1)) * self._kernels[n_halves], axes=(0, 1))
+        cube = sigma.reshape(*sigma.shape[:-2], n, n, sigma.shape[-1])
+        cube = ifft2(fft2(cube, axes=(-3, -2)) * self._kernels[n_halves], axes=(-3, -2))
         return cube.reshape(sigma.shape)
-
-    apply = propagate
 
 
 @dataclass(eq=False)
@@ -421,14 +424,15 @@ class RealspaceRecord:
         return self.output_energy / self.input_energy
 
 
-def _realspace_plan(protocol: StorageProtocol, sigma_times) -> set:
-    """Real space's snapshot times: the mid-hold one, which phase maps need, cuts the hold."""
-    return {*sigma_times, protocol.flip_time()}
+def _realspace_plan(protocols, sigma_times) -> list:
+    """Real space's snapshot times: the requested ones and each group's mid-hold one."""
+    flips = _shared([p.flip_time() for p in protocols])
+    return [*sigma_times, flips] if np.ndim(flips) else [*{*sigma_times, flips}]
 
 
 def run_cycle_realspace(
     params: PhysicalParams,
-    protocol: StorageProtocol,
+    protocol: StorageProtocol | Sequence[StorageProtocol],
     signal: SignalSpec,
     control: ControlProfile,
     tgrid: TransverseGrid,
@@ -440,19 +444,23 @@ def run_cycle_realspace(
     t_read: float | None = None,
     diffusion_phases: tuple[str, ...] = _PHASES,
     sigma_times=(),
-    store_fields: bool | None = None,
-) -> RealspaceRecord:
+    store_fields=None,
+) -> RealspaceRecord | list[RealspaceRecord]:
     """Full cycle on an explicit transverse grid with a local control field.
 
     The cycle runs on the cycle driver shared with solver1d.run_cycle,
-    with the transverse columns as the rows of one record: column-local
-    coupling and light shift, and a transverse operator.  Per step:
-    diffusion half-steps, longitudinal and transverse, around the
-    longitudinal step core, merged across unread step boundaries.  The
-    radial grid requires an axisymmetric input mode; Cartesian grids take
-    any mode.  A coherence snapshot at mid-hold is always recorded (the
-    phase-map extraction needs it); extra snapshot times may be requested.
+    with the transverse columns as the rows of one group per protocol:
+    column-local coupling and light shift, and a transverse operator.
+    protocol may be a sequence under run_cycle's rule: only t_hold may
+    differ, and the hold must be undriven.  The groups share one write and
+    part ways at the hold; one record per protocol comes back.  The radial
+    grid requires an axisymmetric input mode.  A coherence snapshot at
+    each group's mid-hold is always recorded (the phase-map extraction
+    needs it); extra snapshot times may be requested.  Every record keeps
+    its exit fields (store_fields is ignored).
     """
+    single = isinstance(protocol, StorageProtocol)
+    _, protocols = _rows_of(params, protocol)
     if tgrid.kind == "radial" and signal.mode != (0, 0):
         raise ParameterError(
             "radial grid is restricted to the axisymmetric (0,0) mode; "
@@ -463,12 +471,10 @@ def run_cycle_realspace(
             "control.rabi_peak must match params.rabi_control (the light-shift "
             "bias and far-detuning checks are anchored to it)"
         )
-    derive_groups(params, protocol, signal)
+    for row in protocols:
+        derive_groups(params, row, signal)
 
     face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
-    if store_fields is None:
-        store_fields = tgrid.kind == "radial"
-
     if tgrid.kind == "radial":
         profile = sample_transverse(signal, tgrid.r[:, None], np.zeros((1, 1)))[:, 0]
     else:
@@ -477,38 +483,22 @@ def run_cycle_realspace(
         ).ravel()
     profile = profile[:, None]
 
-    weights = tgrid.weights
-    intensity = np.zeros(tgrid.n_cols)
-    out_rows: list[np.ndarray] = []
-    out_times: list[float] = []
-    energy_out = 0.0
-    prev = None  # (t, |exit field|^2) at the last read boundary
+    times, exits = [], []  # per read boundary: its time and exit field, per group
 
-    def record_read(t: float, exit_col: np.ndarray) -> None:
-        nonlocal energy_out, prev
-        exit_field = face_phase * exit_col
-        row_sq = np.abs(exit_field) ** 2
-        if prev is not None and t > prev[0]:
-            panel = 0.5 * (t - prev[0]) * (row_sq + prev[1])
-            intensity[:] += panel
-            energy_out += float(np.sum(weights * panel))
-        prev = (t, row_sq)
-        if store_fields:
-            out_times.append(t)
-            out_rows.append(exit_field)
+    def record_read(t, exit_field: np.ndarray) -> None:
+        times.append(t)
+        exits.append(face_phase * exit_field)
 
     diffusion = _RadialDiffusion if tgrid.kind == "radial" else _CartesianDiffusion
     grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
-    _, (guard,), (frames,) = _drive_cycle(
+    _, guards, takers = _drive_cycle(
         params,
-        protocol,
+        protocols,
         signal,
         grid,
         n_rows=tgrid.n_cols,
-        row_records=False,
         rabi=control_rabi(control, tgrid.r)[:, None],  # column-local control
         diffs=params.diffusivity,
-        holds=protocol.t_hold,
         fin_write=lambda t: face_phase * complex(sample_temporal(signal, t)) * profile,
         recorders={"read": record_read},
         transverse=(
@@ -518,35 +508,42 @@ def run_cycle_realspace(
         dt=dt,
         t_read=t_read,
         diffusion_phases=diffusion_phases,
-        sigma_times=_realspace_plan(protocol, sigma_times),
+        sigma_times=_realspace_plan(protocols, sigma_times),
     )
 
-    t_write_len = protocol.write_window(signal)
-    envelope_energy = float(
-        np.trapezoid(
-            np.abs(sample_temporal(signal, np.linspace(-t_write_len, 0.0, 2049))) ** 2,
-            np.linspace(-t_write_len, 0.0, 2049),
+    t_write = np.linspace(-protocols[0].write_window(signal), 0.0, 2049)
+    intensity_in = np.abs(profile[:, 0]) ** 2 * _energy(sample_temporal(signal, t_write), t_write)
+    input_energy = float(np.sum(tgrid.weights * intensity_in))
+    t_out = _steps_by_row(times)
+    f_out = np.moveaxis(np.array(exits), 0, -1)  # (groups, n_cols, steps)
+
+    records = []
+    for g, (row, taker) in enumerate(zip(protocols, takers)):
+        t_g, out_sq = _row(t_out, g), [np.abs(_row(e, g)) ** 2 for e in exits]
+        intensity, energy_out = np.zeros(tgrid.n_cols), 0.0
+        for k in range(1, t_g.size):  # trapezoid panels in time order
+            panel = 0.5 * (t_g[k] - t_g[k - 1]) * (out_sq[k] + out_sq[k - 1])
+            intensity += panel
+            energy_out += float(np.sum(tgrid.weights * panel))
+        records.append(
+            RealspaceRecord(
+                params=params,
+                protocol=row,
+                signal=signal,
+                control=control,
+                grid=grid,
+                tgrid=tgrid,
+                t_out=t_g,
+                f_out=_row(f_out, g),
+                intensity=intensity,
+                intensity_in=intensity_in,
+                input_energy=input_energy,
+                output_energy=energy_out,
+                sigma_frames=taker.sigma_frames,
+                guard_ratio=guards[g],
+            )
         )
-    )
-    intensity_in = np.abs(profile[:, 0]) ** 2 * envelope_energy
-    input_energy = float(np.sum(weights * intensity_in))
-
-    return RealspaceRecord(
-        params=params,
-        protocol=protocol,
-        signal=signal,
-        control=control,
-        grid=grid,
-        tgrid=tgrid,
-        t_out=np.array(out_times),
-        f_out=np.array(out_rows).T if out_rows else None,
-        intensity=intensity,
-        intensity_in=intensity_in,
-        input_energy=input_energy,
-        output_energy=energy_out,
-        sigma_frames=frames.sigma_frames,
-        guard_ratio=guard,
-    )
+    return records[0] if single else records
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,8 @@ def test_check_kinds():
     assert _check("a", 1.001, 1.0, 0.01, "c")["passed"]
     assert not _check("a", 1.02, 1.0, 0.01, "c")["passed"]
     assert _check("a", 0.15, 0.1, 0.06, "c", kind="abs")["passed"]
+    # an abs target within its tolerance of zero can tell nothing apart
+    assert not _check("a", 0.0, 0.05, 0.06, "c", kind="abs")["passed"]
     assert _check("a", 0.5, (0.0, 1.0), 0.0, "c", kind="range")["passed"]
     assert not _check("a", 1.5, (0.0, 1.0), 0.0, "c", kind="range")["passed"]
     assert _check("a", True, True, 0.0, "c", kind="bool")["passed"]
@@ -266,6 +268,18 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
     for call in exact_calls:
         assert _estimate_cell_steps(call) == solved_cells(call)
 
+    # a grouped real-space call charges every group the write; it runs once
+    groups = [
+        StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, h) for h in (0.0, 2e-6, 4e-6)
+    ]
+    grouped = partial(run_cycle_realspace, cfg.params, groups, cfg.signal, control, tgrid, **fast)
+    n_z = Grid1D.build(cfg.params.half_length, fast["n_medium"]).n_z
+    dt0 = cfg.signal.t_width / fast["steps_per_width"]
+    write_steps = math.ceil(groups[0].write_window(cfg.signal) / dt0)
+    assert _estimate_cell_steps(grouped) - solved_cells(grouped) == (
+        (len(groups) - 1) * n_z * tgrid.n_cols * write_steps
+    )
+
     # a batched call charges every row every step: an upper bound, since
     # the diffusion-free write runs on one shared row
     hold_only = dict(diffusion_phases=("hold",), **fast)
@@ -312,17 +326,19 @@ def test_only_real_space_calls_use_the_pool(bench_config, tmp_path, monkeypatch)
         pass
 
     def spy(tasks, threads):
-        seen.append(threads)
+        seen.append((threads, len(tasks)))
         raise Dispatched  # the dispatch is all this test reads
 
     monkeypatch.setattr(harness, "_run_tasks", spy)
-    for name in ("sweep-write", "phase-profile"):
+    for name in ("sweep-write", "phase-profile", "beam-width"):
         spec = ExperimentSpec(
             experiment=name, config=bench_config, out_dir=tmp_path / name, threads=4
         )
         with pytest.raises(Dispatched):
             run_experiment(spec)
-    assert seen == [1, 4]
+    # beam-width's seven hold times per control are the groups of one call
+    assert [threads for threads, _ in seen] == [1, 4, 4]
+    assert [tasks for _, tasks in seen[1:]] == [2, 2]
 
 
 def test_sweep_axes_name_config_keys(bench_config, tmp_path, cycle_run):
@@ -444,6 +460,16 @@ def test_cli_reports_failed_checks(tmp_path, capsys):
     )
     assert rc == 1
     assert "FAIL echo_leakage_small" in capsys.readouterr().out
+
+
+def test_cli_fails_a_check_whose_target_is_inside_its_tolerance(tmp_path, capsys):
+    # a 1 s hold decays both the numeric and the closed-form ratio to ~0:
+    # an absolute check against a target within its tolerance of zero
+    # cannot tell a working solver from a dead one, so it must not pass
+    argv = ["storage-cycle", "--config", str(CONFIG), "--out", str(tmp_path)]
+    rc = main(argv + ["--fidelity", "coarse", "--threads", "1", "--set", "t_hold=1 s"])
+    assert rc == 1
+    assert "FAIL numeric_vs_full" in capsys.readouterr().out
 
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):

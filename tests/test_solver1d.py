@@ -454,6 +454,28 @@ def test_per_row_exact_holds_match_direct_solves(bench_params, bench_signal):
             assert_allclose(a, b, rtol=0.0, atol=1e-12 * np.max(np.abs(b)))
 
 
+def test_per_row_gradient_holds_equal_their_single_solves(bench_params, bench_signal):
+    # the gradient flips at each row's own mid-hold: a span boundary at a
+    # per-row time, so the rows still share one write and one read grid
+    holds = (0.0, 2e-6, 5e-6)
+    protos = [StorageProtocol.gradient_through_hold(-TAU * 10e6, h) for h in holds]
+    frames = dict(sigma_times=(-1e-6, 9e-6), spectrum_times=(10e-6,))
+    batch = run_cycle(bench_params, protos, bench_signal, **frames, **BATCH)
+    for got, proto in zip(batch, protos):
+        want = run_cycle(bench_params, proto, bench_signal, **frames, **BATCH)
+        for name in (
+            "t_write", "f_trans", "t_hold", "f_hold_leak", "t_out", "f_out",
+            "sigma_end_write", "sigma_end_hold", "sigma_end_read",
+        ):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.output_energy == want.output_energy
+        assert got.guard_ratio == want.guard_ratio
+        for ours, theirs in ((got.sigma_frames, want.sigma_frames),
+                             (got.spectrum_frames, want.spectrum_frames)):
+            assert [t for t, _ in ours] == [t for t, _ in theirs]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(ours, theirs))
+
+
 def test_single_row_returns_a_record_and_sequences_a_list(
     bench_params, bench_protocol, bench_signal
 ):
@@ -478,10 +500,10 @@ def test_single_row_returns_a_record_and_sequences_a_list(
         ),
         (
             lambda p, s: (p, [
-                StorageProtocol.gradient_through_hold(-TAU * 10e6, 2e-6),
-                StorageProtocol.gradient_through_hold(-TAU * 10e6, 4e-6),
+                replace(StorageProtocol.standard(-TAU * 10e6, h), control_on_hold=True)
+                for h in (2e-6, 4e-6)
             ]),
-            "only when the hold has no gradient",
+            "only when the hold is undriven",
         ),
         (lambda p, s: ([p, p, p], [s, s]), "equal in number"),
         (lambda p, s: ([], s), "non-empty"),

@@ -61,7 +61,6 @@ def cart_record(bench_params, bench_protocol, bench_signal):
         bench_signal,
         control,
         tgrid,
-        store_fields=False,
         **FAST,
     )
 
@@ -126,7 +125,7 @@ def test_radial_step_spreads_a_gaussian_conservatively():
     sigma = np.exp(-grid.r[:, None] ** 2 / w0**2).astype(complex)
     mass0 = float(np.sum(grid.weights * sigma[:, 0].real))
     for _ in range(40):
-        sigma = op.apply(sigma)
+        sigma = op.propagate(sigma)
     t = 40 * 1e-6
     w_sq = w0**2 + 4.0 * d * t
     exact = (w0**2 / w_sq) * np.exp(-grid.r**2 / w_sq)
@@ -206,7 +205,7 @@ def test_cartesian_step_is_spectrally_exact_on_a_gaussian():
     op = _CartesianDiffusion(grid, d, dt_half=5e-6)
     x = grid.x
     sigma0 = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / w0**2)
-    sigma = op.apply(sigma0.reshape(-1, 1).astype(complex)).reshape(64, 64)
+    sigma = op.propagate(sigma0.reshape(-1, 1).astype(complex)).reshape(64, 64)
     t = 5e-6
     w_sq = w0**2 + 4.0 * d * t
     exact = (w0**2 / w_sq) * np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / w_sq)
@@ -407,13 +406,45 @@ def test_width_growth_rate_recovers_the_diffusivity(bench_params):
     tgrid = TransverseGrid.radial(WAIST, n_r=40)
     signal = SignalSpec(amplitude=1.0, t_width=0.4e-6, t_lead=2e-6, waist=WAIST)
     holds = (0.0, 10e-6, 20e-6, 30e-6)
-    widths_sq = []
-    for t_hold in holds:
-        proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=t_hold)
-        rec = run_cycle_realspace(bench_params, proto, signal, control, tgrid, **FAST)
-        widths_sq.append(intensity_and_width(rec).width ** 2)
+    protos = [StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=h) for h in holds]
+    recs = run_cycle_realspace(bench_params, protos, signal, control, tgrid, **FAST)
+    widths_sq = [intensity_and_width(rec).width ** 2 for rec in recs]
     slope = fit_effective_diffusion(holds, widths_sq)
     assert slope == pytest.approx(bench_params.diffusivity, rel=0.10)
+
+
+@pytest.mark.parametrize(
+    "kind, make, holds",
+    [
+        ("radial", StorageProtocol.gradient_through_hold, (0.0, 2e-6, 4e-6)),
+        ("cartesian", StorageProtocol.standard, (3e-6, 1e-6)),
+    ],
+)
+def test_grouped_holds_equal_their_single_calls(bench_params, bench_signal, kind, make, holds):
+    # one call per hold list: the groups share the write and part ways at
+    # the hold, where each flips (and takes its mid-hold frame) at its own time
+    control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
+    if kind == "radial":
+        tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
+    else:
+        tgrid = TransverseGrid.cartesian(bench_signal.waist, n=12)
+    protos = [make(-TAU * 10e6, h) for h in holds]
+    grouped = run_cycle_realspace(bench_params, protos, bench_signal, control, tgrid, **FAST)
+    assert len(grouped) == len(protos)
+    for got, proto in zip(grouped, protos):
+        want = run_cycle_realspace(bench_params, proto, bench_signal, control, tgrid, **FAST)
+        assert got.protocol == proto
+        for name in ("intensity", "t_out", "f_out"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.output_energy == want.output_energy
+        assert got.guard_ratio == want.guard_ratio
+        assert [t for t, _ in got.sigma_frames] == [t for t, _ in want.sigma_frames]
+        assert all(
+            np.array_equal(a, b) for (_, a), (_, b) in zip(got.sigma_frames, want.sigma_frames)
+        )
+        pmap = extract_phase(got, want)  # each group's own mid-hold frame
+        assert pmap.t == proto.flip_time()
+        assert np.nanmax(np.abs(pmap.theta)) < 1e-12
 
 
 def test_fit_effective_diffusion_is_a_plain_line_fit():
@@ -443,6 +474,10 @@ def test_realspace_rejects_mismatched_setups(
         run_cycle_realspace(
             bench_params, bench_protocol, bench_signal, wrong, tgrid
         )
+    # grouped protocols may differ only in t_hold
+    protos = [StorageProtocol.standard(-TAU * eta, 2e-6) for eta in (10e6, 12e6)]
+    with pytest.raises(ParameterError, match="differ in eta_write"):
+        run_cycle_realspace(bench_params, protos, bench_signal, control, tgrid)
 
 
 def test_realspace_guard_and_energy_bookkeeping(radial_record):
