@@ -77,12 +77,16 @@ from .analytic import (
     phase_theta,
 )
 from .solver1d import (
+    _PHASES,
     Grid1D,
     _cycle_plan,
+    _fans_out,
     _rows_of,
+    _shared,
     efficiency_1d,
     run_cycle,
     spectrum_centroid,
+    spinwave_spectrum,
 )
 from .transverse import (
     ModeGrid,
@@ -246,13 +250,13 @@ def _run_tasks(tasks, threads: int) -> list:
 
 
 def _estimate_cell_steps(call: partial) -> float:
-    """Cost of one solver call in cell updates: rows x n_z x the planned steps.
+    """Cost of one solver call in cell updates: the cells of every planned step.
 
     The call's own arguments, bound to its solver's signature, rebuild the
-    _cycle_plan that _drive_cycle runs.  A single-group call is priced
-    exactly.  A batched call charges every row of every group every step
-    (a real-space group has n_cols rows), an upper bound: a phase whose
-    operator all groups share, such as the write, runs on one shared group.
+    _cycle_plan that _drive_cycle runs, and each step is charged the
+    state it runs on: rows x n_z per group (a real-space group has n_cols
+    rows), on one shared group until the first span that tells the groups
+    apart (_fans_out, the rule _drive_cycle uses), on every group from there on.
     """
     bound = inspect.signature(call.func).bind(*call.args, **call.keywords)
     if call.func is run_cycle_quasi1d:  # one run_cycle serves every mode
@@ -264,22 +268,25 @@ def _estimate_cell_steps(call: partial) -> float:
     args = bound.arguments
     param_rows, protocol_rows = _rows_of(args["params"], args["protocol"])
     if call.func is run_cycle_realspace:  # a group of transverse columns per protocol
-        n_rows = args["tgrid"].n_cols * len(protocol_rows)
+        n_rows = args["tgrid"].n_cols
         cut_times = _realspace_plan(protocol_rows, args["sigma_times"])
     else:
-        n_rows = len(param_rows)
-        cut_times = [*args["sigma_times"], *args["spectrum_times"]]
+        n_rows = 1
+        cut_times = args["sigma_times"]
     _, plan = _cycle_plan(
-        protocol_rows,
-        args["signal"],
-        steps_per_width=args["steps_per_width"],
-        dt=args["dt"],
-        t_read=args["t_read"],
-        cut_times=cut_times,
+        protocol_rows, args["signal"], steps_per_width=args["steps_per_width"], cut_times=cut_times
     )
-    steps = sum(n for _, spans in plan for *_, pieces in spans for _, _, n in pieces)
+    diffs = _shared([p.diffusivity for p in param_rows])
+    diffusion_phases = args.get("diffusion_phases", _PHASES)
+    groups, group_steps = 1, 0
+    for phase, spans in plan:
+        diffusivity = diffs if phase in diffusion_phases else 0.0
+        for _, length, *_, pieces in spans:
+            if _fans_out(length, diffusivity):
+                groups = len(protocol_rows)
+            group_steps += groups * sum(n for *_, n in pieces)
     n_z = Grid1D.build(param_rows[0].half_length, args["n_medium"], args["pad_fraction"]).n_z
-    return float(n_z) * n_rows * steps
+    return float(n_z) * n_rows * group_steps
 
 
 def _solve(spec: ExperimentSpec, calls: list) -> list:
@@ -788,15 +795,17 @@ def _exp_spinwave_kspace(spec: ExperimentSpec):
                 signal,
                 n_medium=n_medium,
                 steps_per_width=steps,
-                spectrum_times=times,
+                sigma_times=times,
             )
         ],
     )
 
-    k = record.spectrum_k
-    frames = record.spectrum_frames
-    power = np.array([frame for _, frame in frames])
-    frame_t = np.array([t for t, _ in frames])
+    spectra = [
+        spinwave_spectrum(frame, record.grid, params.k_matched) for _, frame in record.sigma_frames
+    ]
+    k = spectra[0][0]
+    power = np.array([p for _, p in spectra])
+    frame_t = np.array([t for t, _ in record.sigma_frames])
     peak = float(np.max(power))
     keep = np.nonzero(np.max(power, axis=0) >= 1e-9 * peak)[0]
     band = slice(int(keep[0]), int(keep[-1]) + 1)
@@ -862,7 +871,7 @@ def _exp_spinwave_kspace(spec: ExperimentSpec):
     results = {
         "drift_fitted": float(slope),
         "drift_target": drift_target,
-        "frames": len(frames),
+        "frames": len(frame_t),
         "fit_window": [fit_lo, fit_hi],
     }
     return results, checks, ()
@@ -1282,14 +1291,14 @@ exit status: 0 all tolerance checks passed, 1 a check failed,
 
 
 def _env_number(name: str, cast, default):
-    """Environment override `name` read by cast, else default; junk or NaN is bad input."""
+    """Environment override `name` read by cast, else default; junk, NaN or < 1 is bad input."""
     text = os.environ.get(name) or default
     try:
         value = cast(text)
     except ValueError:
         value = math.nan
-    if math.isnan(value):
-        raise ParameterError("%s=%r is not a valid %s" % (name, text, cast.__name__))
+    if not value >= 1:
+        raise ParameterError("%s=%r is not a valid %s of at least 1" % (name, text, cast.__name__))
     return value
 
 
@@ -1332,7 +1341,9 @@ def main(argv=None) -> int:
     command += "".join(" --set %s" % item for item in args.overrides)
 
     try:
-        threads = args.threads or _env_number("GEM_THREADS", int, 0) or min(4, os.cpu_count() or 1)
+        threads = args.threads
+        if threads is None:
+            threads = _env_number("GEM_THREADS", int, min(4, os.cpu_count() or 1))
         cap = _env_number("GEM_MAX_CELL_STEPS", float, _DEFAULT_CELL_STEP_CAP)
         config = load_config(args.config, args.overrides)
         spec = ExperimentSpec(
@@ -1368,7 +1379,3 @@ def main(argv=None) -> int:
         % (args.experiment, n_pass, len(summary["checks"]), spec.out_dir)
     )
     return 0 if summary["passed"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -40,15 +40,19 @@ All step kernels broadcast over leading axes of sigma, with per-row
 couplings and detunings passed as (..., 1) arrays.
 
 One driver, _drive_cycle, runs both routes on a (groups, rows, n_z) state
-by the step plan of _cycle_plan, which the harness cost guard sums.  Each
-group is a record: a 1D batch is G groups of one row, a real-space call G
-groups of its transverse columns, one per protocol.  Per-group values are
-(G, 1, 1) columns and per-row ones (rows, 1) columns, so both broadcast
-without tiling.  The state starts as one shared group and fans out along
-axis 0 at the first span that tells the groups apart, so a write they all
-share runs once.  Groups may differ in the diffusivity and, whenever the
-hold is undriven, in t_hold (the hold splits at each group's own flip
-time); any other difference is a ParameterError.
+by the step plan of _cycle_plan.  Each group is a record: a 1D batch is G
+groups of one row, a real-space call G groups of its transverse columns,
+one per protocol.  Per-group values are (G, 1, 1) columns and per-row ones
+(rows, 1) columns, so both broadcast without tiling.  The state starts as
+one shared group and fans out along axis 0 at the first span that tells
+the groups apart (_fans_out), so a write they all share runs once.  The
+harness cost guard sums the same plan under the same fan-out rule, so it
+charges what _drive_cycle runs.  Groups may differ in the diffusivity and,
+whenever the hold is undriven, in t_hold (the hold splits at each group's
+own flip time); any other difference is a ParameterError.
+
+The only snapshots are coherence frames at requested times (sigma_times);
+a spin-wave spectrum is spinwave_spectrum of a frame.
 """
 
 from __future__ import annotations
@@ -284,10 +288,10 @@ class CycleRecord:
     """Everything recorded from one write / hold / read cycle.
 
     Field samples are in the physical frame at the cell faces; coherence
-    snapshots stay in the solver frame (multiply by exp(i k_matched z) via
-    to_physical_frame for the lab-frame coherence).  Spectrum frames hold
-    |sigma(k)|^2 on the physical wavenumber axis spectrum_k, normalisation
-    arbitrary but common to all frames.
+    snapshots (sigma_frames, one (t, sigma) pair per requested time) stay
+    in the solver frame (multiply by exp(i k_matched z) via
+    to_physical_frame for the lab-frame coherence, or take
+    spinwave_spectrum of a frame for |sigma(k)|^2).
     """
 
     params: PhysicalParams
@@ -305,8 +309,6 @@ class CycleRecord:
     sigma_end_hold: np.ndarray
     sigma_end_read: np.ndarray
     sigma_frames: list[tuple[float, np.ndarray]] = field(default_factory=list)
-    spectrum_k: np.ndarray | None = None
-    spectrum_frames: list[tuple[float, np.ndarray]] = field(default_factory=list)
     input_energy: float = 0.0
     transmitted_energy: float = 0.0
     output_energy: float = 0.0
@@ -361,33 +363,28 @@ def spectrum_centroid(k: np.ndarray, power: np.ndarray) -> float:
 
 
 class _FrameTaker:
-    """Collects group g's snapshots as step boundaries pass (times: scalar or per group)."""
+    """Collects group g's coherence frames as step boundaries pass.
 
-    def __init__(self, g: int, sigma_times, spectrum_times, grid: Grid1D, k_matched: float):
+    A snapshot time is a scalar or one time per group; a frame due at a
+    boundary is taken there, at the boundary's time.
+    """
+
+    def __init__(self, g: int, sigma_times):
         self.g = g
-        self.pending_sigma = sorted(_at(t, g) for t in sigma_times)
-        self.pending_spec = sorted(_at(t, g) for t in spectrum_times)
-        self.grid = grid
-        self.k_matched = k_matched
+        self.pending = sorted(_at(t, g) for t in sigma_times)
         self.sigma_frames: list[tuple[float, np.ndarray]] = []
-        self.spectrum_frames: list[tuple[float, np.ndarray]] = []
 
     def due(self, t) -> bool:
         """Whether a snapshot falls due at boundary t."""
         t = _at(t, self.g)
-        late = t + 1e-12 * max(1.0, abs(t))
-        return any(p and p[0] <= late for p in (self.pending_sigma, self.pending_spec))
+        return bool(self.pending) and self.pending[0] <= t + 1e-12 * max(1.0, abs(t))
 
     def take(self, t, sigma: np.ndarray) -> None:
         t, sigma = _at(t, self.g), _row(sigma, self.g)
         eps = 1e-12 * max(1.0, abs(t))
-        while self.pending_sigma and self.pending_sigma[0] <= t + eps:
-            self.pending_sigma.pop(0)
+        while self.pending and self.pending[0] <= t + eps:
+            self.pending.pop(0)
             self.sigma_frames.append((t, sigma.copy()))
-        while self.pending_spec and self.pending_spec[0] <= t + eps:
-            self.pending_spec.pop(0)
-            _, power = spinwave_spectrum(sigma, self.grid, self.k_matched)
-            self.spectrum_frames.append((t, power))
 
 
 def _check_guard(sigma: np.ndarray, grid: Grid1D, phase: str, peak_ref: float = 0.0) -> float:
@@ -427,16 +424,16 @@ def _cycle_plan(
     signal: SignalSpec,
     *,
     steps_per_width: float,
-    dt: float | None = None,
-    t_read: float | None = None,
     cut_times=(),
 ) -> tuple[float, list[tuple[str, list[tuple]]]]:
     """The step plan of one cycle: the driver runs it, the cost guard sums it.
 
-    protocols has one protocol per group, alike but for t_hold.  Returns
-    the base step dt0 and, per phase, its constant-operator spans (start,
-    length, eta, drive_on, pieces), each run as pieces (start, length,
-    n_steps); a start or length the groups differ in is a per-group array.
+    protocols has one protocol per group, alike but for t_hold.  The base
+    step is dt0 = t_width / steps_per_width, and the read window is as
+    long as the write window.  Returns dt0 and, per phase, its
+    constant-operator spans (start, length, eta, drive_on, pieces), each
+    run as pieces (start, length, n_steps); a start or length the groups
+    differ in is a per-group array.
     A driven span steps at dt0.  Every undriven span is exact at any step
     size, whatever its gradient and diffusivity: one step per piece, cut
     only at the cut_times inside it.  The hold splits into two spans at
@@ -445,14 +442,9 @@ def _cycle_plan(
     """
     if steps_per_width <= 0.0:
         raise ParameterError("steps_per_width must be positive")
-    if dt is not None and dt <= 0.0:
-        raise ParameterError("dt must be positive")
     protocol = protocols[0]  # every field but t_hold is shared
-    dt0 = dt if dt is not None else signal.t_width / steps_per_width
-    t_write_len = protocol.write_window(signal)
-    t_read_len = t_read if t_read is not None else t_write_len
-    if t_read_len <= 0.0:
-        raise ParameterError("t_read must be positive")
+    dt0 = signal.t_width / steps_per_width
+    t_window = protocol.write_window(signal)
     holds = _shared([p.t_hold for p in protocols])
     flips = _shared([p.flip_time() for p in protocols])
     cuts = [c for c in cut_times if not np.array_equal(c, flips)]  # shared times
@@ -483,10 +475,15 @@ def _cycle_plan(
             if not np.all(np.less_equal(length, 0.0))
         ]
     return dt0, [
-        ("write", [span(-t_write_len, t_write_len, protocol.eta_write, True)]),
+        ("write", [span(-t_window, t_window, protocol.eta_write, True)]),
         ("hold", hold),
-        ("read", [span(holds, t_read_len, -protocol.eta_write, True)]),
+        ("read", [span(holds, t_window, -protocol.eta_write, True)]),
     ]
+
+
+def _fans_out(length, diffusivity) -> bool:
+    """Whether a span tells the groups apart: a per-group length or diffusivity."""
+    return bool(np.ndim(length) or np.ndim(diffusivity))
 
 
 def _rows_of(params, protocol) -> tuple[list, list]:
@@ -592,8 +589,7 @@ def _drive_cycle(
     transverse=None,
     diffusion_phases: tuple[str, ...] = _PHASES,
     sigma_times,
-    spectrum_times=(),
-    **plan_options,
+    steps_per_width: float,
 ):
     """Run the write / hold / read phases of _cycle_plan on a (groups, rows, n_z) state.
 
@@ -603,10 +599,11 @@ def _drive_cycle(
     residual, diffs (scalar or one value per group) the diffusivity, and
     fin_write(t) the entrance-face input.  recorders[phase](t, exit) gets
     the solver-frame exit field, (groups, n_rows), at each boundary of a
-    driven span; t, like a snapshot time, is a scalar or one per group.  In
-    the diffusion_phases diffusion acts along z by diffs and across rows
-    by transverse(dt_half), whose propagate(sigma, n) applies n half-steps:
-    an undriven piece of length T takes n = 2 ceil(T / dt0) of them at its end.
+    driven span; t, like a sigma_times entry, is a scalar or one per
+    group.  In the diffusion_phases diffusion acts along z by diffs and
+    across rows by transverse(dt_half), whose propagate(sigma, n) applies
+    n half-steps: an undriven piece of length T takes n = 2 ceil(T / dt0)
+    of them at its end.
 
     Returns (ends, guards, takers): the state at the end of each phase,
     and per group its guard ratios and its _FrameTaker.
@@ -615,16 +612,13 @@ def _drive_cycle(
         if name not in _PHASES:
             raise ParameterError("unknown diffusion phase %r" % (name,))
     dt0, plan = _cycle_plan(
-        protocols, signal, cut_times=[*sigma_times, *spectrum_times], **plan_options
+        protocols, signal, steps_per_width=steps_per_width, cut_times=sigma_times
     )
     coupling = params.coupling_g * rabi / params.detuning
     residuals = stark_residual(params, rabi), stark_residual(params, 0.0 * rabi)
     n_groups = len(protocols)
-    takers = [
-        _FrameTaker(g, sigma_times, spectrum_times, grid, params.k_matched)
-        for g in range(n_groups)
-    ]
-    want_frames = bool(takers[0].pending_sigma or takers[0].pending_spec)
+    takers = [_FrameTaker(g, sigma_times) for g in range(n_groups)]
+    want_frames = bool(takers[0].pending)
     sigma = np.zeros((1, n_rows, grid.n_z), dtype=complex)
     density, light_speed = params.density, params.light_speed
 
@@ -645,7 +639,7 @@ def _drive_cycle(
         diffusivity = diffs if diffusing else 0.0
         for span_start, length, eta, drive_on, pieces in spans:
             residual = residuals[0] if drive_on else residuals[1]
-            if (np.ndim(length) or np.ndim(diffusivity)) and len(sigma) < n_groups:
+            if _fans_out(length, diffusivity) and len(sigma) < n_groups:
                 sigma = np.repeat(sigma, n_groups, axis=0)  # the groups part ways here
             mark(span_start, drive_on, fin_fn, recorder)
             recorded = drive_on and recorder is not None
@@ -701,20 +695,20 @@ def run_cycle(
     n_medium: int = 256,
     pad_fraction: float = 0.25,
     steps_per_width: float = 100.0,
-    dt: float | None = None,
-    t_read: float | None = None,
     diffusion_phases: tuple[str, ...] = _PHASES,
     sigma_times=(),
-    spectrum_times=(),
 ) -> CycleRecord | list[CycleRecord]:
     """Integrate one full write / hold / read cycle and record it.
 
     The write phase covers [-t_write, 0] with the input envelope injected
     at the entrance face, the hold [0, t_hold] (gradient and control per
-    the protocol), and the read [t_hold, t_hold + t_read] with the
-    gradient reversed.  diffusion_phases restricts which phases see the
-    diffusion operator, which isolates per-phase decay in tests; physical
-    runs keep all three.
+    the protocol), and the read [t_hold, t_hold + t_write] with the
+    gradient reversed; t_write is the protocol's write window.  The base
+    step is t_width / steps_per_width.  diffusion_phases restricts which
+    phases see the diffusion operator, which isolates per-phase decay (the
+    collapse sweeps use it); physical runs keep all three.  sigma_times
+    requests coherence frames (CycleRecord.sigma_frames); a spin-wave
+    spectrum is spinwave_spectrum of a frame.
 
     Batched rows: params and protocol may each be a sequence (a single
     value serves every row), and a list of records comes back in row
@@ -758,11 +752,8 @@ def run_cycle(
         fin_write=lambda t: face_phase * complex(sample_temporal(signal, t)),
         recorders={phase: recorder(phase) for phase in _PHASES},
         steps_per_width=steps_per_width,
-        dt=dt,
-        t_read=t_read,
         diffusion_phases=diffusion_phases,
         sigma_times=sigma_times,
-        spectrum_times=spectrum_times,
     )
 
     t_w = samples["write"][0]
@@ -773,9 +764,6 @@ def run_cycle(
     t_out, f_out = (_steps_by_row(s) for s in samples["read"])
 
     stored_scale = params.density / params.light_speed
-    spectrum_k = None
-    if any(taker.spectrum_frames for taker in takers):
-        spectrum_k, _ = spinwave_spectrum(ends["read"], grid, params.k_matched)
 
     records = []
     for r, taker in enumerate(takers):  # a group of one row per record
@@ -799,8 +787,6 @@ def run_cycle(
                 sigma_end_hold=end_hold,
                 sigma_end_read=end_read,
                 sigma_frames=[(t, frame[0]) for t, frame in taker.sigma_frames],
-                spectrum_k=spectrum_k,
-                spectrum_frames=[(t, power[0]) for t, power in taker.spectrum_frames],
                 input_energy=_energy(f_in, t_write_axis),
                 transmitted_energy=_energy(row_trans, t_write_axis),
                 output_energy=_energy(row_out, row_t_out),

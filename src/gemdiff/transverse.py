@@ -51,7 +51,6 @@ from .model import (
 )
 from .pulses import ControlProfile, SignalSpec, control_rabi, sample_temporal, sample_transverse
 from .solver1d import (
-    _PHASES,
     CycleRecord,
     Grid1D,
     _drive_cycle,
@@ -304,24 +303,19 @@ def run_cycle_quasi1d(
     protocol: StorageProtocol | Sequence[StorageProtocol],
     signal: SignalSpec,
     grid: ModeGrid,
-    control: ControlProfile | None = None,
     **solver_kwargs,
 ) -> Quasi1DRecord | list[Quasi1DRecord]:
     """Full 3D cycle for a homogeneous control via one 1D solve.
 
     The tilded longitudinal system is identical for every transverse
     Fourier mode, so exactly one solver1d cycle is run; each mode then
-    carries its own decay factor.  A transversely varying control breaks
-    the equivalence; such profiles must go through run_cycle_realspace.
-    params and protocol may be row sequences under the batching rules of
-    run_cycle; each row's base is then wrapped on its own, one record per
-    row.
+    carries its own decay factor.  The control is the homogeneous
+    params.rabi_control; a transversely varying control breaks the
+    equivalence and goes through run_cycle_realspace.  solver_kwargs are
+    run_cycle's keyword options.  params and protocol may be row sequences
+    under the batching rules of run_cycle; each row's base is then wrapped
+    on its own, one record per row.
     """
-    if control is not None and not control.is_homogeneous:
-        raise ParameterError(
-            "quasi-1D decomposition requires a homogeneous control; "
-            "use run_cycle_realspace for a gaussian control beam"
-        )
     base = run_cycle(params, protocol, signal, **solver_kwargs)
     if isinstance(base, CycleRecord):
         return Quasi1DRecord.from_bases([base], signal, grid)[0]
@@ -409,7 +403,7 @@ class RealspaceRecord:
     grid: Grid1D
     tgrid: TransverseGrid
     t_out: np.ndarray
-    f_out: np.ndarray | None
+    f_out: np.ndarray
     intensity: np.ndarray
     intensity_in: np.ndarray
     input_energy: float
@@ -440,9 +434,6 @@ def run_cycle_realspace(
     n_medium: int = 192,
     pad_fraction: float = 0.25,
     steps_per_width: float = 64.0,
-    dt: float | None = None,
-    t_read: float | None = None,
-    diffusion_phases: tuple[str, ...] = _PHASES,
     sigma_times=(),
     store_fields=None,
 ) -> RealspaceRecord | list[RealspaceRecord]:
@@ -451,13 +442,14 @@ def run_cycle_realspace(
     The cycle runs on the cycle driver shared with solver1d.run_cycle,
     with the transverse columns as the rows of one group per protocol:
     column-local coupling and light shift, and a transverse operator.
+    Diffusion acts in every phase, with run_cycle's step and read window.
     protocol may be a sequence under run_cycle's rule: only t_hold may
     differ, and the hold must be undriven.  The groups share one write and
     part ways at the hold; one record per protocol comes back.  The radial
     grid requires an axisymmetric input mode.  A coherence snapshot at
     each group's mid-hold is always recorded (the phase-map extraction
-    needs it); extra snapshot times may be requested.  Every record keeps
-    its exit fields (store_fields is ignored).
+    needs it); extra snapshot times may be requested by sigma_times.
+    Every record keeps its exit fields (store_fields is ignored).
     """
     single = isinstance(protocol, StorageProtocol)
     _, protocols = _rows_of(params, protocol)
@@ -505,9 +497,6 @@ def run_cycle_realspace(
             partial(diffusion, tgrid, params.diffusivity) if params.diffusivity > 0.0 else None
         ),
         steps_per_width=steps_per_width,
-        dt=dt,
-        t_read=t_read,
-        diffusion_phases=diffusion_phases,
         sigma_times=_realspace_plan(protocols, sigma_times),
     )
 

@@ -1,8 +1,11 @@
 """Experiment harness: spec validation, artifacts, CLI behaviour, determinism."""
 
 import functools
+import inspect
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 from dataclasses import replace
@@ -210,8 +213,8 @@ def test_cost_estimate_and_budget(bench_config, tmp_path, monkeypatch):
 
 
 def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch):
-    # the estimate is rows x n_z x the planned steps; sum the cells that
-    # advance_step updates through every binding of it
+    # the estimate charges each planned step the state it runs on; sum the
+    # cells that advance_step updates through every binding of it
     cells = []
     real = solver1d.advance_step
 
@@ -244,9 +247,9 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
         partial(run_cycle, cfg.params, driven, cfg.signal, **fast),
         partial(run_cycle_realspace, cfg.params, exact, cfg.signal, control, tgrid, **fast),
         partial(run_cycle_realspace, still, exact, cfg.signal, control, tgrid, **fast),
-        # spectrum frames inside the exact hold cut it into pieces
-        partial(run_cycle, cfg.params, exact, cfg.signal, spectrum_times=(1e-6, 2e-6), **fast),
-        partial(run_cycle_quasi1d, cfg.params, driven, cfg.signal, modes, dt=2e-8, **fast),
+        # frames inside the exact hold cut it into pieces
+        partial(run_cycle, cfg.params, exact, cfg.signal, sigma_times=(1e-6, 2e-6), **fast),
+        partial(run_cycle_quasi1d, cfg.params, driven, cfg.signal, modes, **fast),
         # a gradient-on hold with no diffusion acting is an exact rotation
         partial(run_cycle_realspace, still, rotating, cfg.signal, control, tgrid, **fast),
         partial(
@@ -265,29 +268,42 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
             **fast,
         ),
     ]
-    for call in exact_calls:
-        assert _estimate_cell_steps(call) == solved_cells(call)
-
-    # a grouped real-space call charges every group the write; it runs once
+    # grouped and batched calls share every span up to the first that
+    # tells the groups apart, and are charged that shared span once: a
+    # real-space call whose groups part at the hold, and 1D rows whose
+    # diffusion-free write runs on one shared row
     groups = [
         StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, h) for h in (0.0, 2e-6, 4e-6)
     ]
-    grouped = partial(run_cycle_realspace, cfg.params, groups, cfg.signal, control, tgrid, **fast)
+    rows = [cfg.params.with_diffusivity(diff) for diff in (0.0, 0.004, 0.008)]
+    hold_only = dict(diffusion_phases=("hold",), **fast)
+    shared_calls = [
+        partial(run_cycle_realspace, cfg.params, groups, cfg.signal, control, tgrid, **fast),
+        partial(run_cycle, rows, exact, cfg.signal, **hold_only),
+    ]
+    for call in exact_calls + shared_calls:
+        assert _estimate_cell_steps(call) == solved_cells(call)
     n_z = Grid1D.build(cfg.params.half_length, fast["n_medium"]).n_z
     dt0 = cfg.signal.t_width / fast["steps_per_width"]
     write_steps = math.ceil(groups[0].write_window(cfg.signal) / dt0)
-    assert _estimate_cell_steps(grouped) - solved_cells(grouped) == (
-        (len(groups) - 1) * n_z * tgrid.n_cols * write_steps
-    )
+    # the grouped call writes once on one group and fans out at the hold
+    solved_cells(shared_calls[0])
+    assert cells[:write_steps] == [n_z * tgrid.n_cols] * write_steps
+    assert cells[write_steps] == len(groups) * n_z * tgrid.n_cols
 
-    # a batched call charges every row every step: an upper bound, since
-    # the diffusion-free write runs on one shared row
-    hold_only = dict(diffusion_phases=("hold",), **fast)
-    rows = [cfg.params.with_diffusivity(diff) for diff in (0.0, 0.004, 0.008)]
-    batched = partial(run_cycle, rows, exact, cfg.signal, **hold_only)
-    single = partial(run_cycle, cfg.params, exact, cfg.signal, **hold_only)
-    assert solved_cells(batched) < _estimate_cell_steps(batched)
-    assert _estimate_cell_steps(batched) <= len(rows) * _estimate_cell_steps(single)
+
+def test_entry_points_take_only_the_options_experiments_set():
+    def options(solver):
+        params = inspect.signature(solver).parameters.values()
+        return [p.name for p in params if p.kind in (p.KEYWORD_ONLY, p.VAR_KEYWORD)]
+
+    common = ["n_medium", "pad_fraction", "steps_per_width"]
+    assert options(run_cycle) == [*common, "diffusion_phases", "sigma_times"]
+    assert options(run_cycle_realspace) == [*common, "sigma_times", "store_fields"]
+    # the quasi-1D route forwards run_cycle's options and takes no others
+    assert list(inspect.signature(run_cycle_quasi1d).parameters) == [
+        "params", "protocol", "signal", "grid", "solver_kwargs"
+    ]
 
 
 def test_realspace_records_do_not_depend_on_the_pool(bench_config):
@@ -493,6 +509,12 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "key=value" in capsys.readouterr().err
 
+    for threads in ("0", "-1"):
+        rc = main(["storage-cycle", "--config", str(CONFIG), "--out", str(tmp_path),
+                   "--threads", threads])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("gem: threads")
+
     monkeypatch.setenv("GEM_MAX_CELL_STEPS", "1000")
     rc = main(
         [
@@ -542,7 +564,13 @@ def test_cli_rejects_bad_signal_and_control(tmp_path, capsys, override):
 
 @pytest.mark.parametrize(
     "name, value",
-    [("GEM_THREADS", "abc"), ("GEM_MAX_CELL_STEPS", "x"), ("GEM_MAX_CELL_STEPS", "nan")],
+    [
+        ("GEM_THREADS", "abc"),
+        ("GEM_THREADS", "0"),
+        ("GEM_THREADS", "-2"),
+        ("GEM_MAX_CELL_STEPS", "x"),
+        ("GEM_MAX_CELL_STEPS", "nan"),
+    ],
 )
 def test_cli_rejects_bad_environment(tmp_path, capsys, monkeypatch, name, value):
     monkeypatch.setenv(name, value)
@@ -562,3 +590,19 @@ def test_environment_supplies_defaults(tmp_path, monkeypatch, capsys):
     )
     assert summary["fidelity"] == "coarse"
     capsys.readouterr()
+
+
+def test_module_entry_point_runs_the_cli_without_warnings():
+    import gemdiff
+
+    env = {**os.environ, "PYTHONPATH": str(Path(gemdiff.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "gemdiff", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage: gem" in done.stdout
+    assert "RuntimeWarning" not in done.stderr

@@ -221,20 +221,6 @@ def test_cartesian_step_is_spectrally_exact_on_a_gaussian():
 # ---------------------------------------------------------------------------
 
 
-def test_quasi1d_requires_homogeneous_control(
-    bench_params, bench_protocol, bench_signal
-):
-    grid = ModeGrid.build(bench_signal.waist, n=32, window_factor=8.0)
-    with pytest.raises(ParameterError, match="homogeneous"):
-        run_cycle_quasi1d(
-            bench_params,
-            bench_protocol,
-            bench_signal,
-            grid,
-            control=ControlProfile.gaussian(bench_params.rabi_control, 3e-3),
-        )
-
-
 @pytest.mark.parametrize("mode, window", [((0, 0), 8.0), ((1, 1), 9.0)])
 def test_batched_quasi1d_matches_single_calls(bench_params, bench_signal, mode, window):
     # rows differ in D and in the exact hold; each row's base is wrapped
