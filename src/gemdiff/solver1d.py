@@ -147,7 +147,7 @@ class Grid1D:
 
 
 def slave_field(
-    sigma: np.ndarray,
+    medium: np.ndarray,
     grid: Grid1D,
     coupling_eff,
     density: float,
@@ -156,20 +156,17 @@ def slave_field(
 ) -> np.ndarray:
     """Field slaved to the coherence: E(z) = fin + i (g N / c) int sigma dz'.
 
-    The integral runs from the entrance face; the field is constant in the
-    padding (fin before the medium, the exit value after it).  Per-row
-    couplings and inputs broadcast over leading axes when shaped (..., 1).
+    medium is the coherence on the medium points, sigma[..., grid.medium],
+    and the field comes back on the same points, integrated from the
+    entrance face (in the padding the field is fin before the medium and
+    the exit value after it).  Per-row couplings and inputs broadcast over
+    leading axes when shaped (..., 1).
     """
     # cumulative trapezoid from the entrance face, in the operation order
     # of scipy's cumulative_trapezoid (bit-identical, without its overhead)
-    y = sigma[..., grid.medium]
-    cum = np.zeros(y.shape, dtype=complex)
-    np.cumsum(grid.dz * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1, out=cum[..., 1:])
-    e = np.empty(sigma.shape, dtype=complex)
-    e[..., : grid.i_left] = fin_tilde
-    e[..., grid.medium] = fin_tilde + 1j * (coupling_eff * density / light_speed) * cum
-    e[..., grid.i_right + 1 :] = e[..., grid.i_right : grid.i_right + 1]
-    return e
+    cum = np.zeros(medium.shape, dtype=complex)
+    np.cumsum(grid.dz * (medium[..., 1:] + medium[..., :-1]) / 2.0, axis=-1, out=cum[..., 1:])
+    return fin_tilde + 1j * (coupling_eff * density / light_speed) * cum
 
 
 @dataclass(eq=False)
@@ -262,25 +259,31 @@ def advance_step(
     """The core of one split step: gradient rotation, light shift and drive.
 
     The drive uses the midpoint rule: the field is slaved once at the step
-    start for the predictor and once at mid-step for the corrector.  With
+    start for the predictor and once at mid-step for the corrector.  The
+    drive acts on the medium only, so the padding gets the rotation alone
+    and the predictor and corrector run on sigma[..., grid.medium].  With
     the drive off the step is a pure (exact) rotation.  The exact
     diffusion half-steps around the core are the caller's (_drive_cycle).
     """
+    out = kern.rot_full * sigma
     if not drive_on:
-        return kern.rot_full * sigma
+        return out
     dt = kern.dt
-    mask = grid.mask
+    med = grid.medium
+    inside = sigma[..., med]
+    rot_half = kern.rot_half[..., med]
     # drop each state-sized intermediate once spent and rotate fresh ones in place
     # (operand order as written, which fixes the last bits of a complex product)
-    e_now = slave_field(sigma, grid, coupling_eff, density, light_speed, fin_now)
-    sig_p = sigma + (0.5 * dt) * (1j * coupling_eff) * e_now * mask
+    e_now = slave_field(inside, grid, coupling_eff, density, light_speed, fin_now)
+    sig_p = inside + (0.5 * dt) * (1j * coupling_eff) * e_now
     del e_now
-    np.multiply(kern.rot_half, sig_p, out=sig_p)
+    np.multiply(rot_half, sig_p, out=sig_p)
     e_mid = slave_field(sig_p, grid, coupling_eff, density, light_speed, fin_mid)
     del sig_p
-    kick = (1j * coupling_eff) * e_mid * mask
+    kick = (1j * coupling_eff) * e_mid
     del e_mid
-    return kern.rot_full * sigma + np.multiply(dt * kern.rot_half, kick, out=kick)
+    out[..., med] += np.multiply(dt * rot_half, kick, out=kick)
+    return out
 
 
 @dataclass(eq=False)
@@ -625,8 +628,8 @@ def _drive_cycle(
     def mark(t, drive_on, fin_fn, recorder):
         """Record the state at a step boundary and take the snapshots due."""
         if recorder is not None and drive_on:
-            e = slave_field(sigma, grid, coupling, density, light_speed, fin_fn(t))
-            recorder(t, e[..., grid.i_right])
+            e = slave_field(sigma[..., grid.medium], grid, coupling, density, light_speed, fin_fn(t))
+            recorder(t, e[..., -1])
         if want_frames:
             for taker in takers:
                 taker.take(t, sigma)

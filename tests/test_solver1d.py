@@ -25,6 +25,8 @@ from gemdiff import (
 from gemdiff.model import stark_residual
 from gemdiff.pulses import sample_temporal
 from gemdiff.solver1d import (
+    StepKernels,
+    advance_step,
     slave_field,
     spectrum_centroid,
     spinwave_spectrum,
@@ -74,11 +76,11 @@ def test_grid_rejects_bad_shapes(kwargs, match):
 
 def test_slave_field_integrates_from_entrance(bench_params):
     # d_z E = i (g_eff N / c) sigma, E(-L) = f_in: a constant sigma gives
-    # a linear ramp across the medium and a flat field in the exit pad
+    # a linear ramp across the medium
     grid = Grid1D.build(bench_params.half_length, n_medium=64)
     sigma = grid.mask.astype(complex)
     e = slave_field(
-        sigma,
+        sigma[grid.medium],
         grid,
         bench_params.coupling_eff,
         bench_params.density,
@@ -86,10 +88,10 @@ def test_slave_field_integrates_from_entrance(bench_params):
         2.0 + 0j,
     )
     slope = bench_params.coupling_eff * bench_params.density / bench_params.light_speed
-    assert e[grid.i_left] == pytest.approx(2.0)
+    assert e.shape == (grid.i_right - grid.i_left + 1,)
+    assert e[0] == pytest.approx(2.0)
     ramp = 1j * slope * (grid.z[grid.medium] + bench_params.half_length)
-    assert_allclose(e[grid.medium], 2.0 + ramp, rtol=1e-12)
-    assert e[-1] == pytest.approx(e[grid.i_right])
+    assert_allclose(e, 2.0 + ramp, rtol=1e-12)
 
 
 @pytest.mark.parametrize("rows", [(), (1,), (5,)])
@@ -104,7 +106,7 @@ def test_slave_field_integral_is_scipy_cumulative_trapezoid(bench_params, rows):
     fin = 0.3 - 0.2j
     scale = bench_params.coupling_eff * bench_params.density / bench_params.light_speed
     e = slave_field(
-        sigma,
+        sigma[..., grid.medium],
         grid,
         bench_params.coupling_eff,
         bench_params.density,
@@ -114,8 +116,57 @@ def test_slave_field_integral_is_scipy_cumulative_trapezoid(bench_params, rows):
     cum = cumulative_trapezoid(
         sigma[..., grid.medium], dx=grid.dz, axis=-1, initial=0.0
     )
-    assert np.array_equal(e[..., grid.medium], fin + 1j * scale * cum)
-    assert np.array_equal(e[..., : grid.i_left], np.broadcast_to(fin, e[..., : grid.i_left].shape))
+    assert np.array_equal(e, fin + 1j * scale * cum)
+
+
+def _masked_midpoint_step(sigma, kern, grid, coupling, fin_now, fin_mid, density, light_speed):
+    """The midpoint drive on the full grid, masked to the medium (reference)."""
+
+    def field(values, fin):
+        # slaved field on every grid point: fin before the medium, the exit value after it
+        cum = cumulative_trapezoid(values[..., grid.medium], dx=grid.dz, axis=-1, initial=0.0)
+        e = np.empty(values.shape, dtype=complex)
+        e[..., : grid.i_left] = fin
+        e[..., grid.medium] = fin + 1j * (coupling * density / light_speed) * cum
+        e[..., grid.i_right + 1 :] = e[..., grid.i_right : grid.i_right + 1]
+        return e
+
+    sig_p = sigma + (0.5 * kern.dt) * (1j * coupling) * field(sigma, fin_now) * grid.mask
+    sig_p = kern.rot_half * sig_p
+    kick = (1j * coupling) * field(sig_p, fin_mid) * grid.mask
+    return kern.rot_full * sigma + (kern.dt * kern.rot_half) * kick
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+def test_drive_acts_on_the_medium_only(bench_params, groups):
+    # advance_step drives sigma[..., grid.medium] alone: it equals the
+    # full-grid masked midpoint step bit for bit, and the padding gets the
+    # rotation and light shift and nothing else
+    grid = Grid1D.build(bench_params.half_length, n_medium=96)
+    rng = np.random.default_rng(11)
+    shape = (groups, 3, grid.n_z)
+    sigma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coupling = bench_params.coupling_eff * np.array([[1.0], [0.7], [0.2]])
+    residual = stark_residual(bench_params, np.array([[1.0], [0.5], [0.1]]))
+    dt = np.array([2e-8, 3e-8])[:groups, None, None] if groups > 1 else 2e-8
+    kern = StepKernels.build(grid, dt, -TAU * 10e6, residual, 0.004, bench_params.k_matched, 0.0)
+    fin_now, fin_mid = 0.3 - 0.2j, (0.1 + 0.4j) * np.array([[1.0], [0.5], [0.0]])
+    consts = (bench_params.density, bench_params.light_speed)
+    got = advance_step(
+        sigma,
+        kern,
+        grid,
+        coupling_eff=coupling,
+        fin_now=fin_now,
+        fin_mid=fin_mid,
+        drive_on=True,
+        density=consts[0],
+        light_speed=consts[1],
+    )
+    want = _masked_midpoint_step(sigma, kern, grid, coupling, fin_now, fin_mid, *consts)
+    assert np.array_equal(got, want)
+    pad = grid.mask == 0.0
+    assert np.array_equal(got[..., pad], (kern.rot_full * sigma)[..., pad])
 
 
 def test_grid_mask_is_built_once_and_read_only():
