@@ -26,15 +26,20 @@ undriven span is one exact step per piece (StepKernels), cut only at
 snapshot times, whatever its gradient and diffusivity.  Its transverse
 part takes sub-steps near dt0, as one matrix power at the piece end.
 
-The driver applies the diffusion half-steps around the core itself and
-merges the two that meet at a step boundary nothing reads: one FFT pair
-with the full-step kernel, and one transverse propagation in real space.
-A boundary is read when its span is driven and its phase has a recorder,
-when a snapshot is due at it, or when it ends a piece; every owed
-half-step is applied before it is read.  With the drive off every column
+The driver applies the diffusion half-steps around the core itself.  At
+every step boundary inside a piece it takes the state's spectrum once,
+and the next step starts from its inverse transform by the full-step
+kernel, followed in real space by one transverse propagation: the two
+halves that meet there merge, recorded or not.  Only a piece end settles the
+owed halves into the state.  A recorder inside a piece reads the exit
+field through the trapezoid functional, without settling: the medium
+integral of the settled state is spec . (after * ifft(w)), w the
+trapezoid weights, and the owed transverse half acts on that (rows, 1)
+integral.  A snapshot due there is taken from a settled copy, so it
+never changes the state's arithmetic.  With the drive off every column
 sees the same longitudinal operator, which commutes with the transverse
-one, so the transverse half-steps up to the next read boundary are
-applied there in one shot.
+one, so the transverse half-steps of an undriven piece are applied at
+its end in one shot.
 
 All step kernels broadcast over leading axes of sigma, with per-row
 couplings and detunings passed as (..., 1) arrays.
@@ -134,6 +139,22 @@ class Grid1D:
         m.flags.writeable = False
         return m
 
+    @cached_property
+    def trapezoid(self) -> np.ndarray:
+        """Trapezoid weights of the integral over the medium, dz [1/2, 1, ..., 1, 1/2]
+        on the medium and 0 in the padding (read-only, built once)."""
+        w = self.dz * self.mask
+        w[self.i_left] = w[self.i_right] = 0.5 * self.dz
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def trapezoid_k(self) -> np.ndarray:
+        """ifft of trapezoid: sum(trapezoid * ifft(x)) = sum(x * trapezoid_k) for any spectrum x."""
+        w = ifft(self.trapezoid)
+        w.flags.writeable = False
+        return w
+
     @property
     def q(self) -> np.ndarray:
         """FFT wavenumbers of the grid (rad/m, unshifted order)."""
@@ -166,7 +187,18 @@ def slave_field(
     # of scipy's cumulative_trapezoid (bit-identical, without its overhead)
     cum = np.zeros(medium.shape, dtype=complex)
     np.cumsum(grid.dz * (medium[..., 1:] + medium[..., :-1]) / 2.0, axis=-1, out=cum[..., 1:])
-    return fin_tilde + 1j * (coupling_eff * density / light_speed) * cum
+    return _field(cum, coupling_eff, density, light_speed, fin_tilde)
+
+
+def _field(integral, coupling_eff, density: float, light_speed: float, fin_tilde):
+    """Field fin + i (g N / c) integral, for integral the int sigma dz from the entrance face."""
+    return fin_tilde + 1j * (coupling_eff * density / light_speed) * integral
+
+
+def _integral(sigma: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """Trapezoid integral of each row over the medium, as a (..., 1) column."""
+    med = grid.medium
+    return np.sum(sigma[..., med] * grid.trapezoid[med], axis=-1, keepdims=True)
 
 
 @dataclass(eq=False)
@@ -177,7 +209,7 @@ class StepKernels:
     per group.  rot_full and rot_half are the gradient rotation times the
     light-shift residual over a step and over half a step, built
     once per piece.  before and after, the diffusion halves on either side
-    of the core (full = after * before, merged at an unread boundary),
+    of the core (full = after * before, merged at a boundary inside a piece),
     decay the wave by exp(-D int_0^h (kappa -+ drift s)^2 ds), kappa = q +
     k_matched entering or leaving the core.  An undriven step passes its
     gradient as drift and is exact for the continuous operator (on the
@@ -185,7 +217,9 @@ class StepKernels:
     5e-9); a driven step passes 0, the Strang halves.  Rows with no
     diffusion over the step (D = 0 or a zero-length step) are left out of
     diff_rows (None: every row diffuses) and skip the FFT pair, so they
-    match a solve of their own.
+    match a solve of their own.  probe = after * grid.trapezoid_k reads the
+    medium integral of ifft(spec * after) as spec . probe, without forming
+    the after half.
     """
 
     dt: float | np.ndarray
@@ -194,6 +228,7 @@ class StepKernels:
     before: np.ndarray | None
     after: np.ndarray | None
     full: np.ndarray | None
+    probe: np.ndarray | None
     diff_rows: np.ndarray | None = None
 
     @classmethod
@@ -207,7 +242,7 @@ class StepKernels:
         k_matched: float,
         drift: float,
     ) -> "StepKernels":
-        before = after = full = diff_rows = None
+        before = after = full = probe = diff_rows = None
         active = np.asarray(diffusivity * dt) > 0.0
         if np.any(active):
             d, d_dt = diffusivity, dt
@@ -222,6 +257,7 @@ class StepKernels:
             tilt = d * drift * kappa * (h * h)
             before, after = np.exp(core + tilt), np.exp(core - tilt)
             full = after * before
+            probe = after * grid.trapezoid_k
         return cls(
             dt=dt,
             rot_full=np.exp(-1j * eta * grid.z * dt) * _rotation(residual, dt),
@@ -229,18 +265,37 @@ class StepKernels:
             before=before,
             after=after,
             full=full,
+            probe=probe,
             diff_rows=diff_rows,
         )
 
-    def diffuse(self, sigma: np.ndarray, kernel: np.ndarray | None) -> np.ndarray:
-        """Exact spectral diffusion by one of before, after and full, in one FFT pair."""
-        if kernel is None:
+    def spectrum(self, sigma: np.ndarray) -> np.ndarray | None:
+        """fft of the diffusing rows of sigma along z (None: no row diffuses)."""
+        if self.before is None:
+            return None
+        rows = sigma if self.diff_rows is None else sigma[self.diff_rows]
+        return fft(rows, axis=-1)
+
+    def resume(self, sigma: np.ndarray, spec: np.ndarray | None, kernel) -> np.ndarray:
+        """sigma with its diffusing rows replaced by ifft(spec * kernel), kernel
+        one of before, after and full; a new array whenever a row diffuses."""
+        if spec is None:
             return sigma
         if self.diff_rows is None:
-            return ifft(fft(sigma, axis=-1) * kernel, axis=-1)
+            return ifft(spec * kernel, axis=-1)
         out = sigma.copy()
-        rows = self.diff_rows
-        out[rows] = ifft(fft(sigma[rows], axis=-1) * kernel, axis=-1)
+        out[self.diff_rows] = ifft(spec * kernel, axis=-1)
+        return out
+
+    def integral(self, sigma: np.ndarray, spec: np.ndarray | None, grid: Grid1D) -> np.ndarray:
+        """_integral of resume(sigma, spec, after), read as spec . probe."""
+        if spec is None:
+            return _integral(sigma, grid)
+        spectral = np.sum(spec * self.probe, axis=-1, keepdims=True)
+        if self.diff_rows is None:
+            return spectral
+        out = _integral(sigma, grid)
+        out[self.diff_rows] = spectral
         return out
 
 
@@ -606,10 +661,11 @@ def _drive_cycle(
     group.  In the diffusion_phases diffusion acts along z by diffs and
     across rows by transverse(dt_half), whose propagate(sigma, n) applies
     n half-steps: an undriven piece of length T takes n = 2 ceil(T / dt0)
-    of them at its end.
+    of them at its end, and a read inside a piece applies the owed half
+    to the (groups, rows, 1) medium integral instead of the state.
 
-    Returns (ends, guards, takers): the state at the end of each phase,
-    and per group its guard ratios and its _FrameTaker.
+    Returns (ends, guards, takers): the state at the end of each phase
+    that has a recorder, and per group its guard ratios and its _FrameTaker.
     """
     for name in diffusion_phases:
         if name not in _PHASES:
@@ -625,14 +681,30 @@ def _drive_cycle(
     sigma = np.zeros((1, n_rows, grid.n_z), dtype=complex)
     density, light_speed = params.density, params.light_speed
 
-    def mark(t, drive_on, fin_fn, recorder):
-        """Record the state at a step boundary and take the snapshots due."""
-        if recorder is not None and drive_on:
-            e = slave_field(sigma[..., grid.medium], grid, coupling, density, light_speed, fin_fn(t))
-            recorder(t, e[..., -1])
+    def read(t, integral, fin_fn, recorder):
+        """Hand recorder the exit field of a (groups, rows, 1) medium integral."""
+        recorder(t, _field(integral, coupling, density, light_speed, fin_fn(t))[..., 0])
+
+    def settle(t, fin_fn, recorder):
+        """Record a boundary the state sigma has settled at and take the snapshots due."""
+        if recorder is not None:
+            read(t, _integral(sigma, grid), fin_fn, recorder)
         if want_frames:
             for taker in takers:
                 taker.take(t, sigma)
+
+    def peek(t, kern, spec, across, halves, fin_fn, recorder):
+        """Record a boundary inside a piece, which owes the state there its after
+        half along z (spec, the spectrum of sigma) and halves transverse halves."""
+        if recorder is not None:
+            integral = kern.integral(sigma, spec, grid)
+            read(t, integral if across is None else across(integral, halves), fin_fn, recorder)
+        if want_frames and any(taker.due(t) for taker in takers):
+            frame = kern.resume(sigma, spec, kern.after)  # a copy: the state goes on unsettled
+            if across is not None:
+                frame = across(frame, halves)
+            for taker in takers:
+                taker.take(t, frame)
 
     ends, peaks, guards = {}, [0.0] * n_groups, [{} for _ in range(n_groups)]
     for phase, spans in plan:
@@ -644,8 +716,8 @@ def _drive_cycle(
             residual = residuals[0] if drive_on else residuals[1]
             if _fans_out(length, diffusivity) and len(sigma) < n_groups:
                 sigma = np.repeat(sigma, n_groups, axis=0)  # the groups part ways here
-            mark(span_start, drive_on, fin_fn, recorder)
-            recorded = drive_on and recorder is not None
+            read_by = recorder if drive_on else None
+            settle(span_start, fin_fn, read_by)
             for start, piece, n_steps in pieces:
                 step = piece / n_steps
                 drift = 0.0 if drive_on else eta
@@ -655,10 +727,12 @@ def _drive_cycle(
                 across = None
                 if transverse is not None and diffusing:
                     across = _transverse_halves(transverse, step, dt0, drive_on)
-                owed_z, owed_t = False, 0  # owed along z: the after half; transverse: halves
+                # every boundary takes the spectrum of the state once: the next step
+                # starts from ifft(spec * full), and only the piece end settles
+                spec, kernel, owed_t = kern.spectrum(sigma), kern.before, 0  # owed_t: halves
                 t = start
                 for j in range(n_steps):
-                    sigma = kern.diffuse(sigma, kern.full if owed_z else kern.before)
+                    sigma = kern.resume(sigma, spec, kernel)
                     owed_t += 1
                     if across is not None and drive_on:  # the drive tells the rows apart
                         sigma, owed_t = across(sigma, owed_t), 0
@@ -673,20 +747,21 @@ def _drive_cycle(
                         density=density,
                         light_speed=light_speed,
                     )
-                    owed_z, owed_t = True, owed_t + 1
+                    owed_t += 1
                     t = start + (j + 1) * step
-                    # an unread boundary merges the halves on either side of it
-                    if j == n_steps - 1 or recorded or any(taker.due(t) for taker in takers):
-                        sigma = kern.diffuse(sigma, kern.after)
-                        if across is not None:
-                            sigma = across(sigma, owed_t)
-                        owed_z, owed_t = False, 0
-                        mark(t, drive_on, fin_fn, recorder)
+                    spec, kernel = kern.spectrum(sigma), kern.full
+                    if j < n_steps - 1:
+                        peek(t, kern, spec, across, owed_t, fin_fn, read_by)
+                sigma = kern.resume(sigma, spec, kern.after)
+                if across is not None:
+                    sigma = across(sigma, owed_t)
+                settle(t, fin_fn, read_by)
         for g in range(n_groups):
             view = _row(sigma, g)
             peaks[g] = max(peaks[g], float(np.max(np.abs(view))))
             guards[g][phase] = _check_guard(view, grid, phase, peaks[g])
-        ends[phase] = sigma  # no step writes into a state in place
+        if recorder is not None:  # a route reads the end states of the phases it records
+            ends[phase] = sigma  # no step writes into a state in place
     return ends, guards, takers
 
 

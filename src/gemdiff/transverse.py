@@ -15,8 +15,9 @@ Two complementary routes:
   solver1d, with the columns as the rows of one group per protocol
   (column-local coupling and light shift) and a transverse diffusion
   operator, whose half-steps the driver applies with the longitudinal
-  ones around each step core, merged across the boundaries nothing
-  reads.  Protocols that differ only in t_hold share one write.  An
+  ones around each step core, merged across every boundary inside a
+  piece (an exit read there takes the owed half on the medium integral
+  of each column, not on the state).  Protocols that differ only in t_hold share one write.  An
   axisymmetric problem runs on a radial finite-volume grid: conservative
   Crank-Nicolson diffusion, whose half-step is a propagator matrix built
   once per step size and applied as one real GEMM per group (n merged

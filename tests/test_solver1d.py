@@ -23,9 +23,11 @@ from gemdiff import (
     run_cycle,
 )
 from gemdiff.model import stark_residual
+from gemdiff import solver1d
 from gemdiff.pulses import sample_temporal
 from gemdiff.solver1d import (
     StepKernels,
+    _field,
     advance_step,
     slave_field,
     spectrum_centroid,
@@ -167,6 +169,30 @@ def test_drive_acts_on_the_medium_only(bench_params, groups):
     assert np.array_equal(got, want)
     pad = grid.mask == 0.0
     assert np.array_equal(got[..., pad], (kern.rot_full * sigma)[..., pad])
+
+
+def test_exit_functional_reads_the_settled_exit_field(bench_params):
+    # a boundary inside a piece owes the state its after half: the exit
+    # field read through spec . probe is the field slaved to the settled
+    # state; groups at D = 0 are left out of the spectrum and read directly
+    grid = Grid1D.build(bench_params.half_length, n_medium=96)
+    rng = np.random.default_rng(5)
+    shape = (4, 3, grid.n_z)
+    sigma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    diffusivity = np.array([0.004, 0.0, 0.02, 0.0])[:, None, None]
+    residual = stark_residual(bench_params, 1.0)
+    kern = StepKernels.build(
+        grid, 2e-8, -TAU * 10e6, residual, diffusivity, bench_params.k_matched, 0.0
+    )
+    assert kern.diff_rows.tolist() == [0, 2]
+    spec = kern.spectrum(sigma)
+    coupling = bench_params.coupling_eff * np.array([[1.0], [0.6], [0.3]])
+    consts = (coupling, bench_params.density, bench_params.light_speed, 0.2 - 0.1j)
+    got = _field(kern.integral(sigma, spec, grid), *consts)[..., 0]
+    settled = kern.resume(sigma, spec, kern.after)
+    want = slave_field(settled[..., grid.medium], grid, *consts)[..., -1]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(settled[[1, 3]], sigma[[1, 3]])
 
 
 def test_grid_mask_is_built_once_and_read_only():
@@ -353,6 +379,31 @@ def test_identical_runs_are_bitwise_identical(bench_params, bench_protocol, benc
     assert np.array_equal(a.sigma_end_read, b.sigma_end_read)
     assert np.array_equal(a.f_out, b.f_out)
     assert a.output_energy == b.output_energy
+
+
+def test_a_recorded_step_takes_one_forward_fft(bench_params, bench_protocol, bench_signal, monkeypatch):
+    # every boundary takes the state's spectrum once; the exit is read from
+    # it, so a recorded write of n steps with diffusion on makes n forward
+    # FFTs, plus one for the before half of its first step
+    calls = []
+    real = solver1d.fft
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.shape)
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(solver1d, "fft", counted)
+    rec = run_cycle(
+        bench_params,
+        bench_protocol,
+        bench_signal,
+        n_medium=64,
+        steps_per_width=16.0,
+        diffusion_phases=("write",),
+    )
+    n_steps = rec.t_write.size - 1
+    assert n_steps > 50
+    assert len(calls) == n_steps + 1
 
 
 # ---------------------------------------------------------------------------
