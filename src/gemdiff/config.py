@@ -128,7 +128,10 @@ def resolve_values(raw: dict[str, str]) -> dict[str, object]:
         elif key in _OPTIONAL_NONE and text.lower() in ("none", "inf", "off"):
             values[key] = None
         elif key in _INT_KEYS:
-            values[key] = int(parse_value(text))
+            value = parse_value(text)
+            if not value.is_integer():
+                raise ParameterError(f"{key} must be an integer, got {text!r}")
+            values[key] = int(value)
         else:
             values[key] = parse_value(text)
     return values
@@ -217,8 +220,11 @@ def build_config(values: dict) -> RunConfig:
 
 def load_config(path, overrides=()) -> RunConfig:
     """Load a config file, apply ``key=value`` override strings, build groups."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = parse_pairs(handle)
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = parse_pairs(handle)
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"config file {path} is not UTF-8 text ({exc.reason})") from None
     for item in overrides:
         if "=" not in item:
             raise ParameterError(f"override {item!r} is not of the form key=value")

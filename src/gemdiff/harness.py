@@ -65,6 +65,7 @@ from .model import (
     StorageProtocol,
     derive_groups,
     echo_leakage,
+    optimal_write_lead,
 )
 from .pulses import ControlProfile
 from .analytic import (
@@ -92,7 +93,6 @@ from .transverse import (
     ModeGrid,
     Quasi1DRecord,
     TransverseGrid,
-    _realspace_plan,
     extract_phase,
     fit_effective_diffusion,
     intensity_and_width,
@@ -267,14 +267,10 @@ def _estimate_cell_steps(call: partial) -> float:
     bound.apply_defaults()
     args = bound.arguments
     param_rows, protocol_rows = _rows_of(args["params"], args["protocol"])
-    if call.func is run_cycle_realspace:  # a group of transverse columns per protocol
-        n_rows = args["tgrid"].n_cols
-        cut_times = _realspace_plan(protocol_rows, args["sigma_times"])
-    else:
-        n_rows = 1
-        cut_times = args["sigma_times"]
+    n_rows = args["tgrid"].n_cols if call.func is run_cycle_realspace else 1  # rows per group
+    signal, cut_times = args["signal"], args["sigma_times"]
     _, plan = _cycle_plan(
-        protocol_rows, args["signal"], steps_per_width=args["steps_per_width"], cut_times=cut_times
+        protocol_rows, signal, steps_per_width=args["steps_per_width"], cut_times=cut_times
     )
     diffs = _shared([p.diffusivity for p in param_rows])
     diffusion_phases = args.get("diffusion_phases", _PHASES)
@@ -394,8 +390,7 @@ def _parked_lead(params, protocol, signal):
     carrier sign is flipped if the lead comes out negative the first way.
     """
     for trial in (params, replace(params, carrier_mismatch=-params.carrier_mismatch)):
-        groups = derive_groups(trial, protocol, signal)
-        lead = groups.k_initial / protocol.eta_write
+        lead = optimal_write_lead(trial, protocol, signal)
         if lead > 0.0:
             return trial, lead
     raise ParameterError(
@@ -1030,6 +1025,7 @@ def _exp_phase_profile(spec: ExperimentSpec):
                 tgrid,
                 n_medium=n_medium,
                 steps_per_width=steps,
+                sigma_times=(protocol.flip_time(),),  # the mid-hold frame extract_phase reads
             )
             for control in (cfg.control, ControlProfile.homogeneous(cfg.params.rabi_control))
         ],

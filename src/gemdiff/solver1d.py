@@ -31,12 +31,12 @@ every step boundary inside a piece it takes the state's spectrum once,
 and the next step starts from its inverse transform by the full-step
 kernel, followed in real space by one transverse propagation: the two
 halves that meet there merge, recorded or not.  Only a piece end settles the
-owed halves into the state.  A recorder inside a piece reads the exit
-field through the trapezoid functional, without settling: the medium
-integral of the settled state is spec . (after * ifft(w)), w the
-trapezoid weights, and the owed transverse half acts on that (rows, 1)
-integral.  A snapshot due there is taken from a settled copy, so it
-never changes the state's arithmetic.  With the drive off every column
+owed halves into the state.  An exit read inside a piece goes through the
+trapezoid functional, without settling: the medium integral of the
+settled state is spec . (after * ifft(w)), w the trapezoid weights, and
+the owed transverse half acts on that (rows, 1) integral.  A snapshot due
+there is taken from a settled copy, so it never changes the state's
+arithmetic.  With the drive off every column
 sees the same longitudinal operator, which commutes with the transverse
 one, so the transverse half-steps of an undriven piece are applied at
 its end in one shot.
@@ -56,8 +56,10 @@ charges what _drive_cycle runs.  Groups may differ in the diffusivity and,
 whenever the hold is undriven, in t_hold (the hold splits at each group's
 own flip time); any other difference is a ParameterError.
 
-The only snapshots are coherence frames at requested times (sigma_times);
-a spin-wave spectrum is spinwave_spectrum of a frame.
+The driver keeps what a route reads (_Trace, and the input injected at
+each write boundary), and both routes integrate energies over its times by
+the trapezoid rule.  The only snapshots are coherence frames at requested
+scalar times (sigma_times); a spin-wave spectrum is spinwave_spectrum of a frame.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import fft, ifft
@@ -421,15 +424,11 @@ def spectrum_centroid(k: np.ndarray, power: np.ndarray) -> float:
 
 
 class _FrameTaker:
-    """Collects group g's coherence frames as step boundaries pass.
-
-    A snapshot time is a scalar or one time per group; a frame due at a
-    boundary is taken there, at the boundary's time.
-    """
+    """Collects group g's coherence frames at the scalar sigma_times, each at
+    the first step boundary that reaches it on group g's clock."""
 
     def __init__(self, g: int, sigma_times):
-        self.g = g
-        self.pending = sorted(_at(t, g) for t in sigma_times)
+        self.g, self.pending = g, sorted(float(t) for t in sigma_times)
         self.sigma_frames: list[tuple[float, np.ndarray]] = []
 
     def due(self, t) -> bool:
@@ -438,11 +437,9 @@ class _FrameTaker:
         return bool(self.pending) and self.pending[0] <= t + 1e-12 * max(1.0, abs(t))
 
     def take(self, t, sigma: np.ndarray) -> None:
-        t, sigma = _at(t, self.g), _row(sigma, self.g)
-        eps = 1e-12 * max(1.0, abs(t))
-        while self.pending and self.pending[0] <= t + eps:
+        while self.due(t):
             self.pending.pop(0)
-            self.sigma_frames.append((t, sigma.copy()))
+            self.sigma_frames.append((_at(t, self.g), _row(sigma, self.g).copy()))
 
 
 def _check_guard(sigma: np.ndarray, grid: Grid1D, phase: str, peak_ref: float = 0.0) -> float:
@@ -494,37 +491,38 @@ def _cycle_plan(
     differ in is a per-group array.
     A driven span steps at dt0.  Every undriven span is exact at any step
     size, whatever its gradient and diffusivity: one step per piece, cut
-    only at the cut_times inside it.  The hold splits into two spans at
-    each group's flip time when the gradient flips there or a cut (real
-    space's mid-hold snapshot, per group) falls there.
+    only at the cut_times inside it, each one scalar time shared by every
+    group.  A gradient-on hold splits into two spans at each group's flip
+    time.
     """
     if steps_per_width <= 0.0:
         raise ParameterError("steps_per_width must be positive")
+    if any(np.ndim(t) for t in cut_times):
+        raise ParameterError("a snapshot time is one scalar time shared by every row")
     protocol = protocols[0]  # every field but t_hold is shared
     dt0 = signal.t_width / steps_per_width
     t_window = protocol.write_window(signal)
     holds = _shared([p.t_hold for p in protocols])
     flips = _shared([p.flip_time() for p in protocols])
-    cuts = [c for c in cut_times if not np.array_equal(c, flips)]  # shared times
     if np.ndim(holds):
         if protocol.control_on_hold:
             raise ParameterError("rows may differ in t_hold only when the hold is undriven")
-        if _inside(cuts, 0.0, float(np.max(holds))):
+        if _inside(cut_times, 0.0, float(np.max(holds))):
             raise ParameterError("rows that differ in t_hold take no snapshot inside the hold")
 
     def span(start, length, eta, drive_on):
         if drive_on:
             pieces = [(start, length, max(1, math.ceil(length / dt0)))]
         else:  # a per-group span has no cut inside it (checked above)
-            inside = () if np.ndim(length) else _inside(cuts, start, start + length)
+            inside = () if np.ndim(length) else _inside(cut_times, start, start + length)
             pieces = [(a, b - a, 1) for a, b in zip([start, *inside], [*inside, start + length])]
         return start, length, eta, drive_on, pieces
 
     hold = []
     if np.any(np.greater(holds, 0.0)):
         eta = protocol.eta_hold
-        if eta != 0.0 or len(cuts) < len(cut_times):
-            parts = [(0.0, flips, eta), (flips, holds - flips, -eta if eta else 0.0)]
+        if eta != 0.0:
+            parts = [(0.0, flips, eta), (flips, holds - flips, -eta)]
         else:
             parts = [(0.0, holds, 0.0)]
         hold = [
@@ -633,6 +631,15 @@ def _transverse_halves(transverse, step, dt0: float, drive_on: bool):
     )
 
 
+class _Trace(NamedTuple):
+    """A recorded phase: each driven boundary's time (a scalar, or one per
+    group) and solver-frame exit field, (groups, rows), and the end state."""
+
+    times: list
+    exits: list
+    end: np.ndarray
+
+
 def _drive_cycle(
     params: PhysicalParams,
     protocols: Sequence[StorageProtocol],
@@ -642,8 +649,8 @@ def _drive_cycle(
     n_rows: int,
     rabi,
     diffs,
-    fin_write,
-    recorders,
+    inject,
+    record: tuple[str, ...],
     transverse=None,
     diffusion_phases: tuple[str, ...] = _PHASES,
     sigma_times,
@@ -655,17 +662,18 @@ def _drive_cycle(
     shared group at the first span with a per-group length or diffusivity.
     rabi (scalar or (n_rows, 1) column) sets the coupling and light-shift
     residual, diffs (scalar or one value per group) the diffusivity, and
-    fin_write(t) the entrance-face input.  recorders[phase](t, exit) gets
-    the solver-frame exit field, (groups, n_rows), at each boundary of a
-    driven span; t, like a sigma_times entry, is a scalar or one per
-    group.  In the diffusion_phases diffusion acts along z by diffs and
+    inject(s) the entrance-face field of an input sample s of signal.  The
+    input is sampled once at each write boundary, which serves the exit
+    field there and the next step's start, and once at each step's
+    midpoint.  In the diffusion_phases diffusion acts along z by diffs and
     across rows by transverse(dt_half), whose propagate(sigma, n) applies
     n half-steps: an undriven piece of length T takes n = 2 ceil(T / dt0)
-    of them at its end, and a read inside a piece applies the owed half
-    to the (groups, rows, 1) medium integral instead of the state.
+    of them at its end, and an exit read inside a piece applies the owed
+    half to the (groups, rows, 1) medium integral instead of the state.
 
-    Returns (ends, guards, takers): the state at the end of each phase
-    that has a recorder, and per group its guard ratios and its _FrameTaker.
+    Returns (traces, injected, guards, takers): a _Trace per phase in
+    record, the write boundary times with the input sample injected at
+    each, and per group its guard ratios and its _FrameTaker.
     """
     for name in diffusion_phases:
         if name not in _PHASES:
@@ -680,25 +688,35 @@ def _drive_cycle(
     want_frames = bool(takers[0].pending)
     sigma = np.zeros((1, n_rows, grid.n_z), dtype=complex)
     density, light_speed = params.density, params.light_speed
+    traces, injected = {}, ([], [])  # injected: write boundary times, input samples
 
-    def read(t, integral, fin_fn, recorder):
-        """Hand recorder the exit field of a (groups, rows, 1) medium integral."""
-        recorder(t, _field(integral, coupling, density, light_speed, fin_fn(t))[..., 0])
+    def entrance(t, boundary: bool):
+        """The entrance-face field at write time t; a boundary keeps its sample."""
+        s = complex(sample_temporal(signal, t))
+        if boundary:
+            injected[0].append(t)
+            injected[1].append(s)
+        return inject(s)
 
-    def settle(t, fin_fn, recorder):
+    def read(t, integral, fin, trace):
+        """Keep the exit field of a (groups, rows, 1) medium integral at boundary t."""
+        trace[0].append(t)
+        trace[1].append(_field(integral, coupling, density, light_speed, fin)[..., 0])
+
+    def settle(t, fin, trace):
         """Record a boundary the state sigma has settled at and take the snapshots due."""
-        if recorder is not None:
-            read(t, _integral(sigma, grid), fin_fn, recorder)
+        if trace is not None:
+            read(t, _integral(sigma, grid), fin, trace)
         if want_frames:
             for taker in takers:
                 taker.take(t, sigma)
 
-    def peek(t, kern, spec, across, halves, fin_fn, recorder):
+    def peek(t, kern, spec, across, halves, fin, trace):
         """Record a boundary inside a piece, which owes the state there its after
         half along z (spec, the spectrum of sigma) and halves transverse halves."""
-        if recorder is not None:
+        if trace is not None:
             integral = kern.integral(sigma, spec, grid)
-            read(t, integral if across is None else across(integral, halves), fin_fn, recorder)
+            read(t, integral if across is None else across(integral, halves), fin, trace)
         if want_frames and any(taker.due(t) for taker in takers):
             frame = kern.resume(sigma, spec, kern.after)  # a copy: the state goes on unsettled
             if across is not None:
@@ -706,18 +724,19 @@ def _drive_cycle(
             for taker in takers:
                 taker.take(t, frame)
 
-    ends, peaks, guards = {}, [0.0] * n_groups, [{} for _ in range(n_groups)]
+    peaks, guards = [0.0] * n_groups, [{} for _ in range(n_groups)]
     for phase, spans in plan:
-        fin_fn = fin_write if phase == "write" else (lambda t: 0.0j)
-        recorder = recorders.get(phase)
+        writing = phase == "write"
+        trace = ([], []) if phase in record else None  # boundary times, exit fields
         diffusing = phase in diffusion_phases
         diffusivity = diffs if diffusing else 0.0
         for span_start, length, eta, drive_on, pieces in spans:
             residual = residuals[0] if drive_on else residuals[1]
             if _fans_out(length, diffusivity) and len(sigma) < n_groups:
                 sigma = np.repeat(sigma, n_groups, axis=0)  # the groups part ways here
-            read_by = recorder if drive_on else None
-            settle(span_start, fin_fn, read_by)
+            read_by = trace if drive_on else None
+            fin = entrance(span_start, True) if writing else 0.0j
+            settle(span_start, fin, read_by)
             for start, piece, n_steps in pieces:
                 step = piece / n_steps
                 drift = 0.0 if drive_on else eta
@@ -741,28 +760,29 @@ def _drive_cycle(
                         kern,
                         grid,
                         coupling_eff=coupling,
-                        fin_now=fin_fn(t),
-                        fin_mid=fin_fn(t + 0.5 * step),
+                        fin_now=fin,
+                        fin_mid=entrance(t + 0.5 * step, False) if writing else 0.0j,
                         drive_on=drive_on,
                         density=density,
                         light_speed=light_speed,
                     )
                     owed_t += 1
                     t = start + (j + 1) * step
+                    fin = entrance(t, True) if writing else 0.0j
                     spec, kernel = kern.spectrum(sigma), kern.full
                     if j < n_steps - 1:
-                        peek(t, kern, spec, across, owed_t, fin_fn, read_by)
+                        peek(t, kern, spec, across, owed_t, fin, read_by)
                 sigma = kern.resume(sigma, spec, kern.after)
                 if across is not None:
                     sigma = across(sigma, owed_t)
-                settle(t, fin_fn, read_by)
+                settle(t, fin, read_by)
         for g in range(n_groups):
             view = _row(sigma, g)
             peaks[g] = max(peaks[g], float(np.max(np.abs(view))))
             guards[g][phase] = _check_guard(view, grid, phase, peaks[g])
-        if recorder is not None:  # a route reads the end states of the phases it records
-            ends[phase] = sigma  # no step writes into a state in place
-    return ends, guards, takers
+        if trace is not None:
+            traces[phase] = _Trace(*trace, sigma)  # no step writes into a state in place
+    return traces, injected, guards, takers
 
 
 def run_cycle(
@@ -785,8 +805,8 @@ def run_cycle(
     step is t_width / steps_per_width.  diffusion_phases restricts which
     phases see the diffusion operator, which isolates per-phase decay (the
     collapse sweeps use it); physical runs keep all three.  sigma_times
-    requests coherence frames (CycleRecord.sigma_frames); a spin-wave
-    spectrum is spinwave_spectrum of a frame.
+    requests coherence frames (CycleRecord.sigma_frames) at scalar times;
+    a spin-wave spectrum is spinwave_spectrum of a frame.
 
     Batched rows: params and protocol may each be a sequence (a single
     value serves every row), and a list of records comes back in row
@@ -805,21 +825,8 @@ def run_cycle(
         derive_groups(row_params, row_protocol, signal)  # validates gradient and widths
     params = param_rows[0]  # every field but the diffusivity is shared
     face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
-    samples = {phase: ([], []) for phase in _PHASES}  # step times, exit fields
-
-    def recorder(phase):
-        times, fields = samples[phase]
-
-        def record(t, exit_field):
-            # physical-frame exit field per row, as scalar products: numpy's
-            # vector complex multiply may fuse multiply-adds and move last bits
-            times.append(t)
-            fields.append([face_phase * value for value in exit_field[:, 0]])
-
-        return record
-
     grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
-    ends, guards, takers = _drive_cycle(
+    traces, (_, f_in), guards, takers = _drive_cycle(
         params,
         protocol_rows,
         signal,
@@ -827,19 +834,22 @@ def run_cycle(
         n_rows=1,
         rabi=params.rabi_control,
         diffs=_shared([p.diffusivity for p in param_rows]),
-        fin_write=lambda t: face_phase * complex(sample_temporal(signal, t)),
-        recorders={phase: recorder(phase) for phase in _PHASES},
+        inject=lambda s: face_phase * s,
+        record=_PHASES,
         steps_per_width=steps_per_width,
         diffusion_phases=diffusion_phases,
         sigma_times=sigma_times,
     )
 
-    t_w = samples["write"][0]
-    t_write_axis = np.array(t_w)
-    f_in = np.array([complex(sample_temporal(signal, t)) for t in t_w])
-    f_trans = _steps_by_row(samples["write"][1])
-    t_hold_axis, f_hold = (_steps_by_row(s) for s in samples["hold"])
-    t_out, f_out = (_steps_by_row(s) for s in samples["read"])
+    write, hold, read = (traces[phase] for phase in _PHASES)
+    t_write_axis, f_in = np.array(write.times), np.array(f_in)
+    # physical-frame exit field per row, as scalar products: numpy's
+    # vector complex multiply may fuse multiply-adds and move last bits
+    f_trans, f_hold, f_out = (
+        _steps_by_row([[face_phase * value for value in e[:, 0]] for e in trace.exits])
+        for trace in (write, hold, read)
+    )
+    t_hold_axis, t_out = _steps_by_row(hold.times), _steps_by_row(read.times)
 
     stored_scale = params.density / params.light_speed
 
@@ -847,7 +857,7 @@ def run_cycle(
     for r, taker in enumerate(takers):  # a group of one row per record
         row_trans, row_hold, row_out = (_row(f, r) for f in (f_trans, f_hold, f_out))
         row_t_hold, row_t_out = _row(t_hold_axis, r), _row(t_out, r)
-        end_write, end_hold, end_read = (_row(ends[phase], r)[0] for phase in _PHASES)
+        end_write, end_hold, end_read = (_row(trace.end, r)[0] for trace in (write, hold, read))
         records.append(
             CycleRecord(
                 params=param_rows[r],

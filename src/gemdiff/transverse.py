@@ -17,8 +17,9 @@ Two complementary routes:
   operator, whose half-steps the driver applies with the longitudinal
   ones around each step core, merged across every boundary inside a
   piece (an exit read there takes the owed half on the medium integral
-  of each column, not on the state).  Protocols that differ only in t_hold share one write.  An
-  axisymmetric problem runs on a radial finite-volume grid: conservative
+  of each column, not on the state).  Protocols that differ only in
+  t_hold share one write.  Energies and frames follow run_cycle's rules.
+  An axisymmetric problem runs on a radial finite-volume grid: conservative
   Crank-Nicolson diffusion, whose half-step is a propagator matrix built
   once per step size and applied as one real GEMM per group (n merged
   half-steps are its cached n-th power).  The general case runs on a
@@ -50,7 +51,7 @@ from .model import (
     StorageProtocol,
     derive_groups,
 )
-from .pulses import ControlProfile, SignalSpec, control_rabi, sample_temporal, sample_transverse
+from .pulses import ControlProfile, SignalSpec, control_rabi, sample_transverse
 from .solver1d import (
     CycleRecord,
     Grid1D,
@@ -58,7 +59,6 @@ from .solver1d import (
     _energy,
     _row,
     _rows_of,
-    _shared,
     _steps_by_row,
     advance_step,  # noqa: F401  (the real-space step core; perfbench traces it per module)
     run_cycle,
@@ -111,6 +111,13 @@ class ModeGrid:
             raise ParameterError("transverse window must span at least 6 waists")
         if n < 8 or n % 2:
             raise ParameterError("transverse grid size must be an even number >= 8")
+        # H_m(xi) exp(-xi^2 / 2), xi = sqrt(2) x / waist, turns at xi^2 = 2m + 1: an
+        # order turning beyond the edge (xi^2 = window_factor^2 / 2) cannot decay
+        # there, and is refused before eval_hermite spends O(m) per sample on it
+        if 2 * max(mode) + 1 >= 0.5 * window_factor**2:
+            raise ParameterError(
+                "mode %r turns beyond the transverse window; increase window_factor" % (mode,)
+            )
         window = window_factor * waist
         dx = window / n
         axis = (np.arange(n) - n // 2) * dx
@@ -406,7 +413,6 @@ class RealspaceRecord:
     t_out: np.ndarray
     f_out: np.ndarray
     intensity: np.ndarray
-    intensity_in: np.ndarray
     input_energy: float
     output_energy: float
     sigma_frames: list[tuple[float, np.ndarray]] = field(default_factory=list)
@@ -417,12 +423,6 @@ class RealspaceRecord:
         if self.input_energy == 0.0:
             raise ParameterError("cycle recorded no input energy")
         return self.output_energy / self.input_energy
-
-
-def _realspace_plan(protocols, sigma_times) -> list:
-    """Real space's snapshot times: the requested ones and each group's mid-hold one."""
-    flips = _shared([p.flip_time() for p in protocols])
-    return [*sigma_times, flips] if np.ndim(flips) else [*{*sigma_times, flips}]
 
 
 def run_cycle_realspace(
@@ -447,10 +447,11 @@ def run_cycle_realspace(
     protocol may be a sequence under run_cycle's rule: only t_hold may
     differ, and the hold must be undriven.  The groups share one write and
     part ways at the hold; one record per protocol comes back.  The radial
-    grid requires an axisymmetric input mode.  A coherence snapshot at
-    each group's mid-hold is always recorded (the phase-map extraction
-    needs it); extra snapshot times may be requested by sigma_times.
-    Every record keeps its exit fields (store_fields is ignored).
+    grid requires an axisymmetric input mode.  Coherence frames are taken
+    at the scalar sigma_times only (extract_phase reads the mid-hold one,
+    protocol.flip_time()).  Energies follow run_cycle's trapezoid rule in
+    time, weighted over the columns.  Every record keeps its exit fields
+    (store_fields is ignored).
     """
     single = isinstance(protocol, StorageProtocol)
     _, protocols = _rows_of(params, protocol)
@@ -469,22 +470,13 @@ def run_cycle_realspace(
 
     face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
     if tgrid.kind == "radial":
-        profile = sample_transverse(signal, tgrid.r[:, None], np.zeros((1, 1)))[:, 0]
+        profile = sample_transverse(signal, tgrid.r[:, None], 0.0)  # (n_cols, 1)
     else:
-        profile = sample_transverse(
-            signal, tgrid.x[:, None], tgrid.y[None, :]
-        ).ravel()
-    profile = profile[:, None]
-
-    times, exits = [], []  # per read boundary: its time and exit field, per group
-
-    def record_read(t, exit_field: np.ndarray) -> None:
-        times.append(t)
-        exits.append(face_phase * exit_field)
+        profile = sample_transverse(signal, tgrid.x[:, None], tgrid.y[None, :]).reshape(-1, 1)
 
     diffusion = _RadialDiffusion if tgrid.kind == "radial" else _CartesianDiffusion
     grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
-    _, guards, takers = _drive_cycle(
+    traces, (t_write, f_in), guards, takers = _drive_cycle(
         params,
         protocols,
         signal,
@@ -492,29 +484,23 @@ def run_cycle_realspace(
         n_rows=tgrid.n_cols,
         rabi=control_rabi(control, tgrid.r)[:, None],  # column-local control
         diffs=params.diffusivity,
-        fin_write=lambda t: face_phase * complex(sample_temporal(signal, t)) * profile,
-        recorders={"read": record_read},
+        inject=lambda s: face_phase * s * profile,
+        record=("read",),
         transverse=(
             partial(diffusion, tgrid, params.diffusivity) if params.diffusivity > 0.0 else None
         ),
         steps_per_width=steps_per_width,
-        sigma_times=_realspace_plan(protocols, sigma_times),
+        sigma_times=sigma_times,
     )
 
-    t_write = np.linspace(-protocols[0].write_window(signal), 0.0, 2049)
-    intensity_in = np.abs(profile[:, 0]) ** 2 * _energy(sample_temporal(signal, t_write), t_write)
-    input_energy = float(np.sum(tgrid.weights * intensity_in))
-    t_out = _steps_by_row(times)
-    f_out = np.moveaxis(np.array(exits), 0, -1)  # (groups, n_cols, steps)
+    input_energy = _energy(f_in, t_write) * float(tgrid.weights @ np.abs(profile[:, 0]) ** 2)
+    t_out = _steps_by_row(traces["read"].times)
+    f_out = np.moveaxis(np.array([face_phase * e for e in traces["read"].exits]), 0, -1)
 
     records = []
     for g, (row, taker) in enumerate(zip(protocols, takers)):
-        t_g, out_sq = _row(t_out, g), [np.abs(_row(e, g)) ** 2 for e in exits]
-        intensity, energy_out = np.zeros(tgrid.n_cols), 0.0
-        for k in range(1, t_g.size):  # trapezoid panels in time order
-            panel = 0.5 * (t_g[k] - t_g[k - 1]) * (out_sq[k] + out_sq[k - 1])
-            intensity += panel
-            energy_out += float(np.sum(tgrid.weights * panel))
+        t_g, f_g = _row(t_out, g), _row(f_out, g)
+        intensity = np.trapezoid(np.abs(f_g) ** 2, t_g)  # per column
         records.append(
             RealspaceRecord(
                 params=params,
@@ -524,11 +510,10 @@ def run_cycle_realspace(
                 grid=grid,
                 tgrid=tgrid,
                 t_out=t_g,
-                f_out=_row(f_out, g),
+                f_out=f_g,
                 intensity=intensity,
-                intensity_in=intensity_in,
                 input_energy=input_energy,
-                output_energy=energy_out,
+                output_energy=float(tgrid.weights @ intensity),
                 sigma_frames=taker.sigma_frames,
                 guard_ratio=guards[g],
             )
@@ -657,7 +642,8 @@ def extract_phase(
     """Phase difference of the stored spin wave, inhomogeneous minus homogeneous.
 
     Both records must hold coherence snapshots at the comparison time
-    (default: mid-hold, which run_cycle_realspace always records).  The
+    (default: mid-hold, protocol.flip_time(), which the caller requests
+    through run_cycle_realspace's sigma_times).  The
     phase is unwrapped radially outward from the axis, and samples where
     either coherence falls below 1e-6 of its peak are NaN-masked.
     """

@@ -107,6 +107,10 @@ def test_resolve_values_types():
     assert values["t_hold"] == pytest.approx(1e-5)
     with pytest.raises(ParameterError):
         resolve_values({"stark_absorbed": "maybe"})
+    # an integer key takes an integral value, whatever its spelling
+    assert resolve_values({"mode_n": "2e0"})["mode_n"] == 2
+    with pytest.raises(ParameterError, match="mode_m must be an integer"):
+        resolve_values({"mode_m": "2.5"})
 
 
 def test_known_keys_cover_the_benchmark_file():

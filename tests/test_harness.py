@@ -155,7 +155,7 @@ def test_cost_estimate_and_budget(bench_config, tmp_path, monkeypatch):
     dear = _estimate_cell_steps(partial(run_cycle, cfg.params, driven, cfg.signal, **coarse))
     assert dear > 10.0 * cheap
     # in real space at D > 0 too: a 30 us standard hold at steps_per_width
-    # 40 is two exact steps, cut at the mid-hold snapshot
+    # 40 is one exact step (no snapshot requested, so nothing cuts it)
     space = dict(n_medium=160, steps_per_width=40.0)
     tgrid_space = TransverseGrid.radial(cfg.signal.waist, n_r=128)
     costs = [
@@ -174,7 +174,7 @@ def test_cost_estimate_and_budget(bench_config, tmp_path, monkeypatch):
     ]
     n_z = Grid1D.build(cfg.params.half_length, space["n_medium"]).n_z
     assert cfg.params.diffusivity > 0.0
-    assert (costs[1] - costs[0]) / (n_z * tgrid_space.n_cols) == 2
+    assert (costs[1] - costs[0]) / (n_z * tgrid_space.n_cols) == 1
 
     # over the cap _solve refuses the whole list before any solver runs
     def refuse(*args, **kwargs):
@@ -509,6 +509,13 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "key=value" in capsys.readouterr().err
 
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"t_hold = 1 us\n\xff\xfe\x00\x81\n")
+    rc = main(["storage-cycle", "--config", str(binary), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gem:") and "UTF-8" in err
+
     for threads in ("0", "-1"):
         rc = main(["storage-cycle", "--config", str(CONFIG), "--out", str(tmp_path),
                    "--threads", threads])
@@ -551,6 +558,8 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, override):
         "amplitude=0",
         "t_lead=-1 us",
         "mode_m=-1",
+        "mode_m=2.5",
+        "mode_m=1e30",
         "control_waist=-1 mm",
         "rabi_control=0",
     ],

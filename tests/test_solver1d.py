@@ -406,6 +406,27 @@ def test_a_recorded_step_takes_one_forward_fft(bench_params, bench_protocol, ben
     assert len(calls) == n_steps + 1
 
 
+def test_a_write_boundary_samples_the_input_once(
+    bench_params, bench_protocol, bench_signal, monkeypatch
+):
+    # the sample at a write boundary serves the exit field there, the next
+    # step's start and the record's input; with one more per step midpoint,
+    # a recorded write of n steps samples the input 2n + 1 times
+    times = []
+    real = solver1d.sample_temporal
+
+    def counted(signal, t):
+        times.append(t)
+        return real(signal, t)
+
+    monkeypatch.setattr(solver1d, "sample_temporal", counted)
+    rec = run_cycle(bench_params, bench_protocol, bench_signal, n_medium=64, steps_per_width=16.0)
+    n_steps = rec.t_write.size - 1
+    assert n_steps > 50
+    assert len(times) == 2 * n_steps + 1
+    assert rec.f_in.tolist() == [complex(real(bench_signal, t)) for t in rec.t_write]
+
+
 # ---------------------------------------------------------------------------
 # record plumbing
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from gemdiff import (
     StorageProtocol,
     TransverseGrid,
     eff_total,
+    efficiency_1d,
     extract_phase,
     fit_effective_diffusion,
     intensity_and_width,
@@ -30,6 +31,7 @@ from gemdiff.transverse import (
     RealspaceRecord,
     _CartesianDiffusion,
     _RadialDiffusion,
+    _edge_amplitude_ok,
 )
 
 TAU = 2.0 * math.pi
@@ -49,7 +51,13 @@ def radial_record(bench_params, bench_protocol, bench_signal):
     control = ControlProfile.homogeneous(bench_params.rabi_control)
     tgrid = TransverseGrid.radial(bench_signal.waist, n_r=40)
     return run_cycle_realspace(
-        bench_params, bench_protocol, bench_signal, control, tgrid, **FAST
+        bench_params,
+        bench_protocol,
+        bench_signal,
+        control,
+        tgrid,
+        sigma_times=(bench_protocol.flip_time(),),  # the mid-hold frame extract_phase reads
+        **FAST,
     )
 
 
@@ -86,6 +94,25 @@ def test_mode_grid_rejects_unresolved_samples():
     grid = ModeGrid.build(WAIST, mode=(1, 1), n=64, window_factor=9.0)
     assert grid.n == 64
     assert grid.window == pytest.approx(9.0 * WAIST)
+
+
+@pytest.mark.parametrize("window_factor", [8.0, 9.0])
+@pytest.mark.parametrize("n", [32, 64, 96])
+def test_mode_grid_refuses_a_mode_beyond_the_window_before_sampling(n, window_factor):
+    # the turning-point test refuses no order that the sampled edge checks
+    # accept, at every fidelity's n and window_factor
+    for m in range(21):
+        try:
+            ModeGrid.build(WAIST, mode=(m, 0), n=n, window_factor=window_factor)
+        except ParameterError as exc:
+            if "turns beyond" in str(exc):
+                axis = (np.arange(n) - n // 2) * (window_factor * WAIST / n)
+                probe = SignalSpec(1.0, 1.0, 0.0, WAIST, mode=(m, 0))
+                samples = sample_transverse(probe, axis[:, None], axis[None, :])
+                assert not _edge_amplitude_ok(samples), m
+    # an order far beyond the window is refused at once, not sampled
+    with pytest.raises(ParameterError, match="turns beyond"):
+        ModeGrid.build(WAIST, mode=(10**30, 0), n=n, window_factor=window_factor)
 
 
 def test_radial_grid_is_staggered_with_exact_disc_area():
@@ -312,20 +339,24 @@ def test_three_routes_agree_with_the_closed_form(
 
 def test_radial_columns_are_scaled_1d_cycles_without_diffusion(bench_params, bench_signal):
     # with a homogeneous control and D = 0 the columns decouple into the
-    # 1D cycle times the input profile; the routes integrate the input
-    # envelope on different grids, so output energies are compared
+    # 1D cycle times the input profile, and both routes integrate input and
+    # output by the same trapezoid rule over the same step times.  A 2 us
+    # lead (beam-width's) cuts the pulse off at the start of the write window,
+    # where an input integrated on any other time grid would differ
     params = bench_params.with_diffusivity(0.0)
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=2e-6)
     control = ControlProfile.homogeneous(params.rabi_control)
     tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
-    rec = run_cycle_realspace(params, proto, bench_signal, control, tgrid, **FAST)
-    base = run_cycle(params, proto, bench_signal, **FAST)
-    profile = sample_transverse(bench_signal, tgrid.r, 0.0)
-    assert np.array_equal(rec.t_out, base.t_out)
-    expected = profile[:, None] * base.f_out
-    peak = np.max(np.abs(expected), axis=1, keepdims=True)
-    assert np.all(np.abs(rec.f_out - expected) <= 1e-10 * peak)
-    assert_allclose(rec.intensity / np.abs(profile) ** 2, base.output_energy, rtol=1e-10)
+    for signal in (bench_signal, replace(bench_signal, t_lead=2e-6)):
+        rec = run_cycle_realspace(params, proto, signal, control, tgrid, **FAST)
+        base = run_cycle(params, proto, signal, **FAST)
+        profile = sample_transverse(signal, tgrid.r, 0.0)
+        assert np.array_equal(rec.t_out, base.t_out)
+        expected = profile[:, None] * base.f_out
+        peak = np.max(np.abs(expected), axis=1, keepdims=True)
+        assert np.all(np.abs(rec.f_out - expected) <= 1e-10 * peak)
+        assert_allclose(rec.intensity / np.abs(profile) ** 2, base.output_energy, rtol=1e-10)
+        assert rec.efficiency == pytest.approx(efficiency_1d(base), rel=1e-10)
 
 
 def test_realspace_snapshots_at_requested_times(bench_params, bench_signal):
@@ -337,13 +368,12 @@ def test_realspace_snapshots_at_requested_times(bench_params, bench_signal):
         bench_params, proto, bench_signal, control, tgrid, sigma_times=(t_w, t_h), **FAST
     )
     times = [t for t, _ in rec.sigma_frames]
-    assert len(times) == 3
+    assert len(times) == 2
     window = proto.write_window(bench_signal)
     dt0 = bench_signal.t_width / FAST["steps_per_width"]
     dt = window / math.ceil(window / dt0)  # the write's step, re-fitted to its window
     assert t_w <= times[0] < t_w + dt  # first write step boundary at or after t_w
     assert times[1] == t_h  # the hold is cut there
-    assert times[2] == pytest.approx(proto.flip_time(), rel=1e-12)  # mid-hold, always taken
     for _, frame in rec.sigma_frames:
         assert frame.shape == (tgrid.n_cols, rec.grid.n_z)
 
@@ -366,7 +396,8 @@ def test_snapshots_inside_fused_steps_leave_the_cycle_unchanged(bench_params, be
             bench_params, protocol, bench_signal, control, tgrid, sigma_times=times, **FAST
         )
 
-    base, written, extra = run(proto), run(proto, (t_w,)), run(proto, (t_w, t_h))
+    base, written = run(proto, (flip,)), run(proto, (t_w, flip))
+    extra = run(proto, (t_w, t_h, flip))
     assert written.efficiency == base.efficiency
     assert np.array_equal(written.intensity, base.intensity)
     assert np.array_equal(written.f_out, base.f_out)
@@ -387,9 +418,9 @@ def test_snapshots_inside_fused_steps_leave_the_cycle_unchanged(bench_params, be
     assert np.max(np.abs(extra.intensity - base.intensity)) <= 2 * cut_error * np.max(
         base.intensity
     )
-    # a hold that flips at t_h ends its first piece there: its mid-hold
-    # snapshot is the snapshot at t_h
-    settled = run(replace(proto, hold_flip_time=t_h)).sigma_frames[0][1]
+    # a hold that flips at t_h ends its first piece there, so its frame at
+    # t_h is the settled state that the cut hold's frame at t_h must match
+    settled = run(replace(proto, hold_flip_time=t_h), (t_h,)).sigma_frames[0][1]
     assert np.max(np.abs(frame_h - settled)) <= 1e-12 * np.max(np.abs(settled))
 
 
@@ -457,29 +488,29 @@ def test_width_growth_rate_recovers_the_diffusivity(bench_params):
 )
 def test_grouped_holds_equal_their_single_calls(bench_params, bench_signal, kind, make, holds):
     # one call per hold list: the groups share the write and part ways at
-    # the hold, where each flips (and takes its mid-hold frame) at its own time
+    # the hold, where each flips at its own time; a frame in the shared write
+    # is taken from the one state every group starts from
     control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
     if kind == "radial":
         tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
     else:
         tgrid = TransverseGrid.cartesian(bench_signal.waist, n=12)
     protos = [make(-TAU * 10e6, h) for h in holds]
-    grouped = run_cycle_realspace(bench_params, protos, bench_signal, control, tgrid, **FAST)
+    frames = dict(sigma_times=(-1e-6,), **FAST)
+    grouped = run_cycle_realspace(bench_params, protos, bench_signal, control, tgrid, **frames)
     assert len(grouped) == len(protos)
     for got, proto in zip(grouped, protos):
-        want = run_cycle_realspace(bench_params, proto, bench_signal, control, tgrid, **FAST)
+        want = run_cycle_realspace(bench_params, proto, bench_signal, control, tgrid, **frames)
         assert got.protocol == proto
         for name in ("intensity", "t_out", "f_out"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.output_energy == want.output_energy
         assert got.guard_ratio == want.guard_ratio
+        assert len(got.sigma_frames) == 1
         assert [t for t, _ in got.sigma_frames] == [t for t, _ in want.sigma_frames]
         assert all(
             np.array_equal(a, b) for (_, a), (_, b) in zip(got.sigma_frames, want.sigma_frames)
         )
-        pmap = extract_phase(got, want)  # each group's own mid-hold frame
-        assert pmap.t == proto.flip_time()
-        assert np.nanmax(np.abs(pmap.theta)) < 1e-12
 
 
 def test_fit_effective_diffusion_is_a_plain_line_fit():
@@ -513,6 +544,16 @@ def test_realspace_rejects_mismatched_setups(
     protos = [StorageProtocol.standard(-TAU * eta, 2e-6) for eta in (10e6, 12e6)]
     with pytest.raises(ParameterError, match="differ in eta_write"):
         run_cycle_realspace(bench_params, protos, bench_signal, control, tgrid)
+    # a snapshot time is one time for every group, not one per group
+    protos = [StorageProtocol.standard(-TAU * 10e6, hold) for hold in (2e-6, 4e-6)]
+    with pytest.raises(ParameterError, match="scalar"):
+        per_group = (np.array([1e-6, 2e-6]),)
+        run_cycle_realspace(bench_params, protos, bench_signal, control, tgrid, sigma_times=per_group)
+
+
+def test_realspace_takes_frames_only_on_request(cart_record, radial_record):
+    assert cart_record.sigma_frames == []
+    assert [t for t, _ in radial_record.sigma_frames] == [radial_record.protocol.flip_time()]
 
 
 def test_realspace_guard_and_energy_bookkeeping(radial_record):
@@ -539,7 +580,6 @@ def test_synthetic_gaussian_profile_widths():
         t_out=np.array([]),
         f_out=None,
         intensity=np.exp(-tgrid.r**2 / (2.0 * w**2)),
-        intensity_in=np.zeros(tgrid.n_cols),
         input_energy=1.0,
         output_energy=1.0,
     )
@@ -558,7 +598,6 @@ def test_synthetic_gaussian_profile_widths():
         t_out=np.array([]),
         f_out=None,
         intensity=np.zeros(tgrid.n_cols),
-        intensity_in=np.zeros(tgrid.n_cols),
         input_energy=1.0,
         output_energy=0.0,
     )
