@@ -170,27 +170,31 @@ class Grid1D:
         return slice(0, left_pad // 2), slice(self.n_z - right_pad // 2, self.n_z)
 
 
-def slave_field(
-    medium: np.ndarray,
-    grid: Grid1D,
-    coupling_eff,
-    density: float,
-    light_speed: float,
-    fin_tilde,
-) -> np.ndarray:
-    """Field slaved to the coherence: E(z) = fin + i (g N / c) int sigma dz'.
+def slave_field(medium: np.ndarray, scale, offset) -> np.ndarray:
+    """The slaved field in running-sum form: offset + scale * S(medium).
 
-    medium is the coherence on the medium points, sigma[..., grid.medium],
-    and the field comes back on the same points, integrated from the
-    entrance face (in the padding the field is fin before the medium and
-    the exit value after it).  Per-row couplings and inputs broadcast over
-    leading axes when shaped (..., 1).
+    S(x)_j = sum_{i<j} (x_i + x_{i+1}), S_0 = 0, is the cumulative trapezoid
+    from the entrance face with dz / 2 taken out, so the field slaved to the
+    coherence, E(z) = fin + i (g N / c) int sigma dz', is
+    slave_field(medium, 1j * (g N / c) * dz / 2, fin); any multiple c E is
+    the same call with scale and offset both times c.  medium is the
+    coherence on the medium points, sigma[..., grid.medium], and the field
+    comes back on the same points as a new array.  Per-row scales and
+    offsets broadcast over leading axes when shaped (..., 1); offset None
+    is a zero offset.
     """
-    # cumulative trapezoid from the entrance face, in the operation order
-    # of scipy's cumulative_trapezoid (bit-identical, without its overhead)
-    cum = np.zeros(medium.shape, dtype=complex)
-    np.cumsum(grid.dz * (medium[..., 1:] + medium[..., :-1]) / 2.0, axis=-1, out=cum[..., 1:])
-    return _field(cum, coupling_eff, density, light_speed, fin_tilde)
+    out = np.empty(medium.shape, dtype=complex)
+    if medium.flags.c_contiguous:  # pair along the flat rows: no iterator buffers
+        flat, pairs = medium.reshape(-1), out.reshape(-1)
+        np.add(flat[:-1], flat[1:], out=pairs[1:])
+    else:
+        np.add(medium[..., :-1], medium[..., 1:], out=out[..., 1:])
+    out[..., 0] = 0.0  # S_0, and in the flat pairing the sums across rows
+    np.cumsum(out, axis=-1, out=out)
+    out *= scale
+    if offset is not None:
+        out += offset
+    return out
 
 
 def _field(integral, coupling_eff, density: float, light_speed: float, fin_tilde):
@@ -322,26 +326,41 @@ def advance_step(
     and the predictor and corrector run on sigma[..., grid.medium].  With
     the drive off the step is a pure (exact) rotation.  The exact
     diffusion half-steps around the core are the caller's (_drive_cycle).
+
+    The field slaved to x is E(x, f) = f + i k (dz / 2) S(x), k = g N / c,
+    with S the running sum of slave_field, so the drive over a time h,
+    c E with c = h i g, is a + b S(x): a = c f and b = c i k dz / 2 =
+    -h g k dz / 2, real in value.  The predictor is sigma_p = R (sigma + a0
+    + b0 S(sigma)) at h = dt / 2, R = rot_half, and the corrector adds
+    R (a1 + b1 S(sigma_p)) at h = dt to rot_full sigma: two running sums,
+    each into a medium-sized buffer of its own, and no a-pass where the
+    input is zero (the hold and the read).  Returns a new array; sigma is
+    never written.
     """
     out = kern.rot_full * sigma
     if not drive_on:
         return out
-    dt = kern.dt
-    med = grid.medium
+    dt, med = kern.dt, grid.medium
     inside = sigma[..., med]
     rot_half = kern.rot_half[..., med]
-    # drop each state-sized intermediate once spent and rotate fresh ones in place
-    # (operand order as written, which fixes the last bits of a complex product)
-    e_now = slave_field(inside, grid, coupling_eff, density, light_speed, fin_now)
-    sig_p = inside + (0.5 * dt) * (1j * coupling_eff) * e_now
-    del e_now
-    np.multiply(rot_half, sig_p, out=sig_p)
-    e_mid = slave_field(sig_p, grid, coupling_eff, density, light_speed, fin_mid)
+    field_scale = 1j * (coupling_eff * density / light_speed) * (0.5 * grid.dz)
+    drive = (0.5 * dt) * (1j * coupling_eff)  # c over the half step
+    sig_p = slave_field(inside, drive * field_scale, _input_offset(drive, fin_now))
+    sig_p += inside
+    sig_p *= rot_half
+    drive = dt * (1j * coupling_eff)  # c over the full step
+    kick = slave_field(sig_p, drive * field_scale, _input_offset(drive, fin_mid))
     del sig_p
-    kick = (1j * coupling_eff) * e_mid
-    del e_mid
-    out[..., med] += np.multiply(dt * rot_half, kick, out=kick)
+    kick *= rot_half
+    out[..., med] += kick
     return out
+
+
+def _input_offset(drive, fin):
+    """drive * fin, the input's part of a drive c E; None for a zero input."""
+    if not np.ndim(fin) and fin == 0:
+        return None
+    return drive * fin
 
 
 @dataclass(eq=False)
@@ -701,7 +720,8 @@ def _drive_cycle(
     def read(t, integral, fin, trace):
         """Keep the exit field of a (groups, rows, 1) medium integral at boundary t."""
         trace[0].append(t)
-        trace[1].append(_field(integral, coupling, density, light_speed, fin)[..., 0])
+        field = _field(integral, coupling, density, light_speed, fin)
+        trace[1].append(field[..., 0].copy())  # a copy: a view keeps its base alive
 
     def settle(t, fin, trace):
         """Record a boundary the state sigma has settled at and take the snapshots due."""

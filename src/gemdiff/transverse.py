@@ -253,15 +253,6 @@ class Quasi1DRecord:
     def read_offsets(self) -> np.ndarray:
         return self.base.t_out - self.base.protocol.t_hold
 
-    def perp_factor(self, gamma) -> np.ndarray:
-        """Transverse decay factor for one gamma over the read window."""
-        t = self.read_offsets
-        return np.exp(-np.asarray(gamma) * (2.0 * t + self.base.protocol.t_hold))
-
-    def f_out_mode(self, i: int, j: int) -> np.ndarray:
-        """Output field record of mode (kx[i], ky[j])."""
-        return self.base.f_out * (self.mode_amp[i, j] * self.perp_factor(self.gamma[i, j]))
-
     def _spectral_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique gamma values and their spectral weights sum |amp|^2."""
         gam = self.gamma.ravel()

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -76,19 +77,18 @@ def test_grid_rejects_bad_shapes(kwargs, match):
         Grid1D.build(0.1, **kwargs)
 
 
+def _field_scale(params, grid, coupling=None):
+    """slave_field's scale for the physical field: i (g N / c) dz / 2."""
+    coupling = params.coupling_eff if coupling is None else coupling
+    return 1j * (coupling * params.density / params.light_speed) * (0.5 * grid.dz)
+
+
 def test_slave_field_integrates_from_entrance(bench_params):
     # d_z E = i (g_eff N / c) sigma, E(-L) = f_in: a constant sigma gives
     # a linear ramp across the medium
     grid = Grid1D.build(bench_params.half_length, n_medium=64)
     sigma = grid.mask.astype(complex)
-    e = slave_field(
-        sigma[grid.medium],
-        grid,
-        bench_params.coupling_eff,
-        bench_params.density,
-        bench_params.light_speed,
-        2.0 + 0j,
-    )
+    e = slave_field(sigma[grid.medium], _field_scale(bench_params, grid), 2.0 + 0j)
     slope = bench_params.coupling_eff * bench_params.density / bench_params.light_speed
     assert e.shape == (grid.i_right - grid.i_left + 1,)
     assert e[0] == pytest.approx(2.0)
@@ -96,79 +96,117 @@ def test_slave_field_integrates_from_entrance(bench_params):
     assert_allclose(e, 2.0 + ramp, rtol=1e-12)
 
 
-@pytest.mark.parametrize("rows", [(), (1,), (5,)])
+@pytest.mark.parametrize("rows", [(), (1,), (5,), (128,)])
 def test_slave_field_integral_is_scipy_cumulative_trapezoid(bench_params, rows):
-    # the inline cumulative sum keeps scipy's operation order, so the
-    # field is bit-identical to the cumulative_trapezoid reference on the
-    # 385-point medium slice, for one row and for (rows, n_z) states
+    # the running sum S and its folded scale i k dz / 2 give the field
+    # of scipy's cumulative_trapezoid taken in extended precision, to a
+    # few ulps of each row's peak, on the 385-point medium slice, for one
+    # row and for (rows, n_z) states, contiguous or not
     grid = Grid1D.build(bench_params.half_length, n_medium=384)
     rng = np.random.default_rng(7)
     full = rows + (grid.n_z,)
     sigma = rng.standard_normal(full) + 1j * rng.standard_normal(full)
     fin = 0.3 - 0.2j
     scale = bench_params.coupling_eff * bench_params.density / bench_params.light_speed
-    e = slave_field(
-        sigma[..., grid.medium],
-        grid,
-        bench_params.coupling_eff,
-        bench_params.density,
-        bench_params.light_speed,
-        fin,
-    )
     cum = cumulative_trapezoid(
-        sigma[..., grid.medium], dx=grid.dz, axis=-1, initial=0.0
+        sigma[..., grid.medium].astype(np.clongdouble),
+        dx=np.longdouble(grid.dz),
+        axis=-1,
+        initial=0.0,
     )
-    assert np.array_equal(e, fin + 1j * scale * cum)
+    want = fin + 1j * np.longdouble(scale) * cum
+    peak = np.max(np.abs(want), axis=-1)
+    for medium in (sigma[..., grid.medium], sigma[..., grid.medium].copy()):
+        e = slave_field(medium, _field_scale(bench_params, grid), fin)
+        assert e.shape == medium.shape
+        assert np.all(np.max(np.abs(e - want), axis=-1) <= 4e-15 * peak)
 
 
-def _masked_midpoint_step(sigma, kern, grid, coupling, fin_now, fin_mid, density, light_speed):
-    """The midpoint drive on the full grid, masked to the medium (reference)."""
+def _midpoint_reference(
+    sigma, kern, grid, *, coupling_eff, fin_now, fin_mid, drive_on, density, light_speed
+):
+    """advance_step's driven step on the full grid, masked to the medium, in
+    extended precision from the same inputs and step factors."""
+    assert drive_on
+    ld, cld = np.longdouble, np.clongdouble
+    sigma, rot_full, rot_half = (
+        np.asarray(a, dtype=cld) for a in (sigma, kern.rot_full, kern.rot_half)
+    )
+    dt, g = np.asarray(kern.dt, dtype=ld), np.asarray(coupling_eff, dtype=ld)
+    fin_now, fin_mid = np.asarray(fin_now, dtype=cld), np.asarray(fin_mid, dtype=cld)
+    mask = grid.mask.astype(ld)
 
     def field(values, fin):
         # slaved field on every grid point: fin before the medium, the exit value after it
-        cum = cumulative_trapezoid(values[..., grid.medium], dx=grid.dz, axis=-1, initial=0.0)
-        e = np.empty(values.shape, dtype=complex)
+        cum = cumulative_trapezoid(values[..., grid.medium], dx=ld(grid.dz), axis=-1, initial=0.0)
+        e = np.empty(np.broadcast_shapes(values.shape, fin.shape), dtype=cld)
         e[..., : grid.i_left] = fin
-        e[..., grid.medium] = fin + 1j * (coupling * density / light_speed) * cum
+        e[..., grid.medium] = fin + 1j * (g * ld(density) / ld(light_speed)) * cum
         e[..., grid.i_right + 1 :] = e[..., grid.i_right : grid.i_right + 1]
         return e
 
-    sig_p = sigma + (0.5 * kern.dt) * (1j * coupling) * field(sigma, fin_now) * grid.mask
-    sig_p = kern.rot_half * sig_p
-    kick = (1j * coupling) * field(sig_p, fin_mid) * grid.mask
-    return kern.rot_full * sigma + (kern.dt * kern.rot_half) * kick
+    sig_p = sigma + (ld(0.5) * dt) * (1j * g) * field(sigma, fin_now) * mask
+    sig_p = rot_half * sig_p
+    kick = (1j * g) * field(sig_p, fin_mid) * mask
+    return rot_full * sigma + (dt * rot_half) * kick
+
+
+def _drive_fixture(bench_params, shape, n_medium, dt=2e-8):
+    """A driven step's inputs on a random (groups, rows, n_z) state."""
+    grid = Grid1D.build(bench_params.half_length, n_medium=n_medium)
+    assert grid.n_z == shape[-1]
+    rng = np.random.default_rng(11)
+    sigma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows = np.linspace(1.0, 0.2, shape[1])[:, None]
+    coupling = bench_params.coupling_eff * rows
+    residual = stark_residual(bench_params, rows)
+    kern = StepKernels.build(grid, dt, -TAU * 10e6, residual, 0.004, bench_params.k_matched, 0.0)
+    kwargs = dict(
+        coupling_eff=coupling,
+        fin_now=0.3 - 0.2j,
+        fin_mid=(0.1 + 0.4j) * np.linspace(1.0, 0.0, shape[1])[:, None],
+        drive_on=True,
+        density=bench_params.density,
+        light_speed=bench_params.light_speed,
+    )
+    return sigma, kern, grid, kwargs
 
 
 @pytest.mark.parametrize("groups", [1, 2])
 def test_drive_acts_on_the_medium_only(bench_params, groups):
-    # advance_step drives sigma[..., grid.medium] alone: it equals the
-    # full-grid masked midpoint step bit for bit, and the padding gets the
-    # rotation and light shift and nothing else
-    grid = Grid1D.build(bench_params.half_length, n_medium=96)
-    rng = np.random.default_rng(11)
-    shape = (groups, 3, grid.n_z)
-    sigma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    coupling = bench_params.coupling_eff * np.array([[1.0], [0.7], [0.2]])
-    residual = stark_residual(bench_params, np.array([[1.0], [0.5], [0.1]]))
-    dt = np.array([2e-8, 3e-8])[:groups, None, None] if groups > 1 else 2e-8
-    kern = StepKernels.build(grid, dt, -TAU * 10e6, residual, 0.004, bench_params.k_matched, 0.0)
-    fin_now, fin_mid = 0.3 - 0.2j, (0.1 + 0.4j) * np.array([[1.0], [0.5], [0.0]])
-    consts = (bench_params.density, bench_params.light_speed)
-    got = advance_step(
-        sigma,
-        kern,
-        grid,
-        coupling_eff=coupling,
-        fin_now=fin_now,
-        fin_mid=fin_mid,
-        drive_on=True,
-        density=consts[0],
-        light_speed=consts[1],
-    )
-    want = _masked_midpoint_step(sigma, kern, grid, coupling, fin_now, fin_mid, *consts)
-    assert np.array_equal(got, want)
+    # advance_step drives sigma[..., grid.medium] alone: it is the full-grid
+    # masked midpoint step, within 2 ulps of the peak of an extended-precision
+    # reference, and the padding gets the rotation and light shift and
+    # nothing else; the input state is left as it was
+    dt = np.array([2e-8, 3e-8])[:, None, None] if groups > 1 else 2e-8
+    sigma, kern, grid, kwargs = _drive_fixture(bench_params, (groups, 3, 256), 96, dt)
+    before = sigma.copy()
+    got = advance_step(sigma, kern, grid, **kwargs)
+    want = _midpoint_reference(sigma, kern, grid, **kwargs)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(got - want)) <= 2.0 * eps * np.max(np.abs(want))
     pad = grid.mask == 0.0
     assert np.array_equal(got[..., pad], (kern.rot_full * sigma)[..., pad])
+    assert np.array_equal(sigma, before)
+
+
+@pytest.mark.parametrize("shape, n_medium", [((1, 1, 1024), 384), ((1, 128, 512), 192)])
+def test_a_driven_step_holds_two_running_sums(bench_params, shape, n_medium):
+    # the predictor and the corrector each fill one medium-sized buffer, so
+    # a driven step peaks at no more than 3 medium-sized arrays beyond the
+    # state it returns (one more than its two buffers, for numpy's own)
+    sigma, kern, grid, kwargs = _drive_fixture(bench_params, shape, n_medium)
+    medium = sigma[..., grid.medium].nbytes
+    advance_step(sigma, kern, grid, **kwargs)  # warm: first-call caches
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = advance_step(sigma, kern, grid, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (peak - out.nbytes) / medium <= 3.0
 
 
 def test_exit_functional_reads_the_settled_exit_field(bench_params):
@@ -187,10 +225,12 @@ def test_exit_functional_reads_the_settled_exit_field(bench_params):
     assert kern.diff_rows.tolist() == [0, 2]
     spec = kern.spectrum(sigma)
     coupling = bench_params.coupling_eff * np.array([[1.0], [0.6], [0.3]])
-    consts = (coupling, bench_params.density, bench_params.light_speed, 0.2 - 0.1j)
+    fin = 0.2 - 0.1j
+    consts = (coupling, bench_params.density, bench_params.light_speed, fin)
     got = _field(kern.integral(sigma, spec, grid), *consts)[..., 0]
     settled = kern.resume(sigma, spec, kern.after)
-    want = slave_field(settled[..., grid.medium], grid, *consts)[..., -1]
+    scale = _field_scale(bench_params, grid, coupling)
+    want = slave_field(settled[..., grid.medium], scale, fin)[..., -1]
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.array_equal(settled[[1, 3]], sigma[[1, 3]])
 
@@ -430,6 +470,30 @@ def test_a_write_boundary_samples_the_input_once(
 # ---------------------------------------------------------------------------
 # record plumbing
 # ---------------------------------------------------------------------------
+
+
+def test_kept_exit_fields_own_their_data(bench_params, bench_signal):
+    # the driver keeps each boundary's exit field as a copy: a view would
+    # keep its (groups, rows, 1) base alive until the record is built
+    grid = Grid1D.build(bench_params.half_length, n_medium=64)
+    proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=2e-6)
+    rows = np.array([[1.0], [0.5], [0.2]])
+    traces, *_ = solver1d._drive_cycle(
+        bench_params,
+        [proto],
+        bench_signal,
+        grid,
+        n_rows=3,
+        rabi=bench_params.rabi_control * rows,
+        diffs=bench_params.diffusivity,
+        inject=lambda s: s * rows,
+        record=("write", "hold", "read"),
+        sigma_times=(),
+        steps_per_width=16.0,
+    )
+    exits = [e for trace in traces.values() for e in trace.exits]
+    assert len(exits) > 100
+    assert all(e.shape == (1, 3) and e.base is None for e in exits)
 
 
 def test_frames_are_taken_at_requested_times(bench_params, bench_protocol, bench_signal):

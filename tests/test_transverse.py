@@ -297,11 +297,6 @@ def test_quasi1d_kspace_and_realspace_efficiencies_agree(quasi_record):
 
 def test_quasi1d_axis_mode_carries_no_transverse_decay(quasi_record):
     assert quasi_record.gamma[0, 0] == 0.0
-    assert_allclose(quasi_record.perp_factor(0.0), 1.0, rtol=0)
-    f00 = quasi_record.f_out_mode(0, 0)
-    assert_allclose(
-        f00, quasi_record.base.f_out * quasi_record.mode_amp[0, 0], rtol=1e-15
-    )
 
 
 def test_quasi1d_intensity_peaks_on_axis(quasi_record):
