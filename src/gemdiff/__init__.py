@@ -25,7 +25,6 @@ from .analytic import (
     DecayFactors,
     EffTotals,
     eff_hold,
-    eff_read,
     eff_total,
     eff_transverse,
     eff_write_approx,
@@ -94,7 +93,6 @@ __all__ = [
     "derive_groups",
     "echo_leakage",
     "eff_hold",
-    "eff_read",
     "eff_total",
     "eff_transverse",
     "eff_write_approx",

@@ -288,13 +288,6 @@ def eff_write_approx(
     return eps, groups.alpha_write, groups.tau_write
 
 
-def eff_read(
-    params: PhysicalParams, protocol: StorageProtocol, signal: SignalSpec
-) -> float:
-    """Read efficiency; equals the write efficiency slice by slice."""
-    return eff_write_approx(params, protocol, signal)[0]
-
-
 def eff_hold(
     params: PhysicalParams, protocol: StorageProtocol, signal: SignalSpec
 ) -> tuple[float, float, float]:

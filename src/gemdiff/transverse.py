@@ -1,4 +1,4 @@
-"""Transverse dynamics: exact mode decomposition and real-space solvers.
+"""Transverse dynamics: exact mode decomposition and the radial real-space solver.
 
 Two complementary routes:
 
@@ -19,12 +19,11 @@ Two complementary routes:
   piece (an exit read there takes the owed half on the medium integral
   of each column, not on the state).  Protocols that differ only in
   t_hold share one write.  Energies and frames follow run_cycle's rules.
-  An axisymmetric problem runs on a radial finite-volume grid: conservative
-  Crank-Nicolson diffusion, whose half-step is a propagator matrix built
-  once per step size and applied as one real GEMM per group (n merged
-  half-steps are its cached n-th power).  The general case runs on a
-  Cartesian grid with spectral transverse diffusion (n half-steps are
-  one FFT pair).
+  Real space is radial (an axisymmetric beam under an axisymmetric
+  control) on a finite-volume grid: conservative Crank-Nicolson
+  diffusion, whose half-step is a propagator matrix built once per step
+  size and applied as one real GEMM per group (n merged half-steps are
+  its cached n-th power).
 
 Beam observables (intensity profile, fitted width, spin-wave phase maps,
 effective diffusion rate) are extracted from the records here as well.
@@ -152,47 +151,27 @@ class ModeGrid:
         return self.kx[:, None] ** 2 + self.ky[None, :] ** 2
 
 
+_RADIAL_WINDOW_WAISTS = 8.0  # the radial window's radius, in signal waists
+
+
 @dataclass(frozen=True, eq=False)
 class TransverseGrid:
-    """Real-space transverse grid: radial (axisymmetric) or Cartesian.
+    """Radial real-space grid over a window of 8 waists.
 
-    Radial grids are staggered, r_j = (j + 1/2) dr, which gives the
+    The cells are staggered, r_j = (j + 1/2) dr, which gives the
     finite-volume diffusion operator its natural no-flux condition at the
     axis and makes every cell weight 2 pi r_j dr.
     """
 
-    kind: str
     r: np.ndarray
     dr: float
-    x: np.ndarray | None = None
-    y: np.ndarray | None = None
 
     @classmethod
-    def radial(
-        cls, waist: float, n_r: int = 96, window_factor: float = 8.0
-    ) -> "TransverseGrid":
-        if window_factor < 6.0:
-            raise ParameterError("transverse window must span at least 6 waists")
+    def radial(cls, waist: float, n_r: int = 96) -> "TransverseGrid":
         if n_r < 8:
             raise ParameterError("radial grid needs at least 8 cells")
-        window = window_factor * waist
-        dr = window / n_r
-        r = (np.arange(n_r) + 0.5) * dr
-        return cls(kind="radial", r=r, dr=dr)
-
-    @classmethod
-    def cartesian(
-        cls, waist: float, n: int = 64, window_factor: float = 8.0
-    ) -> "TransverseGrid":
-        if window_factor < 6.0:
-            raise ParameterError("transverse window must span at least 6 waists")
-        if n < 8 or n % 2:
-            raise ParameterError("cartesian grid size must be an even number >= 8")
-        window = window_factor * waist
-        dx = window / n
-        axis = (np.arange(n) - n // 2) * dx
-        r = np.sqrt(axis[:, None] ** 2 + axis[None, :] ** 2).ravel()
-        return cls(kind="cartesian", r=r, dr=dx, x=axis, y=axis)
+        dr = (_RADIAL_WINDOW_WAISTS * waist) / n_r
+        return cls(r=(np.arange(n_r) + 0.5) * dr, dr=dr)
 
     @property
     def n_cols(self) -> int:
@@ -200,10 +179,8 @@ class TransverseGrid:
 
     @property
     def weights(self) -> np.ndarray:
-        """Transverse quadrature weight of each column (area element)."""
-        if self.kind == "radial":
-            return 2.0 * math.pi * self.r * self.dr
-        return np.full(self.n_cols, self.dr * self.dr)
+        """Transverse quadrature weight of each column (annulus area)."""
+        return 2.0 * math.pi * self.r * self.dr
 
 
 # ---------------------------------------------------------------------------
@@ -360,39 +337,13 @@ class _RadialDiffusion:
         return np.matmul(self._powers[n_halves], flat).view(complex)
 
 
-class _CartesianDiffusion:
-    """Spectral transverse diffusion on the Cartesian grid.
-
-    n half-steps are one FFT pair with the kernel exp(-D k^2 n dt_half),
-    cached per n.
-    """
-
-    def __init__(self, grid: TransverseGrid, diffusivity: float, dt_half: float):
-        n = grid.x.size
-        kx = 2.0 * math.pi * np.fft.fftfreq(n, grid.dr)
-        k_sq = kx[:, None] ** 2 + kx[None, :] ** 2
-        self._n = n
-        self._rate = -diffusivity * k_sq
-        self._dt_half = dt_half
-        self._kernels = {}
-
-    def propagate(self, sigma: np.ndarray, n_halves: int = 1) -> np.ndarray:
-        """n_halves half-steps on sigma of shape (..., n_x * n_y, n_z)."""
-        if n_halves not in self._kernels:
-            self._kernels[n_halves] = np.exp(self._rate * (n_halves * self._dt_half))[..., None]
-        n = self._n
-        cube = sigma.reshape(*sigma.shape[:-2], n, n, sigma.shape[-1])
-        cube = ifft2(fft2(cube, axes=(-3, -2)) * self._kernels[n_halves], axes=(-3, -2))
-        return cube.reshape(sigma.shape)
-
-
 @dataclass(eq=False)
 class RealspaceRecord:
-    """Record of a transverse real-space cycle.
+    """Record of a radial real-space cycle.
 
-    Fields are sampled at the medium exit face per transverse column;
+    Fields are sampled at the medium exit face per radial column;
     intensity is the time-integrated |f_out|^2 per column.  Coherence
-    snapshots have shape (n_cols, n_z) in the solver frame.
+    snapshots have shape (n_r, n_z) in the solver frame.
     """
 
     params: PhysicalParams
@@ -429,27 +380,28 @@ def run_cycle_realspace(
     sigma_times=(),
     store_fields=None,
 ) -> RealspaceRecord | list[RealspaceRecord]:
-    """Full cycle on an explicit transverse grid with a local control field.
+    """Full cycle on the radial grid with an axisymmetric local control field.
 
     The cycle runs on the cycle driver shared with solver1d.run_cycle,
-    with the transverse columns as the rows of one group per protocol:
-    column-local coupling and light shift, and a transverse operator.
+    with the radial columns as the rows of one group per protocol:
+    column-local coupling and light shift, and radial diffusion.
     Diffusion acts in every phase, with run_cycle's step and read window.
     protocol may be a sequence under run_cycle's rule: only t_hold may
     differ, and the hold must be undriven.  The groups share one write and
-    part ways at the hold; one record per protocol comes back.  The radial
-    grid requires an axisymmetric input mode.  Coherence frames are taken
-    at the scalar sigma_times only (extract_phase reads the mid-hold one,
+    part ways at the hold; one record per protocol comes back.  The input
+    must be the axisymmetric (0,0) mode; higher Hermite-Gauss modes go
+    through run_cycle_quasi1d.  Coherence frames are taken at the scalar
+    sigma_times only (extract_phase reads the mid-hold one,
     protocol.flip_time()).  Energies follow run_cycle's trapezoid rule in
     time, weighted over the columns.  Every record keeps its exit fields
     (store_fields is ignored).
     """
     single = isinstance(protocol, StorageProtocol)
     _, protocols = _rows_of(params, protocol)
-    if tgrid.kind == "radial" and signal.mode != (0, 0):
+    if signal.mode != (0, 0):
         raise ParameterError(
-            "radial grid is restricted to the axisymmetric (0,0) mode; "
-            "use a cartesian grid for mode %r" % (signal.mode,)
+            "real space is restricted to the axisymmetric (0,0) mode; "
+            "run mode %r through run_cycle_quasi1d" % (signal.mode,)
         )
     if abs(control.rabi_peak - params.rabi_control) > 1e-9 * abs(params.rabi_control):
         raise ParameterError(
@@ -460,12 +412,8 @@ def run_cycle_realspace(
         derive_groups(params, row, signal)
 
     face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
-    if tgrid.kind == "radial":
-        profile = sample_transverse(signal, tgrid.r[:, None], 0.0)  # (n_cols, 1)
-    else:
-        profile = sample_transverse(signal, tgrid.x[:, None], tgrid.y[None, :]).reshape(-1, 1)
-
-    diffusion = _RadialDiffusion if tgrid.kind == "radial" else _CartesianDiffusion
+    profile = sample_transverse(signal, tgrid.r[:, None], 0.0)  # (n_cols, 1)
+    diffusion = partial(_RadialDiffusion, tgrid, params.diffusivity)
     grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
     traces, (t_write, f_in), guards, takers = _drive_cycle(
         params,
@@ -477,9 +425,7 @@ def run_cycle_realspace(
         diffs=params.diffusivity,
         inject=lambda s: face_phase * s * profile,
         record=("read",),
-        transverse=(
-            partial(diffusion, tgrid, params.diffusivity) if params.diffusivity > 0.0 else None
-        ),
+        transverse=diffusion if params.diffusivity > 0.0 else None,
         steps_per_width=steps_per_width,
         sigma_times=sigma_times,
     )
@@ -533,28 +479,6 @@ class BeamProfile:
     width_moment: float
     fit_residual: float
     fit_ok: bool
-    asymmetry: float | None = None
-
-
-def _radial_profile(record: RealspaceRecord) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """Column intensities mapped to radius; asymmetry norm on 2D grids."""
-    if record.tgrid.kind == "radial":
-        return record.tgrid.r, record.intensity, None
-    n = record.tgrid.x.size
-    image = record.intensity.reshape(n, n)
-    peak = float(np.max(image))
-    asym = 0.0
-    if peak > 0.0:
-        # x -> -x on the centred even grid is flip plus one-cell roll (the
-        # axis runs -n/2 .. n/2 - 1; the domain is periodic for the
-        # spectral transverse step, so the wrap is exact)
-        for other in (
-            image.T,
-            np.roll(image[::-1, :], 1, axis=0),
-            np.roll(image[:, ::-1], 1, axis=1),
-        ):
-            asym = max(asym, float(np.max(np.abs(image - other))) / peak)
-    return record.tgrid.r, record.intensity, asym
 
 
 def intensity_and_width(record: RealspaceRecord) -> BeamProfile:
@@ -564,7 +488,7 @@ def intensity_and_width(record: RealspaceRecord) -> BeamProfile:
     second-moment width reported alongside as a diagnostic.  If the fit
     fails, the moment width is returned with fit_ok = False.
     """
-    r, intensity, asym = _radial_profile(record)
+    r, intensity = record.tgrid.r, record.intensity
     weights = record.tgrid.weights
     total = float(np.sum(weights * intensity))
     if total <= 0.0:
@@ -597,7 +521,6 @@ def intensity_and_width(record: RealspaceRecord) -> BeamProfile:
         width_moment=moment,
         fit_residual=fit_residual,
         fit_ok=fit_ok,
-        asymmetry=asym,
     )
 
 
@@ -638,7 +561,10 @@ def extract_phase(
     phase is unwrapped radially outward from the axis, and samples where
     either coherence falls below 1e-6 of its peak are NaN-masked.
     """
-    if record_inhomo.tgrid.kind != record_homo.tgrid.kind:
+    if not (
+        np.array_equal(record_inhomo.tgrid.r, record_homo.tgrid.r)
+        and np.array_equal(record_inhomo.grid.z, record_homo.grid.z)
+    ):
         raise ParameterError("phase extraction needs records on matching grids")
     when = t if t is not None else record_inhomo.protocol.flip_time()
     sig_i = _find_frame(record_inhomo, when)

@@ -20,7 +20,6 @@ from gemdiff import (
     StorageProtocol,
     derive_groups,
     eff_hold,
-    eff_read,
     eff_total,
     eff_transverse,
     eff_write_approx,
@@ -243,7 +242,6 @@ def test_write_efficiency_forms_agree(bench_params, bench_protocol, bench_signal
     exact = eff_write_exact(bench_params, bench_protocol, bench_signal)
     assert approx == pytest.approx(exact, rel=1e-6)
     assert approx == pytest.approx(math.sqrt(alpha) * math.exp(-tau), rel=1e-14)
-    assert eff_read(bench_params, bench_protocol, bench_signal) == approx
 
 
 def test_write_efficiency_expansion_degrades_gracefully(

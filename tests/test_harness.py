@@ -256,17 +256,8 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
             run_cycle, cfg.params, rotating, cfg.signal, diffusion_phases=("write", "read"), **fast
         ),
         # every undriven hold is one exact step per piece: beam-width's
-        # diffusing gradient-on hold, and a diffusing Cartesian one
+        # diffusing gradient-on hold (the standard one is the third call)
         partial(run_cycle_realspace, cfg.params, rotating, cfg.signal, control, tgrid, **fast),
-        partial(
-            run_cycle_realspace,
-            cfg.params,
-            exact,
-            cfg.signal,
-            control,
-            TransverseGrid.cartesian(cfg.signal.waist, n=8),
-            **fast,
-        ),
     ]
     # grouped and batched calls share every span up to the first that
     # tells the groups apart, and are charged that shared span once: a

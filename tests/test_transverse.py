@@ -1,4 +1,4 @@
-"""Transverse routes: mode decomposition, real-space solvers, beam observables."""
+"""Transverse routes: mode decomposition, the radial real-space solver, beam observables."""
 
 import math
 from dataclasses import replace
@@ -29,7 +29,6 @@ from gemdiff.pulses import ControlProfile, sample_transverse
 from gemdiff.solver1d import _integral
 from gemdiff.transverse import (
     RealspaceRecord,
-    _CartesianDiffusion,
     _RadialDiffusion,
     _edge_amplitude_ok,
 )
@@ -57,20 +56,6 @@ def radial_record(bench_params, bench_protocol, bench_signal):
         control,
         tgrid,
         sigma_times=(bench_protocol.flip_time(),),  # the mid-hold frame extract_phase reads
-        **FAST,
-    )
-
-
-@pytest.fixture(scope="module")
-def cart_record(bench_params, bench_protocol, bench_signal):
-    control = ControlProfile.homogeneous(bench_params.rabi_control)
-    tgrid = TransverseGrid.cartesian(bench_signal.waist, n=24)
-    return run_cycle_realspace(
-        bench_params,
-        bench_protocol,
-        bench_signal,
-        control,
-        tgrid,
         **FAST,
     )
 
@@ -116,8 +101,7 @@ def test_mode_grid_refuses_a_mode_beyond_the_window_before_sampling(n, window_fa
 
 
 def test_radial_grid_is_staggered_with_exact_disc_area():
-    grid = TransverseGrid.radial(WAIST, n_r=40, window_factor=8.0)
-    assert grid.kind == "radial"
+    grid = TransverseGrid.radial(WAIST, n_r=40)
     assert grid.r[0] == pytest.approx(0.5 * grid.dr)
     assert np.all(np.diff(grid.r) > 0)
     # sum of 2 pi r_j dr over the staggered cells is exactly pi R^2
@@ -125,15 +109,6 @@ def test_radial_grid_is_staggered_with_exact_disc_area():
     assert float(np.sum(grid.weights)) == pytest.approx(
         math.pi * window**2, rel=1e-12
     )
-
-
-def test_cartesian_grid_weights_tile_the_window():
-    grid = TransverseGrid.cartesian(WAIST, n=24, window_factor=8.0)
-    assert grid.kind == "cartesian"
-    assert grid.n_cols == 24 * 24
-    assert float(np.sum(grid.weights)) == pytest.approx((8.0 * WAIST) ** 2, rel=1e-12)
-    with pytest.raises(ParameterError, match="even number"):
-        TransverseGrid.cartesian(WAIST, n=23)
     with pytest.raises(ParameterError, match="at least 8"):
         TransverseGrid.radial(WAIST, n_r=4)
 
@@ -149,7 +124,7 @@ def test_radial_step_spreads_a_gaussian_conservatively():
     # second-order accuracy and conserve the integral to round-off
     w0 = WAIST
     d = 0.004
-    grid = TransverseGrid.radial(w0, n_r=128, window_factor=8.0)
+    grid = TransverseGrid.radial(w0, n_r=128)
     op = _RadialDiffusion(grid, d, dt_half=1e-6)
     sigma = np.exp(-grid.r[:, None] ** 2 / w0**2).astype(complex)
     mass0 = float(np.sum(grid.weights * sigma[:, 0].real))
@@ -185,7 +160,7 @@ def _banded_cn_half_step(grid, d, dt_half):
 
 @pytest.mark.parametrize("k", [1, 2, 40])
 def test_radial_propagator_equals_banded_solves(k):
-    grid = TransverseGrid.radial(WAIST, n_r=64, window_factor=8.0)
+    grid = TransverseGrid.radial(WAIST, n_r=64)
     d, dt_half = 0.004, 1e-6
     rng = np.random.default_rng(k)
     sigma0 = np.exp(-grid.r[:, None] ** 2 / WAIST**2) * (
@@ -205,7 +180,7 @@ def test_radial_propagator_equals_banded_solves(k):
 
 
 def test_radial_propagator_power_conserves_mass():
-    grid = TransverseGrid.radial(WAIST, n_r=128, window_factor=8.0)
+    grid = TransverseGrid.radial(WAIST, n_r=128)
     op = _RadialDiffusion(grid, 0.004, dt_half=1e-6)
     sigma = np.exp(-grid.r[:, None] ** 2 / WAIST**2).astype(complex)
     mass0 = float(np.sum(grid.weights * sigma[:, 0].real))
@@ -215,26 +190,11 @@ def test_radial_propagator_power_conserves_mass():
     assert spread[0, 0].real < 0.5 * sigma[0, 0].real  # and it did spread
 
 
-def test_cartesian_fused_kernel_equals_two_half_steps():
-    grid = TransverseGrid.cartesian(WAIST, n=32, window_factor=8.0)
-    op = _CartesianDiffusion(grid, 0.004, dt_half=5e-6)
-    x = grid.x
-    sigma = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / WAIST**2).reshape(-1, 1)
-    sigma = sigma * np.exp(1j * np.arange(4))[None, :]
-    twice = op.propagate(op.propagate(sigma))
-    assert np.max(np.abs(op.propagate(sigma, 2) - twice)) <= 1e-13 * np.max(np.abs(twice))
-
-
-@pytest.mark.parametrize("kind", ["radial", "cartesian"])
-def test_transverse_half_commutes_with_the_exit_functional(kind):
+def test_transverse_half_commutes_with_the_exit_functional():
     # an exit read owes the state a transverse half: P applied to the medium
     # integral per column equals the integral of P sigma
-    if kind == "radial":
-        tgrid = TransverseGrid.radial(WAIST, n_r=32)
-        op = _RadialDiffusion(tgrid, 0.004, 2e-8)
-    else:
-        tgrid = TransverseGrid.cartesian(WAIST, n=8, window_factor=6.0)
-        op = _CartesianDiffusion(tgrid, 0.004, 2e-8)
+    tgrid = TransverseGrid.radial(WAIST, n_r=32)
+    op = _RadialDiffusion(tgrid, 0.004, 2e-8)
     grid = Grid1D.build(0.1, n_medium=64)
     rng = np.random.default_rng(3)
     shape = (2, tgrid.n_cols, grid.n_z)
@@ -245,26 +205,6 @@ def test_transverse_half_commutes_with_the_exit_functional(kind):
     got = op.propagate(_integral(sigma, grid), 1)
     assert got.shape == want.shape == (2, tgrid.n_cols, 1)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-
-
-def test_cartesian_step_is_spectrally_exact_on_a_gaussian():
-    # free-space heat kernel, except for periodic images at the window
-    # edge (~e^-16 of peak); the centre of the grid is image-free
-    w0 = WAIST
-    d = 0.004
-    grid = TransverseGrid.cartesian(w0, n=64, window_factor=8.0)
-    op = _CartesianDiffusion(grid, d, dt_half=5e-6)
-    x = grid.x
-    sigma0 = np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / w0**2)
-    sigma = op.propagate(sigma0.reshape(-1, 1).astype(complex)).reshape(64, 64)
-    t = 5e-6
-    w_sq = w0**2 + 4.0 * d * t
-    exact = (w0**2 / w_sq) * np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / w_sq)
-    centre = np.abs(x) <= 2.0 * w0
-    block = np.ix_(centre, centre)
-    assert_allclose(sigma.real[block], exact[block], atol=1e-12)
-    assert_allclose(sigma.real, exact, atol=1e-6)
-    assert np.max(np.abs(sigma.imag)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +248,13 @@ def test_quasi1d_intensity_peaks_on_axis(quasi_record):
 
 
 # ---------------------------------------------------------------------------
-# the three routes to the same efficiency
+# the two routes to the same efficiency
 # ---------------------------------------------------------------------------
 
 
-def test_three_routes_agree_with_the_closed_form(
+def test_quasi1d_and_radial_routes_agree_with_the_closed_form(
     quasi_record,
     radial_record,
-    cart_record,
     bench_params,
     bench_protocol,
     bench_signal,
@@ -324,7 +263,6 @@ def test_three_routes_agree_with_the_closed_form(
     routes = {
         "quasi1d": quasi_record.efficiency_kspace(),
         "radial": radial_record.efficiency,
-        "cartesian": cart_record.efficiency,
     }
     for name, eff in routes.items():
         assert abs(eff - full) < 0.01, (name, eff, full)
@@ -443,18 +381,11 @@ def test_a_radial_read_step_takes_one_state_propagation(bench_params, bench_sign
     assert shapes.count(1) == n_read - 1
 
 
-def test_cartesian_output_stays_axisymmetric(cart_record):
-    profile = intensity_and_width(cart_record)
-    assert profile.asymmetry is not None
-    assert profile.asymmetry < 1e-6
-
-
 def test_radial_output_width_matches_transport_formula(
     radial_record, bench_params, bench_protocol, bench_signal
 ):
     profile = intensity_and_width(radial_record)
     assert profile.fit_ok
-    assert profile.asymmetry is None  # radial grids are axisymmetric by construction
     expected = output_width(bench_params, bench_protocol, bench_signal)
     assert profile.width == pytest.approx(expected, rel=0.05)
     assert profile.width_moment == pytest.approx(expected, rel=0.05)
@@ -475,21 +406,18 @@ def test_width_growth_rate_recovers_the_diffusivity(bench_params):
 
 
 @pytest.mark.parametrize(
-    "kind, make, holds",
+    "make, holds",
     [
-        ("radial", StorageProtocol.gradient_through_hold, (0.0, 2e-6, 4e-6)),
-        ("cartesian", StorageProtocol.standard, (3e-6, 1e-6)),
+        (StorageProtocol.gradient_through_hold, (0.0, 2e-6, 4e-6)),
+        (StorageProtocol.standard, (3e-6, 1e-6)),  # diffusing gradient-off holds
     ],
 )
-def test_grouped_holds_equal_their_single_calls(bench_params, bench_signal, kind, make, holds):
+def test_grouped_holds_equal_their_single_calls(bench_params, bench_signal, make, holds):
     # one call per hold list: the groups share the write and part ways at
     # the hold, where each flips at its own time; a frame in the shared write
     # is taken from the one state every group starts from
     control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
-    if kind == "radial":
-        tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
-    else:
-        tgrid = TransverseGrid.cartesian(bench_signal.waist, n=12)
+    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
     protos = [make(-TAU * 10e6, h) for h in holds]
     frames = dict(sigma_times=(-1e-6,), **FAST)
     grouped = run_cycle_realspace(bench_params, protos, bench_signal, control, tgrid, **frames)
@@ -546,8 +474,15 @@ def test_realspace_rejects_mismatched_setups(
         run_cycle_realspace(bench_params, protos, bench_signal, control, tgrid, sigma_times=per_group)
 
 
-def test_realspace_takes_frames_only_on_request(cart_record, radial_record):
-    assert cart_record.sigma_frames == []
+def test_realspace_takes_frames_only_on_request(
+    bench_params, bench_protocol, bench_signal, radial_record
+):
+    control = ControlProfile.homogeneous(bench_params.rabi_control)
+    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
+    unasked = run_cycle_realspace(
+        bench_params, bench_protocol, bench_signal, control, tgrid, **FAST
+    )
+    assert unasked.sigma_frames == []
     assert [t for t, _ in radial_record.sigma_frames] == [radial_record.protocol.flip_time()]
 
 
@@ -614,8 +549,19 @@ def test_extract_phase_of_identical_records_is_zero(radial_record):
     assert r.shape == theta_mid.shape
 
 
-def test_extract_phase_validates_inputs(radial_record, cart_record):
+def test_extract_phase_validates_inputs(bench_params, bench_protocol, bench_signal, radial_record):
+    # a radial record on another n_r holds a frame at the same time, on other columns
+    control = ControlProfile.homogeneous(bench_params.rabi_control)
+    coarser = run_cycle_realspace(
+        bench_params,
+        bench_protocol,
+        bench_signal,
+        control,
+        TransverseGrid.radial(bench_signal.waist, n_r=24),
+        sigma_times=(bench_protocol.flip_time(),),
+        **FAST,
+    )
     with pytest.raises(ParameterError, match="matching grids"):
-        extract_phase(radial_record, cart_record)
+        extract_phase(radial_record, coarser)
     with pytest.raises(ParameterError, match="snapshot"):
         extract_phase(radial_record, radial_record, t=123.0)
