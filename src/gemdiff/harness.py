@@ -163,6 +163,8 @@ class ExperimentSpec:
 
 
 def _cell(value) -> str:
+    if isinstance(value, float):  # np.float64 too: nearly every cell, so tested first
+        return "%.12g" % value if value == value else "nan"
     if isinstance(value, str):
         return value
     if value is None:
@@ -195,7 +197,7 @@ def _write_csv(spec: ExperimentSpec, name: str, columns, rows, notes=()) -> Path
     lines.append("# columns: " + ",".join(columns))
     with path.open("w", encoding="utf-8") as out:
         out.writelines(line + "\n" for line in lines)
-        out.writelines(",".join(_cell(value) for value in row) + "\n" for row in rows)
+        out.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
     return path
 
 
@@ -268,9 +270,12 @@ def _estimate_cell_steps(call: partial) -> float:
     args = bound.arguments
     param_rows, protocol_rows = _rows_of(args["params"], args["protocol"])
     n_rows = args["tgrid"].n_cols if call.func is run_cycle_realspace else 1  # rows per group
-    signal, cut_times = args["signal"], args["sigma_times"]
     _, plan = _cycle_plan(
-        protocol_rows, signal, steps_per_width=args["steps_per_width"], cut_times=cut_times
+        protocol_rows,
+        args["signal"],
+        steps_per_width=args["steps_per_width"],
+        cut_times=args["sigma_times"],
+        read=args.get("read", True),  # only real space can skip its read
     )
     diffs = _shared([p.diffusivity for p in param_rows])
     diffusion_phases = args.get("diffusion_phases", _PHASES)
@@ -1026,6 +1031,7 @@ def _exp_phase_profile(spec: ExperimentSpec):
                 n_medium=n_medium,
                 steps_per_width=steps,
                 sigma_times=(protocol.flip_time(),),  # the mid-hold frame extract_phase reads
+                read=False,  # the frame is the only output read: the cycle ends there
             )
             for control in (cfg.control, ControlProfile.homogeneous(cfg.params.rabi_control))
         ],

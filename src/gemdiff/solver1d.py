@@ -499,6 +499,7 @@ def _cycle_plan(
     *,
     steps_per_width: float,
     cut_times=(),
+    read: bool = True,
 ) -> tuple[float, list[tuple[str, list[tuple]]]]:
     """The step plan of one cycle: the driver runs it, the cost guard sums it.
 
@@ -513,11 +514,17 @@ def _cycle_plan(
     only at the cut_times inside it, each one scalar time shared by every
     group.  A gradient-on hold splits into two spans at each group's flip
     time.
+    With read False no exit field is kept, so the cycle's last output is
+    its last snapshot: the plan ends with the span that takes it (the first
+    whose end reaches it on every group's clock), and the phases after that
+    span's are left out.  Such a plan needs a cut time.
     """
     if steps_per_width <= 0.0:
         raise ParameterError("steps_per_width must be positive")
     if any(np.ndim(t) for t in cut_times):
         raise ParameterError("a snapshot time is one scalar time shared by every row")
+    if not read and not len(cut_times):
+        raise ParameterError("a cycle without a read needs sigma_times: it has no other output")
     protocol = protocols[0]  # every field but t_hold is shared
     dt0 = signal.t_width / steps_per_width
     t_window = protocol.write_window(signal)
@@ -549,11 +556,23 @@ def _cycle_plan(
             for start, length, eta in parts
             if not np.all(np.less_equal(length, 0.0))
         ]
-    return dt0, [
+    plan = [
         ("write", [span(-t_window, t_window, protocol.eta_write, True)]),
         ("hold", hold),
         ("read", [span(holds, t_window, -protocol.eta_write, True)]),
     ]
+    return dt0, plan if read else _ending_at(plan, max(float(t) for t in cut_times))
+
+
+def _ending_at(plan, t_last: float):
+    """plan up to the span whose end first reaches t_last on every group's clock
+    (_FrameTaker.due's tolerance); the whole plan when no span's end does."""
+    for p, (phase, spans) in enumerate(plan):
+        for s, (start, length, *_) in enumerate(spans):
+            end = np.asarray(start + length)
+            if np.all(t_last <= end + 1e-12 * np.maximum(1.0, np.abs(end))):
+                return [*plan[:p], (phase, spans[: s + 1])]
+    return plan
 
 
 def _fans_out(length, diffusivity) -> bool:
@@ -689,16 +708,23 @@ def _drive_cycle(
     n half-steps: an undriven piece of length T takes n = 2 ceil(T / dt0)
     of them at its end, and an exit read inside a piece applies the owed
     half to the (groups, rows, 1) medium integral instead of the state.
+    A call that records no phase keeps only frames, so it runs the plan
+    with read False, which ends at the last frame.
 
     Returns (traces, injected, guards, takers): a _Trace per phase in
     record, the write boundary times with the input sample injected at
-    each, and per group its guard ratios and its _FrameTaker.
+    each, and per group its guard ratios (of the phases run) and its
+    _FrameTaker.
     """
     for name in diffusion_phases:
         if name not in _PHASES:
             raise ParameterError("unknown diffusion phase %r" % (name,))
     dt0, plan = _cycle_plan(
-        protocols, signal, steps_per_width=steps_per_width, cut_times=sigma_times
+        protocols,
+        signal,
+        steps_per_width=steps_per_width,
+        cut_times=sigma_times,
+        read=bool(record),
     )
     coupling = params.coupling_g * rabi / params.detuning
     residuals = stark_residual(params, rabi), stark_residual(params, 0.0 * rabi)

@@ -343,7 +343,8 @@ class RealspaceRecord:
 
     Fields are sampled at the medium exit face per radial column;
     intensity is the time-integrated |f_out|^2 per column.  Coherence
-    snapshots have shape (n_r, n_z) in the solver frame.
+    snapshots have shape (n_r, n_z) in the solver frame.  A cycle run
+    without its read has t_out, f_out, intensity and output_energy None.
     """
 
     params: PhysicalParams
@@ -352,16 +353,21 @@ class RealspaceRecord:
     control: ControlProfile
     grid: Grid1D
     tgrid: TransverseGrid
-    t_out: np.ndarray
-    f_out: np.ndarray
-    intensity: np.ndarray
+    t_out: np.ndarray | None
+    f_out: np.ndarray | None
+    intensity: np.ndarray | None
     input_energy: float
-    output_energy: float
+    output_energy: float | None
     sigma_frames: list[tuple[float, np.ndarray]] = field(default_factory=list)
     guard_ratio: dict[str, float] = field(default_factory=dict)
 
+    def _require_read(self) -> None:
+        if self.output_energy is None:
+            raise ParameterError("no read was run: the cycle was solved with read=False")
+
     @property
     def efficiency(self) -> float:
+        self._require_read()
         if self.input_energy == 0.0:
             raise ParameterError("cycle recorded no input energy")
         return self.output_energy / self.input_energy
@@ -379,6 +385,7 @@ def run_cycle_realspace(
     steps_per_width: float = 64.0,
     sigma_times=(),
     store_fields=None,
+    read: bool = True,
 ) -> RealspaceRecord | list[RealspaceRecord]:
     """Full cycle on the radial grid with an axisymmetric local control field.
 
@@ -394,7 +401,10 @@ def run_cycle_realspace(
     sigma_times only (extract_phase reads the mid-hold one,
     protocol.flip_time()).  Energies follow run_cycle's trapezoid rule in
     time, weighted over the columns.  Every record keeps its exit fields
-    (store_fields is ignored).
+    (store_fields is ignored).  read=False runs no read: the cycle ends at
+    the span that takes the last of the sigma_times frames (which must be
+    given), the records keep their frames, input energy and guard ratios
+    (of the phases run), and their read fields are None.
     """
     single = isinstance(protocol, StorageProtocol)
     _, protocols = _rows_of(params, protocol)
@@ -424,20 +434,24 @@ def run_cycle_realspace(
         rabi=control_rabi(control, tgrid.r)[:, None],  # column-local control
         diffs=params.diffusivity,
         inject=lambda s: face_phase * s * profile,
-        record=("read",),
+        record=("read",) if read else (),
         transverse=diffusion if params.diffusivity > 0.0 else None,
         steps_per_width=steps_per_width,
         sigma_times=sigma_times,
     )
 
     input_energy = _energy(f_in, t_write) * float(tgrid.weights @ np.abs(profile[:, 0]) ** 2)
-    t_out = _steps_by_row(traces["read"].times)
-    f_out = np.moveaxis(np.array([face_phase * e for e in traces["read"].exits]), 0, -1)
+    if read:
+        t_out = _steps_by_row(traces["read"].times)
+        f_out = np.moveaxis(np.array([face_phase * e for e in traces["read"].exits]), 0, -1)
 
     records = []
     for g, (row, taker) in enumerate(zip(protocols, takers)):
-        t_g, f_g = _row(t_out, g), _row(f_out, g)
-        intensity = np.trapezoid(np.abs(f_g) ** 2, t_g)  # per column
+        t_g = f_g = intensity = output_energy = None
+        if read:
+            t_g, f_g = _row(t_out, g), _row(f_out, g)
+            intensity = np.trapezoid(np.abs(f_g) ** 2, t_g)  # per column
+            output_energy = float(tgrid.weights @ intensity)
         records.append(
             RealspaceRecord(
                 params=params,
@@ -450,7 +464,7 @@ def run_cycle_realspace(
                 f_out=f_g,
                 intensity=intensity,
                 input_energy=input_energy,
-                output_energy=float(tgrid.weights @ intensity),
+                output_energy=output_energy,
                 sigma_frames=taker.sigma_frames,
                 guard_ratio=guards[g],
             )
@@ -488,6 +502,7 @@ def intensity_and_width(record: RealspaceRecord) -> BeamProfile:
     second-moment width reported alongside as a diagnostic.  If the fit
     fails, the moment width is returned with fit_ok = False.
     """
+    record._require_read()
     r, intensity = record.tgrid.r, record.intensity
     weights = record.tgrid.weights
     total = float(np.sum(weights * intensity))

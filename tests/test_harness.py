@@ -110,6 +110,30 @@ def test_cell_formatting():
     assert _cell(1.0 / 3.0) == "0.333333333333"  # %.12g, locale-free
 
 
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (6.02214076e23, "6.02214076e+23"),
+        (np.float64(2.0 / 3.0), "0.666666666667"),
+        (-float("nan"), "nan"),
+        (np.float64("nan"), "nan"),
+        (float("inf"), "inf"),
+        (-float("inf"), "-inf"),
+        (-0.0, "-0"),
+        (1e-300, "1e-300"),
+        (np.float32(0.5), "0.5"),
+        (True, "1"),
+        (np.bool_(False), "0"),
+        (7, "7"),
+        (np.int64(-42), "-42"),
+        (None, "nan"),
+        ("label", "label"),
+    ],
+)
+def test_cell_writes_each_kind_of_value_as_literal_text(value, text):
+    assert _cell(value) == text
+
+
 def test_check_kinds():
     assert _check("a", 1.001, 1.0, 0.01, "c")["passed"]
     assert not _check("a", 1.02, 1.0, 0.01, "c")["passed"]
@@ -272,8 +296,14 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
         partial(run_cycle_realspace, cfg.params, groups, cfg.signal, control, tgrid, **fast),
         partial(run_cycle, rows, exact, cfg.signal, **hold_only),
     ]
-    for call in exact_calls + shared_calls:
+    # a call without its read ends at its mid-hold frame: the second hold
+    # span and the read are neither run nor charged
+    frame = dict(sigma_times=(rotating.flip_time(),), **fast)
+    framed = partial(run_cycle_realspace, still, rotating, cfg.signal, control, tgrid, **frame)
+    frames_only = partial(framed, read=False)
+    for call in exact_calls + shared_calls + [frames_only]:
         assert _estimate_cell_steps(call) == solved_cells(call)
+    assert 0 < _estimate_cell_steps(frames_only) < _estimate_cell_steps(framed)
     n_z = Grid1D.build(cfg.params.half_length, fast["n_medium"]).n_z
     dt0 = cfg.signal.t_width / fast["steps_per_width"]
     write_steps = math.ceil(groups[0].write_window(cfg.signal) / dt0)
@@ -290,7 +320,7 @@ def test_entry_points_take_only_the_options_experiments_set():
 
     common = ["n_medium", "pad_fraction", "steps_per_width"]
     assert options(run_cycle) == [*common, "diffusion_phases", "sigma_times"]
-    assert options(run_cycle_realspace) == [*common, "sigma_times", "store_fields"]
+    assert options(run_cycle_realspace) == [*common, "sigma_times", "store_fields", "read"]
     # the quasi-1D route forwards run_cycle's options and takes no others
     assert list(inspect.signature(run_cycle_quasi1d).parameters) == [
         "params", "protocol", "signal", "grid", "solver_kwargs"

@@ -24,6 +24,7 @@ from gemdiff import (
     run_cycle,
     run_cycle_quasi1d,
     run_cycle_realspace,
+    solver1d,
 )
 from gemdiff.pulses import ControlProfile, sample_transverse
 from gemdiff.solver1d import _integral
@@ -484,6 +485,43 @@ def test_realspace_takes_frames_only_on_request(
     )
     assert unasked.sigma_frames == []
     assert [t for t, _ in radial_record.sigma_frames] == [radial_record.protocol.flip_time()]
+
+
+def test_a_cycle_without_its_read_ends_at_its_last_frame(bench_params, bench_signal, monkeypatch):
+    # extract_phase reads only the mid-hold frame: a call with read=False
+    # stops there, and its frame is the full call's, bit for bit
+    control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
+    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
+    proto = StorageProtocol.gradient_through_hold(-TAU * 10e6, 4e-6)
+    frame = dict(sigma_times=(proto.flip_time(),), **FAST)
+    full = run_cycle_realspace(bench_params, proto, bench_signal, control, tgrid, **frame)
+    steps = []
+    real = solver1d.advance_step
+
+    def counted(*args, **kwargs):
+        steps.append(kwargs["drive_on"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver1d, "advance_step", counted)
+    short = run_cycle_realspace(
+        bench_params, proto, bench_signal, control, tgrid, read=False, **frame
+    )
+    [(t_full, mid_full)], [(t_short, mid_short)] = full.sigma_frames, short.sigma_frames
+    assert t_short == t_full == proto.flip_time()
+    assert np.array_equal(mid_short, mid_full)
+    # the write's steps and the one exact piece up to the flip; no read step
+    dt0 = bench_signal.t_width / FAST["steps_per_width"]
+    assert steps == [True] * math.ceil(proto.write_window(bench_signal) / dt0) + [False]
+    assert set(short.guard_ratio) == {"write", "hold"}
+    assert short.guard_ratio["write"] == full.guard_ratio["write"]
+    assert short.input_energy == full.input_energy
+    assert short.t_out is short.f_out is short.intensity is short.output_energy is None
+    with pytest.raises(ParameterError, match="no read was run"):
+        short.efficiency
+    with pytest.raises(ParameterError, match="no read was run"):
+        intensity_and_width(short)
+    with pytest.raises(ParameterError, match="needs sigma_times"):
+        run_cycle_realspace(bench_params, proto, bench_signal, control, tgrid, read=False, **FAST)
 
 
 def test_realspace_guard_and_energy_bookkeeping(radial_record):
