@@ -39,6 +39,10 @@ class SignalSpec:
     def __post_init__(self):
         if self.amplitude <= 0:
             raise ParameterError("amplitude must be positive")
+        if not math.isfinite(self.amplitude * self.amplitude):
+            raise ParameterError(
+                "amplitude %r overflows: its squared field must be finite" % (self.amplitude,)
+            )
         if self.t_width <= 0:
             raise ParameterError("t_width must be positive")
         if self.t_lead < 0:

@@ -44,6 +44,12 @@ its end in one shot.
 All step kernels broadcast over leading axes of sigma, with per-row
 couplings and detunings passed as (..., 1) arrays.
 
+A step allocates no state-sized array.  The driver owns two states and
+two medium-shaped buffers per cycle: the spectrum is taken and turned back
+in place, and each transverse propagation and step core writes into the
+state that is not its input.  Whatever leaves the driver is a copy: exit
+fields, end states and frames.
+
 One driver, _drive_cycle, runs both routes on a (groups, rows, n_z) state
 by the step plan of _cycle_plan.  Each group is a record: a 1D batch is G
 groups of one row, a real-space call G groups of its transverse columns,
@@ -170,7 +176,7 @@ class Grid1D:
         return slice(0, left_pad // 2), slice(self.n_z - right_pad // 2, self.n_z)
 
 
-def slave_field(medium: np.ndarray, scale, offset) -> np.ndarray:
+def slave_field(medium: np.ndarray, scale, offset, out: np.ndarray | None = None) -> np.ndarray:
     """The slaved field in running-sum form: offset + scale * S(medium).
 
     S(x)_j = sum_{i<j} (x_i + x_{i+1}), S_0 = 0, is the cumulative trapezoid
@@ -179,12 +185,14 @@ def slave_field(medium: np.ndarray, scale, offset) -> np.ndarray:
     slave_field(medium, 1j * (g N / c) * dz / 2, fin); any multiple c E is
     the same call with scale and offset both times c.  medium is the
     coherence on the medium points, sigma[..., grid.medium], and the field
-    comes back on the same points as a new array.  Per-row scales and
-    offsets broadcast over leading axes when shaped (..., 1); offset None
-    is a zero offset.
+    comes back on the same points, in out when given (medium's shape, not
+    sharing its memory), else in a new array.  Per-row scales and offsets
+    broadcast over leading axes when shaped (..., 1); offset None is a zero
+    offset.
     """
-    out = np.empty(medium.shape, dtype=complex)
-    if medium.flags.c_contiguous:  # pair along the flat rows: no iterator buffers
+    if out is None:
+        out = np.empty(medium.shape, dtype=complex)
+    if medium.flags.c_contiguous and out.flags.c_contiguous:  # flat pairs: no iterator buffers
         flat, pairs = medium.reshape(-1), out.reshape(-1)
         np.add(flat[:-1], flat[1:], out=pairs[1:])
     else:
@@ -277,28 +285,41 @@ class StepKernels:
         )
 
     def spectrum(self, sigma: np.ndarray) -> np.ndarray | None:
-        """fft of the diffusing rows of sigma along z (None: no row diffuses)."""
+        """fft of the diffusing rows of sigma along z (None: no row diffuses).
+
+        When every row diffuses the transform is taken in place: sigma's
+        memory holds the spectrum until resume turns it back.
+        """
         if self.before is None:
             return None
-        rows = sigma if self.diff_rows is None else sigma[self.diff_rows]
-        return fft(rows, axis=-1)
+        rows = sigma if self.diff_rows is None else sigma[self.diff_rows]  # a copy
+        return fft(rows, axis=-1, overwrite_x=True)
 
     def resume(self, sigma: np.ndarray, spec: np.ndarray | None, kernel) -> np.ndarray:
         """sigma with its diffusing rows replaced by ifft(spec * kernel), kernel
-        one of before, after and full; a new array whenever a row diffuses."""
+        one of before, after and full, in place: spec is consumed, and the
+        result lives in spec's memory when every row diffuses, else in sigma."""
         if spec is None:
             return sigma
+        spec *= kernel
         if self.diff_rows is None:
-            return ifft(spec * kernel, axis=-1)
-        out = sigma.copy()
-        out[self.diff_rows] = ifft(spec * kernel, axis=-1)
-        return out
+            return ifft(spec, axis=-1, overwrite_x=True)
+        sigma[self.diff_rows] = ifft(spec, axis=-1, overwrite_x=True)
+        return sigma
 
-    def integral(self, sigma: np.ndarray, spec: np.ndarray | None, grid: Grid1D) -> np.ndarray:
-        """_integral of resume(sigma, spec, after), read as spec . probe."""
+    def integral(
+        self,
+        sigma: np.ndarray,
+        spec: np.ndarray | None,
+        grid: Grid1D,
+        scratch: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """_integral of resume(sigma, spec, after), read as spec . probe; the
+        product spec * probe goes into scratch (state-shaped) when given."""
         if spec is None:
             return _integral(sigma, grid)
-        spectral = np.sum(spec * self.probe, axis=-1, keepdims=True)
+        weighted = np.multiply(spec, self.probe, out=None if scratch is None else scratch[: len(spec)])
+        spectral = np.sum(weighted, axis=-1, keepdims=True)
         if self.diff_rows is None:
             return spectral
         out = _integral(sigma, grid)
@@ -317,6 +338,8 @@ def advance_step(
     drive_on: bool,
     density: float,
     light_speed: float,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """The core of one split step: gradient rotation, light shift and drive.
 
@@ -333,26 +356,35 @@ def advance_step(
     -h g k dz / 2, real in value.  The predictor is sigma_p = R (sigma + a0
     + b0 S(sigma)) at h = dt / 2, R = rot_half, and the corrector adds
     R (a1 + b1 S(sigma_p)) at h = dt to rot_full sigma: two running sums,
-    each into a medium-sized buffer of its own, and no a-pass where the
-    input is zero (the hold and the read).  Returns a new array; sigma is
-    never written.
+    and no a-pass where the input is zero (the hold and the read).
+
+    The new state goes into out (sigma's shape, not sharing its memory)
+    when given, else into a new array; sigma is never written.  The drive
+    runs in the two medium-shaped buffers of scratch (new ones when None):
+    the first takes a contiguous copy of sigma[..., medium] and later the
+    kick, the second the predictor and later out's medium, so no ufunc
+    reads a strided medium view (numpy would buffer it).
     """
-    out = kern.rot_full * sigma
+    out = np.multiply(kern.rot_full, sigma, out=out)
     if not drive_on:
         return out
     dt, med = kern.dt, grid.medium
-    inside = sigma[..., med]
+    if scratch is None:
+        scratch = (np.empty(sigma[..., med].shape, dtype=complex) for _ in range(2))
+    inside, sig_p = scratch
+    np.copyto(inside, sigma[..., med])
     rot_half = kern.rot_half[..., med]
     field_scale = 1j * (coupling_eff * density / light_speed) * (0.5 * grid.dz)
     drive = (0.5 * dt) * (1j * coupling_eff)  # c over the half step
-    sig_p = slave_field(inside, drive * field_scale, _input_offset(drive, fin_now))
+    slave_field(inside, drive * field_scale, _input_offset(drive, fin_now), out=sig_p)
     sig_p += inside
     sig_p *= rot_half
     drive = dt * (1j * coupling_eff)  # c over the full step
-    kick = slave_field(sig_p, drive * field_scale, _input_offset(drive, fin_mid))
-    del sig_p
+    kick = slave_field(sig_p, drive * field_scale, _input_offset(drive, fin_mid), out=inside)
     kick *= rot_half
-    out[..., med] += kick
+    np.copyto(sig_p, out[..., med])  # the predictor is spent: out's medium takes the kick here
+    sig_p += kick
+    out[..., med] = sig_p
     return out
 
 
@@ -650,7 +682,8 @@ def _row(values: np.ndarray, r: int) -> np.ndarray:
 
 
 def _transverse_halves(transverse, step, dt0: float, drive_on: bool):
-    """across(sigma, n): n owed transverse half-steps of one piece's step.
+    """across(sigma, n, out=None): n owed transverse half-steps of one piece's
+    step, into out (as propagate's) when given.
 
     Driven, a half is one half-step of step / 2.  Undriven, the piece is one
     step of length T, and a half is ceil(T / dt0) sub-steps near dt0, one
@@ -663,10 +696,24 @@ def _transverse_halves(transverse, step, dt0: float, drive_on: bool):
     subs = [math.ceil(length / dt0 * (1.0 - 1e-12)) for length in lengths]  # round-off
     ops = [transverse(0.5 * (length / n)) if n else None for length, n in zip(lengths, subs)]
     if np.ndim(step) == 0:
-        return lambda sigma, halves: ops[0].propagate(sigma, halves * subs[0])
-    return lambda sigma, halves: np.stack(
-        [op.propagate(group, halves * n) if n else group for op, group, n in zip(ops, sigma, subs)]
-    )
+        return lambda sigma, halves, out=None: ops[0].propagate(sigma, halves * subs[0], out)
+
+    def across(sigma, halves, out=None):
+        out = np.empty_like(sigma) if out is None else out
+        for op, group, dest, n in zip(ops, sigma, out, subs):
+            if n:
+                op.propagate(group, halves * n, dest)
+            else:
+                dest[...] = group
+        return out
+
+    return across
+
+
+def _step_buffers(sigma: np.ndarray, grid: Grid1D):
+    """A spare state and two medium-shaped buffers for states shaped like sigma."""
+    medium = sigma[..., grid.medium].shape
+    return np.empty_like(sigma), (np.empty(medium, dtype=complex), np.empty(medium, dtype=complex))
 
 
 class _Trace(NamedTuple):
@@ -711,6 +758,9 @@ def _drive_cycle(
     A call that records no phase keeps only frames, so it runs the plan
     with read False, which ends at the last frame.
 
+    Steps write into the driver's buffers (module docstring), made afresh
+    when the state fans out.
+
     Returns (traces, injected, guards, takers): a _Trace per phase in
     record, the write boundary times with the input sample injected at
     each, and per group its guard ratios (of the phases run) and its
@@ -732,6 +782,7 @@ def _drive_cycle(
     takers = [_FrameTaker(g, sigma_times) for g in range(n_groups)]
     want_frames = bool(takers[0].pending)
     sigma = np.zeros((1, n_rows, grid.n_z), dtype=complex)
+    spare, media = _step_buffers(sigma, grid)
     density, light_speed = params.density, params.light_speed
     traces, injected = {}, ([], [])  # injected: write boundary times, input samples
 
@@ -761,10 +812,11 @@ def _drive_cycle(
         """Record a boundary inside a piece, which owes the state there its after
         half along z (spec, the spectrum of sigma) and halves transverse halves."""
         if trace is not None:
-            integral = kern.integral(sigma, spec, grid)
+            integral = kern.integral(sigma, spec, grid, spare)
             read(t, integral if across is None else across(integral, halves), fin, trace)
         if want_frames and any(taker.due(t) for taker in takers):
-            frame = kern.resume(sigma, spec, kern.after)  # a copy: the state goes on unsettled
+            # from copies: the state goes on unsettled
+            frame = kern.resume(sigma.copy(), None if spec is None else spec.copy(), kern.after)
             if across is not None:
                 frame = across(frame, halves)
             for taker in takers:
@@ -780,6 +832,7 @@ def _drive_cycle(
             residual = residuals[0] if drive_on else residuals[1]
             if _fans_out(length, diffusivity) and len(sigma) < n_groups:
                 sigma = np.repeat(sigma, n_groups, axis=0)  # the groups part ways here
+                spare, media = _step_buffers(sigma, grid)
             read_by = trace if drive_on else None
             fin = entrance(span_start, True) if writing else 0.0j
             settle(span_start, fin, read_by)
@@ -800,8 +853,8 @@ def _drive_cycle(
                     sigma = kern.resume(sigma, spec, kernel)
                     owed_t += 1
                     if across is not None and drive_on:  # the drive tells the rows apart
-                        sigma, owed_t = across(sigma, owed_t), 0
-                    sigma = advance_step(
+                        sigma, spare, owed_t = across(sigma, owed_t, spare), sigma, 0
+                    sigma, spare = advance_step(
                         sigma,
                         kern,
                         grid,
@@ -811,7 +864,9 @@ def _drive_cycle(
                         drive_on=drive_on,
                         density=density,
                         light_speed=light_speed,
-                    )
+                        out=spare,
+                        scratch=media,
+                    ), sigma
                     owed_t += 1
                     t = start + (j + 1) * step
                     fin = entrance(t, True) if writing else 0.0j
@@ -820,14 +875,14 @@ def _drive_cycle(
                         peek(t, kern, spec, across, owed_t, fin, read_by)
                 sigma = kern.resume(sigma, spec, kern.after)
                 if across is not None:
-                    sigma = across(sigma, owed_t)
+                    sigma, spare = across(sigma, owed_t, spare), sigma
                 settle(t, fin, read_by)
         for g in range(n_groups):
             view = _row(sigma, g)
             peaks[g] = max(peaks[g], float(np.max(np.abs(view))))
             guards[g][phase] = _check_guard(view, grid, phase, peaks[g])
         if trace is not None:
-            traces[phase] = _Trace(*trace, sigma)  # no step writes into a state in place
+            traces[phase] = _Trace(*trace, sigma.copy())  # a copy: later steps reuse the buffer
     return traces, injected, guards, takers
 
 

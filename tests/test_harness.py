@@ -577,6 +577,8 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, override):
         "t_width=-1 us",
         "waist=0",
         "amplitude=0",
+        "amplitude=1e160",
+        "amplitude=1e300",
         "t_lead=-1 us",
         "mode_m=-1",
         "mode_m=2.5",

@@ -223,6 +223,7 @@ def test_exit_functional_reads_the_settled_exit_field(bench_params):
         grid, 2e-8, -TAU * 10e6, residual, diffusivity, bench_params.k_matched, 0.0
     )
     assert kern.diff_rows.tolist() == [0, 2]
+    before = sigma.copy()
     spec = kern.spectrum(sigma)
     coupling = bench_params.coupling_eff * np.array([[1.0], [0.6], [0.3]])
     fin = 0.2 - 0.1j
@@ -232,7 +233,7 @@ def test_exit_functional_reads_the_settled_exit_field(bench_params):
     scale = _field_scale(bench_params, grid, coupling)
     want = slave_field(settled[..., grid.medium], scale, fin)[..., -1]
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
-    assert np.array_equal(settled[[1, 3]], sigma[[1, 3]])
+    assert np.array_equal(settled[[1, 3]], before[[1, 3]])
 
 
 def test_grid_mask_is_built_once_and_read_only():
@@ -474,11 +475,13 @@ def test_a_write_boundary_samples_the_input_once(
 
 def test_kept_exit_fields_own_their_data(bench_params, bench_signal):
     # the driver keeps each boundary's exit field as a copy: a view would
-    # keep its (groups, rows, 1) base alive until the record is built
+    # keep its (groups, rows, 1) base alive until the record is built; the
+    # end states and frames are copies too, which the steps after them,
+    # stepping in the same buffers, leave as they were
     grid = Grid1D.build(bench_params.half_length, n_medium=64)
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=2e-6)
     rows = np.array([[1.0], [0.5], [0.2]])
-    traces, *_ = solver1d._drive_cycle(
+    traces, _, _, takers = solver1d._drive_cycle(
         bench_params,
         [proto],
         bench_signal,
@@ -488,12 +491,21 @@ def test_kept_exit_fields_own_their_data(bench_params, bench_signal):
         diffs=bench_params.diffusivity,
         inject=lambda s: s * rows,
         record=("write", "hold", "read"),
-        sigma_times=(),
+        sigma_times=(0.0, 2e-6),
         steps_per_width=16.0,
     )
     exits = [e for trace in traces.values() for e in trace.exits]
     assert len(exits) > 100
     assert all(e.shape == (1, 3) and e.base is None for e in exits)
+    ends = [traces[phase].end for phase in ("write", "hold", "read")]
+    frames = [frame for _, frame in takers[0].sigma_frames]
+    assert [t for t, _ in takers[0].sigma_frames] == [0.0, 2e-6]
+    kept = ends + frames
+    assert all(a.base is None for a in kept)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(kept) for b in kept[i + 1 :])
+    # the write ends at t = 0 and the hold at 2 us, where the frames were taken
+    assert np.array_equal(ends[0][0], frames[0]) and np.array_equal(ends[1][0], frames[1])
+    assert not np.array_equal(ends[1], ends[2])
 
 
 def test_frames_are_taken_at_requested_times(bench_params, bench_protocol, bench_signal):

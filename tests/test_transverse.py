@@ -25,6 +25,7 @@ from gemdiff import (
     run_cycle_quasi1d,
     run_cycle_realspace,
     solver1d,
+    transverse,
 )
 from gemdiff.pulses import ControlProfile, sample_transverse
 from gemdiff.solver1d import _integral
@@ -178,6 +179,39 @@ def test_radial_propagator_equals_banded_solves(k):
     for _ in range(k):
         stepped = op.propagate(stepped)
     assert np.max(np.abs(stepped - expected)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("n_r", [16, 40, 128, 130])
+@pytest.mark.parametrize("n_halves", [1, 2, 320])
+def test_radial_power_multiplies_only_its_band(n_r, n_halves):
+    # P^n is kept as block rows, each with the contiguous column band outside
+    # which every entry is below the floor: the block product is the dense
+    # product to round-off, and each dropped entry is at most the floor
+    grid = TransverseGrid.radial(WAIST, n_r=n_r)
+    op = _RadialDiffusion(grid, 0.004, 1e-6 / 80)
+    dense = np.linalg.matrix_power(op.half, n_halves)
+    floor = transverse._BAND_FLOOR * np.max(np.abs(dense))
+    blocks = op.blocks(n_halves)
+    assert [rows.start for rows, *_ in blocks] == list(range(0, n_r, transverse._BLOCK_ROWS))
+    assert blocks[-1][0].stop == n_r
+    for rows, cols, block in blocks:
+        assert np.array_equal(block, dense[rows, cols])
+        dropped = np.abs(dense[rows]).copy()
+        dropped[:, cols] = 0.0
+        assert np.max(dropped) <= floor
+    if n_halves == 1 and n_r >= 40:
+        assert blocks[0][1].stop < n_r  # a short step's power is banded
+    rng = np.random.default_rng(n_r + n_halves)
+    shape = (2, n_r, 24)
+    sigma = np.exp(-(grid.r[:, None] ** 2) / WAIST**2) * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+    want = np.matmul(dense, sigma.view(float)).view(complex)
+    got = op.propagate(sigma, n_halves)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    out = np.empty_like(sigma)
+    assert op.propagate(sigma, n_halves, out) is out
+    assert np.array_equal(out, got)
 
 
 def test_radial_propagator_power_conserves_mass():
@@ -364,9 +398,9 @@ def test_a_radial_read_step_takes_one_state_propagation(bench_params, bench_sign
     shapes = []
     real = _RadialDiffusion.propagate
 
-    def counted(self, sigma, n_halves=1):
+    def counted(self, sigma, n_halves=1, out=None):
         shapes.append(sigma.shape[-1])
-        return real(self, sigma, n_halves)
+        return real(self, sigma, n_halves, out)
 
     monkeypatch.setattr(_RadialDiffusion, "propagate", counted)
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=0.0)
@@ -380,6 +414,25 @@ def test_a_radial_read_step_takes_one_state_propagation(bench_params, bench_sign
     # one per step and one at each piece end; one per read inside the read span
     assert shapes.count(rec.grid.n_z) == (n_write + 1) + (n_read + 1)
     assert shapes.count(1) == n_read - 1
+
+
+def test_a_radial_cycle_steps_in_two_state_buffers(bench_params, bench_signal, monkeypatch):
+    # every state a step core receives is one of the driver's two state
+    # buffers, however many steps the cycle takes
+    states = []
+    real = solver1d.advance_step
+
+    def kept(sigma, *args, **kwargs):
+        states.append(sigma)  # kept alive: a fresh state per step would show here
+        return real(sigma, *args, **kwargs)
+
+    monkeypatch.setattr(solver1d, "advance_step", kept)
+    proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=2e-6)
+    control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
+    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
+    run_cycle_realspace(bench_params, proto, bench_signal, control, tgrid, **FAST)
+    assert len(states) > 100
+    assert len({state.__array_interface__["data"][0] for state in states}) <= 2
 
 
 def test_radial_output_width_matches_transport_formula(
