@@ -14,13 +14,13 @@ and writes its artifacts into ``<out>/<experiment>/``:
 The process exits 0 only when every analytic-vs-numeric tolerance check
 passes, so the command doubles as an acceptance runner.
 
-Fidelity presets (longitudinal cells / steps per pulse width; real-space
-runs add the radial cell count, mode grids their size)::
+Fidelity presets (longitudinal cells / steps per pulse width; the two
+real-space experiments add the radial cell count, mode grids their size)::
 
-              1d sweeps     single cycle   real space        modes
-    coarse    256 / 40      192 /  50      128 / 32 /  96     32
-    standard  384 / 60      256 / 100      160 / 40 / 128     64
-    fine      512 / 96      384 / 150      256 / 64 / 160     96
+              1d sweeps     single cycle   beam width        phase profile     modes
+    coarse    256 / 40      192 /  50      128 / 32 /  96    128 / 32 /  96     32
+    standard  384 / 60      256 / 100      160 / 40 / 128    192 / 48 / 128     64
+    fine      512 / 96      384 / 150      256 / 64 / 160    256 / 64 / 160     96
 
 Environment overrides (command-line flags win)::
 
@@ -286,7 +286,7 @@ def _estimate_cell_steps(call: partial) -> float:
             if _fans_out(length, diffusivity):
                 groups = len(protocol_rows)
             group_steps += groups * sum(n for *_, n in pieces)
-    n_z = Grid1D.build(param_rows[0].half_length, args["n_medium"], args["pad_fraction"]).n_z
+    n_z = Grid1D.build(param_rows[0].half_length, args["n_medium"]).n_z
     return float(n_z) * n_rows * group_steps
 
 

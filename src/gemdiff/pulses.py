@@ -39,9 +39,10 @@ class SignalSpec:
     def __post_init__(self):
         if self.amplitude <= 0:
             raise ParameterError("amplitude must be positive")
-        if not math.isfinite(self.amplitude * self.amplitude):
+        if not math.isfinite(2.0 * self.amplitude * self.amplitude):
+            # the trapezoid energy integrals add squared fields in pairs
             raise ParameterError(
-                "amplitude %r overflows: its squared field must be finite" % (self.amplitude,)
+                "amplitude %r overflows: twice its squared field must be finite" % (self.amplitude,)
             )
         if self.t_width <= 0:
             raise ParameterError("t_width must be positive")

@@ -23,8 +23,9 @@ because the step size is re-fitted to each phase.
 
 One step rule serves both routes: a driven span steps at dt0, and every
 undriven span is one exact step per piece (StepKernels), cut only at
-snapshot times, whatever its gradient and diffusivity.  Its transverse
-part takes sub-steps near dt0, as one matrix power at the piece end.
+snapshot times, whatever its gradient and diffusivity.  A transverse
+operator takes each piece's step and owns how it steps it (its
+propagate).
 
 The driver applies the diffusion half-steps around the core itself.  At
 every step boundary inside a piece it takes the state's spectrum once,
@@ -99,10 +100,12 @@ class Grid1D:
     """Uniform z grid with the medium faces exactly on grid points.
 
     The medium occupies [-half_length, half_length]; the grid extends
-    beyond it by a padding band on each side so the periodic spectral
-    diffusion never wraps coherence back into the medium.  Grid sizes are
-    powers of two for the FFT.
+    beyond it by a padding band of at least PAD_FRACTION of the medium on
+    each side, so the periodic spectral diffusion never wraps coherence
+    back into the medium.  Grid sizes are powers of two for the FFT.
     """
+
+    PAD_FRACTION = 0.25
 
     z: np.ndarray
     dz: float
@@ -111,15 +114,11 @@ class Grid1D:
     half_length: float
 
     @classmethod
-    def build(
-        cls, half_length: float, n_medium: int = 256, pad_fraction: float = 0.25
-    ) -> "Grid1D":
+    def build(cls, half_length: float, n_medium: int = 256) -> "Grid1D":
         if n_medium < 16 or n_medium % 2:
             raise ParameterError("n_medium must be an even number >= 16")
-        if pad_fraction <= 0.0:
-            raise ParameterError("pad_fraction must be positive")
         dz = 2.0 * half_length / n_medium
-        needed = n_medium * (1.0 + 2.0 * pad_fraction)
+        needed = n_medium * (1.0 + 2.0 * cls.PAD_FRACTION)
         n_z = 1 << max(5, math.ceil(math.log2(needed)))
         centre = n_z // 2
         z = (np.arange(n_z) - centre) * dz
@@ -513,8 +512,9 @@ def _check_guard(sigma: np.ndarray, grid: Grid1D, phase: str, peak_ref: float = 
     if ratio > _GUARD_THRESHOLD:
         raise GuardBandError(
             phase,
-            "coherence reached the grid padding (edge/peak %.2e > %.0e); "
-            "increase pad_fraction or n_medium, or shorten the cycle" % (ratio, _GUARD_THRESHOLD),
+            "coherence reached the grid padding (edge/peak %.2e > %.0e); lower "
+            "the diffusivity or shorten the cycle (t_hold, t_lead, t_width)"
+            % (ratio, _GUARD_THRESHOLD),
         )
     return ratio
 
@@ -681,35 +681,6 @@ def _row(values: np.ndarray, r: int) -> np.ndarray:
     return values[min(r, len(values) - 1)]
 
 
-def _transverse_halves(transverse, step, dt0: float, drive_on: bool):
-    """across(sigma, n, out=None): n owed transverse half-steps of one piece's
-    step, into out (as propagate's) when given.
-
-    Driven, a half is one half-step of step / 2.  Undriven, the piece is one
-    step of length T, and a half is ceil(T / dt0) sub-steps near dt0, one
-    matrix power, by an operator per group when the groups' steps differ
-    (a zero-length step leaves its group as it is).
-    """
-    if drive_on:
-        return transverse(0.5 * step).propagate
-    lengths = np.ravel(step).tolist()
-    subs = [math.ceil(length / dt0 * (1.0 - 1e-12)) for length in lengths]  # round-off
-    ops = [transverse(0.5 * (length / n)) if n else None for length, n in zip(lengths, subs)]
-    if np.ndim(step) == 0:
-        return lambda sigma, halves, out=None: ops[0].propagate(sigma, halves * subs[0], out)
-
-    def across(sigma, halves, out=None):
-        out = np.empty_like(sigma) if out is None else out
-        for op, group, dest, n in zip(ops, sigma, out, subs):
-            if n:
-                op.propagate(group, halves * n, dest)
-            else:
-                dest[...] = group
-        return out
-
-    return across
-
-
 def _step_buffers(sigma: np.ndarray, grid: Grid1D):
     """A spare state and two medium-shaped buffers for states shaped like sigma."""
     medium = sigma[..., grid.medium].shape
@@ -751,10 +722,11 @@ def _drive_cycle(
     input is sampled once at each write boundary, which serves the exit
     field there and the next step's start, and once at each step's
     midpoint.  In the diffusion_phases diffusion acts along z by diffs and
-    across rows by transverse(dt_half), whose propagate(sigma, n) applies
-    n half-steps: an undriven piece of length T takes n = 2 ceil(T / dt0)
-    of them at its end, and an exit read inside a piece applies the owed
-    half to the (groups, rows, 1) medium integral instead of the state.
+    across rows by transverse(dt0), one operator per call, whose
+    propagate(sigma, step, halves) applies halves half-steps of a piece's
+    step: an undriven piece takes two at its end, and an exit read inside
+    a piece applies the owed half to the (groups, rows, 1) medium integral
+    instead of the state.
     A call that records no phase keeps only frames, so it runs the plan
     with read False, which ends at the last frame.
 
@@ -808,26 +780,30 @@ def _drive_cycle(
             for taker in takers:
                 taker.take(t, sigma)
 
-    def peek(t, kern, spec, across, halves, fin, trace):
+    def peek(t, kern, spec, across, step, halves, fin, trace):
         """Record a boundary inside a piece, which owes the state there its after
-        half along z (spec, the spectrum of sigma) and halves transverse halves."""
+        half along z (spec, the spectrum of sigma) and halves transverse halves of step."""
         if trace is not None:
             integral = kern.integral(sigma, spec, grid, spare)
-            read(t, integral if across is None else across(integral, halves), fin, trace)
+            if across is not None:
+                integral = across.propagate(integral, step, halves)
+            read(t, integral, fin, trace)
         if want_frames and any(taker.due(t) for taker in takers):
             # from copies: the state goes on unsettled
             frame = kern.resume(sigma.copy(), None if spec is None else spec.copy(), kern.after)
             if across is not None:
-                frame = across(frame, halves)
+                frame = across.propagate(frame, step, halves)
             for taker in takers:
                 taker.take(t, frame)
 
+    radial = None if transverse is None else transverse(dt0)
     peaks, guards = [0.0] * n_groups, [{} for _ in range(n_groups)]
     for phase, spans in plan:
         writing = phase == "write"
         trace = ([], []) if phase in record else None  # boundary times, exit fields
         diffusing = phase in diffusion_phases
         diffusivity = diffs if diffusing else 0.0
+        across = radial if diffusing else None
         for span_start, length, eta, drive_on, pieces in spans:
             residual = residuals[0] if drive_on else residuals[1]
             if _fans_out(length, diffusivity) and len(sigma) < n_groups:
@@ -842,9 +818,6 @@ def _drive_cycle(
                 kern = StepKernels.build(
                     grid, _col(step), eta, residual, _col(diffusivity), params.k_matched, drift
                 )
-                across = None
-                if transverse is not None and diffusing:
-                    across = _transverse_halves(transverse, step, dt0, drive_on)
                 # every boundary takes the spectrum of the state once: the next step
                 # starts from ifft(spec * full), and only the piece end settles
                 spec, kernel, owed_t = kern.spectrum(sigma), kern.before, 0  # owed_t: halves
@@ -853,7 +826,8 @@ def _drive_cycle(
                     sigma = kern.resume(sigma, spec, kernel)
                     owed_t += 1
                     if across is not None and drive_on:  # the drive tells the rows apart
-                        sigma, spare, owed_t = across(sigma, owed_t, spare), sigma, 0
+                        sigma, spare = across.propagate(sigma, step, owed_t, spare), sigma
+                        owed_t = 0
                     sigma, spare = advance_step(
                         sigma,
                         kern,
@@ -872,10 +846,10 @@ def _drive_cycle(
                     fin = entrance(t, True) if writing else 0.0j
                     spec, kernel = kern.spectrum(sigma), kern.full
                     if j < n_steps - 1:
-                        peek(t, kern, spec, across, owed_t, fin, read_by)
+                        peek(t, kern, spec, across, step, owed_t, fin, read_by)
                 sigma = kern.resume(sigma, spec, kern.after)
                 if across is not None:
-                    sigma, spare = across(sigma, owed_t, spare), sigma
+                    sigma, spare = across.propagate(sigma, step, owed_t, spare), sigma
                 settle(t, fin, read_by)
         for g in range(n_groups):
             view = _row(sigma, g)
@@ -892,7 +866,6 @@ def run_cycle(
     signal: SignalSpec,
     *,
     n_medium: int = 256,
-    pad_fraction: float = 0.25,
     steps_per_width: float = 100.0,
     diffusion_phases: tuple[str, ...] = _PHASES,
     sigma_times=(),
@@ -926,7 +899,7 @@ def run_cycle(
         derive_groups(row_params, row_protocol, signal)  # validates gradient and widths
     params = param_rows[0]  # every field but the diffusivity is shared
     face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
-    grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
+    grid = Grid1D.build(params.half_length, n_medium)
     traces, (_, f_in), guards, takers = _drive_cycle(
         params,
         protocol_rows,

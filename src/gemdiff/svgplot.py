@@ -19,6 +19,7 @@ _MARGIN_T = 36
 _MARGIN_B = 50
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_HEATMAP_CELLS = 96  # largest heatmap side, in cells; larger arrays are decimated
 
 
 def _nice_ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -50,10 +51,7 @@ def _fmt(value: float) -> str:
 class _Frame:
     """Axis frame mapping data coordinates to pixel coordinates."""
 
-    def __init__(self, x_lo, x_hi, y_lo, y_hi, logy=False):
-        self.logy = logy
-        if logy:
-            y_lo, y_hi = math.log10(y_lo), math.log10(y_hi)
+    def __init__(self, x_lo, x_hi, y_lo, y_hi):
         pad_x = 0.04 * (x_hi - x_lo or 1.0)
         pad_y = 0.06 * (y_hi - y_lo or 1.0)
         self.x_lo, self.x_hi = x_lo - pad_x, x_hi + pad_x
@@ -64,20 +62,11 @@ class _Frame:
         return _MARGIN_L + frac * (_WIDTH - _MARGIN_L - _MARGIN_R)
 
     def py(self, y: float) -> float:
-        if self.logy:
-            y = math.log10(max(y, 1e-300))
         frac = (y - self.y_lo) / (self.y_hi - self.y_lo)
         return _HEIGHT - _MARGIN_B - frac * (_HEIGHT - _MARGIN_T - _MARGIN_B)
 
 
-def line_plot(
-    path,
-    title: str,
-    xlabel: str,
-    ylabel: str,
-    series,
-    logy: bool = False,
-) -> None:
+def line_plot(path, title: str, xlabel: str, ylabel: str, series) -> None:
     """Write a line/marker plot.
 
     series: iterable of (label, xs, ys, style) with style "line",
@@ -86,13 +75,11 @@ def line_plot(
     xs_all = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     finite = np.isfinite(xs_all) & np.isfinite(ys_all)
-    if logy:
-        finite &= ys_all > 0.0
     xs_all, ys_all = xs_all[finite], ys_all[finite]
     if xs_all.size == 0:
         xs_all = ys_all = np.array([0.0, 1.0])
     frame = _Frame(float(xs_all.min()), float(xs_all.max()),
-                   float(ys_all.min()), float(ys_all.max()), logy=logy)
+                   float(ys_all.min()), float(ys_all.max()))
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
@@ -106,12 +93,7 @@ def line_plot(
     # axes and ticks
     x0, x1 = _MARGIN_L, _WIDTH - _MARGIN_R
     y0, y1 = _HEIGHT - _MARGIN_B, _MARGIN_T
-    if logy:
-        lo_e = math.floor(frame.y_lo)
-        hi_e = math.ceil(frame.y_hi)
-        y_ticks = [10.0**e for e in range(lo_e, hi_e + 1)]
-    else:
-        y_ticks = _nice_ticks(frame.y_lo, frame.y_hi)
+    y_ticks = _nice_ticks(frame.y_lo, frame.y_hi)
     for tick in _nice_ticks(frame.x_lo, frame.x_hi):
         px = frame.px(tick)
         if x0 - 1 <= px <= x1 + 1:
@@ -141,8 +123,6 @@ def line_plot(
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         ok = np.isfinite(xs) & np.isfinite(ys)
-        if logy:
-            ok &= ys > 0.0
         if style == "markers":
             for x, y in zip(xs[ok], ys[ok]):
                 parts.append('<circle cx="%.1f" cy="%.1f" r="3.2" fill="%s"/>'
@@ -164,13 +144,13 @@ def line_plot(
         handle.write("\n".join(parts) + "\n")
 
 
-def heatmap(path, title: str, xlabel: str, ylabel: str, x, y, z, max_cells: int = 96) -> None:
+def heatmap(path, title: str, xlabel: str, ylabel: str, x, y, z) -> None:
     """Write a heatmap of z(y, x); large arrays are decimated for size."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
-    step_x = max(1, int(math.ceil(x.size / max_cells)))
-    step_y = max(1, int(math.ceil(y.size / max_cells)))
+    step_x = max(1, int(math.ceil(x.size / _HEATMAP_CELLS)))
+    step_y = max(1, int(math.ceil(y.size / _HEATMAP_CELLS)))
     x, y, z = x[::step_x], y[::step_y], z[::step_y, ::step_x]
     top = float(np.max(z)) or 1.0
 

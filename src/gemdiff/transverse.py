@@ -21,9 +21,11 @@ Two complementary routes:
   t_hold share one write.  Energies and frames follow run_cycle's rules.
   Real space is radial (an axisymmetric beam under an axisymmetric
   control) on a finite-volume grid: conservative Crank-Nicolson
-  diffusion, whose half-step is a propagator matrix built once per step
-  size and applied as one real GEMM per block of 16 rows over the column
-  band those rows couple (n merged half-steps are its cached n-th power).
+  diffusion, one operator per call that takes each piece's step and owns
+  how it sub-steps it.  Its half-step is a propagator matrix built once
+  per half-step length and applied as one real GEMM per block of 16 rows
+  over the column band those rows couple (n merged half-steps are its
+  cached n-th power).
 
 Beam observables (intensity profile, fitted width, spin-wave phase maps,
 effective diffusion rate) are extracted from the records here as well.
@@ -326,54 +328,77 @@ def _block_band(matrix: np.ndarray) -> list[tuple[slice, slice, np.ndarray]]:
 
 
 class _RadialDiffusion:
-    """Conservative Crank-Nicolson half-step for radial diffusion.
+    """Radial diffusion by conservative Crank-Nicolson, and its step rule.
 
     Finite-volume discretization of (1/r) d/dr (r d/dr) on the staggered
     grid; no-flux at the axis (built in by r_{-1/2} = 0) and at the outer
-    edge.  Unconditionally stable; second order in dr and dt.  The
-    half-step is the real n_r x n_r propagator half = (I - A)^-1 (I + A),
-    built by one banded solve; n half-steps are the matrix power P^n,
-    cached per n as block rows (_block_band) and applied as one real GEMM
-    per block row on the complex state viewed as float.  A short step's
-    power is nearly banded (P^2 at 128 cells is below 1e-18 beyond 8 cells
-    from the diagonal), so its blocks multiply only the band; a long hold's
-    power is dense and keeps full bands.
+    edge.  Unconditionally stable; second order in dr and dt.
+
+    The driver builds one operator per cycle, with the plan's base step
+    dt0, and hands it each piece's step.  A step of length T runs as
+    n = ceil(T / dt0) Crank-Nicolson steps of T / n (to round-off: a driven
+    step, never longer than dt0, is one), so a half of it is n half-steps
+    of h = T / (2 n).  The half-step is the real n_r x n_r propagator
+    (I - A)^-1 (I + A), built by one banded solve per h; m half-steps are
+    its matrix power, cached per (h, m) as block rows (_block_band) and
+    applied as one real GEMM per block row on the complex state viewed as
+    float.  A short step's power is nearly banded (P^2 at 128 cells is
+    below 1e-18 beyond 8 cells from the diagonal), so its blocks multiply
+    only the band; a long hold's power is dense and keeps full bands.
     """
 
-    def __init__(self, grid: TransverseGrid, diffusivity: float, dt_half: float):
-        r = grid.r
-        dr = grid.dr
-        lower_face = r - 0.5 * dr
-        upper_face = r + 0.5 * dr
-        lower_face[0] = 0.0
-        coef = 0.5 * diffusivity * dt_half
-        a = coef * (lower_face / (r * dr * dr))
-        c = coef * (upper_face / (r * dr * dr))
-        c[-1] = 0.0
-        implicit = np.array([np.r_[0.0, -c[:-1]], 1.0 + a + c, np.r_[-a[1:], 0.0]])
-        explicit = np.diag(1.0 - a - c) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)
-        self.half = solve_banded((1, 1), implicit, explicit)
-        self._powers: dict[int, list[tuple[slice, slice, np.ndarray]]] = {}
+    def __init__(self, grid: TransverseGrid, diffusivity: float, dt0: float):
+        self.grid, self.diffusivity, self.dt0 = grid, diffusivity, dt0
+        self._halves: dict[float, np.ndarray] = {}
+        self._powers: dict[tuple[float, int], list[tuple[slice, slice, np.ndarray]]] = {}
 
-    def blocks(self, n_halves: int) -> list[tuple[slice, slice, np.ndarray]]:
-        """The block rows of P^n_halves (built once per n)."""
-        if n_halves not in self._powers:
-            self._powers[n_halves] = _block_band(np.linalg.matrix_power(self.half, n_halves))
-        return self._powers[n_halves]
+    def half(self, h: float) -> np.ndarray:
+        """The propagator of one half-step of length h (built once per h)."""
+        if h not in self._halves:
+            r, dr = self.grid.r, self.grid.dr
+            lower_face = r - 0.5 * dr
+            upper_face = r + 0.5 * dr
+            lower_face[0] = 0.0
+            coef = 0.5 * self.diffusivity * h
+            a = coef * (lower_face / (r * dr * dr))
+            c = coef * (upper_face / (r * dr * dr))
+            c[-1] = 0.0
+            implicit = np.array([np.r_[0.0, -c[:-1]], 1.0 + a + c, np.r_[-a[1:], 0.0]])
+            explicit = np.diag(1.0 - a - c) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)
+            self._halves[h] = solve_banded((1, 1), implicit, explicit)
+        return self._halves[h]
+
+    def blocks(self, h: float, m: int) -> list[tuple[slice, slice, np.ndarray]]:
+        """The block rows of m half-steps of length h (built once per (h, m))."""
+        if (h, m) not in self._powers:
+            self._powers[h, m] = _block_band(np.linalg.matrix_power(self.half(h), m))
+        return self._powers[h, m]
 
     def propagate(
-        self, sigma: np.ndarray, n_halves: int = 1, out: np.ndarray | None = None
+        self, sigma: np.ndarray, step, halves: int, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """n_halves half-steps on sigma of shape (..., n_r, n_z).
+        """halves half-steps of a piece's step on sigma of shape (..., n_r, n_z).
 
-        The result goes into out (C-contiguous, sigma's shape, not sharing
-        its memory) when given, else into a new array.
+        step is a scalar length, or one length per group (sigma's axis 0);
+        a group whose step is zero is copied.  The result goes into out
+        (C-contiguous, sigma's shape, not sharing its memory) when given,
+        else into a new array.
         """
-        x = np.ascontiguousarray(sigma).view(float)
         if out is None:
             out = np.empty(sigma.shape, dtype=complex)
-        y = out.view(float)
-        for rows, cols, block in self.blocks(n_halves):
+        if np.ndim(step):
+            for group, dest, length in zip(sigma, out, np.ravel(step).tolist()):
+                self._apply(group, length, halves, dest)
+            return out
+        return self._apply(sigma, step, halves, out)
+
+    def _apply(self, sigma: np.ndarray, step: float, halves: int, out: np.ndarray) -> np.ndarray:
+        n = math.ceil(step / self.dt0 * (1.0 - 1e-12))  # round-off: a step of dt0 is one
+        if n == 0:
+            out[...] = sigma
+            return out
+        x, y = np.ascontiguousarray(sigma).view(float), out.view(float)
+        for rows, cols, block in self.blocks(0.5 * (step / n), halves * n):
             np.matmul(block, x[..., cols, :], out=y[..., rows, :])
         return out
 
@@ -422,7 +447,6 @@ def run_cycle_realspace(
     tgrid: TransverseGrid,
     *,
     n_medium: int = 192,
-    pad_fraction: float = 0.25,
     steps_per_width: float = 64.0,
     sigma_times=(),
     store_fields=None,
@@ -465,7 +489,7 @@ def run_cycle_realspace(
     face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
     profile = sample_transverse(signal, tgrid.r[:, None], 0.0)  # (n_cols, 1)
     diffusion = partial(_RadialDiffusion, tgrid, params.diffusivity)
-    grid = Grid1D.build(params.half_length, n_medium, pad_fraction)
+    grid = Grid1D.build(params.half_length, n_medium)
     traces, (t_write, f_in), guards, takers = _drive_cycle(
         params,
         protocols,

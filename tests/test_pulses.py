@@ -7,8 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from gemdiff import ControlProfile, SignalSpec
+from gemdiff import ControlProfile, ParameterError, SignalSpec
 from gemdiff.pulses import control_rabi, sample_temporal, sample_transverse
+from gemdiff.solver1d import _energy
 
 
 def test_energy_time_integral_matches_quadrature():
@@ -82,6 +83,15 @@ def test_modes_are_orthogonal():
 def test_signal_validation(kwargs):
     with pytest.raises(ValueError):
         SignalSpec(**kwargs)
+
+
+def test_an_amplitude_is_refused_where_its_energy_integral_overflows():
+    # the trapezoid rule adds squared fields in pairs: a pulse peaking at
+    # 9e153 integrates finitely, one at 9.6e153 would not and is refused
+    peak = SignalSpec(amplitude=9e153, t_width=1e-6, t_lead=0.0, waist=1e-3).amplitude
+    assert math.isfinite(_energy(np.full(4, peak + 0j), 1e-8 * np.arange(4.0)))
+    with pytest.raises(ParameterError, match="overflows"):
+        SignalSpec(amplitude=9.6e153, t_width=1e-6, t_lead=0.0, waist=1e-3)
 
 
 def test_control_profile_factories():

@@ -123,15 +123,16 @@ def test_radial_grid_is_staggered_with_exact_disc_area():
 def test_radial_step_spreads_a_gaussian_conservatively():
     # free diffusion of exp(-r^2/w0^2): w^2(t) = w0^2 + 4 D t with
     # amplitude w0^2 / w^2(t); Crank-Nicolson should track it to its
-    # second-order accuracy and conserve the integral to round-off
+    # second-order accuracy and conserve the integral to round-off.  Each
+    # call is one half-step of 1 us: half of a 2 us step at dt0 = 2 us
     w0 = WAIST
     d = 0.004
     grid = TransverseGrid.radial(w0, n_r=128)
-    op = _RadialDiffusion(grid, d, dt_half=1e-6)
+    op = _RadialDiffusion(grid, d, dt0=2e-6)
     sigma = np.exp(-grid.r[:, None] ** 2 / w0**2).astype(complex)
     mass0 = float(np.sum(grid.weights * sigma[:, 0].real))
     for _ in range(40):
-        sigma = op.propagate(sigma)
+        sigma = op.propagate(sigma, 2e-6, 1)
     t = 40 * 1e-6
     w_sq = w0**2 + 4.0 * d * t
     exact = (w0**2 / w_sq) * np.exp(-grid.r**2 / w_sq)
@@ -162,6 +163,8 @@ def _banded_cn_half_step(grid, d, dt_half):
 
 @pytest.mark.parametrize("k", [1, 2, 40])
 def test_radial_propagator_equals_banded_solves(k):
+    # k half-steps of a dt0 step, as one power, as k calls, and as the half
+    # of one k dt0 step (k sub-steps of dt0), are k banded solves
     grid = TransverseGrid.radial(WAIST, n_r=64)
     d, dt_half = 0.004, 1e-6
     rng = np.random.default_rng(k)
@@ -172,13 +175,15 @@ def test_radial_propagator_equals_banded_solves(k):
     expected = sigma0
     for _ in range(k):
         expected = step(expected)
-    op = _RadialDiffusion(grid, d, dt_half)
+    dt0 = 2.0 * dt_half
+    op = _RadialDiffusion(grid, d, dt0)
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(op.propagate(sigma0, k) - expected)) <= 1e-13 * scale
+    assert np.max(np.abs(op.propagate(sigma0, dt0, k) - expected)) <= 1e-13 * scale
     stepped = sigma0
     for _ in range(k):
-        stepped = op.propagate(stepped)
+        stepped = op.propagate(stepped, dt0, 1)
     assert np.max(np.abs(stepped - expected)) <= 1e-13 * scale
+    assert np.max(np.abs(op.propagate(sigma0, k * dt0, 1) - expected)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n_r", [16, 40, 128, 130])
@@ -188,10 +193,11 @@ def test_radial_power_multiplies_only_its_band(n_r, n_halves):
     # which every entry is below the floor: the block product is the dense
     # product to round-off, and each dropped entry is at most the floor
     grid = TransverseGrid.radial(WAIST, n_r=n_r)
-    op = _RadialDiffusion(grid, 0.004, 1e-6 / 80)
-    dense = np.linalg.matrix_power(op.half, n_halves)
+    dt0 = 1e-6 / 40
+    op = _RadialDiffusion(grid, 0.004, dt0)
+    dense = np.linalg.matrix_power(op.half(0.5 * dt0), n_halves)
     floor = transverse._BAND_FLOOR * np.max(np.abs(dense))
-    blocks = op.blocks(n_halves)
+    blocks = op.blocks(0.5 * dt0, n_halves)
     assert [rows.start for rows, *_ in blocks] == list(range(0, n_r, transverse._BLOCK_ROWS))
     assert blocks[-1][0].stop == n_r
     for rows, cols, block in blocks:
@@ -207,19 +213,20 @@ def test_radial_power_multiplies_only_its_band(n_r, n_halves):
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     )
     want = np.matmul(dense, sigma.view(float)).view(complex)
-    got = op.propagate(sigma, n_halves)
+    got = op.propagate(sigma, dt0, n_halves)
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
     out = np.empty_like(sigma)
-    assert op.propagate(sigma, n_halves, out) is out
+    assert op.propagate(sigma, dt0, n_halves, out) is out
     assert np.array_equal(out, got)
 
 
 def test_radial_propagator_power_conserves_mass():
+    # both halves of one 320 us step: 160 sub-steps of 2 us, one matrix power
     grid = TransverseGrid.radial(WAIST, n_r=128)
-    op = _RadialDiffusion(grid, 0.004, dt_half=1e-6)
+    op = _RadialDiffusion(grid, 0.004, dt0=2e-6)
     sigma = np.exp(-grid.r[:, None] ** 2 / WAIST**2).astype(complex)
     mass0 = float(np.sum(grid.weights * sigma[:, 0].real))
-    spread = op.propagate(sigma, 2 * 160)
+    spread = op.propagate(sigma, 160 * 2e-6, 2)
     mass1 = float(np.sum(grid.weights * spread[:, 0].real))
     assert mass1 == pytest.approx(mass0, rel=1e-12)
     assert spread[0, 0].real < 0.5 * sigma[0, 0].real  # and it did spread
@@ -229,17 +236,39 @@ def test_transverse_half_commutes_with_the_exit_functional():
     # an exit read owes the state a transverse half: P applied to the medium
     # integral per column equals the integral of P sigma
     tgrid = TransverseGrid.radial(WAIST, n_r=32)
-    op = _RadialDiffusion(tgrid, 0.004, 2e-8)
+    op = _RadialDiffusion(tgrid, 0.004, dt0=4e-8)
     grid = Grid1D.build(0.1, n_medium=64)
     rng = np.random.default_rng(3)
     shape = (2, tgrid.n_cols, grid.n_z)
     sigma = np.exp(-(tgrid.r[:, None] ** 2) / WAIST**2) * (
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     )
-    want = _integral(op.propagate(sigma, 1), grid)
-    got = op.propagate(_integral(sigma, grid), 1)
+    want = _integral(op.propagate(sigma, 4e-8, 1), grid)
+    got = op.propagate(_integral(sigma, grid), 4e-8, 1)
     assert got.shape == want.shape == (2, tgrid.n_cols, 1)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_radial_steps_per_group_equal_their_scalar_calls():
+    # one step length per group: each group is its scalar call, bit for bit,
+    # and a group whose step is zero is copied
+    tgrid = TransverseGrid.radial(WAIST, n_r=40)
+    dt0 = 2.5e-8
+    op = _RadialDiffusion(tgrid, 0.004, dt0)
+    rng = np.random.default_rng(5)
+    shape = (4, tgrid.n_cols, 24)
+    sigma = np.exp(-(tgrid.r[:, None] ** 2) / WAIST**2) * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+    steps = np.array([3e-6, 0.0, dt0, 1.7e-6])
+    for halves in (1, 2):
+        got = op.propagate(sigma, steps, halves)
+        for g, step in enumerate(steps):
+            assert np.array_equal(got[g], op.propagate(sigma[g], step, halves)), (g, halves)
+        assert np.array_equal(got[1], sigma[1])
+        out = np.empty_like(sigma)
+        assert op.propagate(sigma, steps, halves, out) is out
+        assert np.array_equal(out, got)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +427,9 @@ def test_a_radial_read_step_takes_one_state_propagation(bench_params, bench_sign
     shapes = []
     real = _RadialDiffusion.propagate
 
-    def counted(self, sigma, n_halves=1, out=None):
+    def counted(self, sigma, step, halves, out=None):
         shapes.append(sigma.shape[-1])
-        return real(self, sigma, n_halves, out)
+        return real(self, sigma, step, halves, out)
 
     monkeypatch.setattr(_RadialDiffusion, "propagate", counted)
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=0.0)
@@ -414,6 +443,27 @@ def test_a_radial_read_step_takes_one_state_propagation(bench_params, bench_sign
     # one per step and one at each piece end; one per read inside the read span
     assert shapes.count(rec.grid.n_z) == (n_write + 1) + (n_read + 1)
     assert shapes.count(1) == n_read - 1
+
+
+def test_a_radial_cycle_builds_each_half_step_once(bench_params, bench_signal, monkeypatch):
+    # one operator per call: the read reuses the write's half-step, and the
+    # two equal spans of a hold that flips at its middle share one (2.05 us
+    # each: 33 sub-steps, of a length unlike the write's step)
+    solves = []
+    real = transverse.solve_banded
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(transverse, "solve_banded", counted)
+    proto = StorageProtocol.gradient_through_hold(-TAU * 10e6, 4.1e-6)
+    assert proto.flip_time() == proto.t_hold - proto.flip_time() == 2.05e-6
+    control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
+    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
+    assert bench_params.diffusivity > 0.0
+    run_cycle_realspace(bench_params, proto, bench_signal, control, tgrid, **FAST)
+    assert len(solves) == 2
 
 
 def test_a_radial_cycle_steps_in_two_state_buffers(bench_params, bench_signal, monkeypatch):
