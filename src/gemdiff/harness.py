@@ -81,7 +81,6 @@ from .solver1d import (
     _PHASES,
     Grid1D,
     _cycle_plan,
-    _fans_out,
     _rows_of,
     _shared,
     efficiency_1d,
@@ -255,10 +254,9 @@ def _estimate_cell_steps(call: partial) -> float:
     """Cost of one solver call in cell updates: the cells of every planned step.
 
     The call's own arguments, bound to its solver's signature, rebuild the
-    _cycle_plan that _drive_cycle runs, and each step is charged the
-    state it runs on: rows x n_z per group (a real-space group has n_cols
-    rows), on one shared group until the first span that tells the groups
-    apart (_fans_out, the rule _drive_cycle uses), on every group from there on.
+    _cycle_plan that _drive_cycle runs, and each span's steps are charged
+    its group count times the cells of a group, rows x n_z (a real-space
+    group has n_cols rows).
     """
     bound = inspect.signature(call.func).bind(*call.args, **call.keywords)
     if call.func is run_cycle_quasi1d:  # one run_cycle serves every mode
@@ -273,19 +271,14 @@ def _estimate_cell_steps(call: partial) -> float:
     _, plan = _cycle_plan(
         protocol_rows,
         args["signal"],
+        diffs=_shared([p.diffusivity for p in param_rows]),
+        diffusion_phases=args.get("diffusion_phases", _PHASES),  # real space diffuses throughout
         steps_per_width=args["steps_per_width"],
         cut_times=args["sigma_times"],
         read=args.get("read", True),  # only real space can skip its read
     )
-    diffs = _shared([p.diffusivity for p in param_rows])
-    diffusion_phases = args.get("diffusion_phases", _PHASES)
-    groups, group_steps = 1, 0
-    for phase, spans in plan:
-        diffusivity = diffs if phase in diffusion_phases else 0.0
-        for _, length, *_, pieces in spans:
-            if _fans_out(length, diffusivity):
-                groups = len(protocol_rows)
-            group_steps += groups * sum(n for *_, n in pieces)
+    spans = [span for _, phase_spans in plan for span in phase_spans]
+    group_steps = sum(groups * sum(n for *_, n in pieces) for *_, groups, pieces in spans)
     n_z = Grid1D.build(param_rows[0].half_length, args["n_medium"]).n_z
     return float(n_z) * n_rows * group_steps
 
@@ -338,7 +331,7 @@ _LAWS = {
     ),
     "transverse_collapse": _Law(
         "tau_perp",
-        lambda tau: 1.0 / (1.0 + tau),
+        lambda tau: hg_efficiency((0, 0), tau),
         "1/(1+tau)",
         "transverse collapse",
         "eps_perp = 1/(1 + tau_perp), transverse diffusion of the (0,0) mode",
@@ -594,8 +587,8 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
     )
     collapse_recs = records[: len(collapse_holds)]
     hg_bases = [rec.base for rec in records[len(collapse_holds):]]
-    hg_recs00 = Quasi1DRecord.from_bases(hg_bases, signal, hg_grid00)
-    hg_recs11 = Quasi1DRecord.from_bases(hg_bases, replace(signal, mode=(1, 1)), hg_grid)
+    hg_recs00 = Quasi1DRecord.from_bases(hg_bases, hg_grid00)
+    hg_recs11 = Quasi1DRecord.from_bases(hg_bases, hg_grid)
 
     def tau_perp(rec) -> float:
         return derive_groups(params, rec.base.protocol, signal).tau_perp

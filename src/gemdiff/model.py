@@ -203,12 +203,6 @@ class StorageProtocol:
             return self.hold_flip_time
         return 0.5 * self.t_hold
 
-    def eta_at_hold_time(self, t: float) -> float:
-        """Hold gradient at time t (measured from the start of the hold)."""
-        if self.eta_hold == 0.0:
-            return 0.0
-        return self.eta_hold if t < self.flip_time() else -self.eta_hold
-
 
 @dataclass(frozen=True)
 class DerivedGroups:

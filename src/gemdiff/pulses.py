@@ -9,6 +9,7 @@ beam much wider than the signal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,12 @@ class SignalSpec:
             # the trapezoid energy integrals add squared fields in pairs
             raise ParameterError(
                 "amplitude %r overflows: twice its squared field must be finite" % (self.amplitude,)
+            )
+        if self.amplitude * self.amplitude < sys.float_info.min / sys.float_info.epsilon:
+            # below, intensities lose digits to subnormals and fits and energies fail
+            raise ParameterError(
+                "amplitude %r underflows: its squared field must keep its round-off "
+                "a normal float" % (self.amplitude,)
             )
         if self.t_width <= 0:
             raise ParameterError("t_width must be positive")

@@ -56,10 +56,10 @@ by the step plan of _cycle_plan.  Each group is a record: a 1D batch is G
 groups of one row, a real-space call G groups of its transverse columns,
 one per protocol.  Per-group values are (G, 1, 1) columns and per-row ones
 (rows, 1) columns, so both broadcast without tiling.  The state starts as
-one shared group and fans out along axis 0 at the first span that tells
-the groups apart (_fans_out), so a write they all share runs once.  The
-harness cost guard sums the same plan under the same fan-out rule, so it
-charges what _drive_cycle runs.  Groups may differ in the diffusivity and,
+one shared group and fans out along axis 0 to each span's group count
+(_cycle_plan), so a write they all share runs once.  The harness cost
+guard sums groups x steps over the same plan, so it charges what
+_drive_cycle runs.  Groups may differ in the diffusivity and,
 whenever the hold is undriven, in t_hold (the hold splits at each group's
 own flip time); any other difference is a ParameterError.
 
@@ -529,18 +529,23 @@ def _cycle_plan(
     protocols: Sequence[StorageProtocol],
     signal: SignalSpec,
     *,
+    diffs,
+    diffusion_phases: tuple[str, ...] = _PHASES,
     steps_per_width: float,
     cut_times=(),
     read: bool = True,
 ) -> tuple[float, list[tuple[str, list[tuple]]]]:
     """The step plan of one cycle: the driver runs it, the cost guard sums it.
 
-    protocols has one protocol per group, alike but for t_hold.  The base
-    step is dt0 = t_width / steps_per_width, and the read window is as
-    long as the write window.  Returns dt0 and, per phase, its
-    constant-operator spans (start, length, eta, drive_on, pieces), each
-    run as pieces (start, length, n_steps); a start or length the groups
-    differ in is a per-group array.
+    protocols has one protocol per group, alike but for t_hold, and diffs
+    the diffusivity (a scalar, or one value per group), which acts in the
+    diffusion_phases only.  The base step is dt0 = t_width /
+    steps_per_width, and the read window is as long as the write window.
+    Returns dt0 and, per phase, its constant-operator spans (start, length,
+    eta, drive_on, diffusivity, groups, pieces), each run as pieces (start,
+    length, n_steps) on groups groups: 1 up to the first span with a
+    per-group length or diffusivity, where the groups part ways, and all of
+    them from there on.  Values the groups differ in are per-group arrays.
     A driven span steps at dt0.  Every undriven span is exact at any step
     size, whatever its gradient and diffusivity: one step per piece, cut
     only at the cut_times inside it, each one scalar time shared by every
@@ -551,6 +556,9 @@ def _cycle_plan(
     whose end reaches it on every group's clock), and the phases after that
     span's are left out.  Such a plan needs a cut time.
     """
+    for name in diffusion_phases:
+        if name not in _PHASES:
+            raise ParameterError("unknown diffusion phase %r" % (name,))
     if steps_per_width <= 0.0:
         raise ParameterError("steps_per_width must be positive")
     if any(np.ndim(t) for t in cut_times):
@@ -567,31 +575,34 @@ def _cycle_plan(
             raise ParameterError("rows may differ in t_hold only when the hold is undriven")
         if _inside(cut_times, 0.0, float(np.max(holds))):
             raise ParameterError("rows that differ in t_hold take no snapshot inside the hold")
+    groups = 1  # raised by span() where the groups part ways: build spans in time order
 
-    def span(start, length, eta, drive_on):
+    def span(phase, start, length, eta, drive_on):
+        nonlocal groups
+        diffusivity = diffs if phase in diffusion_phases else 0.0
+        if np.ndim(length) or np.ndim(diffusivity):
+            groups = len(protocols)
         if drive_on:
             pieces = [(start, length, max(1, math.ceil(length / dt0)))]
         else:  # a per-group span has no cut inside it (checked above)
             inside = () if np.ndim(length) else _inside(cut_times, start, start + length)
             pieces = [(a, b - a, 1) for a, b in zip([start, *inside], [*inside, start + length])]
-        return start, length, eta, drive_on, pieces
+        return start, length, eta, drive_on, diffusivity, groups, pieces
 
-    hold = []
+    write = [span("write", -t_window, t_window, protocol.eta_write, True)]
+    parts = []
     if np.any(np.greater(holds, 0.0)):
         eta = protocol.eta_hold
-        if eta != 0.0:
-            parts = [(0.0, flips, eta), (flips, holds - flips, -eta)]
-        else:
-            parts = [(0.0, holds, 0.0)]
-        hold = [
-            span(start, length, eta, protocol.control_on_hold)
-            for start, length, eta in parts
-            if not np.all(np.less_equal(length, 0.0))
-        ]
+        parts = [(0.0, flips, eta), (flips, holds - flips, -eta)] if eta else [(0.0, holds, 0.0)]
+    hold = [
+        span("hold", start, length, eta, protocol.control_on_hold)
+        for start, length, eta in parts
+        if not np.all(np.less_equal(length, 0.0))
+    ]
     plan = [
-        ("write", [span(-t_window, t_window, protocol.eta_write, True)]),
+        ("write", write),
         ("hold", hold),
-        ("read", [span(holds, t_window, -protocol.eta_write, True)]),
+        ("read", [span("read", holds, t_window, -protocol.eta_write, True)]),
     ]
     return dt0, plan if read else _ending_at(plan, max(float(t) for t in cut_times))
 
@@ -605,11 +616,6 @@ def _ending_at(plan, t_last: float):
             if np.all(t_last <= end + 1e-12 * np.maximum(1.0, np.abs(end))):
                 return [*plan[:p], (phase, spans[: s + 1])]
     return plan
-
-
-def _fans_out(length, diffusivity) -> bool:
-    """Whether a span tells the groups apart: a per-group length or diffusivity."""
-    return bool(np.ndim(length) or np.ndim(diffusivity))
 
 
 def _rows_of(params, protocol) -> tuple[list, list]:
@@ -715,18 +721,18 @@ def _drive_cycle(
     """Run the write / hold / read phases of _cycle_plan on a (groups, rows, n_z) state.
 
     One group of n_rows rows per protocol; the state fans out from one
-    shared group at the first span with a per-group length or diffusivity.
-    rabi (scalar or (n_rows, 1) column) sets the coupling and light-shift
-    residual, diffs (scalar or one value per group) the diffusivity, and
+    shared group to each span's group count.  rabi (scalar or (n_rows, 1)
+    column) sets the coupling and light-shift residual, diffs (scalar or
+    one value per group) the diffusivity in the diffusion_phases, and
     inject(s) the entrance-face field of an input sample s of signal.  The
     input is sampled once at each write boundary, which serves the exit
     field there and the next step's start, and once at each step's
-    midpoint.  In the diffusion_phases diffusion acts along z by diffs and
-    across rows by transverse(dt0), one operator per call, whose
-    propagate(sigma, step, halves) applies halves half-steps of a piece's
-    step: an undriven piece takes two at its end, and an exit read inside
-    a piece applies the owed half to the (groups, rows, 1) medium integral
-    instead of the state.
+    midpoint.  A span with a diffusivity diffuses along z and across rows
+    by transverse(dt0), one operator per call, whose propagate(sigma,
+    step, halves) applies halves half-steps of a piece's step: an undriven
+    piece takes two at its end, and an exit read inside a piece applies
+    the owed half to the (groups, rows, 1) medium integral instead of the
+    state.
     A call that records no phase keeps only frames, so it runs the plan
     with read False, which ends at the last frame.
 
@@ -738,12 +744,11 @@ def _drive_cycle(
     each, and per group its guard ratios (of the phases run) and its
     _FrameTaker.
     """
-    for name in diffusion_phases:
-        if name not in _PHASES:
-            raise ParameterError("unknown diffusion phase %r" % (name,))
     dt0, plan = _cycle_plan(
         protocols,
         signal,
+        diffs=diffs,
+        diffusion_phases=diffusion_phases,
         steps_per_width=steps_per_width,
         cut_times=sigma_times,
         read=bool(record),
@@ -801,13 +806,11 @@ def _drive_cycle(
     for phase, spans in plan:
         writing = phase == "write"
         trace = ([], []) if phase in record else None  # boundary times, exit fields
-        diffusing = phase in diffusion_phases
-        diffusivity = diffs if diffusing else 0.0
-        across = radial if diffusing else None
-        for span_start, length, eta, drive_on, pieces in spans:
+        for span_start, length, eta, drive_on, diffusivity, groups, pieces in spans:
             residual = residuals[0] if drive_on else residuals[1]
-            if _fans_out(length, diffusivity) and len(sigma) < n_groups:
-                sigma = np.repeat(sigma, n_groups, axis=0)  # the groups part ways here
+            across = radial if np.any(diffusivity) else None
+            if len(sigma) < groups:
+                sigma = np.repeat(sigma, groups, axis=0)  # the groups part ways here
                 spare, media = _step_buffers(sigma, grid)
             read_by = trace if drive_on else None
             fin = entrance(span_start, True) if writing else 0.0j

@@ -87,13 +87,15 @@ def _edge_amplitude_ok(values: np.ndarray, threshold: float = 1e-6) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ModeGrid:
-    """Square transverse Fourier grid for the quasi-1D decomposition."""
+    """Square transverse Fourier grid for the quasi-1D decomposition.
+
+    x is the axis of both dimensions, kx its FFT wavenumbers, and amp the
+    spectrum of the mode the grid was built for, fft2 of its samples times dx^2.
+    """
 
     x: np.ndarray
-    y: np.ndarray
     kx: np.ndarray
-    ky: np.ndarray
-    window: float
+    amp: np.ndarray
 
     @classmethod
     def build(
@@ -132,13 +134,14 @@ class ModeGrid:
                 "transverse window too small for mode %r (edge amplitude above "
                 "1e-6 of peak); increase window_factor" % (mode,)
             )
-        spectrum = np.fft.fftshift(fft2(samples))
-        if not _edge_amplitude_ok(spectrum):
+        spectrum = fft2(samples)
+        if not _edge_amplitude_ok(np.fft.fftshift(spectrum)):
             raise ParameterError(
                 "transverse grid too coarse for mode %r (spectrum not resolved "
                 "to 1e-6 at Nyquist); increase n" % (mode,)
             )
-        return cls(x=axis, y=axis, kx=k_axis, ky=k_axis, window=window)
+        spacing = float(axis[1] - axis[0])  # dx as records read it back, not window / n
+        return cls(x=axis, kx=k_axis, amp=spectrum * spacing * spacing)
 
     @property
     def n(self) -> int:
@@ -149,8 +152,8 @@ class ModeGrid:
         return float(self.x[1] - self.x[0])
 
     def k_squared(self) -> np.ndarray:
-        """kx^2 + ky^2 mesh in FFT order."""
-        return self.kx[:, None] ** 2 + self.ky[None, :] ** 2
+        """kx^2 + ky^2 mesh in FFT order (both axes take kx)."""
+        return self.kx[:, None] ** 2 + self.kx[None, :] ** 2
 
 
 _RADIAL_WINDOW_WAISTS = 8.0  # the radial window's radius, in signal waists
@@ -194,37 +197,28 @@ class TransverseGrid:
 class Quasi1DRecord:
     """One shared 1D cycle plus per-mode transverse decay factors.
 
-    The mode with transverse wavenumber k_perp sees the shared output
-    scaled by exp(-gamma (2 t + t_hold)), gamma = D k_perp^2, t the read
-    offset; everything else is the mode amplitude.  Efficiencies follow by
-    quadrature over the mode spectrum, in k space directly or in real
-    space via the inverse transform (the two agree by Parseval).
+    The transverse mode is mode_grid's (its amp).  The component with
+    transverse wavenumber k_perp sees the shared output scaled by
+    exp(-gamma (2 t + t_hold)), gamma = D k_perp^2, t the read offset;
+    everything else is its amplitude.  Efficiencies follow by quadrature
+    over the mode spectrum, in k space directly or in real space via the
+    inverse transform (the two agree by Parseval).
     """
 
     base: CycleRecord
     mode_grid: ModeGrid
-    mode_amp: np.ndarray
     gamma: np.ndarray
 
     @classmethod
-    def from_bases(
-        cls, bases: Sequence[CycleRecord], signal: SignalSpec, grid: ModeGrid
-    ) -> list["Quasi1DRecord"]:
-        """Wrap 1D cycles with the mode spectrum of signal on grid.
+    def from_bases(cls, bases: Sequence[CycleRecord], grid: ModeGrid) -> list["Quasi1DRecord"]:
+        """Wrap 1D cycles with the mode spectrum of grid.
 
         The longitudinal cycle does not depend on the transverse mode, so
         one base can serve several modes (each wrapped on its own grid).
         """
-        samples = sample_transverse(signal, grid.x[:, None], grid.y[None, :])
-        mode_amp = fft2(samples) * grid.dx * grid.dx
         k_squared = grid.k_squared()
         return [
-            cls(
-                base=base,
-                mode_grid=grid,
-                mode_amp=mode_amp,
-                gamma=base.params.diffusivity * k_squared,
-            )
+            cls(base=base, mode_grid=grid, gamma=base.params.diffusivity * k_squared)
             for base in bases
         ]
 
@@ -235,7 +229,7 @@ class Quasi1DRecord:
     def _spectral_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Unique gamma values and their spectral weights sum |amp|^2."""
         gam = self.gamma.ravel()
-        weight = np.abs(self.mode_amp.ravel()) ** 2
+        weight = np.abs(self.mode_grid.amp.ravel()) ** 2
         uniq, inverse = np.unique(gam, return_inverse=True)
         sums = np.zeros(uniq.size)
         np.add.at(sums, inverse, weight)
@@ -257,7 +251,7 @@ class Quasi1DRecord:
         """Same efficiency via the inverse transform (Parseval route)."""
         dx = self.mode_grid.dx
         total_out = float(np.sum(self.intensity_realspace()[1])) * dx**2
-        profile = ifft2(self.mode_amp) / dx**2
+        profile = ifft2(self.mode_grid.amp) / dx**2
         total_in = (
             float(np.sum(np.abs(profile) ** 2)) * dx**2 * self.base.input_energy
         )
@@ -265,7 +259,7 @@ class Quasi1DRecord:
 
     def intensity_realspace(self) -> tuple[np.ndarray, np.ndarray]:
         """Time-integrated output intensity I(x, y) on the real-space grid."""
-        spec = self.mode_amp[..., None] * np.exp(
+        spec = self.mode_grid.amp[..., None] * np.exp(
             -self.gamma[..., None]
             * (2.0 * self.read_offsets + self.base.protocol.t_hold)
         )
@@ -287,17 +281,18 @@ def run_cycle_quasi1d(
 
     The tilded longitudinal system is identical for every transverse
     Fourier mode, so exactly one solver1d cycle is run; each mode then
-    carries its own decay factor.  The control is the homogeneous
-    params.rabi_control; a transversely varying control breaks the
-    equivalence and goes through run_cycle_realspace.  solver_kwargs are
-    run_cycle's keyword options.  params and protocol may be row sequences
-    under the batching rules of run_cycle; each row's base is then wrapped
-    on its own, one record per row.
+    carries its own decay factor.  The transverse mode is grid's, the one
+    it was built for; signal sets the longitudinal input.  The control is
+    the homogeneous params.rabi_control; a transversely varying control
+    breaks the equivalence and goes through run_cycle_realspace.
+    solver_kwargs are run_cycle's keyword options.  params and protocol may
+    be row sequences under the batching rules of run_cycle; each row's base
+    is then wrapped on its own, one record per row.
     """
     base = run_cycle(params, protocol, signal, **solver_kwargs)
     if isinstance(base, CycleRecord):
-        return Quasi1DRecord.from_bases([base], signal, grid)[0]
-    return Quasi1DRecord.from_bases(base, signal, grid)
+        return Quasi1DRecord.from_bases([base], grid)[0]
+    return Quasi1DRecord.from_bases(base, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -582,6 +582,9 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, override):
         "amplitude=1.3e154",
         "amplitude=1e160",
         "amplitude=1e300",
+        "amplitude=1e-147",
+        "amplitude=1e-160",
+        "amplitude=5e-324",
         "t_lead=-1 us",
         "mode_m=-1",
         "mode_m=2.5",

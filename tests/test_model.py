@@ -19,6 +19,7 @@ from gemdiff import (
     optimal_write_lead,
     stark_residual,
 )
+from gemdiff.solver1d import _cycle_plan
 
 TAU = 2.0 * math.pi
 
@@ -128,28 +129,35 @@ def test_stark_residual_unabsorbed(bench_params):
 # ---------------------------------------------------------------------------
 
 
-def test_standard_protocol_switches_everything_off():
+def _hold_spans(proto, signal):
+    """(start, length, eta) of each span the cycle plan runs in the hold."""
+    _, plan = _cycle_plan([proto], signal, diffs=0.0, steps_per_width=10.0)
+    return [(start, length, eta) for start, length, eta, *_ in dict(plan)["hold"]]
+
+
+def test_standard_protocol_switches_everything_off(bench_signal):
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=20e-6)
     assert proto.eta_hold == 0.0
     assert not proto.control_on_hold
-    assert proto.eta_at_hold_time(5e-6) == 0.0
+    assert _hold_spans(proto, bench_signal) == [(0.0, 20e-6, 0.0)]
 
 
-def test_gradient_through_hold_flips_mid_hold():
+def test_gradient_through_hold_flips_mid_hold(bench_signal):
     proto = StorageProtocol.gradient_through_hold(eta_write=-TAU * 10e6, t_hold=20e-6)
     assert proto.eta_hold == proto.eta_write
     assert proto.flip_time() == pytest.approx(10e-6)
-    assert proto.eta_at_hold_time(9e-6) == proto.eta_write
-    assert proto.eta_at_hold_time(11e-6) == -proto.eta_write
+    assert _hold_spans(proto, bench_signal) == [
+        (0.0, proto.flip_time(), proto.eta_hold),
+        (proto.flip_time(), 20e-6 - proto.flip_time(), -proto.eta_hold),
+    ]
 
 
-def test_explicit_flip_time():
+def test_explicit_flip_time(bench_signal):
     proto = StorageProtocol.gradient_through_hold(
         eta_write=1e6, t_hold=20e-6, hold_flip_time=4e-6
     )
     assert proto.flip_time() == 4e-6
-    assert proto.eta_at_hold_time(3e-6) == 1e6
-    assert proto.eta_at_hold_time(5e-6) == -1e6
+    assert _hold_spans(proto, bench_signal) == [(0.0, 4e-6, 1e6), (4e-6, 20e-6 - 4e-6, -1e6)]
 
 
 def test_write_window_default_and_override(bench_signal):

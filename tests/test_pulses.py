@@ -94,6 +94,14 @@ def test_an_amplitude_is_refused_where_its_energy_integral_overflows():
         SignalSpec(amplitude=9.6e153, t_width=1e-6, t_lead=0.0, waist=1e-3)
 
 
+def test_an_amplitude_is_refused_where_its_squared_field_loses_normal_round_off():
+    # amplitude^2 * epsilon must be a normal float: amplitude >= 1.001e-146
+    SignalSpec(amplitude=1.1e-146, t_width=1e-6, t_lead=0.0, waist=1e-3)
+    for amplitude in (1e-146, 1e-160, 5e-324):
+        with pytest.raises(ParameterError, match="underflows"):
+            SignalSpec(amplitude=amplitude, t_width=1e-6, t_lead=0.0, waist=1e-3)
+
+
 def test_control_profile_factories():
     homo = ControlProfile.homogeneous(1e8)
     assert homo.is_homogeneous

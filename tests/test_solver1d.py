@@ -4,6 +4,7 @@ import cmath
 import math
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -710,6 +711,32 @@ def test_batched_rows_reject_what_needs_two_time_grids(
     params, protocols = make_rows(bench_params, bench_protocol)
     with pytest.raises(ParameterError, match=match):
         run_cycle(params, protocols, bench_signal, **BATCH)
+
+
+def _group_counts(plan):
+    """(phase, groups) of each span of a cycle plan."""
+    return [(phase, groups) for phase, spans in plan for *_, groups, _ in spans]
+
+
+def test_the_plan_fans_the_groups_out_at_the_first_span_that_tells_them_apart(bench_signal):
+    eta = -TAU * 10e6
+    plan_of = partial(solver1d._cycle_plan, signal=bench_signal, steps_per_width=16.0)
+    # a grouped gradient-through-hold call shares its write and parts at the hold
+    grouped = [StorageProtocol.gradient_through_hold(eta, h) for h in (0.0, 2e-6, 4e-6)]
+    _, plan = plan_of(grouped, diffs=0.004)
+    assert _group_counts(plan) == [("write", 1), ("hold", 3), ("hold", 3), ("read", 3)]
+    # 1D rows that differ in D, diffusing only in the hold, part there and stay apart
+    rows = [StorageProtocol.standard(eta, 2e-6)] * 3
+    diffs = np.array([0.0, 0.004, 0.008])
+    _, plan = plan_of(rows, diffs=diffs, diffusion_phases=("hold",))
+    assert _group_counts(plan) == [("write", 1), ("hold", 3), ("read", 3)]
+    write, hold, read = (diffusivity for _, spans in plan for *_, diffusivity, _, _ in spans)
+    assert write == read == 0.0 and hold is diffs
+    # a single protocol stays one group throughout
+    _, plan = plan_of(grouped[1:2], diffs=0.004)
+    assert _group_counts(plan) == [("write", 1), ("hold", 1), ("hold", 1), ("read", 1)]
+    with pytest.raises(ParameterError, match="unknown diffusion phase 'park'"):
+        plan_of(rows, diffs=0.0, diffusion_phases=("write", "park"))
 
 
 def test_per_row_holds_take_no_snapshot_inside_a_hold(bench_params, bench_signal):

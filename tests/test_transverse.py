@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.fft import fft2
 from scipy.linalg import solve_banded
 
 from gemdiff import (
@@ -80,7 +81,17 @@ def test_mode_grid_rejects_unresolved_samples():
         ModeGrid.build(WAIST, mode=(1, 1), n=64, window_factor=8.0)
     grid = ModeGrid.build(WAIST, mode=(1, 1), n=64, window_factor=9.0)
     assert grid.n == 64
-    assert grid.window == pytest.approx(9.0 * WAIST)
+    assert grid.n * grid.dx == pytest.approx(9.0 * WAIST)
+
+
+@pytest.mark.parametrize("mode, window", [((0, 0), 8.0), ((1, 1), 9.0)])
+def test_mode_grid_keeps_the_spectrum_of_its_mode(mode, window):
+    # sampled and transformed once, at build, scaled by the spacing records read
+    grid = ModeGrid.build(WAIST, mode, n=32, window_factor=window)
+    probe = SignalSpec(1.0, 1e-6, 0.0, WAIST, mode=mode)
+    samples = sample_transverse(probe, grid.x[:, None], grid.x[None, :])
+    dx = grid.dx
+    assert np.array_equal(grid.amp, fft2(samples) * dx * dx)
 
 
 @pytest.mark.parametrize("window_factor", [8.0, 9.0])
