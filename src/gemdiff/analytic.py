@@ -203,7 +203,7 @@ def kspace_write_solution(
     kernel = kernel_amplitude(eta, beta, params.half_length)
     sigma = (
         envelope
-        * np.exp(1j * params.dispersion_shift * params.half_length)
+        * params.face_phase
         * chirp
         * (params.light_speed / (groups.coupling_eff * params.density))
         * kernel

@@ -82,7 +82,6 @@ from .solver1d import (
     Grid1D,
     _cycle_plan,
     _rows_of,
-    _shared,
     efficiency_1d,
     run_cycle,
     spectrum_centroid,
@@ -256,22 +255,23 @@ def _estimate_cell_steps(call: partial) -> float:
     The call's own arguments, bound to its solver's signature, rebuild the
     _cycle_plan that _drive_cycle runs, and each span's steps are charged
     its group count times the cells of a group, rows x n_z (a real-space
-    group has n_cols rows).
+    group has n_cols rows).  The rows go through the solver's _rows_of, so
+    a bad row raises the solver's ParameterError before anything is priced.
     """
     bound = inspect.signature(call.func).bind(*call.args, **call.keywords)
-    if call.func is run_cycle_quasi1d:  # one run_cycle serves every mode
+    if call.func is run_cycle_quasi1d:  # one run_cycle on the grid's signal serves every mode
         args = bound.arguments
         bound = inspect.signature(run_cycle).bind(
-            args["params"], args["protocol"], args["signal"], **args.get("solver_kwargs", {})
+            args["params"], args["protocol"], args["grid"].signal, **args.get("solver_kwargs", {})
         )
     bound.apply_defaults()
     args = bound.arguments
-    param_rows, protocol_rows = _rows_of(args["params"], args["protocol"])
+    param_rows, protocol_rows = _rows_of(args["params"], args["protocol"], args["signal"])
     n_rows = args["tgrid"].n_cols if call.func is run_cycle_realspace else 1  # rows per group
     _, plan = _cycle_plan(
+        param_rows,
         protocol_rows,
         args["signal"],
-        diffs=_shared([p.diffusivity for p in param_rows]),
         diffusion_phases=args.get("diffusion_phases", _PHASES),  # real space diffuses throughout
         steps_per_width=args["steps_per_width"],
         cut_times=args["sigma_times"],
@@ -557,9 +557,10 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
             )
         return t_hold
 
-    mode_grid = ModeGrid.build(waist, (0, 0), n=_MODE_CELLS[spec.fidelity])
-    hg_grid = ModeGrid.build(waist, (1, 1), n=_MODE_CELLS[spec.fidelity], window_factor=9.0)
-    hg_grid00 = ModeGrid.build(waist, (0, 0), n=_MODE_CELLS[spec.fidelity], window_factor=9.0)
+    n_modes = _MODE_CELLS[spec.fidelity]
+    mode_grid = ModeGrid.build(signal, n=n_modes)
+    hg_grid = ModeGrid.build(replace(signal, mode=(1, 1)), n=n_modes, window_factor=9.0)
+    hg_grid00 = ModeGrid.build(signal, n=n_modes, window_factor=9.0)
 
     # one batch over every hold time: the diffusion-free write is solved
     # once, the exact hold fans it out, and each (0,0)/(1,1) HG pair
@@ -577,7 +578,6 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
                 run_cycle_quasi1d,
                 params,
                 protocols,
-                signal,
                 mode_grid,
                 n_medium=n_medium,
                 steps_per_width=steps,
@@ -627,8 +627,7 @@ def _config_cycles(spec: ExperimentSpec, diffusivities) -> list:
     cfg = spec.config
     n_medium, steps = _CYCLE_GRID[spec.fidelity]
     mode_grid = ModeGrid.build(
-        cfg.signal.waist,
-        cfg.signal.mode,
+        cfg.signal,
         n=_MODE_CELLS[spec.fidelity],
         window_factor=9.0 if any(cfg.signal.mode) else 8.0,
     )
@@ -639,7 +638,6 @@ def _config_cycles(spec: ExperimentSpec, diffusivities) -> list:
                 run_cycle_quasi1d,
                 [cfg.params.with_diffusivity(diff) for diff in diffusivities],
                 cfg.protocol,
-                cfg.signal,
                 mode_grid,
                 n_medium=n_medium,
                 steps_per_width=steps,

@@ -14,6 +14,7 @@ their signs.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -101,6 +102,12 @@ class PhysicalParams:
     def dispersion_shift(self) -> float:
         """Linear phase accumulated by the field, g^2 N / (c Delta) (rad/m)."""
         return self.coupling_g**2 * self.density / (self.light_speed * self.detuning)
+
+    @property
+    def face_phase(self) -> complex:
+        """exp(i dispersion_shift half_length): the solver-frame field is the
+        physical one times it at the entrance face, over it at the exit face."""
+        return cmath.exp(1j * self.dispersion_shift * self.half_length)
 
     @property
     def k_matched(self) -> float:

@@ -11,7 +11,7 @@ coherence obeys
 so the spectral diffusion kernel is exp(-D (q + k_matched)^2 dt) with q
 the grid wavenumber (physical spin-wave wavenumber k = q + k_matched).
 Physical-frame fields are recovered at the cell faces by the constant
-phases exp(i dispersion_shift * half_length).
+phase PhysicalParams.face_phase.
 
 Each time step is a symmetric split: exact spectral diffusion half-steps
 around a core, advance_step, that applies the gradient rotation and the
@@ -32,15 +32,16 @@ every step boundary inside a piece it takes the state's spectrum once,
 and the next step starts from its inverse transform by the full-step
 kernel, followed in real space by one transverse propagation: the two
 halves that meet there merge, recorded or not.  Only a piece end settles the
-owed halves into the state.  An exit read inside a piece goes through the
-trapezoid functional, without settling: the medium integral of the
-settled state is spec . (after * ifft(w)), w the trapezoid weights, and
-the owed transverse half acts on that (rows, 1) integral.  A snapshot due
-there is taken from a settled copy, so it never changes the state's
-arithmetic.  With the drive off every column
-sees the same longitudinal operator, which commutes with the transverse
-one, so the transverse half-steps of an undriven piece are applied at
-its end in one shot.
+owed halves into the state.  One rule reads every boundary (the driver's
+observe): a settled state by its trapezoid integral over the medium, a
+state inside a piece without settling it, through the trapezoid
+functional: the medium integral of the settled state is spec . (after *
+ifft(w)), w the trapezoid weights, and the owed transverse half acts on
+that (rows, 1) integral.  A snapshot due inside a piece is taken from a
+settled copy, so it never changes the state's arithmetic.  With the
+drive off every column sees the same longitudinal operator, which
+commutes with the transverse one, so the transverse half-steps of an
+undriven piece are applied at its end in one shot.
 
 All step kernels broadcast over leading axes of sigma, with per-row
 couplings and detunings passed as (..., 1) arrays.
@@ -52,16 +53,18 @@ state that is not its input.  Whatever leaves the driver is a copy: exit
 fields, end states and frames.
 
 One driver, _drive_cycle, runs both routes on a (groups, rows, n_z) state
-by the step plan of _cycle_plan.  Each group is a record: a 1D batch is G
-groups of one row, a real-space call G groups of its transverse columns,
-one per protocol.  Per-group values are (G, 1, 1) columns and per-row ones
-(rows, 1) columns, so both broadcast without tiling.  The state starts as
-one shared group and fans out along axis 0 to each span's group count
-(_cycle_plan), so a write they all share runs once.  The harness cost
-guard sums groups x steps over the same plan, so it charges what
-_drive_cycle runs.  Groups may differ in the diffusivity and,
-whenever the hold is undriven, in t_hold (the hold splits at each group's
-own flip time); any other difference is a ParameterError.
+by the step plan of _cycle_plan.  _rows_of checks a call's rows once, the
+plan takes their diffusivity, and the driver injects each input sample
+times face_phase (and the transverse profile, in real space).  Each group
+is a record: a 1D batch is G groups of one row, a real-space call G groups
+of its transverse columns, one per protocol.  Per-group values are (G, 1,
+1) columns and per-row ones (rows, 1) columns, so both broadcast without
+tiling.  The state starts as one shared group and fans out along axis 0 to
+each span's group count (_cycle_plan), so a write they all share runs
+once.  The harness cost guard sums groups x steps over the same plan, so
+it charges what _drive_cycle runs.  Groups may differ in the diffusivity
+and, whenever the hold is undriven, in t_hold (the hold splits at each
+group's own flip time); any other difference is a ParameterError.
 
 The driver keeps what a route reads (_Trace, and the input injected at
 each write boundary), and both routes integrate energies over its times by
@@ -526,10 +529,10 @@ def _inside(times, t0: float, t1: float) -> list[float]:
 
 
 def _cycle_plan(
+    param_rows: Sequence[PhysicalParams],
     protocols: Sequence[StorageProtocol],
     signal: SignalSpec,
     *,
-    diffs,
     diffusion_phases: tuple[str, ...] = _PHASES,
     steps_per_width: float,
     cut_times=(),
@@ -537,10 +540,11 @@ def _cycle_plan(
 ) -> tuple[float, list[tuple[str, list[tuple]]]]:
     """The step plan of one cycle: the driver runs it, the cost guard sums it.
 
-    protocols has one protocol per group, alike but for t_hold, and diffs
-    the diffusivity (a scalar, or one value per group), which acts in the
-    diffusion_phases only.  The base step is dt0 = t_width /
-    steps_per_width, and the read window is as long as the write window.
+    param_rows and protocols are the call's rows (_rows_of), one per group;
+    the groups' diffusivity is the rows' (a scalar when they share it, else
+    one value per group) and acts in the diffusion_phases only.  The base
+    step is dt0 = t_width / steps_per_width, and the read window is as long
+    as the write window.
     Returns dt0 and, per phase, its constant-operator spans (start, length,
     eta, drive_on, diffusivity, groups, pieces), each run as pieces (start,
     length, n_steps) on groups groups: 1 up to the first span with a
@@ -566,6 +570,7 @@ def _cycle_plan(
     if not read and not len(cut_times):
         raise ParameterError("a cycle without a read needs sigma_times: it has no other output")
     protocol = protocols[0]  # every field but t_hold is shared
+    diffs = _shared([p.diffusivity for p in param_rows])
     dt0 = signal.t_width / steps_per_width
     t_window = protocol.write_window(signal)
     holds = _shared([p.t_hold for p in protocols])
@@ -618,8 +623,12 @@ def _ending_at(plan, t_last: float):
     return plan
 
 
-def _rows_of(params, protocol) -> tuple[list, list]:
-    """Per-row parameter sets and protocols; a single value serves every row."""
+def _rows_of(params, protocol, signal: SignalSpec) -> tuple[list, list]:
+    """Per-row parameter sets and protocols; a single value serves every row.
+
+    The one place a call's rows are checked: their count, the fields they
+    may differ in, and each row by derive_groups (gradient and widths).
+    """
     param_rows = [params] if isinstance(params, PhysicalParams) else list(params)
     protocol_rows = [protocol] if isinstance(protocol, StorageProtocol) else list(protocol)
     n_rows = max(len(param_rows), len(protocol_rows))
@@ -634,6 +643,8 @@ def _rows_of(params, protocol) -> tuple[list, list]:
         )
     _require_shared(param_rows, "diffusivity")
     _require_shared(protocol_rows, "t_hold")
+    for row_params, row_protocol in zip(param_rows, protocol_rows):
+        derive_groups(row_params, row_protocol, signal)
     return param_rows, protocol_rows
 
 
@@ -703,15 +714,13 @@ class _Trace(NamedTuple):
 
 
 def _drive_cycle(
-    params: PhysicalParams,
+    param_rows: Sequence[PhysicalParams],
     protocols: Sequence[StorageProtocol],
     signal: SignalSpec,
     grid: Grid1D,
     *,
-    n_rows: int,
     rabi,
-    diffs,
-    inject,
+    profile: np.ndarray | None = None,
     record: tuple[str, ...],
     transverse=None,
     diffusion_phases: tuple[str, ...] = _PHASES,
@@ -720,19 +729,21 @@ def _drive_cycle(
 ):
     """Run the write / hold / read phases of _cycle_plan on a (groups, rows, n_z) state.
 
-    One group of n_rows rows per protocol; the state fans out from one
+    param_rows and protocols are the call's checked rows (_rows_of), one
+    group per protocol, and every field of param_rows but the diffusivity
+    is shared.  A group has one row, or one per entry of profile, an
+    (n_rows, 1) column of transverse weights; the state fans out from one
     shared group to each span's group count.  rabi (scalar or (n_rows, 1)
-    column) sets the coupling and light-shift residual, diffs (scalar or
-    one value per group) the diffusivity in the diffusion_phases, and
-    inject(s) the entrance-face field of an input sample s of signal.  The
-    input is sampled once at each write boundary, which serves the exit
-    field there and the next step's start, and once at each step's
-    midpoint.  A span with a diffusivity diffuses along z and across rows
-    by transverse(dt0), one operator per call, whose propagate(sigma,
-    step, halves) applies halves half-steps of a piece's step: an undriven
-    piece takes two at its end, and an exit read inside a piece applies
-    the owed half to the (groups, rows, 1) medium integral instead of the
-    state.
+    column) sets the coupling and light-shift residual.  An input sample s
+    of signal enters at the entrance face as face_phase * s, times profile
+    when one is given.  The input is sampled once at each write boundary,
+    which serves the exit field there and the next step's start, and once
+    at each step's midpoint.  A span with a diffusivity diffuses along z
+    and across rows by transverse(dt0), one operator per call, whose
+    propagate(sigma, step, halves) applies halves half-steps of a piece's
+    step: an undriven piece takes two at its end, and a read inside a
+    piece applies the owed half to the (groups, rows, 1) medium integral
+    instead of the state.
     A call that records no phase keeps only frames, so it runs the plan
     with read False, which ends at the last frame.
 
@@ -745,20 +756,22 @@ def _drive_cycle(
     _FrameTaker.
     """
     dt0, plan = _cycle_plan(
+        param_rows,
         protocols,
         signal,
-        diffs=diffs,
         diffusion_phases=diffusion_phases,
         steps_per_width=steps_per_width,
         cut_times=sigma_times,
         read=bool(record),
     )
+    params = param_rows[0]
+    face_phase = params.face_phase
     coupling = params.coupling_g * rabi / params.detuning
     residuals = stark_residual(params, rabi), stark_residual(params, 0.0 * rabi)
     n_groups = len(protocols)
     takers = [_FrameTaker(g, sigma_times) for g in range(n_groups)]
     want_frames = bool(takers[0].pending)
-    sigma = np.zeros((1, n_rows, grid.n_z), dtype=complex)
+    sigma = np.zeros((1, 1 if profile is None else len(profile), grid.n_z), dtype=complex)
     spare, media = _step_buffers(sigma, grid)
     density, light_speed = params.density, params.light_speed
     traces, injected = {}, ([], [])  # injected: write boundary times, input samples
@@ -769,33 +782,26 @@ def _drive_cycle(
         if boundary:
             injected[0].append(t)
             injected[1].append(s)
-        return inject(s)
+        return face_phase * s if profile is None else face_phase * s * profile
 
-    def read(t, integral, fin, trace):
-        """Keep the exit field of a (groups, rows, 1) medium integral at boundary t."""
-        trace[0].append(t)
-        field = _field(integral, coupling, density, light_speed, fin)
-        trace[1].append(field[..., 0].copy())  # a copy: a view keeps its base alive
-
-    def settle(t, fin, trace):
-        """Record a boundary the state sigma has settled at and take the snapshots due."""
+    def observe(t, fin, trace, kern=None, spec=None, across=None, step=0.0, halves=0):
+        """Keep the exit field at boundary t in trace (None: not read there) and
+        take the snapshots due.  Without kern the state sigma has settled; with
+        it t is inside a piece, and sigma owes its after half along z (spec, its
+        spectrum) and halves transverse halves of step (across None: none)."""
         if trace is not None:
-            read(t, _integral(sigma, grid), fin, trace)
-        if want_frames:
-            for taker in takers:
-                taker.take(t, sigma)
-
-    def peek(t, kern, spec, across, step, halves, fin, trace):
-        """Record a boundary inside a piece, which owes the state there its after
-        half along z (spec, the spectrum of sigma) and halves transverse halves of step."""
-        if trace is not None:
-            integral = kern.integral(sigma, spec, grid, spare)
+            integral = (
+                _integral(sigma, grid) if kern is None else kern.integral(sigma, spec, grid, spare)
+            )
             if across is not None:
                 integral = across.propagate(integral, step, halves)
-            read(t, integral, fin, trace)
+            trace[0].append(t)
+            field = _field(integral, coupling, density, light_speed, fin)
+            trace[1].append(field[..., 0].copy())  # a copy: a view keeps its base alive
         if want_frames and any(taker.due(t) for taker in takers):
-            # from copies: the state goes on unsettled
-            frame = kern.resume(sigma.copy(), None if spec is None else spec.copy(), kern.after)
+            frame = sigma
+            if kern is not None:  # from copies: the state goes on unsettled
+                frame = kern.resume(sigma.copy(), None if spec is None else spec.copy(), kern.after)
             if across is not None:
                 frame = across.propagate(frame, step, halves)
             for taker in takers:
@@ -814,7 +820,7 @@ def _drive_cycle(
                 spare, media = _step_buffers(sigma, grid)
             read_by = trace if drive_on else None
             fin = entrance(span_start, True) if writing else 0.0j
-            settle(span_start, fin, read_by)
+            observe(span_start, fin, read_by)
             for start, piece, n_steps in pieces:
                 step = piece / n_steps
                 drift = 0.0 if drive_on else eta
@@ -849,11 +855,11 @@ def _drive_cycle(
                     fin = entrance(t, True) if writing else 0.0j
                     spec, kernel = kern.spectrum(sigma), kern.full
                     if j < n_steps - 1:
-                        peek(t, kern, spec, across, step, owed_t, fin, read_by)
+                        observe(t, fin, read_by, kern, spec, across, step, owed_t)
                 sigma = kern.resume(sigma, spec, kern.after)
                 if across is not None:
                     sigma, spare = across.propagate(sigma, step, owed_t, spare), sigma
-                settle(t, fin, read_by)
+                observe(t, fin, read_by)
         for g in range(n_groups):
             view = _row(sigma, g)
             peaks[g] = max(peaks[g], float(np.max(np.abs(view))))
@@ -897,21 +903,16 @@ def run_cycle(
     Raises GuardBandError if coherence reaches the outer padding band.
     """
     single = isinstance(params, PhysicalParams) and isinstance(protocol, StorageProtocol)
-    param_rows, protocol_rows = _rows_of(params, protocol)
-    for row_params, row_protocol in zip(param_rows, protocol_rows):
-        derive_groups(row_params, row_protocol, signal)  # validates gradient and widths
+    param_rows, protocol_rows = _rows_of(params, protocol, signal)
     params = param_rows[0]  # every field but the diffusivity is shared
-    face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
+    face_phase = params.face_phase
     grid = Grid1D.build(params.half_length, n_medium)
     traces, (_, f_in), guards, takers = _drive_cycle(
-        params,
+        param_rows,
         protocol_rows,
         signal,
         grid,
-        n_rows=1,
         rabi=params.rabi_control,
-        diffs=_shared([p.diffusivity for p in param_rows]),
-        inject=lambda s: face_phase * s,
         record=_PHASES,
         steps_per_width=steps_per_width,
         diffusion_phases=diffusion_phases,

@@ -35,7 +35,6 @@ which is what decouples the columns.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -46,12 +45,7 @@ from scipy.fft import fft2, ifft2
 from scipy.linalg import solve_banded
 from scipy.optimize import curve_fit
 
-from .model import (
-    ParameterError,
-    PhysicalParams,
-    StorageProtocol,
-    derive_groups,
-)
+from .model import ParameterError, PhysicalParams, StorageProtocol
 from .pulses import ControlProfile, SignalSpec, control_rabi, sample_transverse
 from .solver1d import (
     CycleRecord,
@@ -89,27 +83,25 @@ def _edge_amplitude_ok(values: np.ndarray, threshold: float = 1e-6) -> bool:
 class ModeGrid:
     """Square transverse Fourier grid for the quasi-1D decomposition.
 
-    x is the axis of both dimensions, kx its FFT wavenumbers, and amp the
-    spectrum of the mode the grid was built for, fft2 of its samples times dx^2.
+    signal is the input the grid samples: its waist sizes the grid and its
+    transverse mode is the one a quasi-1D cycle on the grid runs.  x is the
+    axis of both dimensions, kx its FFT wavenumbers, and amp the spectrum of
+    the mode, fft2 of its samples times dx^2.
     """
 
+    signal: SignalSpec
     x: np.ndarray
     kx: np.ndarray
     amp: np.ndarray
 
     @classmethod
-    def build(
-        cls,
-        waist: float,
-        mode: tuple[int, int] = (0, 0),
-        n: int = 64,
-        window_factor: float = 8.0,
-    ) -> "ModeGrid":
-        """Grid sized for a given beam: window >= 6 waists, spectrum resolved.
+    def build(cls, signal: SignalSpec, n: int = 64, window_factor: float = 8.0) -> "ModeGrid":
+        """Grid sized for signal's beam: window >= 6 waists, spectrum resolved.
 
         Raises when the sampled mode does not decay to 1e-6 of its peak at
         both the window edge and the Nyquist edge of the k grid.
         """
+        waist, mode = signal.waist, signal.mode
         if window_factor < 6.0:
             raise ParameterError("transverse window must span at least 6 waists")
         if n < 8 or n % 2:
@@ -125,10 +117,7 @@ class ModeGrid:
         dx = window / n
         axis = (np.arange(n) - n // 2) * dx
         k_axis = 2.0 * math.pi * np.fft.fftfreq(n, dx)
-        probe = SignalSpec(
-            amplitude=1.0, t_width=1.0, t_lead=0.0, waist=waist, mode=mode
-        )
-        samples = sample_transverse(probe, axis[:, None], axis[None, :])
+        samples = sample_transverse(signal, axis[:, None], axis[None, :])
         if not _edge_amplitude_ok(samples):
             raise ParameterError(
                 "transverse window too small for mode %r (edge amplitude above "
@@ -141,7 +130,7 @@ class ModeGrid:
                 "to 1e-6 at Nyquist); increase n" % (mode,)
             )
         spacing = float(axis[1] - axis[0])  # dx as records read it back, not window / n
-        return cls(x=axis, kx=k_axis, amp=spectrum * spacing * spacing)
+        return cls(signal=signal, x=axis, kx=k_axis, amp=spectrum * spacing * spacing)
 
     @property
     def n(self) -> int:
@@ -197,12 +186,12 @@ class TransverseGrid:
 class Quasi1DRecord:
     """One shared 1D cycle plus per-mode transverse decay factors.
 
-    The transverse mode is mode_grid's (its amp).  The component with
-    transverse wavenumber k_perp sees the shared output scaled by
-    exp(-gamma (2 t + t_hold)), gamma = D k_perp^2, t the read offset;
-    everything else is its amplitude.  Efficiencies follow by quadrature
-    over the mode spectrum, in k space directly or in real space via the
-    inverse transform (the two agree by Parseval).
+    The transverse mode is mode_grid's (its signal's, sampled as amp).
+    The component with transverse wavenumber k_perp sees the shared output
+    scaled by exp(-gamma (2 t + t_hold)), gamma = D k_perp^2, t the read
+    offset; everything else is its amplitude.  Efficiencies follow by
+    quadrature over the mode spectrum, in k space directly or in real space
+    via the inverse transform (the two agree by Parseval).
     """
 
     base: CycleRecord
@@ -214,7 +203,8 @@ class Quasi1DRecord:
         """Wrap 1D cycles with the mode spectrum of grid.
 
         The longitudinal cycle does not depend on the transverse mode, so
-        one base can serve several modes (each wrapped on its own grid).
+        one base can serve several modes, each wrapped on its own grid:
+        the records take grid's mode whatever mode the base was run with.
         """
         k_squared = grid.k_squared()
         return [
@@ -273,7 +263,6 @@ class Quasi1DRecord:
 def run_cycle_quasi1d(
     params: PhysicalParams | Sequence[PhysicalParams],
     protocol: StorageProtocol | Sequence[StorageProtocol],
-    signal: SignalSpec,
     grid: ModeGrid,
     **solver_kwargs,
 ) -> Quasi1DRecord | list[Quasi1DRecord]:
@@ -281,15 +270,16 @@ def run_cycle_quasi1d(
 
     The tilded longitudinal system is identical for every transverse
     Fourier mode, so exactly one solver1d cycle is run; each mode then
-    carries its own decay factor.  The transverse mode is grid's, the one
-    it was built for; signal sets the longitudinal input.  The control is
+    carries its own decay factor.  The input is grid.signal, the signal
+    the grid was built for: it sets both the longitudinal input and the
+    transverse mode, so the two cannot disagree.  The control is
     the homogeneous params.rabi_control; a transversely varying control
     breaks the equivalence and goes through run_cycle_realspace.
     solver_kwargs are run_cycle's keyword options.  params and protocol may
     be row sequences under the batching rules of run_cycle; each row's base
     is then wrapped on its own, one record per row.
     """
-    base = run_cycle(params, protocol, signal, **solver_kwargs)
+    base = run_cycle(params, protocol, grid.signal, **solver_kwargs)
     if isinstance(base, CycleRecord):
         return Quasi1DRecord.from_bases([base], grid)[0]
     return Quasi1DRecord.from_bases(base, grid)
@@ -467,7 +457,6 @@ def run_cycle_realspace(
     (of the phases run), and their read fields are None.
     """
     single = isinstance(protocol, StorageProtocol)
-    _, protocols = _rows_of(params, protocol)
     if signal.mode != (0, 0):
         raise ParameterError(
             "real space is restricted to the axisymmetric (0,0) mode; "
@@ -478,22 +467,18 @@ def run_cycle_realspace(
             "control.rabi_peak must match params.rabi_control (the light-shift "
             "bias and far-detuning checks are anchored to it)"
         )
-    for row in protocols:
-        derive_groups(params, row, signal)
+    param_rows, protocols = _rows_of(params, protocol, signal)
 
-    face_phase = cmath.exp(1j * params.dispersion_shift * params.half_length)
     profile = sample_transverse(signal, tgrid.r[:, None], 0.0)  # (n_cols, 1)
     diffusion = partial(_RadialDiffusion, tgrid, params.diffusivity)
     grid = Grid1D.build(params.half_length, n_medium)
     traces, (t_write, f_in), guards, takers = _drive_cycle(
-        params,
+        param_rows,
         protocols,
         signal,
         grid,
-        n_rows=tgrid.n_cols,
         rabi=control_rabi(control, tgrid.r)[:, None],  # column-local control
-        diffs=params.diffusivity,
-        inject=lambda s: face_phase * s * profile,
+        profile=profile,
         record=("read",) if read else (),
         transverse=diffusion if params.diffusivity > 0.0 else None,
         steps_per_width=steps_per_width,
@@ -503,7 +488,7 @@ def run_cycle_realspace(
     input_energy = _energy(f_in, t_write) * float(tgrid.weights @ np.abs(profile[:, 0]) ** 2)
     if read:
         t_out = _steps_by_row(traces["read"].times)
-        f_out = np.moveaxis(np.array([face_phase * e for e in traces["read"].exits]), 0, -1)
+        f_out = np.moveaxis(np.array([params.face_phase * e for e in traces["read"].exits]), 0, -1)
 
     records = []
     for g, (row, taker) in enumerate(zip(protocols, takers)):
@@ -574,13 +559,15 @@ def intensity_and_width(record: RealspaceRecord) -> BeamProfile:
         return i0 * np.exp(-(r_**2) / (2.0 * w**2))
 
     try:
-        popt, _ = curve_fit(
-            model,
-            r,
-            intensity,
-            p0=(float(np.max(intensity)), moment),
-            maxfev=10000,
-        )
+        # the covariance, never read, overflows for a faint output
+        with np.errstate(over="ignore", invalid="ignore"):
+            popt, _ = curve_fit(
+                model,
+                r,
+                intensity,
+                p0=(float(np.max(intensity)), moment),
+                maxfev=10000,
+            )
         width = abs(float(popt[1]))
         resid = intensity - model(r, *popt)
         fit_residual = float(np.sqrt(np.mean(resid**2))) / float(np.max(intensity))

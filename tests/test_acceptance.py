@@ -427,10 +427,8 @@ def _gradient_hold_propagator(params, signal):
 def _parseval_equivalence(params, signal):
     """Quasi-1D efficiency agrees between k-space and real-space quadrature."""
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=10e-6)
-    grid = ModeGrid.build(signal.waist)
-    rec = run_cycle_quasi1d(
-        params, proto, signal, grid, n_medium=64, steps_per_width=16.0
-    )
+    grid = ModeGrid.build(signal)
+    rec = run_cycle_quasi1d(params, proto, grid, n_medium=64, steps_per_width=16.0)
     k = rec.efficiency_kspace()
     return abs(k - rec.efficiency_realspace()) / k < 1e-6
 

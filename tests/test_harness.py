@@ -236,6 +236,15 @@ def test_cost_estimate_and_budget(bench_config, tmp_path, monkeypatch):
         _solve(spec, calls + calls[:1])
 
 
+def test_cost_estimate_refuses_a_bad_row_with_the_solvers_message(bench_config):
+    # the guard checks a call's rows as the solver does, before pricing them
+    cfg = bench_config
+    flat = StorageProtocol.standard(0.0, t_hold=0.0)
+    call = partial(run_cycle, cfg.params, flat, cfg.signal, n_medium=64, steps_per_width=16.0)
+    with pytest.raises(ParameterError, match="gradient required"):
+        _estimate_cell_steps(call)
+
+
 def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch):
     # the estimate charges each planned step the state it runs on; sum the
     # cells that advance_step updates through every binding of it
@@ -265,7 +274,7 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
     control = ControlProfile.gaussian(cfg.params.rabi_control, 3e-3)
     still = cfg.params.with_diffusivity(0.0)
     rotating = StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, 3e-6)
-    modes = ModeGrid.build(cfg.signal.waist, n=32)
+    modes = ModeGrid.build(cfg.signal, n=32)
     exact_calls = [
         partial(run_cycle, cfg.params, exact, cfg.signal, **fast),
         partial(run_cycle, cfg.params, driven, cfg.signal, **fast),
@@ -273,7 +282,7 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
         partial(run_cycle_realspace, still, exact, cfg.signal, control, tgrid, **fast),
         # frames inside the exact hold cut it into pieces
         partial(run_cycle, cfg.params, exact, cfg.signal, sigma_times=(1e-6, 2e-6), **fast),
-        partial(run_cycle_quasi1d, cfg.params, driven, cfg.signal, modes, **fast),
+        partial(run_cycle_quasi1d, cfg.params, driven, modes, **fast),
         # a gradient-on hold with no diffusion acting is an exact rotation
         partial(run_cycle_realspace, still, rotating, cfg.signal, control, tgrid, **fast),
         partial(
@@ -323,7 +332,7 @@ def test_entry_points_take_only_the_options_experiments_set():
     assert options(run_cycle_realspace) == [*common, "sigma_times", "store_fields", "read"]
     # the quasi-1D route forwards run_cycle's options and takes no others
     assert list(inspect.signature(run_cycle_quasi1d).parameters) == [
-        "params", "protocol", "signal", "grid", "solver_kwargs"
+        "params", "protocol", "grid", "solver_kwargs"
     ]
 
 
@@ -470,6 +479,29 @@ def test_artifacts_are_identical_across_thread_counts(cycle_run, tmp_path, capsy
     assert names == sorted(p.name for p in other.iterdir())
     for name in names:
         assert (cycle_run / name).read_bytes() == (other / name).read_bytes(), name
+
+
+def test_pooled_artifacts_are_identical_across_thread_counts(tmp_path, capsys, monkeypatch):
+    # phase-profile's real-space cycles run on the pool at two threads
+    pools = []
+    real = harness._run_tasks
+
+    def counted(tasks, threads):
+        pools.append(threads)
+        return real(tasks, threads)
+
+    monkeypatch.setattr(harness, "_run_tasks", counted)
+    runs = []
+    for threads in ("1", "2"):
+        argv = ["phase-profile", "--config", str(CONFIG), "--out", str(tmp_path / threads)]
+        assert main([*argv, "--fidelity", "coarse", "--threads", threads]) == 0
+        runs.append(tmp_path / threads / "phase-profile")
+    capsys.readouterr()
+    assert 2 in pools
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names and names == sorted(p.name for p in runs[1].iterdir())
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

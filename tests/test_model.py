@@ -129,35 +129,38 @@ def test_stark_residual_unabsorbed(bench_params):
 # ---------------------------------------------------------------------------
 
 
-def _hold_spans(proto, signal):
+def _hold_spans(params, proto, signal):
     """(start, length, eta) of each span the cycle plan runs in the hold."""
-    _, plan = _cycle_plan([proto], signal, diffs=0.0, steps_per_width=10.0)
+    _, plan = _cycle_plan([params], [proto], signal, steps_per_width=10.0)
     return [(start, length, eta) for start, length, eta, *_ in dict(plan)["hold"]]
 
 
-def test_standard_protocol_switches_everything_off(bench_signal):
+def test_standard_protocol_switches_everything_off(bench_params, bench_signal):
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=20e-6)
     assert proto.eta_hold == 0.0
     assert not proto.control_on_hold
-    assert _hold_spans(proto, bench_signal) == [(0.0, 20e-6, 0.0)]
+    assert _hold_spans(bench_params, proto, bench_signal) == [(0.0, 20e-6, 0.0)]
 
 
-def test_gradient_through_hold_flips_mid_hold(bench_signal):
+def test_gradient_through_hold_flips_mid_hold(bench_params, bench_signal):
     proto = StorageProtocol.gradient_through_hold(eta_write=-TAU * 10e6, t_hold=20e-6)
     assert proto.eta_hold == proto.eta_write
     assert proto.flip_time() == pytest.approx(10e-6)
-    assert _hold_spans(proto, bench_signal) == [
+    assert _hold_spans(bench_params, proto, bench_signal) == [
         (0.0, proto.flip_time(), proto.eta_hold),
         (proto.flip_time(), 20e-6 - proto.flip_time(), -proto.eta_hold),
     ]
 
 
-def test_explicit_flip_time(bench_signal):
+def test_explicit_flip_time(bench_params, bench_signal):
     proto = StorageProtocol.gradient_through_hold(
         eta_write=1e6, t_hold=20e-6, hold_flip_time=4e-6
     )
     assert proto.flip_time() == 4e-6
-    assert _hold_spans(proto, bench_signal) == [(0.0, 4e-6, 1e6), (4e-6, 20e-6 - 4e-6, -1e6)]
+    assert _hold_spans(bench_params, proto, bench_signal) == [
+        (0.0, 4e-6, 1e6),
+        (4e-6, 20e-6 - 4e-6, -1e6),
+    ]
 
 
 def test_write_window_default_and_override(bench_signal):

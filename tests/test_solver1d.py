@@ -481,14 +481,12 @@ def test_kept_exit_fields_own_their_data(bench_params, bench_signal):
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=2e-6)
     rows = np.array([[1.0], [0.5], [0.2]])
     traces, _, _, takers = solver1d._drive_cycle(
-        bench_params,
+        [bench_params],
         [proto],
         bench_signal,
         grid,
-        n_rows=3,
         rabi=bench_params.rabi_control * rows,
-        diffs=bench_params.diffusivity,
-        inject=lambda s: s * rows,
+        profile=rows,
         record=("write", "hold", "read"),
         sigma_times=(0.0, 2e-6),
         steps_per_width=16.0,
@@ -718,25 +716,28 @@ def _group_counts(plan):
     return [(phase, groups) for phase, spans in plan for *_, groups, _ in spans]
 
 
-def test_the_plan_fans_the_groups_out_at_the_first_span_that_tells_them_apart(bench_signal):
+def test_the_plan_fans_the_groups_out_at_the_first_span_that_tells_them_apart(
+    bench_params, bench_signal
+):
     eta = -TAU * 10e6
     plan_of = partial(solver1d._cycle_plan, signal=bench_signal, steps_per_width=16.0)
     # a grouped gradient-through-hold call shares its write and parts at the hold
     grouped = [StorageProtocol.gradient_through_hold(eta, h) for h in (0.0, 2e-6, 4e-6)]
-    _, plan = plan_of(grouped, diffs=0.004)
+    _, plan = plan_of([bench_params] * 3, grouped)
     assert _group_counts(plan) == [("write", 1), ("hold", 3), ("hold", 3), ("read", 3)]
     # 1D rows that differ in D, diffusing only in the hold, part there and stay apart
     rows = [StorageProtocol.standard(eta, 2e-6)] * 3
-    diffs = np.array([0.0, 0.004, 0.008])
-    _, plan = plan_of(rows, diffs=diffs, diffusion_phases=("hold",))
+    diffs = [0.0, 0.004, 0.008]
+    param_rows = [bench_params.with_diffusivity(d) for d in diffs]
+    _, plan = plan_of(param_rows, rows, diffusion_phases=("hold",))
     assert _group_counts(plan) == [("write", 1), ("hold", 3), ("read", 3)]
     write, hold, read = (diffusivity for _, spans in plan for *_, diffusivity, _, _ in spans)
-    assert write == read == 0.0 and hold is diffs
+    assert write == read == 0.0 and hold.tolist() == diffs  # the plan gathers the rows' D
     # a single protocol stays one group throughout
-    _, plan = plan_of(grouped[1:2], diffs=0.004)
+    _, plan = plan_of([bench_params], grouped[1:2])
     assert _group_counts(plan) == [("write", 1), ("hold", 1), ("hold", 1), ("read", 1)]
     with pytest.raises(ParameterError, match="unknown diffusion phase 'park'"):
-        plan_of(rows, diffs=0.0, diffusion_phases=("write", "park"))
+        plan_of(param_rows, rows, diffusion_phases=("write", "park"))
 
 
 def test_per_row_holds_take_no_snapshot_inside_a_hold(bench_params, bench_signal):

@@ -1,6 +1,7 @@
 """Transverse routes: mode decomposition, the radial real-space solver, beam observables."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -44,8 +45,8 @@ FAST = dict(n_medium=64, steps_per_width=16.0)
 
 @pytest.fixture(scope="module")
 def quasi_record(bench_params, bench_protocol, bench_signal):
-    grid = ModeGrid.build(bench_signal.waist)
-    return run_cycle_quasi1d(bench_params, bench_protocol, bench_signal, grid, **FAST)
+    grid = ModeGrid.build(bench_signal)
+    return run_cycle_quasi1d(bench_params, bench_protocol, grid, **FAST)
 
 
 @pytest.fixture(scope="module")
@@ -68,18 +69,23 @@ def radial_record(bench_params, bench_protocol, bench_signal):
 # ---------------------------------------------------------------------------
 
 
+def _beam(mode=(0, 0)):
+    """A unit input on the WAIST beam in transverse mode `mode`."""
+    return SignalSpec(1.0, 1e-6, 0.0, WAIST, mode=mode)
+
+
 def test_mode_grid_rejects_unresolved_samples():
     with pytest.raises(ParameterError, match="at least 6 waists"):
-        ModeGrid.build(WAIST, window_factor=5.0)
+        ModeGrid.build(_beam(), window_factor=5.0)
     with pytest.raises(ParameterError, match="even number"):
-        ModeGrid.build(WAIST, n=63)
+        ModeGrid.build(_beam(), n=63)
     # a wide window with few points leaves the spectrum hot at Nyquist
     with pytest.raises(ParameterError, match="increase n"):
-        ModeGrid.build(WAIST, n=16, window_factor=12.0)
+        ModeGrid.build(_beam(), n=16, window_factor=12.0)
     # higher-order modes decay more slowly: (1,1) needs a wider window
     with pytest.raises(ParameterError, match="increase window_factor"):
-        ModeGrid.build(WAIST, mode=(1, 1), n=64, window_factor=8.0)
-    grid = ModeGrid.build(WAIST, mode=(1, 1), n=64, window_factor=9.0)
+        ModeGrid.build(_beam((1, 1)), n=64, window_factor=8.0)
+    grid = ModeGrid.build(_beam((1, 1)), n=64, window_factor=9.0)
     assert grid.n == 64
     assert grid.n * grid.dx == pytest.approx(9.0 * WAIST)
 
@@ -87,9 +93,9 @@ def test_mode_grid_rejects_unresolved_samples():
 @pytest.mark.parametrize("mode, window", [((0, 0), 8.0), ((1, 1), 9.0)])
 def test_mode_grid_keeps_the_spectrum_of_its_mode(mode, window):
     # sampled and transformed once, at build, scaled by the spacing records read
-    grid = ModeGrid.build(WAIST, mode, n=32, window_factor=window)
-    probe = SignalSpec(1.0, 1e-6, 0.0, WAIST, mode=mode)
-    samples = sample_transverse(probe, grid.x[:, None], grid.x[None, :])
+    grid = ModeGrid.build(_beam(mode), n=32, window_factor=window)
+    assert grid.signal == _beam(mode)
+    samples = sample_transverse(_beam(mode), grid.x[:, None], grid.x[None, :])
     dx = grid.dx
     assert np.array_equal(grid.amp, fft2(samples) * dx * dx)
 
@@ -101,16 +107,15 @@ def test_mode_grid_refuses_a_mode_beyond_the_window_before_sampling(n, window_fa
     # accept, at every fidelity's n and window_factor
     for m in range(21):
         try:
-            ModeGrid.build(WAIST, mode=(m, 0), n=n, window_factor=window_factor)
+            ModeGrid.build(_beam((m, 0)), n=n, window_factor=window_factor)
         except ParameterError as exc:
             if "turns beyond" in str(exc):
                 axis = (np.arange(n) - n // 2) * (window_factor * WAIST / n)
-                probe = SignalSpec(1.0, 1.0, 0.0, WAIST, mode=(m, 0))
-                samples = sample_transverse(probe, axis[:, None], axis[None, :])
+                samples = sample_transverse(_beam((m, 0)), axis[:, None], axis[None, :])
                 assert not _edge_amplitude_ok(samples), m
     # an order far beyond the window is refused at once, not sampled
     with pytest.raises(ParameterError, match="turns beyond"):
-        ModeGrid.build(WAIST, mode=(10**30, 0), n=n, window_factor=window_factor)
+        ModeGrid.build(_beam((10**30, 0)), n=n, window_factor=window_factor)
 
 
 def test_radial_grid_is_staggered_with_exact_disc_area():
@@ -291,13 +296,12 @@ def test_radial_steps_per_group_equal_their_scalar_calls():
 def test_batched_quasi1d_matches_single_calls(bench_params, bench_signal, mode, window):
     # rows differ in D and in the exact hold; each row's base is wrapped
     # with its own transverse decay rates
-    signal = replace(bench_signal, mode=mode)
-    grid = ModeGrid.build(signal.waist, mode, n=32, window_factor=window)
+    grid = ModeGrid.build(replace(bench_signal, mode=mode), n=32, window_factor=window)
     rows = [bench_params.with_diffusivity(d) for d in (0.004, 0.0, 0.002)]
     protos = [StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=h) for h in (2e-6, 2e-6, 5e-6)]
-    batch = run_cycle_quasi1d(rows, protos, signal, grid, **FAST)
+    batch = run_cycle_quasi1d(rows, protos, grid, **FAST)
     for rec, params, proto in zip(batch, rows, protos):
-        single = run_cycle_quasi1d(params, proto, signal, grid, **FAST)
+        single = run_cycle_quasi1d(params, proto, grid, **FAST)
         assert rec.efficiency_kspace() == pytest.approx(single.efficiency_kspace(), rel=1e-12)
         assert np.array_equal(rec.gamma, single.gamma)
 
@@ -504,6 +508,16 @@ def test_radial_output_width_matches_transport_formula(
     expected = output_width(bench_params, bench_protocol, bench_signal)
     assert profile.width == pytest.approx(expected, rel=0.05)
     assert profile.width_moment == pytest.approx(expected, rel=0.05)
+
+
+def test_a_faint_output_fits_its_width_without_a_warning(radial_record):
+    # the fit's covariance, which is never read, overflows on a faint output
+    faint = replace(radial_record, intensity=radial_record.intensity * 1e-290)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        profile = intensity_and_width(faint)
+    assert profile.fit_ok
+    assert profile.width == pytest.approx(intensity_and_width(radial_record).width, rel=1e-9)
 
 
 def test_width_growth_rate_recovers_the_diffusivity(bench_params):
