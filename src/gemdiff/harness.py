@@ -18,9 +18,14 @@ Fidelity presets (longitudinal cells / steps per pulse width; the two
 real-space experiments add the radial cell count, mode grids their size)::
 
               1d sweeps     single cycle   beam width        phase profile     modes
-    coarse    256 / 40      192 /  50      128 / 32 /  96    128 / 32 /  96     32
-    standard  384 / 60      256 / 100      160 / 40 / 128    192 / 48 / 128     64
-    fine      512 / 96      384 / 150      256 / 64 / 160    256 / 64 / 160     96
+    coarse    256 /  6      192 /  6       128 / 32 /  96    128 / 32 /  96     32
+    standard  384 /  8      256 /  8       160 / 40 / 128    192 / 48 / 128     64
+    fine      512 / 16      384 / 16       256 / 64 / 160    256 / 64 / 160     96
+
+The 1D and quasi-1D drive is exact in time (solver1d), so their steps per
+width are a sampling rate, set from a convergence table of every check;
+real space steps its drive by the midpoint rule, and its presets set that
+rule's accuracy.
 
 Environment overrides (command-line flags win)::
 
@@ -105,8 +110,8 @@ FIDELITY_NAMES = ("coarse", "standard", "fine")
 
 # (n_medium, steps_per_width) for the 1D collapse sweeps and for single
 # quasi-1D cycles; (n_medium, steps_per_width, n_r) for real-space runs.
-_SWEEP_GRID = {"coarse": (256, 40.0), "standard": (384, 60.0), "fine": (512, 96.0)}
-_CYCLE_GRID = {"coarse": (192, 50.0), "standard": (256, 100.0), "fine": (384, 150.0)}
+_SWEEP_GRID = {"coarse": (256, 6.0), "standard": (384, 8.0), "fine": (512, 16.0)}
+_CYCLE_GRID = {"coarse": (192, 6.0), "standard": (256, 8.0), "fine": (384, 16.0)}
 _SPACE_GRID = {
     "coarse": (128, 32.0, 96),
     "standard": (160, 40.0, 128),
