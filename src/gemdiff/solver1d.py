@@ -89,7 +89,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import fft, ifft
-from scipy.linalg import solve
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import zaxpy, ztrmm
 
 from .model import (
@@ -447,12 +447,17 @@ class _Propagators:
     integrator's functions, Hochbruck and Ostermann, Acta Numerica 19, 209,
     2010).  They come from the same expm as P: of L h bordered by the input
     column and a 3 x 3 shift (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
-    488, 2011), by _expm.  The input's interpolation is the step's only
-    error.  A single midpoint sample, dt P(dt/2) (i g) 1 f_mid, would be
-    as good for the stored wave but not for the exit field during the
-    write: a near cancellation of the input and the medium's response, it
-    would carry the step's aliased input (measured at 8 steps per width:
-    0.46 of the input energy transmitted, against 3e-9 with these weights).
+    488, 2011), by _expm.  The border's three indices come first, in
+    reverse, and the medium after them, so the whole bordered matrix is
+    lower triangular, as _expm needs: P is its trailing block, and phi1,
+    phi2 and phi3 are border columns 2, 1 and 0.  A build holds the
+    bordered matrix and _expm's four more of its size.  The input's
+    interpolation is the step's only error.  A single midpoint sample, dt
+    P(dt/2) (i g) 1 f_mid, would be as good for the stored wave but not for
+    the exit field during the write: a near cancellation of the input and
+    the medium's response, it would carry the step's aliased input
+    (measured at 8 steps per width: 0.46 of the input energy transmitted,
+    against 3e-9 with these weights).
 
     Calling with (h, eta, inject) returns (P(h)^T, weights), the
     propagator of advance_step, with weights (w_now, w_mid, w_next), or
@@ -479,17 +484,20 @@ class _Propagators:
         if near and not inject:  # the opposite gradient: the conjugate identity
             entry = (h, eta, _rotation(2.0 * self.residual, h) * near[0][2].conj(), None)
         else:
-            n, cells = self.z.size, np.arange(self.z.size)
+            n = self.z.size
             grown = np.zeros((n + 3, n + 3), dtype=complex)
+            # the border in reverse (0, 1, 2: the shift's last, its middle, the
+            # input), then the medium, so the whole matrix is lower triangular;
             # row i of slave_field of the identity is S e_i: S^T, so L h goes in transposed
-            slave_field(np.eye(n), -self.kappa * h, None, out=grown[:n, :n].T)
+            slave_field(np.eye(n), -self.kappa * h, None, out=grown[3:, 3:].T)
+            cells = np.arange(3, n + 3)
             grown[cells, cells] += (-1j * h) * (eta * self.z + self.residual)
-            grown[:n, n] = 1.0 / n  # the input column, balanced against the shift's ones
-            grown[n, n + 1] = grown[n + 1, n + 2] = 1.0
+            grown[3:, 2] = 1.0 / n  # the input column, balanced against the shift's ones
+            grown[1, 0] = grown[2, 1] = 1.0
             grown = _expm(grown)
-            phi1, phi2, phi3 = ((n * h * 1j * self.coupling) * grown[:n, n + k] for k in range(3))
+            phi1, phi2, phi3 = ((n * h * 1j * self.coupling) * grown[3:, k] for k in (2, 1, 0))
             weights = (phi1 - 3.0 * phi2 + 4.0 * phi3, 4.0 * phi2 - 8.0 * phi3, 4.0 * phi3 - phi2)
-            entry = (h, eta, np.ascontiguousarray(grown[:n, :n].T), weights)
+            entry = (h, eta, np.ascontiguousarray(grown[3:, 3:].T), weights)
         self.known.append(entry)
         return entry[2:]
 
@@ -498,25 +506,33 @@ class _Propagators:
 # to double precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
 _PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)
 _THETA7 = 0.9504178996162932
+_BLOCK = 64  # rows of a block of _tril_matmul: 32 to 96 time the same at 388 points
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """expm(a) by scaling and squaring the [7/7] Pade approximant; a is overwritten.
+    """expm(a) of a lower-triangular a by scaling and squaring the [7/7] Pade
+    approximant; a is overwritten.
 
     a / 2^s, s the least scaling that brings its 1-norm within _THETA7,
-    takes the approximant, which is then squared s times.  Beside a it
-    holds at most four matrices of a's size (a general-purpose expm, with
-    its higher orders, holds more powers of a at once).
+    takes the approximant, which is then squared s times.  Every matrix
+    formed from a is lower triangular too, so each product (a^2, a^4,
+    a^6, the odd part and the s squarings) multiplies only the blocks on
+    and below the diagonal (_tril_matmul), about a quarter of a general
+    product's work, and (V - U)^-1 (V + U) is one triangular solve.  The
+    result is lower triangular, with exact zeros above the diagonal.
+    Beside a it holds four matrices of a's size, made once and reused;
+    their blocks above the diagonal stay zero.
     """
     n = len(a)
     norm = float(np.max(np.sum(np.abs(a), axis=0)))
     s = max(0, math.ceil(math.log2(norm / _THETA7))) if norm > 0.0 else 0
     a *= 0.5**s
     b = _PADE7
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    even = a6 * b[6]  # V = b6 a^6 + b4 a^4 + b2 a^2 + b0
+    a2, a4, a6, even = (np.zeros(a.shape, dtype=complex) for _ in range(4))
+    _tril_matmul(a, a, a2)
+    _tril_matmul(a2, a2, a4)
+    _tril_matmul(a4, a2, a6)
+    np.multiply(a6, b[6], out=even)  # V = b6 a^6 + b4 a^4 + b2 a^2 + b0
     zaxpy(a4.ravel(), even.ravel(), a=b[4])
     zaxpy(a2.ravel(), even.ravel(), a=b[2])
     even.flat[:: n + 1] += b[0]
@@ -524,17 +540,34 @@ def _expm(a: np.ndarray) -> np.ndarray:
     zaxpy(a4.ravel(), a2.ravel(), a=b[5])
     zaxpy(a6.ravel(), a2.ravel(), a=b[7])
     a2.flat[:: n + 1] += b[1]
-    del a4, a6
-    odd = a @ a2
-    del a2
+    odd, spare = _tril_matmul(a, a2, a4), a6  # a^4 and a^6 are spent
     even -= odd  # V - U
     odd *= 2.0
     odd += even  # V + U
     # V - U and V + U commute, so (V - U)^-1 (V + U) is the transpose of the
-    # solve on the transposes: Fortran views of the same memory, solved in place
-    out = solve(even.T, odd.T, overwrite_a=True, overwrite_b=True, check_finite=False).T
+    # solve on the transposes: a Fortran view of odd's memory, solved in place
+    out = solve_triangular(
+        even, odd.T, trans="T", lower=True, overwrite_b=True, check_finite=False
+    ).T
     for _ in range(s):
-        out = out @ out
+        out, spare = _tril_matmul(out, out, spare), out
+    return out
+
+
+def _tril_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x @ y for lower-triangular x and y, into out, which shares no memory
+    with either and is zero above its diagonal blocks: only the blocks on
+    and below the diagonal are written.
+
+    Block (I, J), I >= J, of the product is x's block row I times y's
+    block column J over the blocks J to I between them, one matmul each.
+    """
+    n = len(x)
+    for i in range(0, n, _BLOCK):
+        rows = slice(i, min(i + _BLOCK, n))
+        for j in range(0, i + 1, _BLOCK):
+            inner, cols = slice(j, rows.stop), slice(j, j + _BLOCK)
+            np.matmul(x[rows, inner], y[inner, cols], out=out[rows, cols])
     return out
 
 

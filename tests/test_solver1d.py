@@ -407,19 +407,39 @@ def test_the_read_propagator_is_the_conjugate_of_the_write(bench_params):
     assert again is derived and len(drives.known) == 2
 
 
+def test_the_propagator_at_the_sweep_grid_matches_scipy(bench_params):
+    # the border-first layout against scipy's expm of the same generator in
+    # the medium-first layout, at the standard sweep grid (388 bordered)
+    eta, h, n = -TAU * 10e6, 1e-6 / 8.0, 384
+    drives = _propagators(bench_params, n_medium=n)
+    full_t, weights = drives(h, eta, True)
+    m = drives.z.size  # the medium's points, faces included: 385
+    cells = np.arange(m)
+    grown = np.zeros((m + 3, m + 3), dtype=complex)
+    slave_field(np.eye(m), -drives.kappa * h, None, out=grown[:m, :m].T)
+    grown[cells, cells] += (-1j * h) * (eta * drives.z + drives.residual)
+    grown[:m, m] = 1.0 / m
+    grown[m, m + 1] = grown[m + 1, m + 2] = 1.0
+    want = scipy_expm(grown)
+    phi1, phi2, phi3 = ((m * h * 1j * drives.coupling) * want[:m, m + k] for k in range(3))
+    want_weights = (phi1 - 3.0 * phi2 + 4.0 * phi3, 4.0 * phi2 - 8.0 * phi3, 4.0 * phi3 - phi2)
+    for got, ref in ((full_t, want[:m, :m].T), *zip(weights, want_weights)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("scale", [0.0, 0.3, 1.0, 7.0, 40.0])
 def test_lean_expm_matches_scipy(scale):
-    # the scaling-and-squaring [7/7] Pade, on a triangular generator and
-    # on a general matrix, against scipy's expm (norms 0 to 40)
+    # the scaling-and-squaring [7/7] Pade on lower-triangular generators, one
+    # inside a block of the triangular products and one over several blocks
+    # with a ragged last one, against scipy's expm (norms 0 to 40)
     rng = np.random.default_rng(9)
-    for a in (
-        np.triu(rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))),
-        rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)),
-    ):
+    for n in (40, 150):
+        a = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         a *= scale / max(np.max(np.sum(np.abs(a), axis=0)), 1e-300)
         want = scipy_expm(a)
         got = solver1d._expm(a.copy())
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not np.any(np.triu(got, 1))  # exact zeros above the diagonal
 
 
 def test_stacked_groups_step_as_their_single_solves(bench_params):
