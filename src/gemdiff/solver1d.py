@@ -18,13 +18,13 @@ around a core, advance_step, that applies the gradient rotation and the
 field drive, with the field slaved to the coherence (d_z E integrated from
 the entrance face).  In 1D every row shares one constant generator over a
 driven piece, and the core applies its exact propagator (_Propagators,
-one expm per step and gradient size), so the step's only time error is
-the input's quadratic interpolation over it: steps_per_width is a
-sampling rate, not an accuracy setting.  Real space, whose columns see
-their own coupling and light shift, steps the drive by the midpoint rule,
-whose error is second order in the step.  The rotation sub-flow is exact
-in both, and phase boundaries land exactly because the step size is
-re-fitted to each phase.
+built from five columns of its exponential once per step and gradient
+size), so the step's only time error is the input's quadratic
+interpolation over it: steps_per_width is a sampling rate, not an
+accuracy setting.  Real space, whose columns see their own coupling and
+light shift, steps the drive by the midpoint rule, whose error is second
+order in the step.  The rotation sub-flow is exact in both, and phase
+boundaries land exactly because the step size is re-fitted to each phase.
 
 One step rule serves both routes: a driven span steps at dt0, cut at
 snapshot times off its step grid, and every undriven span is one exact
@@ -89,8 +89,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import fft, ifft
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import zaxpy, ztrmm
+from scipy.linalg.blas import ztrmm
 
 from .model import (
     GuardBandError,
@@ -445,13 +444,10 @@ class _Propagators:
     f(t + h/2) + w_next f(t + h), the weights i g h (phi1 - 3 phi2 + 4
     phi3, 4 phi2 - 8 phi3, 4 phi3 - phi2)(L h) 1 (phi_k the exponential
     integrator's functions, Hochbruck and Ostermann, Acta Numerica 19, 209,
-    2010).  They come from the same expm as P: of L h bordered by the input
-    column and a 3 x 3 shift (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
-    488, 2011), by _expm.  The border's three indices come first, in
-    reverse, and the medium after them, so the whole bordered matrix is
-    lower triangular, as _expm needs: P is its trailing block, and phi1,
-    phi2 and phi3 are border columns 2, 1 and 0.  A build holds the
-    bordered matrix and _expm's four more of its size.  The input's
+    2010).  They are columns of the same exponential as P: of L h bordered
+    by the input column (1/n per cell, balanced against the shift) and a
+    3 x 3 shift (Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488, 2011),
+    whose border columns are phi1, phi2 and phi3.  The input's
     interpolation is the step's only error.  A single midpoint sample, dt
     P(dt/2) (i g) 1 f_mid, would be as good for the stored wave but not for
     the exit field during the write: a near cancellation of the input and
@@ -459,9 +455,39 @@ class _Propagators:
     (measured at 8 steps per width: 0.46 of the input energy transmitted,
     against 3e-9 with these weights).
 
+    P is fixed by its columns 0 and 1.  Past index 0, S is Toeplitz (1 on
+    the diagonal, 2 below it: the running sum counts an inner point twice),
+    and z is uniform, so on indices j >= 1 the diagonal of L h steps by the
+    same -i eta h dz from one cell to the next: the block of L h from index
+    2 on is the block from index 1 on, less its last row and column, plus
+    -i eta h dz times the identity.  A leading or trailing principal block
+    of the exponential of a lower-triangular matrix is the exponential of
+    that block, so P[j+1, k+1] = omega P[j, k] for j, k >= 1, omega =
+    exp(-i eta h dz): P[j, k] = P[j-k+1, 1] exp(-i eta h (z_k - z_1)), a
+    Toeplitz matrix twisted column by column.
+
+    _build takes five columns of the bordered exponential, P's columns 0
+    and 1 and the three border columns, by scaling and squaring on
+    columns.  A truncated Taylor series of the bordered generator over 2^s
+    acts on five unit vectors, each product O(n): a running sum, the
+    diagonal, the border.  Then each of s squarings assembles the half
+    step's P from its two columns and takes the five columns of the square:
+    P c for P's, P C + C B for the border's C (B the border block, the
+    shift's exponential).  s and the term count come from the generator's
+    1-norm (_terms), so the cost grows with log ||L h||.  The exponential
+    of a triangular matrix has the exponentials of its diagonal on its
+    diagonal, and each squaring resets P[0, 0] and P[1, 1] to them (Al-Mohy
+    and Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009): unreset, they
+    carry the squarings' round-off into every entry (measured at 1000
+    sweep steps against a 40-digit reference: 0.6 to 1.9e-13 of the
+    largest entry, against 0.03 to 0.6e-13).  A build costs O(n) per
+    Taylor term and one assembly and triangular product of n^2 per
+    squaring, and holds two matrices of n^2, P^T and its Toeplitz block:
+    about 5 ms at 385 medium points and 2.5 ms at 257 on one core.
+
     Calling with (h, eta, inject) returns (P(h)^T, weights), the
     propagator of advance_step, with weights (w_now, w_mid, w_next), or
-    None when inject is False (no input over the piece).  One expm per
+    None when inject is False (no input over the piece).  One build per
     distinct step and gradient size: the opposite gradient at the same step
     without input (the read, the second half of a flipped hold) is the
     conjugate, P_{-eta}(h) = exp(-2 i residual h) conj(P_eta(h)).  Steps
@@ -484,91 +510,93 @@ class _Propagators:
         if near and not inject:  # the opposite gradient: the conjugate identity
             entry = (h, eta, _rotation(2.0 * self.residual, h) * near[0][2].conj(), None)
         else:
-            n = self.z.size
-            grown = np.zeros((n + 3, n + 3), dtype=complex)
-            # the border in reverse (0, 1, 2: the shift's last, its middle, the
-            # input), then the medium, so the whole matrix is lower triangular;
-            # row i of slave_field of the identity is S e_i: S^T, so L h goes in transposed
-            slave_field(np.eye(n), -self.kappa * h, None, out=grown[3:, 3:].T)
-            cells = np.arange(3, n + 3)
-            grown[cells, cells] += (-1j * h) * (eta * self.z + self.residual)
-            grown[3:, 2] = 1.0 / n  # the input column, balanced against the shift's ones
-            grown[1, 0] = grown[2, 1] = 1.0
-            grown = _expm(grown)
-            phi1, phi2, phi3 = ((n * h * 1j * self.coupling) * grown[3:, k] for k in (2, 1, 0))
-            weights = (phi1 - 3.0 * phi2 + 4.0 * phi3, 4.0 * phi2 - 8.0 * phi3, 4.0 * phi3 - phi2)
-            entry = (h, eta, np.ascontiguousarray(grown[3:, 3:].T), weights)
+            entry = (h, eta, *self._build(h, eta))
         self.known.append(entry)
         return entry[2:]
 
+    def _build(self, h: float, eta: float) -> tuple:
+        """(P(h)^T, weights) from five columns of the bordered exponential."""
+        z, kappa = self.z, self.kappa
+        n = z.size
+        rate = -1j * (eta * z + self.residual)  # L's diagonal but for kappa S's
+        diagonal = rate - kappa * (np.arange(n) > 0)  # S's diagonal: 0 at index 0, else 1
+        # the bordered generator's 1-norm: medium column j holds |L[j, j]| h and
+        # kappa h times S's column below the diagonal (n - 1 at j = 0, else 2 (n -
+        # 1 - j)); the input column (1/n per cell) and the shift's each sum to 1
+        below = 2.0 * np.arange(n - 1, -1, -1.0) - 2.0
+        below[0] = n - 1
+        s, n_terms = _terms(max(float(np.max((np.abs(diagonal) + below * kappa) * h)), 1.0))
+        scale = 0.5**s
+        hs = h * scale
+        # the five columns as rows, each a medium part and a border part (input,
+        # the shift's middle, its last): P's columns 0 and 1, then the border's
+        med = np.zeros((5, n), dtype=complex)
+        border = np.zeros((5, 3), dtype=complex)
+        med[0, 0] = med[1, 1] = 1.0
+        border[2:] = np.eye(3)
+        term_med, term_border, spare = med.copy(), border.copy(), np.empty_like(med)
+        spin = hs * rate
+        for k in range(1, n_terms + 1):  # term k = (G / 2^s) (term k - 1) / k
+            nxt = slave_field(term_med, -kappa * hs / k, None, out=spare)
+            nxt += term_med * (spin / k)
+            nxt += term_border[:, :1] * (scale / (n * k))  # the input column
+            term_border[:, :2] = term_border[:, 1:] * (scale / k)  # the shift
+            term_border[:, 2] = 0.0
+            spare, term_med = term_med, nxt
+            med += term_med
+            border += term_border
+        toeplitz = np.empty((n - 1, n - 1), dtype=complex)
+        padded = np.zeros(2 * n - 3, dtype=complex)
+        # windows[b, a] = padded[n - 2 - b + a]: P[a - b + 1, 1] for a >= b, else 0
+        windows = np.lib.stride_tricks.sliding_window_view(padded, n - 1)[::-1]
+        offsets = z[1:] - z[1]
+        for level in range(s + 1):
+            span = hs * 2.0**level
+            med[0, 0], med[1, 1] = np.exp(span * diagonal[:2])
+            twist = np.exp((-1j * eta * span) * offsets)
+            padded[n - 2 :] = med[1, 1:]
+            if level == s:
+                break
+            # E x for each column x: C x_border + x_0 P[:, 0] plus, past index
+            # 0, the Toeplitz block on the twisted x, one triangular product
+            np.copyto(toeplitz, windows)
+            tail = med[:, 1:] * twist
+            tail = ztrmm(1.0, toeplitz.T, tail.T, side=0, lower=1, overwrite_b=1).T
+            squared = border @ med[2:]
+            squared += med[:, :1] * med[0]
+            squared[:, 1:] += tail
+            med, border = squared, border @ border[2:]
+        full_t = np.zeros((n, n), dtype=complex)
+        full_t[0] = med[0]
+        np.multiply(windows, twist[:, None], out=full_t[1:, 1:])
+        phi1, phi2, phi3 = (n * h * 1j * self.coupling) * med[2:]
+        weights = (phi1 - 3.0 * phi2 + 4.0 * phi3, 4.0 * phi2 - 8.0 * phi3, 4.0 * phi3 - phi2)
+        return full_t, weights
 
-# the [7/7] Pade approximant of exp, and the 1-norm up to which it is exact
-# to double precision unscaled (Higham, SIAM J. Matrix Anal. Appl. 26, 1179, 2005)
-_PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)
-_THETA7 = 0.9504178996162932
-_BLOCK = 64  # rows of a block of _tril_matmul: 32 to 96 time the same at 388 points
+
+# the largest 1-norm of the scaled generator a Taylor series takes: at 1000
+# sweep steps without a gradient, 1 and 2 (two and one more squarings) left
+# P 1.2 to 1.8x further from a 40-digit reference; builds time the same
+# from 1 to 8
+_THETA = 4.0
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """expm(a) of a lower-triangular a by scaling and squaring the [7/7] Pade
-    approximant; a is overwritten.
+def _terms(norm: float) -> tuple[int, int]:
+    """(s, terms): the least s that brings norm / 2^s within _THETA, and the
+    Taylor terms that reach double precision there.
 
-    a / 2^s, s the least scaling that brings its 1-norm within _THETA7,
-    takes the approximant, which is then squared s times.  Every matrix
-    formed from a is lower triangular too, so each product (a^2, a^4,
-    a^6, the odd part and the s squarings) multiplies only the blocks on
-    and below the diagonal (_tril_matmul), about a quarter of a general
-    product's work, and (V - U)^-1 (V + U) is one triangular solve.  The
-    result is lower triangular, with exact zeros above the diagonal.
-    Beside a it holds four matrices of a's size, made once and reused;
-    their blocks above the diagonal stay zero.
+    At a = norm / 2^s, the series' tail past term q is at most a^(q+1) /
+    (q+1)! / (1 - a / (q+2)), and a column of the exponential is at least
+    e^-a of its unit vector, so q is the least with e^a times that tail
+    within 2^-53.
     """
-    n = len(a)
-    norm = float(np.max(np.sum(np.abs(a), axis=0)))
-    s = max(0, math.ceil(math.log2(norm / _THETA7))) if norm > 0.0 else 0
-    a *= 0.5**s
-    b = _PADE7
-    a2, a4, a6, even = (np.zeros(a.shape, dtype=complex) for _ in range(4))
-    _tril_matmul(a, a, a2)
-    _tril_matmul(a2, a2, a4)
-    _tril_matmul(a4, a2, a6)
-    np.multiply(a6, b[6], out=even)  # V = b6 a^6 + b4 a^4 + b2 a^2 + b0
-    zaxpy(a4.ravel(), even.ravel(), a=b[4])
-    zaxpy(a2.ravel(), even.ravel(), a=b[2])
-    even.flat[:: n + 1] += b[0]
-    a2 *= b[3]  # U / a = b7 a^6 + b5 a^4 + b3 a^2 + b1, in place
-    zaxpy(a4.ravel(), a2.ravel(), a=b[5])
-    zaxpy(a6.ravel(), a2.ravel(), a=b[7])
-    a2.flat[:: n + 1] += b[1]
-    odd, spare = _tril_matmul(a, a2, a4), a6  # a^4 and a^6 are spent
-    even -= odd  # V - U
-    odd *= 2.0
-    odd += even  # V + U
-    # V - U and V + U commute, so (V - U)^-1 (V + U) is the transpose of the
-    # solve on the transposes: a Fortran view of odd's memory, solved in place
-    out = solve_triangular(
-        even, odd.T, trans="T", lower=True, overwrite_b=True, check_finite=False
-    ).T
-    for _ in range(s):
-        out, spare = _tril_matmul(out, out, spare), out
-    return out
-
-
-def _tril_matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """x @ y for lower-triangular x and y, into out, which shares no memory
-    with either and is zero above its diagonal blocks: only the blocks on
-    and below the diagonal are written.
-
-    Block (I, J), I >= J, of the product is x's block row I times y's
-    block column J over the blocks J to I between them, one matmul each.
-    """
-    n = len(x)
-    for i in range(0, n, _BLOCK):
-        rows = slice(i, min(i + _BLOCK, n))
-        for j in range(0, i + 1, _BLOCK):
-            inner, cols = slice(j, rows.stop), slice(j, j + _BLOCK)
-            np.matmul(x[rows, inner], y[inner, cols], out=out[rows, cols])
-    return out
+    s = max(0, math.ceil(math.log2(norm / _THETA)))
+    a = norm * 0.5**s
+    q, tail = 0, a  # tail: a^(q+1) / (q+1)!
+    while q + 2 <= a or math.exp(a) * tail / (1.0 - a / (q + 2)) > 2.0**-53:
+        q += 1
+        tail *= a / (q + 1)
+    return s, q
 
 
 @dataclass(eq=False)

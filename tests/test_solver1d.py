@@ -408,7 +408,7 @@ def test_the_read_propagator_is_the_conjugate_of_the_write(bench_params):
 
 
 def test_the_propagator_at_the_sweep_grid_matches_scipy(bench_params):
-    # the border-first layout against scipy's expm of the same generator in
+    # the five-column build against scipy's expm of the same generator in
     # the medium-first layout, at the standard sweep grid (388 bordered)
     eta, h, n = -TAU * 10e6, 1e-6 / 8.0, 384
     drives = _propagators(bench_params, n_medium=n)
@@ -427,19 +427,46 @@ def test_the_propagator_at_the_sweep_grid_matches_scipy(bench_params):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("scale", [0.0, 0.3, 1.0, 7.0, 40.0])
-def test_lean_expm_matches_scipy(scale):
-    # the scaling-and-squaring [7/7] Pade on lower-triangular generators, one
-    # inside a block of the triangular products and one over several blocks
-    # with a ragged last one, against scipy's expm (norms 0 to 40)
-    rng = np.random.default_rng(9)
-    for n in (40, 150):
-        a = np.tril(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        a *= scale / max(np.max(np.sum(np.abs(a), axis=0)), 1e-300)
-        want = scipy_expm(a)
-        got = solver1d._expm(a.copy())
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        assert not np.any(np.triu(got, 1))  # exact zeros above the diagonal
+@pytest.mark.parametrize("scale", [0.0, 1.0, 10.0, 100.0, 1000.0])
+def test_the_five_column_build_matches_scipy(bench_params, scale):
+    # P^T and the weights, from five columns of the bordered exponential, against
+    # scipy's expm of the bordered generator, from no step (P exactly I) to 1000
+    # sweep steps, for both gradient signs and none (a control-on hold), at a
+    # nonzero residual (a local Rabi frequency half the peak's).  The generator is
+    # built medium first and handed to scipy transposed in the border-first order,
+    # upper triangular, whose diagonal scipy's squarings recompute exactly: of the
+    # general medium-first matrix its expm is itself 0.7 to 2.7e-13 off a 40-digit
+    # reference at 1000 sweep steps.  There, without a gradient, one ulp of kappa
+    # moves P by 5e-14, and the build and this reference are each 6 to 7e-14 off
+    # the 40-digit one (measured 8.8e-14 apart): the bound has little slack there
+    p = bench_params
+    grid = Grid1D.build(p.half_length, n_medium=64)
+    residual = stark_residual(p, 0.5 * p.rabi_control)
+    assert residual != 0.0
+    h = scale * 1e-6 / 8.0
+    for eta in (-TAU * 10e6, TAU * 10e6, 0.0):
+        drives = solver1d._Propagators(grid, p.coupling_eff, p.density, p.light_speed, residual)
+        full_t, weights = drives(h, eta, True)
+        m = drives.z.size
+        cells = np.arange(m)
+        grown = np.zeros((m + 3, m + 3), dtype=complex)
+        slave_field(np.eye(m), -drives.kappa * h, None, out=grown[:m, :m].T)
+        grown[cells, cells] += (-1j * h) * (eta * drives.z + residual)
+        grown[:m, m] = 1.0 / m
+        grown[m, m + 1] = grown[m + 1, m + 2] = 1.0
+        border_first = np.r_[m + 2, m + 1, m, :m]
+        order = np.ix_(border_first, border_first)
+        lower = grown[order]
+        assert not np.any(np.triu(lower, 1))
+        want = np.empty_like(grown)
+        want[order] = scipy_expm(np.ascontiguousarray(lower.T)).T
+        phi1, phi2, phi3 = ((m * h * 1j * drives.coupling) * want[:m, m + k] for k in range(3))
+        want_weights = (phi1 - 3.0 * phi2 + 4.0 * phi3, 4.0 * phi2 - 8.0 * phi3, 4.0 * phi3 - phi2)
+        for got, ref in ((full_t, want[:m, :m].T), *zip(weights, want_weights)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), eta
+        assert not np.any(np.tril(full_t, -1))
+        if scale == 0.0:
+            assert np.array_equal(full_t, np.eye(m))
 
 
 def test_stacked_groups_step_as_their_single_solves(bench_params):
