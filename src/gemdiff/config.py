@@ -175,6 +175,8 @@ def build_config(values: dict) -> RunConfig:
                 "give either carrier_mismatch or carrier_split, not both"
             )
         light_speed = values.get("light_speed", 299_792_458.0)
+        if not light_speed > 0.0:
+            raise ParameterError("light_speed must be positive")
         values["carrier_mismatch"] = values.pop("carrier_split") / light_speed
 
     params = PhysicalParams(

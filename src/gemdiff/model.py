@@ -248,13 +248,28 @@ def derive_groups(
     """Evaluate the derived groups for one parameter set.
 
     Raises ParameterError when eta_write is zero (no gradient, nothing is
-    stored) or when the write correction factor is singular (diffusion too
-    strong for the perturbative width correction).
+    stored), when the write correction factor is singular (diffusion too
+    strong for the perturbative width correction), or when a group is not
+    a finite number (parameters out of double range, say a density of
+    1e300 m^-3).
     """
     eta = protocol.eta_write
     if eta == 0.0:
         raise ParameterError("gradient required for write phase (eta_write = 0)")
+    try:
+        groups = _groups(params, protocol, signal)
+    except OverflowError:
+        bad = "an overflow"
+    else:
+        bad = ", ".join(key for key, value in vars(groups).items() if not math.isfinite(value))
+    if bad:
+        raise ParameterError("derived groups not finite (%s): a parameter is out of range" % bad)
+    return groups
 
+
+def _groups(params: PhysicalParams, protocol: StorageProtocol, signal: SignalSpec) -> DerivedGroups:
+    """derive_groups' arithmetic, unchecked for overflow."""
+    eta = protocol.eta_write
     diff = params.diffusivity
     g_eff = params.coupling_eff
     beta = g_eff**2 * params.density / (eta * params.light_speed)

@@ -19,11 +19,13 @@ field drive, with the field slaved to the coherence (d_z E integrated from
 the entrance face).  In 1D every row shares one constant generator over a
 driven piece, and the core applies its exact propagator (_Propagators,
 built from five columns of its exponential once per step and gradient
-size), so the step's only time error is the input's quadratic
+size, and kept as three vectors: a column, a Toeplitz symbol and a
+twist), so the step's only time error is the input's quadratic
 interpolation over it: steps_per_width is a sampling rate, not an
-accuracy setting.  Real space, whose columns see their own coupling and
-light shift, steps the drive by the midpoint rule, whose error is second
-order in the step.  The rotation sub-flow is exact in both, and phase
+accuracy setting.  The core applies it to every row at once as a causal
+convolution, one FFT pair (_Drive).  Real space, whose columns see their
+own coupling and light shift, steps the drive by the midpoint rule, whose
+error is second order in the step.  The rotation sub-flow is exact in both, and phase
 boundaries land exactly because the step size is re-fitted to each phase.
 
 One step rule serves both routes: a driven span steps at dt0, cut at
@@ -53,9 +55,10 @@ All step kernels broadcast over leading axes of sigma, with per-row
 couplings and detunings passed as (..., 1) arrays.
 
 A step allocates no state-sized array.  The driver owns two states and
-two medium-shaped buffers per cycle: the spectrum is taken and turned back
-in place, and each transverse propagation and step core writes into the
-state that is not its input.  Whatever leaves the driver is a copy: exit
+two medium-shaped buffers per cycle (in 1D the second is as long as the
+drive's transform): the spectra are taken and turned back in place, and
+each transverse propagation and step core writes into the state that is
+not its input.  Whatever leaves the driver is a copy: exit
 fields, end states and frames.
 
 One driver, _drive_cycle, runs both routes on a (groups, rows, n_z) state
@@ -88,7 +91,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import fft, ifft
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.linalg.blas import ztrmm
 
 from .model import (
@@ -244,8 +247,8 @@ class StepKernels:
     match a solve of their own.  probe = after * grid.trapezoid_k reads the
     medium integral of ifft(spec * after) as spec . probe, without forming
     the after half.  propagator is a driven 1D piece's exact propagator
-    (_Propagators), which advance_step applies in place of its midpoint
-    rule; None elsewhere.
+    with its input weights (a _Drive of _Propagators), which advance_step
+    applies in place of its midpoint rule; None elsewhere.
     """
 
     dt: float | np.ndarray
@@ -256,7 +259,7 @@ class StepKernels:
     full: np.ndarray | None
     probe: np.ndarray | None
     diff_rows: np.ndarray | None = None
-    propagator: tuple | None = None
+    propagator: _Drive | None = None
 
     @classmethod
     def build(
@@ -268,7 +271,7 @@ class StepKernels:
         diffusivity,
         k_matched: float,
         drift: float,
-        propagator: tuple | None = None,
+        propagator: _Drive | None = None,
     ) -> "StepKernels":
         before = after = full = probe = diff_rows = None
         active = np.asarray(diffusivity * dt) > 0.0
@@ -363,14 +366,14 @@ def advance_step(
     off the step is a pure (exact) rotation.  The exact diffusion
     half-steps around the core are the caller's (_drive_cycle).
 
-    When kern carries a propagator (P(dt)^T, weights) of the piece
-    (_Propagators), the driven step is exact for the constant generator:
-    the medium becomes sigma P(dt)^T + w_now fin_now + w_mid fin_mid +
-    w_next fin_next, the input quadratic through its three samples (its
-    only time error), and no weights is no input.  P is lower triangular,
-    and one triangular product (BLAS trmm) serves every row of every group;
-    unlike a general product, whose single-row case takes another kernel,
-    it gives a row the same bits in any batch.
+    When kern carries the piece's propagator (a _Drive of _Propagators),
+    the driven step is exact for the constant generator: each row x of
+    the medium becomes P(dt) x + w_now fin_now + w_mid fin_mid + w_next
+    fin_next, the input quadratic through its three samples (its only time
+    error), and no weights is no input.  P x is a causal convolution
+    (_Drive.apply): one batched FFT, symbol product and inverse FFT serve
+    every row of every group, and a row's transform takes the same bits in
+    any batch.
 
     Otherwise the drive uses the midpoint rule: the field is slaved once
     at the step start for the predictor and once at mid-step for the
@@ -385,26 +388,26 @@ def advance_step(
 
     The new state goes into out (sigma's shape, not sharing its memory)
     when given, else into a new array; sigma is never written.  The drive
-    runs in the two medium-shaped buffers of scratch (new ones when None):
-    the first takes a contiguous copy of sigma[..., medium] (and later the
-    kick), the second the new medium (by way of the predictor), so no
+    runs in the two buffers of scratch (new ones when None), shaped like
+    sigma[..., medium] but for the second's last axis under a propagator,
+    its transform length: the first takes a contiguous copy of sigma[...,
+    medium] (and later the kick, or P x), the second the new medium (by
+    way of the predictor), or the propagator's zero-padded transform, so no
     ufunc reads a strided medium view (numpy would buffer it).
     """
     out = np.multiply(kern.rot_full, sigma, out=out)
     if not drive_on:
         return out
-    dt, med = kern.dt, grid.medium
+    dt, med, drive = kern.dt, grid.medium, kern.propagator
     if scratch is None:
-        scratch = (np.empty(sigma[..., med].shape, dtype=complex) for _ in range(2))
+        width = None if drive is None else drive.symbol.size
+        scratch = _media(sigma, grid, width)
     inside, sig_p = scratch
     np.copyto(inside, sigma[..., med])
-    if kern.propagator is not None:
-        full_t, weights = kern.propagator
-        rows = inside.reshape(-1, inside.shape[-1])
-        # rows P^T in place, as P rows^T on the transposed (Fortran) views
-        ztrmm(1.0, full_t.T, rows.T, side=0, lower=1, overwrite_b=1)
-        if weights is not None:
-            for weight, fin in zip(weights, (fin_now, fin_mid, fin_next)):
+    if drive is not None:
+        drive.apply(inside, sig_p)
+        if drive.weights is not None:
+            for weight, fin in zip(drive.weights, (fin_now, fin_mid, fin_next)):
                 inside += weight * fin
         out[..., med] = inside
         return out
@@ -463,8 +466,12 @@ class _Propagators:
     -i eta h dz times the identity.  A leading or trailing principal block
     of the exponential of a lower-triangular matrix is the exponential of
     that block, so P[j+1, k+1] = omega P[j, k] for j, k >= 1, omega =
-    exp(-i eta h dz): P[j, k] = P[j-k+1, 1] exp(-i eta h (z_k - z_1)), a
-    Toeplitz matrix twisted column by column.
+    exp(-i eta h dz): P[j, k] = c[j-k] tau[k-1], c = P[1:, 1] and the
+    twist tau[k-1] = exp(-i eta h (z_k - z_1)), a Toeplitz matrix twisted
+    column by column.  So P x = x_0 P[:, 0] + [0; T (tau x[1:])], T the
+    lower-triangular Toeplitz matrix of c: a causal convolution, which an
+    FFT pair of length next_fast_len(2 n - 3) applies to every row at once
+    (Golub and Van Loan, Matrix Computations, section 4.7).
 
     _build takes five columns of the bordered exponential, P's columns 0
     and 1 and the three border columns, by scaling and squaring on
@@ -480,52 +487,70 @@ class _Propagators:
     and Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009): unreset, they
     carry the squarings' round-off into every entry (measured at 1000
     sweep steps against a 40-digit reference: 0.6 to 1.9e-13 of the
-    largest entry, against 0.03 to 0.6e-13).  A build costs O(n) per
+    largest entry, against 0.03 to 0.6e-13).  The squarings apply the
+    half step's P by a triangular product (BLAS trmm), not by the FFT
+    product of a step: at 1000 sweep steps without a gradient the FFT
+    product there took column 0 and the weights to 1.1e-13 of scipy's
+    expm, against 9.3e-14 and 8.7e-14 with trmm, and s squarings compound
+    each product's error where a step makes one.  A build costs O(n) per
     Taylor term and one assembly and triangular product of n^2 per
-    squaring, and holds two matrices of n^2, P^T and its Toeplitz block:
-    about 5 ms at 385 medium points and 2.5 ms at 257 on one core.
+    squaring, 1.3 to 1.4 ms at 385 medium points and 1.0 ms at 257 on one
+    Xeon core, and keeps O(n): P's column 0, the FFT of c and the twist
+    (_Drive).
 
-    Calling with (h, eta, inject) returns (P(h)^T, weights), the
-    propagator of advance_step, with weights (w_now, w_mid, w_next), or
-    None when inject is False (no input over the piece).  One build per
-    distinct step and gradient size: the opposite gradient at the same step
-    without input (the read, the second half of a flipped hold) is the
-    conjugate, P_{-eta}(h) = exp(-2 i residual h) conj(P_eta(h)).  Steps
-    that agree to 1e-12 (equal pieces between snapshots, which differ in
-    round-off only) share one entry.
+    Calling with (h, eta, inject) returns the _Drive of advance_step,
+    with weights (w_now, w_mid, w_next), or None when inject is False (no
+    input over the piece).  One build per distinct step and gradient size:
+    the opposite gradient at the same step without input (the read, the
+    second half of a flipped hold) is the conjugate, P_{-eta}(h) = rot
+    conj(P_eta(h)), rot = exp(-2 i residual h): rot conj(P[:, 0]), rot
+    conj(c), whose FFT is rot conj(FFT(c)) at the negated frequencies, and
+    conj(tau).  Steps that agree to 1e-12 (equal pieces between snapshots,
+    which differ in round-off only) share one entry.
     """
 
     def __init__(self, grid: Grid1D, coupling: float, density: float, light_speed: float, residual):
         self.z = grid.z[grid.medium]
         self.coupling, self.residual = coupling, residual
         self.kappa = coupling * coupling * density * grid.dz / (2.0 * light_speed)
-        self.known: list[tuple] = []  # (h, eta, P^T, input weights or None)
+        self.length = next_fast_len(2 * self.z.size - 3)  # the drive's transform length
+        self.known: list[tuple[float, float, _Drive]] = []  # (h, eta, drive)
 
-    def __call__(self, h: float, eta: float, inject: bool) -> tuple:
+    def __call__(self, h: float, eta: float, inject: bool) -> _Drive:
         h = float(h)
         near = [e for e in self.known if abs(e[0] - h) <= 1e-12 * h and abs(e[1]) == abs(eta)]
-        same = [e for e in near if e[1] == eta and (e[3] is not None or not inject)]
+        same = [e for e in near if e[1] == eta and (e[2].weights is not None or not inject)]
         if same:
-            return same[0][2:]
+            return same[0][2]
         if near and not inject:  # the opposite gradient: the conjugate identity
-            entry = (h, eta, _rotation(2.0 * self.residual, h) * near[0][2].conj(), None)
+            drive, rot = near[0][2], _rotation(2.0 * self.residual, h)
+            negated = np.roll(drive.symbol[::-1], 1)  # FFT(c) at -m mod length
+            column, symbol = rot * drive.column.conj(), rot * negated.conj()
+            entry = (h, eta, _Drive(column, symbol, drive.twist.conj(), None))
         else:
-            entry = (h, eta, *self._build(h, eta))
+            entry = (h, eta, self._build(h, eta))
         self.known.append(entry)
-        return entry[2:]
+        return entry[2]
 
-    def _build(self, h: float, eta: float) -> tuple:
-        """(P(h)^T, weights) from five columns of the bordered exponential."""
+    def _build(self, h: float, eta: float) -> _Drive:
+        """P(h) and its input weights from five columns of the bordered exponential."""
         z, kappa = self.z, self.kappa
         n = z.size
-        rate = -1j * (eta * z + self.residual)  # L's diagonal but for kappa S's
-        diagonal = rate - kappa * (np.arange(n) > 0)  # S's diagonal: 0 at index 0, else 1
         # the bordered generator's 1-norm: medium column j holds |L[j, j]| h and
         # kappa h times S's column below the diagonal (n - 1 at j = 0, else 2 (n -
         # 1 - j)); the input column (1/n per cell) and the shift's each sum to 1
         below = 2.0 * np.arange(n - 1, -1, -1.0) - 2.0
         below[0] = n - 1
-        s, n_terms = _terms(max(float(np.max((np.abs(diagonal) + below * kappa) * h)), 1.0))
+        with np.errstate(over="ignore", invalid="ignore"):  # a norm out of range is refused
+            rate = -1j * (eta * z + self.residual)  # L's diagonal but for kappa S's
+            diagonal = rate - kappa * (np.arange(n) > 0)  # S's diagonal: 0 at index 0, else 1
+            norm = float(np.max((np.abs(diagonal) + below * kappa) * h))
+        if not math.isfinite(norm):
+            raise ParameterError(
+                "the driven medium's generator is not finite over a step (1-norm %s): "
+                "density, half_length or light_speed is out of range" % norm
+            )
+        s, n_terms = _terms(max(norm, 1.0))
         scale = 0.5**s
         hs = h * scale
         # the five columns as rows, each a medium part and a border part (input,
@@ -566,12 +591,44 @@ class _Propagators:
             squared += med[:, :1] * med[0]
             squared[:, 1:] += tail
             med, border = squared, border @ border[2:]
-        full_t = np.zeros((n, n), dtype=complex)
-        full_t[0] = med[0]
-        np.multiply(windows, twist[:, None], out=full_t[1:, 1:])
         phi1, phi2, phi3 = (n * h * 1j * self.coupling) * med[2:]
         weights = (phi1 - 3.0 * phi2 + 4.0 * phi3, 4.0 * phi2 - 8.0 * phi3, 4.0 * phi3 - phi2)
-        return full_t, weights
+        return _Drive(med[0].copy(), fft(med[1, 1:], n=self.length), twist, weights)
+
+
+class _Drive(NamedTuple):
+    """One driven step's exact propagator P(h) and input weights (_Propagators).
+
+    P is kept in O(n): its column 0, the FFT of c = P[1:, 1] at the
+    transform length, zero-padded past c, and the twist tau; past index 0,
+    P[j, k] = c[j-k] tau[k-1].  weights is (w_now, w_mid, w_next), or None
+    for no input.
+    """
+
+    column: np.ndarray
+    symbol: np.ndarray
+    twist: np.ndarray
+    weights: tuple | None
+
+    def apply(self, rows: np.ndarray, padded: np.ndarray) -> np.ndarray:
+        """P x for each row x along the last axis of rows, in place, returned.
+
+        padded, rows' shape but the transform length along the last axis,
+        holds the twisted rows zero-padded and their spectrum.  The
+        product's first n - 1 entries are the linear convolution's: the
+        length is at least 2 n - 3, so the cyclic product wraps past them.
+        """
+        n = rows.shape[-1]
+        np.multiply(rows[..., 1:], self.twist, out=padded[..., : n - 1])
+        padded[..., n - 1 :] = 0.0
+        spec = fft(padded, axis=-1, overwrite_x=True)
+        spec *= self.symbol
+        tail = ifft(spec, axis=-1, overwrite_x=True)[..., : n - 1]
+        # x_0 times the whole column in one pass per row: a separate pass over
+        # the (..., 1) heads may take other bits from a batch than from one row
+        np.multiply(rows[..., :1].copy(), self.column, out=rows)
+        rows[..., 1:] += tail
+        return rows
 
 
 # the largest 1-norm of the scaled generator a Taylor series takes: at 1000
@@ -952,10 +1009,17 @@ def _row(values: np.ndarray, r: int) -> np.ndarray:
     return values[min(r, len(values) - 1)]
 
 
-def _step_buffers(sigma: np.ndarray, grid: Grid1D):
-    """A spare state and two medium-shaped buffers for states shaped like sigma."""
+def _step_buffers(sigma: np.ndarray, grid: Grid1D, width: int | None = None):
+    """A spare state and advance_step's two buffers (_media) for states shaped like sigma."""
+    return np.empty_like(sigma), _media(sigma, grid, width)
+
+
+def _media(sigma: np.ndarray, grid: Grid1D, width: int | None = None):
+    """Two buffers shaped like sigma[..., grid.medium], the second width wide
+    along the last axis (a drive's transform length; None: the medium's)."""
     medium = sigma[..., grid.medium].shape
-    return np.empty_like(sigma), (np.empty(medium, dtype=complex), np.empty(medium, dtype=complex))
+    wide = medium if width is None else (*medium[:-1], width)
+    return np.empty(medium, dtype=complex), np.empty(wide, dtype=complex)
 
 
 class _Trace(NamedTuple):
@@ -1028,9 +1092,13 @@ def _drive_cycle(
     n_groups = len(protocols)
     takers = [_FrameTaker(g, sigma_times) for g in range(n_groups)]
     want_frames = bool(takers[0].pending)
-    sigma = np.zeros((1, 1 if profile is None else len(profile), grid.n_z), dtype=complex)
-    spare, media = _step_buffers(sigma, grid)
     density, light_speed = params.density, params.light_speed
+    drives = None  # real space: the midpoint rule
+    if profile is None:
+        drives = _Propagators(grid, coupling, density, light_speed, residuals[0])
+    width = None if drives is None else drives.length
+    sigma = np.zeros((1, 1 if profile is None else len(profile), grid.n_z), dtype=complex)
+    spare, media = _step_buffers(sigma, grid, width)
     traces, injected = {}, ([], [])  # injected: write boundary times, input samples
 
     def entrance(t, boundary: bool):
@@ -1065,9 +1133,6 @@ def _drive_cycle(
                 taker.take(t, frame)
 
     radial = None if transverse is None else transverse(dt0)
-    drives = None  # real space: the midpoint rule
-    if profile is None:
-        drives = _Propagators(grid, coupling, density, light_speed, residuals[0])
     peaks, guards = [0.0] * n_groups, [{} for _ in range(n_groups)]
     for phase, spans in plan:
         writing = phase == "write"
@@ -1077,7 +1142,7 @@ def _drive_cycle(
             across = radial if np.any(diffusivity) else None
             if len(sigma) < groups:
                 sigma = np.repeat(sigma, groups, axis=0)  # the groups part ways here
-                spare, media = _step_buffers(sigma, grid)
+                spare, media = _step_buffers(sigma, grid, width)
             read_by = trace if drive_on else None
             fin = entrance(span_start, True) if writing else 0.0j
             observe(span_start, fin, read_by)

@@ -134,6 +134,25 @@ def test_cell_writes_each_kind_of_value_as_literal_text(value, text):
     assert _cell(value) == text
 
 
+def test_float_rows_write_the_bytes_of_their_cells(bench_config, tmp_path, monkeypatch):
+    # an ndarray of rows takes one "%.12g" pattern per row, in blocks; each
+    # row must read as the _cell path writes it, nan, infinities and -0 included
+    monkeypatch.setattr(harness, "_CSV_BLOCK", 2)  # 5 rows: three blocks, the last short
+    values = [6.02214076e23, 2.0 / 3.0, -float("nan"), float("inf"), -float("inf"), -0.0, 1e-300]
+    rng = np.random.default_rng(2)
+    rows = np.array([values, *rng.standard_normal((4, len(values))) * 1e3])
+    written = []
+    for name, data in (("array", rows), ("cells", [tuple(row) for row in rows])):
+        spec = ExperimentSpec(
+            experiment="storage-cycle", config=bench_config, out_dir=tmp_path / name
+        )
+        spec.out_dir.mkdir()
+        path = harness._write_csv(spec, "rows", [str(i) for i in range(len(values))], data)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    assert b"nan,inf,-inf,-0,1e-300" in written[0]
+
+
 def test_check_kinds():
     assert _check("a", 1.001, 1.0, 0.01, "c")["passed"]
     assert not _check("a", 1.02, 1.0, 0.01, "c")["passed"]
@@ -628,6 +647,25 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, override):
 def test_cli_rejects_bad_signal_and_control(tmp_path, capsys, override):
     argv = ["storage-cycle", "--config", str(CONFIG), "--out", str(tmp_path)]
     assert main(argv + ["--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gem:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "light_speed=0 m/s",  # a division in the config's carrier_split
+        "half_length=1e300 m",  # a non-finite drive generator
+        "light_speed=1e-300 m/s",  # a non-finite optical depth
+        "density=1e300 m^-3",  # an overflow in the derived groups
+        "eta_write=1e300 Hz/m",
+        "carrier_split=1e308 Hz",
+        "t_width=1e300 s",
+    ],
+)
+def test_cli_rejects_parameters_out_of_range(tmp_path, capsys, override):
+    argv = ["storage-cycle", "--config", str(CONFIG), "--out", str(tmp_path)]
+    assert main(argv + ["--fidelity", "coarse", "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gem:") and "Traceback" not in err
 

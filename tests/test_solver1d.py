@@ -381,29 +381,101 @@ def _propagators(params, n_medium=64):
     )
 
 
+def _columns(drive):
+    """P's column 0 and c = P[1:, 1] of a drive, c read back from its symbol."""
+    return drive.column, ifft(drive.symbol)[: drive.column.size - 1]
+
+
+def _dense(drive):
+    """P of a drive, assembled: past index 0, P[j, k] = c[j - k] twist[k - 1]."""
+    column, c = _columns(drive)
+    m = column.size
+    p = np.zeros((m, m), dtype=complex)
+    p[:, 0] = column
+    j, k = np.tril_indices(m - 1)
+    p[1 + j, 1 + k] = c[j - k] * drive.twist[k]
+    return p
+
+
+def _applied(drive, x):
+    """P x for each row x of x, by the drive's FFT product."""
+    rows = np.array(x, dtype=complex)
+    return drive.apply(rows, np.empty((*rows.shape[:-1], drive.symbol.size), dtype=complex))
+
+
+def _bordered_expm(drives, h, eta, residual):
+    """scipy's expm of the bordered generator in the medium-first layout.
+
+    The generator is handed to scipy transposed in the border-first order,
+    upper triangular, whose diagonal scipy's squarings recompute exactly: of
+    the general medium-first matrix its expm is itself 0.7 to 2.7e-13 off a
+    40-digit reference at 1000 sweep steps."""
+    m = drives.z.size
+    cells = np.arange(m)
+    grown = np.zeros((m + 3, m + 3), dtype=complex)
+    slave_field(np.eye(m), -drives.kappa * h, None, out=grown[:m, :m].T)
+    grown[cells, cells] += (-1j * h) * (eta * drives.z + residual)
+    grown[:m, m] = 1.0 / m
+    grown[m, m + 1] = grown[m + 1, m + 2] = 1.0
+    border_first = np.r_[m + 2, m + 1, m, :m]
+    order = np.ix_(border_first, border_first)
+    lower = grown[order]
+    assert not np.any(np.triu(lower, 1))
+    want = np.empty_like(grown)
+    want[order] = scipy_expm(np.ascontiguousarray(lower.T)).T
+    return want
+
+
+def _want_weights(drives, h, want):
+    m = drives.z.size
+    phi1, phi2, phi3 = ((m * h * 1j * drives.coupling) * want[:m, m + k] for k in range(3))
+    return (phi1 - 3.0 * phi2 + 4.0 * phi3, 4.0 * phi2 - 8.0 * phi3, 4.0 * phi3 - phi2)
+
+
+def _assert_matches_expm(drive, drives, h, want, bound):
+    """Column 0, c and the assembled P within bound of P's largest entry, and
+    each weight within bound of its own."""
+    m = drives.z.size
+    column, c = _columns(drive)
+    scale = np.max(np.abs(want[:m, :m]))
+    for got, ref in ((column, want[:m, 0]), (c, want[1:m, 1]), (_dense(drive), want[:m, :m])):
+        assert np.max(np.abs(got - ref)) <= bound * scale
+    for got, ref in zip(drive.weights, _want_weights(drives, h, want)):
+        assert np.max(np.abs(got - ref)) <= bound * np.max(np.abs(ref))
+
+
 def test_the_propagator_starts_at_the_identity_and_is_a_semigroup(bench_params):
     eta = -TAU * 10e6
     drives = _propagators(bench_params)
-    zero, _ = drives(0.0, eta, True)
-    assert np.array_equal(zero, np.eye(len(zero)))
-    # P(a) P(b) = P(a + b), as transposes: P(b)^T P(a)^T = P(a + b)^T
-    (a_t, _), (b_t, _), (ab_t, _) = (drives(h, eta, False) for h in (4e-8, 9e-8, 13e-8))
-    assert np.max(np.abs(b_t @ a_t - ab_t)) <= 1e-14 * np.max(np.abs(ab_t))
-    # lower triangular: the field at z sees only upstream coherence
-    assert not np.any(np.tril(ab_t, -1))
+    zero = drives(0.0, eta, True)
+    m = zero.column.size
+    # P(0) = I: exact unit columns, column 0 and c = e_0 (whose FFT is all ones)
+    assert np.array_equal(zero.column, np.eye(m)[0])
+    assert np.array_equal(zero.symbol, np.ones(drives.length))
+    assert np.array_equal(zero.twist, np.ones(m - 1))
+    # P(b) P(a) = P(a + b), assembled and by the FFT product on the rows of I
+    a, b, ab = (drives(h, eta, False) for h in (4e-8, 9e-8, 13e-8))
+    want = _dense(ab)
+    assert np.max(np.abs(_dense(b) @ _dense(a) - want)) <= 1e-14 * np.max(np.abs(want))
+    twice = _applied(b, _applied(a, np.eye(m)))  # rows e_k (P(b) P(a))^T
+    assert np.max(np.abs(twice - want.T)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_the_read_propagator_is_the_conjugate_of_the_write(bench_params):
-    # P_{-eta}(h) = exp(-2 i residual h) conj(P_eta(h)), against its own expm
+    # P_{-eta}(h) = exp(-2 i residual h) conj(P_eta(h)), against its own build
     eta, h = -TAU * 10e6, 1e-6 / 8.0
     drives = _propagators(bench_params)
     drives(h, eta, True)  # the write builds its propagator
-    derived, weights = drives(h, -eta, False)
-    assert weights is None and len(drives.known) == 2
-    direct, _ = _propagators(bench_params)(h, -eta, False)
-    assert np.max(np.abs(derived - direct)) <= 1e-13 * np.max(np.abs(direct))
+    derived = drives(h, -eta, False)
+    assert derived.weights is None and len(drives.known) == 2
+    direct = _propagators(bench_params)(h, -eta, False)
+    for got, ref in (*zip(_columns(derived), _columns(direct)), (derived.twist, direct.twist)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    x = np.random.default_rng(7).standard_normal((3, derived.column.size))
+    got, ref = _applied(derived, x), _applied(direct, x)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # a read step at a step that differs in round-off only reuses it
-    again, _ = drives(h * (1.0 + 4e-16), -eta, False)
+    again = drives(h * (1.0 + 4e-16), -eta, False)
     assert again is derived and len(drives.known) == 2
 
 
@@ -412,33 +484,39 @@ def test_the_propagator_at_the_sweep_grid_matches_scipy(bench_params):
     # the medium-first layout, at the standard sweep grid (388 bordered)
     eta, h, n = -TAU * 10e6, 1e-6 / 8.0, 384
     drives = _propagators(bench_params, n_medium=n)
-    full_t, weights = drives(h, eta, True)
-    m = drives.z.size  # the medium's points, faces included: 385
-    cells = np.arange(m)
-    grown = np.zeros((m + 3, m + 3), dtype=complex)
-    slave_field(np.eye(m), -drives.kappa * h, None, out=grown[:m, :m].T)
-    grown[cells, cells] += (-1j * h) * (eta * drives.z + drives.residual)
-    grown[:m, m] = 1.0 / m
-    grown[m, m + 1] = grown[m + 1, m + 2] = 1.0
-    want = scipy_expm(grown)
-    phi1, phi2, phi3 = ((m * h * 1j * drives.coupling) * want[:m, m + k] for k in range(3))
-    want_weights = (phi1 - 3.0 * phi2 + 4.0 * phi3, 4.0 * phi2 - 8.0 * phi3, 4.0 * phi3 - phi2)
-    for got, ref in ((full_t, want[:m, :m].T), *zip(weights, want_weights)):
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    drive = drives(h, eta, True)
+    assert drives.z.size == 385 and drives.length == 768  # the medium's points, faces included
+    # an entry keeps O(n): no n x n matrix
+    assert all(a.ndim == 1 for a in (drive.column, drive.symbol, drive.twist, *drive.weights))
+    _assert_matches_expm(drive, drives, h, _bordered_expm(drives, h, eta, drives.residual), 1e-13)
+
+
+def test_the_fft_product_matches_the_dense_product_at_the_sweep_grid(bench_params):
+    # the step's FFT product against scipy's expm times the rows, normwise:
+    # measured 4.1, 4.8 and 4.3e-16 on these 1, 4 and 8 random rows (the built
+    # P's dense product: 2.6, 3.9 and 3.3e-16), so 2e-15 is four times the largest
+    eta, h, n = -TAU * 10e6, 1e-6 / 8.0, 384
+    drives = _propagators(bench_params, n_medium=n)
+    drive = drives(h, eta, True)
+    m = drives.z.size
+    want = _bordered_expm(drives, h, eta, drives.residual)[:m, :m]
+    rng = np.random.default_rng(11)
+    for rows in (1, 4, 8):
+        x = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+        ref = x @ want.T
+        assert np.linalg.norm(_applied(drive, x) - ref) <= 2e-15 * np.linalg.norm(ref), rows
 
 
 @pytest.mark.parametrize("scale", [0.0, 1.0, 10.0, 100.0, 1000.0])
 def test_the_five_column_build_matches_scipy(bench_params, scale):
-    # P^T and the weights, from five columns of the bordered exponential, against
-    # scipy's expm of the bordered generator, from no step (P exactly I) to 1000
-    # sweep steps, for both gradient signs and none (a control-on hold), at a
-    # nonzero residual (a local Rabi frequency half the peak's).  The generator is
-    # built medium first and handed to scipy transposed in the border-first order,
-    # upper triangular, whose diagonal scipy's squarings recompute exactly: of the
-    # general medium-first matrix its expm is itself 0.7 to 2.7e-13 off a 40-digit
-    # reference at 1000 sweep steps.  There, without a gradient, one ulp of kappa
-    # moves P by 5e-14, and the build and this reference are each 6 to 7e-14 off
-    # the 40-digit one (measured 8.8e-14 apart): the bound has little slack there
+    # column 0, c, the assembled P and the weights, from five columns of the
+    # bordered exponential, against scipy's expm of the bordered generator (built
+    # border first, _bordered_expm), from no step (P exactly I) to 1000 sweep
+    # steps, for both gradient signs and none (a control-on hold), at a nonzero
+    # residual (a local Rabi frequency half the peak's).  At 1000 sweep steps
+    # without a gradient, one ulp of kappa moves P by 5e-14, and the build and
+    # this reference are each 6 to 7e-14 off a 40-digit one (measured 8.8e-14
+    # apart): the bound has little slack there
     p = bench_params
     grid = Grid1D.build(p.half_length, n_medium=64)
     residual = stark_residual(p, 0.5 * p.rabi_control)
@@ -446,31 +524,20 @@ def test_the_five_column_build_matches_scipy(bench_params, scale):
     h = scale * 1e-6 / 8.0
     for eta in (-TAU * 10e6, TAU * 10e6, 0.0):
         drives = solver1d._Propagators(grid, p.coupling_eff, p.density, p.light_speed, residual)
-        full_t, weights = drives(h, eta, True)
-        m = drives.z.size
-        cells = np.arange(m)
-        grown = np.zeros((m + 3, m + 3), dtype=complex)
-        slave_field(np.eye(m), -drives.kappa * h, None, out=grown[:m, :m].T)
-        grown[cells, cells] += (-1j * h) * (eta * drives.z + residual)
-        grown[:m, m] = 1.0 / m
-        grown[m, m + 1] = grown[m + 1, m + 2] = 1.0
-        border_first = np.r_[m + 2, m + 1, m, :m]
-        order = np.ix_(border_first, border_first)
-        lower = grown[order]
-        assert not np.any(np.triu(lower, 1))
-        want = np.empty_like(grown)
-        want[order] = scipy_expm(np.ascontiguousarray(lower.T)).T
-        phi1, phi2, phi3 = ((m * h * 1j * drives.coupling) * want[:m, m + k] for k in range(3))
-        want_weights = (phi1 - 3.0 * phi2 + 4.0 * phi3, 4.0 * phi2 - 8.0 * phi3, 4.0 * phi3 - phi2)
-        for got, ref in ((full_t, want[:m, :m].T), *zip(weights, want_weights)):
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), eta
-        assert not np.any(np.tril(full_t, -1))
+        drive = drives(h, eta, True)
+        _assert_matches_expm(drive, drives, h, _bordered_expm(drives, h, eta, residual), 1e-13)
         if scale == 0.0:
-            assert np.array_equal(full_t, np.eye(m))
+            m = drive.column.size
+            assert np.array_equal(drive.column, np.eye(m)[0])
+            assert np.array_equal(drive.symbol, np.ones(drives.length))
+        # the FFT product applies the assembled P
+        x = np.random.default_rng(5).standard_normal((2, drive.column.size))
+        ref = x @ _dense(drive).T
+        assert np.max(np.abs(_applied(drive, x) - ref)) <= 1e-13 * np.max(np.abs(ref)), eta
 
 
 def test_stacked_groups_step_as_their_single_solves(bench_params):
-    # one triangular product serves every group; each group's new state is
+    # one batched FFT product serves every group; each group's new state is
     # the one it gets alone, to the bit
     eta, h = -TAU * 10e6, 1e-6 / 8.0
     grid = Grid1D.build(bench_params.half_length, n_medium=64)
@@ -594,7 +661,9 @@ def test_identical_runs_are_bitwise_identical(bench_params, bench_protocol, benc
 def test_a_recorded_step_takes_one_forward_fft(bench_params, bench_protocol, bench_signal, monkeypatch):
     # every boundary takes the state's spectrum once; the exit is read from
     # it, so a recorded write of n steps with diffusion on makes n forward
-    # FFTs, plus one for the before half of its first step
+    # FFTs, plus one for the before half of its first step.  Only transforms
+    # of the state's length count: the drive's own (_Drive.apply) are 192
+    # long here against the state's 256 (at 64 cells both would be 128)
     calls = []
     real = solver1d.fft
 
@@ -607,13 +676,13 @@ def test_a_recorded_step_takes_one_forward_fft(bench_params, bench_protocol, ben
         bench_params,
         bench_protocol,
         bench_signal,
-        n_medium=64,
+        n_medium=96,
         steps_per_width=16.0,
         diffusion_phases=("write",),
     )
     n_steps = rec.t_write.size - 1
     assert n_steps > 50
-    assert len(calls) == n_steps + 1
+    assert sum(shape[-1] == rec.grid.n_z for shape in calls) == n_steps + 1
 
 
 def test_a_write_boundary_samples_the_input_once(
