@@ -53,10 +53,16 @@ class SignalSpec:
             )
         if self.t_width <= 0:
             raise ParameterError("t_width must be positive")
+        normal = sys.float_info.min, sys.float_info.max  # a positive float's full-precision range
+        if not normal[0] <= self.t_width * self.t_width <= normal[1]:  # the groups divide by it
+            raise ParameterError("t_width %r: its square is not a normal float" % (self.t_width,))
         if self.t_lead < 0:
             raise ParameterError("t_lead must be non-negative")
         if self.waist <= 0:
             raise ParameterError("waist must be positive")
+        squared = self.waist * self.waist  # a beam's second moment sums r^2 2 pi r dr
+        if not normal[0] <= squared * squared <= normal[1]:
+            raise ParameterError("waist %r: its fourth power is not a normal float" % (self.waist,))
         m, n = self.mode
         if m < 0 or n < 0 or m != int(m) or n != int(n):
             raise ParameterError("mode indices must be non-negative integers")
@@ -124,22 +130,25 @@ def _hermite_norm_1d(m: int, waist: float) -> float:
     )
 
 
-def sample_transverse(signal: SignalSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Transverse mode pattern on broadcastable coordinate arrays.
+def mode_factors(signal: SignalSpec, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The transverse mode's axis factors (u_m(x), u_n(y)), sample_transverse's.
 
-    The fundamental mode is returned with unit peak amplitude (so the full
-    input is amplitude * envelope at the beam centre); higher modes are
-    returned with unit L2 norm over the transverse plane, which keeps their
-    energy integrals simple.
+    The fundamental mode has unit peak amplitude (so the full input is
+    amplitude * envelope at the beam centre); higher modes have unit L2
+    norm over the transverse plane, which keeps their energy integrals simple.
     """
     m, n = signal.mode
     ux = _hermite_1d(m, x, signal.waist)
     uy = _hermite_1d(n, y, signal.waist)
     if (m, n) == (0, 0):
-        return ux * uy
-    return (ux / _hermite_norm_1d(m, signal.waist)) * (
-        uy / _hermite_norm_1d(n, signal.waist)
-    )
+        return ux, uy
+    return ux / _hermite_norm_1d(m, signal.waist), uy / _hermite_norm_1d(n, signal.waist)
+
+
+def sample_transverse(signal: SignalSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Transverse mode pattern u_m(x) u_n(y) on broadcastable coordinate arrays."""
+    ux, uy = mode_factors(signal, x, y)
+    return ux * uy
 
 
 def control_rabi(profile: ControlProfile, r_perp: np.ndarray) -> np.ndarray:

@@ -536,10 +536,10 @@ class _Propagators:
         """P(h) and its input weights from five columns of the bordered exponential."""
         z, kappa = self.z, self.kappa
         n = z.size
-        # the bordered generator's 1-norm: medium column j holds |L[j, j]| h and
-        # kappa h times S's column below the diagonal (n - 1 at j = 0, else 2 (n -
-        # 1 - j)); the input column (1/n per cell) and the shift's each sum to 1
-        below = 2.0 * np.arange(n - 1, -1, -1.0) - 2.0
+        # the bordered generator's 1-norm: medium column j holds |L[j, j]| h and kappa
+        # h times S's column below the diagonal, n - 1 ones at j = 0, else n - 1 - j
+        # twos; the input column (1/n per cell) and the shift's each sum to 1
+        below = 2.0 * np.arange(n - 1, -1, -1.0)
         below[0] = n - 1
         with np.errstate(over="ignore", invalid="ignore"):  # a norm out of range is refused
             rate = -1j * (eta * z + self.residual)  # L's diagonal but for kappa S's

@@ -6,7 +6,8 @@ Two complementary routes:
   Fourier modes decouple exactly: rescaling the coherence by e^(gamma t)
   with gamma = D k_perp^2 maps every mode onto the same 1D problem, so a
   single longitudinal solve serves all modes and each one just carries
-  the decay e^(-gamma (2 t + t_hold)) at read offset t.
+  the decay e^(-gamma (2 t + t_hold)) at read offset t, which factorises
+  by axis like the mode: a sum over the modes is two 1D sums' product.
 
 * run_cycle_realspace - for a transversely varying control field the
   columns stop being equivalent (local Rabi frequency shifts both the
@@ -41,12 +42,12 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.fft import fft2, ifft2
+from scipy.fft import fft, ifft
 from scipy.linalg import solve_banded
 from scipy.optimize import curve_fit
 
 from .model import ParameterError, PhysicalParams, StorageProtocol
-from .pulses import ControlProfile, SignalSpec, control_rabi, sample_transverse
+from .pulses import ControlProfile, SignalSpec, control_rabi, mode_factors, sample_transverse
 from .solver1d import (
     CycleRecord,
     Grid1D,
@@ -66,27 +67,26 @@ from .solver1d import (
 
 
 def _edge_amplitude_ok(values: np.ndarray, threshold: float = 1e-6) -> bool:
-    """True when the outermost samples stay below threshold * peak."""
-    peak = float(np.max(np.abs(values)))
-    if peak == 0.0:
-        return True
-    edge = max(
-        float(np.max(np.abs(values[0]))),
-        float(np.max(np.abs(values[-1]))),
-        float(np.max(np.abs(values[..., 0]))),
-        float(np.max(np.abs(values[..., -1]))),
-    )
-    return edge <= threshold * peak
+    """True when each row's end samples stay below threshold * its peak.
+
+    A separable sample u(x) v(y) has the larger of its factors' border-to-
+    peak ratios, so this check of its factors refuses what a 2D one would.
+    """
+    peak = np.max(np.abs(values), axis=-1)
+    edge = np.maximum(np.abs(values[..., 0]), np.abs(values[..., -1]))
+    return bool(np.all(edge <= threshold * peak))
 
 
 @dataclass(frozen=True, eq=False)
 class ModeGrid:
-    """Square transverse Fourier grid for the quasi-1D decomposition.
+    """Transverse Fourier grid for the quasi-1D decomposition, one axis per mode factor.
 
     signal is the input the grid samples: its waist sizes the grid and its
-    transverse mode is the one a quasi-1D cycle on the grid runs.  x is the
-    axis of both dimensions, kx its FFT wavenumbers, and amp the spectrum of
-    the mode, fft2 of its samples times dx^2.
+    transverse mode u_m(x) u_n(y) is the one a quasi-1D cycle on the grid
+    runs.  The mode is separable, so the grid keeps one spectrum per
+    factor: x is the axis both factors are sampled on, kx its FFT
+    wavenumbers, and amp, of shape (2, n), the FFT of the samples of u_m
+    and of u_n times dx (their outer product is the mode's 2D spectrum).
     """
 
     signal: SignalSpec
@@ -117,20 +117,20 @@ class ModeGrid:
         dx = window / n
         axis = (np.arange(n) - n // 2) * dx
         k_axis = 2.0 * math.pi * np.fft.fftfreq(n, dx)
-        samples = sample_transverse(signal, axis[:, None], axis[None, :])
-        if not _edge_amplitude_ok(samples):
+        factors = np.array(mode_factors(signal, axis, axis))
+        if not _edge_amplitude_ok(factors):
             raise ParameterError(
                 "transverse window too small for mode %r (edge amplitude above "
                 "1e-6 of peak); increase window_factor" % (mode,)
             )
-        spectrum = fft2(samples)
-        if not _edge_amplitude_ok(np.fft.fftshift(spectrum)):
+        spectrum = fft(factors, axis=-1)
+        if not _edge_amplitude_ok(np.fft.fftshift(spectrum, axes=-1)):
             raise ParameterError(
                 "transverse grid too coarse for mode %r (spectrum not resolved "
                 "to 1e-6 at Nyquist); increase n" % (mode,)
             )
         spacing = float(axis[1] - axis[0])  # dx as records read it back, not window / n
-        return cls(signal=signal, x=axis, kx=k_axis, amp=spectrum * spacing * spacing)
+        return cls(signal=signal, x=axis, kx=k_axis, amp=spectrum * spacing)
 
     @property
     def n(self) -> int:
@@ -140,9 +140,11 @@ class ModeGrid:
     def dx(self) -> float:
         return float(self.x[1] - self.x[0])
 
-    def k_squared(self) -> np.ndarray:
-        """kx^2 + ky^2 mesh in FFT order (both axes take kx)."""
-        return self.kx[:, None] ** 2 + self.kx[None, :] ** 2
+    @property
+    def weights(self) -> np.ndarray:
+        """Each axis's spectral weights |amp|^2, normalised to unit sum: shape (2, n)."""
+        power = np.abs(self.amp) ** 2
+        return power / np.sum(power, axis=-1, keepdims=True)
 
 
 _RADIAL_WINDOW_WAISTS = 8.0  # the radial window's radius, in signal waists
@@ -186,12 +188,12 @@ class TransverseGrid:
 class Quasi1DRecord:
     """One shared 1D cycle plus per-mode transverse decay factors.
 
-    The transverse mode is mode_grid's (its signal's, sampled as amp).
-    The component with transverse wavenumber k_perp sees the shared output
-    scaled by exp(-gamma (2 t + t_hold)), gamma = D k_perp^2, t the read
-    offset; everything else is its amplitude.  Efficiencies follow by
-    quadrature over the mode spectrum, in k space directly or in real space
-    via the inverse transform (the two agree by Parseval).
+    The transverse mode is mode_grid's.  The component at (kx, ky) sees the
+    shared output scaled by exp(-D (kx^2 + ky^2) (2 t + t_hold)), t the read
+    offset: a factor exp(-gamma (2 t + t_hold)) per axis, gamma = D kx^2 on
+    the grid's axis.  So every quadrature over the spectrum is a product of
+    one sum per axis, in k space or, by each axis's inverse transform, in
+    real space (the two agree by Parseval on each axis).
     """
 
     base: CycleRecord
@@ -206,58 +208,45 @@ class Quasi1DRecord:
         one base can serve several modes, each wrapped on its own grid:
         the records take grid's mode whatever mode the base was run with.
         """
-        k_squared = grid.k_squared()
-        return [
-            cls(base=base, mode_grid=grid, gamma=base.params.diffusivity * k_squared)
-            for base in bases
-        ]
+        return [cls(base, grid, base.params.diffusivity * grid.kx**2) for base in bases]
 
     @property
     def read_offsets(self) -> np.ndarray:
         return self.base.t_out - self.base.protocol.t_hold
 
-    def _spectral_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique gamma values and their spectral weights sum |amp|^2."""
-        gam = self.gamma.ravel()
-        weight = np.abs(self.mode_grid.amp.ravel()) ** 2
-        uniq, inverse = np.unique(gam, return_inverse=True)
-        sums = np.zeros(uniq.size)
-        np.add.at(sums, inverse, weight)
-        return uniq, sums
+    def _decay(self, rate: float) -> np.ndarray:
+        """exp(-rate gamma (2 t + t_hold)), shape (n, t)."""
+        exposure = 2.0 * self.read_offsets + self.base.protocol.t_hold
+        return np.exp(-rate * self.gamma[:, None] * exposure)
+
+    def _efficiency(self, kept: np.ndarray) -> float:
+        """Efficiency from each axis's share of power kept per read sample, (2, t)."""
+        out = np.trapezoid(kept[0] * kept[1] * np.abs(self.base.f_out) ** 2, self.base.t_out)
+        return float(out) / self.base.input_energy
 
     def efficiency_kspace(self) -> float:
-        """Cycle efficiency by quadrature over the mode spectrum."""
-        uniq, weight = self._spectral_weights()
-        out_t = np.abs(self.base.f_out) ** 2
-        factors = np.exp(
-            -2.0 * uniq[:, None] * (2.0 * self.read_offsets + self.base.protocol.t_hold)
-        )
-        out = np.trapezoid(factors * out_t, self.base.t_out, axis=-1)
-        total_out = float(np.sum(weight * out))
-        total_in = float(np.sum(weight)) * self.base.input_energy
-        return total_out / total_in
+        """Cycle efficiency by quadrature over the mode spectrum, one axis at a time."""
+        return self._efficiency(self.mode_grid.weights @ self._decay(2.0))
+
+    def _fields(self) -> np.ndarray:
+        """Each axis factor of the read's mode per read sample, (2, n, t), on
+        the grid axis (ifft undoes the forward transform of centred samples)."""
+        spec = self.mode_grid.amp[:, :, None] * self._decay(1.0)
+        return ifft(spec, axis=1) / self.mode_grid.dx
 
     def efficiency_realspace(self) -> float:
-        """Same efficiency via the inverse transform (Parseval route)."""
-        dx = self.mode_grid.dx
-        total_out = float(np.sum(self.intensity_realspace()[1])) * dx**2
-        profile = ifft2(self.mode_grid.amp) / dx**2
-        total_in = (
-            float(np.sum(np.abs(profile) ** 2)) * dx**2 * self.base.input_energy
-        )
-        return total_out / total_in
+        """Same efficiency via each axis's inverse transform (Parseval route)."""
+        stored = np.abs(ifft(self.mode_grid.amp, axis=-1) / self.mode_grid.dx) ** 2
+        kept = np.sum(np.abs(self._fields()) ** 2, axis=1)
+        return self._efficiency(kept / np.sum(stored, axis=-1, keepdims=True))
 
     def intensity_realspace(self) -> tuple[np.ndarray, np.ndarray]:
-        """Time-integrated output intensity I(x, y) on the real-space grid."""
-        spec = self.mode_grid.amp[..., None] * np.exp(
-            -self.gamma[..., None]
-            * (2.0 * self.read_offsets + self.base.protocol.t_hold)
-        )
-        # ifft2 undoes the forward transform of the centred samples, so the
-        # result is indexed by the grid axes directly (no shift needed)
-        fields = ifft2(spec, axes=(0, 1)) / self.mode_grid.dx**2
-        out_sq = np.abs(fields) ** 2 * np.abs(self.base.f_out) ** 2
-        return self.mode_grid.x, np.trapezoid(out_sq, self.base.t_out, axis=-1)
+        """Time-integrated output intensity I(x, y) on the real-space grid: the
+        x axis's intensities, times |f_out|^2 by the trapezoid rule, times y's."""
+        ix, iy = np.abs(self._fields()) ** 2
+        step = np.diff(self.base.t_out)
+        trapezoid = 0.5 * (np.append(step, 0.0) + np.insert(step, 0, 0.0))
+        return self.mode_grid.x, (ix * (trapezoid * np.abs(self.base.f_out) ** 2)) @ iy.T
 
 
 def run_cycle_quasi1d(

@@ -4,8 +4,10 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gemdiff import ParameterError, load_config
+from gemdiff import ParameterError, derive_groups, load_config
 from gemdiff.config import (
     build_config,
     config_digest,
@@ -211,3 +213,33 @@ def test_override_changes_digest():
     base = load_config(BENCHMARK_CFG)
     moved = load_config(BENCHMARK_CFG, overrides=["t_hold=1 us"])
     assert base.digest != moved.digest
+
+
+_NUMERIC_KEYS = sorted(known_keys() - {"stark_absorbed", "control_on_hold", "mode_m", "mode_n"})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.sampled_from(_NUMERIC_KEYS),
+    sign=st.sampled_from(["", "-"]),
+    exponent=st.integers(min_value=-300, max_value=300),
+)
+@example(key="t_width", sign="", exponent=-200)
+@example(key="t_width", sign="", exponent=-300)
+@example(key="waist", sign="", exponent=-300)
+@example(key="waist", sign="", exponent=200)
+@example(key="waist", sign="", exponent=300)
+def test_out_of_range_values_are_refused_or_give_finite_groups(key, sign, exponent):
+    # any one numeric key at +-10^e: the config and its derived groups are
+    # either refused as bad input or finite, and nothing warns on the way
+    # (warnings are errors in this suite)
+    raw = parse_pairs(BENCHMARK_CFG.read_text(encoding="utf-8").splitlines())
+    if key == "carrier_mismatch":
+        del raw["carrier_split"]  # the two conflict
+    raw[key] = "%s1e%d" % (sign, exponent)
+    try:
+        cfg = build_config(resolve_values(raw))
+        groups = derive_groups(cfg.params, cfg.protocol, cfg.signal)
+    except ParameterError:
+        return
+    assert all(math.isfinite(value) for value in vars(groups).values()), (key, sign, exponent)

@@ -661,6 +661,11 @@ def test_cli_rejects_bad_signal_and_control(tmp_path, capsys, override):
         "eta_write=1e300 Hz/m",
         "carrier_split=1e308 Hz",
         "t_width=1e300 s",
+        "t_width=1e-200 s",  # a division by a squared width that underflows to 0
+        "t_width=1e-300 s",
+        "waist=1e-300 m",
+        "waist=1e200 m",  # an overflow in the mode grid's spectrum
+        "waist=1e300 m",
     ],
 )
 def test_cli_rejects_parameters_out_of_range(tmp_path, capsys, override):
@@ -668,6 +673,15 @@ def test_cli_rejects_parameters_out_of_range(tmp_path, capsys, override):
     assert main(argv + ["--fidelity", "coarse", "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gem:") and "Traceback" not in err
+
+
+def test_beam_width_refuses_an_out_of_range_waist_before_any_solve(tmp_path, capsys, monkeypatch):
+    # the waist is refused with the config, before the experiment squares it
+    monkeypatch.setattr(harness, "_solve", None)
+    argv = ["beam-width", "--config", str(CONFIG), "--out", str(tmp_path), "--fidelity", "coarse"]
+    assert main(argv + ["--set", "waist=1e300 m"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gem:") and "waist" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

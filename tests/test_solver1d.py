@@ -403,6 +403,19 @@ def _applied(drive, x):
     return drive.apply(rows, np.empty((*rows.shape[:-1], drive.symbol.size), dtype=complex))
 
 
+def _bordered_generator(drives, h, eta, residual):
+    """The dense bordered generator of a step h in the medium-first layout:
+    L h, the input column (1/n per cell) and the 3 x 3 shift."""
+    m = drives.z.size
+    cells = np.arange(m)
+    grown = np.zeros((m + 3, m + 3), dtype=complex)
+    slave_field(np.eye(m), -drives.kappa * h, None, out=grown[:m, :m].T)
+    grown[cells, cells] += (-1j * h) * (eta * drives.z + residual)
+    grown[:m, m] = 1.0 / m
+    grown[m, m + 1] = grown[m + 1, m + 2] = 1.0
+    return grown
+
+
 def _bordered_expm(drives, h, eta, residual):
     """scipy's expm of the bordered generator in the medium-first layout.
 
@@ -411,12 +424,7 @@ def _bordered_expm(drives, h, eta, residual):
     the general medium-first matrix its expm is itself 0.7 to 2.7e-13 off a
     40-digit reference at 1000 sweep steps."""
     m = drives.z.size
-    cells = np.arange(m)
-    grown = np.zeros((m + 3, m + 3), dtype=complex)
-    slave_field(np.eye(m), -drives.kappa * h, None, out=grown[:m, :m].T)
-    grown[cells, cells] += (-1j * h) * (eta * drives.z + residual)
-    grown[:m, m] = 1.0 / m
-    grown[m, m + 1] = grown[m + 1, m + 2] = 1.0
+    grown = _bordered_generator(drives, h, eta, residual)
     border_first = np.r_[m + 2, m + 1, m, :m]
     order = np.ix_(border_first, border_first)
     lower = grown[order]
@@ -505,6 +513,22 @@ def test_the_fft_product_matches_the_dense_product_at_the_sweep_grid(bench_param
         x = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
         ref = x @ want.T
         assert np.linalg.norm(_applied(drive, x) - ref) <= 2e-15 * np.linalg.norm(ref), rows
+
+
+@pytest.mark.parametrize("eta", [-TAU * 10e6, 0.0, TAU * 10e6])
+@pytest.mark.parametrize("steps", [1.0, 10.0, 1000.0])
+def test_the_build_takes_the_exact_1_norm_of_its_generator(bench_params, monkeypatch, eta, steps):
+    # the norm that sets the build's squarings and Taylor terms is the largest
+    # column sum of the dense bordered generator, medium and border columns
+    # alike (at least 1, the border's), to round-off
+    seen = []
+    terms = solver1d._terms
+    monkeypatch.setattr(solver1d, "_terms", lambda norm: seen.append(norm) or terms(norm))
+    drives = _propagators(bench_params, n_medium=16)
+    h = steps * 1e-6 / 8.0
+    drives(h, eta, True)
+    generator = _bordered_generator(drives, h, eta, drives.residual)
+    assert seen == [pytest.approx(np.max(np.sum(np.abs(generator), axis=0)), rel=1e-14)]
 
 
 @pytest.mark.parametrize("scale", [0.0, 1.0, 10.0, 100.0, 1000.0])
