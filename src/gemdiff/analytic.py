@@ -15,16 +15,15 @@ and (gamma_k t_width)^2 as documented per function.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import eval_hermite, loggamma
 
 from .model import DerivedGroups, ParameterError, PhysicalParams, StorageProtocol, derive_groups
-from .pulses import ControlProfile, SignalSpec, sample_temporal
+from .pulses import ControlProfile, SignalSpec, hermite, sample_temporal
 
 # ---------------------------------------------------------------------------
 # per-phase decay factors and the echo phase factor
@@ -83,13 +82,37 @@ class DecayFactors:
         return np.exp(-gamma * (2.0 * np.asarray(t, dtype=float) + self.t_hold))
 
 
+# Stirling's series for log Gamma(w), its coefficients B_2k / (2k (2k - 1)) for
+# k = 1..8 (Abramowitz and Stegun 6.1.40): at |w| >= 16 the first term left out
+# is below 1e-21
+_STIRLING = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400
+)
+
+
+def _im_log_gamma(beta: float) -> float:
+    """Im log Gamma(i beta) on the branch continuous in beta (scipy's loggamma's).
+
+    The upward recurrence log Gamma(z) = log Gamma(z + n) - sum_{k < n}
+    log(z + k) carries z = i beta to |z + n| >= 16, where Stirling's series
+    is summed; Im log(i beta + k) = atan2(beta, k).
+    """
+    n = math.ceil(math.sqrt(max(0.0, 256.0 - beta * beta)))
+    w = complex(n, beta)
+    series, power = (w - 0.5) * cmath.log(w) - w, w
+    for coefficient in _STIRLING:
+        series += coefficient / power
+        power *= w * w
+    return series.imag - math.fsum(math.atan2(beta, k) for k in range(n))
+
+
 def _gamma_ratio_phase(beta: float) -> float:
     """arg of Gamma(i beta)/Gamma(-i beta) = 2 Im log Gamma(i beta).
 
     The two Gamma values are complex conjugates for real beta, so the ratio
     has unit modulus by construction; only its phase is ever evaluated.
     """
-    return 2.0 * float(loggamma(1j * beta).imag)
+    return 2.0 * _im_log_gamma(beta)
 
 
 def phase_factor(
@@ -148,7 +171,7 @@ def kernel_amplitude(eta: float, beta: float, half_length: float) -> complex:
         - 0.5 * x
         + 0.5 * (math.log(math.pi) + log_sinh - math.log(abs_beta))
     )
-    phase = -beta * math.log(abs(eta * half_length)) + float(loggamma(1j * beta).imag)
+    phase = -beta * math.log(abs(eta * half_length)) + _im_log_gamma(beta)
     return complex(math.exp(log_mag) * math.cos(phase), math.exp(log_mag) * math.sin(phase))
 
 
@@ -305,6 +328,15 @@ def eff_hold(
     return eps, groups.alpha_hold, groups.tau_hold
 
 
+# eff_write_exact's rule: Gauss-Legendre nodes on each of its two panels, from a
+# convergence table against adaptive quadrature at relative tolerance 1e-13 (D
+# 0 to 0.4 m^2/s, t_lead 0 to 20 t_width, write windows of 1 to 30 t_width past
+# the peak): 24 nodes leave 6.3e-8, 32 leave 1.3e-11, 40 leave 1.1e-15 per unit
+# of the weight's exponent, its round-off
+_LEGENDRE = np.polynomial.legendre.leggauss(40)
+_REACH = 8.0  # the panels end 8 t_width from the peak, where envelope^2 is e^-128 of its peak
+
+
 def eff_write_exact(
     params: PhysicalParams, protocol: StorageProtocol, signal: SignalSpec
 ) -> float:
@@ -312,39 +344,31 @@ def eff_write_exact(
 
     Numerator weight: squared write decay of the slice absorbed at time t,
     exp(-2 D (k_initial^3 - (k_initial + eta t)^3) / (3 eta)) for
-    t in [-t_write, 0].  Adaptive quadrature, relative tolerance 1e-10;
-    window truncation keeps tails below the quadrature tolerance whenever
-    t_write >= t_lead + 6 t_width.
+    t in [-t_write, 0].  The weight is at most 1 and grows with t.  Both
+    integrals are taken by Gauss-Legendre quadrature on two panels, either
+    side of the pulse peak, each cut at _REACH t_width from the peak (the
+    envelope^2 beyond is e^-128 of its peak); window truncation keeps tails
+    below the quadrature's round-off whenever t_write >= t_lead + 6 t_width.
     """
     groups = derive_groups(params, protocol, signal)
     eta = protocol.eta_write
-    diff = params.diffusivity
     k_init = groups.k_initial
-    window = protocol.write_window(signal)
-
-    def weight(t: float) -> float:
-        return math.exp(
-            -2.0 * diff / (3.0 * eta) * (k_init**3 - (k_init + eta * t) ** 3)
+    peak, reach = -signal.t_lead, _REACH * signal.t_width
+    lo, hi = max(-protocol.write_window(signal), peak - reach), min(0.0, peak + reach)
+    if not lo < hi:
+        raise ParameterError(
+            "the write window holds none of the pulse: it peaks more than %g t_width "
+            "before the window opens" % _REACH
         )
-
-    def envelope_sq(t: float) -> float:
-        arg = (t + signal.t_lead) / signal.t_width
-        return math.exp(-2.0 * arg * arg)
-
-    peak = -signal.t_lead
-    num, _ = quad(
-        lambda t: envelope_sq(t) * weight(t),
-        -window,
-        0.0,
-        points=[peak],
-        epsrel=1e-10,
-        epsabs=0.0,
-        limit=200,
-    )
-    den, _ = quad(
-        envelope_sq, -window, 0.0, points=[peak], epsrel=1e-10, epsabs=0.0, limit=200
-    )
-    return num / den
+    mid = min(max(peak, lo), hi)
+    half = 0.5 * np.array([[mid - lo], [hi - mid]])  # each panel's half-width and centre
+    centre = 0.5 * np.array([[lo + mid], [mid + hi]])
+    nodes, weights = _LEGENDRE
+    t, w = (half * nodes + centre).ravel(), (half * weights).ravel()
+    arg = (t + signal.t_lead) / signal.t_width
+    envelope_sq = np.exp(-2.0 * arg * arg)
+    decay = np.exp(-2.0 * params.diffusivity / (3.0 * eta) * (k_init**3 - (k_init + eta * t) ** 3))
+    return float(w @ (envelope_sq * decay)) / float(w @ envelope_sq)
 
 
 def eff_transverse(
@@ -454,18 +478,15 @@ def _mode_axis_factor(m: int, tau_perp: float) -> float:
 
     Ratio of int H_m(s)^2 e^(-(1 + tau) s^2) ds to its tau = 0 value; the
     transverse decay acts on the mode spectrum exactly like a wider
-    Gaussian weight.  Evaluated by adaptive quadrature (the integrand is
-    smooth and strongly confined).
+    Gaussian weight.  With s = u / sqrt(c) the integral is c^(-1/2) times
+    int H_m(u / sqrt(c))^2 e^(-u^2) du, a polynomial of degree 2m against
+    the Hermite weight, which Gauss-Hermite quadrature with m + 1 nodes
+    takes exactly.
     """
-
-    def integrand(s: float, c: float) -> float:
-        h = eval_hermite(m, s)
-        return h * h * math.exp(-c * s * s)
-
-    cutoff = 8.0 + 2.0 * math.sqrt(m + 1.0)
-    num, _ = quad(integrand, -cutoff, cutoff, args=(1.0 + tau_perp,), epsrel=1e-11)
-    den, _ = quad(integrand, -cutoff, cutoff, args=(1.0,), epsrel=1e-11)
-    return num / den
+    u, w = np.polynomial.hermite.hermgauss(m + 1)
+    c = 1.0 + tau_perp
+    num = w @ hermite(m, u / math.sqrt(c)) ** 2 / math.sqrt(c)
+    return float(num / (w @ hermite(m, u) ** 2))
 
 
 def hg_efficiency(mode: tuple[int, int], tau_perp: float) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -242,6 +243,9 @@ class DerivedGroups:
     alpha_hold: float
 
 
+_CUBE_ROOT_MAX = sys.float_info.max ** (1.0 / 3.0)  # the largest float whose cube is finite
+
+
 def derive_groups(
     params: PhysicalParams, protocol: StorageProtocol, signal: SignalSpec
 ) -> DerivedGroups:
@@ -249,9 +253,10 @@ def derive_groups(
 
     Raises ParameterError when eta_write is zero (no gradient, nothing is
     stored), when the write correction factor is singular (diffusion too
-    strong for the perturbative width correction), or when a group is not
+    strong for the perturbative width correction), when a group is not
     a finite number (parameters out of double range, say a density of
-    1e300 m^-3).
+    1e300 m^-3), or when the write window, or the slice wavenumber it
+    reaches, has no finite cube (say a t_width of 1e100 s).
     """
     eta = protocol.eta_write
     if eta == 0.0:
@@ -264,6 +269,16 @@ def derive_groups(
         bad = ", ".join(key for key, value in vars(groups).items() if not math.isfinite(value))
     if bad:
         raise ParameterError("derived groups not finite (%s): a parameter is out of range" % bad)
+    # eff_write_exact cubes the wavenumber k_initial + eta t of every slice the
+    # write window holds, and StepKernels the length of a step, which the window
+    # bounds: both cubes must be finite
+    window = protocol.write_window(signal)
+    if not max(abs(groups.k_initial - eta * window), window) < _CUBE_ROOT_MAX:
+        raise ParameterError(
+            "write window %.3g s out of range: it, or the slice wavenumber k_initial + "
+            "eta_write t it reaches (%.3g rad/m), has no finite cube"
+            % (window, abs(groups.k_initial - eta * window))
+        )
     return groups
 
 

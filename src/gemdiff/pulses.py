@@ -13,7 +13,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_hermite
 
 from .model import ParameterError
 
@@ -117,10 +116,29 @@ def sample_temporal(signal: SignalSpec, t: np.ndarray) -> np.ndarray:
     return signal.amplitude * np.exp(-(arg**2)) + 0.0j
 
 
+def hermite(m: int, x) -> np.ndarray:
+    """Physicists' Hermite polynomial H_m(x) = 2^(m/2) He_m(sqrt(2) x).
+
+    He_m, the probabilists' polynomial, is summed by the backward
+    recurrence of scipy.special.eval_hermite, in the same operations, so
+    the values are its values bit for bit.
+    """
+    x = math.sqrt(2.0) * np.asarray(x, dtype=float)
+    if m == 0:
+        return np.ones_like(x)
+    he = x
+    if m > 1:
+        low, high = np.zeros_like(x), np.ones_like(x)
+        for k in range(m, 1, -1):
+            low, high = high, x * high - k * low
+        he = x * high - low
+    return he * 2.0 ** (m / 2.0)
+
+
 def _hermite_1d(m: int, x: np.ndarray, waist: float) -> np.ndarray:
     """1D Hermite-Gauss factor H_m(sqrt(2) x / a) exp(-x^2 / a^2)."""
     xi = math.sqrt(2.0) * np.asarray(x, dtype=float) / waist
-    return eval_hermite(m, xi) * np.exp(-0.5 * xi**2)
+    return hermite(m, xi) * np.exp(-0.5 * xi**2)
 
 
 def _hermite_norm_1d(m: int, waist: float) -> float:

@@ -56,10 +56,10 @@ couplings and detunings passed as (..., 1) arrays.
 
 A step allocates no state-sized array.  The driver owns two states and
 two medium-shaped buffers per cycle (in 1D the second is as long as the
-drive's transform): the spectra are taken and turned back in place, and
-each transverse propagation and step core writes into the state that is
-not its input.  Whatever leaves the driver is a copy: exit
-fields, end states and frames.
+drive's transform): the spectra are taken and turned back in place (the
+out= of numpy.fft, the solver's only dependency), and each transverse
+propagation and step core writes into the state that is not its input.
+Whatever leaves the driver is a copy: exit fields, end states and frames.
 
 One driver, _drive_cycle, runs both routes on a (groups, rows, n_z) state
 by the step plan of _cycle_plan.  _rows_of checks a call's rows once, the
@@ -91,8 +91,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
-from scipy.linalg.blas import ztrmm
+from numpy.fft import fft, ifft
 
 from .model import (
     GuardBandError,
@@ -310,7 +309,7 @@ class StepKernels:
         if self.before is None:
             return None
         rows = sigma if self.diff_rows is None else sigma[self.diff_rows]  # a copy
-        return fft(rows, axis=-1, overwrite_x=True)
+        return fft(rows, axis=-1, out=rows)
 
     def resume(self, sigma: np.ndarray, spec: np.ndarray | None, kernel) -> np.ndarray:
         """sigma with its diffusing rows replaced by ifft(spec * kernel), kernel
@@ -320,8 +319,8 @@ class StepKernels:
             return sigma
         spec *= kernel
         if self.diff_rows is None:
-            return ifft(spec, axis=-1, overwrite_x=True)
-        sigma[self.diff_rows] = ifft(spec, axis=-1, overwrite_x=True)
+            return ifft(spec, axis=-1, out=spec)
+        sigma[self.diff_rows] = ifft(spec, axis=-1, out=spec)
         return sigma
 
     def integral(
@@ -470,8 +469,9 @@ class _Propagators:
     twist tau[k-1] = exp(-i eta h (z_k - z_1)), a Toeplitz matrix twisted
     column by column.  So P x = x_0 P[:, 0] + [0; T (tau x[1:])], T the
     lower-triangular Toeplitz matrix of c: a causal convolution, which an
-    FFT pair of length next_fast_len(2 n - 3) applies to every row at once
-    (Golub and Van Loan, Matrix Computations, section 4.7).
+    FFT pair applies to every row at once, at the least 11-smooth length of
+    at least 2 n - 3 (_next_fast_len; Golub and Van Loan, Matrix
+    Computations, section 4.7).
 
     _build takes five columns of the bordered exponential, P's columns 0
     and 1 and the three border columns, by scaling and squaring on
@@ -488,15 +488,16 @@ class _Propagators:
     carry the squarings' round-off into every entry (measured at 1000
     sweep steps against a 40-digit reference: 0.6 to 1.9e-13 of the
     largest entry, against 0.03 to 0.6e-13).  The squarings apply the
-    half step's P by a triangular product (BLAS trmm), not by the FFT
+    half step's P by one dense matrix product with its assembled Toeplitz
+    block (triangular, its zeros multiplied explicitly), not by the FFT
     product of a step: at 1000 sweep steps without a gradient the FFT
     product there took column 0 and the weights to 1.1e-13 of scipy's
-    expm, against 9.3e-14 and 8.7e-14 with trmm, and s squarings compound
-    each product's error where a step makes one.  A build costs O(n) per
-    Taylor term and one assembly and triangular product of n^2 per
-    squaring, 1.3 to 1.4 ms at 385 medium points and 1.0 ms at 257 on one
-    Xeon core, and keeps O(n): P's column 0, the FFT of c and the twist
-    (_Drive).
+    expm, against 9.3e-14 and 8.7e-14 with a triangular product, and s
+    squarings compound each product's error where a step makes one.  A build costs O(n) per Taylor term and one assembly and
+    n^2 product per squaring (the product 0.27 ms at 385 medium points on
+    one Xeon core, against 0.17 ms for a BLAS triangular product; a sweep
+    build takes 0 to 2 squarings), and keeps O(n): P's column 0, the FFT
+    of c and the twist (_Drive).
 
     Calling with (h, eta, inject) returns the _Drive of advance_step,
     with weights (w_now, w_mid, w_next), or None when inject is False (no
@@ -513,7 +514,7 @@ class _Propagators:
         self.z = grid.z[grid.medium]
         self.coupling, self.residual = coupling, residual
         self.kappa = coupling * coupling * density * grid.dz / (2.0 * light_speed)
-        self.length = next_fast_len(2 * self.z.size - 3)  # the drive's transform length
+        self.length = _next_fast_len(2 * self.z.size - 3)  # the drive's transform length
         self.known: list[tuple[float, float, _Drive]] = []  # (h, eta, drive)
 
     def __call__(self, h: float, eta: float, inject: bool) -> _Drive:
@@ -583,10 +584,9 @@ class _Propagators:
             if level == s:
                 break
             # E x for each column x: C x_border + x_0 P[:, 0] plus, past index
-            # 0, the Toeplitz block on the twisted x, one triangular product
+            # 0, the Toeplitz block on the twisted x, one matrix product
             np.copyto(toeplitz, windows)
-            tail = med[:, 1:] * twist
-            tail = ztrmm(1.0, toeplitz.T, tail.T, side=0, lower=1, overwrite_b=1).T
+            tail = (med[:, 1:] * twist) @ toeplitz
             squared = border @ med[2:]
             squared += med[:, :1] * med[0]
             squared[:, 1:] += tail
@@ -621,14 +621,28 @@ class _Drive(NamedTuple):
         n = rows.shape[-1]
         np.multiply(rows[..., 1:], self.twist, out=padded[..., : n - 1])
         padded[..., n - 1 :] = 0.0
-        spec = fft(padded, axis=-1, overwrite_x=True)
+        spec = fft(padded, axis=-1, out=padded)
         spec *= self.symbol
-        tail = ifft(spec, axis=-1, overwrite_x=True)[..., : n - 1]
+        tail = ifft(spec, axis=-1, out=spec)[..., : n - 1]
         # x_0 times the whole column in one pass per row: a separate pass over
         # the (..., 1) heads may take other bits from a batch than from one row
         np.multiply(rows[..., :1].copy(), self.column, out=rows)
         rows[..., 1:] += tail
         return rows
+
+
+def _next_fast_len(target: int) -> int:
+    """The least 11-smooth integer >= target: the FFT lengths pocketfft takes
+    fastest (scipy.fft.next_fast_len's, for complex transforms)."""
+    length = max(target, 1)
+    while True:
+        rest = length
+        for prime in (2, 3, 5, 7, 11):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return length
+        length += 1
 
 
 # the largest 1-norm of the scaled generator a Taylor series takes: at 1000

@@ -24,9 +24,12 @@ Two complementary routes:
   control) on a finite-volume grid: conservative Crank-Nicolson
   diffusion, one operator per call that takes each piece's step and owns
   how it sub-steps it.  Its half-step is a propagator matrix built once
-  per half-step length and applied as one real GEMM per block of 16 rows
-  over the column band those rows couple (n merged half-steps are its
-  cached n-th power).
+  per half-step length (one tridiagonal solve, solve_banded, with the
+  explicit half as its right-hand sides) and applied as one real GEMM per
+  block of 16 rows over the column band those rows couple (n merged
+  half-steps are its cached n-th power).  The module needs numpy only:
+  numpy.fft for the mode spectra, and its own tridiagonal solve and
+  Gaussian fit (_fit_gaussian).
 
 Beam observables (intensity profile, fitted width, spin-wave phase maps,
 effective diffusion rate) are extracted from the records here as well.
@@ -42,9 +45,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.fft import fft, ifft
-from scipy.linalg import solve_banded
-from scipy.optimize import curve_fit
+from numpy.fft import fft, ifft
 
 from .model import ParameterError, PhysicalParams, StorageProtocol
 from .pulses import ControlProfile, SignalSpec, control_rabi, mode_factors, sample_transverse
@@ -108,7 +109,7 @@ class ModeGrid:
             raise ParameterError("transverse grid size must be an even number >= 8")
         # H_m(xi) exp(-xi^2 / 2), xi = sqrt(2) x / waist, turns at xi^2 = 2m + 1: an
         # order turning beyond the edge (xi^2 = window_factor^2 / 2) cannot decay
-        # there, and is refused before eval_hermite spends O(m) per sample on it
+        # there, and is refused before pulses.hermite spends O(m) per sample on it
         if 2 * max(mode) + 1 >= 0.5 * window_factor**2:
             raise ParameterError(
                 "mode %r turns beyond the transverse window; increase window_factor" % (mode,)
@@ -301,6 +302,30 @@ def _block_band(matrix: np.ndarray) -> list[tuple[slice, slice, np.ndarray]]:
     return blocks
 
 
+def solve_banded(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with A x = rhs, A tridiagonal and strictly diagonally dominant.
+
+    band holds A in LAPACK's banded layout, as scipy.linalg.solve_banded's
+    (1, 1) form takes it: band[0, 1:] the superdiagonal, band[1] the
+    diagonal, band[2, :-1] the subdiagonal.  rhs is (n,) or (n, k).  The
+    Thomas algorithm, Gaussian elimination without pivoting, which
+    diagonal dominance makes stable (Golub and Van Loan, Matrix
+    Computations, section 4.3).
+    """
+    upper, diagonal, lower = band[0, 1:], band[1], band[2, :-1]  # A[i, i+1], A[i, i], A[i+1, i]
+    x = np.array(rhs, dtype=np.result_type(band, rhs))
+    ratio = np.empty(len(upper))  # the superdiagonal over its row's pivot
+    pivot = diagonal[0]
+    x[0] /= pivot
+    for i in range(1, len(diagonal)):
+        ratio[i - 1] = upper[i - 1] / pivot
+        pivot = diagonal[i] - lower[i - 1] * ratio[i - 1]
+        x[i] = (x[i] - lower[i - 1] * x[i - 1]) / pivot
+    for i in range(len(upper) - 1, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+    return x
+
+
 class _RadialDiffusion:
     """Radial diffusion by conservative Crank-Nicolson, and its step rule.
 
@@ -313,10 +338,11 @@ class _RadialDiffusion:
     n = ceil(T / dt0) Crank-Nicolson steps of T / n (to round-off: a driven
     step, never longer than dt0, is one), so a half of it is n half-steps
     of h = T / (2 n).  The half-step is the real n_r x n_r propagator
-    (I - A)^-1 (I + A), built by one banded solve per h; m half-steps are
-    its matrix power, cached per (h, m) as block rows (_block_band) and
-    applied as one real GEMM per block row on the complex state viewed as
-    float.  A short step's power is nearly banded (P^2 at 128 cells is
+    (I - A)^-1 (I + A), built by one tridiagonal solve per h (solve_banded,
+    the Thomas algorithm: I - A is strictly diagonally dominant); m
+    half-steps are its matrix power, cached per (h, m) as block rows
+    (_block_band) and applied as one real GEMM per block row on the
+    complex state viewed as float.  A short step's power is nearly banded (P^2 at 128 cells is
     below 1e-18 beyond 8 cells from the diagonal), so its blocks multiply
     only the band; a long hold's power is dense and keeps full bands.
     """
@@ -339,7 +365,7 @@ class _RadialDiffusion:
             c[-1] = 0.0
             implicit = np.array([np.r_[0.0, -c[:-1]], 1.0 + a + c, np.r_[-a[1:], 0.0]])
             explicit = np.diag(1.0 - a - c) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)
-            self._halves[h] = solve_banded((1, 1), implicit, explicit)
+            self._halves[h] = solve_banded(implicit, explicit)
         return self._halves[h]
 
     def blocks(self, h: float, m: int) -> list[tuple[slice, slice, np.ndarray]]:
@@ -529,12 +555,62 @@ class BeamProfile:
     fit_ok: bool
 
 
+_FIT_TRIALS = 200  # Levenberg-Marquardt trial steps before a fit counts as not converged
+_FIT_XTOL = 1e-13  # a fit converges at a step that moves no parameter by more than this share
+
+
+def _fit_gaussian(rho: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
+    """Least-squares (a, s) of y ~ a exp(-rho^2 / (2 s^2)), from (1, 1).
+
+    Levenberg-Marquardt with Marquardt's diagonal scaling and the exact
+    Jacobian (Nocedal and Wright, Numerical Optimization, section 10.3): a
+    trial step that lowers the squared residual is taken and halves the
+    damping, any other raises it tenfold.  The fit converges at a trial
+    step, taken or not, that moves each parameter by at most _FIT_XTOL of
+    its size (a refused step that small is round-off); None when none has
+    within _FIT_TRIALS trials.  Callers scale rho and y to order 1, so no
+    product underflows.
+    """
+
+    def residual(p):
+        shape = np.exp(-rho_sq / (2.0 * p[1] * p[1]))
+        return shape, p[0] * shape - y
+
+    rho_sq = rho * rho
+    params, lam = np.array([1.0, 1.0]), 1e-3
+    shape, resid = residual(params)
+    cost = resid @ resid
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(_FIT_TRIALS):
+            a, s = params
+            jac = np.stack((shape, a * shape * rho_sq / (s * s * s)), axis=1)
+            normal = jac.T @ jac
+            try:
+                step = np.linalg.solve(normal + lam * np.diag(np.diag(normal)), -(jac.T @ resid))
+            except np.linalg.LinAlgError:  # a column of the Jacobian vanished
+                return None
+            trial = params + step
+            trial_shape, trial_resid = residual(trial)
+            if trial_resid @ trial_resid < cost:
+                params, shape, resid, lam = trial, trial_shape, trial_resid, 0.5 * lam
+                cost = resid @ resid
+            else:
+                lam *= 10.0
+            if not np.all(np.isfinite(params)):
+                return None
+            if np.all(np.abs(step) <= _FIT_XTOL * np.abs(params)):
+                return float(params[0]), float(params[1])
+    return None
+
+
 def intensity_and_width(record: RealspaceRecord) -> BeamProfile:
     """Fit the time-integrated output intensity to a Gaussian profile.
 
-    Primary width from least squares on I(r) = I0 exp(-r^2/(2 w^2));
-    second-moment width reported alongside as a diagnostic.  If the fit
-    fails, the moment width is returned with fit_ok = False.
+    Primary width from least squares on I(r) = I0 exp(-r^2/(2 w^2)),
+    started at I0 = max I and w = the moment width (_fit_gaussian, on I /
+    max I against r / the moment width); second-moment width reported
+    alongside as a diagnostic.  If the fit does not converge, the moment
+    width is returned with fit_ok = False.
     """
     record._require_read()
     r, intensity = record.tgrid.r, record.intensity
@@ -543,28 +619,15 @@ def intensity_and_width(record: RealspaceRecord) -> BeamProfile:
     if total <= 0.0:
         raise ParameterError("output intensity is empty; nothing to fit")
     moment = math.sqrt(float(np.sum(weights * intensity * r**2)) / total / 2.0)
-
-    def model(r_, i0, w):
-        return i0 * np.exp(-(r_**2) / (2.0 * w**2))
-
-    try:
-        # the covariance, never read, overflows for a faint output
-        with np.errstate(over="ignore", invalid="ignore"):
-            popt, _ = curve_fit(
-                model,
-                r,
-                intensity,
-                p0=(float(np.max(intensity)), moment),
-                maxfev=10000,
-            )
-        width = abs(float(popt[1]))
-        resid = intensity - model(r, *popt)
-        fit_residual = float(np.sqrt(np.mean(resid**2))) / float(np.max(intensity))
-        fit_ok = True
-    except RuntimeError:
-        width = moment
-        fit_residual = math.nan
-        fit_ok = False
+    peak = float(np.max(intensity))
+    fit = _fit_gaussian(r / moment, intensity / peak)
+    if fit is None:
+        width, fit_residual, fit_ok = moment, math.nan, False
+    else:
+        a, s = fit
+        width = abs(s) * moment
+        resid = a * np.exp(-((r / moment) ** 2) / (2.0 * s * s)) - intensity / peak
+        fit_residual, fit_ok = float(np.sqrt(np.mean(resid**2))), True
     return BeamProfile(
         r=r,
         intensity=intensity,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import loggamma
+from scipy.special import eval_hermite, loggamma
 
 from gemdiff import (
     DecayFactors,
@@ -33,6 +33,8 @@ from gemdiff import (
     phase_theta,
 )
 from gemdiff.analytic import (
+    _im_log_gamma,
+    _mode_axis_factor,
     group_velocity,
     hold_rotation_phase,
     kspace_write_solution,
@@ -167,6 +169,16 @@ def test_kernel_amplitude_matches_naive_formula(
         math.exp(math.pi * 300.0)  # what the naive sinh would have hit
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_im_log_gamma_matches_scipys_loggamma(sign):
+    # Im log Gamma(i beta) on loggamma's continuous branch, |beta| from 1e-3
+    # to 1e3, to round-off of the larger of 1 and the value
+    beta = sign * np.logspace(-3.0, 3.0, 601)
+    want = loggamma(1j * beta).imag
+    got = np.array([_im_log_gamma(b) for b in beta])
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
 def test_kernel_amplitude_rejects_bad_inputs():
     with pytest.raises(ParameterError):
         kernel_amplitude(0.0, 1.0, 0.1)
@@ -242,6 +254,57 @@ def test_write_efficiency_forms_agree(bench_params, bench_protocol, bench_signal
     exact = eff_write_exact(bench_params, bench_protocol, bench_signal)
     assert approx == pytest.approx(exact, rel=1e-6)
     assert approx == pytest.approx(math.sqrt(alpha) * math.exp(-tau), rel=1e-14)
+
+
+def _eff_write_by_quad(params, protocol, signal):
+    """eff_write_exact's ratio by adaptive quadrature, relative tolerance 1e-13."""
+    g = derive_groups(params, protocol, signal)
+    eta, d, k = protocol.eta_write, params.diffusivity, g.k_initial
+    window, peak = protocol.write_window(signal), -signal.t_lead
+
+    def envelope_sq(t):
+        return math.exp(-2.0 * ((t + signal.t_lead) / signal.t_width) ** 2)
+
+    def weighted(t):
+        return envelope_sq(t) * math.exp(-2.0 * d / (3.0 * eta) * (k**3 - (k + eta * t) ** 3))
+
+    points = [peak] if -window < peak < 0.0 else None
+    options = dict(points=points, epsrel=1e-13, epsabs=0.0, limit=500)
+    num = quad(weighted, -window, 0.0, **options)[0]
+    return num / quad(envelope_sq, -window, 0.0, **options)[0]
+
+
+@pytest.mark.parametrize("diffusivity", [0.0, 0.004, 0.04, 0.4])
+@pytest.mark.parametrize("t_width", [1e-6, 2e-6])
+@pytest.mark.parametrize(
+    "lead_widths, write_widths",
+    [(0.0, None), (2.0, None), (5.0, None), (20.0, None), (5.0, 3.0), (20.0, 30.0)],
+)
+def test_write_efficiency_panels_match_adaptive_quadrature(
+    bench_params, bench_protocol, bench_signal, diffusivity, t_width, lead_widths, write_widths
+):
+    # t_lead and the write window (None: t_lead + 4 t_width) in pulse widths;
+    # the bound is the round-off of the weight's exponent, which reaches 60 at
+    # D = 0.4 and t_lead = 20 t_width
+    signal = replace(bench_signal, t_width=t_width, t_lead=lead_widths * t_width)
+    protocol = bench_protocol
+    if write_widths is not None:
+        protocol = replace(protocol, t_write=signal.t_lead + write_widths * t_width)
+    params = bench_params.with_diffusivity(diffusivity)
+    want = _eff_write_by_quad(params, protocol, signal)
+    got = eff_write_exact(params, protocol, signal)
+    assert got == pytest.approx(want, rel=8e-15 * max(1.0, abs(math.log(want))))
+
+
+def test_write_efficiency_refuses_a_window_that_misses_the_pulse(
+    bench_params, bench_protocol, bench_signal
+):
+    # the pulse peaks 49 widths before a 1 us window opens: both integrals
+    # underflow to 0
+    signal = replace(bench_signal, t_lead=50e-6)
+    protocol = replace(bench_protocol, t_write=1e-6)
+    with pytest.raises(ParameterError, match="none of the pulse"):
+        eff_write_exact(bench_params, protocol, signal)
 
 
 def test_write_efficiency_expansion_degrades_gracefully(
@@ -406,6 +469,20 @@ def test_hg_efficiency_quadrature_path():
     assert hg_efficiency((2, 1), tau) == pytest.approx(
         (12.0 * c**-2.5 - 8.0 * c**-1.5 + 4.0 * c**-0.5) / 8.0 * axis1, rel=1e-9
     )
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_mode_axis_factor_matches_adaptive_quadrature(m):
+    # Gauss-Hermite with m + 1 nodes takes the degree-2m polynomial exactly
+    def integral(c):
+        def integrand(s):
+            return eval_hermite(m, s) ** 2 * math.exp(-c * s * s)
+
+        return quad(integrand, -np.inf, np.inf, epsrel=1e-13)[0]
+
+    for tau in (0.1, 0.5, 1.0, 3.0):
+        want = integral(1.0 + tau) / integral(1.0)
+        assert _mode_axis_factor(m, tau) == pytest.approx(want, rel=4e-15)
 
 
 def test_output_width_formula(bench_params, bench_signal):

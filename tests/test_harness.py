@@ -661,6 +661,9 @@ def test_cli_rejects_bad_signal_and_control(tmp_path, capsys, override):
         "eta_write=1e300 Hz/m",
         "carrier_split=1e308 Hz",
         "t_width=1e300 s",
+        "t_width=1e100 s",  # the cube of the write window's last wavenumber overflows
+        "t_width=1e120 s",  # and a step's cube: 0 * inf in the diffusion kernel
+        "t_width=1e150 s",
         "t_width=1e-200 s",  # a division by a squared width that underflows to 0
         "t_width=1e-300 s",
         "waist=1e-300 m",
@@ -728,3 +731,19 @@ def test_module_entry_point_runs_the_cli_without_warnings():
     assert done.returncode == 0, done.stderr
     assert "usage: gem" in done.stdout
     assert "RuntimeWarning" not in done.stderr
+
+
+def test_importing_gemdiff_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves the tests as a reference
+    import gemdiff
+
+    env = {**os.environ, "PYTHONPATH": str(Path(gemdiff.__file__).parents[1])}
+    code = (
+        "import sys, gemdiff, gemdiff.harness; "
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

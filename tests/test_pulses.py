@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import eval_hermite
 
 from gemdiff import ControlProfile, ParameterError, SignalSpec
-from gemdiff.pulses import control_rabi, sample_temporal, sample_transverse
+from gemdiff.pulses import control_rabi, hermite, sample_temporal, sample_transverse
 from gemdiff.solver1d import _energy
 
 
@@ -53,6 +54,15 @@ def test_higher_modes_have_unit_l2_norm():
         u = sample_transverse(signal, x[:, None], x[None, :])
         norm = np.sum(np.abs(u) ** 2) * dx * dx
         assert norm == pytest.approx(1.0, rel=1e-6), mode
+
+
+@pytest.mark.parametrize("m", range(12))
+def test_hermite_is_scipys_eval_hermite_bit_for_bit(m):
+    # the same recurrence in the same operations, past the turning points of
+    # every order the mode grids admit and at zero
+    x = np.r_[np.linspace(-12.0, 12.0, 2401), np.random.default_rng(m).normal(scale=3.0, size=500)]
+    assert np.array_equal(hermite(m, x), eval_hermite(m, x))
+    assert hermite(m, 0.0) == eval_hermite(m, 0.0)
 
 
 def test_modes_are_orthogonal():

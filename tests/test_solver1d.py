@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.fft import fft, ifft
+from scipy.fft import fft, ifft, next_fast_len
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm as scipy_expm
 
@@ -485,6 +485,12 @@ def test_the_read_propagator_is_the_conjugate_of_the_write(bench_params):
     # a read step at a step that differs in round-off only reuses it
     again = drives(h * (1.0 + 4e-16), -eta, False)
     assert again is derived and len(drives.known) == 2
+
+
+def test_the_drive_transform_length_is_scipys_next_fast_len():
+    # the least 11-smooth length, scipy's choice for a complex transform
+    lengths = range(1, 4097)
+    assert [solver1d._next_fast_len(n) for n in lengths] == [next_fast_len(n) for n in lengths]
 
 
 def test_the_propagator_at_the_sweep_grid_matches_scipy(bench_params):

@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.fft import fft, fft2, ifft2
 from scipy.linalg import solve_banded
+from scipy.optimize import curve_fit
 
 from gemdiff import (
     Grid1D,
@@ -99,7 +100,10 @@ def _assert_mode_grid_keeps_its_spectrum(mode, n, window):
     dx = grid.dx
     factors = np.array(mode_factors(_beam(mode), grid.x, grid.x))
     assert grid.amp.shape == (2, n)
-    assert np.array_equal(grid.amp, fft(factors, axis=-1) * dx)
+    assert np.array_equal(grid.amp, np.fft.fft(factors, axis=-1) * dx)
+    # scipy transforms real input by its r2c path, which moves the last bits
+    want = fft(factors, axis=-1) * dx
+    assert np.max(np.abs(grid.amp - want)) <= 4e-16 * np.max(np.abs(want))
     samples = sample_transverse(_beam(mode), grid.x[:, None], grid.x[None, :])
     want = fft2(samples) * dx * dx
     assert np.max(np.abs(np.outer(*grid.amp) - want)) <= 1e-14 * np.max(np.abs(want))
@@ -242,6 +246,30 @@ def test_radial_propagator_equals_banded_solves(k):
         stepped = op.propagate(stepped, dt0, 1)
     assert np.max(np.abs(stepped - expected)) <= 1e-13 * scale
     assert np.max(np.abs(op.propagate(sigma0, k * dt0, 1) - expected)) <= 1e-13 * scale
+
+
+def test_the_thomas_solve_matches_scipy_on_the_radial_system(monkeypatch):
+    # each half-step's tridiagonal solve at n_r = 128, short to long, against
+    # scipy's LAPACK banded solve of the same system, to a few units of round-
+    # off of the largest entry (2.3e-15 at the longest, worst-conditioned step)
+    systems = []
+    thomas = transverse.solve_banded
+
+    def kept(band, rhs):
+        systems.append((band, rhs))
+        return thomas(band, rhs)
+
+    monkeypatch.setattr(transverse, "solve_banded", kept)
+    grid = TransverseGrid.radial(WAIST, n_r=128)
+    diffusion = _RadialDiffusion(grid, 0.004, 1e-6)
+    for h in (1e-9, 1e-7, 1e-5, 1e-3):
+        diffusion.half(h)
+    assert len(systems) == 4
+    for band, rhs in systems:
+        want = solve_banded((1, 1), band, rhs)
+        bound = 4e-15 * np.max(np.abs(want))
+        assert np.max(np.abs(thomas(band, rhs) - want)) <= bound
+        assert np.max(np.abs(thomas(band, rhs[:, 3]) - want[:, 3])) <= bound  # one right-hand side
 
 
 @pytest.mark.parametrize("n_r", [16, 40, 128, 130])
@@ -787,6 +815,57 @@ def test_synthetic_gaussian_profile_widths():
     )
     with pytest.raises(ParameterError, match="empty"):
         intensity_and_width(empty)
+
+
+def _profile_record(tgrid, intensity):
+    """A read record that holds only a radial intensity profile."""
+    return RealspaceRecord(
+        params=None,
+        protocol=None,
+        signal=None,
+        control=None,
+        grid=None,
+        tgrid=tgrid,
+        t_out=np.array([]),
+        f_out=None,
+        intensity=intensity,
+        input_energy=1.0,
+        output_energy=1.0,
+    )
+
+
+def _curve_fit_width(r, intensity, start):
+    """scipy's curve_fit of I0 exp(-r^2 / (2 w^2)) from (max I, start): its |w|."""
+
+    def model(r_, i0, w):
+        return i0 * np.exp(-(r_**2) / (2.0 * w**2))
+
+    popt, _ = curve_fit(model, r, intensity, p0=(float(np.max(intensity)), start), maxfev=10000)
+    return abs(float(popt[1]))
+
+
+def test_the_width_fit_matches_curve_fit(radial_record):
+    # a sampled Gaussian with 1% noise, and a cycle's output: curve_fit, from
+    # the same start, stops within its tolerance (1.5e-8) of the least-squares
+    # width the fit converges to
+    tgrid = TransverseGrid.radial(WAIST, n_r=96)
+    noise = 1.0 + 0.01 * np.random.default_rng(7).normal(size=tgrid.n_cols)
+    sampled = _profile_record(tgrid, 2.5 * np.exp(-(tgrid.r**2) / (2.0 * 0.8e-3**2)) * noise)
+    for record in (sampled, radial_record):
+        profile = intensity_and_width(record)
+        assert profile.fit_ok
+        want = _curve_fit_width(record.tgrid.r, record.intensity, profile.width_moment)
+        assert profile.width == pytest.approx(want, rel=1e-7)
+
+
+def test_a_fit_that_cannot_converge_gives_the_moment_width():
+    # an intensity rising with r has no least-squares Gaussian: the fit widens
+    # without end until its trial cap, and the moment width stands in
+    tgrid = TransverseGrid.radial(WAIST, n_r=40)
+    profile = intensity_and_width(_profile_record(tgrid, tgrid.r / tgrid.r[-1]))
+    assert not profile.fit_ok
+    assert profile.width == profile.width_moment
+    assert math.isnan(profile.fit_residual)
 
 
 # ---------------------------------------------------------------------------
