@@ -18,14 +18,16 @@ Fidelity presets (longitudinal cells / steps per pulse width; the two
 real-space experiments add the radial cell count, mode grids their size)::
 
               1d sweeps     single cycle   beam width        phase profile     modes
-    coarse    256 /  6      192 /  6       128 / 32 /  96    128 / 32 /  96     32
-    standard  384 /  8      256 /  8       160 / 40 / 128    192 / 48 / 128     64
-    fine      512 / 16      384 / 16       256 / 64 / 160    256 / 64 / 160     96
+    coarse    256 /  6      192 /  6       128 / 32 /  96    128 /  6 /  96     32
+    standard  384 /  8      256 /  8       160 / 40 / 128    192 /  8 / 128     64
+    fine      512 / 16      384 / 16       256 / 64 / 160    256 / 16 / 160     96
 
-The 1D and quasi-1D drive is exact in time (solver1d), so their steps per
-width are a sampling rate, set from a convergence table of every check;
-real space steps its drive by the midpoint rule, and its presets set that
-rule's accuracy.
+The 1D and quasi-1D drive is exact in time (solver1d), and so is
+phase-profile's real-space drive, which runs without diffusion: their
+steps per width are a sampling rate, set from a convergence table of
+every check.  beam-width's real space diffuses across its columns and
+steps its drive by the midpoint rule, and its presets set that rule's
+accuracy.
 
 Environment overrides (command-line flags win)::
 
@@ -118,9 +120,9 @@ _SPACE_GRID = {
     "fine": (256, 64.0, 160),
 }
 _PHASE_GRID = {
-    "coarse": (128, 32.0, 96),
-    "standard": (192, 48.0, 128),
-    "fine": (256, 64.0, 160),
+    "coarse": (128, 6.0, 96),
+    "standard": (192, 8.0, 128),
+    "fine": (256, 16.0, 160),
 }
 _MODE_CELLS = {"coarse": 32, "standard": 64, "fine": 96}
 

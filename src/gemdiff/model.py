@@ -255,8 +255,10 @@ def derive_groups(
     stored), when the write correction factor is singular (diffusion too
     strong for the perturbative width correction), when a group is not
     a finite number (parameters out of double range, say a density of
-    1e300 m^-3), or when the write window, or the slice wavenumber it
-    reaches, has no finite cube (say a t_width of 1e100 s).
+    1e300 m^-3), when the write window, or the slice wavenumber it
+    reaches, has no finite cube (say a t_width of 1e100 s), or when the
+    hold, or its dephasing exposure D eta_hold^2 t_hold^3, has none (say a
+    t_hold of 1e110 s).
     """
     eta = protocol.eta_write
     if eta == 0.0:
@@ -278,6 +280,16 @@ def derive_groups(
             "write window %.3g s out of range: it, or the slice wavenumber k_initial + "
             "eta_write t it reaches (%.3g rad/m), has no finite cube"
             % (window, abs(groups.k_initial - eta * window))
+        )
+    # an undriven hold is one exact step, whose diffusion kernel (StepKernels)
+    # cubes its length and takes its dephasing exposure D eta_hold^2 t^3 (a
+    # product from the hold's cube, so that no hold is no exposure)
+    hold = protocol.t_hold
+    exposure = hold * hold * hold * protocol.eta_hold * protocol.eta_hold * params.diffusivity
+    if not (hold < _CUBE_ROOT_MAX and math.isfinite(exposure)):
+        raise ParameterError(
+            "hold %.3g s out of range: it, or its dephasing exposure D eta_hold^2 t_hold^3, "
+            "has no finite cube" % hold
         )
     return groups
 

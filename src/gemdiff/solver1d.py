@@ -16,17 +16,20 @@ phase PhysicalParams.face_phase.
 Each time step is a symmetric split: exact spectral diffusion half-steps
 around a core, advance_step, that applies the gradient rotation and the
 field drive, with the field slaved to the coherence (d_z E integrated from
-the entrance face).  In 1D every row shares one constant generator over a
-driven piece, and the core applies its exact propagator (_Propagators,
-built from five columns of its exponential once per step and gradient
-size, and kept as three vectors: a column, a Toeplitz symbol and a
-twist), so the step's only time error is the input's quadratic
-interpolation over it: steps_per_width is a sampling rate, not an
-accuracy setting.  The core applies it to every row at once as a causal
-convolution, one FFT pair (_Drive).  Real space, whose columns see their
-own coupling and light shift, steps the drive by the midpoint rule, whose
-error is second order in the step.  The rotation sub-flow is exact in both, and phase
-boundaries land exactly because the step size is re-fitted to each phase.
+the entrance face).  Where no transverse operator couples the rows (1D,
+and real space without diffusion) each row has one constant generator
+over a driven piece, set by its coupling and light-shift residual, and
+the core applies its exact propagator (_Propagators, built from five
+columns of its exponential once per step and gradient size and per
+distinct row, and kept as a column, a Toeplitz symbol and a twist that
+every row shares), so the step's only time error is the input's
+quadratic interpolation over it: steps_per_width is a sampling rate, not
+an accuracy setting.  The core applies it to every row at once as a
+causal convolution, one FFT pair (_Drive).  Real space with diffusion,
+whose columns the radial operator couples between the drive's steps,
+steps the drive by the midpoint rule, whose error is second order in the
+step.  The rotation sub-flow is exact in both, and phase boundaries land
+exactly because the step size is re-fitted to each phase.
 
 One step rule serves both routes: a driven span steps at dt0, cut at
 snapshot times off its step grid, and every undriven span is one exact
@@ -55,10 +58,11 @@ All step kernels broadcast over leading axes of sigma, with per-row
 couplings and detunings passed as (..., 1) arrays.
 
 A step allocates no state-sized array.  The driver owns two states and
-two medium-shaped buffers per cycle (in 1D the second is as long as the
-drive's transform): the spectra are taken and turned back in place (the
-out= of numpy.fft, the solver's only dependency), and each transverse
-propagation and step core writes into the state that is not its input.
+two medium-shaped buffers per cycle (under a propagator the second is as
+long as the drive's transform): the spectra are taken and turned back in
+place (the out= of numpy.fft, the solver's only dependency), and each
+transverse propagation and step core writes into the state that is not
+its input.
 Whatever leaves the driver is a copy: exit fields, end states and frames.
 
 One driver, _drive_cycle, runs both routes on a (groups, rows, n_z) state
@@ -234,7 +238,9 @@ class StepKernels:
     dt and diffusivity are scalars, or (groups, 1, 1) columns with one value
     per group.  rot_full and rot_half are the gradient rotation times the
     light-shift residual over a step and over half a step, built
-    once per piece.  before and after, the diffusion halves on either side
+    once per piece; only the midpoint rule reads rot_half, which is None
+    where none runs (a step under a propagator, or one that is not
+    driven).  before and after, the diffusion halves on either side
     of the core (full = after * before, merged at a boundary inside a piece),
     decay the wave by exp(-D int_0^h (kappa -+ drift s)^2 ds), kappa = q +
     k_matched entering or leaving the core.  An undriven step passes its
@@ -252,7 +258,7 @@ class StepKernels:
 
     dt: float | np.ndarray
     rot_full: np.ndarray
-    rot_half: np.ndarray
+    rot_half: np.ndarray | None
     before: np.ndarray | None
     after: np.ndarray | None
     full: np.ndarray | None
@@ -271,6 +277,7 @@ class StepKernels:
         k_matched: float,
         drift: float,
         propagator: _Drive | None = None,
+        driven: bool = True,
     ) -> "StepKernels":
         before = after = full = probe = diff_rows = None
         active = np.asarray(diffusivity * dt) > 0.0
@@ -291,7 +298,9 @@ class StepKernels:
         return cls(
             dt=dt,
             rot_full=np.exp(-1j * eta * grid.z * dt) * _rotation(residual, dt),
-            rot_half=np.exp(-1j * eta * grid.z * (0.5 * dt)) * _rotation(residual, 0.5 * dt),
+            rot_half=np.exp(-1j * eta * grid.z * (0.5 * dt)) * _rotation(residual, 0.5 * dt)
+            if driven and propagator is None
+            else None,
             before=before,
             after=after,
             full=full,
@@ -366,15 +375,17 @@ def advance_step(
     half-steps around the core are the caller's (_drive_cycle).
 
     When kern carries the piece's propagator (a _Drive of _Propagators),
-    the driven step is exact for the constant generator: each row x of
-    the medium becomes P(dt) x + w_now fin_now + w_mid fin_mid + w_next
-    fin_next, the input quadratic through its three samples (its only time
-    error), and no weights is no input.  P x is a causal convolution
-    (_Drive.apply): one batched FFT, symbol product and inverse FFT serve
-    every row of every group, and a row's transform takes the same bits in
-    any batch.
+    the driven step is exact for each row's constant generator: each row x
+    of the medium becomes P(dt) x + w_now fin_now + w_mid fin_mid + w_next
+    fin_next, with the row's own P and weights (shared by every row under a
+    homogeneous control), the input quadratic through its three samples
+    (its only time error), and no weights is no input.  P x is a causal
+    convolution (_Drive.apply): one batched FFT, symbol product and inverse
+    FFT serve every row of every group, and a row's transform takes the
+    same bits in any batch.
 
-    Otherwise the drive uses the midpoint rule: the field is slaved once
+    Otherwise (real space with diffusion, whose rows a transverse operator
+    couples) the drive uses the midpoint rule: the field is slaved once
     at the step start for the predictor and once at mid-step for the
     corrector.  The field slaved to x is E(x, f) = f + i k (dz / 2) S(x),
     k = g N / c, with S the running sum of slave_field, so the drive over
@@ -399,7 +410,7 @@ def advance_step(
         return out
     dt, med, drive = kern.dt, grid.medium, kern.propagator
     if scratch is None:
-        width = None if drive is None else drive.symbol.size
+        width = None if drive is None else drive.symbol.shape[-1]
         scratch = _media(sigma, grid, width)
     inside, sig_p = scratch
     np.copyto(inside, sigma[..., med])
@@ -433,11 +444,13 @@ def _input_offset(drive, fin):
 
 
 class _Propagators:
-    """The exact propagators of the driven 1D medium, built once per step and gradient.
+    """The exact propagators of the driven medium's rows, built once per step and gradient.
 
-    Over a driven piece every row shares one constant generator on the
+    Over a driven piece each row has one constant generator on the
     medium, L = diag(-i (eta z + residual)) - kappa S, kappa = g^2 N dz /
-    (2 c) with g the coupling and S the running sum of slave_field as a
+    (2 c) with g the row's coupling, residual its light-shift residual (one
+    pair for every row in 1D and under a homogeneous control; a radial
+    column's own under a Gaussian one), and S the running sum of slave_field as a
     matrix: lower triangular, since the field at z sees only upstream
     coherence.  The input enters every cell as i g f(t).  Over a step of h
     the state becomes P(h) sigma + int_0^h P(h - s) (i g) 1 f(t + s) ds,
@@ -499,23 +512,49 @@ class _Propagators:
     build takes 0 to 2 squarings), and keeps O(n): P's column 0, the FFT
     of c and the twist (_Drive).
 
+    coupling and residual are scalars, or (rows, 1) columns.  Each distinct
+    (coupling, residual) row takes one build (_build_row), stacked: column
+    (rows, n), symbol (rows, length) and three (rows, n) weights, with one
+    twist for every row (it depends on h and eta only).  Rows that all
+    share one pair take one build of 1-D arrays, broadcast over the rows.
+    The residual does not factor out as a per-row phase: P(h) is exp(-i
+    residual h) times the residual-free P, but the weights are phi-functions
+    of (L + residual) h.
+
     Calling with (h, eta, inject) returns the _Drive of advance_step,
     with weights (w_now, w_mid, w_next), or None when inject is False (no
     input over the piece).  One build per distinct step and gradient size:
     the opposite gradient at the same step without input (the read, the
     second half of a flipped hold) is the conjugate, P_{-eta}(h) = rot
-    conj(P_eta(h)), rot = exp(-2 i residual h): rot conj(P[:, 0]), rot
-    conj(c), whose FFT is rot conj(FFT(c)) at the negated frequencies, and
-    conj(tau).  Steps that agree to 1e-12 (equal pieces between snapshots,
-    which differ in round-off only) share one entry.
+    conj(P_eta(h)), rot = exp(-2 i residual h) (per row): rot conj(P[:, 0]),
+    rot conj(c), whose FFT is rot conj(FFT(c)) at the negated frequencies,
+    and conj(tau).  Steps that agree to 1e-12 (equal pieces between
+    snapshots, which differ in round-off only) share one entry.
     """
 
-    def __init__(self, grid: Grid1D, coupling: float, density: float, light_speed: float, residual):
+    def __init__(self, grid: Grid1D, coupling, density: float, light_speed: float, residual):
         self.z = grid.z[grid.medium]
-        self.coupling, self.residual = coupling, residual
-        self.kappa = coupling * coupling * density * grid.dz / (2.0 * light_speed)
+        self.density, self.dz, self.light_speed = density, grid.dz, light_speed
         self.length = _next_fast_len(2 * self.z.size - 3)  # the drive's transform length
         self.known: list[tuple[float, float, _Drive]] = []  # (h, eta, drive)
+        # one build per distinct (coupling, residual) row: one pair builds once,
+        # broadcast over the rows; rows that all differ build in row order,
+        # straight into the stack; otherwise each pair builds once and the
+        # rows fan out by index
+        pairs = np.stack(np.broadcast_arrays(coupling, residual), axis=-1).reshape(-1, 2)
+        keys, index = np.unique(pairs, axis=0, return_inverse=True)
+        if len(keys) in (1, len(pairs)):
+            keys, index = pairs[: len(keys)], None
+        self.keys, self.index = keys, index
+        if len(keys) == 1:
+            self.coupling, self.residual = pairs[0].tolist()
+        else:
+            self.coupling, self.residual = (column.reshape(-1, 1) for column in pairs.T)
+        self.kappa = self._kappa(self.coupling)
+
+    def _kappa(self, coupling):
+        """kappa = g^2 N dz / (2 c) of a coupling g."""
+        return coupling * coupling * self.density * self.dz / (2.0 * self.light_speed)
 
     def __call__(self, h: float, eta: float, inject: bool) -> _Drive:
         h = float(h)
@@ -525,7 +564,7 @@ class _Propagators:
             return same[0][2]
         if near and not inject:  # the opposite gradient: the conjugate identity
             drive, rot = near[0][2], _rotation(2.0 * self.residual, h)
-            negated = np.roll(drive.symbol[::-1], 1)  # FFT(c) at -m mod length
+            negated = np.roll(drive.symbol[..., ::-1], 1, axis=-1)  # FFT(c) at -m mod length
             column, symbol = rot * drive.column.conj(), rot * negated.conj()
             entry = (h, eta, _Drive(column, symbol, drive.twist.conj(), None))
         else:
@@ -534,8 +573,24 @@ class _Propagators:
         return entry[2]
 
     def _build(self, h: float, eta: float) -> _Drive:
-        """P(h) and its input weights from five columns of the bordered exponential."""
-        z, kappa = self.z, self.kappa
+        """P(h) and its input weights: one _build_row per distinct row, stacked."""
+        k, n = len(self.keys), self.z.size
+        column = np.empty((k, n), dtype=complex)
+        symbol = np.empty((k, self.length), dtype=complex)
+        weights = np.empty((3, k, n), dtype=complex)
+        for i, (coupling, residual) in enumerate(self.keys.tolist()):
+            twist = self._build_row(h, eta, coupling, residual, column[i], symbol[i], weights[:, i])
+        if self.index is not None:
+            column, symbol, weights = column[self.index], symbol[self.index], weights[:, self.index]
+        elif k == 1:
+            column, symbol, weights = column[0], symbol[0], weights[:, 0]
+        return _Drive(column, symbol, twist, tuple(weights))
+
+    def _build_row(self, h, eta, coupling, residual, column, symbol, weights) -> np.ndarray:
+        """One row's P(h) and input weights from five columns of the bordered
+        exponential, written into column, symbol and weights; returns the twist
+        (every row's: it depends on h and eta only)."""
+        z, kappa = self.z, self._kappa(coupling)
         n = z.size
         # the bordered generator's 1-norm: medium column j holds |L[j, j]| h and kappa
         # h times S's column below the diagonal, n - 1 ones at j = 0, else n - 1 - j
@@ -543,7 +598,7 @@ class _Propagators:
         below = 2.0 * np.arange(n - 1, -1, -1.0)
         below[0] = n - 1
         with np.errstate(over="ignore", invalid="ignore"):  # a norm out of range is refused
-            rate = -1j * (eta * z + self.residual)  # L's diagonal but for kappa S's
+            rate = -1j * (eta * z + residual)  # L's diagonal but for kappa S's
             diagonal = rate - kappa * (np.arange(n) > 0)  # S's diagonal: 0 at index 0, else 1
             norm = float(np.max((np.abs(diagonal) + below * kappa) * h))
         if not math.isfinite(norm):
@@ -591,18 +646,25 @@ class _Propagators:
             squared += med[:, :1] * med[0]
             squared[:, 1:] += tail
             med, border = squared, border @ border[2:]
-        phi1, phi2, phi3 = (n * h * 1j * self.coupling) * med[2:]
-        weights = (phi1 - 3.0 * phi2 + 4.0 * phi3, 4.0 * phi2 - 8.0 * phi3, 4.0 * phi3 - phi2)
-        return _Drive(med[0].copy(), fft(med[1, 1:], n=self.length), twist, weights)
+        phi1, phi2, phi3 = (n * h * 1j * coupling) * med[2:]
+        weights[0], weights[1], weights[2] = (
+            phi1 - 3.0 * phi2 + 4.0 * phi3,
+            4.0 * phi2 - 8.0 * phi3,
+            4.0 * phi3 - phi2,
+        )
+        column[:], symbol[:] = med[0], fft(med[1, 1:], n=self.length)
+        return twist
 
 
 class _Drive(NamedTuple):
     """One driven step's exact propagator P(h) and input weights (_Propagators).
 
-    P is kept in O(n): its column 0, the FFT of c = P[1:, 1] at the
+    P is kept in O(n) per row: its column 0, the FFT of c = P[1:, 1] at the
     transform length, zero-padded past c, and the twist tau; past index 0,
     P[j, k] = c[j-k] tau[k-1].  weights is (w_now, w_mid, w_next), or None
-    for no input.
+    for no input.  column, symbol and each weight are one row's 1-D arrays,
+    shared by every row, or stacked (rows, ...) with one row per state row;
+    tau is every row's.
     """
 
     column: np.ndarray
@@ -1078,9 +1140,11 @@ def _drive_cycle(
     instead of the state.
     A call that records no phase keeps only frames, so it runs the plan
     with read False, which ends at the last frame.
-    Without a profile (1D) every row shares one constant generator over a
-    driven piece, and a driven step is exact for it (_Propagators); with
-    one (real space) the drive steps by advance_step's midpoint rule.
+    Without a transverse operator (1D, and real space without diffusion)
+    each row keeps one constant generator over a driven piece, its own
+    coupling and residual's, and a driven step is exact for it
+    (_Propagators); with one (real space with diffusion, whose rows it
+    couples) the drive steps by advance_step's midpoint rule.
 
     Steps write into the driver's buffers (module docstring), made afresh
     when the state fans out.
@@ -1107,8 +1171,8 @@ def _drive_cycle(
     takers = [_FrameTaker(g, sigma_times) for g in range(n_groups)]
     want_frames = bool(takers[0].pending)
     density, light_speed = params.density, params.light_speed
-    drives = None  # real space: the midpoint rule
-    if profile is None:
+    drives = None  # rows a transverse operator couples: the midpoint rule
+    if transverse is None:
         drives = _Propagators(grid, coupling, density, light_speed, residuals[0])
     width = None if drives is None else drives.length
     sigma = np.zeros((1, 1 if profile is None else len(profile), grid.n_z), dtype=complex)
@@ -1172,6 +1236,7 @@ def _drive_cycle(
                     params.k_matched,
                     drift,
                     drives(step, eta, writing) if drives is not None and drive_on else None,
+                    drive_on,
                 )
                 # every boundary takes the spectrum of the state once: the next step
                 # starts from ifft(spec * full), and only the piece end settles
@@ -1208,6 +1273,7 @@ def _drive_cycle(
                 if across is not None:
                     sigma, spare = across.propagate(sigma, step, owed_t, spare), sigma
                 observe(t, fin, read_by)
+                del kern, spec  # the next piece's kernels build with these freed
         for g in range(n_groups):
             view = _row(sigma, g)
             peaks[g] = max(peaks[g], float(np.max(np.abs(view))))

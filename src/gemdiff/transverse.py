@@ -20,8 +20,10 @@ Two complementary routes:
   piece (an exit read there takes the owed half on the medium integral
   of each column, not on the state).  Protocols that differ only in
   t_hold share one write.  Energies and frames follow run_cycle's rules.
-  Real space is radial (an axisymmetric beam under an axisymmetric
-  control) on a finite-volume grid: conservative Crank-Nicolson
+  Without diffusion nothing couples the columns, and each column's drive
+  is exact in time, as run_cycle's rows are; with it the drive steps by
+  the midpoint rule.  Real space is radial (an axisymmetric beam under an
+  axisymmetric control) on a finite-volume grid: conservative Crank-Nicolson
   diffusion, one operator per call that takes each piece's step and owns
   how it sub-steps it.  Its half-step is a propagator matrix built once
   per half-step length (one tridiagonal solve, solve_banded, with the
@@ -458,6 +460,10 @@ def run_cycle_realspace(
     with the radial columns as the rows of one group per protocol:
     column-local coupling and light shift, and radial diffusion.
     Diffusion acts in every phase, with run_cycle's step and read window.
+    Without diffusion no operator couples the columns, and each steps its
+    drive exactly, as a 1D row of its own coupling and light shift
+    (steps_per_width is then a sampling rate); with it the drive steps by
+    the midpoint rule, second order in the step.
     protocol may be a sequence under run_cycle's rule: only t_hold may
     differ, and the hold must be undriven.  The groups share one write and
     part ways at the hold; one record per protocol comes back.  The input

@@ -669,6 +669,9 @@ def test_cli_rejects_bad_signal_and_control(tmp_path, capsys, override):
         "waist=1e-300 m",
         "waist=1e200 m",  # an overflow in the mode grid's spectrum
         "waist=1e300 m",
+        "t_hold=1e110 s",  # a hold's cube overflows: 0 * inf in the diffusion kernel
+        "t_hold=1e200 s",
+        "t_hold=1e300 s",
     ],
 )
 def test_cli_rejects_parameters_out_of_range(tmp_path, capsys, override):

@@ -27,7 +27,7 @@ from gemdiff import (
 )
 from gemdiff.model import stark_residual
 from gemdiff import solver1d
-from gemdiff.pulses import ControlProfile, sample_temporal
+from gemdiff.pulses import ControlProfile, control_rabi, sample_temporal
 from gemdiff.transverse import TransverseGrid, run_cycle_realspace
 from gemdiff.solver1d import (
     StepKernels,
@@ -332,8 +332,8 @@ def test_gradient_only_hold_without_diffusion_is_one_exact_rotation(bench_params
 
 
 def test_self_convergence_is_second_order(bench_params, bench_protocol, bench_signal):
-    # real space keeps the midpoint drive, whose columns see a Gaussian
-    # control: halving dt four-folds its error at the end of the write,
+    # real space with diffusion keeps the midpoint drive, whose columns see a
+    # Gaussian control: halving dt four-folds its error at the end of the write,
     # ||s(h) - s(h/4)|| / ||s(h/2) - s(h/4)|| -> (16 + 4) / 4 = 5 (measured
     # 4.996).  The 1D drive is exact in time instead (the step-independence
     # test below)
@@ -356,6 +356,38 @@ def test_self_convergence_is_second_order(bench_params, bench_protocol, bench_si
     coarse = np.linalg.norm(runs[0] - runs[2])
     fine = np.linalg.norm(runs[1] - runs[2])
     assert 4.0 < coarse / fine < 6.0
+
+
+def test_realspace_without_diffusion_is_step_independent(bench_params, bench_signal):
+    # with no transverse operator each radial column is a 1D row of its own
+    # coupling and light shift, and the drive is exact in time: under
+    # phase-profile's Gaussian control and pulse, the mid-hold frame at 6, 8
+    # and 16 steps per width agrees with 48 to within 2e-5 of its norm
+    # (measured 6.1e-6, 2.0e-6 and 1.2e-7; the midpoint rule is 5.1e-2,
+    # 2.9e-2 and 6.7e-3 off)
+    params = bench_params.with_diffusivity(0.0)
+    signal = replace(bench_signal, t_width=0.35e-6, t_lead=2e-6)
+    proto = StorageProtocol.gradient_through_hold(-TAU * 10e6, 16e-6)
+    control = ControlProfile.gaussian(params.rabi_control, 3e-3)
+    tgrid = TransverseGrid.radial(signal.waist, n_r=16)
+
+    def frame(spw):
+        rec = run_cycle_realspace(
+            params,
+            proto,
+            signal,
+            control,
+            tgrid,
+            n_medium=64,
+            steps_per_width=spw,
+            sigma_times=(proto.flip_time(),),
+            read=False,
+        )
+        return rec.sigma_frames[0][1]
+
+    ref = frame(48.0)
+    for spw in (6.0, 8.0, 16.0):
+        assert np.linalg.norm(frame(spw) - ref) <= 2e-5 * np.linalg.norm(ref), spw
 
 
 def test_1d_efficiency_is_step_independent(
@@ -485,6 +517,19 @@ def test_the_read_propagator_is_the_conjugate_of_the_write(bench_params):
     # a read step at a step that differs in round-off only reuses it
     again = drives(h * (1.0 + 4e-16), -eta, False)
     assert again is derived and len(drives.known) == 2
+    # rows of their own coupling and residual: each row's read entry, rotated
+    # by its own exp(-2 i residual_r h), against a fresh single-row build
+    p, grid = bench_params, Grid1D.build(bench_params.half_length, n_medium=64)
+    coupling, residual = _gaussian_rows(p)
+    drives = solver1d._Propagators(grid, coupling, p.density, p.light_speed, residual)
+    drives(h, eta, True)
+    derived = drives(h, -eta, False)
+    assert derived.weights is None and len(drives.known) == 2
+    for r, (g_r, d_r) in enumerate(zip(coupling[:, 0].tolist(), residual[:, 0].tolist())):
+        direct = solver1d._Propagators(grid, g_r, p.density, p.light_speed, d_r)(h, -eta, False)
+        for got, ref in ((derived.column[r], direct.column), (derived.symbol[r], direct.symbol)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), r
+        assert np.max(np.abs(derived.twist - direct.twist)) <= 1e-13
 
 
 def test_the_drive_transform_length_is_scipys_next_fast_len():
@@ -566,33 +611,64 @@ def test_the_five_column_build_matches_scipy(bench_params, scale):
         assert np.max(np.abs(_applied(drive, x) - ref)) <= 1e-13 * np.max(np.abs(ref)), eta
 
 
+def _gaussian_rows(params, n_r=16):
+    """The couplings and light-shift residuals of a Gaussian control's radial
+    columns, as (n_r, 1) columns: every row distinct."""
+    tgrid = TransverseGrid.radial(1.45e-3, n_r=n_r)
+    rabi = control_rabi(ControlProfile.gaussian(params.rabi_control, 3e-3), tgrid.r)[:, None]
+    return params.coupling_g * rabi / params.detuning, stark_residual(params, rabi)
+
+
 def test_stacked_groups_step_as_their_single_solves(bench_params):
     # one batched FFT product serves every group; each group's new state is
-    # the one it gets alone, to the bit
+    # the one it gets alone, to the bit.  Rows of their own coupling and
+    # residual (a Gaussian control's columns, then three of them twice, which
+    # share their builds) stack one build per row: each row of the column,
+    # symbol and weights is that row's single-row build, to the bit
+    p = bench_params
     eta, h = -TAU * 10e6, 1e-6 / 8.0
-    grid = Grid1D.build(bench_params.half_length, n_medium=64)
-    drives = _propagators(bench_params)
-    residual = stark_residual(bench_params, bench_params.rabi_control)
-    kern = StepKernels.build(
-        grid, h, eta, residual, 0.0, bench_params.k_matched, 0.0, drives(h, eta, True)
-    )
+    grid = Grid1D.build(p.half_length, n_medium=64)
+    coupling, residual = _gaussian_rows(p)
+    cases = [
+        (p.coupling_eff, stark_residual(p, p.rabi_control)),
+        (coupling, residual),
+        (np.r_[coupling, coupling[:3]], np.r_[residual, residual[:3]]),
+    ]
     rng = np.random.default_rng(3)
-    sigma = rng.standard_normal((5, 1, grid.n_z)) + 1j * rng.standard_normal((5, 1, grid.n_z))
-    kwargs = dict(
-        coupling_eff=bench_params.coupling_eff,
-        fin_now=0.3 - 0.2j,
-        fin_mid=0.5 + 0.1j,
-        fin_next=0.2 + 0.4j,
-        drive_on=True,
-        density=bench_params.density,
-        light_speed=bench_params.light_speed,
-    )
-    stacked = advance_step(sigma, kern, grid, **kwargs)
-    for g in range(len(sigma)):
-        assert np.array_equal(stacked[g], advance_step(sigma[g : g + 1], kern, grid, **kwargs)[0])
-    # the padding gets the rotation and light shift alone
-    pad = grid.mask == 0.0
-    assert np.array_equal(stacked[..., pad], (kern.rot_full * sigma)[..., pad])
+    for coupling, residual in cases:
+        drive = solver1d._Propagators(grid, coupling, p.density, p.light_speed, residual)(
+            h, eta, True
+        )
+        rows = np.size(coupling)
+        built = (drive.column, drive.symbol, *drive.weights)
+        # one build of 1-D arrays broadcast over every row, or one stacked row per row
+        assert all(a.shape[:-1] == (() if rows == 1 else (rows,)) for a in built)
+        if rows > 1:
+            for r, (g_r, d_r) in enumerate(zip(coupling[:, 0].tolist(), residual[:, 0].tolist())):
+                alone = solver1d._Propagators(grid, g_r, p.density, p.light_speed, d_r)
+                alone = alone(h, eta, True)
+                assert np.array_equal(drive.twist, alone.twist)
+                for got, want in zip(built, (alone.column, alone.symbol, *alone.weights)):
+                    assert np.array_equal(got[r], want), r
+        kern = StepKernels.build(grid, h, eta, residual, 0.0, p.k_matched, 0.0, drive)
+        shape = (5, rows, grid.n_z)
+        sigma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        kwargs = dict(
+            coupling_eff=coupling,
+            fin_now=0.3 - 0.2j,
+            fin_mid=0.5 + 0.1j,
+            fin_next=0.2 + 0.4j,
+            drive_on=True,
+            density=p.density,
+            light_speed=p.light_speed,
+        )
+        stacked = advance_step(sigma, kern, grid, **kwargs)
+        for g in range(len(sigma)):
+            alone = advance_step(sigma[g : g + 1], kern, grid, **kwargs)
+            assert np.array_equal(stacked[g], alone[0])
+        # the padding gets the rotation and light shift alone
+        pad = grid.mask == 0.0
+        assert np.array_equal(stacked[..., pad], (kern.rot_full * sigma)[..., pad])
 
 
 def test_echo_peak_time_is_the_vertex_of_a_sampled_gaussian(
