@@ -74,7 +74,7 @@ from .model import (
     echo_leakage,
     optimal_write_lead,
 )
-from .pulses import ControlProfile
+from .pulses import ControlProfile, control_rabi
 from .analytic import (
     eff_hold,
     eff_total,
@@ -273,9 +273,11 @@ def _estimate_cell_steps(call: partial) -> float:
 
     The call's own arguments, bound to its solver's signature, rebuild the
     _cycle_plan that _drive_cycle runs, and each span's steps are charged
-    its group count times the cells of a group, rows x n_z (a real-space
-    group has n_cols rows).  The rows go through the solver's _rows_of, so
-    a bad row raises the solver's ParameterError before anything is priced.
+    its group count times the cells of a group, rows x n_z.  A real-space
+    group steps n_cols rows, or without diffusion, where no operator
+    couples them, one per distinct control value (_distinct_rows).  The
+    rows go through the solver's _rows_of, so a bad row raises the solver's
+    ParameterError before anything is priced.
     """
     bound = inspect.signature(call.func).bind(*call.args, **call.keywords)
     if call.func is run_cycle_quasi1d:  # one run_cycle on the grid's signal serves every mode
@@ -286,7 +288,11 @@ def _estimate_cell_steps(call: partial) -> float:
     bound.apply_defaults()
     args = bound.arguments
     param_rows, protocol_rows = _rows_of(args["params"], args["protocol"], args["signal"])
-    n_rows = args["tgrid"].n_cols if call.func is run_cycle_realspace else 1  # rows per group
+    n_rows = 1  # rows per group
+    if call.func is run_cycle_realspace:
+        n_rows = args["tgrid"].n_cols
+        if param_rows[0].diffusivity == 0.0:
+            n_rows = len(np.unique(control_rabi(args["control"], args["tgrid"].r)))
     _, plan = _cycle_plan(
         param_rows,
         protocol_rows,

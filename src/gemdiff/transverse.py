@@ -21,8 +21,9 @@ Two complementary routes:
   of each column, not on the state).  Protocols that differ only in
   t_hold share one write.  Energies and frames follow run_cycle's rules.
   Without diffusion nothing couples the columns, and each column's drive
-  is exact in time, as run_cycle's rows are; with it the drive steps by
-  the midpoint rule.  Real space is radial (an axisymmetric beam under an
+  is exact in time, as run_cycle's rows are, and the columns that share a
+  control value step as one row, scaled by their input profiles; with
+  diffusion the drive steps by the midpoint rule.  Real space is radial (an axisymmetric beam under an
   axisymmetric control) on a finite-volume grid: conservative Crank-Nicolson
   diffusion, one operator per call that takes each piece's step and owns
   how it sub-steps it.  Its half-step is a propagator matrix built once
@@ -462,8 +463,13 @@ def run_cycle_realspace(
     Diffusion acts in every phase, with run_cycle's step and read window.
     Without diffusion no operator couples the columns, and each steps its
     drive exactly, as a 1D row of its own coupling and light shift
-    (steps_per_width is then a sampling rate); with it the drive steps by
-    the midpoint rule, second order in the step.
+    (steps_per_width is then a sampling rate).  The columns that share a
+    control value are then one solve scaled by their input profiles: the
+    driver steps one per value and scales it to the others (a homogeneous
+    control steps one row, a Gaussian one every column), so their fields
+    and frames agree with a solve of their own to round-off.  With
+    diffusion the drive steps by the midpoint rule, second order in the
+    step.
     protocol may be a sequence under run_cycle's rule: only t_hold may
     differ, and the hold must be undriven.  The groups share one write and
     part ways at the hold; one record per protocol comes back.  The input

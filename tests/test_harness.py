@@ -310,6 +310,19 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
         # every undriven hold is one exact step per piece: beam-width's
         # diffusing gradient-on hold (the standard one is the third call)
         partial(run_cycle_realspace, cfg.params, rotating, cfg.signal, control, tgrid, **fast),
+        # phase-profile's homogeneous call: without diffusion the columns that
+        # share a control value step one row, here one for all of them
+        partial(
+            run_cycle_realspace,
+            still,
+            rotating,
+            cfg.signal,
+            ControlProfile.homogeneous(cfg.params.rabi_control),
+            tgrid,
+            sigma_times=(rotating.flip_time(),),
+            read=False,
+            **fast,
+        ),
     ]
     # grouped and batched calls share every span up to the first that
     # tells the groups apart, and are charged that shared span once: a
@@ -672,6 +685,10 @@ def test_cli_rejects_bad_signal_and_control(tmp_path, capsys, override):
         "t_hold=1e110 s",  # a hold's cube overflows: 0 * inf in the diffusion kernel
         "t_hold=1e200 s",
         "t_hold=1e300 s",
+        "t_hold=1e12 s",  # the read's step times collapse: a zero efficiency divided by
+        "t_hold=1e15 s",
+        "t_hold=1e20 s",
+        "t_hold=1e102 s",
     ],
 )
 def test_cli_rejects_parameters_out_of_range(tmp_path, capsys, override):

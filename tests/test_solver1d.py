@@ -27,7 +27,7 @@ from gemdiff import (
 )
 from gemdiff.model import stark_residual
 from gemdiff import solver1d
-from gemdiff.pulses import ControlProfile, control_rabi, sample_temporal
+from gemdiff.pulses import ControlProfile, control_rabi, sample_temporal, sample_transverse
 from gemdiff.transverse import TransverseGrid, run_cycle_realspace
 from gemdiff.solver1d import (
     StepKernels,
@@ -619,26 +619,38 @@ def _gaussian_rows(params, n_r=16):
     return params.coupling_g * rabi / params.detuning, stark_residual(params, rabi)
 
 
-def test_stacked_groups_step_as_their_single_solves(bench_params):
+def test_stacked_groups_step_as_their_single_solves(bench_params, monkeypatch):
     # one batched FFT product serves every group; each group's new state is
     # the one it gets alone, to the bit.  Rows of their own coupling and
-    # residual (a Gaussian control's columns, then three of them twice, which
-    # share their builds) stack one build per row: each row of the column,
-    # symbol and weights is that row's single-row build, to the bit
+    # residual stack one build per row, whose Taylor phase runs in batches
+    # of the rows that share their (s, terms): each row of the column,
+    # symbol and weights is that row's single-row build, to the bit.  The
+    # rows: a Gaussian control's columns; then three of them twice (the
+    # driver steps such rows once, but each builds alone here); then 32
+    # columns and five rows whose couplings span 640x: 13 (s, terms), s
+    # from 0 to 13, and more rows of the commonest than one batch takes
     p = bench_params
     eta, h = -TAU * 10e6, 1e-6 / 8.0
     grid = Grid1D.build(p.half_length, n_medium=64)
     coupling, residual = _gaussian_rows(p)
+    dense = _gaussian_rows(p, n_r=32)
+    shared = stark_residual(p, p.rabi_control)
+    wide = np.array([[0.1], [1.0], [4.0], [16.0], [64.0]])
     cases = [
-        (p.coupling_eff, stark_residual(p, p.rabi_control)),
+        (p.coupling_eff, shared),
         (coupling, residual),
         (np.r_[coupling, coupling[:3]], np.r_[residual, residual[:3]]),
+        (np.r_[dense[0], wide * p.coupling_eff], np.r_[dense[1], wide**2 * shared]),
     ]
+    plans, terms = [], solver1d._terms  # each build records its rows' (s, terms)
+    monkeypatch.setattr(solver1d, "_terms", lambda norm: plans.append(terms(norm)) or plans[-1])
     rng = np.random.default_rng(3)
     for coupling, residual in cases:
+        plans.clear()
         drive = solver1d._Propagators(grid, coupling, p.density, p.light_speed, residual)(
             h, eta, True
         )
+        stacked_plans = list(plans)
         rows = np.size(coupling)
         built = (drive.column, drive.symbol, *drive.weights)
         # one build of 1-D arrays broadcast over every row, or one stacked row per row
@@ -669,6 +681,66 @@ def test_stacked_groups_step_as_their_single_solves(bench_params):
         # the padding gets the rotation and light shift alone
         pad = grid.mask == 0.0
         assert np.array_equal(stacked[..., pad], (kern.rot_full * sigma)[..., pad])
+    assert len(set(stacked_plans)) == 13 and max(stacked_plans)[0] == 13
+    assert max(map(stacked_plans.count, stacked_plans)) > solver1d._TAYLOR_ROWS
+
+
+def test_rows_that_share_a_control_value_step_once(bench_params, bench_signal):
+    # with no transverse operator the driver steps one row per distinct
+    # control value, the one of largest |profile|, and scales it to the rows
+    # that share the value.  A Gaussian control's 16 columns plus three
+    # repeats, at 0.5, 1.5 and -0.25 times their profile (so the second
+    # repeat steps for its original): every stepped row equals its own
+    # single-row solve to the bit in every exit field, end state and frame,
+    # and every other row its own solve within 1e-14 of that row's peak
+    params = bench_params.with_diffusivity(0.0)
+    proto = StorageProtocol.gradient_through_hold(-TAU * 10e6, 3e-6)
+    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
+    control = ControlProfile.gaussian(params.rabi_control, 3e-3)
+    repeat = [2, 7, 11]
+    rabi = control_rabi(control, tgrid.r)[:, None]
+    rabi = np.r_[rabi, rabi[repeat]]
+    profile = sample_transverse(bench_signal, tgrid.r[:, None], 0.0)
+    profile = np.r_[profile, profile[repeat] * np.array([[0.5], [1.5], [-0.25]])]
+    grid = Grid1D.build(params.half_length, n_medium=64)
+    param_rows, protocols = solver1d._rows_of(params, proto, bench_signal)
+    steps = []
+    real = solver1d.advance_step
+
+    def counted(sigma, *args, **kwargs):
+        steps.append(sigma.shape)
+        return real(sigma, *args, **kwargs)
+
+    def solve(rows):
+        """Each exit field, end state and frame of the rows, as (rows, ...) arrays."""
+        traces, _, _, takers = solver1d._drive_cycle(
+            param_rows,
+            protocols,
+            bench_signal,
+            grid,
+            rabi=rabi[rows],
+            profile=profile[rows],
+            record=("write", "hold", "read"),
+            sigma_times=(-1e-6, proto.flip_time()),
+            steps_per_width=8.0,
+        )
+        exits = [np.array(trace.exits)[:, 0].T for trace in traces.values() if trace.exits]
+        ends = [trace.end[0] for trace in traces.values()]
+        return exits + ends + [frame for _, frame in takers[0].sigma_frames]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver1d, "advance_step", counted)
+        batch = solve(slice(None))
+    assert {shape[1] for shape in steps} == {len(rabi) - len(repeat)}
+    assert len(batch) == 2 + 3 + 2  # the undriven hold has no exit field
+    scaled = {16, 7, 18}  # the rows whose value another row steps
+    for r in range(len(rabi)):
+        alone = solve(slice(r, r + 1))
+        for got, want in zip(batch, alone):
+            if r in scaled:
+                assert np.max(np.abs(got[r] - want[0])) <= 1e-14 * np.max(np.abs(want[0])), r
+            else:
+                assert np.array_equal(got[r], want[0]), r
 
 
 def test_echo_peak_time_is_the_vertex_of_a_sampled_gaussian(
