@@ -18,16 +18,16 @@ Fidelity presets (longitudinal cells / steps per pulse width; the two
 real-space experiments add the radial cell count, mode grids their size)::
 
               1d sweeps     single cycle   beam width        phase profile     modes
-    coarse    256 /  6      192 /  6       128 / 32 /  96    128 /  6 /  96     32
-    standard  384 /  8      256 /  8       160 / 40 / 128    192 /  8 / 128     64
-    fine      512 / 16      384 / 16       256 / 64 / 160    256 / 16 / 160     96
+    coarse    256 /  6      192 /  6       128 /  6 /  96    128 /  6 /  96     32
+    standard  384 /  8      256 /  8       160 /  8 / 128    192 /  8 / 128     64
+    fine      512 / 16      384 / 16       256 / 16 / 160    256 / 16 / 160     96
 
-The 1D and quasi-1D drive is exact in time (solver1d), and so is
-phase-profile's real-space drive, which runs without diffusion: their
-steps per width are a sampling rate, set from a convergence table of
-every check.  beam-width's real space diffuses across its columns and
-steps its drive by the midpoint rule, and its presets set that rule's
-accuracy.
+Every route's drive is exact in time (solver1d), so steps per width are a
+sampling rate, set from a convergence table of every check.  beam-width's
+real space diffuses across its columns, and under its Gaussian control
+splits each step into radial Crank-Nicolson halves around the drive; at
+8 steps per width its widths lie within 7e-5 of 64's, far inside the
+spread between its grids.
 
 Environment overrides (command-line flags win)::
 
@@ -74,7 +74,7 @@ from .model import (
     echo_leakage,
     optimal_write_lead,
 )
-from .pulses import ControlProfile, control_rabi
+from .pulses import ControlProfile
 from .analytic import (
     eff_hold,
     eff_total,
@@ -98,6 +98,7 @@ from .transverse import (
     ModeGrid,
     Quasi1DRecord,
     TransverseGrid,
+    _stepped_rows,
     extract_phase,
     fit_effective_diffusion,
     intensity_and_width,
@@ -115,9 +116,9 @@ FIDELITY_NAMES = ("coarse", "standard", "fine")
 _SWEEP_GRID = {"coarse": (256, 6.0), "standard": (384, 8.0), "fine": (512, 16.0)}
 _CYCLE_GRID = {"coarse": (192, 6.0), "standard": (256, 8.0), "fine": (384, 16.0)}
 _SPACE_GRID = {
-    "coarse": (128, 32.0, 96),
-    "standard": (160, 40.0, 128),
-    "fine": (256, 64.0, 160),
+    "coarse": (128, 6.0, 96),
+    "standard": (160, 8.0, 128),
+    "fine": (256, 16.0, 160),
 }
 _PHASE_GRID = {
     "coarse": (128, 6.0, 96),
@@ -274,10 +275,9 @@ def _estimate_cell_steps(call: partial) -> float:
     The call's own arguments, bound to its solver's signature, rebuild the
     _cycle_plan that _drive_cycle runs, and each span's steps are charged
     its group count times the cells of a group, rows x n_z.  A real-space
-    group steps n_cols rows, or without diffusion, where no operator
-    couples them, one per distinct control value (_distinct_rows).  The
-    rows go through the solver's _rows_of, so a bad row raises the solver's
-    ParameterError before anything is priced.
+    group steps the rows that transverse._stepped_rows picks for the call.
+    The rows go through the solver's _rows_of, so a bad row raises the
+    solver's ParameterError before anything is priced.
     """
     bound = inspect.signature(call.func).bind(*call.args, **call.keywords)
     if call.func is run_cycle_quasi1d:  # one run_cycle on the grid's signal serves every mode
@@ -290,9 +290,8 @@ def _estimate_cell_steps(call: partial) -> float:
     param_rows, protocol_rows = _rows_of(args["params"], args["protocol"], args["signal"])
     n_rows = 1  # rows per group
     if call.func is run_cycle_realspace:
-        n_rows = args["tgrid"].n_cols
-        if param_rows[0].diffusivity == 0.0:
-            n_rows = len(np.unique(control_rabi(args["control"], args["tgrid"].r)))
+        rows = _stepped_rows(param_rows[0], args["signal"], args["control"], args["tgrid"])
+        n_rows = len(rows[2])  # the stepped rows' input weights
     _, plan = _cycle_plan(
         param_rows,
         protocol_rows,

@@ -16,22 +16,23 @@ phase PhysicalParams.face_phase.
 Each time step is a symmetric split: exact spectral diffusion half-steps
 around a core, advance_step, that applies the gradient rotation and the
 field drive, with the field slaved to the coherence (d_z E integrated from
-the entrance face).  Where no transverse operator couples the rows (1D,
-and real space without diffusion) each row has one constant generator
-over a driven piece, set by its coupling and light-shift residual, and
-the core applies its exact propagator (_Propagators, built from five
-columns of its exponential once per step and gradient size and per
-distinct row, and kept as a column, a Toeplitz symbol and a twist that
-every row shares), so the step's only time error is the input's
-quadratic interpolation over it: steps_per_width is a sampling rate, not
-an accuracy setting.  The core applies it to every row at once as a
-causal convolution, one FFT pair (_Drive).  Uncoupled rows that share a
-control value are one row scaled by their input profiles, and step as
-one (_distinct_rows).  Real space with diffusion,
-whose columns the radial operator couples between the drive's steps,
-steps the drive by the midpoint rule, whose error is second order in the
-step.  The rotation sub-flow is exact in both, and phase boundaries land
-exactly because the step size is re-fitted to each phase.
+the entrance face).  Over a driven piece each row has one constant
+generator, set by its coupling and light-shift residual, and the core
+applies its exact propagator (_Propagators, built from five columns of its
+exponential once per step and gradient size and per distinct row, and
+kept as a column, a Toeplitz symbol and a twist that every row shares), so
+the step's only time error is the input's quadratic interpolation over
+it: steps_per_width is a sampling rate, not an accuracy setting.  The core
+applies it to every row at once as a causal convolution, one FFT pair
+(_Drive).  That is the one drive core of every route.  A real-space call
+steps rows of its own choosing (transverse._stepped_rows), one per
+distinct control value without diffusion, one per radial mode under a
+homogeneous control with diffusion (a row whose residual carries the
+mode's decay as its imaginary part), and its radial columns, coupled by a
+transverse operator between the drive's steps, under a varying control
+with diffusion; the driver maps the stepped rows back onto the columns
+by a synthesis matrix.  The rotation sub-flow is exact, and phase
+boundaries land exactly because the step size is re-fitted to each phase.
 
 One step rule serves both routes: a driven span steps at dt0, cut at
 snapshot times off its step grid, and every undriven span is one exact
@@ -60,8 +61,8 @@ All step kernels broadcast over leading axes of sigma, with per-row
 couplings and detunings passed as (..., 1) arrays.
 
 A step allocates no state-sized array.  The driver owns two states and
-two medium-shaped buffers per cycle (under a propagator the second is as
-long as the drive's transform): the spectra are taken and turned back in
+two medium-shaped buffers per cycle (the second as long as the drive's
+transform): the spectra are taken and turned back in
 place (the out= of numpy.fft, the solver's only dependency), and each
 transverse propagation and step core writes into the state that is not
 its input.
@@ -70,9 +71,9 @@ Whatever leaves the driver is a copy: exit fields, end states and frames.
 One driver, _drive_cycle, runs both routes on a (groups, rows, n_z) state
 by the step plan of _cycle_plan.  _rows_of checks a call's rows once, the
 plan takes their diffusivity, and the driver injects each input sample
-times face_phase (and the transverse profile, in real space).  Each group
-is a record: a 1D batch is G groups of one row, a real-space call G groups
-of its transverse columns, one per protocol.  Per-group values are (G, 1,
+times face_phase (and each stepped row's input weight, in real space).
+Each group is a record: a 1D batch is G groups of one row, a real-space
+call G groups of its stepped rows, one per protocol.  Per-group values are (G, 1,
 1) columns and per-row ones (rows, 1) columns, so both broadcast without
 tiling.  The state starts as one shared group and fans out along axis 0 to
 each span's group count (_cycle_plan), so a write they all share runs
@@ -238,12 +239,11 @@ class StepKernels:
     """Precomputed factors of one piece's step size.
 
     dt and diffusivity are scalars, or (groups, 1, 1) columns with one value
-    per group.  rot_full and rot_half are the gradient rotation times the
-    light-shift residual over a step and over half a step, built
-    once per piece; only the midpoint rule reads rot_half, which is None
-    where none runs (a step under a propagator, or one that is not
-    driven).  before and after, the diffusion halves on either side
-    of the core (full = after * before, merged at a boundary inside a piece),
+    per group.  rot_full is the gradient rotation times the light-shift
+    residual over a step, built once per piece (a residual's imaginary part,
+    a mode row's transverse decay, decays the row with it).  before and
+    after, the diffusion halves on either side of the core (full = after *
+    before, merged at a boundary inside a piece),
     decay the wave by exp(-D int_0^h (kappa -+ drift s)^2 ds), kappa = q +
     k_matched entering or leaving the core.  An undriven step passes its
     gradient as drift and is exact for the continuous operator (on the
@@ -253,14 +253,13 @@ class StepKernels:
     diff_rows (None: every row diffuses) and skip the FFT pair, so they
     match a solve of their own.  probe = after * grid.trapezoid_k reads the
     medium integral of ifft(spec * after) as spec . probe, without forming
-    the after half.  propagator is a driven 1D piece's exact propagator
-    with its input weights (a _Drive of _Propagators), which advance_step
-    applies in place of its midpoint rule; None elsewhere.
+    the after half.  propagator is a driven piece's exact propagator with
+    its input weights (a _Drive of _Propagators), which advance_step
+    applies; None on an undriven piece.
     """
 
     dt: float | np.ndarray
     rot_full: np.ndarray
-    rot_half: np.ndarray | None
     before: np.ndarray | None
     after: np.ndarray | None
     full: np.ndarray | None
@@ -279,7 +278,6 @@ class StepKernels:
         k_matched: float,
         drift: float,
         propagator: _Drive | None = None,
-        driven: bool = True,
     ) -> "StepKernels":
         before = after = full = probe = diff_rows = None
         active = np.asarray(diffusivity * dt) > 0.0
@@ -300,9 +298,6 @@ class StepKernels:
         return cls(
             dt=dt,
             rot_full=np.exp(-1j * eta * grid.z * dt) * _rotation(residual, dt),
-            rot_half=np.exp(-1j * eta * grid.z * (0.5 * dt)) * _rotation(residual, 0.5 * dt)
-            if driven and propagator is None
-            else None,
             before=before,
             after=after,
             full=full,
@@ -359,13 +354,10 @@ def advance_step(
     kern: StepKernels,
     grid: Grid1D,
     *,
-    coupling_eff,
     fin_now,
     fin_mid,
     fin_next=0.0j,
     drive_on: bool,
-    density: float,
-    light_speed: float,
     out: np.ndarray | None = None,
     scratch: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
@@ -376,73 +368,37 @@ def advance_step(
     off the step is a pure (exact) rotation.  The exact diffusion
     half-steps around the core are the caller's (_drive_cycle).
 
-    When kern carries the piece's propagator (a _Drive of _Propagators),
-    the driven step is exact for each row's constant generator: each row x
-    of the medium becomes P(dt) x + w_now fin_now + w_mid fin_mid + w_next
-    fin_next, with the row's own P and weights (shared by every row under a
-    homogeneous control), the input quadratic through its three samples
-    (its only time error), and no weights is no input.  P x is a causal
-    convolution (_Drive.apply): one batched FFT, symbol product and inverse
-    FFT serve every row of every group, and a row's transform takes the
-    same bits in any batch.
-
-    Otherwise (real space with diffusion, whose rows a transverse operator
-    couples) the drive uses the midpoint rule: the field is slaved once
-    at the step start for the predictor and once at mid-step for the
-    corrector.  The field slaved to x is E(x, f) = f + i k (dz / 2) S(x),
-    k = g N / c, with S the running sum of slave_field, so the drive over
-    a time h, c E with c = h i g, is a + b S(x): a = c f and b = c i k dz
-    / 2 = -h g k dz / 2, real in value.  The predictor is sigma_p = R
-    (sigma + a0 + b0 S(sigma)) at h = dt / 2, R = rot_half, and the
-    corrector adds R (a1 + b1 S(sigma_p)) at h = dt to rot_full sigma: two
-    running sums, and no a-pass where the input is zero (the hold and the
-    read).  Its stepping error is second order in dt.
+    A driven step is exact for each row's constant generator, by the
+    piece's propagator in kern (a _Drive of _Propagators): each row x of
+    the medium becomes P(dt) x + w_now fin_now + w_mid fin_mid + w_next
+    fin_next, with the row's own P and weights, the input quadratic
+    through its three samples (its only time error), and no weights is no
+    input.  P x is a causal convolution (_Drive.apply): one batched FFT,
+    symbol product and inverse FFT serve every row of every group, and a
+    row's transform takes the same bits in any batch.
 
     The new state goes into out (sigma's shape, not sharing its memory)
     when given, else into a new array; sigma is never written.  The drive
-    runs in the two buffers of scratch (new ones when None), shaped like
-    sigma[..., medium] but for the second's last axis under a propagator,
-    its transform length: the first takes a contiguous copy of sigma[...,
-    medium] (and later the kick, or P x), the second the new medium (by
-    way of the predictor), or the propagator's zero-padded transform, so no
-    ufunc reads a strided medium view (numpy would buffer it).
+    runs in the two buffers of scratch (new ones when None): the first,
+    shaped like sigma[..., medium], takes a contiguous copy of the medium
+    and then P x, the second, as long as the drive's transform along the
+    last axis, its zero-padded transform, so no ufunc reads a strided
+    medium view (numpy would buffer it).
     """
     out = np.multiply(kern.rot_full, sigma, out=out)
     if not drive_on:
         return out
-    dt, med, drive = kern.dt, grid.medium, kern.propagator
+    drive = kern.propagator
     if scratch is None:
-        width = None if drive is None else drive.symbol.shape[-1]
-        scratch = _media(sigma, grid, width)
-    inside, sig_p = scratch
-    np.copyto(inside, sigma[..., med])
-    if drive is not None:
-        drive.apply(inside, sig_p)
-        if drive.weights is not None:
-            for weight, fin in zip(drive.weights, (fin_now, fin_mid, fin_next)):
-                inside += weight * fin
-        out[..., med] = inside
-        return out
-    rot_half = kern.rot_half[..., med]
-    field_scale = 1j * (coupling_eff * density / light_speed) * (0.5 * grid.dz)
-    drive = (0.5 * dt) * (1j * coupling_eff)  # c over the half step
-    slave_field(inside, drive * field_scale, _input_offset(drive, fin_now), out=sig_p)
-    sig_p += inside
-    sig_p *= rot_half
-    drive = dt * (1j * coupling_eff)  # c over the full step
-    kick = slave_field(sig_p, drive * field_scale, _input_offset(drive, fin_mid), out=inside)
-    kick *= rot_half
-    np.copyto(sig_p, out[..., med])  # the predictor is spent: out's medium takes the kick here
-    sig_p += kick
-    out[..., med] = sig_p
+        scratch = _media(sigma, grid, drive.symbol.shape[-1])
+    inside, padded = scratch
+    np.copyto(inside, sigma[..., grid.medium])
+    drive.apply(inside, padded)
+    if drive.weights is not None:
+        for weight, fin in zip(drive.weights, (fin_now, fin_mid, fin_next)):
+            inside += weight * fin
+    out[..., grid.medium] = inside
     return out
-
-
-def _input_offset(drive, fin):
-    """drive * fin, the input's part of a drive c E; None for a zero input."""
-    if not np.ndim(fin) and fin == 0:
-        return None
-    return drive * fin
 
 
 class _Propagators:
@@ -451,10 +407,11 @@ class _Propagators:
     Over a driven piece each row has one constant generator on the
     medium, L = diag(-i (eta z + residual)) - kappa S, kappa = g^2 N dz /
     (2 c) with g the row's coupling, residual its light-shift residual (one
-    pair for every row in 1D and under a homogeneous control; a radial
-    column's own under a Gaussian one), and S the running sum of slave_field as a
-    matrix: lower triangular, since the field at z sees only upstream
-    coherence.  The input enters every cell as i g f(t).  Over a step of h
+    pair for every row in 1D; a radial column's own under a Gaussian
+    control; under a homogeneous one with diffusion, a radial mode's, whose
+    imaginary part is minus its transverse decay rate), and S the running
+    sum of slave_field as a matrix: lower triangular, since the field at z
+    sees only upstream coherence.  The input enters every cell as i g f(t).  Over a step of h
     the state becomes P(h) sigma + int_0^h P(h - s) (i g) 1 f(t + s) ds,
     P = expm(L h).  With f quadratic through its samples at the step's
     start, midpoint and end the integral is exact: w_now f(t) + w_mid
@@ -520,9 +477,10 @@ class _Propagators:
     broadcast over the rows (a 1D call, or rows under a homogeneous
     control).  Any other rows take one build each, stacked: column (rows,
     n), symbol (rows, length) and three (rows, n) weights, with one twist
-    for every row (it depends on h and eta only).  The driver steps
-    uncoupled rows that share a pair once (_distinct_rows), so its rows
-    are then distinct.  The rows whose norms
+    for every row (it depends on h and eta only).  A real-space call steps
+    one row per distinct pair where no operator couples its rows
+    (transverse._stepped_rows), so its rows are then distinct.  The rows
+    whose norms
     give the same (s, terms) run the Taylor series together (_taylor), in
     batches of _TAYLOR_ROWS, by the products each row takes alone, so each
     keeps its single-row bits; each row then squares alone (_square), whose
@@ -538,10 +496,11 @@ class _Propagators:
     input over the piece).  One build per distinct step and gradient size:
     the opposite gradient at the same step without input (the read, the
     second half of a flipped hold) is the conjugate, P_{-eta}(h) = rot
-    conj(P_eta(h)), rot = exp(-2 i residual h) (per row): rot conj(P[:, 0]),
-    rot conj(c), whose FFT is rot conj(FFT(c)) at the negated frequencies,
-    and conj(tau).  Steps that agree to 1e-12 (equal pieces between
-    snapshots, which differ in round-off only) share one entry.
+    conj(P_eta(h)), rot = exp(-2 i Re(residual) h) (per row; a decay is
+    its own conjugate): rot conj(P[:, 0]), rot conj(c), whose FFT is rot
+    conj(FFT(c)) at the negated frequencies, and conj(tau).  Steps that
+    agree to 1e-12 (equal pieces between snapshots, which differ in
+    round-off only) share one entry.
     """
 
     def __init__(self, grid: Grid1D, coupling, density: float, light_speed: float, residual):
@@ -554,9 +513,10 @@ class _Propagators:
         pairs = np.stack(np.broadcast_arrays(coupling, residual), axis=-1).reshape(-1, 2)
         self.keys = pairs[:1] if np.all(pairs == pairs[0]) else pairs
         if len(self.keys) == 1:
-            self.coupling, self.residual = pairs[0].tolist()
+            coupling, self.residual = pairs[0].tolist()
         else:
-            self.coupling, self.residual = (column.reshape(-1, 1) for column in pairs.T)
+            coupling, self.residual = (column.reshape(-1, 1) for column in pairs.T)
+        self.coupling = coupling.real  # a complex residual makes the pairs complex
         self.kappa = self._kappa(self.coupling)
 
     def _kappa(self, coupling):
@@ -570,14 +530,20 @@ class _Propagators:
         if same:
             return same[0][2]
         if near and not inject:  # the opposite gradient: the conjugate identity
-            drive, rot = near[0][2], _rotation(2.0 * self.residual, h)
-            negated = np.roll(drive.symbol[..., ::-1], 1, axis=-1)  # FFT(c) at -m mod length
-            column, symbol = rot * drive.column.conj(), rot * negated.conj()
+            drive, rot = near[0][2], _rotation(2.0 * self.residual.real, h)
+            symbol = np.roll(drive.symbol[..., ::-1], 1, axis=-1)  # FFT(c) at -m mod length
+            column = drive.column.conj()
+            for part in (column, np.conjugate(symbol, out=symbol)):  # in place: no temporaries
+                np.multiply(rot, part, out=part)  # rot * part: fused multiply-adds see order
             entry = (h, eta, _Drive(column, symbol, drive.twist.conj(), None))
         else:
             entry = (h, eta, self._build(h, eta))
         self.known.append(entry)
         return entry[2]
+
+    def drop_inputs(self) -> None:
+        """Free every entry's input weights: no later step takes input."""
+        self.known = [(h, eta, drive._replace(weights=None)) for h, eta, drive in self.known]
 
     def _build(self, h: float, eta: float) -> _Drive:
         """P(h) and its input weights of every row of keys, stacked (one row: 1-D arrays).
@@ -593,10 +559,12 @@ class _Propagators:
         below = 2.0 * np.arange(n - 1, -1, -1.0)
         below[0] = n - 1
         with np.errstate(over="ignore", invalid="ignore"):  # a norm out of range is refused
-            kappa = self._kappa(keys[:, :1])
+            kappa = self._kappa(keys[:, :1].real)
             rate = -1j * (eta * z + keys[:, 1:])  # L's diagonal but for kappa S's
             diagonal = rate - kappa * (np.arange(n) > 0)  # S's diagonal: 0 at index 0, else 1
             norms = np.max((np.abs(diagonal) + below * kappa) * h, axis=-1)
+        heads = diagonal[:, :2].copy()  # all _square reads: the batches rebuild their rates
+        del rate, diagonal
         norm = float(np.max(norms))
         if not math.isfinite(norm):
             raise ParameterError(
@@ -607,14 +575,15 @@ class _Propagators:
         column = np.empty((k, n), dtype=complex)
         symbol = np.empty((k, self.length), dtype=complex)
         weights = np.empty((3, k, n), dtype=complex)
-        couplings = keys[:, 0].tolist()
+        couplings = keys[:, 0].real.tolist()
         for s, n_terms in sorted(set(plans)):
             alike = [r for r, plan in enumerate(plans) if plan == (s, n_terms)]
             for first in range(0, len(alike), _TAYLOR_ROWS):
                 rows = alike[first : first + _TAYLOR_ROWS]
-                meds, borders = self._taylor(h, s, n_terms, kappa[rows, None], rate[rows, None])
+                rate = -1j * (eta * z + keys[rows, 1:])
+                meds, borders = self._taylor(h, s, n_terms, kappa[rows, None], rate[:, None])
                 for r, med, border in zip(rows, meds, borders):
-                    med, twist = self._square(h, eta, s, diagonal[r], med, border)
+                    med, twist = self._square(h, eta, s, heads[r], med, border)
                     phi1, phi2, phi3 = (n * h * 1j * couplings[r]) * med[2:]
                     weights[:, r] = (
                         phi1 - 3.0 * phi2 + 4.0 * phi3,
@@ -657,10 +626,10 @@ class _Propagators:
             border += term_border
         return med, border
 
-    def _square(self, h, eta, s, diagonal, med, border):
+    def _square(self, h, eta, s, heads, med, border):
         """(med, twist): one row's Taylor columns (_taylor) taken to the step h
         by s squarings, and the twist (every row's: it depends on h and eta
-        only)."""
+        only).  heads is the generator's diagonal at indices 0 and 1."""
         z, n, hs = self.z, self.z.size, h * 0.5**s
         offsets = z[1:] - z[1]
         if s:
@@ -670,7 +639,7 @@ class _Propagators:
             windows = np.lib.stride_tricks.sliding_window_view(padded, n - 1)[::-1]
         for level in range(s + 1):
             span = hs * 2.0**level
-            med[0, 0], med[1, 1] = np.exp(span * diagonal[:2])
+            med[0, 0], med[1, 1] = np.exp(span * heads)
             twist = np.exp((-1j * eta * span) * offsets)
             if level == s:
                 break
@@ -1135,17 +1104,16 @@ def _row(values: np.ndarray, r: int) -> np.ndarray:
     return values[min(r, len(values) - 1)]
 
 
-def _step_buffers(sigma: np.ndarray, grid: Grid1D, width: int | None = None):
+def _step_buffers(sigma: np.ndarray, grid: Grid1D, width: int):
     """A spare state and advance_step's two buffers (_media) for states shaped like sigma."""
     return np.empty_like(sigma), _media(sigma, grid, width)
 
 
-def _media(sigma: np.ndarray, grid: Grid1D, width: int | None = None):
-    """Two buffers shaped like sigma[..., grid.medium], the second width wide
-    along the last axis (a drive's transform length; None: the medium's)."""
+def _media(sigma: np.ndarray, grid: Grid1D, width: int):
+    """Two buffers shaped like sigma[..., grid.medium], the second width (a
+    drive's transform length) wide along the last axis."""
     medium = sigma[..., grid.medium].shape
-    wide = medium if width is None else (*medium[:-1], width)
-    return np.empty(medium, dtype=complex), np.empty(wide, dtype=complex)
+    return np.empty(medium, dtype=complex), np.empty((*medium[:-1], width), dtype=complex)
 
 
 class _Trace(NamedTuple):
@@ -1157,37 +1125,9 @@ class _Trace(NamedTuple):
     end: np.ndarray
 
 
-def _distinct_rows(rabi, profile: np.ndarray):
-    """The rows of a call that no operator couples, one per distinct control value.
-
-    A row's coupling and light-shift residual follow from its control Rabi
-    frequency, and its input is the signal times its profile value, so
-    rows that share a value are one solve scaled by their profiles.  Each
-    value steps its row of largest |profile|, entered with that row's
-    profile.  Returns the stepped rows' rabi and profile columns and their
-    spread for _as_rows: each row's stepped row and its profile over that
-    row's.  When every row has a value of its own, the call's own columns
-    come back, and spread is None.
-    """
-    values = np.broadcast_to(rabi, profile.shape)[:, 0]
-    keys, index = np.unique(values, return_inverse=True)
-    if len(keys) == len(values):
-        return rabi, profile, None
-    weight = np.abs(profile[:, 0])
-    sharing = (np.flatnonzero(index == k) for k in range(len(keys)))
-    reps = [rows[np.argmax(weight[rows])] for rows in sharing]
-    return values[reps][:, None], profile[reps], (index, profile / profile[reps][index])
-
-
-def _as_rows(stepped: np.ndarray, spread) -> np.ndarray:
-    """A (groups, stepped rows, ...) array spread to the call's rows
-    (_distinct_rows): each row its stepped row times its profile ratio,
-    which is 1 on the stepped row itself, so that row keeps its bits;
-    stepped itself when spread is None."""
-    if spread is None:
-        return stepped
-    index, ratio = spread
-    return stepped[:, index] * ratio
+def _as_rows(stepped: np.ndarray, synthesis) -> np.ndarray:
+    """A (groups, stepped rows, ...) array on the call's rows: synthesis @ stepped."""
+    return stepped if synthesis is None else np.matmul(synthesis, stepped)
 
 
 def _drive_cycle(
@@ -1197,7 +1137,9 @@ def _drive_cycle(
     grid: Grid1D,
     *,
     rabi,
+    decay=None,
     profile: np.ndarray | None = None,
+    synthesis: np.ndarray | None = None,
     record: tuple[str, ...],
     transverse=None,
     diffusion_phases: tuple[str, ...] = _PHASES,
@@ -1209,33 +1151,26 @@ def _drive_cycle(
     param_rows and protocols are the call's checked rows (_rows_of), one
     group per protocol, and every field of param_rows but the diffusivity
     is shared.  A group has one row, or one per entry of profile, an
-    (n_rows, 1) column of transverse weights; the state fans out from one
+    (n_rows, 1) column of input weights; the state fans out from one
     shared group to each span's group count.  rabi (scalar or (n_rows, 1)
-    column) sets the coupling and light-shift residual.  An input sample s
-    of signal enters at the entrance face as face_phase * s, times profile
-    when one is given.  The input is sampled once at each write boundary,
-    which serves the exit field there and the next step's start, and once
-    at each step's midpoint.  A span with a diffusivity diffuses along z
-    and across rows by transverse(dt0), one operator per call, whose
-    propagate(sigma, step, halves) applies halves half-steps of a piece's
-    step: an undriven piece takes two at its end, and a read inside a
-    piece applies the owed half to the (groups, rows, 1) medium integral
-    instead of the state.
+    column) sets each row's coupling and light-shift residual, and decay
+    (an (n_rows, 1) column) a decay rate, minus the residual's imaginary
+    part.  An input sample s of signal enters at the entrance face as
+    face_phase * s, times profile when one is given.  The input is sampled
+    once at each write boundary, which serves the exit field there and the
+    next step's start, and once at each step's midpoint.  Every driven
+    step is exact (_Propagators).  A span with a diffusivity diffuses
+    along z, and across rows by transverse(dt0) when given, one operator
+    per call, whose propagate(sigma, step, halves) applies halves
+    half-steps of a piece's step: a driven step takes one on each side of
+    its core, an undriven piece two at its end, and a read inside a piece
+    applies the owed half to the (groups, rows, 1) medium integral instead
+    of the state.
     A call that records no phase keeps only frames, so it runs the plan
     with read False, which ends at the last frame.
-    Without a transverse operator (1D, and real space without diffusion)
-    each row keeps one constant generator over a driven piece, its own
-    coupling and residual's, and a driven step is exact for it
-    (_Propagators); with one (real space with diffusion, whose rows it
-    couples) the drive steps by advance_step's midpoint rule.  Rows that
-    no operator couples and that share a control value, hence a
-    (coupling, residual) pair, are one solve scaled by their profiles, so
-    the state holds one row per distinct value (_distinct_rows), entered
-    with the profile of its row of largest |profile|; the frames, exit
-    fields, phase-end states and guard inputs are spread back to every row
-    by that row's profile ratio (_as_rows).  When every row has a value of
-    its own (a Gaussian control) nothing is spread, and the solve is the
-    one every row would take alone.
+    The frames, exit fields, phase-end states and guard inputs are
+    synthesis @ the stepped rows' (_as_rows; transverse._stepped_rows
+    picks a real-space call's rows), or the stepped rows' when it is None.
 
     Steps write into the driver's buffers (module docstring), made afresh
     when the state fans out.
@@ -1256,21 +1191,17 @@ def _drive_cycle(
     )
     params = param_rows[0]
     face_phase = params.face_phase
-    spread = None  # rows a transverse operator couples each keep a state of their own
-    if transverse is None and profile is not None:
-        rabi, profile, spread = _distinct_rows(rabi, profile)
     coupling = params.coupling_g * rabi / params.detuning
     residuals = stark_residual(params, rabi), stark_residual(params, 0.0 * rabi)
+    if decay is not None:
+        residuals = tuple(residual - 1j * decay for residual in residuals)
     n_groups = len(protocols)
     takers = [_FrameTaker(g, sigma_times) for g in range(n_groups)]
     want_frames = bool(takers[0].pending)
     density, light_speed = params.density, params.light_speed
-    drives = None  # rows a transverse operator couples: the midpoint rule
-    if transverse is None:
-        drives = _Propagators(grid, coupling, density, light_speed, residuals[0])
-    width = None if drives is None else drives.length
+    drives = _Propagators(grid, coupling, density, light_speed, residuals[0])
     sigma = np.zeros((1, 1 if profile is None else len(profile), grid.n_z), dtype=complex)
-    spare, media = _step_buffers(sigma, grid, width)
+    spare, media = _step_buffers(sigma, grid, drives.length)
     traces, injected = {}, ([], [])  # injected: write boundary times, input samples
 
     def entrance(t, boundary: bool):
@@ -1293,7 +1224,7 @@ def _drive_cycle(
             if across is not None:
                 integral = across.propagate(integral, step, halves)
             trace[0].append(t)
-            field = _as_rows(_field(integral, coupling, density, light_speed, fin), spread)
+            field = _as_rows(_field(integral, coupling, density, light_speed, fin), synthesis)
             trace[1].append(field[..., 0].copy())  # a copy: a view keeps its base alive
         if want_frames and any(taker.due(t) for taker in takers):
             frame = sigma
@@ -1301,7 +1232,7 @@ def _drive_cycle(
                 frame = kern.resume(sigma.copy(), None if spec is None else spec.copy(), kern.after)
             if across is not None:
                 frame = across.propagate(frame, step, halves)
-            frame = _as_rows(frame, spread)
+            frame = _as_rows(frame, synthesis)
             for taker in takers:
                 taker.take(t, frame)
 
@@ -1315,7 +1246,7 @@ def _drive_cycle(
             across = radial if np.any(diffusivity) else None
             if len(sigma) < groups:
                 sigma = np.repeat(sigma, groups, axis=0)  # the groups part ways here
-                spare, media = _step_buffers(sigma, grid, width)
+                spare, media = _step_buffers(sigma, grid, drives.length)
             read_by = trace if drive_on else None
             fin = entrance(span_start, True) if writing else 0.0j
             observe(span_start, fin, read_by)
@@ -1330,8 +1261,7 @@ def _drive_cycle(
                     _col(diffusivity),
                     params.k_matched,
                     drift,
-                    drives(step, eta, writing) if drives is not None and drive_on else None,
-                    drive_on,
+                    drives(step, eta, writing) if drive_on else None,
                 )
                 # every boundary takes the spectrum of the state once: the next step
                 # starts from ifft(spec * full), and only the piece end settles
@@ -1349,12 +1279,9 @@ def _drive_cycle(
                         sigma,
                         kern,
                         grid,
-                        coupling_eff=coupling,
                         fin_now=fin,
                         fin_mid=entrance(t + 0.5 * step, False) if writing else 0.0j,
                         drive_on=drive_on,
-                        density=density,
-                        light_speed=light_speed,
                         out=spare,
                         scratch=media,
                         fin_next=fin_next,
@@ -1369,13 +1296,15 @@ def _drive_cycle(
                     sigma, spare = across.propagate(sigma, step, owed_t, spare), sigma
                 observe(t, fin, read_by)
                 del kern, spec  # the next piece's kernels build with these freed
-        settled = _as_rows(sigma, spread)
+        if writing:
+            drives.drop_inputs()  # the write is the only phase with an input
+        settled = _as_rows(sigma, synthesis)
         for g in range(n_groups):
             view = _row(settled, g)
             peaks[g] = max(peaks[g], float(np.max(np.abs(view))))
             guards[g][phase] = _check_guard(view, grid, phase, peaks[g])
         if trace is not None:  # a new array: later steps reuse the buffer
-            traces[phase] = _Trace(*trace, sigma.copy() if spread is None else settled)
+            traces[phase] = _Trace(*trace, sigma.copy() if synthesis is None else settled)
     return traces, injected, guards, takers
 
 

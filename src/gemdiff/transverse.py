@@ -12,27 +12,24 @@ Two complementary routes:
 * run_cycle_realspace - for a transversely varying control field the
   columns stop being equivalent (local Rabi frequency shifts both the
   coupling and the two-photon detuning), so the cycle is stepped on an
-  explicit transverse grid.  It runs on the shared cycle driver of
-  solver1d, with the columns as the rows of one group per protocol
-  (column-local coupling and light shift) and a transverse diffusion
-  operator, whose half-steps the driver applies with the longitudinal
-  ones around each step core, merged across every boundary inside a
-  piece (an exit read there takes the owed half on the medium integral
-  of each column, not on the state).  Protocols that differ only in
-  t_hold share one write.  Energies and frames follow run_cycle's rules.
-  Without diffusion nothing couples the columns, and each column's drive
-  is exact in time, as run_cycle's rows are, and the columns that share a
-  control value step as one row, scaled by their input profiles; with
-  diffusion the drive steps by the midpoint rule.  Real space is radial (an axisymmetric beam under an
-  axisymmetric control) on a finite-volume grid: conservative Crank-Nicolson
-  diffusion, one operator per call that takes each piece's step and owns
-  how it sub-steps it.  Its half-step is a propagator matrix built once
-  per half-step length (one tridiagonal solve, solve_banded, with the
-  explicit half as its right-hand sides) and applied as one real GEMM per
-  block of 16 rows over the column band those rows couple (n merged
-  half-steps are its cached n-th power).  The module needs numpy only:
-  numpy.fft for the mode spectra, and its own tridiagonal solve and
-  Gaussian fit (_fit_gaussian).
+  explicit radial grid (an axisymmetric beam under an axisymmetric
+  control).  It runs on the shared cycle driver of solver1d, one group
+  per protocol (protocols that differ only in t_hold share one write),
+  with energies and frames by run_cycle's rules and every row's drive
+  exact in time.  _stepped_rows picks the rows: without diffusion one per
+  distinct control value; with diffusion under a homogeneous control one
+  per radial mode the input excites, its decay the imaginary part of its
+  light-shift residual; with diffusion under a varying control the
+  columns, coupled by conservative Crank-Nicolson diffusion on the
+  finite-volume grid (_radial_operator), whose half-steps the driver
+  applies around each step core, merged across every boundary inside a
+  piece.  One operator per call takes each piece's step and owns how it
+  sub-steps it.  Its half-step is a propagator matrix built once per
+  half-step length (one tridiagonal solve, solve_banded) and applied as
+  one real GEMM per block of 16 rows over the column band those rows
+  couple (n merged half-steps are its cached n-th power).  The module
+  needs numpy only: numpy.fft, numpy.linalg.eigh for the radial modes,
+  and its own tridiagonal solve and Gaussian fit (_fit_gaussian).
 
 Beam observables (intensity profile, fitted width, spin-wave phase maps,
 effective diffusion rate) are extracted from the records here as well.
@@ -329,6 +326,17 @@ def solve_banded(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _radial_operator(grid: TransverseGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(1/r) d/dr (r d/dr) on the finite-volume grid as its off-diagonals
+    (inward, outward), r_{j -+ 1/2} / (r_j dr^2), its diagonal their
+    negated sum; the axis and the window's edge pass no flux."""
+    r, dr = grid.r, grid.dr
+    lower_face = r - 0.5 * dr
+    upper_face = r + 0.5 * dr
+    lower_face[0] = upper_face[-1] = 0.0
+    return lower_face / (r * dr * dr), upper_face / (r * dr * dr)
+
+
 class _RadialDiffusion:
     """Radial diffusion by conservative Crank-Nicolson, and its step rule.
 
@@ -358,14 +366,9 @@ class _RadialDiffusion:
     def half(self, h: float) -> np.ndarray:
         """The propagator of one half-step of length h (built once per h)."""
         if h not in self._halves:
-            r, dr = self.grid.r, self.grid.dr
-            lower_face = r - 0.5 * dr
-            upper_face = r + 0.5 * dr
-            lower_face[0] = 0.0
+            inward, outward = _radial_operator(self.grid)
             coef = 0.5 * self.diffusivity * h
-            a = coef * (lower_face / (r * dr * dr))
-            c = coef * (upper_face / (r * dr * dr))
-            c[-1] = 0.0
+            a, c = coef * inward, coef * outward
             implicit = np.array([np.r_[0.0, -c[:-1]], 1.0 + a + c, np.r_[-a[1:], 0.0]])
             explicit = np.diag(1.0 - a - c) + np.diag(a[1:], -1) + np.diag(c[:-1], 1)
             self._halves[h] = solve_banded(implicit, explicit)
@@ -404,6 +407,72 @@ class _RadialDiffusion:
         for rows, cols, block in self.blocks(0.5 * (step / n), halves * n):
             np.matmul(block, x[..., cols, :], out=y[..., rows, :])
         return out
+
+
+_MODE_FLOOR = 1e-13  # share of the largest input coefficient a stepped radial mode exceeds
+
+
+def _radial_modes(tgrid: TransverseGrid, profile: np.ndarray):
+    """(rates, entry, synthesis): the radial modes an (n_r, 1) profile excites.
+
+    K of _radial_operator is self-adjoint in the cell areas r, so sqrt(r)
+    K / sqrt(r) is symmetric (off-diagonal sqrt(inward outward)); eigh
+    gives its eigenvalues -rate_m and orthonormal v_m, K's modes are v_m /
+    sqrt(r), and p = sum_m c_m v_m / sqrt(r), c = V^T sqrt(r) p.  The modes
+    with |c_m| above _MODE_FLOOR of the largest are kept: their rates and
+    c_m as (modes, 1) columns, the modes as synthesis's columns.
+    """
+    inward, outward = _radial_operator(tgrid)
+    off = np.sqrt(outward[:-1] * inward[1:])
+    symmetric = np.diag(-(inward + outward)) + np.diag(off, 1) + np.diag(off, -1)
+    eigenvalues, vectors = np.linalg.eigh(symmetric)
+    root = np.sqrt(tgrid.r)[:, None]
+    coefficients = vectors.T @ (root * profile)
+    kept = np.abs(coefficients[:, 0]) > _MODE_FLOOR * np.max(np.abs(coefficients))
+    return np.abs(eigenvalues[kept])[:, None], coefficients[kept], vectors[:, kept] / root
+
+
+def _stepped_rows(
+    params: PhysicalParams, signal: SignalSpec, control: ControlProfile, tgrid: TransverseGrid
+):
+    """What a real-space call steps: (rabi, decay, entry, synthesis, coupling).
+
+    Rows of control Rabi frequency rabi, decay rate decay and input weight
+    entry, mapped onto the columns by synthesis and coupled between steps
+    by coupling (None: the columns themselves; no decay; nothing couples
+    them), by the call's own diffusivity D and control.  Without diffusion
+    the columns that share a control value are one solve scaled by their
+    profiles (_distinct_rows).  With diffusion under a homogeneous control
+    the coupling and light shift are every column's, so diffusion only
+    damps each radial mode (_radial_modes), at D rate_m.  With diffusion
+    under a varying control, the columns under Crank-Nicolson.
+    """
+    profile = sample_transverse(signal, tgrid.r[:, None], 0.0)  # (n_cols, 1)
+    rabi = control_rabi(control, tgrid.r)[:, None]  # column-local control
+    diffusivity = params.diffusivity
+    if diffusivity > 0.0:
+        if np.any(rabi != rabi[0]):
+            return rabi, None, profile, None, partial(_RadialDiffusion, tgrid, diffusivity)
+        rates, entry, synthesis = _radial_modes(tgrid, profile)
+        return rabi[:1], diffusivity * rates, entry, synthesis, None
+    rabi, entry, synthesis = _distinct_rows(rabi, profile)
+    return rabi, None, entry, synthesis, None
+
+
+def _distinct_rows(rabi: np.ndarray, profile: np.ndarray):
+    """(rabi, entry, synthesis): one row per distinct value of the (rows, 1)
+    column rabi, its row of largest |profile|, entered with that profile;
+    synthesis holds each row's profile over its stepped row's (None when
+    every row has a value of its own)."""
+    values, index = np.unique(rabi[:, 0], return_inverse=True)
+    if len(values) == len(rabi):
+        return rabi, profile, None
+    weight = np.abs(profile[:, 0])
+    sharing = (np.flatnonzero(index == k) for k in range(len(values)))
+    reps = [rows[np.argmax(weight[rows])] for rows in sharing]
+    synthesis = np.zeros((len(rabi), len(reps)))
+    synthesis[np.arange(len(rabi)), index] = profile[:, 0] / profile[reps, 0][index]
+    return rabi[reps], profile[reps], synthesis
 
 
 @dataclass(eq=False)
@@ -457,19 +526,13 @@ def run_cycle_realspace(
 ) -> RealspaceRecord | list[RealspaceRecord]:
     """Full cycle on the radial grid with an axisymmetric local control field.
 
-    The cycle runs on the cycle driver shared with solver1d.run_cycle,
-    with the radial columns as the rows of one group per protocol:
-    column-local coupling and light shift, and radial diffusion.
-    Diffusion acts in every phase, with run_cycle's step and read window.
-    Without diffusion no operator couples the columns, and each steps its
-    drive exactly, as a 1D row of its own coupling and light shift
-    (steps_per_width is then a sampling rate).  The columns that share a
-    control value are then one solve scaled by their input profiles: the
-    driver steps one per value and scales it to the others (a homogeneous
-    control steps one row, a Gaussian one every column), so their fields
-    and frames agree with a solve of their own to round-off.  With
-    diffusion the drive steps by the midpoint rule, second order in the
-    step.
+    The cycle runs on the cycle driver shared with solver1d.run_cycle, one
+    group per protocol, with diffusion in every phase and run_cycle's step
+    and read window.  The driver steps the rows of _stepped_rows, each
+    drive exact in time, and maps them onto the columns: steps_per_width
+    is a sampling rate, but under a varying control with diffusion the
+    radial Crank-Nicolson halves around each drive leave a second-order
+    error.
     protocol may be a sequence under run_cycle's rule: only t_hold may
     differ, and the hold must be undriven.  The groups share one write and
     part ways at the hold; one record per protocol comes back.  The input
@@ -496,23 +559,25 @@ def run_cycle_realspace(
         )
     param_rows, protocols = _rows_of(params, protocol, signal)
 
-    profile = sample_transverse(signal, tgrid.r[:, None], 0.0)  # (n_cols, 1)
-    diffusion = partial(_RadialDiffusion, tgrid, params.diffusivity)
+    rabi, decay, entry, synthesis, coupling = _stepped_rows(params, signal, control, tgrid)
     grid = Grid1D.build(params.half_length, n_medium)
     traces, (t_write, f_in), guards, takers = _drive_cycle(
         param_rows,
         protocols,
         signal,
         grid,
-        rabi=control_rabi(control, tgrid.r)[:, None],  # column-local control
-        profile=profile,
+        rabi=rabi,
+        decay=decay,
+        profile=entry,
+        synthesis=synthesis,
         record=("read",) if read else (),
-        transverse=diffusion if params.diffusivity > 0.0 else None,
+        transverse=coupling,
         steps_per_width=steps_per_width,
         sigma_times=sigma_times,
     )
 
-    input_energy = _energy(f_in, t_write) * float(tgrid.weights @ np.abs(profile[:, 0]) ** 2)
+    profile = sample_transverse(signal, tgrid.r[:, None], 0.0)[:, 0]
+    input_energy = _energy(f_in, t_write) * float(tgrid.weights @ np.abs(profile) ** 2)
     if read:
         t_out = _steps_by_row(traces["read"].times)
         f_out = np.moveaxis(np.array([params.face_phase * e for e in traces["read"].exits]), 0, -1)

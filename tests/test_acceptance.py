@@ -436,10 +436,12 @@ def _parseval_equivalence(params, signal):
 
 
 def _self_convergence(params, protocol, signal, control):
-    """Halving dt four-folds the midpoint drive's error: step ratio near (16 + 4)/4.
+    """Halving dt four-folds real space's split error: step ratio near (16 + 4)/4.
 
-    Real space under the config's varying control keeps that drive; the 1D
-    drive is exact in time.
+    Under the config's varying control with diffusion, each step splits
+    the radial Crank-Nicolson halves around the exact drive (Strang), a
+    second-order error (measured ratio 5.08); without the split the drive
+    is exact in time.
     """
     tgrid = TransverseGrid.radial(signal.waist, n_r=16)
     runs = [
@@ -480,7 +482,7 @@ def _thread_determinism(tmp_path_factory):
 def test_10_property_suite(bench_config, tmp_path_factory, record_acceptance):
     # structural invariants: unit-modulus phase, monotone decay, D = 0
     # identity, exact idle and gradient-on hold propagators, Parseval,
-    # 2nd-order convergence of the midpoint drive (real space), thread-count determinism
+    # 2nd-order convergence of real space's diffusion split, thread-count determinism
     cfg = bench_config
     params, protocol, signal = cfg.params, cfg.protocol, cfg.signal
     start = time.perf_counter()

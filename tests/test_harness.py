@@ -323,6 +323,17 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
             read=False,
             **fast,
         ),
+        # beam-width's homogeneous call: with diffusion the rows are the 29
+        # radial modes that the input excites on a 40-cell grid
+        partial(
+            run_cycle_realspace,
+            cfg.params,
+            rotating,
+            cfg.signal,
+            ControlProfile.homogeneous(cfg.params.rabi_control),
+            TransverseGrid.radial(cfg.signal.waist, n_r=40),
+            **fast,
+        ),
     ]
     # grouped and batched calls share every span up to the first that
     # tells the groups apart, and are charged that shared span once: a
@@ -346,6 +357,8 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
         assert _estimate_cell_steps(call) == solved_cells(call)
     assert 0 < _estimate_cell_steps(frames_only) < _estimate_cell_steps(framed)
     n_z = Grid1D.build(cfg.params.half_length, fast["n_medium"]).n_z
+    solved_cells(exact_calls[-1])  # the mode rows
+    assert {size // n_z for size in cells} == {29}
     dt0 = cfg.signal.t_width / fast["steps_per_width"]
     write_steps = math.ceil(groups[0].write_window(cfg.signal) / dt0)
     # the grouped call writes once on one group and fans out at the hold

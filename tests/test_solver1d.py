@@ -26,7 +26,7 @@ from gemdiff import (
     run_cycle,
 )
 from gemdiff.model import stark_residual
-from gemdiff import solver1d
+from gemdiff import solver1d, transverse
 from gemdiff.pulses import ControlProfile, control_rabi, sample_temporal, sample_transverse
 from gemdiff.transverse import TransverseGrid, run_cycle_realspace
 from gemdiff.solver1d import (
@@ -124,91 +124,82 @@ def test_slave_field_integral_is_scipy_cumulative_trapezoid(bench_params, rows):
         assert np.all(np.max(np.abs(e - want), axis=-1) <= 4e-15 * peak)
 
 
-def _midpoint_reference(
-    sigma, kern, grid, *, coupling_eff, fin_now, fin_mid, drive_on, density, light_speed
-):
-    """advance_step's driven step on the full grid, masked to the medium, in
-    extended precision from the same inputs and step factors."""
-    assert drive_on
-    ld, cld = np.longdouble, np.clongdouble
-    sigma, rot_full, rot_half = (
-        np.asarray(a, dtype=cld) for a in (sigma, kern.rot_full, kern.rot_half)
-    )
-    dt, g = np.asarray(kern.dt, dtype=ld), np.asarray(coupling_eff, dtype=ld)
-    fin_now, fin_mid = np.asarray(fin_now, dtype=cld), np.asarray(fin_mid, dtype=cld)
-    mask = grid.mask.astype(ld)
-
-    def field(values, fin):
-        # slaved field on every grid point: fin before the medium, the exit value after it
-        cum = cumulative_trapezoid(values[..., grid.medium], dx=ld(grid.dz), axis=-1, initial=0.0)
-        e = np.empty(np.broadcast_shapes(values.shape, fin.shape), dtype=cld)
-        e[..., : grid.i_left] = fin
-        e[..., grid.medium] = fin + 1j * (g * ld(density) / ld(light_speed)) * cum
-        e[..., grid.i_right + 1 :] = e[..., grid.i_right : grid.i_right + 1]
-        return e
-
-    sig_p = sigma + (ld(0.5) * dt) * (1j * g) * field(sigma, fin_now) * mask
-    sig_p = rot_half * sig_p
-    kick = (1j * g) * field(sig_p, fin_mid) * mask
-    return rot_full * sigma + (dt * rot_half) * kick
-
-
 def _drive_fixture(bench_params, shape, n_medium, dt=2e-8):
-    """A driven step's inputs on a random (groups, rows, n_z) state."""
+    """A driven step's inputs on a random (groups, rows, n_z) state: rows of
+    their own coupling and residual, under the step's exact propagator."""
     grid = Grid1D.build(bench_params.half_length, n_medium=n_medium)
     assert grid.n_z == shape[-1]
     rng = np.random.default_rng(11)
     sigma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    p, eta = bench_params, -TAU * 10e6
     rows = np.linspace(1.0, 0.2, shape[1])[:, None]
-    coupling = bench_params.coupling_eff * rows
-    residual = stark_residual(bench_params, rows)
-    kern = StepKernels.build(grid, dt, -TAU * 10e6, residual, 0.004, bench_params.k_matched, 0.0)
+    coupling, residual = p.coupling_eff * rows, stark_residual(p, rows)
+    drives = solver1d._Propagators(grid, coupling, p.density, p.light_speed, residual)
+    drive = drives(dt, eta, True)
+    kern = StepKernels.build(grid, dt, eta, residual, 0.004, p.k_matched, 0.0, drive)
     kwargs = dict(
-        coupling_eff=coupling,
         fin_now=0.3 - 0.2j,
         fin_mid=(0.1 + 0.4j) * np.linspace(1.0, 0.0, shape[1])[:, None],
+        fin_next=-0.2 + 0.1j,
         drive_on=True,
-        density=bench_params.density,
-        light_speed=bench_params.light_speed,
     )
     return sigma, kern, grid, kwargs
 
 
 @pytest.mark.parametrize("groups", [1, 2])
 def test_drive_acts_on_the_medium_only(bench_params, groups):
-    # advance_step drives sigma[..., grid.medium] alone: it is the full-grid
-    # masked midpoint step, within 2 ulps of the peak of an extended-precision
-    # reference, and the padding gets the rotation and light shift and
-    # nothing else; the input state is left as it was
-    dt = np.array([2e-8, 3e-8])[:, None, None] if groups > 1 else 2e-8
-    sigma, kern, grid, kwargs = _drive_fixture(bench_params, (groups, 3, 256), 96, dt)
+    # advance_step drives sigma[..., grid.medium] alone: each row's medium
+    # becomes P x + w_now fin_now + w_mid fin_mid + w_next fin_next, with P
+    # and the weights of scipy's expm of that row's bordered generator, within
+    # 4e-15 of the row's peak (measured 2.3 to 4.2e-16), and the padding gets
+    # the rotation and light shift and nothing else; the input state is left
+    # as it was
+    sigma, kern, grid, kwargs = _drive_fixture(bench_params, (groups, 3, 256), 96)
     before = sigma.copy()
     got = advance_step(sigma, kern, grid, **kwargs)
-    want = _midpoint_reference(sigma, kern, grid, **kwargs)
-    eps = np.finfo(float).eps
-    assert np.max(np.abs(got - want)) <= 2.0 * eps * np.max(np.abs(want))
+    p, h, eta = bench_params, kern.dt, -TAU * 10e6
+    med = grid.medium
+    fins = (kwargs["fin_now"], kwargs["fin_mid"], kwargs["fin_next"])
+    rows = np.linspace(1.0, 0.2, sigma.shape[1])
+    for r, g_r in enumerate((p.coupling_eff * rows).tolist()):
+        residual = stark_residual(p, rows[r])
+        drives = solver1d._Propagators(grid, g_r, p.density, p.light_speed, residual)
+        want = _bordered_expm(drives, h, eta, residual)
+        m = drives.z.size
+        x = sigma[:, r, med]
+        ref = x @ want[:m, :m].T
+        for weight, fin in zip(_want_weights(drives, h, want), fins):
+            ref = ref + weight * np.broadcast_to(fin, (len(rows), 1))[r, 0]
+        assert np.max(np.abs(got[:, r, med] - ref)) <= 4e-15 * np.max(np.abs(ref)), r
     pad = grid.mask == 0.0
     assert np.array_equal(got[..., pad], (kern.rot_full * sigma)[..., pad])
     assert np.array_equal(sigma, before)
 
 
 @pytest.mark.parametrize("shape, n_medium", [((1, 1, 1024), 384), ((1, 128, 512), 192)])
-def test_a_driven_step_holds_two_running_sums(bench_params, shape, n_medium):
-    # the predictor and the corrector each fill one medium-sized buffer, so
-    # a driven step peaks at no more than 3 medium-sized arrays beyond the
-    # state it returns (one more than its two buffers, for numpy's own)
+def test_a_driven_step_holds_two_buffers(bench_params, shape, n_medium):
+    # the drive runs in two buffers, one medium-sized and one as long as the
+    # drive's transform: given them (the driver's way), a driven step peaks at
+    # no more than one medium-sized array beyond the state it returns (an
+    # input weight's product) and numpy's own ufunc buffers (at most three
+    # operands' of getbufsize() elements), and without them at no more than
+    # that plus the two buffers
     sigma, kern, grid, kwargs = _drive_fixture(bench_params, shape, n_medium)
     medium = sigma[..., grid.medium].nbytes
-    advance_step(sigma, kern, grid, **kwargs)  # warm: first-call caches
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        base = tracemalloc.get_traced_memory()[0]
-        out = advance_step(sigma, kern, grid, **kwargs)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert (peak - out.nbytes) / medium <= 3.0
+    scratch = solver1d._media(sigma, grid, kern.propagator.symbol.shape[-1])
+    buffers = sum(buffer.nbytes for buffer in scratch)
+    numpys = 3 * np.getbufsize() * sigma.itemsize
+    for given, bound in ((scratch, medium + numpys), (None, medium + numpys + buffers)):
+        advance_step(sigma, kern, grid, scratch=given, **kwargs)  # warm: first-call caches
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = advance_step(sigma, kern, grid, scratch=given, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= bound, given is None
 
 
 def test_exit_functional_reads_the_settled_exit_field(bench_params):
@@ -332,11 +323,13 @@ def test_gradient_only_hold_without_diffusion_is_one_exact_rotation(bench_params
 
 
 def test_self_convergence_is_second_order(bench_params, bench_protocol, bench_signal):
-    # real space with diffusion keeps the midpoint drive, whose columns see a
-    # Gaussian control: halving dt four-folds its error at the end of the write,
-    # ||s(h) - s(h/4)|| / ||s(h/2) - s(h/4)|| -> (16 + 4) / 4 = 5 (measured
-    # 4.996).  The 1D drive is exact in time instead (the step-independence
-    # test below)
+    # real space with diffusion under a Gaussian control splits each step
+    # into the radial Crank-Nicolson halves around the exact drive (Strang),
+    # whose error is second order: halving dt four-folds it at the end of the
+    # write, ||s(h) - s(h/4)|| / ||s(h/2) - s(h/4)|| -> (16 + 4) / 4 = 5
+    # (measured 5.08; the error at 20 steps per width is 4.1e-7 of the frame).
+    # Without the split the drive is exact in time (the step-independence
+    # tests below)
     control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
     tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
     runs = [
@@ -363,8 +356,8 @@ def test_realspace_without_diffusion_is_step_independent(bench_params, bench_sig
     # coupling and light shift, and the drive is exact in time: under
     # phase-profile's Gaussian control and pulse, the mid-hold frame at 6, 8
     # and 16 steps per width agrees with 48 to within 2e-5 of its norm
-    # (measured 6.1e-6, 2.0e-6 and 1.2e-7; the midpoint rule is 5.1e-2,
-    # 2.9e-2 and 6.7e-3 off)
+    # (measured 6.1e-6, 2.0e-6 and 1.2e-7; a second-order midpoint drive
+    # was 5.1e-2, 2.9e-2 and 6.7e-3 off)
     params = bench_params.with_diffusivity(0.0)
     signal = replace(bench_signal, t_width=0.35e-6, t_lead=2e-6)
     proto = StorageProtocol.gradient_through_hold(-TAU * 10e6, 16e-6)
@@ -390,19 +383,16 @@ def test_realspace_without_diffusion_is_step_independent(bench_params, bench_sig
         assert np.linalg.norm(frame(spw) - ref) <= 2e-5 * np.linalg.norm(ref), spw
 
 
-def test_1d_efficiency_is_step_independent(
-    bench_params, bench_protocol, bench_signal, monkeypatch
-):
+def test_1d_efficiency_is_step_independent(bench_params, bench_protocol, bench_signal):
     # the exponential drive leaves only the input's quadratic interpolation
-    # to the step: from 6 steps per width on, the efficiency agrees with a
-    # 1600-steps-per-width midpoint reference (whose own error is about
-    # 4e-6) to within 1e-5 (measured: -0.9, +2.4, +4.1, +4.3 e-6)
+    # and the diffusion split to the step: from 6 steps per width on, the
+    # efficiency agrees with the same drive at 400 steps per width (itself
+    # 1.7e-10 off 1600) to within 1e-5 (measured: -5.2, -2.0, -0.21, -0.034
+    # e-6)
     cycle = partial(run_cycle, bench_params, bench_protocol, bench_signal, n_medium=64)
-    got = {spw: efficiency_1d(cycle(steps_per_width=spw)) for spw in (6.0, 8.0, 16.0, 32.0)}
-    monkeypatch.setattr(solver1d, "_Propagators", lambda *args: None)  # the midpoint drive
-    ref = efficiency_1d(cycle(steps_per_width=1600.0))
-    for spw, eff in got.items():
-        assert abs(eff - ref) < 1e-5, spw
+    ref = efficiency_1d(cycle(steps_per_width=400.0))
+    for spw in (6.0, 8.0, 16.0, 32.0):
+        assert abs(efficiency_1d(cycle(steps_per_width=spw)) - ref) < 1e-5, spw
 
 
 def _propagators(params, n_medium=64):
@@ -435,20 +425,22 @@ def _applied(drive, x):
     return drive.apply(rows, np.empty((*rows.shape[:-1], drive.symbol.size), dtype=complex))
 
 
-def _bordered_generator(drives, h, eta, residual):
+def _bordered_generator(drives, h, eta, residual, decay=0.0):
     """The dense bordered generator of a step h in the medium-first layout:
-    L h, the input column (1/n per cell) and the 3 x 3 shift."""
+    L h, with -decay h more on its diagonal, the input column (1/n per
+    cell) and the 3 x 3 shift."""
     m = drives.z.size
     cells = np.arange(m)
     grown = np.zeros((m + 3, m + 3), dtype=complex)
     slave_field(np.eye(m), -drives.kappa * h, None, out=grown[:m, :m].T)
     grown[cells, cells] += (-1j * h) * (eta * drives.z + residual)
+    grown[cells, cells] -= decay * h
     grown[:m, m] = 1.0 / m
     grown[m, m + 1] = grown[m + 1, m + 2] = 1.0
     return grown
 
 
-def _bordered_expm(drives, h, eta, residual):
+def _bordered_expm(drives, h, eta, residual, decay=0.0):
     """scipy's expm of the bordered generator in the medium-first layout.
 
     The generator is handed to scipy transposed in the border-first order,
@@ -456,7 +448,7 @@ def _bordered_expm(drives, h, eta, residual):
     the general medium-first matrix its expm is itself 0.7 to 2.7e-13 off a
     40-digit reference at 1000 sweep steps."""
     m = drives.z.size
-    grown = _bordered_generator(drives, h, eta, residual)
+    grown = _bordered_generator(drives, h, eta, residual, decay)
     border_first = np.r_[m + 2, m + 1, m, :m]
     order = np.ix_(border_first, border_first)
     lower = grown[order]
@@ -611,6 +603,43 @@ def test_the_five_column_build_matches_scipy(bench_params, scale):
         assert np.max(np.abs(_applied(drive, x) - ref)) <= 1e-13 * np.max(np.abs(ref)), eta
 
 
+def test_a_decaying_row_takes_the_exponential_of_its_decaying_generator(bench_params):
+    # a radial mode's row carries its transverse decay gamma as minus the
+    # imaginary part of its residual: stacked rows that share a coupling and
+    # differ in gamma h (0 to 0.018, beam-width's largest mode at its standard
+    # step) take column 0, c, the assembled P and the weights of scipy's expm
+    # of the bordered generator with -gamma h more on its diagonal, within
+    # 1e-13, each row the bits of its own build; the read's conjugate rotates
+    # by the real residual only (a decay is its own conjugate), against the
+    # same expm at the opposite gradient
+    p = bench_params
+    eta, h = -TAU * 10e6, 1e-6 / 8.0
+    grid = Grid1D.build(p.half_length, n_medium=64)
+    residual = stark_residual(p, 0.5 * p.rabi_control)
+    decay = np.array([[0.0], [0.002], [0.018]]) / h
+    coupling = p.coupling_eff
+    drives = solver1d._Propagators(grid, coupling, p.density, p.light_speed, residual - 1j * decay)
+    write, read = drives(h, eta, True), drives(h, -eta, False)
+    assert len(drives.keys) == 3 and read.weights is None
+    for r, gamma in enumerate(decay[:, 0].tolist()):
+        damped = residual - 1j * gamma
+        alone = solver1d._Propagators(grid, coupling, p.density, p.light_speed, damped)
+        single = alone(h, eta, True)
+        row = solver1d._Drive(
+            write.column[r], write.symbol[r], write.twist, tuple(w[r] for w in write.weights)
+        )
+        for got, want in zip(row[:2] + row.weights, single[:2] + single.weights):
+            assert np.array_equal(got, want), r
+        _assert_matches_expm(row, alone, h, _bordered_expm(alone, h, eta, residual, gamma), 1e-13)
+        m = alone.z.size
+        want = _bordered_expm(alone, h, -eta, residual, gamma)[:m, :m]
+        mirrored = solver1d._Drive(read.column[r], read.symbol[r], read.twist, None)
+        scale = np.max(np.abs(want))
+        got = (*_columns(mirrored), _dense(mirrored))
+        for value, ref in zip(got, (want[:, 0], want[1:, 1], want)):
+            assert np.max(np.abs(value - ref)) <= 1e-13 * scale, r
+
+
 def _gaussian_rows(params, n_r=16):
     """The couplings and light-shift residuals of a Gaussian control's radial
     columns, as (n_r, 1) columns: every row distinct."""
@@ -665,15 +694,7 @@ def test_stacked_groups_step_as_their_single_solves(bench_params, monkeypatch):
         kern = StepKernels.build(grid, h, eta, residual, 0.0, p.k_matched, 0.0, drive)
         shape = (5, rows, grid.n_z)
         sigma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        kwargs = dict(
-            coupling_eff=coupling,
-            fin_now=0.3 - 0.2j,
-            fin_mid=0.5 + 0.1j,
-            fin_next=0.2 + 0.4j,
-            drive_on=True,
-            density=p.density,
-            light_speed=p.light_speed,
-        )
+        kwargs = dict(fin_now=0.3 - 0.2j, fin_mid=0.5 + 0.1j, fin_next=0.2 + 0.4j, drive_on=True)
         stacked = advance_step(sigma, kern, grid, **kwargs)
         for g in range(len(sigma)):
             alone = advance_step(sigma[g : g + 1], kern, grid, **kwargs)
@@ -686,9 +707,10 @@ def test_stacked_groups_step_as_their_single_solves(bench_params, monkeypatch):
 
 
 def test_rows_that_share_a_control_value_step_once(bench_params, bench_signal):
-    # with no transverse operator the driver steps one row per distinct
-    # control value, the one of largest |profile|, and scales it to the rows
-    # that share the value.  A Gaussian control's 16 columns plus three
+    # with no transverse operator a real-space call steps one row per
+    # distinct control value (transverse._distinct_rows), the one of largest
+    # |profile|, and the driver scales it to the rows that share the value
+    # by its synthesis matrix.  A Gaussian control's 16 columns plus three
     # repeats, at 0.5, 1.5 and -0.25 times their profile (so the second
     # repeat steps for its original): every stepped row equals its own
     # single-row solve to the bit in every exit field, end state and frame,
@@ -713,13 +735,15 @@ def test_rows_that_share_a_control_value_step_once(bench_params, bench_signal):
 
     def solve(rows):
         """Each exit field, end state and frame of the rows, as (rows, ...) arrays."""
+        stepped, entry, synthesis = transverse._distinct_rows(rabi[rows], profile[rows])
         traces, _, _, takers = solver1d._drive_cycle(
             param_rows,
             protocols,
             bench_signal,
             grid,
-            rabi=rabi[rows],
-            profile=profile[rows],
+            rabi=stepped,
+            profile=entry,
+            synthesis=synthesis,
             record=("write", "hold", "read"),
             sigma_times=(-1e-6, proto.flip_time()),
             steps_per_width=8.0,
