@@ -71,7 +71,7 @@ Whatever leaves the driver is a copy: exit fields, end states and frames.
 One driver, _drive_cycle, runs both routes on a (groups, rows, n_z) state
 by the step plan of _cycle_plan.  _rows_of checks a call's rows once, the
 plan takes their diffusivity, and the driver injects each input sample
-times face_phase (and each stepped row's input weight, in real space).
+times face_phase and each stepped row's input weight (1 for a 1D row).
 Each group is a record: a 1D batch is G groups of one row, a real-space
 call G groups of its stepped rows, one per protocol.  Per-group values are (G, 1,
 1) columns and per-row ones (rows, 1) columns, so both broadcast without
@@ -90,7 +90,6 @@ scalar times (sigma_times); a spin-wave spectrum is spinwave_spectrum of a frame
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -297,7 +296,7 @@ class StepKernels:
             probe = after * grid.trapezoid_k
         return cls(
             dt=dt,
-            rot_full=np.exp(-1j * eta * grid.z * dt) * _rotation(residual, dt),
+            rot_full=np.exp(-1j * eta * grid.z * dt) * np.exp(-1j * residual * dt),
             before=before,
             after=after,
             full=full,
@@ -406,9 +405,9 @@ class _Propagators:
 
     Over a driven piece each row has one constant generator on the
     medium, L = diag(-i (eta z + residual)) - kappa S, kappa = g^2 N dz /
-    (2 c) with g the row's coupling, residual its light-shift residual (one
-    pair for every row in 1D; a radial column's own under a Gaussian
-    control; under a homogeneous one with diffusion, a radial mode's, whose
+    (2 c) with g the row's coupling, residual its light-shift residual (a
+    1D call's one row's; a radial column's own under a Gaussian control;
+    under a homogeneous one with diffusion, a radial mode's, whose
     imaginary part is minus its transverse decay rate), and S the running
     sum of slave_field as a matrix: lower triangular, since the field at z
     sees only upstream coherence.  The input enters every cell as i g f(t).  Over a step of h
@@ -472,16 +471,15 @@ class _Propagators:
     build takes 0 to 2 squarings), and keeps O(n): P's column 0, the FFT
     of c and the twist (_Drive).
 
-    coupling and residual are scalars, or (rows, 1) columns.  Rows that all
-    share one (coupling, residual) pair take one build of 1-D arrays,
-    broadcast over the rows (a 1D call, or rows under a homogeneous
-    control).  Any other rows take one build each, stacked: column (rows,
-    n), symbol (rows, length) and three (rows, n) weights, with one twist
-    for every row (it depends on h and eta only).  A real-space call steps
-    one row per distinct pair where no operator couples its rows
-    (transverse._stepped_rows), so its rows are then distinct.  The rows
-    whose norms
-    give the same (s, terms) run the Taylor series together (_taylor), in
+    coupling and residual are (rows, 1) columns, broadcast against each
+    other (a scalar is one row), kept as keys, one (coupling, residual)
+    pair per row.  Every row takes one build, stacked: column (rows, n),
+    symbol (rows, length) and three (rows, n) weights, with one twist for
+    every row (it depends on h and eta only).  A 1D call steps one row, and
+    a real-space call one row per distinct pair where no operator couples
+    its rows (transverse._stepped_rows), so no two rows build alike.  The
+    rows whose norms give the same (s, terms) run the Taylor series
+    together (_taylor), in
     batches of _TAYLOR_ROWS, by the products each row takes alone, so each
     keeps its single-row bits; each row then squares alone (_square), whose
     n^2 products gain nothing from a batch (a Gaussian control's 128
@@ -508,20 +506,9 @@ class _Propagators:
         self.density, self.dz, self.light_speed = density, grid.dz, light_speed
         self.length = _next_fast_len(2 * self.z.size - 3)  # the drive's transform length
         self.known: list[tuple[float, float, _Drive]] = []  # (h, eta, drive)
-        # rows that all share one pair build once, broadcast over the rows; any
-        # other rows build one each, straight into the stack in row order
-        pairs = np.stack(np.broadcast_arrays(coupling, residual), axis=-1).reshape(-1, 2)
-        self.keys = pairs[:1] if np.all(pairs == pairs[0]) else pairs
-        if len(self.keys) == 1:
-            coupling, self.residual = pairs[0].tolist()
-        else:
-            coupling, self.residual = (column.reshape(-1, 1) for column in pairs.T)
-        self.coupling = coupling.real  # a complex residual makes the pairs complex
-        self.kappa = self._kappa(self.coupling)
-
-    def _kappa(self, coupling):
-        """kappa = g^2 N dz / (2 c) of a coupling g."""
-        return coupling * coupling * self.density * self.dz / (2.0 * self.light_speed)
+        # one (coupling, residual) pair per row, each built straight into the stack
+        self.keys = np.stack(np.broadcast_arrays(coupling, residual), axis=-1).reshape(-1, 2)
+        self.residual = self.keys[:, 1:]  # a complex residual makes the pairs complex
 
     def __call__(self, h: float, eta: float, inject: bool) -> _Drive:
         h = float(h)
@@ -530,7 +517,7 @@ class _Propagators:
         if same:
             return same[0][2]
         if near and not inject:  # the opposite gradient: the conjugate identity
-            drive, rot = near[0][2], _rotation(2.0 * self.residual.real, h)
+            drive, rot = near[0][2], np.exp(-1j * (2.0 * self.residual.real) * h)
             symbol = np.roll(drive.symbol[..., ::-1], 1, axis=-1)  # FFT(c) at -m mod length
             column = drive.column.conj()
             for part in (column, np.conjugate(symbol, out=symbol)):  # in place: no temporaries
@@ -546,7 +533,7 @@ class _Propagators:
         self.known = [(h, eta, drive._replace(weights=None)) for h, eta, drive in self.known]
 
     def _build(self, h: float, eta: float) -> _Drive:
-        """P(h) and its input weights of every row of keys, stacked (one row: 1-D arrays).
+        """P(h) and its input weights of every row of keys, stacked.
 
         The rows that share their (s, terms) take the Taylor phase together
         (_taylor), and each row then squares alone (_square).
@@ -559,7 +546,8 @@ class _Propagators:
         below = 2.0 * np.arange(n - 1, -1, -1.0)
         below[0] = n - 1
         with np.errstate(over="ignore", invalid="ignore"):  # a norm out of range is refused
-            kappa = self._kappa(keys[:, :1].real)
+            coupling = keys[:, :1].real
+            kappa = coupling * coupling * self.density * self.dz / (2.0 * self.light_speed)
             rate = -1j * (eta * z + keys[:, 1:])  # L's diagonal but for kappa S's
             diagonal = rate - kappa * (np.arange(n) > 0)  # S's diagonal: 0 at index 0, else 1
             norms = np.max((np.abs(diagonal) + below * kappa) * h, axis=-1)
@@ -575,7 +563,7 @@ class _Propagators:
         column = np.empty((k, n), dtype=complex)
         symbol = np.empty((k, self.length), dtype=complex)
         weights = np.empty((3, k, n), dtype=complex)
-        couplings = keys[:, 0].real.tolist()
+        couplings = coupling[:, 0].tolist()
         for s, n_terms in sorted(set(plans)):
             alike = [r for r, plan in enumerate(plans) if plan == (s, n_terms)]
             for first in range(0, len(alike), _TAYLOR_ROWS):
@@ -591,8 +579,6 @@ class _Propagators:
                         4.0 * phi3 - phi2,
                     )
                     column[r], symbol[r] = med[0], fft(med[1, 1:], n=self.length)
-        if k == 1:
-            column, symbol, weights = column[0], symbol[0], weights[:, 0]
         return _Drive(column, symbol, twist, tuple(weights))
 
     def _taylor(self, h: float, s: int, n_terms: int, kappa, rate):
@@ -661,8 +647,8 @@ class _Drive(NamedTuple):
     P is kept in O(n) per row: its column 0, the FFT of c = P[1:, 1] at the
     transform length, zero-padded past c, and the twist tau; past index 0,
     P[j, k] = c[j-k] tau[k-1].  weights is (w_now, w_mid, w_next), or None
-    for no input.  column, symbol and each weight are one row's 1-D arrays,
-    shared by every row, or stacked (rows, ...) with one row per state row;
+    for no input.  column, symbol and each weight are stacked (rows, ...),
+    one row per stepped row of the state (a 1D call's one row included);
     tau is every row's.
     """
 
@@ -1083,16 +1069,6 @@ def _at(values, g: int):
     return float(values[g]) if np.ndim(values) else values
 
 
-def _rotation(rate, span):
-    """exp(-i rate span): np.exp for a per-row rate column, else cmath
-    (a column of per-group spans gives a column of the same shape)."""
-    if np.ndim(rate):
-        return np.exp(-1j * rate * span)
-    if np.ndim(span) == 0:
-        return cmath.exp(-1j * rate * span)
-    return np.array([cmath.exp(-1j * rate * s) for s in span.ravel().tolist()]).reshape(span.shape)
-
-
 def _steps_by_row(samples) -> np.ndarray:
     """Per-step samples (shared scalars, or one value per group) as (groups, steps)."""
     a = np.asarray(samples)
@@ -1138,7 +1114,7 @@ def _drive_cycle(
     *,
     rabi,
     decay=None,
-    profile: np.ndarray | None = None,
+    profile: np.ndarray,
     synthesis: np.ndarray | None = None,
     record: tuple[str, ...],
     transverse=None,
@@ -1150,13 +1126,13 @@ def _drive_cycle(
 
     param_rows and protocols are the call's checked rows (_rows_of), one
     group per protocol, and every field of param_rows but the diffusivity
-    is shared.  A group has one row, or one per entry of profile, an
-    (n_rows, 1) column of input weights; the state fans out from one
-    shared group to each span's group count.  rabi (scalar or (n_rows, 1)
-    column) sets each row's coupling and light-shift residual, and decay
-    (an (n_rows, 1) column) a decay rate, minus the residual's imaginary
-    part.  An input sample s of signal enters at the entrance face as
-    face_phase * s, times profile when one is given.  The input is sampled
+    is shared.  A group has one row per entry of profile, an (n_rows, 1)
+    column of input weights (a 1D call's is [[1.0]]); the state fans out
+    from one shared group to each span's group count.  rabi, an (n_rows,
+    1) column, sets each row's coupling and light-shift residual, and
+    decay (an (n_rows, 1) column) a decay rate, minus the residual's
+    imaginary part.  An input sample s of signal enters at the entrance
+    face as face_phase * s * profile.  The input is sampled
     once at each write boundary, which serves the exit field there and the
     next step's start, and once at each step's midpoint.  Every driven
     step is exact (_Propagators).  A span with a diffusivity diffuses
@@ -1200,7 +1176,7 @@ def _drive_cycle(
     want_frames = bool(takers[0].pending)
     density, light_speed = params.density, params.light_speed
     drives = _Propagators(grid, coupling, density, light_speed, residuals[0])
-    sigma = np.zeros((1, 1 if profile is None else len(profile), grid.n_z), dtype=complex)
+    sigma = np.zeros((1, len(profile), grid.n_z), dtype=complex)
     spare, media = _step_buffers(sigma, grid, drives.length)
     traces, injected = {}, ([], [])  # injected: write boundary times, input samples
 
@@ -1210,7 +1186,7 @@ def _drive_cycle(
         if boundary:
             injected[0].append(t)
             injected[1].append(s)
-        return face_phase * s if profile is None else face_phase * s * profile
+        return face_phase * s * profile
 
     def observe(t, fin, trace, kern=None, spec=None, across=None, step=0.0, halves=0):
         """Keep the exit field at boundary t in trace (None: not read there) and
@@ -1356,7 +1332,8 @@ def run_cycle(
         protocol_rows,
         signal,
         grid,
-        rabi=params.rabi_control,
+        rabi=np.array([[params.rabi_control]]),
+        profile=np.ones((1, 1)),
         record=_PHASES,
         steps_per_width=steps_per_width,
         diffusion_phases=diffusion_phases,
@@ -1365,11 +1342,8 @@ def run_cycle(
 
     write, hold, read = (traces[phase] for phase in _PHASES)
     t_write_axis, f_in = np.array(write.times), np.array(f_in)
-    # physical-frame exit field per row, as scalar products: numpy's
-    # vector complex multiply may fuse multiply-adds and move last bits
-    f_trans, f_hold, f_out = (
-        _steps_by_row([[face_phase * value for value in e[:, 0]] for e in trace.exits])
-        for trace in (write, hold, read)
+    f_trans, f_hold, f_out = (  # physical-frame exit field per group's row
+        _steps_by_row([face_phase * e[:, 0] for e in trace.exits]) for trace in (write, hold, read)
     )
     t_hold_axis, t_out = _steps_by_row(hold.times), _steps_by_row(read.times)
 

@@ -29,7 +29,8 @@ Two complementary routes:
   one real GEMM per block of 16 rows over the column band those rows
   couple (n merged half-steps are its cached n-th power).  The module
   needs numpy only: numpy.fft, numpy.linalg.eigh for the radial modes,
-  and its own tridiagonal solve and Gaussian fit (_fit_gaussian).
+  and its own tridiagonal solve and Gaussian width fit (_fit_gaussian, a
+  one-parameter search once the amplitude is projected out).
 
 Beam observables (intensity profile, fitted width, spin-wave phase maps,
 effective diffusion rate) are extracted from the records here as well.
@@ -519,7 +520,7 @@ def run_cycle_realspace(
     tgrid: TransverseGrid,
     *,
     n_medium: int = 192,
-    steps_per_width: float = 64.0,
+    steps_per_width: float = 8.0,
     sigma_times=(),
     store_fields=None,
     read: bool = True,
@@ -620,8 +621,9 @@ class BeamProfile:
 
     width is the scale of the fitted I0 exp(-r^2 / (2 w^2)); width_moment
     is sqrt(<r^2>/2), which equals the fitted width for an exact Gaussian.
-    fit_ok is False when the least-squares fit failed to converge, in
-    which case width falls back to the moment value.
+    fit_ok is False when the profile has no least-squares width (its best
+    width grows without end, as for an intensity rising with r), in which
+    case width falls back to the moment value.
     """
 
     r: np.ndarray
@@ -632,62 +634,49 @@ class BeamProfile:
     fit_ok: bool
 
 
-_FIT_TRIALS = 200  # Levenberg-Marquardt trial steps before a fit counts as not converged
-_FIT_XTOL = 1e-13  # a fit converges at a step that moves no parameter by more than this share
+# the trial widths that bracket a fit's width, in moment widths: 2^-6 to 2^6, eight per octave
+_FIT_WIDTHS = np.exp2(np.arange(-48, 49) / 8.0)
 
 
 def _fit_gaussian(rho: np.ndarray, y: np.ndarray) -> tuple[float, float] | None:
-    """Least-squares (a, s) of y ~ a exp(-rho^2 / (2 s^2)), from (1, 1).
+    """Least-squares (a, s > 0) of y >= 0 ~ a exp(-rho^2 / (2 s^2)).
 
-    Levenberg-Marquardt with Marquardt's diagonal scaling and the exact
-    Jacobian (Nocedal and Wright, Numerical Optimization, section 10.3): a
-    trial step that lowers the squared residual is taken and halves the
-    damping, any other raises it tenfold.  The fit converges at a trial
-    step, taken or not, that moves each parameter by at most _FIT_XTOL of
-    its size (a refused step that small is round-off); None when none has
-    within _FIT_TRIALS trials.  Callers scale rho and y to order 1, so no
-    product underflows.
+    Variable projection (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413,
+    1973): at width s the best amplitude is a = y.g / g.g, g = exp(-rho^2 /
+    (2 s^2)), so the fit maximises (y.g)^2 / g.g over s alone, whose slope
+    has the sign of (y.g d)(g.g) - (y.g)(g.g d), d = rho^2 - min rho^2 (the
+    shift makes it exactly 0, not round-off, where g keeps one sample).
+    The first fall of that sign over _FIT_WIDTHS brackets s, and bisection
+    takes it to round-off; None when the sign never falls (the best width
+    grows without end).  Callers scale rho and y to order 1.
     """
-
-    def residual(p):
-        shape = np.exp(-rho_sq / (2.0 * p[1] * p[1]))
-        return shape, p[0] * shape - y
-
     rho_sq = rho * rho
-    params, lam = np.array([1.0, 1.0]), 1e-3
-    shape, resid = residual(params)
-    cost = resid @ resid
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(_FIT_TRIALS):
-            a, s = params
-            jac = np.stack((shape, a * shape * rho_sq / (s * s * s)), axis=1)
-            normal = jac.T @ jac
-            try:
-                step = np.linalg.solve(normal + lam * np.diag(np.diag(normal)), -(jac.T @ resid))
-            except np.linalg.LinAlgError:  # a column of the Jacobian vanished
-                return None
-            trial = params + step
-            trial_shape, trial_resid = residual(trial)
-            if trial_resid @ trial_resid < cost:
-                params, shape, resid, lam = trial, trial_shape, trial_resid, 0.5 * lam
-                cost = resid @ resid
-            else:
-                lam *= 10.0
-            if not np.all(np.isfinite(params)):
-                return None
-            if np.all(np.abs(step) <= _FIT_XTOL * np.abs(params)):
-                return float(params[0]), float(params[1])
-    return None
+    lift = rho_sq - np.min(rho_sq)
+
+    def slope(s):  # at a scalar s or a (widths, 1) column, times a positive factor
+        g = np.exp(-rho_sq / (2.0 * s * s))
+        return (g * lift) @ y * np.sum(g * g, axis=-1) - (g @ y) * ((g * g) @ lift)
+
+    rising = slope(_FIT_WIDTHS[:, None]) > 0.0
+    falls = np.flatnonzero(rising[:-1] & ~rising[1:])
+    if not len(falls):
+        return None
+    lo, hi = _FIT_WIDTHS[falls[0] : falls[0] + 2].tolist()
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+    g = np.exp(-rho_sq / (2.0 * lo * lo))
+    return float(g @ y / (g @ g)), lo
 
 
 def intensity_and_width(record: RealspaceRecord) -> BeamProfile:
     """Fit the time-integrated output intensity to a Gaussian profile.
 
-    Primary width from least squares on I(r) = I0 exp(-r^2/(2 w^2)),
-    started at I0 = max I and w = the moment width (_fit_gaussian, on I /
-    max I against r / the moment width); second-moment width reported
-    alongside as a diagnostic.  If the fit does not converge, the moment
-    width is returned with fit_ok = False.
+    Primary width from least squares on I(r) = I0 exp(-r^2/(2 w^2))
+    (_fit_gaussian, on I / max I against r / the moment width);
+    second-moment width reported alongside as a diagnostic.  If no
+    least-squares width exists, the moment width is returned with fit_ok =
+    False.
     """
     record._require_read()
     r, intensity = record.tgrid.r, record.intensity
@@ -702,7 +691,7 @@ def intensity_and_width(record: RealspaceRecord) -> BeamProfile:
         width, fit_residual, fit_ok = moment, math.nan, False
     else:
         a, s = fit
-        width = abs(s) * moment
+        width = s * moment
         resid = a * np.exp(-((r / moment) ** 2) / (2.0 * s * s)) - intensity / peak
         fit_residual, fit_ok = float(np.sqrt(np.mean(resid**2))), True
     return BeamProfile(

@@ -403,13 +403,26 @@ def _propagators(params, n_medium=64):
     )
 
 
+def _row_of(drive, r):
+    """Row r of a stacked drive, as a one-row stack (the twist is every row's)."""
+    weights = None if drive.weights is None else tuple(w[r : r + 1] for w in drive.weights)
+    return solver1d._Drive(drive.column[r : r + 1], drive.symbol[r : r + 1], drive.twist, weights)
+
+
+def _coupling_and_kappa(drives):
+    """A one-row drive's coupling g, from its keys, and kappa = g^2 N dz / (2 c)."""
+    (g,) = drives.keys[:, 0].real.tolist()
+    return g, g * g * drives.density * drives.dz / (2.0 * drives.light_speed)
+
+
 def _columns(drive):
-    """P's column 0 and c = P[1:, 1] of a drive, c read back from its symbol."""
-    return drive.column, ifft(drive.symbol)[: drive.column.size - 1]
+    """P's column 0 and c = P[1:, 1] of a one-row drive, c read back from its symbol."""
+    (column,), (symbol,) = drive.column, drive.symbol
+    return column, ifft(symbol)[: column.size - 1]
 
 
 def _dense(drive):
-    """P of a drive, assembled: past index 0, P[j, k] = c[j - k] twist[k - 1]."""
+    """P of a one-row drive, assembled: past index 0, P[j, k] = c[j - k] twist[k - 1]."""
     column, c = _columns(drive)
     m = column.size
     p = np.zeros((m, m), dtype=complex)
@@ -432,7 +445,7 @@ def _bordered_generator(drives, h, eta, residual, decay=0.0):
     m = drives.z.size
     cells = np.arange(m)
     grown = np.zeros((m + 3, m + 3), dtype=complex)
-    slave_field(np.eye(m), -drives.kappa * h, None, out=grown[:m, :m].T)
+    slave_field(np.eye(m), -_coupling_and_kappa(drives)[1] * h, None, out=grown[:m, :m].T)
     grown[cells, cells] += (-1j * h) * (eta * drives.z + residual)
     grown[cells, cells] -= decay * h
     grown[:m, m] = 1.0 / m
@@ -460,7 +473,8 @@ def _bordered_expm(drives, h, eta, residual, decay=0.0):
 
 def _want_weights(drives, h, want):
     m = drives.z.size
-    phi1, phi2, phi3 = ((m * h * 1j * drives.coupling) * want[:m, m + k] for k in range(3))
+    coupling = _coupling_and_kappa(drives)[0]
+    phi1, phi2, phi3 = ((m * h * 1j * coupling) * want[:m, m + k] for k in range(3))
     return (phi1 - 3.0 * phi2 + 4.0 * phi3, 4.0 * phi2 - 8.0 * phi3, 4.0 * phi3 - phi2)
 
 
@@ -481,9 +495,9 @@ def test_the_propagator_starts_at_the_identity_and_is_a_semigroup(bench_params):
     drives = _propagators(bench_params)
     zero = drives(0.0, eta, True)
     m = zero.column.size
-    # P(0) = I: exact unit columns, column 0 and c = e_0 (whose FFT is all ones)
-    assert np.array_equal(zero.column, np.eye(m)[0])
-    assert np.array_equal(zero.symbol, np.ones(drives.length))
+    # P(0) = I: exact unit columns, column 0 and c = e_0 (whose FFT is all ones), one row
+    assert np.array_equal(zero.column, np.eye(m)[:1])
+    assert np.array_equal(zero.symbol, np.ones((1, drives.length)))
     assert np.array_equal(zero.twist, np.ones(m - 1))
     # P(b) P(a) = P(a + b), assembled and by the FFT product on the rows of I
     a, b, ab = (drives(h, eta, False) for h in (4e-8, 9e-8, 13e-8))
@@ -537,9 +551,11 @@ def test_the_propagator_at_the_sweep_grid_matches_scipy(bench_params):
     drives = _propagators(bench_params, n_medium=n)
     drive = drives(h, eta, True)
     assert drives.z.size == 385 and drives.length == 768  # the medium's points, faces included
-    # an entry keeps O(n): no n x n matrix
-    assert all(a.ndim == 1 for a in (drive.column, drive.symbol, drive.twist, *drive.weights))
-    _assert_matches_expm(drive, drives, h, _bordered_expm(drives, h, eta, drives.residual), 1e-13)
+    # an entry keeps O(n) per row, in one row: no n x n matrix
+    assert drive.twist.ndim == 1
+    assert all(a.shape == (1, a.shape[-1]) for a in (drive.column, drive.symbol, *drive.weights))
+    want = _bordered_expm(drives, h, eta, drives.residual.item())
+    _assert_matches_expm(drive, drives, h, want, 1e-13)
 
 
 def test_the_fft_product_matches_the_dense_product_at_the_sweep_grid(bench_params):
@@ -550,7 +566,7 @@ def test_the_fft_product_matches_the_dense_product_at_the_sweep_grid(bench_param
     drives = _propagators(bench_params, n_medium=n)
     drive = drives(h, eta, True)
     m = drives.z.size
-    want = _bordered_expm(drives, h, eta, drives.residual)[:m, :m]
+    want = _bordered_expm(drives, h, eta, drives.residual.item())[:m, :m]
     rng = np.random.default_rng(11)
     for rows in (1, 4, 8):
         x = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
@@ -570,7 +586,7 @@ def test_the_build_takes_the_exact_1_norm_of_its_generator(bench_params, monkeyp
     drives = _propagators(bench_params, n_medium=16)
     h = steps * 1e-6 / 8.0
     drives(h, eta, True)
-    generator = _bordered_generator(drives, h, eta, drives.residual)
+    generator = _bordered_generator(drives, h, eta, drives.residual.item())
     assert seen == [pytest.approx(np.max(np.sum(np.abs(generator), axis=0)), rel=1e-14)]
 
 
@@ -595,8 +611,8 @@ def test_the_five_column_build_matches_scipy(bench_params, scale):
         _assert_matches_expm(drive, drives, h, _bordered_expm(drives, h, eta, residual), 1e-13)
         if scale == 0.0:
             m = drive.column.size
-            assert np.array_equal(drive.column, np.eye(m)[0])
-            assert np.array_equal(drive.symbol, np.ones(drives.length))
+            assert np.array_equal(drive.column, np.eye(m)[:1])
+            assert np.array_equal(drive.symbol, np.ones((1, drives.length)))
         # the FFT product applies the assembled P
         x = np.random.default_rng(5).standard_normal((2, drive.column.size))
         ref = x @ _dense(drive).T
@@ -625,15 +641,13 @@ def test_a_decaying_row_takes_the_exponential_of_its_decaying_generator(bench_pa
         damped = residual - 1j * gamma
         alone = solver1d._Propagators(grid, coupling, p.density, p.light_speed, damped)
         single = alone(h, eta, True)
-        row = solver1d._Drive(
-            write.column[r], write.symbol[r], write.twist, tuple(w[r] for w in write.weights)
-        )
+        row = _row_of(write, r)
         for got, want in zip(row[:2] + row.weights, single[:2] + single.weights):
             assert np.array_equal(got, want), r
         _assert_matches_expm(row, alone, h, _bordered_expm(alone, h, eta, residual, gamma), 1e-13)
         m = alone.z.size
         want = _bordered_expm(alone, h, -eta, residual, gamma)[:m, :m]
-        mirrored = solver1d._Drive(read.column[r], read.symbol[r], read.twist, None)
+        mirrored = _row_of(read, r)
         scale = np.max(np.abs(want))
         got = (*_columns(mirrored), _dense(mirrored))
         for value, ref in zip(got, (want[:, 0], want[1:, 1], want)):
@@ -654,7 +668,7 @@ def test_stacked_groups_step_as_their_single_solves(bench_params, monkeypatch):
     # residual stack one build per row, whose Taylor phase runs in batches
     # of the rows that share their (s, terms): each row of the column,
     # symbol and weights is that row's single-row build, to the bit.  The
-    # rows: a Gaussian control's columns; then three of them twice (the
+    # rows: one row; a Gaussian control's columns; then three of them twice (the
     # driver steps such rows once, but each builds alone here); then 32
     # columns and five rows whose couplings span 640x: 13 (s, terms), s
     # from 0 to 13, and more rows of the commonest than one batch takes
@@ -666,7 +680,7 @@ def test_stacked_groups_step_as_their_single_solves(bench_params, monkeypatch):
     shared = stark_residual(p, p.rabi_control)
     wide = np.array([[0.1], [1.0], [4.0], [16.0], [64.0]])
     cases = [
-        (p.coupling_eff, shared),
+        (np.array([[p.coupling_eff]]), np.array([[shared]])),
         (coupling, residual),
         (np.r_[coupling, coupling[:3]], np.r_[residual, residual[:3]]),
         (np.r_[dense[0], wide * p.coupling_eff], np.r_[dense[1], wide**2 * shared]),
@@ -682,15 +696,13 @@ def test_stacked_groups_step_as_their_single_solves(bench_params, monkeypatch):
         stacked_plans = list(plans)
         rows = np.size(coupling)
         built = (drive.column, drive.symbol, *drive.weights)
-        # one build of 1-D arrays broadcast over every row, or one stacked row per row
-        assert all(a.shape[:-1] == (() if rows == 1 else (rows,)) for a in built)
-        if rows > 1:
-            for r, (g_r, d_r) in enumerate(zip(coupling[:, 0].tolist(), residual[:, 0].tolist())):
-                alone = solver1d._Propagators(grid, g_r, p.density, p.light_speed, d_r)
-                alone = alone(h, eta, True)
-                assert np.array_equal(drive.twist, alone.twist)
-                for got, want in zip(built, (alone.column, alone.symbol, *alone.weights)):
-                    assert np.array_equal(got[r], want), r
+        assert all(a.shape[:-1] == (rows,) for a in built)  # one stacked row per row
+        for r, (g_r, d_r) in enumerate(zip(coupling[:, 0].tolist(), residual[:, 0].tolist())):
+            alone = solver1d._Propagators(grid, g_r, p.density, p.light_speed, d_r)
+            alone = alone(h, eta, True)
+            assert np.array_equal(drive.twist, alone.twist)
+            for got, want in zip(built, (alone.column, alone.symbol, *alone.weights)):
+                assert np.array_equal(got[r : r + 1], want), r
         kern = StepKernels.build(grid, h, eta, residual, 0.0, p.k_matched, 0.0, drive)
         shape = (5, rows, grid.n_z)
         sigma = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -915,9 +915,31 @@ def test_the_width_fit_matches_curve_fit(radial_record):
         assert profile.width == pytest.approx(want, rel=1e-7)
 
 
+def test_the_fitted_width_is_a_least_squares_minimum(radial_record):
+    # on a sampled Gaussian with 1% noise and a cycle's output, the squared
+    # residual at 1 -+ 1e-6 times the fitted width, each with its best
+    # amplitude, is not lower than at the fitted width with its own (measured:
+    # higher by 1.6e-8 and 2.6e-5 of it, far above round-off)
+    tgrid = TransverseGrid.radial(WAIST, n_r=96)
+    noise = 1.0 + 0.01 * np.random.default_rng(7).normal(size=tgrid.n_cols)
+    sampled = _profile_record(tgrid, 2.5 * np.exp(-(tgrid.r**2) / (2.0 * 0.8e-3**2)) * noise)
+    for record in (sampled, radial_record):
+        r, y = record.tgrid.r, record.intensity
+
+        def cost(width):
+            g = np.exp(-(r**2) / (2.0 * width**2))
+            resid = (g @ y / (g @ g)) * g - y
+            return resid @ resid
+
+        width = intensity_and_width(record).width
+        for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+            assert cost(width * factor) >= cost(width), factor
+
+
 def test_a_fit_that_cannot_converge_gives_the_moment_width():
-    # an intensity rising with r has no least-squares Gaussian: the fit widens
-    # without end until its trial cap, and the moment width stands in
+    # an intensity rising with r has no least-squares Gaussian: the projected
+    # fit's best width grows without end, so its slope never falls over the
+    # trial widths, and the moment width stands in
     tgrid = TransverseGrid.radial(WAIST, n_r=40)
     profile = intensity_and_width(_profile_record(tgrid, tgrid.r / tgrid.r[-1]))
     assert not profile.fit_ok
