@@ -98,6 +98,7 @@ from .transverse import (
     ModeGrid,
     Quasi1DRecord,
     TransverseGrid,
+    _realspace_grid,
     _stepped_rows,
     extract_phase,
     fit_effective_diffusion,
@@ -111,20 +112,16 @@ JSON_FORMAT = "gem-json/1"
 
 FIDELITY_NAMES = ("coarse", "standard", "fine")
 
-# (n_medium, steps_per_width) for the 1D collapse sweeps and for single
-# quasi-1D cycles; (n_medium, steps_per_width, n_r) for real-space runs.
-_SWEEP_GRID = {"coarse": (256, 6.0), "standard": (384, 8.0), "fine": (512, 16.0)}
-_CYCLE_GRID = {"coarse": (192, 6.0), "standard": (256, 8.0), "fine": (384, 16.0)}
-_SPACE_GRID = {
-    "coarse": (128, 6.0, 96),
-    "standard": (160, 8.0, 128),
-    "fine": (256, 16.0, 160),
-}
-_PHASE_GRID = {
-    "coarse": (128, 6.0, 96),
-    "standard": (192, 8.0, 128),
-    "fine": (256, 16.0, 160),
-}
+# steps per signal width at each fidelity: every route's drive is exact in
+# time, so this is the rate at which it samples the fields, one for all routes
+_STEPS_PER_WIDTH = {"coarse": 6.0, "standard": 8.0, "fine": 16.0}
+# medium cells (n_medium) for the 1D collapse sweeps and for single quasi-1D
+# cycles; (n_medium, n_r) for beam-width's and phase-profile's real-space
+# runs, kept apart since phase-profile's n_r is not converged
+_SWEEP_GRID = {"coarse": 256, "standard": 384, "fine": 512}
+_CYCLE_GRID = {"coarse": 192, "standard": 256, "fine": 384}
+_SPACE_GRID = {"coarse": (128, 96), "standard": (160, 128), "fine": (256, 160)}
+_PHASE_GRID = {"coarse": (128, 96), "standard": (192, 128), "fine": (256, 160)}
 _MODE_CELLS = {"coarse": 32, "standard": 64, "fine": 96}
 
 _DEFAULT_CELL_STEP_CAP = 5e9
@@ -275,7 +272,8 @@ def _estimate_cell_steps(call: partial) -> float:
     The call's own arguments, bound to its solver's signature, rebuild the
     _cycle_plan that _drive_cycle runs, and each span's steps are charged
     its group count times the cells of a group, rows x n_z.  A real-space
-    group steps the rows that transverse._stepped_rows picks for the call.
+    group steps the rows that transverse._stepped_rows picks for the call,
+    on the grid of transverse._realspace_grid (unpadded without diffusion).
     The rows go through the solver's _rows_of, so a bad row raises the
     solver's ParameterError before anything is priced.
     """
@@ -288,10 +286,12 @@ def _estimate_cell_steps(call: partial) -> float:
     bound.apply_defaults()
     args = bound.arguments
     param_rows, protocol_rows = _rows_of(args["params"], args["protocol"], args["signal"])
-    n_rows = 1  # rows per group
     if call.func is run_cycle_realspace:
         rows = _stepped_rows(param_rows[0], args["signal"], args["control"], args["tgrid"])
         n_rows = len(rows[2])  # the stepped rows' input weights
+        grid = _realspace_grid(param_rows[0], args["n_medium"])
+    else:
+        n_rows, grid = 1, Grid1D.build(param_rows[0].half_length, args["n_medium"])
     _, plan = _cycle_plan(
         param_rows,
         protocol_rows,
@@ -303,8 +303,7 @@ def _estimate_cell_steps(call: partial) -> float:
     )
     spans = [span for _, phase_spans in plan for span in phase_spans]
     group_steps = sum(groups * sum(n for *_, n in pieces) for *_, groups, pieces in spans)
-    n_z = Grid1D.build(param_rows[0].half_length, args["n_medium"]).n_z
-    return float(n_z) * n_rows * group_steps
+    return float(grid.n_z) * n_rows * group_steps
 
 
 def _solve(spec: ExperimentSpec, calls: list) -> list:
@@ -447,7 +446,7 @@ def _baseline_ratios(spec: ExperimentSpec, cases, phase: str) -> list:
     cases are (protocol, signal, diffusivities); each runs as one batch with
     a D = 0 baseline row, since its points share a time grid.
     """
-    n_medium, steps = _SWEEP_GRID[spec.fidelity]
+    n_medium, steps = _SWEEP_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
     batches = _solve(
         spec,
         [
@@ -563,7 +562,7 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
     factors carry all the diffusion), so each run is its own baseline.
     """
     cfg = spec.config
-    n_medium, steps = _SWEEP_GRID[spec.fidelity]
+    n_medium, steps = _SWEEP_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
     diff = cfg.params.diffusivity
     if diff <= 0.0:
         raise ParameterError("transverse sweep needs diffusivity > 0 in the config")
@@ -649,7 +648,7 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
 def _config_cycles(spec: ExperimentSpec, diffusivities) -> list:
     """Quasi-1D cycles of the config's protocol and signal, one per diffusivity."""
     cfg = spec.config
-    n_medium, steps = _CYCLE_GRID[spec.fidelity]
+    n_medium, steps = _CYCLE_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
     mode_grid = ModeGrid.build(
         cfg.signal,
         n=_MODE_CELLS[spec.fidelity],
@@ -784,7 +783,7 @@ def _exp_spinwave_kspace(spec: ExperimentSpec):
     fitted for that slope.
     """
     cfg = spec.config
-    n_medium, steps = _CYCLE_GRID[spec.fidelity]
+    n_medium, steps = _CYCLE_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
     params, protocol, signal = cfg.params, cfg.protocol, cfg.signal
     window = protocol.write_window(signal)
     margin = 0.02 * window
@@ -908,7 +907,7 @@ def _exp_beam_width(spec: ExperimentSpec):
     """
     cfg = spec.config
     _require_gaussian_control(spec)
-    n_medium, steps, n_r = _SPACE_GRID[spec.fidelity]
+    (n_medium, n_r), steps = _SPACE_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
     signal = replace(cfg.signal, t_lead=2e-6, mode=(0, 0))
     tgrid = TransverseGrid.radial(signal.waist, n_r=n_r)
     controls = (
@@ -1027,7 +1026,7 @@ def _exp_phase_profile(spec: ExperimentSpec):
     """
     cfg = spec.config
     _require_gaussian_control(spec)
-    n_medium, steps, n_r = _PHASE_GRID[spec.fidelity]
+    (n_medium, n_r), steps = _PHASE_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
     params = cfg.params.with_diffusivity(0.0)
     signal = replace(cfg.signal, t_width=0.35e-6, t_lead=2e-6, mode=(0, 0))
     protocol = StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, 16e-6)

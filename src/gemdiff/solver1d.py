@@ -117,10 +117,13 @@ _GUARD_THRESHOLD = 1e-4  # largest edge/peak coherence ratio the padding may hol
 class Grid1D:
     """Uniform z grid with the medium faces exactly on grid points.
 
-    The medium occupies [-half_length, half_length]; the grid extends
+    The medium occupies [-half_length, half_length].  build's grid extends
     beyond it by a padding band of at least PAD_FRACTION of the medium on
     each side, so the periodic spectral diffusion never wraps coherence
-    back into the medium.  Grid sizes are powers of two for the FFT.
+    back into the medium; its sizes are powers of two for the FFT.  The
+    padding serves that diffusion alone, so a real-space call without
+    diffusion steps the medium alone (unpadded, its faces the grid's ends;
+    transverse._realspace_grid), on the same z values.
     """
 
     PAD_FRACTION = 0.25
@@ -133,11 +136,22 @@ class Grid1D:
 
     @classmethod
     def build(cls, half_length: float, n_medium: int = 256) -> "Grid1D":
+        return cls._centred(half_length, n_medium, padded=True)
+
+    @classmethod
+    def unpadded(cls, half_length: float, n_medium: int = 256) -> "Grid1D":
+        """The medium's n_medium + 1 points alone: no padding, empty guard slices."""
+        return cls._centred(half_length, n_medium, padded=False)
+
+    @classmethod
+    def _centred(cls, half_length: float, n_medium: int, padded: bool) -> "Grid1D":
         if n_medium < 16 or n_medium % 2:
             raise ParameterError("n_medium must be an even number >= 16")
         dz = 2.0 * half_length / n_medium
-        needed = n_medium * (1.0 + 2.0 * cls.PAD_FRACTION)
-        n_z = 1 << max(5, math.ceil(math.log2(needed)))
+        n_z = n_medium + 1
+        if padded:
+            needed = n_medium * (1.0 + 2.0 * cls.PAD_FRACTION)
+            n_z = 1 << max(5, math.ceil(math.log2(needed)))
         centre = n_z // 2
         z = (np.arange(n_z) - centre) * dz
         return cls(
@@ -187,7 +201,8 @@ class Grid1D:
         return 2.0 * math.pi * np.fft.fftfreq(self.n_z, self.dz)
 
     def guard_slices(self) -> tuple[slice, slice]:
-        """Outer half of each padding band, where coherence must stay tiny."""
+        """Outer half of each padding band, where coherence must stay tiny
+        (both empty on an unpadded grid)."""
         left_pad = self.i_left
         right_pad = self.n_z - 1 - self.i_right
         return slice(0, left_pad // 2), slice(self.n_z - right_pad // 2, self.n_z)
@@ -362,9 +377,9 @@ def advance_step(
 ) -> np.ndarray:
     """The core of one split step: gradient rotation, light shift and drive.
 
-    The drive acts on the medium only, so the padding gets the rotation
-    alone and the drive runs on sigma[..., grid.medium].  With the drive
-    off the step is a pure (exact) rotation.  The exact diffusion
+    The drive acts on the medium only, so the padding (where the grid has
+    one) gets the rotation alone and the drive runs on sigma[...,
+    grid.medium].  With the drive off the step is a pure (exact) rotation.  The exact diffusion
     half-steps around the core are the caller's (_drive_cycle).
 
     A driven step is exact for each row's constant generator, by the
@@ -382,7 +397,10 @@ def advance_step(
     shaped like sigma[..., medium], takes a contiguous copy of the medium
     and then P x, the second, as long as the drive's transform along the
     last axis, its zero-padded transform, so no ufunc reads a strided
-    medium view (numpy would buffer it).
+    medium view (numpy would buffer it).  The ufunc buffers _Drive.apply
+    still takes cost allocations, not time: without the copy (the drive
+    reading sigma's medium and writing out's) beam-width's Gaussian call
+    ran no faster, nor with a quarter of numpy's buffer size.
     """
     out = np.multiply(kern.rot_full, sigma, out=out)
     if not drive_on:

@@ -23,7 +23,9 @@ Two complementary routes:
   columns, coupled by conservative Crank-Nicolson diffusion on the
   finite-volume grid (_radial_operator), whose half-steps the driver
   applies around each step core, merged across every boundary inside a
-  piece.  One operator per call takes each piece's step and owns how it
+  piece.  A call's z grid follows its one diffusivity (_realspace_grid):
+  padded for the periodic spectral diffusion, the medium alone without
+  it.  One operator per call takes each piece's step and owns how it
   sub-steps it.  Its half-step is a propagator matrix built once per
   half-step length (one tridiagonal solve, solve_banded) and applied as
   one real GEMM per block of 16 rows over the column band those rows
@@ -460,6 +462,15 @@ def _stepped_rows(
     return rabi, None, entry, synthesis, None
 
 
+def _realspace_grid(params: PhysicalParams, n_medium: int) -> Grid1D:
+    """The z grid a real-space call steps, by its one diffusivity: padded
+    (Grid1D.build) where its periodic spectral diffusion needs the padding,
+    the medium alone (Grid1D.unpadded) where nothing diffuses."""
+    if params.diffusivity > 0.0:
+        return Grid1D.build(params.half_length, n_medium)
+    return Grid1D.unpadded(params.half_length, n_medium)
+
+
 def _distinct_rows(rabi: np.ndarray, profile: np.ndarray):
     """(rabi, entry, synthesis): one row per distinct value of the (rows, 1)
     column rabi, its row of largest |profile|, entered with that profile;
@@ -482,8 +493,10 @@ class RealspaceRecord:
 
     Fields are sampled at the medium exit face per radial column;
     intensity is the time-integrated |f_out|^2 per column.  Coherence
-    snapshots have shape (n_r, n_z) in the solver frame.  A cycle run
-    without its read has t_out, f_out, intensity and output_energy None.
+    snapshots have shape (n_r, n_z) in the solver frame, on grid: the
+    medium's n_medium + 1 points alone for a call without diffusion.  A
+    cycle run without its read has t_out, f_out, intensity and
+    output_energy None.
     """
 
     params: PhysicalParams
@@ -533,7 +546,11 @@ def run_cycle_realspace(
     drive exact in time, and maps them onto the columns: steps_per_width
     is a sampling rate, but under a varying control with diffusion the
     radial Crank-Nicolson halves around each drive leave a second-order
-    error.
+    error.  The z grid follows params.diffusivity (_realspace_grid): with
+    diffusion it is padded for the periodic spectral diffusion, without it
+    the medium alone (Grid1D.unpadded): the frames and the record's grid
+    are then the medium's, and the fields, energies and frames' medium
+    keep the padded grid's bits (the padding would only rotate zeros).
     protocol may be a sequence under run_cycle's rule: only t_hold may
     differ, and the hold must be undriven.  The groups share one write and
     part ways at the hold; one record per protocol comes back.  The input
@@ -561,7 +578,7 @@ def run_cycle_realspace(
     param_rows, protocols = _rows_of(params, protocol, signal)
 
     rabi, decay, entry, synthesis, coupling = _stepped_rows(params, signal, control, tgrid)
-    grid = Grid1D.build(params.half_length, n_medium)
+    grid = _realspace_grid(params, n_medium)
     traces, (t_write, f_in), guards, takers = _drive_cycle(
         param_rows,
         protocols,

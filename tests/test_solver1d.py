@@ -67,6 +67,20 @@ def test_grid_guard_slices_cover_outer_pads():
     assert grid.n_z - right.start == (grid.n_z - 1 - grid.i_right) // 2
 
 
+def test_an_unpadded_grid_is_the_padded_grids_medium():
+    # a call where nothing diffuses needs no padding: the medium alone, on the
+    # padded grid's z values and weights, with empty guard slices
+    padded, bare = Grid1D.build(0.1, n_medium=96), Grid1D.unpadded(0.1, n_medium=96)
+    assert bare.n_z == 97
+    assert bare.medium == slice(0, 97)
+    assert bare.dz == padded.dz
+    assert np.array_equal(bare.z, padded.z[padded.medium])
+    assert np.array_equal(bare.trapezoid, padded.trapezoid[padded.medium])
+    assert [len(bare.z[s]) for s in bare.guard_slices()] == [0, 0]
+    with pytest.raises(ParameterError, match="even number"):
+        Grid1D.unpadded(0.1, n_medium=97)
+
+
 @pytest.mark.parametrize(
     "kwargs, match",
     [

@@ -547,6 +547,51 @@ def test_radial_modes_step_a_homogeneous_call_as_its_coupled_columns(bench_param
     assert 3.0 < gaps[0] / gaps[1] < 5.0
 
 
+def test_a_call_without_diffusion_steps_its_medium_alone(bench_params, bench_signal):
+    # at D = 0 nothing diffuses along z, so the padding only ever rotates
+    # zeros: the call steps the medium alone (n_medium + 1 points) and keeps
+    # the bits of the same rows stepped on the padded grid, in the exit
+    # fields, energies, intensity and the medium of the mid-hold frame; the
+    # guard ratios read 0.0 on both grids
+    still = bench_params.with_diffusivity(0.0)
+    control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
+    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
+    proto = StorageProtocol.gradient_through_hold(-TAU * 10e6, 4e-6)
+    frames = (proto.flip_time(),)
+    rec = run_cycle_realspace(still, proto, bench_signal, control, tgrid, sigma_times=frames, **FAST)
+    assert rec.grid.n_z == FAST["n_medium"] + 1
+
+    padded = Grid1D.build(still.half_length, FAST["n_medium"])
+    profile = sample_transverse(bench_signal, tgrid.r[:, None], 0.0)
+    param_rows, protocols = solver1d._rows_of(still, proto, bench_signal)
+    traces, (t_write, f_in), guards, takers = solver1d._drive_cycle(
+        param_rows,
+        protocols,
+        bench_signal,
+        padded,
+        rabi=control_rabi(control, tgrid.r)[:, None],
+        profile=profile,
+        record=("read",),
+        sigma_times=frames,
+        steps_per_width=FAST["steps_per_width"],
+    )
+    t_out = np.array(traces["read"].times)
+    f_out = still.face_phase * np.array(traces["read"].exits)[:, 0].T
+    intensity = np.trapezoid(np.abs(f_out) ** 2, t_out)
+    input_energy = solver1d._energy(np.array(f_in), np.array(t_write))
+    assert np.array_equal(rec.t_out, t_out)
+    assert np.array_equal(rec.f_out, f_out)
+    assert np.array_equal(rec.intensity, intensity)
+    assert rec.input_energy == input_energy * float(tgrid.weights @ np.abs(profile[:, 0]) ** 2)
+    assert rec.output_energy == float(tgrid.weights @ intensity)
+    ((t_bare, bare),), ((t_pad, frame),) = rec.sigma_frames, takers[0].sigma_frames
+    assert t_bare == t_pad == proto.flip_time()
+    assert bare.shape == (tgrid.n_cols, rec.grid.n_z)
+    assert np.array_equal(bare, frame[:, padded.medium])
+    assert set(rec.guard_ratio) == set(guards[0]) == {"write", "hold", "read"}
+    assert set(rec.guard_ratio.values()) == set(guards[0].values()) == {0.0}
+
+
 def test_realspace_snapshots_at_requested_times(bench_params, bench_signal):
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=6e-6)
     control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
