@@ -42,14 +42,14 @@ sweep points that share a time grid run as rows of one batched solve (see
 solver1d.run_cycle), inline: small 1D arrays only lose under the GIL.
 beam-width's hold times run as the groups of one real-space call per
 control, which shares the write.  Only the real-space cycles use the
-thread pool, gathered in call order, so output files are byte-identical
-for any thread count (the header records the command line without
-machine-local paths for the same reason).
+thread pool: the costliest call runs on the calling thread and the rest
+on --threads - 1 workers, and results are gathered in call order, so
+output files are byte-identical for any thread count (the header records
+the command line without machine-local paths for the same reason).
 """
 
 from __future__ import annotations
 
-import argparse
 import inspect
 import json
 import math
@@ -254,16 +254,22 @@ def _check(name, value, target, tolerance, comparison, kind="rel") -> dict:
 
 
 def _run_tasks(tasks, threads: int) -> list:
-    """Run zero-arg callables; results come back in submission order.
+    """Run zero-arg callables on `threads` threads; results in submission order.
 
-    The order is the call order, never completion order, so emitted
-    files do not depend on the thread count.
+    The first task runs on the calling thread and the rest on
+    min(threads, len(tasks)) - 1 workers, so one thread or one task
+    starts no pool.  The order is the
+    submission order, never completion order, so emitted files do not
+    depend on the thread count.  An error, the caller's or a worker's,
+    is raised as itself once every other task has finished.
     """
-    if threads <= 1 or len(tasks) <= 1:
+    workers = min(threads, len(tasks)) - 1
+    if workers < 1:
         return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(task) for task in tasks[1:]]
+        first = tasks[0]()
+        return [first] + [future.result() for future in futures]
 
 
 def _estimate_cell_steps(call: partial) -> float:
@@ -311,10 +317,13 @@ def _solve(spec: ExperimentSpec, calls: list) -> list:
 
     calls are functools.partial calls of the solver bindings run_cycle,
     run_cycle_quasi1d and run_cycle_realspace.  Their summed cost must fit
-    the cap before any of them runs.  Only real-space calls use the thread
-    pool: small 1D arrays only lose under the GIL.
+    the cap before any of them runs.  They go to _run_tasks costliest
+    first (ties in call order), so the dearest call runs on the calling
+    thread and the pool gets only the rest.  Only real-space calls use
+    the thread pool: small 1D arrays only lose under the GIL.
     """
-    estimate = sum(_estimate_cell_steps(call) for call in calls)
+    costs = [_estimate_cell_steps(call) for call in calls]
+    estimate = sum(costs)
     if estimate > spec.max_cell_steps:
         raise RuntimeGuardError(
             "estimated cost %.2g cell updates exceeds the cap %.2g; use a coarser "
@@ -322,7 +331,10 @@ def _solve(spec: ExperimentSpec, calls: list) -> list:
             % (estimate, spec.max_cell_steps)
         )
     pooled = any(call.func is run_cycle_realspace for call in calls)
-    return _run_tasks(calls, spec.threads if pooled else 1)
+    ranked = sorted(range(len(calls)), key=costs.__getitem__, reverse=True)
+    results = _run_tasks([calls[i] for i in ranked], spec.threads if pooled else 1)
+    by_call = dict(zip(ranked, results))
+    return [by_call[i] for i in range(len(calls))]
 
 
 class _Law(NamedTuple):
@@ -1320,6 +1332,8 @@ def _env_number(name: str, cast, default):
 
 
 def main(argv=None) -> int:
+    import argparse  # only the command line parses arguments; a library import skips it
+
     parser = argparse.ArgumentParser(
         prog="gem",
         description="Run a named gradient-echo-memory diffusion experiment "
@@ -1350,7 +1364,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--threads",
         type=int,
-        help="worker threads for the real-space cycles (default: up to 4)",
+        help="threads that solve the real-space calls, the calling thread included "
+        "(default: up to 4)",
     )
     args = parser.parse_args(argv)
 

@@ -89,8 +89,13 @@ class ControlProfile:
     def __post_init__(self):
         if self.rabi_peak < 0:
             raise ParameterError("rabi_peak must be non-negative")
-        if self.waist is not None and self.waist <= 0:
+        if self.waist is None:
+            return
+        if self.waist <= 0:
             raise ParameterError("waist must be positive (or None for homogeneous)")
+        if not sys.float_info.min <= self.waist * self.waist <= sys.float_info.max:
+            # the Rabi profile and the phase law divide by the squared waist
+            raise ParameterError("control waist %r: its square is not a normal float" % (self.waist,))
 
     @classmethod
     def homogeneous(cls, rabi_peak: float) -> "ControlProfile":

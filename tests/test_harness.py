@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import replace
 from functools import partial
@@ -170,15 +171,82 @@ def test_check_kinds():
 
 
 def test_tasks_return_in_submission_order():
+    # the first task runs on the calling thread, the rest on at most threads - 1 workers
+    caller = threading.get_ident()
+
     def job(i):
         def run():
-            time.sleep(0.01 * (4 - i))  # later submissions finish first
-            return i
+            time.sleep(0.01 * (5 - i))  # later submissions finish first
+            return i, threading.get_ident()
 
         return run
 
-    assert _run_tasks([job(i) for i in range(4)], threads=4) == [0, 1, 2, 3]
-    assert _run_tasks([job(i) for i in range(4)], threads=1) == [0, 1, 2, 3]
+    for threads in (1, 2, 3, 8):
+        results = _run_tasks([job(i) for i in range(5)], threads)
+        assert [i for i, _ in results] == [0, 1, 2, 3, 4]
+        first, *rest = [ident for _, ident in results]
+        assert first == caller
+        if threads == 1:
+            assert set(rest) == {caller}
+        else:
+            assert caller not in rest and 1 <= len(set(rest)) <= threads - 1
+
+
+def test_a_task_error_surfaces_as_itself_once_the_other_tasks_finish():
+    class Failed(Exception):
+        pass
+
+    for failing in (0, 1):  # the calling thread's task, then a worker's
+        finished = []
+
+        def job(i):
+            def run():
+                if i == failing:
+                    raise Failed(i)
+                time.sleep(0.05)
+                finished.append(i)
+                return i
+
+            return run
+
+        with pytest.raises(Failed) as raised:
+            _run_tasks([job(i) for i in range(3)], threads=2)
+        assert raised.value.args == (failing,)
+        assert sorted(finished) == [i for i in range(3) if i != failing]
+
+
+def test_solve_hands_the_costliest_call_to_the_caller_and_returns_call_order(
+    bench_config, tmp_path, monkeypatch
+):
+    # beam-width's calls are [homogeneous, gaussian]; the Gaussian call
+    # steps a row per radial column, the homogeneous one a row per mode
+    seen = {}
+
+    class Solved(Exception):
+        pass
+
+    real_solve = harness._solve
+
+    def solve(spec, calls):
+        seen["calls"] = [call.args[3] for call in calls]  # each call's control
+        seen["results"] = real_solve(spec, calls)
+        raise Solved  # the order is all this test reads
+
+    def run(tasks, threads):
+        seen["tasks"] = [task.args[3] for task in tasks]
+        return seen["tasks"]
+
+    monkeypatch.setattr(harness, "_solve", solve)
+    monkeypatch.setattr(harness, "_run_tasks", run)
+    spec = ExperimentSpec(
+        experiment="beam-width", config=bench_config, out_dir=tmp_path, threads=2
+    )
+    with pytest.raises(Solved):
+        run_experiment(spec)
+    homogeneous, gaussian = seen["calls"]
+    assert homogeneous.is_homogeneous and not gaussian.is_homogeneous
+    assert seen["tasks"] == [gaussian, homogeneous]
+    assert seen["results"] == [homogeneous, gaussian]
 
 
 def test_cost_estimate_and_budget(bench_config, tmp_path, monkeypatch):
@@ -764,6 +832,19 @@ def test_module_entry_point_runs_the_cli_without_warnings():
     assert done.returncode == 0, done.stderr
     assert "usage: gem" in done.stdout
     assert "RuntimeWarning" not in done.stderr
+
+
+def test_importing_gemdiff_loads_no_argparse():
+    # only main parses arguments, so a library import does not pay for argparse
+    import gemdiff
+
+    env = {**os.environ, "PYTHONPATH": str(Path(gemdiff.__file__).parents[1])}
+    code = "import sys, gemdiff, gemdiff.harness; print('argparse' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_importing_gemdiff_loads_no_scipy():

@@ -123,6 +123,23 @@ def test_control_profile_factories():
         ControlProfile.gaussian(1e8, 0.0)
 
 
+def test_a_control_waist_is_refused_where_its_square_overflows():
+    # the Rabi profile and the phase law divide by the squared waist
+    wide = ControlProfile.gaussian(2e8, 1e154)  # squared 1e308: a normal float
+    assert control_rabi(wide, np.array([0.0, 6e-3])).tolist() == [2e8, 2e8]
+    for waist in (1e155, 1e300, math.inf):
+        with pytest.raises(ParameterError, match="control waist .*not a normal float"):
+            ControlProfile.gaussian(2e8, waist)
+
+
+def test_a_control_waist_is_refused_where_its_square_is_subnormal():
+    narrow = ControlProfile.gaussian(2e8, 1.5e-154)  # squared 2.25e-308: still normal
+    assert control_rabi(narrow, np.array([0.0, 6e-3])).tolist() == [2e8, 0.0]
+    for waist in (1e-170, 1e-300, 5e-324, math.nan):
+        with pytest.raises(ParameterError, match="control waist .*not a normal float"):
+            ControlProfile.gaussian(2e8, waist)
+
+
 def test_control_rabi_profiles():
     r = np.linspace(0.0, 6e-3, 25)
     homo = ControlProfile.homogeneous(2e8)
