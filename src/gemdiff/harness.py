@@ -14,13 +14,14 @@ and writes its artifacts into ``<out>/<experiment>/``:
 The process exits 0 only when every analytic-vs-numeric tolerance check
 passes, so the command doubles as an acceptance runner.
 
-Fidelity presets (longitudinal cells / steps per pulse width; the two
-real-space experiments add the radial cell count, mode grids their size)::
+Fidelity presets (longitudinal cells / steps per pulse width; beam width
+adds its radial cell count, phase profile its Gauss-Legendre nodes inside
+and outside the fit band, mode grids their size)::
 
-              1d sweeps     single cycle   beam width        phase profile     modes
-    coarse    256 /  6      192 /  6       128 /  6 /  96    128 /  6 /  96     32
-    standard  384 /  8      256 /  8       160 /  8 / 128    192 /  8 / 128     64
-    fine      512 / 16      384 / 16       256 / 16 / 160    256 / 16 / 160     96
+              1d sweeps     single cycle   beam width        phase profile       modes
+    coarse    256 /  6      192 /  6       128 /  6 /  96    128 /  6 /  8 +  8    32
+    standard  384 /  8      256 /  8       160 /  8 / 128    192 /  8 / 12 + 12    64
+    fine      512 / 16      384 / 16       256 / 16 / 160    256 / 16 / 16 + 16    96
 
 Every route's drive is exact in time (solver1d), so steps per width are a
 sampling rate, set from a convergence table of every check.  beam-width's
@@ -98,7 +99,6 @@ from .transverse import (
     ModeGrid,
     Quasi1DRecord,
     TransverseGrid,
-    _realspace_grid,
     _stepped_rows,
     extract_phase,
     fit_effective_diffusion,
@@ -116,12 +116,13 @@ FIDELITY_NAMES = ("coarse", "standard", "fine")
 # time, so this is the rate at which it samples the fields, one for all routes
 _STEPS_PER_WIDTH = {"coarse": 6.0, "standard": 8.0, "fine": 16.0}
 # medium cells (n_medium) for the 1D collapse sweeps and for single quasi-1D
-# cycles; (n_medium, n_r) for beam-width's and phase-profile's real-space
-# runs, kept apart since phase-profile's n_r is not converged
+# cycles; (n_medium, n_r) for beam-width's real-space runs; (n_medium, band
+# nodes, outer nodes) for phase-profile's, whose fit is converged in r from
+# 8 band nodes on (to 1e-6 of the curvature), so its error is n_medium's
 _SWEEP_GRID = {"coarse": 256, "standard": 384, "fine": 512}
 _CYCLE_GRID = {"coarse": 192, "standard": 256, "fine": 384}
 _SPACE_GRID = {"coarse": (128, 96), "standard": (160, 128), "fine": (256, 160)}
-_PHASE_GRID = {"coarse": (128, 96), "standard": (192, 128), "fine": (256, 160)}
+_PHASE_GRID = {"coarse": (128, 8, 8), "standard": (192, 12, 12), "fine": (256, 16, 16)}
 _MODE_CELLS = {"coarse": 32, "standard": 64, "fine": 96}
 
 _DEFAULT_CELL_STEP_CAP = 5e9
@@ -278,8 +279,7 @@ def _estimate_cell_steps(call: partial) -> float:
     The call's own arguments, bound to its solver's signature, rebuild the
     _cycle_plan that _drive_cycle runs, and each span's steps are charged
     its group count times the cells of a group, rows x n_z.  A real-space
-    group steps the rows that transverse._stepped_rows picks for the call,
-    on the grid of transverse._realspace_grid (unpadded without diffusion).
+    group steps the rows that transverse._stepped_rows picks for the call.
     The rows go through the solver's _rows_of, so a bad row raises the
     solver's ParameterError before anything is priced.
     """
@@ -292,12 +292,10 @@ def _estimate_cell_steps(call: partial) -> float:
     bound.apply_defaults()
     args = bound.arguments
     param_rows, protocol_rows = _rows_of(args["params"], args["protocol"], args["signal"])
+    n_rows = 1
     if call.func is run_cycle_realspace:
         rows = _stepped_rows(param_rows[0], args["signal"], args["control"], args["tgrid"])
         n_rows = len(rows[2])  # the stepped rows' input weights
-        grid = _realspace_grid(param_rows[0], args["n_medium"])
-    else:
-        n_rows, grid = 1, Grid1D.build(param_rows[0].half_length, args["n_medium"])
     _, plan = _cycle_plan(
         param_rows,
         protocol_rows,
@@ -305,11 +303,11 @@ def _estimate_cell_steps(call: partial) -> float:
         diffusion_phases=args.get("diffusion_phases", _PHASES),  # real space diffuses throughout
         steps_per_width=args["steps_per_width"],
         cut_times=args["sigma_times"],
-        read=args.get("read", True),  # only real space can skip its read
     )
     spans = [span for _, phase_spans in plan for span in phase_spans]
     group_steps = sum(groups * sum(n for *_, n in pieces) for *_, groups, pieces in spans)
-    return float(grid.n_z) * n_rows * group_steps
+    n_z = Grid1D.build(param_rows[0].half_length, args["n_medium"]).n_z
+    return float(n_z) * n_rows * group_steps
 
 
 def _solve(spec: ExperimentSpec, calls: list) -> list:
@@ -1027,6 +1025,26 @@ def _exp_beam_width(spec: ExperimentSpec):
     return results, checks, (("t_hold", _WIDTH_HOLDS),)
 
 
+def _gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Gauss-Legendre nodes on [a, b] and their weights, exact for
+    polynomials up to degree 2 n - 1 (Golub and Welsch, Math. Comp. 23,
+    221, 1969)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * (b - a)
+    return a + half * (x + 1.0), half * w
+
+
+def _quadratic_coefficient(r: np.ndarray, theta: np.ndarray, w: np.ndarray) -> float:
+    """c of theta ~ c r^2 through the origin (theta(0) = 0 exactly), least
+    squares under the radial rule w: sum w theta r^2 / sum w r^4 over the
+    samples whose theta is finite."""
+    kept = np.isfinite(theta)
+    if not np.any(kept):
+        raise ParameterError("no usable phase samples inside r <= w_c / 2")
+    r_sq, w = r[kept] ** 2, w[kept]
+    return float(np.sum(w * theta[kept] * r_sq) / np.sum(w * r_sq * r_sq))
+
+
 def _exp_phase_profile(spec: ExperimentSpec):
     """Spin-wave phase map theta(r, z) against the closed-form curvature.
 
@@ -1034,15 +1052,28 @@ def _exp_phase_profile(spec: ExperimentSpec):
     gradient kept on and flipped mid-hold, diffusion off (the closed form
     describes the diffusion-free phase; the short pulse keeps the write
     bandwidth correction out of the comparison).  The quadratic
-    coefficient is fitted through the origin over r <= w_c / 2 at z = 0.
+    coefficient is fitted through the origin over r <= w_c / 2 at z = 0,
+    as a quadrature: without diffusion every column is its own 1D row, so
+    the columns sit at the Gauss-Legendre nodes of that band, and of a
+    second panel out to 1.2 w_c for the map and the plot.  The closed form
+    holds for a control waist well above the signal waist, so one below
+    twice the signal waist is refused before any solve.
     """
     cfg = spec.config
     _require_gaussian_control(spec)
-    (n_medium, n_r), steps = _PHASE_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
+    waist_c = cfg.control.waist
+    if waist_c < 2.0 * cfg.signal.waist:
+        raise ParameterError(
+            "phase-profile's closed form needs a control waist of at least twice the "
+            "signal waist (control_waist = %.3g m, waist = %.3g m)" % (waist_c, cfg.signal.waist)
+        )
+    n_medium, n_band, n_outer = _PHASE_GRID[spec.fidelity]
     params = cfg.params.with_diffusivity(0.0)
     signal = replace(cfg.signal, t_width=0.35e-6, t_lead=2e-6, mode=(0, 0))
     protocol = StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, 16e-6)
-    tgrid = TransverseGrid.radial(signal.waist, n_r=n_r)
+    band_r, band_w = _gauss_legendre(0.0, 0.5 * waist_c, n_band)
+    outer_r, outer_w = _gauss_legendre(0.5 * waist_c, 1.2 * waist_c, n_outer)
+    tgrid = TransverseGrid.panels(np.r_[band_r, outer_r], np.r_[band_w, outer_w])
 
     rec_gauss, rec_homo = _solve(
         spec,
@@ -1055,9 +1086,8 @@ def _exp_phase_profile(spec: ExperimentSpec):
                 control,
                 tgrid,
                 n_medium=n_medium,
-                steps_per_width=steps,
+                steps_per_width=_STEPS_PER_WIDTH[spec.fidelity],
                 sigma_times=(protocol.flip_time(),),  # the mid-hold frame extract_phase reads
-                read=False,  # the frame is the only output read: the cycle ends there
             )
             for control in (cfg.control, ControlProfile.homogeneous(cfg.params.rabi_control))
         ],
@@ -1071,33 +1101,29 @@ def _exp_phase_profile(spec: ExperimentSpec):
     _write_csv(spec, "phase_map", ("r", "z", "theta"), map_rows)
 
     r, theta = pmap.at_z(0.0)
-    waist_c = cfg.control.waist
     closed = phase_theta(params, protocol, signal, cfg.control, 0.0, r)
-    fit_band = (r <= 0.5 * waist_c) & np.isfinite(theta)
-    if not np.any(fit_band):
-        raise ParameterError("no usable phase samples inside r <= w_c / 2")
-    # theta(0) = 0 exactly, so the quadratic is fitted through the origin
-    coeff_num = float(
-        np.sum(theta[fit_band] * r[fit_band] ** 2) / np.sum(r[fit_band] ** 4)
-    )
+    coeff_num = _quadratic_coefficient(band_r, theta[:n_band], band_w)
+    fit_band = (np.arange(r.size) < n_band) & np.isfinite(theta)
     coeff_closed = float(phase_theta(params, protocol, signal, cfg.control, 0.0, 1.0))
     _write_csv(
         spec,
         "phase_fit",
         ("r", "theta_numeric", "theta_closed", "in_fit_band"),
         zip(r, theta, closed, fit_band),
-        notes=("theta at z = 0, mid-hold; fit band r <= control_waist / 2",),
+        notes=(
+            "theta at z = 0, mid-hold, at the Gauss-Legendre nodes of r <= control_waist / 2 "
+            "(the fit band) and of control_waist / 2 < r <= 1.2 control_waist",
+        ),
     )
 
-    show = r <= 1.2 * waist_c
     svgplot.line_plot(
         spec.out_dir / "phase_profile.svg",
         "control-induced spin-wave phase",
         "r (m)",
         "theta (rad)",
         [
-            ("numeric", r[show], theta[show], "markers"),
-            ("closed form", r[show], closed[show], "dashed"),
+            ("numeric", r, theta, "markers"),
+            ("closed form", r, closed, "dashed"),
         ],
     )
 

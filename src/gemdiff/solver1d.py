@@ -19,20 +19,20 @@ field drive, with the field slaved to the coherence (d_z E integrated from
 the entrance face).  Over a driven piece each row has one constant
 generator, set by its coupling and light-shift residual, and the core
 applies its exact propagator (_Propagators, built from five columns of its
-exponential once per step and gradient size and per distinct row, and
+exponential once per step and gradient size and per row, and
 kept as a column, a Toeplitz symbol and a twist that every row shares), so
 the step's only time error is the input's quadratic interpolation over
 it: steps_per_width is a sampling rate, not an accuracy setting.  The core
 applies it to every row at once as a causal convolution, one FFT pair
 (_Drive).  That is the one drive core of every route.  A real-space call
-steps rows of its own choosing (transverse._stepped_rows), one per
-distinct control value without diffusion, one per radial mode under a
-homogeneous control with diffusion (a row whose residual carries the
-mode's decay as its imaginary part), and its radial columns, coupled by a
-transverse operator between the drive's steps, under a varying control
-with diffusion; the driver maps the stepped rows back onto the columns
-by a synthesis matrix.  The rotation sub-flow is exact, and phase
-boundaries land exactly because the step size is re-fitted to each phase.
+steps rows of its own choosing (transverse._stepped_rows): one per
+radial mode under a homogeneous control with diffusion (a row whose
+residual carries the mode's decay as its imaginary part), which the
+driver maps back onto the columns by a synthesis matrix, and otherwise
+its radial columns, coupled by a transverse operator between the drive's
+steps under a varying control with diffusion.  The rotation sub-flow is
+exact, and phase boundaries land exactly because the step size is
+re-fitted to each phase.
 
 One step rule serves both routes: a driven span steps at dt0, cut at
 snapshot times off its step grid, and every undriven span is one exact
@@ -120,10 +120,7 @@ class Grid1D:
     The medium occupies [-half_length, half_length].  build's grid extends
     beyond it by a padding band of at least PAD_FRACTION of the medium on
     each side, so the periodic spectral diffusion never wraps coherence
-    back into the medium; its sizes are powers of two for the FFT.  The
-    padding serves that diffusion alone, so a real-space call without
-    diffusion steps the medium alone (unpadded, its faces the grid's ends;
-    transverse._realspace_grid), on the same z values.
+    back into the medium; its sizes are powers of two for the FFT.
     """
 
     PAD_FRACTION = 0.25
@@ -136,22 +133,11 @@ class Grid1D:
 
     @classmethod
     def build(cls, half_length: float, n_medium: int = 256) -> "Grid1D":
-        return cls._centred(half_length, n_medium, padded=True)
-
-    @classmethod
-    def unpadded(cls, half_length: float, n_medium: int = 256) -> "Grid1D":
-        """The medium's n_medium + 1 points alone: no padding, empty guard slices."""
-        return cls._centred(half_length, n_medium, padded=False)
-
-    @classmethod
-    def _centred(cls, half_length: float, n_medium: int, padded: bool) -> "Grid1D":
         if n_medium < 16 or n_medium % 2:
             raise ParameterError("n_medium must be an even number >= 16")
         dz = 2.0 * half_length / n_medium
-        n_z = n_medium + 1
-        if padded:
-            needed = n_medium * (1.0 + 2.0 * cls.PAD_FRACTION)
-            n_z = 1 << max(5, math.ceil(math.log2(needed)))
+        needed = n_medium * (1.0 + 2.0 * cls.PAD_FRACTION)
+        n_z = 1 << max(5, math.ceil(math.log2(needed)))
         centre = n_z // 2
         z = (np.arange(n_z) - centre) * dz
         return cls(
@@ -201,8 +187,7 @@ class Grid1D:
         return 2.0 * math.pi * np.fft.fftfreq(self.n_z, self.dz)
 
     def guard_slices(self) -> tuple[slice, slice]:
-        """Outer half of each padding band, where coherence must stay tiny
-        (both empty on an unpadded grid)."""
+        """Outer half of each padding band, where coherence must stay tiny."""
         left_pad = self.i_left
         right_pad = self.n_z - 1 - self.i_right
         return slice(0, left_pad // 2), slice(self.n_z - right_pad // 2, self.n_z)
@@ -377,9 +362,9 @@ def advance_step(
 ) -> np.ndarray:
     """The core of one split step: gradient rotation, light shift and drive.
 
-    The drive acts on the medium only, so the padding (where the grid has
-    one) gets the rotation alone and the drive runs on sigma[...,
-    grid.medium].  With the drive off the step is a pure (exact) rotation.  The exact diffusion
+    The drive acts on the medium only, so the padding gets the rotation
+    alone and the drive runs on sigma[..., grid.medium].  With the drive
+    off the step is a pure (exact) rotation.  The exact diffusion
     half-steps around the core are the caller's (_drive_cycle).
 
     A driven step is exact for each row's constant generator, by the
@@ -494,18 +479,16 @@ class _Propagators:
     pair per row.  Every row takes one build, stacked: column (rows, n),
     symbol (rows, length) and three (rows, n) weights, with one twist for
     every row (it depends on h and eta only).  A 1D call steps one row, and
-    a real-space call one row per distinct pair where no operator couples
-    its rows (transverse._stepped_rows), so no two rows build alike.  The
-    rows whose norms give the same (s, terms) run the Taylor series
-    together (_taylor), in
-    batches of _TAYLOR_ROWS, by the products each row takes alone, so each
-    keeps its single-row bits; each row then squares alone (_square), whose
-    n^2 products gain nothing from a batch (a Gaussian control's 128
-    columns at 193 medium points take s = 0 and 18 to 25 terms: 38-44 ms
-    a build, against 82-85 ms row by row, one Xeon core).  The residual
-    does not factor out as a per-row phase: P(h) is exp(-i residual h)
-    times the residual-free P, but the weights are phi-functions of (L +
-    residual) h.
+    a real-space call the rows of transverse._stepped_rows.  The rows
+    whose norms give the same (s, terms) run the Taylor series together
+    (_taylor), in batches of _TAYLOR_ROWS, by the products each row takes
+    alone, so each keeps its single-row bits; each row then squares alone
+    (_square), whose n^2 products gain nothing from a batch (a Gaussian
+    control's 128 columns at 193 medium points take s = 0 and 18 to 25
+    terms: 38-44 ms a build, against 82-85 ms row by row, one Xeon core).
+    The residual does not factor out as a per-row phase: P(h) is exp(-i
+    residual h) times the residual-free P, but the weights are
+    phi-functions of (L + residual) h.
 
     Calling with (h, eta, inject) returns the _Drive of advance_step,
     with weights (w_now, w_mid, w_next), or None when inject is False (no
@@ -902,7 +885,6 @@ def _cycle_plan(
     diffusion_phases: tuple[str, ...] = _PHASES,
     steps_per_width: float,
     cut_times=(),
-    read: bool = True,
 ) -> tuple[float, list[tuple[str, list[tuple]]]]:
     """The step plan of one cycle: the driver runs it, the cost guard sums it.
 
@@ -922,10 +904,6 @@ def _cycle_plan(
     cut only at the cut_times inside it.  A cut time is one scalar time
     shared by every group.  A gradient-on hold splits into two spans at
     each group's flip time.
-    With read False no exit field is kept, so the cycle's last output is
-    its last snapshot: the plan ends with the span that takes it (the first
-    whose end reaches it on every group's clock), and the phases after that
-    span's are left out.  Such a plan needs a cut time.
     A plan whose last boundary time is too large for double precision to
     resolve dt0 there (its spacing, math.ulp, exceeds dt0) is refused: its
     step times would collapse onto one another, and with them the time
@@ -938,8 +916,6 @@ def _cycle_plan(
         raise ParameterError("steps_per_width must be positive")
     if any(np.ndim(t) for t in cut_times):
         raise ParameterError("a snapshot time is one scalar time shared by every row")
-    if not read and not len(cut_times):
-        raise ParameterError("a cycle without a read needs sigma_times: it has no other output")
     protocol = protocols[0]  # every field but t_hold is shared
     diffs = _shared([p.diffusivity for p in param_rows])
     dt0 = signal.t_width / steps_per_width
@@ -980,8 +956,6 @@ def _cycle_plan(
         ("hold", hold),
         ("read", [span("read", holds, t_window, -protocol.eta_write, True)]),
     ]
-    if not read:
-        plan = _ending_at(plan, max(float(t) for t in cut_times))
     start, length, *_ = plan[-1][1][-1]
     t_last = float(np.max(start + length))
     if math.ulp(t_last) > dt0:
@@ -1020,17 +994,6 @@ def _driven_pieces(start, length, dt0: float, cut_times) -> list[tuple]:
             pieces.append((a, t - a, max(1, math.ceil((t - a) / dt0))))
             a, rest = t, start + length - t
     return [*pieces, (a, rest, max(1, math.ceil(rest / dt0)))]
-
-
-def _ending_at(plan, t_last: float):
-    """plan up to the span whose end first reaches t_last on every group's clock
-    (_FrameTaker.due's tolerance); the whole plan when no span's end does."""
-    for p, (phase, spans) in enumerate(plan):
-        for s, (start, length, *_) in enumerate(spans):
-            end = np.asarray(start + length)
-            if np.all(t_last <= end + 1e-12 * np.maximum(1.0, np.abs(end))):
-                return [*plan[:p], (phase, spans[: s + 1])]
-    return plan
 
 
 def _rows_of(params, protocol, signal: SignalSpec) -> tuple[list, list]:
@@ -1160,8 +1123,6 @@ def _drive_cycle(
     its core, an undriven piece two at its end, and a read inside a piece
     applies the owed half to the (groups, rows, 1) medium integral instead
     of the state.
-    A call that records no phase keeps only frames, so it runs the plan
-    with read False, which ends at the last frame.
     The frames, exit fields, phase-end states and guard inputs are
     synthesis @ the stepped rows' (_as_rows; transverse._stepped_rows
     picks a real-space call's rows), or the stepped rows' when it is None.
@@ -1181,7 +1142,6 @@ def _drive_cycle(
         diffusion_phases=diffusion_phases,
         steps_per_width=steps_per_width,
         cut_times=sigma_times,
-        read=bool(record),
     )
     params = param_rows[0]
     face_phase = params.face_phase

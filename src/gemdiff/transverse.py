@@ -16,17 +16,17 @@ Two complementary routes:
   control).  It runs on the shared cycle driver of solver1d, one group
   per protocol (protocols that differ only in t_hold share one write),
   with energies and frames by run_cycle's rules and every row's drive
-  exact in time.  _stepped_rows picks the rows: without diffusion one per
-  distinct control value; with diffusion under a homogeneous control one
-  per radial mode the input excites, its decay the imaginary part of its
-  light-shift residual; with diffusion under a varying control the
-  columns, coupled by conservative Crank-Nicolson diffusion on the
-  finite-volume grid (_radial_operator), whose half-steps the driver
-  applies around each step core, merged across every boundary inside a
-  piece.  A call's z grid follows its one diffusivity (_realspace_grid):
-  padded for the periodic spectral diffusion, the medium alone without
-  it.  One operator per call takes each piece's step and owns how it
-  sub-steps it.  Its half-step is a propagator matrix built once per
+  exact in time.  _stepped_rows picks the rows: with diffusion under a
+  homogeneous control one per radial mode the input excites, its decay
+  the imaginary part of its light-shift residual; otherwise the columns,
+  which under a varying control with diffusion are coupled by
+  conservative Crank-Nicolson diffusion on the finite-volume grid
+  (_radial_operator), whose half-steps the driver applies around each
+  step core, merged across every boundary inside a piece.  Without
+  diffusion the columns are independent 1D rows, so they may sit at any
+  radii: the nodes of a quadrature rule (TransverseGrid.panels).  One
+  operator per call takes each piece's step and owns how it sub-steps
+  it.  Its half-step is a propagator matrix built once per
   half-step length (one tridiagonal solve, solve_banded) and applied as
   one real GEMM per block of 16 rows over the column band those rows
   couple (n merged half-steps are its cached n-th power).  The module
@@ -156,31 +156,38 @@ _RADIAL_WINDOW_WAISTS = 8.0  # the radial window's radius, in signal waists
 
 @dataclass(frozen=True, eq=False)
 class TransverseGrid:
-    """Radial real-space grid over a window of 8 waists.
+    """Radial real-space columns at radii r, each with its transverse
+    quadrature weight (an area).
 
-    The cells are staggered, r_j = (j + 1/2) dr, which gives the
-    finite-volume diffusion operator its natural no-flux condition at the
-    axis and makes every cell weight 2 pi r_j dr.
+    radial's columns are staggered cells over a window of 8 waists, r_j =
+    (j + 1/2) dr, which gives the finite-volume diffusion operator its
+    natural no-flux condition at the axis and makes every cell weight 2 pi
+    r_j dr; only they carry dr, and only they take diffusion.  panels'
+    columns are the nodes of a radial quadrature rule.
     """
 
     r: np.ndarray
-    dr: float
+    weights: np.ndarray
+    dr: float | None = None
 
     @classmethod
     def radial(cls, waist: float, n_r: int = 96) -> "TransverseGrid":
         if n_r < 8:
             raise ParameterError("radial grid needs at least 8 cells")
         dr = (_RADIAL_WINDOW_WAISTS * waist) / n_r
-        return cls(r=(np.arange(n_r) + 0.5) * dr, dr=dr)
+        r = (np.arange(n_r) + 0.5) * dr
+        return cls(r=r, weights=2.0 * math.pi * r * dr, dr=dr)
+
+    @classmethod
+    def panels(cls, r, w) -> "TransverseGrid":
+        """Columns at the nodes r of a radial rule of weights w (Gauss-Legendre
+        panels, say), each weighing 2 pi r w."""
+        r = np.asarray(r, dtype=float)
+        return cls(r=r, weights=2.0 * math.pi * r * np.asarray(w, dtype=float))
 
     @property
     def n_cols(self) -> int:
         return self.r.size
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Transverse quadrature weight of each column (annulus area)."""
-        return 2.0 * math.pi * self.r * self.dr
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +250,6 @@ class Quasi1DRecord:
         stored = np.abs(ifft(self.mode_grid.amp, axis=-1) / self.mode_grid.dx) ** 2
         kept = np.sum(np.abs(self._fields()) ** 2, axis=1)
         return self._efficiency(kept / np.sum(stored, axis=-1, keepdims=True))
-
-    def intensity_realspace(self) -> tuple[np.ndarray, np.ndarray]:
-        """Time-integrated output intensity I(x, y) on the real-space grid: the
-        x axis's intensities, times |f_out|^2 by the trapezoid rule, times y's."""
-        ix, iy = np.abs(self._fields()) ** 2
-        step = np.diff(self.base.t_out)
-        trapezoid = 0.5 * (np.append(step, 0.0) + np.insert(step, 0, 0.0))
-        return self.mode_grid.x, (ix * (trapezoid * np.abs(self.base.f_out) ** 2)) @ iy.T
 
 
 def run_cycle_quasi1d(
@@ -332,7 +331,12 @@ def solve_banded(band: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def _radial_operator(grid: TransverseGrid) -> tuple[np.ndarray, np.ndarray]:
     """(1/r) d/dr (r d/dr) on the finite-volume grid as its off-diagonals
     (inward, outward), r_{j -+ 1/2} / (r_j dr^2), its diagonal their
-    negated sum; the axis and the window's edge pass no flux."""
+    negated sum; the axis and the window's edge pass no flux.  Only the
+    staggered cells of TransverseGrid.radial take it."""
+    if grid.dr is None:
+        raise ParameterError(
+            "radial diffusion runs on the staggered cells of TransverseGrid.radial"
+        )
     r, dr = grid.r, grid.dr
     lower_face = r - 0.5 * dr
     upper_face = r + 0.5 * dr
@@ -362,14 +366,15 @@ class _RadialDiffusion:
     """
 
     def __init__(self, grid: TransverseGrid, diffusivity: float, dt0: float):
-        self.grid, self.diffusivity, self.dt0 = grid, diffusivity, dt0
+        self.diffusivity, self.dt0 = diffusivity, dt0
+        self._operator = _radial_operator(grid)
         self._halves: dict[float, np.ndarray] = {}
         self._powers: dict[tuple[float, int], list[tuple[slice, slice, np.ndarray]]] = {}
 
     def half(self, h: float) -> np.ndarray:
         """The propagator of one half-step of length h (built once per h)."""
         if h not in self._halves:
-            inward, outward = _radial_operator(self.grid)
+            inward, outward = self._operator
             coef = 0.5 * self.diffusivity * h
             a, c = coef * inward, coef * outward
             implicit = np.array([np.r_[0.0, -c[:-1]], 1.0 + a + c, np.r_[-a[1:], 0.0]])
@@ -443,48 +448,20 @@ def _stepped_rows(
     Rows of control Rabi frequency rabi, decay rate decay and input weight
     entry, mapped onto the columns by synthesis and coupled between steps
     by coupling (None: the columns themselves; no decay; nothing couples
-    them), by the call's own diffusivity D and control.  Without diffusion
-    the columns that share a control value are one solve scaled by their
-    profiles (_distinct_rows).  With diffusion under a homogeneous control
-    the coupling and light shift are every column's, so diffusion only
-    damps each radial mode (_radial_modes), at D rate_m.  With diffusion
-    under a varying control, the columns under Crank-Nicolson.
+    them), by the call's own diffusivity D and control.  With diffusion
+    under a homogeneous control the coupling and light shift are every
+    column's, so diffusion only damps each radial mode (_radial_modes), at
+    D rate_m.  With diffusion under a varying control, the columns under
+    Crank-Nicolson; without diffusion, the columns alone.
     """
     profile = sample_transverse(signal, tgrid.r[:, None], 0.0)  # (n_cols, 1)
     rabi = control_rabi(control, tgrid.r)[:, None]  # column-local control
     diffusivity = params.diffusivity
-    if diffusivity > 0.0:
-        if np.any(rabi != rabi[0]):
-            return rabi, None, profile, None, partial(_RadialDiffusion, tgrid, diffusivity)
+    if diffusivity > 0.0 and np.all(rabi == rabi[0]):
         rates, entry, synthesis = _radial_modes(tgrid, profile)
         return rabi[:1], diffusivity * rates, entry, synthesis, None
-    rabi, entry, synthesis = _distinct_rows(rabi, profile)
-    return rabi, None, entry, synthesis, None
-
-
-def _realspace_grid(params: PhysicalParams, n_medium: int) -> Grid1D:
-    """The z grid a real-space call steps, by its one diffusivity: padded
-    (Grid1D.build) where its periodic spectral diffusion needs the padding,
-    the medium alone (Grid1D.unpadded) where nothing diffuses."""
-    if params.diffusivity > 0.0:
-        return Grid1D.build(params.half_length, n_medium)
-    return Grid1D.unpadded(params.half_length, n_medium)
-
-
-def _distinct_rows(rabi: np.ndarray, profile: np.ndarray):
-    """(rabi, entry, synthesis): one row per distinct value of the (rows, 1)
-    column rabi, its row of largest |profile|, entered with that profile;
-    synthesis holds each row's profile over its stepped row's (None when
-    every row has a value of its own)."""
-    values, index = np.unique(rabi[:, 0], return_inverse=True)
-    if len(values) == len(rabi):
-        return rabi, profile, None
-    weight = np.abs(profile[:, 0])
-    sharing = (np.flatnonzero(index == k) for k in range(len(values)))
-    reps = [rows[np.argmax(weight[rows])] for rows in sharing]
-    synthesis = np.zeros((len(rabi), len(reps)))
-    synthesis[np.arange(len(rabi)), index] = profile[:, 0] / profile[reps, 0][index]
-    return rabi[reps], profile[reps], synthesis
+    coupling = partial(_RadialDiffusion, tgrid, diffusivity) if diffusivity > 0.0 else None
+    return rabi, None, profile, None, coupling
 
 
 @dataclass(eq=False)
@@ -493,10 +470,7 @@ class RealspaceRecord:
 
     Fields are sampled at the medium exit face per radial column;
     intensity is the time-integrated |f_out|^2 per column.  Coherence
-    snapshots have shape (n_r, n_z) in the solver frame, on grid: the
-    medium's n_medium + 1 points alone for a call without diffusion.  A
-    cycle run without its read has t_out, f_out, intensity and
-    output_energy None.
+    snapshots have shape (n_r, n_z) in the solver frame, on grid.
     """
 
     params: PhysicalParams
@@ -505,21 +479,16 @@ class RealspaceRecord:
     control: ControlProfile
     grid: Grid1D
     tgrid: TransverseGrid
-    t_out: np.ndarray | None
-    f_out: np.ndarray | None
-    intensity: np.ndarray | None
+    t_out: np.ndarray
+    f_out: np.ndarray
+    intensity: np.ndarray
     input_energy: float
-    output_energy: float | None
+    output_energy: float
     sigma_frames: list[tuple[float, np.ndarray]] = field(default_factory=list)
     guard_ratio: dict[str, float] = field(default_factory=dict)
 
-    def _require_read(self) -> None:
-        if self.output_energy is None:
-            raise ParameterError("no read was run: the cycle was solved with read=False")
-
     @property
     def efficiency(self) -> float:
-        self._require_read()
         if self.input_energy == 0.0:
             raise ParameterError("cycle recorded no input energy")
         return self.output_energy / self.input_energy
@@ -536,7 +505,6 @@ def run_cycle_realspace(
     steps_per_width: float = 8.0,
     sigma_times=(),
     store_fields=None,
-    read: bool = True,
 ) -> RealspaceRecord | list[RealspaceRecord]:
     """Full cycle on the radial grid with an axisymmetric local control field.
 
@@ -546,23 +514,15 @@ def run_cycle_realspace(
     drive exact in time, and maps them onto the columns: steps_per_width
     is a sampling rate, but under a varying control with diffusion the
     radial Crank-Nicolson halves around each drive leave a second-order
-    error.  The z grid follows params.diffusivity (_realspace_grid): with
-    diffusion it is padded for the periodic spectral diffusion, without it
-    the medium alone (Grid1D.unpadded): the frames and the record's grid
-    are then the medium's, and the fields, energies and frames' medium
-    keep the padded grid's bits (the padding would only rotate zeros).
-    protocol may be a sequence under run_cycle's rule: only t_hold may
-    differ, and the hold must be undriven.  The groups share one write and
-    part ways at the hold; one record per protocol comes back.  The input
+    error.  protocol may be a sequence under run_cycle's rule: only t_hold
+    may differ, and the hold must be undriven.  The groups share one write
+    and part ways at the hold; one record per protocol comes back.  The input
     must be the axisymmetric (0,0) mode; higher Hermite-Gauss modes go
     through run_cycle_quasi1d.  Coherence frames are taken at the scalar
     sigma_times only (extract_phase reads the mid-hold one,
     protocol.flip_time()).  Energies follow run_cycle's trapezoid rule in
     time, weighted over the columns.  Every record keeps its exit fields
-    (store_fields is ignored).  read=False runs no read: the cycle ends at
-    the span that takes the last of the sigma_times frames (which must be
-    given), the records keep their frames, input energy and guard ratios
-    (of the phases run), and their read fields are None.
+    (store_fields is ignored).
     """
     single = isinstance(protocol, StorageProtocol)
     if signal.mode != (0, 0):
@@ -578,7 +538,7 @@ def run_cycle_realspace(
     param_rows, protocols = _rows_of(params, protocol, signal)
 
     rabi, decay, entry, synthesis, coupling = _stepped_rows(params, signal, control, tgrid)
-    grid = _realspace_grid(params, n_medium)
+    grid = Grid1D.build(params.half_length, n_medium)
     traces, (t_write, f_in), guards, takers = _drive_cycle(
         param_rows,
         protocols,
@@ -588,7 +548,7 @@ def run_cycle_realspace(
         decay=decay,
         profile=entry,
         synthesis=synthesis,
-        record=("read",) if read else (),
+        record=("read",),
         transverse=coupling,
         steps_per_width=steps_per_width,
         sigma_times=sigma_times,
@@ -596,17 +556,13 @@ def run_cycle_realspace(
 
     profile = sample_transverse(signal, tgrid.r[:, None], 0.0)[:, 0]
     input_energy = _energy(f_in, t_write) * float(tgrid.weights @ np.abs(profile) ** 2)
-    if read:
-        t_out = _steps_by_row(traces["read"].times)
-        f_out = np.moveaxis(np.array([params.face_phase * e for e in traces["read"].exits]), 0, -1)
+    t_out = _steps_by_row(traces["read"].times)
+    f_out = np.moveaxis(np.array([params.face_phase * e for e in traces["read"].exits]), 0, -1)
 
     records = []
     for g, (row, taker) in enumerate(zip(protocols, takers)):
-        t_g = f_g = intensity = output_energy = None
-        if read:
-            t_g, f_g = _row(t_out, g), _row(f_out, g)
-            intensity = np.trapezoid(np.abs(f_g) ** 2, t_g)  # per column
-            output_energy = float(tgrid.weights @ intensity)
+        t_g, f_g = _row(t_out, g), _row(f_out, g)
+        intensity = np.trapezoid(np.abs(f_g) ** 2, t_g)  # per column
         records.append(
             RealspaceRecord(
                 params=params,
@@ -619,7 +575,7 @@ def run_cycle_realspace(
                 f_out=f_g,
                 intensity=intensity,
                 input_energy=input_energy,
-                output_energy=output_energy,
+                output_energy=float(tgrid.weights @ intensity),
                 sigma_frames=taker.sigma_frames,
                 guard_ratio=guards[g],
             )
@@ -695,7 +651,6 @@ def intensity_and_width(record: RealspaceRecord) -> BeamProfile:
     least-squares width exists, the moment width is returned with fit_ok =
     False.
     """
-    record._require_read()
     r, intensity = record.tgrid.r, record.intensity
     weights = record.tgrid.weights
     total = float(np.sum(weights * intensity))

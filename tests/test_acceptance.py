@@ -447,7 +447,7 @@ def _self_convergence(params, protocol, signal, control):
     runs = [
         run_cycle_realspace(
             params, protocol, signal, control, tgrid, n_medium=64, steps_per_width=spw,
-            sigma_times=(0.0,), read=False,
+            sigma_times=(0.0,),
         ).sigma_frames[0][1]
         for spw in (20.0, 40.0, 80.0)
     ]

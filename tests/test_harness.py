@@ -29,6 +29,7 @@ from gemdiff import (
     run_cycle_realspace,
     solver1d,
 )
+from gemdiff.analytic import phase_theta
 from gemdiff.config import known_keys, load_config
 from gemdiff.harness import (
     CSV_FORMAT,
@@ -378,17 +379,15 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
         # every undriven hold is one exact step per piece: beam-width's
         # diffusing gradient-on hold (the standard one is the third call)
         partial(run_cycle_realspace, cfg.params, rotating, cfg.signal, control, tgrid, **fast),
-        # phase-profile's homogeneous call: without diffusion the columns that
-        # share a control value step one row, here one for all of them
+        # phase-profile's Gaussian call: a mid-hold frame cuts the hold
         partial(
             run_cycle_realspace,
             still,
             rotating,
             cfg.signal,
-            ControlProfile.homogeneous(cfg.params.rabi_control),
+            control,
             tgrid,
             sigma_times=(rotating.flip_time(),),
-            read=False,
             **fast,
         ),
         # beam-width's homogeneous call: with diffusion the rows are the 29
@@ -416,14 +415,8 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
         partial(run_cycle_realspace, cfg.params, groups, cfg.signal, control, tgrid, **fast),
         partial(run_cycle, rows, exact, cfg.signal, **hold_only),
     ]
-    # a call without its read ends at its mid-hold frame: the second hold
-    # span and the read are neither run nor charged
-    frame = dict(sigma_times=(rotating.flip_time(),), **fast)
-    framed = partial(run_cycle_realspace, still, rotating, cfg.signal, control, tgrid, **frame)
-    frames_only = partial(framed, read=False)
-    for call in exact_calls + shared_calls + [frames_only]:
+    for call in exact_calls + shared_calls:
         assert _estimate_cell_steps(call) == solved_cells(call)
-    assert 0 < _estimate_cell_steps(frames_only) < _estimate_cell_steps(framed)
     n_z = Grid1D.build(cfg.params.half_length, fast["n_medium"]).n_z
     solved_cells(exact_calls[-1])  # the mode rows
     assert {size // n_z for size in cells} == {29}
@@ -442,7 +435,7 @@ def test_entry_points_take_only_the_options_experiments_set():
 
     common = ["n_medium", "steps_per_width"]
     assert options(run_cycle) == [*common, "diffusion_phases", "sigma_times"]
-    assert options(run_cycle_realspace) == [*common, "sigma_times", "store_fields", "read"]
+    assert options(run_cycle_realspace) == [*common, "sigma_times", "store_fields"]
     # the quasi-1D route forwards run_cycle's options and takes no others
     assert list(inspect.signature(run_cycle_quasi1d).parameters) == [
         "params", "protocol", "grid", "solver_kwargs"
@@ -777,6 +770,42 @@ def test_cli_rejects_parameters_out_of_range(tmp_path, capsys, override):
     assert main(argv + ["--fidelity", "coarse", "--set", override]) == 2
     err = capsys.readouterr().err
     assert err.startswith("gem:") and "Traceback" not in err
+
+
+def test_quadrature_fit_returns_the_closed_forms_own_coefficient(bench_config):
+    # phase_theta is exactly quadratic in r, so the fit through the origin on
+    # a band's Gauss-Legendre nodes and weights returns its coefficient to
+    # round-off, with any masked (NaN) node left out
+    cfg = bench_config
+    signal = replace(cfg.signal, t_width=0.35e-6, t_lead=2e-6)
+    protocol = StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, 16e-6)
+    closed = partial(phase_theta, cfg.params, protocol, signal, cfg.control, 0.0)
+    coefficient = float(closed(1.0))
+    for n in (1, 8, 12):
+        r, w = harness._gauss_legendre(0.0, 0.5 * cfg.control.waist, n)
+        theta = closed(r)
+        fitted = harness._quadratic_coefficient(r, theta, w)
+        assert fitted == pytest.approx(coefficient, rel=1e-14, abs=0.0), n
+        theta[-1] = np.nan
+        if n > 1:
+            masked = harness._quadratic_coefficient(r, theta, w)
+            assert masked == pytest.approx(coefficient, rel=1e-14, abs=0.0), n
+    with pytest.raises(ParameterError, match="no usable phase samples"):
+        harness._quadratic_coefficient(r, np.full(r.shape, np.nan), w)
+
+
+def test_phase_profile_refuses_a_control_waist_outside_its_closed_form(
+    tmp_path, capsys, monkeypatch
+):
+    # phase_theta holds for a control waist of at least twice the signal
+    # waist (1.45 mm here), so a narrower one is refused before any solve
+    monkeypatch.setattr(harness, "_solve", None)
+    argv = ["phase-profile", "--config", str(CONFIG), "--out", str(tmp_path)]
+    argv += ["--fidelity", "coarse"]
+    for waist in ("2 mm", "0.1 mm"):
+        assert main(argv + ["--set", "control_waist=" + waist]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gem:") and "control waist" in err and "Traceback" not in err
 
 
 def test_beam_width_refuses_an_out_of_range_waist_before_any_solve(tmp_path, capsys, monkeypatch):

@@ -26,8 +26,8 @@ from gemdiff import (
     run_cycle,
 )
 from gemdiff.model import stark_residual
-from gemdiff import solver1d, transverse
-from gemdiff.pulses import ControlProfile, control_rabi, sample_temporal, sample_transverse
+from gemdiff import solver1d
+from gemdiff.pulses import ControlProfile, control_rabi, sample_temporal
 from gemdiff.transverse import TransverseGrid, run_cycle_realspace
 from gemdiff.solver1d import (
     StepKernels,
@@ -65,20 +65,6 @@ def test_grid_guard_slices_cover_outer_pads():
     # outer half of each band
     assert left.stop == grid.i_left // 2
     assert grid.n_z - right.start == (grid.n_z - 1 - grid.i_right) // 2
-
-
-def test_an_unpadded_grid_is_the_padded_grids_medium():
-    # a call where nothing diffuses needs no padding: the medium alone, on the
-    # padded grid's z values and weights, with empty guard slices
-    padded, bare = Grid1D.build(0.1, n_medium=96), Grid1D.unpadded(0.1, n_medium=96)
-    assert bare.n_z == 97
-    assert bare.medium == slice(0, 97)
-    assert bare.dz == padded.dz
-    assert np.array_equal(bare.z, padded.z[padded.medium])
-    assert np.array_equal(bare.trapezoid, padded.trapezoid[padded.medium])
-    assert [len(bare.z[s]) for s in bare.guard_slices()] == [0, 0]
-    with pytest.raises(ParameterError, match="even number"):
-        Grid1D.unpadded(0.1, n_medium=97)
 
 
 @pytest.mark.parametrize(
@@ -356,7 +342,6 @@ def test_self_convergence_is_second_order(bench_params, bench_protocol, bench_si
             n_medium=64,
             steps_per_width=spw,
             sigma_times=(0.0,),
-            read=False,
         ).sigma_frames[0][1]
         for spw in (20.0, 40.0, 80.0)
     ]
@@ -388,7 +373,6 @@ def test_realspace_without_diffusion_is_step_independent(bench_params, bench_sig
             n_medium=64,
             steps_per_width=spw,
             sigma_times=(proto.flip_time(),),
-            read=False,
         )
         return rec.sigma_frames[0][1]
 
@@ -730,67 +714,6 @@ def test_stacked_groups_step_as_their_single_solves(bench_params, monkeypatch):
         assert np.array_equal(stacked[..., pad], (kern.rot_full * sigma)[..., pad])
     assert len(set(stacked_plans)) == 13 and max(stacked_plans)[0] == 13
     assert max(map(stacked_plans.count, stacked_plans)) > solver1d._TAYLOR_ROWS
-
-
-def test_rows_that_share_a_control_value_step_once(bench_params, bench_signal):
-    # with no transverse operator a real-space call steps one row per
-    # distinct control value (transverse._distinct_rows), the one of largest
-    # |profile|, and the driver scales it to the rows that share the value
-    # by its synthesis matrix.  A Gaussian control's 16 columns plus three
-    # repeats, at 0.5, 1.5 and -0.25 times their profile (so the second
-    # repeat steps for its original): every stepped row equals its own
-    # single-row solve to the bit in every exit field, end state and frame,
-    # and every other row its own solve within 1e-14 of that row's peak
-    params = bench_params.with_diffusivity(0.0)
-    proto = StorageProtocol.gradient_through_hold(-TAU * 10e6, 3e-6)
-    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
-    control = ControlProfile.gaussian(params.rabi_control, 3e-3)
-    repeat = [2, 7, 11]
-    rabi = control_rabi(control, tgrid.r)[:, None]
-    rabi = np.r_[rabi, rabi[repeat]]
-    profile = sample_transverse(bench_signal, tgrid.r[:, None], 0.0)
-    profile = np.r_[profile, profile[repeat] * np.array([[0.5], [1.5], [-0.25]])]
-    grid = Grid1D.build(params.half_length, n_medium=64)
-    param_rows, protocols = solver1d._rows_of(params, proto, bench_signal)
-    steps = []
-    real = solver1d.advance_step
-
-    def counted(sigma, *args, **kwargs):
-        steps.append(sigma.shape)
-        return real(sigma, *args, **kwargs)
-
-    def solve(rows):
-        """Each exit field, end state and frame of the rows, as (rows, ...) arrays."""
-        stepped, entry, synthesis = transverse._distinct_rows(rabi[rows], profile[rows])
-        traces, _, _, takers = solver1d._drive_cycle(
-            param_rows,
-            protocols,
-            bench_signal,
-            grid,
-            rabi=stepped,
-            profile=entry,
-            synthesis=synthesis,
-            record=("write", "hold", "read"),
-            sigma_times=(-1e-6, proto.flip_time()),
-            steps_per_width=8.0,
-        )
-        exits = [np.array(trace.exits)[:, 0].T for trace in traces.values() if trace.exits]
-        ends = [trace.end[0] for trace in traces.values()]
-        return exits + ends + [frame for _, frame in takers[0].sigma_frames]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver1d, "advance_step", counted)
-        batch = solve(slice(None))
-    assert {shape[1] for shape in steps} == {len(rabi) - len(repeat)}
-    assert len(batch) == 2 + 3 + 2  # the undriven hold has no exit field
-    scaled = {16, 7, 18}  # the rows whose value another row steps
-    for r in range(len(rabi)):
-        alone = solve(slice(r, r + 1))
-        for got, want in zip(batch, alone):
-            if r in scaled:
-                assert np.max(np.abs(got[r] - want[0])) <= 1e-14 * np.max(np.abs(want[0])), r
-            else:
-                assert np.array_equal(got[r], want[0]), r
 
 
 def test_echo_peak_time_is_the_vertex_of_a_sampled_gaussian(
