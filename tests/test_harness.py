@@ -379,7 +379,7 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
         # every undriven hold is one exact step per piece: beam-width's
         # diffusing gradient-on hold (the standard one is the third call)
         partial(run_cycle_realspace, cfg.params, rotating, cfg.signal, control, tgrid, **fast),
-        # phase-profile's Gaussian call: a mid-hold frame cuts the hold
+        # phase-profile's call: a mid-hold frame cuts the hold
         partial(
             run_cycle_realspace,
             still,
@@ -488,9 +488,10 @@ def test_only_real_space_calls_use_the_pool(bench_config, tmp_path, monkeypatch)
         )
         with pytest.raises(Dispatched):
             run_experiment(spec)
+    # phase-profile makes one call, its axis column the phase reference;
     # beam-width's seven hold times per control are the groups of one call
     assert [threads for threads, _ in seen] == [1, 4, 4]
-    assert [tasks for _, tasks in seen[1:]] == [2, 2]
+    assert [tasks for _, tasks in seen[1:]] == [1, 2]
 
 
 def test_sweep_axes_name_config_keys(bench_config, tmp_path, cycle_run):
@@ -588,22 +589,34 @@ def test_artifacts_are_identical_across_thread_counts(cycle_run, tmp_path, capsy
 
 
 def test_pooled_artifacts_are_identical_across_thread_counts(tmp_path, capsys, monkeypatch):
-    # phase-profile's real-space cycles run on the pool at two threads
+    # beam-width's two real-space calls run on two threads at --threads 2
+    # and inline at 1; each run records (threads, tasks, distinct threads
+    # that ran a task)
     pools = []
     real = harness._run_tasks
 
     def counted(tasks, threads):
-        pools.append(threads)
-        return real(tasks, threads)
+        ran = set()
+
+        def tagged(task):
+            def run():
+                ran.add(threading.get_ident())
+                return task()
+
+            return run
+
+        results = real([tagged(task) for task in tasks], threads)
+        pools.append((threads, len(tasks), len(ran)))
+        return results
 
     monkeypatch.setattr(harness, "_run_tasks", counted)
     runs = []
     for threads in ("1", "2"):
-        argv = ["phase-profile", "--config", str(CONFIG), "--out", str(tmp_path / threads)]
+        argv = ["beam-width", "--config", str(CONFIG), "--out", str(tmp_path / threads)]
         assert main([*argv, "--fidelity", "coarse", "--threads", threads]) == 0
-        runs.append(tmp_path / threads / "phase-profile")
+        runs.append(tmp_path / threads / "beam-width")
     capsys.readouterr()
-    assert 2 in pools
+    assert pools == [(1, 2, 1), (2, 2, 2)]
     names = sorted(p.name for p in runs[0].iterdir())
     assert names and names == sorted(p.name for p in runs[1].iterdir())
     for name in names:
@@ -806,6 +819,18 @@ def test_phase_profile_refuses_a_control_waist_outside_its_closed_form(
         assert main(argv + ["--set", "control_waist=" + waist]) == 2
         err = capsys.readouterr().err
         assert err.startswith("gem:") and "control waist" in err and "Traceback" not in err
+
+
+def test_beam_width_refuses_a_config_without_diffusion_before_any_solve(
+    tmp_path, capsys, monkeypatch
+):
+    # its width_slope_homogeneous check is relative to D, so at D = 0 it
+    # could never pass: the run is refused before either call is solved
+    monkeypatch.setattr(harness, "_solve", None)
+    argv = ["beam-width", "--config", str(CONFIG), "--out", str(tmp_path), "--fidelity", "coarse"]
+    assert main(argv + ["--set", "diffusivity=0 m^2/s"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gem:") and "diffusivity > 0" in err and "Traceback" not in err
 
 
 def test_beam_width_refuses_an_out_of_range_waist_before_any_solve(tmp_path, capsys, monkeypatch):
