@@ -16,7 +16,7 @@ passes, so the command doubles as an acceptance runner.
 
 Fidelity presets (longitudinal cells / steps per pulse width; beam width
 adds its radial cell count, phase profile its Gauss-Legendre nodes inside
-and outside the fit band after its axis node, mode grids their size)::
+and outside the fit band, mode grids their size)::
 
               1d sweeps     single cycle   beam width        phase profile       modes
     coarse    256 /  6      192 /  6       128 /  6 /  96    128 /  6 /  8 +  8    32
@@ -42,13 +42,11 @@ them from their own arguments against the cap before any runs.  The 1D
 sweep points that share a time grid run as rows of one batched solve (see
 solver1d.run_cycle), inline: small 1D arrays only lose under the GIL.
 beam-width's hold times run as the groups of one real-space call per
-control, which shares the write; phase-profile makes one real-space call,
-its axis column the phase reference.  Only the real-space cycles use the
-thread pool, so only beam-width's two calls share it: the costliest call
-runs on the calling thread and the rest on --threads - 1 workers, and
-results are gathered in call order, so output files are byte-identical
-for any thread count (the header records the command line without
-machine-local paths for the same reason).
+control, which shares the write.  Only the real-space cycles use the
+thread pool: the costliest call runs on the calling thread and the rest
+on --threads - 1 workers, and results are gathered in call order, so
+output files are byte-identical for any thread count (the header records
+the command line without machine-local paths for the same reason).
 """
 
 from __future__ import annotations
@@ -1062,13 +1060,9 @@ def _exp_phase_profile(spec: ExperimentSpec):
     coefficient is fitted through the origin over r <= w_c / 2 at z = 0,
     as a quadrature: without diffusion every column is its own 1D row, so
     the columns sit at the Gauss-Legendre nodes of that band, and of a
-    second panel out to 1.2 w_c for the map and the plot.  A node of weight
-    0 at r = 0 comes first: there the Gaussian control equals the
-    homogeneous control at its peak, so the axis column is the cycle under
-    a homogeneous control and extract_phase measures theta against it,
-    from one solver call.  The closed form holds for a control waist well
-    above the signal waist, so one below twice the signal waist is refused
-    before any solve.
+    second panel out to 1.2 w_c for the map and the plot.  The closed form
+    holds for a control waist well above the signal waist, so one below
+    twice the signal waist is refused before any solve.
     """
     cfg = spec.config
     _require_gaussian_control(spec)
@@ -1084,9 +1078,9 @@ def _exp_phase_profile(spec: ExperimentSpec):
     protocol = StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, 16e-6)
     band_r, band_w = _gauss_legendre(0.0, 0.5 * waist_c, n_band)
     outer_r, outer_w = _gauss_legendre(0.5 * waist_c, 1.2 * waist_c, n_outer)
-    tgrid = TransverseGrid.panels(np.r_[0.0, band_r, outer_r], np.r_[0.0, band_w, outer_w])
+    tgrid = TransverseGrid.panels(np.r_[band_r, outer_r], np.r_[band_w, outer_w])
 
-    (record,) = _solve(
+    rec_gauss, rec_homo = _solve(
         spec,
         [
             partial(
@@ -1094,16 +1088,17 @@ def _exp_phase_profile(spec: ExperimentSpec):
                 params,
                 protocol,
                 signal,
-                cfg.control,
+                control,
                 tgrid,
                 n_medium=n_medium,
                 steps_per_width=_STEPS_PER_WIDTH[spec.fidelity],
                 sigma_times=(protocol.flip_time(),),  # the mid-hold frame extract_phase reads
             )
+            for control in (cfg.control, ControlProfile.homogeneous(cfg.params.rabi_control))
         ],
     )
 
-    pmap = extract_phase(record)
+    pmap = extract_phase(rec_gauss, rec_homo)
     n_r, n_z = len(pmap.r), len(pmap.z)
     map_rows = np.column_stack(  # z by z, r ascending within each
         (np.tile(pmap.r, n_z), np.repeat(pmap.z, n_r), pmap.theta.T.ravel())
@@ -1112,9 +1107,8 @@ def _exp_phase_profile(spec: ExperimentSpec):
 
     r, theta = pmap.at_z(0.0)
     closed = phase_theta(params, protocol, signal, cfg.control, 0.0, r)
-    in_band = np.isin(r, band_r)  # the axis node is theta's reference, not a sample of the fit
-    coeff_num = _quadratic_coefficient(band_r, theta[in_band], band_w)
-    fit_band = in_band & np.isfinite(theta)
+    coeff_num = _quadratic_coefficient(band_r, theta[:n_band], band_w)
+    fit_band = (np.arange(r.size) < n_band) & np.isfinite(theta)
     coeff_closed = float(phase_theta(params, protocol, signal, cfg.control, 0.0, 1.0))
     _write_csv(
         spec,
@@ -1122,9 +1116,8 @@ def _exp_phase_profile(spec: ExperimentSpec):
         ("r", "theta_numeric", "theta_closed", "in_fit_band"),
         zip(r, theta, closed, fit_band),
         notes=(
-            "theta at z = 0, mid-hold, on the axis (its reference, 0), at the Gauss-Legendre "
-            "nodes of r <= control_waist / 2 (the fit band) and of control_waist / 2 < r <= "
-            "1.2 control_waist",
+            "theta at z = 0, mid-hold, at the Gauss-Legendre nodes of r <= control_waist / 2 "
+            "(the fit band) and of control_waist / 2 < r <= 1.2 control_waist",
         ),
     )
 

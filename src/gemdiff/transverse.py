@@ -520,9 +520,9 @@ def run_cycle_realspace(
     must be the axisymmetric (0,0) mode; higher Hermite-Gauss modes go
     through run_cycle_quasi1d.  Coherence frames are taken at the scalar
     sigma_times only (extract_phase reads the mid-hold one,
-    protocol.flip_time(), against the column at r = 0).  Energies follow
-    run_cycle's trapezoid rule in time, weighted over the columns.  Every
-    record keeps its exit fields (store_fields is ignored).
+    protocol.flip_time()).  Energies follow run_cycle's trapezoid rule in
+    time, weighted over the columns.  Every record keeps its exit fields
+    (store_fields is ignored).
     """
     single = isinstance(protocol, StorageProtocol)
     if signal.mode != (0, 0):
@@ -678,7 +678,7 @@ def intensity_and_width(record: RealspaceRecord) -> BeamProfile:
 
 @dataclass(frozen=True, eq=False)
 class PhaseMap:
-    """Spin-wave phase theta(r, z) against the axis column at one snapshot time."""
+    """Spin-wave phase difference theta(r, z) at one snapshot time."""
 
     t: float
     r: np.ndarray
@@ -691,40 +691,47 @@ class PhaseMap:
         return self.r, self.theta[:, idx]
 
 
-def extract_phase(record: RealspaceRecord, t: float | None = None) -> PhaseMap:
-    """Phase of the stored spin wave against its own axis column.
+def _find_frame(record: RealspaceRecord, t: float) -> np.ndarray:
+    for ft, frame in record.sigma_frames:
+        if abs(ft - t) <= 1e-9 * max(abs(t), 1e-12) + 1e-15:
+            return frame
+    raise ParameterError(
+        "no coherence snapshot at t = %.6g; request it via sigma_times" % t
+    )
 
-    theta(r, z) = arg(sigma(r, z) conj(sigma(0, z))), unwrapped radially
-    outward from the axis; samples where either factor falls below 1e-6 of
-    its peak are NaN-masked.  A Gaussian control equals the homogeneous
-    control at its peak on the axis, and without diffusion every column is
-    its own 1D cycle, so the axis column is the cycle under a homogeneous
-    control: theta is the phase the control's profile imprints.  So the
-    grid's first column must sit at r = 0 (TransverseGrid.panels with an
-    axis node); the staggered cells of TransverseGrid.radial, which every
-    call with diffusion needs, are refused.  The record must hold a
-    coherence snapshot at t (default: mid-hold, protocol.flip_time(), which
-    the caller requests through run_cycle_realspace's sigma_times).
+
+def extract_phase(
+    record_inhomo: RealspaceRecord,
+    record_homo: RealspaceRecord,
+    t: float | None = None,
+) -> PhaseMap:
+    """Phase difference of the stored spin wave, inhomogeneous minus homogeneous.
+
+    Both records must hold coherence snapshots at the comparison time
+    (default: mid-hold, protocol.flip_time(), which the caller requests
+    through run_cycle_realspace's sigma_times).  The
+    phase is unwrapped radially outward from the axis, and samples where
+    either coherence falls below 1e-6 of its peak are NaN-masked.
     """
-    if record.tgrid.r[0] != 0.0:
-        raise ParameterError("phase extraction needs a grid whose first column is the axis, r = 0")
-    when = t if t is not None else record.protocol.flip_time()
-    for frame_t, frame in record.sigma_frames:
-        if abs(frame_t - when) <= 1e-9 * max(abs(when), 1e-12) + 1e-15:
-            break
-    else:
-        raise ParameterError(
-            "no coherence snapshot at t = %.6g; request it via sigma_times" % when
-        )
-    med = record.grid.medium
-    sigma = frame[:, med]
-    axis = sigma[:1]
-    theta = np.unwrap(np.angle(sigma * np.conj(axis)), axis=0)
-    bad = (np.abs(sigma) < 1e-6 * np.max(np.abs(sigma))) | (
-        np.abs(axis) < 1e-6 * np.max(np.abs(axis))
+    if not (
+        np.array_equal(record_inhomo.tgrid.r, record_homo.tgrid.r)
+        and np.array_equal(record_inhomo.grid.z, record_homo.grid.z)
+    ):
+        raise ParameterError("phase extraction needs records on matching grids")
+    when = t if t is not None else record_inhomo.protocol.flip_time()
+    sig_i = _find_frame(record_inhomo, when)
+    sig_h = _find_frame(record_homo, when)
+    med = record_inhomo.grid.medium
+    sig_i = sig_i[:, med]
+    sig_h = sig_h[:, med]
+    cross = sig_i * np.conj(sig_h)
+    theta = np.unwrap(np.angle(cross), axis=0)
+    bad = (np.abs(sig_i) < 1e-6 * np.max(np.abs(sig_i))) | (
+        np.abs(sig_h) < 1e-6 * np.max(np.abs(sig_h))
     )
     theta = np.where(bad, np.nan, theta)
-    return PhaseMap(t=when, r=record.tgrid.r, z=record.grid.z[med], theta=theta)
+    z = record_inhomo.grid.z[med]
+    return PhaseMap(t=when, r=record_inhomo.tgrid.r, z=z, theta=theta)
 
 
 def fit_effective_diffusion(t_holds, widths_squared) -> float:

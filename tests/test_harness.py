@@ -379,7 +379,7 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
         # every undriven hold is one exact step per piece: beam-width's
         # diffusing gradient-on hold (the standard one is the third call)
         partial(run_cycle_realspace, cfg.params, rotating, cfg.signal, control, tgrid, **fast),
-        # phase-profile's call: a mid-hold frame cuts the hold
+        # phase-profile's Gaussian call: a mid-hold frame cuts the hold
         partial(
             run_cycle_realspace,
             still,
@@ -488,10 +488,9 @@ def test_only_real_space_calls_use_the_pool(bench_config, tmp_path, monkeypatch)
         )
         with pytest.raises(Dispatched):
             run_experiment(spec)
-    # phase-profile makes one call, its axis column the phase reference;
     # beam-width's seven hold times per control are the groups of one call
     assert [threads for threads, _ in seen] == [1, 4, 4]
-    assert [tasks for _, tasks in seen[1:]] == [1, 2]
+    assert [tasks for _, tasks in seen[1:]] == [2, 2]
 
 
 def test_sweep_axes_name_config_keys(bench_config, tmp_path, cycle_run):
@@ -589,7 +588,7 @@ def test_artifacts_are_identical_across_thread_counts(cycle_run, tmp_path, capsy
 
 
 def test_pooled_artifacts_are_identical_across_thread_counts(tmp_path, capsys, monkeypatch):
-    # beam-width's two real-space calls run on two threads at --threads 2
+    # phase-profile's two real-space calls run on two threads at --threads 2
     # and inline at 1; each run records (threads, tasks, distinct threads
     # that ran a task)
     pools = []
@@ -612,9 +611,9 @@ def test_pooled_artifacts_are_identical_across_thread_counts(tmp_path, capsys, m
     monkeypatch.setattr(harness, "_run_tasks", counted)
     runs = []
     for threads in ("1", "2"):
-        argv = ["beam-width", "--config", str(CONFIG), "--out", str(tmp_path / threads)]
+        argv = ["phase-profile", "--config", str(CONFIG), "--out", str(tmp_path / threads)]
         assert main([*argv, "--fidelity", "coarse", "--threads", threads]) == 0
-        runs.append(tmp_path / threads / "beam-width")
+        runs.append(tmp_path / threads / "phase-profile")
     capsys.readouterr()
     assert pools == [(1, 2, 1), (2, 2, 2)]
     names = sorted(p.name for p in runs[0].iterdir())

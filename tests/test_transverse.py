@@ -63,7 +63,7 @@ def radial_record(bench_params, bench_protocol, bench_signal):
         bench_signal,
         control,
         tgrid,
-        sigma_times=(bench_protocol.flip_time(),),  # a mid-hold frame
+        sigma_times=(bench_protocol.flip_time(),),  # the mid-hold frame extract_phase reads
         **FAST,
     )
 
@@ -942,63 +942,28 @@ def test_a_fit_that_cannot_converge_gives_the_moment_width():
 # ---------------------------------------------------------------------------
 
 
-def _axis_records(params, controls):
-    """D = 0 records under each control on a panel grid with an axis node,
-    each holding its mid-hold frame: phase-profile's fixture on a small grid."""
-    still = params.with_diffusivity(0.0)
-    signal = SignalSpec(1.0, 0.35e-6, 2e-6, WAIST)
-    protocol = StorageProtocol.gradient_through_hold(-TAU * 10e6, 4e-6)
-    r, w = harness._gauss_legendre(0.0, 1.5e-3, 4)  # and two nodes outside, one 6 waists out
-    tgrid = TransverseGrid.panels(np.r_[0.0, r, 3e-3, 6.0 * WAIST], np.r_[0.0, w, 1e-4, 1e-4])
-    framed = dict(sigma_times=(protocol.flip_time(),), **FAST)
-    return [
-        run_cycle_realspace(still, protocol, signal, control, tgrid, **framed)
-        for control in controls
-    ]
-
-
-def test_extract_phase_of_a_homogeneous_control_is_zero(bench_params):
-    # every column is the axis's 1D cycle scaled by its real input weight
-    homogeneous = ControlProfile.homogeneous(bench_params.rabi_control)
-    (record,) = _axis_records(bench_params, [homogeneous])
-    pmap = extract_phase(record)
-    assert pmap.t == record.protocol.flip_time()
-    assert pmap.theta.shape == (record.tgrid.n_cols, pmap.z.size)
-    assert np.any(np.isfinite(pmap.theta))
+def test_extract_phase_of_identical_records_is_zero(radial_record):
+    pmap = extract_phase(radial_record, radial_record)
+    assert pmap.t == radial_record.protocol.flip_time()
+    assert pmap.theta.shape == (radial_record.tgrid.n_cols, pmap.z.size)
     assert np.nanmax(np.abs(pmap.theta)) < 1e-12
     r, theta_mid = pmap.at_z(0.0)
     assert r.shape == theta_mid.shape
 
 
-def test_extract_phase_matches_the_homogeneous_control_difference(bench_params):
-    # at D = 0 the axis column of a Gaussian-control record is the cycle
-    # under the homogeneous control at its peak, so theta against it equals
-    # the phase difference against a homogeneous-control record on the
-    # same grid, masked where either record's frame is below 1e-6 of its peak
-    gaussian = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
-    homogeneous = ControlProfile.homogeneous(bench_params.rabi_control)
-    rec_g, rec_h = _axis_records(bench_params, [gaussian, homogeneous])
-    pmap = extract_phase(rec_g)
-    when, med = rec_g.protocol.flip_time(), rec_g.grid.medium
-    (sig_g,) = [frame[:, med] for t, frame in rec_g.sigma_frames if t == when]
-    (sig_h,) = [frame[:, med] for t, frame in rec_h.sigma_frames if t == when]
-    old = np.unwrap(np.angle(sig_g * np.conj(sig_h)), axis=0)
-    masked = (np.abs(sig_g) < 1e-6 * np.max(np.abs(sig_g))) | (
-        np.abs(sig_h) < 1e-6 * np.max(np.abs(sig_h))
+def test_extract_phase_validates_inputs(bench_params, bench_protocol, bench_signal, radial_record):
+    # a radial record on another n_r holds a frame at the same time, on other columns
+    control = ControlProfile.homogeneous(bench_params.rabi_control)
+    coarser = run_cycle_realspace(
+        bench_params,
+        bench_protocol,
+        bench_signal,
+        control,
+        TransverseGrid.radial(bench_signal.waist, n_r=24),
+        sigma_times=(bench_protocol.flip_time(),),
+        **FAST,
     )
-    assert np.array_equal(np.isnan(pmap.theta), masked)
-    assert np.all(masked[-1]) and not np.any(masked[:-1])
-    assert np.max(np.abs(pmap.theta - old)[~masked]) <= 1e-12
-    # the control's profile imprints a phase well above that
-    assert np.nanmax(np.abs(pmap.theta)) > 1e-3
-
-
-def test_extract_phase_needs_an_axis_column_and_its_snapshot(bench_params, radial_record):
-    # the staggered cells of TransverseGrid.radial, on which every call
-    # with diffusion runs, have no column at r = 0
-    assert radial_record.sigma_frames
-    with pytest.raises(ParameterError, match="r = 0"):
-        extract_phase(radial_record)
-    (record,) = _axis_records(bench_params, [ControlProfile.homogeneous(bench_params.rabi_control)])
+    with pytest.raises(ParameterError, match="matching grids"):
+        extract_phase(radial_record, coarser)
     with pytest.raises(ParameterError, match="snapshot"):
-        extract_phase(record, t=123.0)
+        extract_phase(radial_record, radial_record, t=123.0)
