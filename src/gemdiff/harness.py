@@ -296,7 +296,7 @@ def _estimate_cell_steps(call: partial) -> float:
     if call.func is run_cycle_realspace:
         rows = _stepped_rows(param_rows[0], args["signal"], args["control"], args["tgrid"])
         n_rows = len(rows[2])  # the stepped rows' input weights
-    _, plan = _cycle_plan(
+    _, plan, _ = _cycle_plan(
         param_rows,
         protocol_rows,
         args["signal"],

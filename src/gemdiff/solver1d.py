@@ -84,8 +84,11 @@ group's own flip time); any other difference is a ParameterError.
 
 The driver keeps what a route reads (_Trace, and the input injected at
 each write boundary), and both routes integrate energies over its times by
-the trapezoid rule.  The only snapshots are coherence frames at requested
-scalar times (sigma_times); a spin-wave spectrum is spinwave_spectrum of a frame.
+the trapezoid rule.  The read runs on a clock of its own, offsets from
+t_hold that every group shares, so no long hold rounds them.  The only
+snapshots are coherence frames at requested scalar times (sigma_times)
+inside the cycle, in the write only for rows that differ in t_hold; a
+spin-wave spectrum is spinwave_spectrum of a frame.
 """
 
 from __future__ import annotations
@@ -816,27 +819,22 @@ def spectrum_centroid(k: np.ndarray, power: np.ndarray) -> float:
 
 
 class _FrameTaker:
-    """Collects group g's coherence frames at the scalar sigma_times, each at
-    the first step boundary that reaches it on group g's clock.
+    """Collects every group's coherence frames at the scalar sigma_times, each
+    at the first step boundary t that reaches it on its phase's clock, whose
+    origin is 0 but in the read.  The plan puts a step boundary on every
+    snapshot time (_cycle_plan), to round-off, so a frame keeps its time."""
 
-    The plan puts a step boundary on every snapshot time inside the cycle
-    (_cycle_plan), to round-off, so a frame keeps its requested time; a time
-    before the write is taken at the write's start, with the start's time."""
-
-    def __init__(self, g: int, sigma_times):
-        self.g, self.pending = g, sorted(float(t) for t in sigma_times)
+    def __init__(self, sigma_times):
+        self.pending = sorted(float(t) for t in sigma_times)
         self.sigma_frames: list[tuple[float, np.ndarray]] = []
 
-    def due(self, t) -> bool:
+    def due(self, t, origin) -> bool:
         """Whether a snapshot falls due at boundary t."""
-        t = _at(t, self.g)
-        return bool(self.pending) and self.pending[0] <= t + _slack(t)
+        return bool(self.pending) and self.pending[0] - origin <= t + _slack(t)
 
-    def take(self, t, sigma: np.ndarray) -> None:
-        while self.due(t):
-            wanted, at = self.pending.pop(0), _at(t, self.g)
-            when = wanted if abs(wanted - at) <= _slack(at) else at
-            self.sigma_frames.append((when, _row(sigma, self.g).copy()))
+    def take(self, t, frame: np.ndarray, origin) -> None:
+        while self.due(t, origin):
+            self.sigma_frames.append((self.pending.pop(0), frame))
 
 
 def _slack(t: float) -> float:
@@ -885,7 +883,7 @@ def _cycle_plan(
     diffusion_phases: tuple[str, ...] = _PHASES,
     steps_per_width: float,
     cut_times=(),
-) -> tuple[float, list[tuple[str, list[tuple]]]]:
+) -> tuple[float, list[tuple[str, list[tuple]]], float | np.ndarray]:
     """The step plan of one cycle: the driver runs it, the cost guard sums it.
 
     param_rows and protocols are the call's rows (_rows_of), one per group;
@@ -893,21 +891,23 @@ def _cycle_plan(
     one value per group) and acts in the diffusion_phases only.  The base
     step is dt0 = t_width / steps_per_width, and the read window is as long
     as the write window.
-    Returns dt0 and, per phase, its constant-operator spans (start, length,
+    Returns dt0, per phase its constant-operator spans (start, length,
     eta, drive_on, diffusivity, groups, pieces), each run as pieces (start,
     length, n_steps) on groups groups: 1 up to the first span with a
     per-group length or diffusivity, where the groups part ways, and all of
-    them from there on.  Values the groups differ in are per-group arrays.
+    them from there on, and the read's origin, t_hold.  Values the groups
+    differ in are per-group arrays.  The read runs from 0 on its origin's
+    clock, so every group shares its boundaries.
     A driven span steps at dt0, cut at the cut_times inside it that miss
     its step grid (_driven_pieces).  Every undriven span is exact at any
     step size, whatever its gradient and diffusivity: one step per piece,
     cut only at the cut_times inside it.  A cut time is one scalar time
-    shared by every group.  A gradient-on hold splits into two spans at
-    each group's flip time.
-    A plan whose last boundary time is too large for double precision to
-    resolve dt0 there (its spacing, math.ulp, exceeds dt0) is refused: its
-    step times would collapse onto one another, and with them the time
-    axis that the energies integrate over.
+    inside the cycle, to _slack, and in the write (t <= 0) when the groups
+    differ in t_hold.  A gradient-on hold splits into two spans at each
+    group's flip time.
+    A plan whose last time is too large for double precision to resolve
+    dt0 there (its spacing, math.ulp, exceeds dt0) is refused: the read
+    times t_hold + offset and the snapshot times would collapse.
     """
     for name in diffusion_phases:
         if name not in _PHASES:
@@ -922,72 +922,67 @@ def _cycle_plan(
     t_window = protocol.write_window(signal)
     holds = _shared([p.t_hold for p in protocols])
     flips = _shared([p.flip_time() for p in protocols])
+    late = cut_times  # the cut times after the write
     if np.ndim(holds):
         if protocol.control_on_hold:
             raise ParameterError("rows may differ in t_hold only when the hold is undriven")
-        if _inside(cut_times, 0.0, float(np.max(holds))):
-            raise ParameterError("rows that differ in t_hold take no snapshot inside the hold")
+        if any(t > _slack(0.0) for t in cut_times):
+            raise ParameterError("rows that differ in t_hold take snapshots in the write only")
+        late = ()
+    slack = _slack(t_window)
+    for t in cut_times:
+        if t < -t_window - slack or np.any(t - holds > t_window + slack):
+            raise ParameterError("snapshot time %.6g s is not inside the cycle" % t)
     groups = 1  # raised by span() where the groups part ways: build spans in time order
 
-    def span(phase, start, length, eta, drive_on):
+    def span(phase, start, length, eta, drive_on, cuts):
         nonlocal groups
         diffusivity = diffs if phase in diffusion_phases else 0.0
         if np.ndim(length) or np.ndim(diffusivity):
             groups = len(protocols)
         if drive_on:
-            pieces = _driven_pieces(start, length, dt0, cut_times)
-        else:  # a per-group span has no cut inside it (checked above)
-            inside = () if np.ndim(length) else _inside(cut_times, start, start + length)
+            pieces = _driven_pieces(start, length, dt0, cuts)
+        else:  # a per-group span takes no cut (checked above)
+            inside = _inside(cuts, start, start + length) if len(cuts) else []
             pieces = [(a, b - a, 1) for a, b in zip([start, *inside], [*inside, start + length])]
         return start, length, eta, drive_on, diffusivity, groups, pieces
 
-    write = [span("write", -t_window, t_window, protocol.eta_write, True)]
+    write = [span("write", -t_window, t_window, protocol.eta_write, True, cut_times)]
     parts = []
     if np.any(np.greater(holds, 0.0)):
         eta = protocol.eta_hold
         parts = [(0.0, flips, eta), (flips, holds - flips, -eta)] if eta else [(0.0, holds, 0.0)]
     hold = [
-        span("hold", start, length, eta, protocol.control_on_hold)
+        span("hold", start, length, eta, protocol.control_on_hold, late)
         for start, length, eta in parts
         if not np.all(np.less_equal(length, 0.0))
     ]
-    plan = [
-        ("write", write),
-        ("hold", hold),
-        ("read", [span("read", holds, t_window, -protocol.eta_write, True)]),
-    ]
-    start, length, *_ = plan[-1][1][-1]
-    t_last = float(np.max(start + length))
+    read_cuts = [t - holds for t in late]  # on the read's clock
+    read = [span("read", 0.0, t_window, -protocol.eta_write, True, read_cuts)]
+    t_last = float(np.max(holds)) + t_window
     if math.ulp(t_last) > dt0:
         raise ParameterError(
             "the cycle ends at t = %.3g s, where double precision spaces times %.3g s "
             "apart, more than the base step t_width / steps_per_width = %.3g s: its "
-            "step times are not resolved; shorten t_hold" % (t_last, math.ulp(t_last), dt0)
+            "read times are not resolved; shorten t_hold" % (t_last, math.ulp(t_last), dt0)
         )
-    return dt0, plan
+    return dt0, [("write", write), ("hold", hold), ("read", read)], holds
 
 
 def _driven_pieces(start, length, dt0: float, cut_times) -> list[tuple]:
     """A driven span's pieces (start, length, n_steps), each of steps no longer than dt0.
 
     Each cut time strictly inside the span that misses the step grid of
-    what remains of it (by more than _slack, the frame takers' tolerance) ends a
+    what remains of it (by more than _slack, the frame taker's tolerance) ends a
     piece, so every snapshot lands on a step boundary; with none the span
-    is one piece.  A span whose start is per group (a read after per-group
-    holds) cannot share a cut, so a time off any group's grid is refused.
+    is one piece.
     """
 
     def off_grid(t, a, rest) -> bool:
         step = rest / max(1, math.ceil(rest / dt0))
         j = round((t - a) / step)
-        return a < t < a + rest and abs(a + j * step - t) > _slack(t)
+        return abs(a + j * step - t) > _slack(t)
 
-    if np.ndim(start):
-        if any(off_grid(float(t), a, length) for t in cut_times for a in start.tolist()):
-            raise ParameterError(
-                "rows that differ in t_hold take a snapshot after the hold only on a step boundary"
-            )
-        return [(start, length, max(1, math.ceil(length / dt0)))]
     pieces, a, rest = [], start, length
     for t in _inside(cut_times, start, start + length):
         if off_grid(t, a, rest):
@@ -1045,13 +1040,8 @@ def _col(values):
     return values[:, None, None] if np.ndim(values) else values
 
 
-def _at(values, g: int):
-    """Group g's value of a shared scalar or a per-group array."""
-    return float(values[g]) if np.ndim(values) else values
-
-
 def _steps_by_row(samples) -> np.ndarray:
-    """Per-step samples (shared scalars, or one value per group) as (groups, steps)."""
+    """Per-step samples, one value per group, as (groups, steps); none is one empty row."""
     a = np.asarray(samples)
     return a.reshape(1, -1) if a.ndim == 1 else a.T
 
@@ -1074,8 +1064,9 @@ def _media(sigma: np.ndarray, grid: Grid1D, width: int):
 
 
 class _Trace(NamedTuple):
-    """A recorded phase: each driven boundary's time (a scalar, or one per
-    group) and solver-frame exit field, (groups, rows), and the end state."""
+    """A recorded phase: each driven boundary's time on the phase's clock
+    (the read's an offset from its origin) and solver-frame exit field,
+    (groups, rows), and the end state."""
 
     times: list
     exits: list
@@ -1130,12 +1121,12 @@ def _drive_cycle(
     Steps write into the driver's buffers (module docstring), made afresh
     when the state fans out.
 
-    Returns (traces, injected, guards, takers): a _Trace per phase in
+    Returns (traces, injected, guards, taker): a _Trace per phase in
     record, the write boundary times with the input sample injected at
-    each, and per group its guard ratios (of the phases run) and its
+    each, per group its guard ratios (of the phases run), and the
     _FrameTaker.
     """
-    dt0, plan = _cycle_plan(
+    dt0, plan, read_origin = _cycle_plan(
         param_rows,
         protocols,
         signal,
@@ -1150,8 +1141,8 @@ def _drive_cycle(
     if decay is not None:
         residuals = tuple(residual - 1j * decay for residual in residuals)
     n_groups = len(protocols)
-    takers = [_FrameTaker(g, sigma_times) for g in range(n_groups)]
-    want_frames = bool(takers[0].pending)
+    taker = _FrameTaker(sigma_times)
+    want_frames = bool(taker.pending)
     density, light_speed = params.density, params.light_speed
     drives = _Propagators(grid, coupling, density, light_speed, residuals[0])
     sigma = np.zeros((1, len(profile), grid.n_z), dtype=complex)
@@ -1180,20 +1171,19 @@ def _drive_cycle(
             trace[0].append(t)
             field = _as_rows(_field(integral, coupling, density, light_speed, fin), synthesis)
             trace[1].append(field[..., 0].copy())  # a copy: a view keeps its base alive
-        if want_frames and any(taker.due(t) for taker in takers):
-            frame = sigma
-            if kern is not None:  # from copies: the state goes on unsettled
-                frame = kern.resume(sigma.copy(), None if spec is None else spec.copy(), kern.after)
+        if want_frames and taker.due(t, clock):
+            frame = sigma.copy()
+            if kern is not None:  # settled in the copy: the state goes on unsettled
+                frame = kern.resume(frame, None if spec is None else spec.copy(), kern.after)
             if across is not None:
                 frame = across.propagate(frame, step, halves)
-            frame = _as_rows(frame, synthesis)
-            for taker in takers:
-                taker.take(t, frame)
+            taker.take(t, _as_rows(frame, synthesis), clock)
 
     radial = None if transverse is None else transverse(dt0)
     peaks, guards = [0.0] * n_groups, [{} for _ in range(n_groups)]
     for phase, spans in plan:
         writing = phase == "write"
+        clock = read_origin if phase == "read" else 0.0
         trace = ([], []) if phase in record else None  # boundary times, exit fields
         for span_start, length, eta, drive_on, diffusivity, groups, pieces in spans:
             residual = residuals[0] if drive_on else residuals[1]
@@ -1259,7 +1249,7 @@ def _drive_cycle(
             guards[g][phase] = _check_guard(view, grid, phase, peaks[g])
         if trace is not None:  # a new array: later steps reuse the buffer
             traces[phase] = _Trace(*trace, sigma.copy() if synthesis is None else settled)
-    return traces, injected, guards, takers
+    return traces, injected, guards, taker
 
 
 def run_cycle(
@@ -1284,19 +1274,18 @@ def run_cycle(
     the efficiency holds to 5e-6.  diffusion_phases restricts which
     phases see the diffusion operator, which isolates per-phase decay (the
     collapse sweeps use it); physical runs keep all three.  sigma_times
-    requests coherence frames (CycleRecord.sigma_frames) at scalar times,
-    each taken at its time; a spin-wave spectrum is spinwave_spectrum of a
-    frame.
+    requests coherence frames (CycleRecord.sigma_frames) at scalar times
+    inside the cycle, each taken at its time; a spin-wave spectrum is
+    spinwave_spectrum of a frame.
 
     Batched rows: params and protocol may each be a sequence (a single
     value serves every row), and a list of records comes back in row
     order; a single PhysicalParams with a single StorageProtocol returns
     one CycleRecord.  Each row is a group of the driver's state.  Rows may
-    differ only in diffusivity, and rows may differ in t_hold whenever the
-    hold is undriven and takes no snapshot (after it, only on every row's
-    step boundaries); any other difference raises ParameterError.  A span
-    whose operator every row shares, such as a write with diffusion off, is
-    solved once.
+    differ only in diffusivity, and in t_hold whenever the hold is undriven
+    and the snapshots are in the write; any other difference raises
+    ParameterError.  A span whose operator every row shares, such as a
+    write with diffusion off, is solved once.
 
     Raises GuardBandError if coherence reaches the outer padding band.
     """
@@ -1305,7 +1294,7 @@ def run_cycle(
     params = param_rows[0]  # every field but the diffusivity is shared
     face_phase = params.face_phase
     grid = Grid1D.build(params.half_length, n_medium)
-    traces, (_, f_in), guards, takers = _drive_cycle(
+    traces, (_, f_in), guards, taker = _drive_cycle(
         param_rows,
         protocol_rows,
         signal,
@@ -1323,36 +1312,35 @@ def run_cycle(
     f_trans, f_hold, f_out = (  # physical-frame exit field per group's row
         _steps_by_row([face_phase * e[:, 0] for e in trace.exits]) for trace in (write, hold, read)
     )
-    t_hold_axis, t_out = _steps_by_row(hold.times), _steps_by_row(read.times)
+    t_hold_axis, offsets = np.array(hold.times), np.array(read.times)
 
     stored_scale = params.density / params.light_speed
 
     records = []
-    for r, taker in enumerate(takers):  # a group of one row per record
+    for r, row_protocol in enumerate(protocol_rows):  # a group of one row per record
         row_trans, row_hold, row_out = (_row(f, r) for f in (f_trans, f_hold, f_out))
-        row_t_hold, row_t_out = _row(t_hold_axis, r), _row(t_out, r)
         end_write, end_hold, end_read = (_row(trace.end, r)[0] for trace in (write, hold, read))
         records.append(
             CycleRecord(
                 params=param_rows[r],
-                protocol=protocol_rows[r],
+                protocol=row_protocol,
                 signal=signal,
                 grid=grid,
                 t_write=t_write_axis,
                 f_in=f_in,
                 f_trans=row_trans,
-                t_hold=row_t_hold,
+                t_hold=t_hold_axis,
                 f_hold_leak=row_hold,
-                t_out=row_t_out,
+                t_out=row_protocol.t_hold + offsets,
                 f_out=row_out,
                 sigma_end_write=end_write,
                 sigma_end_hold=end_hold,
                 sigma_end_read=end_read,
-                sigma_frames=[(t, frame[0]) for t, frame in taker.sigma_frames],
+                sigma_frames=[(t, _row(frame, r)[0].copy()) for t, frame in taker.sigma_frames],
                 input_energy=_energy(f_in, t_write_axis),
                 transmitted_energy=_energy(row_trans, t_write_axis),
-                output_energy=_energy(row_out, row_t_out),
-                hold_leak_energy=_energy(row_hold, row_t_hold),  # 0.0 with no samples
+                output_energy=_energy(row_out, offsets),
+                hold_leak_energy=_energy(row_hold, t_hold_axis),  # 0.0 with no samples
                 stored_end_write=stored_scale * _energy(end_write, grid.z),
                 stored_end_hold=stored_scale * _energy(end_hold, grid.z),
                 stored_end_read=stored_scale * _energy(end_read, grid.z),

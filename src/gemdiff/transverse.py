@@ -59,7 +59,6 @@ from .solver1d import (
     _energy,
     _row,
     _rows_of,
-    _steps_by_row,
     advance_step,  # noqa: F401  (the real-space step core; perfbench traces it per module)
     run_cycle,
 )
@@ -515,14 +514,14 @@ def run_cycle_realspace(
     is a sampling rate, but under a varying control with diffusion the
     radial Crank-Nicolson halves around each drive leave a second-order
     error.  protocol may be a sequence under run_cycle's rule: only t_hold
-    may differ, and the hold must be undriven.  The groups share one write
-    and part ways at the hold; one record per protocol comes back.  The input
-    must be the axisymmetric (0,0) mode; higher Hermite-Gauss modes go
-    through run_cycle_quasi1d.  Coherence frames are taken at the scalar
-    sigma_times only (extract_phase reads the mid-hold one,
-    protocol.flip_time()).  Energies follow run_cycle's trapezoid rule in
-    time, weighted over the columns.  Every record keeps its exit fields
-    (store_fields is ignored).
+    may differ, the hold must be undriven and frames are in the write.  The
+    groups share one write and part ways at the hold; one record per
+    protocol comes back.  The input must be the axisymmetric (0,0) mode;
+    higher Hermite-Gauss modes go through run_cycle_quasi1d.  Coherence
+    frames are taken at the scalar sigma_times only (extract_phase reads
+    the mid-hold one, protocol.flip_time()).  Energies follow run_cycle's
+    trapezoid rule in time, weighted over the columns.  Every record keeps
+    its exit fields (store_fields is ignored).
     """
     single = isinstance(protocol, StorageProtocol)
     if signal.mode != (0, 0):
@@ -539,7 +538,7 @@ def run_cycle_realspace(
 
     rabi, decay, entry, synthesis, coupling = _stepped_rows(params, signal, control, tgrid)
     grid = Grid1D.build(params.half_length, n_medium)
-    traces, (t_write, f_in), guards, takers = _drive_cycle(
+    traces, (t_write, f_in), guards, taker = _drive_cycle(
         param_rows,
         protocols,
         signal,
@@ -556,13 +555,13 @@ def run_cycle_realspace(
 
     profile = sample_transverse(signal, tgrid.r[:, None], 0.0)[:, 0]
     input_energy = _energy(f_in, t_write) * float(tgrid.weights @ np.abs(profile) ** 2)
-    t_out = _steps_by_row(traces["read"].times)
+    offsets = np.array(traces["read"].times)  # from t_hold
     f_out = np.moveaxis(np.array([params.face_phase * e for e in traces["read"].exits]), 0, -1)
 
     records = []
-    for g, (row, taker) in enumerate(zip(protocols, takers)):
-        t_g, f_g = _row(t_out, g), _row(f_out, g)
-        intensity = np.trapezoid(np.abs(f_g) ** 2, t_g)  # per column
+    for g, row in enumerate(protocols):
+        f_g = _row(f_out, g)
+        intensity = np.trapezoid(np.abs(f_g) ** 2, offsets)  # per column
         records.append(
             RealspaceRecord(
                 params=params,
@@ -571,12 +570,12 @@ def run_cycle_realspace(
                 control=control,
                 grid=grid,
                 tgrid=tgrid,
-                t_out=t_g,
+                t_out=row.t_hold + offsets,
                 f_out=f_g,
                 intensity=intensity,
                 input_energy=input_energy,
                 output_energy=float(tgrid.weights @ intensity),
-                sigma_frames=taker.sigma_frames,
+                sigma_frames=[(t, _row(frame, g).copy()) for t, frame in taker.sigma_frames],
                 guard_ratio=guards[g],
             )
         )
@@ -693,7 +692,7 @@ class PhaseMap:
 
 def _find_frame(record: RealspaceRecord, t: float) -> np.ndarray:
     for ft, frame in record.sigma_frames:
-        if abs(ft - t) <= 1e-9 * max(abs(t), 1e-12) + 1e-15:
+        if ft == t:
             return frame
     raise ParameterError(
         "no coherence snapshot at t = %.6g; request it via sigma_times" % t

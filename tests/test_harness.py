@@ -333,6 +333,20 @@ def test_cost_estimate_refuses_a_bad_row_with_the_solvers_message(bench_config):
         _estimate_cell_steps(call)
 
 
+def test_cost_estimate_refuses_a_snapshot_outside_the_cycle_as_the_solver_does(bench_config):
+    # the cycle plan refuses a frame time before the write or after the read,
+    # so the guard does, with the solver's message, before pricing the call
+    cfg = bench_config
+    fast = dict(n_medium=64, steps_per_width=16.0)
+    for t in (-1.0, 1.0):
+        call = partial(run_cycle, cfg.params, cfg.protocol, cfg.signal, sigma_times=(t,), **fast)
+        with pytest.raises(ParameterError, match="inside the cycle") as guarded:
+            _estimate_cell_steps(call)
+        with pytest.raises(ParameterError) as solved:
+            call()
+        assert str(guarded.value) == str(solved.value)
+
+
 def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch):
     # the estimate charges each planned step the state it runs on; sum the
     # cells that advance_step updates through every binding of it

@@ -131,7 +131,8 @@ def test_stark_residual_unabsorbed(bench_params):
 
 def _hold_spans(params, proto, signal):
     """(start, length, eta) of each span the cycle plan runs in the hold."""
-    _, plan = _cycle_plan([params], [proto], signal, steps_per_width=10.0)
+    _, plan, read_origin = _cycle_plan([params], [proto], signal, steps_per_width=10.0)
+    assert read_origin == proto.t_hold  # the read's clock starts at the hold's end
     return [(start, length, eta) for start, length, eta, *_ in dict(plan)["hold"]]
 
 

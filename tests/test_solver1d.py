@@ -870,7 +870,7 @@ def test_kept_exit_fields_own_their_data(bench_params, bench_signal):
     grid = Grid1D.build(bench_params.half_length, n_medium=64)
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=2e-6)
     rows = np.array([[1.0], [0.5], [0.2]])
-    traces, _, _, takers = solver1d._drive_cycle(
+    traces, _, _, taker = solver1d._drive_cycle(
         [bench_params],
         [proto],
         bench_signal,
@@ -885,14 +885,21 @@ def test_kept_exit_fields_own_their_data(bench_params, bench_signal):
     assert len(exits) > 100
     assert all(e.shape == (1, 3) and e.base is None for e in exits)
     ends = [traces[phase].end for phase in ("write", "hold", "read")]
-    frames = [frame for _, frame in takers[0].sigma_frames]
-    assert [t for t, _ in takers[0].sigma_frames] == [0.0, 2e-6]
+    frames = [frame for _, frame in taker.sigma_frames]  # every group's rows
+    assert [t for t, _ in taker.sigma_frames] == [0.0, 2e-6]
     kept = ends + frames
     assert all(a.base is None for a in kept)
     assert not any(np.shares_memory(a, b) for i, a in enumerate(kept) for b in kept[i + 1 :])
     # the write ends at t = 0 and the hold at 2 us, where the frames were taken
-    assert np.array_equal(ends[0][0], frames[0]) and np.array_equal(ends[1][0], frames[1])
+    assert np.array_equal(ends[0], frames[0]) and np.array_equal(ends[1], frames[1])
     assert not np.array_equal(ends[1], ends[2])
+    # each record slices its own frames out of the call's: a frame in the
+    # shared write is one state for every row, yet no two records share it
+    rows = [bench_params.with_diffusivity(d) for d in (0.0, 0.004)]
+    records = run_cycle(rows, proto, bench_signal, sigma_times=(-1e-6, 0.0), **BATCH)
+    frames = [frame for rec in records for _, frame in rec.sigma_frames]
+    assert len(frames) == 4 and all(a.base is None for a in frames)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(frames) for b in frames[i + 1 :])
 
 
 def test_frames_are_taken_at_requested_times(bench_params, bench_protocol, bench_signal):
@@ -1021,12 +1028,12 @@ def test_batched_rows_match_single_solves(
 
 
 def test_per_row_exact_holds_match_direct_solves(bench_params, bench_signal):
-    # rows differ in t_hold (one of them not holding at all) and in D;
-    # frames outside the holds stay per row on each row's own clock
+    # rows differ in t_hold (one of them not holding at all) and in D; they
+    # take their frames in the write they share, the one end at t = 0
     holds = (0.0, 3e-6, 1e-6, 7e-6)
     protos = [StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=h) for h in holds]
     rows = [bench_params.with_diffusivity(d) for d in (0.004, 0.0, 0.002, 0.004)]
-    frames = dict(sigma_times=(-1e-6, 8e-6, 12e-6))
+    frames = dict(sigma_times=(-3.3e-6, -1e-6, 0.0))
     batch = run_cycle(rows, protos, bench_signal, **frames, **BATCH)
     singles = [
         run_cycle(p, pr, bench_signal, **frames, **BATCH) for p, pr in zip(rows, protos)
@@ -1044,7 +1051,7 @@ def test_per_row_gradient_holds_equal_their_single_solves(bench_params, bench_si
     # per-row time, so the rows still share one write and one read grid
     holds = (0.0, 2e-6, 5e-6)
     protos = [StorageProtocol.gradient_through_hold(-TAU * 10e6, h) for h in holds]
-    frames = dict(sigma_times=(-1e-6, 9e-6, 10e-6))
+    frames = dict(sigma_times=(-3.3e-6, -1e-6, 0.0))
     batch = run_cycle(bench_params, protos, bench_signal, **frames, **BATCH)
     for got, proto in zip(batch, protos):
         want = run_cycle(bench_params, proto, bench_signal, **frames, **BATCH)
@@ -1114,36 +1121,42 @@ def test_the_plan_fans_the_groups_out_at_the_first_span_that_tells_them_apart(
     plan_of = partial(solver1d._cycle_plan, signal=bench_signal, steps_per_width=16.0)
     # a grouped gradient-through-hold call shares its write and parts at the hold
     grouped = [StorageProtocol.gradient_through_hold(eta, h) for h in (0.0, 2e-6, 4e-6)]
-    _, plan = plan_of([bench_params] * 3, grouped)
+    _, plan, origin = plan_of([bench_params] * 3, grouped)
     assert _group_counts(plan) == [("write", 1), ("hold", 3), ("hold", 3), ("read", 3)]
+    # the read runs on its own clock: one span from 0 for every group, whose
+    # origin is each group's t_hold
+    (_, (read,)) = plan[-1]
+    assert read[0] == 0.0 and origin.tolist() == [0.0, 2e-6, 4e-6]
     # 1D rows that differ in D, diffusing only in the hold, part there and stay apart
     rows = [StorageProtocol.standard(eta, 2e-6)] * 3
     diffs = [0.0, 0.004, 0.008]
     param_rows = [bench_params.with_diffusivity(d) for d in diffs]
-    _, plan = plan_of(param_rows, rows, diffusion_phases=("hold",))
-    assert _group_counts(plan) == [("write", 1), ("hold", 3), ("read", 3)]
+    _, plan, origin = plan_of(param_rows, rows, diffusion_phases=("hold",))
+    assert _group_counts(plan) == [("write", 1), ("hold", 3), ("read", 3)] and origin == 2e-6
     write, hold, read = (diffusivity for _, spans in plan for *_, diffusivity, _, _ in spans)
     assert write == read == 0.0 and hold.tolist() == diffs  # the plan gathers the rows' D
     # a single protocol stays one group throughout
-    _, plan = plan_of([bench_params], grouped[1:2])
+    _, plan, _ = plan_of([bench_params], grouped[1:2])
     assert _group_counts(plan) == [("write", 1), ("hold", 1), ("hold", 1), ("read", 1)]
     with pytest.raises(ParameterError, match="unknown diffusion phase 'park'"):
         plan_of(param_rows, rows, diffusion_phases=("write", "park"))
 
 
-def test_per_row_holds_take_no_snapshot_inside_a_hold(bench_params, bench_signal):
+def test_rows_that_differ_in_t_hold_take_snapshots_in_the_write_only(bench_params, bench_signal):
     protos = [StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=h) for h in (1e-6, 3e-6)]
-    with pytest.raises(ParameterError, match="no snapshot inside the hold"):
-        run_cycle(bench_params, protos, bench_signal, sigma_times=(2e-6,), **BATCH)
-    # after the hold each row reads on its own clock, which no cut can
-    # share: a time off a row's step grid is refused, one on every row's
-    # grid is taken (the per-row tests above)
-    with pytest.raises(ParameterError, match="only on a step boundary"):
-        run_cycle(bench_params, protos, bench_signal, sigma_times=(6.03e-6,), **BATCH)
+    # inside a hold, after one, and in a read: each a time of one row's
+    # clock that the other's does not share
+    for t in (2e-6, 1e-6 + 1e-9, 6.03e-6, 3e-6 + 4e-6):
+        with pytest.raises(ParameterError, match="in the write only"):
+            run_cycle(bench_params, protos, bench_signal, sigma_times=(t,), **BATCH)
+    # the shared write, to its end at t = 0, is every row's
+    times = (-2.2e-6, 0.0)
+    records = run_cycle(bench_params, protos, bench_signal, sigma_times=times, **BATCH)
+    assert all([t for t, _ in rec.sigma_frames] == list(times) for rec in records)
 
 
 def test_a_snapshot_off_the_step_grid_cuts_the_driven_piece(bench_params, bench_signal):
-    proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=0.0)
+    proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=2e-6)
     plan_of = partial(
         solver1d._cycle_plan, [bench_params], [proto], bench_signal, steps_per_width=8.0
     )
@@ -1156,3 +1169,42 @@ def test_a_snapshot_off_the_step_grid_cuts_the_driven_piece(bench_params, bench_
     assert (a, b) == (-window, -3.3e-6)
     assert a + la == pytest.approx(b, abs=1e-18) and b + lb == pytest.approx(0.0, abs=1e-18)
     assert la / na <= step and lb / nb <= step
+    # the read is cut on its own clock, at the time's offset from t_hold
+    t = 2e-6 + 3.3e-6
+    _, plan, origin = plan_of(cut_times=(t,))
+    (_, (read,)) = plan[-1]
+    (a, la, na), (b, lb, nb) = read[-1]
+    assert origin == 2e-6 and (a, b) == (0.0, t - origin)
+    assert b + lb == pytest.approx(window, abs=1e-18) and la / na <= step and lb / nb <= step
+    rec = run_cycle(
+        bench_params, proto, bench_signal, sigma_times=(t,), n_medium=64, steps_per_width=8.0
+    )
+    assert [time for time, _ in rec.sigma_frames] == [t]
+
+
+def test_snapshot_times_outside_the_cycle_are_refused(bench_params, bench_signal):
+    # a time before the write or after the read is refused, not moved to
+    # the cycle's end nor dropped; the ends themselves are inside
+    proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=1e-6)
+    window = proto.write_window(bench_signal)
+    for t in (-1.0, -window - 1e-9, 1e-6 + window + 1e-9, 1.0):
+        with pytest.raises(ParameterError, match="inside the cycle"):
+            run_cycle(bench_params, proto, bench_signal, sigma_times=(t, 5e-6), **BATCH)
+    times = (-window, 1e-6 + window)
+    rec = run_cycle(bench_params, proto, bench_signal, sigma_times=times, **BATCH)
+    assert [t for t, _ in rec.sigma_frames] == list(times)
+
+
+@pytest.mark.parametrize("t_hold", [1e3, 1e6, 1e8, 5e8, 1e9])
+def test_long_holds_read_on_a_clock_of_their_own(bench_params, bench_signal, t_hold):
+    # the read integrates its output over offsets from t_hold, which do not
+    # round with it: at D = 0 a hold changes nothing, so every efficiency is
+    # the t_hold = 0 one (it was 0.999445 at 1e8 s and 1.001468 at 1e9 s,
+    # against 1.000138, while the read's times were absolute)
+    still = bench_params.with_diffusivity(0.0)
+    grid = dict(n_medium=192, steps_per_width=6.0)  # storage-cycle's coarse grid
+    cycle = partial(run_cycle, still, signal=bench_signal, **grid)
+    want = efficiency_1d(cycle(protocol=StorageProtocol.standard(-TAU * 10e6, 0.0)))
+    rec = cycle(protocol=StorageProtocol.standard(-TAU * 10e6, t_hold))
+    assert efficiency_1d(rec) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert rec.t_out[0] == t_hold  # the reported times stay absolute

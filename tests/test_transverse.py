@@ -550,7 +550,7 @@ def test_radial_modes_step_a_homogeneous_call_as_its_coupled_columns(bench_param
     for spw in (16.0, 32.0):
         grid = dict(n_medium=64, steps_per_width=spw, sigma_times=frames)
         rec = run_cycle_realspace(bench_params, proto, bench_signal, control, tgrid, **grid)
-        traces, _, _, takers = solver1d._drive_cycle(
+        traces, _, _, taker = solver1d._drive_cycle(
             param_rows,
             protocols,
             bench_signal,
@@ -562,12 +562,13 @@ def test_radial_modes_step_a_homogeneous_call_as_its_coupled_columns(bench_param
             sigma_times=frames,
             steps_per_width=spw,
         )
-        t_out = np.array(traces["read"].times)
+        offsets = np.array(traces["read"].times)  # the read's clock, from t_hold
         f_out = bench_params.face_phase * np.array(traces["read"].exits)[:, 0].T
-        assert np.array_equal(rec.t_out, t_out)
-        intensity = np.trapezoid(np.abs(f_out) ** 2, t_out)
+        assert np.array_equal(rec.t_out, proto.t_hold + offsets)
+        intensity = np.trapezoid(np.abs(f_out) ** 2, offsets)
         pairs = [(rec.f_out, f_out), (rec.intensity, intensity)]
-        pairs += [(a, b) for (_, a), (_, b) in zip(rec.sigma_frames, takers[0].sigma_frames)]
+        # the call's frames hold its one group's columns
+        pairs += [(a, b[0]) for (_, a), (_, b) in zip(rec.sigma_frames, taker.sigma_frames)]
         assert len(pairs) == 4
         gaps.append(max(np.max(np.abs(a - b)) / np.max(np.abs(b)) for a, b in pairs))
     assert gaps[0] <= 3e-8
@@ -763,6 +764,24 @@ def test_grouped_holds_equal_their_single_calls(bench_params, bench_signal, make
         assert all(
             np.array_equal(a, b) for (_, a), (_, b) in zip(got.sigma_frames, want.sigma_frames)
         )
+
+
+def test_a_long_hold_reads_on_a_clock_of_its_own(bench_params, bench_signal):
+    # at D = 0 a gradient-off hold rotates every column alike, so the output
+    # does not depend on t_hold: integrated over the read's offsets from
+    # t_hold, the efficiency at 1e8 s is the one at 0
+    still = bench_params.with_diffusivity(0.0)
+    control = ControlProfile.gaussian(still.rabi_control, 3e-3)
+    tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
+    short, long = (
+        run_cycle_realspace(
+            still, StorageProtocol.standard(-TAU * 10e6, h), bench_signal, control, tgrid, **FAST
+        )
+        for h in (0.0, 1e8)
+    )
+    assert long.efficiency == pytest.approx(short.efficiency, rel=1e-12, abs=0.0)
+    assert_allclose(long.intensity, short.intensity, rtol=1e-12, atol=0.0)
+    assert long.t_out[0] == 1e8
 
 
 def test_fit_effective_diffusion_is_a_plain_line_fit():
