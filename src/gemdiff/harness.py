@@ -16,7 +16,8 @@ passes, so the command doubles as an acceptance runner.
 
 Fidelity presets (longitudinal cells / steps per pulse width; beam width
 adds its radial cell count, phase profile its Gauss-Legendre nodes inside
-and outside the fit band, mode grids their size)::
+and outside the fit band, the quasi-1D mode grids their Gauss-Hermite
+nodes per axis)::
 
               1d sweeps     single cycle   beam width        phase profile       modes
     coarse    256 /  6      192 /  6       128 /  6 /  96    128 /  6 /  8 +  8    32
@@ -123,7 +124,9 @@ _SWEEP_GRID = {"coarse": 256, "standard": 384, "fine": 512}
 _CYCLE_GRID = {"coarse": 192, "standard": 256, "fine": 384}
 _SPACE_GRID = {"coarse": (128, 96), "standard": (160, 128), "fine": (256, 160)}
 _PHASE_GRID = {"coarse": (128, 8, 8), "standard": (192, 12, 12), "fine": (256, 16, 16)}
-_MODE_CELLS = {"coarse": 32, "standard": 64, "fine": 96}
+# Gauss-Hermite nodes per axis of the quasi-1D mode grids, which hold every
+# order up to (n - 24) / 2.5 (transverse.ModeGrid): 3 at coarse
+_MODE_NODES = {"coarse": 32, "standard": 64, "fine": 96}
 
 _DEFAULT_CELL_STEP_CAP = 5e9
 
@@ -590,10 +593,9 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
             )
         return t_hold
 
-    n_modes = _MODE_CELLS[spec.fidelity]
+    n_modes = _MODE_NODES[spec.fidelity]
     mode_grid = ModeGrid.build(signal, n=n_modes)
-    hg_grid = ModeGrid.build(replace(signal, mode=(1, 1)), n=n_modes, window_factor=9.0)
-    hg_grid00 = ModeGrid.build(signal, n=n_modes, window_factor=9.0)
+    hg_grid = ModeGrid.build(replace(signal, mode=(1, 1)), n=n_modes)
 
     # one batch over every hold time: the diffusion-free write is solved
     # once, the exact hold fans it out, and each (0,0)/(1,1) HG pair
@@ -618,10 +620,8 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
             )
         ],
     )
-    collapse_recs = records[: len(collapse_holds)]
-    hg_bases = [rec.base for rec in records[len(collapse_holds):]]
-    hg_recs00 = Quasi1DRecord.from_bases(hg_bases, hg_grid00)
-    hg_recs11 = Quasi1DRecord.from_bases(hg_bases, hg_grid)
+    collapse_recs, hg_recs00 = records[: len(collapse_holds)], records[len(collapse_holds):]
+    hg_recs11 = Quasi1DRecord.from_bases([rec.base for rec in hg_recs00], hg_grid)
 
     def tau_perp(rec) -> float:
         return derive_groups(params, rec.base.protocol, signal).tau_perp
@@ -659,11 +659,7 @@ def _config_cycles(spec: ExperimentSpec, diffusivities) -> list:
     """Quasi-1D cycles of the config's protocol and signal, one per diffusivity."""
     cfg = spec.config
     n_medium, steps = _CYCLE_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
-    mode_grid = ModeGrid.build(
-        cfg.signal,
-        n=_MODE_CELLS[spec.fidelity],
-        window_factor=9.0 if any(cfg.signal.mode) else 8.0,
-    )
+    mode_grid = ModeGrid.build(cfg.signal, n=_MODE_NODES[spec.fidelity])
     (records,) = _solve(
         spec,
         [

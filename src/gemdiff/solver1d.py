@@ -735,7 +735,9 @@ class CycleRecord:
     snapshots (sigma_frames, one (t, sigma) pair per requested time) stay
     in the solver frame (multiply by exp(i k_matched z) via
     to_physical_frame for the lab-frame coherence, or take
-    spinwave_spectrum of a frame for |sigma(k)|^2).
+    spinwave_spectrum of a frame for |sigma(k)|^2).  The read's samples sit
+    at the absolute times t_out and at t_read, their offsets from t_hold,
+    over which output_energy is integrated.
     """
 
     params: PhysicalParams
@@ -748,6 +750,7 @@ class CycleRecord:
     t_hold: np.ndarray
     f_hold_leak: np.ndarray
     t_out: np.ndarray
+    t_read: np.ndarray
     f_out: np.ndarray
     sigma_end_write: np.ndarray
     sigma_end_hold: np.ndarray
@@ -1332,6 +1335,7 @@ def run_cycle(
                 t_hold=t_hold_axis,
                 f_hold_leak=row_hold,
                 t_out=row_protocol.t_hold + offsets,
+                t_read=offsets,
                 f_out=row_out,
                 sigma_end_write=end_write,
                 sigma_end_hold=end_hold,

@@ -7,7 +7,8 @@ Two complementary routes:
   with gamma = D k_perp^2 maps every mode onto the same 1D problem, so a
   single longitudinal solve serves all modes and each one just carries
   the decay e^(-gamma (2 t + t_hold)) at read offset t, which factorises
-  by axis like the mode: a sum over the modes is two 1D sums' product.
+  by axis like the mode: a sum over the modes is two 1D sums' product,
+  each a Gauss-Hermite quadrature of the axis factor's spectrum (ModeGrid).
 
 * run_cycle_realspace - for a transversely varying control field the
   columns stop being equivalent (local Rabi frequency shifts both the
@@ -30,9 +31,10 @@ Two complementary routes:
   half-step length (one tridiagonal solve, solve_banded) and applied as
   one real GEMM per block of 16 rows over the column band those rows
   couple (n merged half-steps are its cached n-th power).  The module
-  needs numpy only: numpy.fft, numpy.linalg.eigh for the radial modes,
-  and its own tridiagonal solve and Gaussian width fit (_fit_gaussian, a
-  one-parameter search once the amplitude is projected out).
+  needs numpy only: numpy.polynomial's Gauss-Hermite rule,
+  numpy.linalg.eigh for the radial modes, and its own tridiagonal solve
+  and Gaussian width fit (_fit_gaussian, a one-parameter search once the
+  amplitude is projected out).
 
 Beam observables (intensity profile, fitted width, spin-wave phase maps,
 effective diffusion rate) are extracted from the records here as well.
@@ -48,10 +50,9 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from numpy.fft import fft, ifft
 
 from .model import ParameterError, PhysicalParams, StorageProtocol
-from .pulses import ControlProfile, SignalSpec, control_rabi, mode_factors, sample_transverse
+from .pulses import ControlProfile, SignalSpec, control_rabi, hermite, sample_transverse
 from .solver1d import (
     CycleRecord,
     Grid1D,
@@ -69,85 +70,55 @@ from .solver1d import (
 # ---------------------------------------------------------------------------
 
 
-def _edge_amplitude_ok(values: np.ndarray, threshold: float = 1e-6) -> bool:
-    """True when each row's end samples stay below threshold * its peak.
-
-    A separable sample u(x) v(y) has the larger of its factors' border-to-
-    peak ratios, so this check of its factors refuses what a 2D one would.
-    """
-    peak = np.max(np.abs(values), axis=-1)
-    edge = np.maximum(np.abs(values[..., 0]), np.abs(values[..., -1]))
-    return bool(np.all(edge <= threshold * peak))
+# the nodes a Gauss-Hermite rule needs to hold an order m: 24 + 2.5 m keeps each
+# axis factor within 1e-4 of its closed form up to a per-axis exposure of 3
+_NODES_AT_ORDER_0 = 24
+_NODES_PER_ORDER = 2.5
 
 
 @dataclass(frozen=True, eq=False)
 class ModeGrid:
-    """Transverse Fourier grid for the quasi-1D decomposition, one axis per mode factor.
+    """Gauss-Hermite quadrature of the mode spectrum for the quasi-1D decomposition.
 
-    signal is the input the grid samples: its waist sizes the grid and its
+    signal is the input the grid serves: its waist scales the nodes and its
     transverse mode u_m(x) u_n(y) is the one a quasi-1D cycle on the grid
-    runs.  The mode is separable, so the grid keeps one spectrum per
-    factor: x is the axis both factors are sampled on, kx its FFT
-    wavenumbers, and amp, of shape (2, n), the FFT of the samples of u_m
-    and of u_n times dx (their outer product is the mode's 2D spectrum).
+    runs.  A Hermite-Gauss factor is its own Fourier transform, so the
+    power of u_m at wavenumber k is H_m(kappa)^2 exp(-kappa^2), kappa = k
+    waist / sqrt(2), and an n-node Gauss-Hermite rule (Golub and Welsch,
+    Math. Comp. 23, 221, 1969) integrates it against the smooth diffusion
+    kernel, to an error that falls with n.  kx holds the rule's nodes as
+    wavenumbers, sqrt(2) kappa / waist, shared by both axes; weights, of
+    shape (2, n), the rule's weights times H_m(kappa)^2 and times
+    H_n(kappa)^2, each normalised to unit sum.
     """
 
     signal: SignalSpec
-    x: np.ndarray
     kx: np.ndarray
-    amp: np.ndarray
+    weights: np.ndarray
 
     @classmethod
-    def build(cls, signal: SignalSpec, n: int = 64, window_factor: float = 8.0) -> "ModeGrid":
-        """Grid sized for signal's beam: window >= 6 waists, spectrum resolved.
+    def build(cls, signal: SignalSpec, n: int = 64) -> "ModeGrid":
+        """The n-node rule for signal's mode.
 
-        Raises when the sampled mode does not decay to 1e-6 of its peak at
-        both the window edge and the Nyquist edge of the k grid.
+        Raises when n nodes cannot hold the mode's larger order m, n < 24 +
+        2.5 m, before any Hermite polynomial is evaluated.
         """
-        waist, mode = signal.waist, signal.mode
-        if window_factor < 6.0:
-            raise ParameterError("transverse window must span at least 6 waists")
-        if n < 8 or n % 2:
-            raise ParameterError("transverse grid size must be an even number >= 8")
-        # H_m(xi) exp(-xi^2 / 2), xi = sqrt(2) x / waist, turns at xi^2 = 2m + 1: an
-        # order turning beyond the edge (xi^2 = window_factor^2 / 2) cannot decay
-        # there, and is refused before pulses.hermite spends O(m) per sample on it
-        if 2 * max(mode) + 1 >= 0.5 * window_factor**2:
+        if max(signal.mode) > (n - _NODES_AT_ORDER_0) / _NODES_PER_ORDER:
             raise ParameterError(
-                "mode %r turns beyond the transverse window; increase window_factor" % (mode,)
+                "%d Gauss-Hermite nodes cannot hold mode %r: order m needs %d + %g m"
+                % (n, signal.mode, _NODES_AT_ORDER_0, _NODES_PER_ORDER)
             )
-        window = window_factor * waist
-        dx = window / n
-        axis = (np.arange(n) - n // 2) * dx
-        k_axis = 2.0 * math.pi * np.fft.fftfreq(n, dx)
-        factors = np.array(mode_factors(signal, axis, axis))
-        if not _edge_amplitude_ok(factors):
-            raise ParameterError(
-                "transverse window too small for mode %r (edge amplitude above "
-                "1e-6 of peak); increase window_factor" % (mode,)
-            )
-        spectrum = fft(factors, axis=-1)
-        if not _edge_amplitude_ok(np.fft.fftshift(spectrum, axes=-1)):
-            raise ParameterError(
-                "transverse grid too coarse for mode %r (spectrum not resolved "
-                "to 1e-6 at Nyquist); increase n" % (mode,)
-            )
-        spacing = float(axis[1] - axis[0])  # dx as records read it back, not window / n
-        return cls(signal=signal, x=axis, kx=k_axis, amp=spectrum * spacing)
+        kappa, w = np.polynomial.hermite.hermgauss(n)
+        power = np.array([w * hermite(m, kappa) ** 2 for m in signal.mode])
+        return cls(
+            signal=signal,
+            kx=math.sqrt(2.0) * kappa / signal.waist,
+            weights=power / np.sum(power, axis=-1, keepdims=True),
+        )
 
     @property
     def n(self) -> int:
-        return self.x.size
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Each axis's spectral weights |amp|^2, normalised to unit sum: shape (2, n)."""
-        power = np.abs(self.amp) ** 2
-        return power / np.sum(power, axis=-1, keepdims=True)
+        return self.kx.size
 
 
 _RADIAL_WINDOW_WAISTS = 8.0  # the radial window's radius, in signal waists
@@ -200,10 +171,10 @@ class Quasi1DRecord:
 
     The transverse mode is mode_grid's.  The component at (kx, ky) sees the
     shared output scaled by exp(-D (kx^2 + ky^2) (2 t + t_hold)), t the read
-    offset: a factor exp(-gamma (2 t + t_hold)) per axis, gamma = D kx^2 on
-    the grid's axis.  So every quadrature over the spectrum is a product of
-    one sum per axis, in k space or, by each axis's inverse transform, in
-    real space (the two agree by Parseval on each axis).
+    offset: a factor exp(-gamma (2 t + t_hold)) per axis, gamma = D kx^2 at
+    the grid's nodes.  So every quadrature over the spectrum is a product
+    of one sum per axis.  The read is integrated over the base's offsets
+    from t_hold (base.t_read), which no long hold rounds.
     """
 
     base: CycleRecord
@@ -220,35 +191,19 @@ class Quasi1DRecord:
         """
         return [cls(base, grid, base.params.diffusivity * grid.kx**2) for base in bases]
 
-    @property
-    def read_offsets(self) -> np.ndarray:
-        return self.base.t_out - self.base.protocol.t_hold
-
     def _decay(self, rate: float) -> np.ndarray:
         """exp(-rate gamma (2 t + t_hold)), shape (n, t)."""
-        exposure = 2.0 * self.read_offsets + self.base.protocol.t_hold
+        exposure = 2.0 * self.base.t_read + self.base.protocol.t_hold
         return np.exp(-rate * self.gamma[:, None] * exposure)
 
     def _efficiency(self, kept: np.ndarray) -> float:
         """Efficiency from each axis's share of power kept per read sample, (2, t)."""
-        out = np.trapezoid(kept[0] * kept[1] * np.abs(self.base.f_out) ** 2, self.base.t_out)
+        out = np.trapezoid(kept[0] * kept[1] * np.abs(self.base.f_out) ** 2, self.base.t_read)
         return float(out) / self.base.input_energy
 
     def efficiency_kspace(self) -> float:
         """Cycle efficiency by quadrature over the mode spectrum, one axis at a time."""
         return self._efficiency(self.mode_grid.weights @ self._decay(2.0))
-
-    def _fields(self) -> np.ndarray:
-        """Each axis factor of the read's mode per read sample, (2, n, t), on
-        the grid axis (ifft undoes the forward transform of centred samples)."""
-        spec = self.mode_grid.amp[:, :, None] * self._decay(1.0)
-        return ifft(spec, axis=1) / self.mode_grid.dx
-
-    def efficiency_realspace(self) -> float:
-        """Same efficiency via each axis's inverse transform (Parseval route)."""
-        stored = np.abs(ifft(self.mode_grid.amp, axis=-1) / self.mode_grid.dx) ** 2
-        kept = np.sum(np.abs(self._fields()) ** 2, axis=1)
-        return self._efficiency(kept / np.sum(stored, axis=-1, keepdims=True))
 
 
 def run_cycle_quasi1d(

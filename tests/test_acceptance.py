@@ -29,9 +29,9 @@ from gemdiff import (
     eff_transverse,
     eff_write_approx,
     efficiency_1d,
+    hg_efficiency,
     phase_factor,
     run_cycle,
-    run_cycle_quasi1d,
     run_cycle_realspace,
 )
 from gemdiff.config import load_config
@@ -426,13 +426,19 @@ def _gradient_hold_propagator(params, signal):
     return exact and devs[0] > 3.0 * devs[1] and devs[2] < 5e-8
 
 
-def _parseval_equivalence(params, signal):
-    """Quasi-1D efficiency agrees between k-space and real-space quadrature."""
-    proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=10e-6)
-    grid = ModeGrid.build(signal)
-    rec = run_cycle_quasi1d(params, proto, grid, n_medium=64, steps_per_width=16.0)
-    k = rec.efficiency_kspace()
-    return abs(k - rec.efficiency_realspace()) / k < 1e-6
+def _mode_closed_forms(signal):
+    """The quasi-1D mode grid's two axis factors take the closed-form efficiency.
+
+    On the 64 Gauss-Hermite nodes of the standard grid, for (0,0), (1,1)
+    and (2,1) at tau_perp of 0.25, 1 and 3 (measured within 4e-12).
+    """
+    for mode in [(0, 0), (1, 1), (2, 1)]:
+        grid = ModeGrid.build(replace(signal, mode=mode), n=64)
+        for tau in (0.25, 1.0, 3.0):
+            factors = grid.weights @ np.exp(-tau * (grid.kx * signal.waist) ** 2 / 2.0)
+            if abs(np.prod(factors) / hg_efficiency(mode, tau) - 1.0) > 1e-9:
+                return False
+    return True
 
 
 def _self_convergence(params, protocol, signal, control):
@@ -481,8 +487,9 @@ def _thread_determinism(tmp_path_factory):
 
 def test_10_property_suite(bench_config, tmp_path_factory, record_acceptance):
     # structural invariants: unit-modulus phase, monotone decay, D = 0
-    # identity, exact idle and gradient-on hold propagators, Parseval,
-    # 2nd-order convergence of real space's diffusion split, thread-count determinism
+    # identity, exact idle and gradient-on hold propagators, the mode grid's
+    # closed forms, 2nd-order convergence of real space's diffusion split,
+    # thread-count determinism
     cfg = bench_config
     params, protocol, signal = cfg.params, cfg.protocol, cfg.signal
     start = time.perf_counter()
@@ -494,7 +501,7 @@ def test_10_property_suite(bench_config, tmp_path_factory, record_acceptance):
             "zero_d_identity": _zero_diffusion_identity(params, protocol, signal),
             "hold_propagator": _hold_heat_propagator(params, signal),
             "gradient_hold_propagator": _gradient_hold_propagator(params, signal),
-            "parseval": _parseval_equivalence(params, signal),
+            "mode_closed_forms": _mode_closed_forms(signal),
             "self_convergence": _self_convergence(params, protocol, signal, cfg.control),
             "thread_determinism": _thread_determinism(tmp_path_factory),
         }

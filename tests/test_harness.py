@@ -673,6 +673,14 @@ def test_cli_fails_a_check_whose_target_is_inside_its_tolerance(tmp_path, capsys
     assert "FAIL numeric_vs_full" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", [(2, 1), (0, 3)])
+def test_storage_cycle_runs_the_configs_higher_modes(tmp_path, mode):
+    # the coarse mode grid holds either order of the config's own mode
+    argv = ["storage-cycle", "--config", str(CONFIG), "--out", str(tmp_path)]
+    argv += ["--fidelity", "coarse", "--threads", "1"]
+    assert main(argv + ["--set", "mode_m=%d" % mode[0], "--set", "mode_n=%d" % mode[1]]) == 0
+
+
 def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
     rc = main(
         ["storage-cycle", "--config", str(tmp_path / "missing.cfg")]
@@ -780,7 +788,7 @@ def test_cli_rejects_bad_signal_and_control(tmp_path, capsys, override):
         "t_width=1e-200 s",  # a division by a squared width that underflows to 0
         "t_width=1e-300 s",
         "waist=1e-300 m",
-        "waist=1e200 m",  # an overflow in the mode grid's spectrum
+        "waist=1e200 m",  # its fourth power overflows
         "waist=1e300 m",
         "t_hold=1e110 s",  # a hold's cube overflows: 0 * inf in the diffusion kernel
         "t_hold=1e200 s",
