@@ -34,10 +34,10 @@ steps under a varying control with diffusion.  The rotation sub-flow is
 exact, and phase boundaries land exactly because the step size is
 re-fitted to each phase.
 
-One step rule serves both routes: a driven span steps at dt0, cut at
-snapshot times off its step grid, and every undriven span is one exact
-step per piece (StepKernels), cut only at snapshot times, whatever its
-gradient and diffusivity; so every snapshot lands on its time.  A
+One step rule serves both routes: every snapshot time inside a span
+ends a piece there, a driven piece steps at no more than dt0 (_steps),
+and an undriven piece is one exact step (StepKernels), whatever its
+gradient and diffusivity; so every snapshot ends its piece.  A
 transverse operator takes each piece's step and owns how it steps it (its
 propagate).
 
@@ -45,17 +45,16 @@ The driver applies the diffusion half-steps around the core itself.  At
 every step boundary inside a piece it takes the state's spectrum once,
 and the next step starts from its inverse transform by the full-step
 kernel, followed in real space by one transverse propagation: the two
-halves that meet there merge, recorded or not.  Only a piece end settles the
-owed halves into the state.  One rule reads every boundary (the driver's
-observe): a settled state by its trapezoid integral over the medium, a
-state inside a piece without settling it, through the trapezoid
-functional: the medium integral of the settled state is spec . (after *
-ifft(w)), w the trapezoid weights, and the owed transverse half acts on
-that (rows, 1) integral.  A snapshot due inside a piece is taken from a
-settled copy, so it never changes the state's arithmetic.  With the
-drive off every column sees the same longitudinal operator, which
-commutes with the transverse one, so the transverse half-steps of an
-undriven piece are applied at its end in one shot.
+halves that meet there merge.  Only a piece end settles the owed halves
+into the state, and frames are taken from settled states only.  One rule
+reads the exit field at every boundary (the driver's observe): a settled
+state by its trapezoid integral over the medium, a state inside a piece
+without settling it, through the trapezoid functional: the medium
+integral of the settled state is spec . (after * ifft(w)), w the
+trapezoid weights, and the owed transverse half acts on that (rows, 1)
+integral.  With the drive off every column sees the same longitudinal
+operator, which commutes with the transverse one, so the transverse
+half-steps of an undriven piece are applied at its end in one shot.
 
 All step kernels broadcast over leading axes of sigma, with per-row
 couplings and detunings passed as (..., 1) arrays.
@@ -823,8 +822,8 @@ def spectrum_centroid(k: np.ndarray, power: np.ndarray) -> float:
 
 class _FrameTaker:
     """Collects every group's coherence frames at the scalar sigma_times, each
-    at the first step boundary t that reaches it on its phase's clock, whose
-    origin is 0 but in the read.  The plan puts a step boundary on every
+    at the first settled boundary t that reaches it on its phase's clock,
+    whose origin is 0 but in the read.  The plan ends a piece at every
     snapshot time (_cycle_plan), to round-off, so a frame keeps its time."""
 
     def __init__(self, sigma_times):
@@ -873,9 +872,15 @@ def _check_guard(sigma: np.ndarray, grid: Grid1D, phase: str, peak_ref: float = 
 
 
 def _inside(times, t0: float, t1: float) -> list[float]:
-    """The distinct times strictly inside (t0, t1), ends excluded to round-off, sorted."""
+    """The boundaries the times make strictly inside (t0, t1), sorted: ends
+    excluded to round-off, and a time within _slack of the last kept one
+    merged into it, so times that differ by round-off make one boundary."""
     eps = 1e-12 * max(1.0, abs(t0), abs(t1))
-    return [t for t in sorted({float(t) for t in times}) if t0 + eps < t < t1 - eps]
+    kept: list[float] = []
+    for t in sorted({float(t) for t in times}):
+        if t0 + eps < t < t1 - eps and not (kept and t - kept[-1] <= _slack(kept[-1])):
+            kept.append(t)
+    return kept
 
 
 def _cycle_plan(
@@ -901,13 +906,14 @@ def _cycle_plan(
     them from there on, and the read's origin, t_hold.  Values the groups
     differ in are per-group arrays.  The read runs from 0 on its origin's
     clock, so every group shares its boundaries.
-    A driven span steps at dt0, cut at the cut_times inside it that miss
-    its step grid (_driven_pieces).  Every undriven span is exact at any
-    step size, whatever its gradient and diffusivity: one step per piece,
-    cut only at the cut_times inside it.  A cut time is one scalar time
-    inside the cycle, to _slack, and in the write (t <= 0) when the groups
-    differ in t_hold.  A gradient-on hold splits into two spans at each
-    group's flip time.
+    Every span is cut at the cut_times strictly inside it (_inside: times
+    within _slack of each other make one cut), and a piece runs from one
+    boundary to the next, (a, b - a, n).  A driven piece takes n =
+    _steps(b - a, dt0) steps; an undriven one is exact at any step size,
+    whatever its gradient and diffusivity, and takes one.  A cut time is
+    one scalar time inside the cycle, to _slack, and in the write (t <= 0)
+    when the groups differ in t_hold.  A gradient-on hold splits into two
+    spans at each group's flip time.
     A plan whose last time is too large for double precision to resolve
     dt0 there (its spacing, math.ulp, exceeds dt0) is refused: the read
     times t_hold + offset and the snapshot times would collapse.
@@ -943,11 +949,10 @@ def _cycle_plan(
         diffusivity = diffs if phase in diffusion_phases else 0.0
         if np.ndim(length) or np.ndim(diffusivity):
             groups = len(protocols)
-        if drive_on:
-            pieces = _driven_pieces(start, length, dt0, cuts)
-        else:  # a per-group span takes no cut (checked above)
-            inside = _inside(cuts, start, start + length) if len(cuts) else []
-            pieces = [(a, b - a, 1) for a, b in zip([start, *inside], [*inside, start + length])]
+        # a per-group span takes no cut (checked above)
+        inside = _inside(cuts, start, start + length) if len(cuts) else []
+        ends = zip([start, *inside], [*inside, start + length])
+        pieces = [(a, b - a, _steps(b - a, dt0) if drive_on else 1) for a, b in ends]
         return start, length, eta, drive_on, diffusivity, groups, pieces
 
     write = [span("write", -t_window, t_window, protocol.eta_write, True, cut_times)]
@@ -972,26 +977,9 @@ def _cycle_plan(
     return dt0, [("write", write), ("hold", hold), ("read", read)], holds
 
 
-def _driven_pieces(start, length, dt0: float, cut_times) -> list[tuple]:
-    """A driven span's pieces (start, length, n_steps), each of steps no longer than dt0.
-
-    Each cut time strictly inside the span that misses the step grid of
-    what remains of it (by more than _slack, the frame taker's tolerance) ends a
-    piece, so every snapshot lands on a step boundary; with none the span
-    is one piece.
-    """
-
-    def off_grid(t, a, rest) -> bool:
-        step = rest / max(1, math.ceil(rest / dt0))
-        j = round((t - a) / step)
-        return abs(a + j * step - t) > _slack(t)
-
-    pieces, a, rest = [], start, length
-    for t in _inside(cut_times, start, start + length):
-        if off_grid(t, a, rest):
-            pieces.append((a, t - a, max(1, math.ceil((t - a) / dt0))))
-            a, rest = t, start + length - t
-    return [*pieces, (a, rest, max(1, math.ceil(rest / dt0)))]
+def _steps(length: float, dt0: float) -> int:
+    """The steps of at most dt0 that cover length."""
+    return max(1, math.ceil(length / dt0))
 
 
 def _rows_of(params, protocol, signal: SignalSpec) -> tuple[list, list]:
@@ -1116,7 +1104,8 @@ def _drive_cycle(
     half-steps of a piece's step: a driven step takes one on each side of
     its core, an undriven piece two at its end, and a read inside a piece
     applies the owed half to the (groups, rows, 1) medium integral instead
-    of the state.
+    of the state.  Frames are taken at settled boundaries only, span starts
+    and piece ends, where the plan puts every snapshot time.
     The frames, exit fields, phase-end states and guard inputs are
     synthesis @ the stepped rows' (_as_rows; transverse._stepped_rows
     picks a real-space call's rows), or the stepped rows' when it is None.
@@ -1145,7 +1134,6 @@ def _drive_cycle(
         residuals = tuple(residual - 1j * decay for residual in residuals)
     n_groups = len(protocols)
     taker = _FrameTaker(sigma_times)
-    want_frames = bool(taker.pending)
     density, light_speed = params.density, params.light_speed
     drives = _Propagators(grid, coupling, density, light_speed, residuals[0])
     sigma = np.zeros((1, len(profile), grid.n_z), dtype=complex)
@@ -1161,9 +1149,10 @@ def _drive_cycle(
         return face_phase * s * profile
 
     def observe(t, fin, trace, kern=None, spec=None, across=None, step=0.0, halves=0):
-        """Keep the exit field at boundary t in trace (None: not read there) and
-        take the snapshots due.  Without kern the state sigma has settled; with
-        it t is inside a piece, and sigma owes its after half along z (spec, its
+        """Keep the exit field at boundary t in trace (None: not read there).
+        Without kern the state sigma has settled, and the snapshots due at t
+        are taken from it; with it t is inside a piece, where none falls due
+        (_cycle_plan), and sigma owes its after half along z (spec, its
         spectrum) and halves transverse halves of step (across None: none)."""
         if trace is not None:
             integral = (
@@ -1174,13 +1163,8 @@ def _drive_cycle(
             trace[0].append(t)
             field = _as_rows(_field(integral, coupling, density, light_speed, fin), synthesis)
             trace[1].append(field[..., 0].copy())  # a copy: a view keeps its base alive
-        if want_frames and taker.due(t, clock):
-            frame = sigma.copy()
-            if kern is not None:  # settled in the copy: the state goes on unsettled
-                frame = kern.resume(frame, None if spec is None else spec.copy(), kern.after)
-            if across is not None:
-                frame = across.propagate(frame, step, halves)
-            taker.take(t, _as_rows(frame, synthesis), clock)
+        if kern is None and taker.due(t, clock):
+            taker.take(t, _as_rows(sigma.copy(), synthesis), clock)
 
     radial = None if transverse is None else transverse(dt0)
     peaks, guards = [0.0] * n_groups, [{} for _ in range(n_groups)]

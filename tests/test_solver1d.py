@@ -1161,9 +1161,14 @@ def test_a_snapshot_off_the_step_grid_cuts_the_driven_piece(bench_params, bench_
         solver1d._cycle_plan, [bench_params], [proto], bench_signal, steps_per_width=8.0
     )
     window = proto.write_window(bench_signal)
-    step = window / math.ceil(window / (bench_signal.t_width / 8.0))
+    n_write = math.ceil(window / (bench_signal.t_width / 8.0))
+    step = window / n_write
+    # on the step grid too a snapshot ends its piece: the two pieces keep the
+    # uncut step, to round-off, and its step count
     (_, (write,)), *_ = plan_of(cut_times=(-window + 5 * step,))[1]
-    assert len(write[-1]) == 1  # on the grid: one piece, its frame at a boundary
+    (a, la, na), (b, lb, nb) = write[-1]
+    assert (a, b, na, nb) == (-window, -window + 5 * step, 5, n_write - 5)
+    assert la / na == pytest.approx(step, rel=1e-12) and lb / nb == pytest.approx(step, rel=1e-12)
     (_, (write,)), *_ = plan_of(cut_times=(-3.3e-6,))[1]
     (a, la, na), (b, lb, nb) = write[-1]
     assert (a, b) == (-window, -3.3e-6)

@@ -553,15 +553,15 @@ def test_realspace_snapshots_at_requested_times(bench_params, bench_signal):
 
 def test_snapshots_inside_fused_steps_leave_the_cycle_unchanged(bench_params, bench_signal):
     # unread step boundaries merge the diffusion half-steps on either side;
-    # a snapshot due at one in the driven write is taken from a settled
-    # copy and leaves the cycle bit-identical
+    # a snapshot due at one in the driven write ends its piece there
     proto = StorageProtocol.gradient_through_hold(-TAU * 10e6, 6e-6)
     control = ControlProfile.gaussian(bench_params.rabi_control, 3e-3)
     tgrid = TransverseGrid.radial(bench_signal.waist, n_r=16)
     dt0 = bench_signal.t_width / FAST["steps_per_width"]
     window = proto.write_window(bench_signal)
     flip = proto.flip_time()
-    t_w = -window + 7 * (window / math.ceil(window / dt0))  # a write step boundary
+    n_write = math.ceil(window / dt0)
+    t_w = -window + 7 * (window / n_write)  # a write step boundary
     t_h = 3 * (flip / math.ceil(flip / dt0))  # inside the first exact hold piece
 
     def run(protocol, times=()):
@@ -569,11 +569,20 @@ def test_snapshots_inside_fused_steps_leave_the_cycle_unchanged(bench_params, be
             bench_params, protocol, bench_signal, control, tgrid, sigma_times=times, **FAST
         )
 
+    plan_of = partial(solver1d._cycle_plan, [bench_params], [proto], bench_signal)
+    (_, (write,)), *_ = plan_of(steps_per_width=FAST["steps_per_width"], cut_times=(t_w, flip))[1]
+    assert [a for a, _, _ in write[-1]] == [-window, t_w]
     base, written = run(proto, (flip,)), run(proto, (t_w, flip))
     extra = run(proto, (t_w, t_h, flip))
-    assert written.efficiency == base.efficiency
-    assert np.array_equal(written.intensity, base.intensity)
-    assert np.array_equal(written.f_out, base.f_out)
+    # the two pieces step the uncut step to round-off and share one drive
+    # build (_Propagators matches steps to 1e-12), taken at the first
+    # piece's step, which differs from the uncut one in its last bits.  So
+    # the cycle moves by round-off: a build's, about 1e-13 of its largest
+    # entry, over the write's steps.  Measured: 1.1e-14 of the efficiency,
+    # 1.9e-15 of the peak intensity, 2.5e-12 of the peak exit field
+    assert written.efficiency == pytest.approx(base.efficiency, rel=1e-12)
+    assert np.max(np.abs(written.intensity - base.intensity)) <= 1e-12 * np.max(base.intensity)
+    assert np.max(np.abs(written.f_out - base.f_out)) <= 1e-10 * np.max(np.abs(base.f_out))
     (time_w, frame_w), (time_h, frame_h), _ = extra.sigma_frames
     assert time_w == pytest.approx(t_w, rel=1e-12)
     assert time_h == pytest.approx(t_h, rel=1e-12)
@@ -593,7 +602,7 @@ def test_snapshots_inside_fused_steps_leave_the_cycle_unchanged(bench_params, be
     )
     # a hold that flips at t_h ends its first piece there, so its frame at
     # t_h is the settled state that the cut hold's frame at t_h must match
-    settled = run(replace(proto, hold_flip_time=t_h), (t_h,)).sigma_frames[0][1]
+    settled = run(replace(proto, hold_flip_time=t_h), (t_w, t_h)).sigma_frames[1][1]
     assert np.max(np.abs(frame_h - settled)) <= 1e-12 * np.max(np.abs(settled))
 
 
