@@ -978,8 +978,9 @@ def _cycle_plan(
 
 
 def _steps(length: float, dt0: float) -> int:
-    """The steps of at most dt0 that cover length."""
-    return max(1, math.ceil(length / dt0))
+    """The steps of at most dt0 that cover length, counted to round-off: a
+    length a hair over a whole number of dt0 takes that number, not one more."""
+    return max(1, math.ceil(length / dt0 * (1.0 - 1e-12)))
 
 
 def _rows_of(params, protocol, signal: SignalSpec) -> tuple[list, list]:

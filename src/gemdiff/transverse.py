@@ -60,6 +60,7 @@ from .solver1d import (
     _energy,
     _row,
     _rows_of,
+    _steps,
     advance_step,  # noqa: F401  (the real-space step core; perfbench traces it per module)
     run_cycle,
 )
@@ -307,9 +308,9 @@ class _RadialDiffusion:
 
     The driver builds one operator per cycle, with the plan's base step
     dt0, and hands it each piece's step.  A step of length T runs as
-    n = ceil(T / dt0) Crank-Nicolson steps of T / n (to round-off: a driven
-    step, never longer than dt0, is one), so a half of it is n half-steps
-    of h = T / (2 n).  The half-step is the real n_r x n_r propagator
+    n = _steps(T, dt0) Crank-Nicolson steps of T / n, counted to round-off
+    as the plan counts a driven piece's steps (a driven step, never longer
+    than dt0, is one), so a half of it is n half-steps of h = T / (2 n).  The half-step is the real n_r x n_r propagator
     (I - A)^-1 (I + A), built by one tridiagonal solve per h (solve_banded,
     the Thomas algorithm: I - A is strictly diagonally dominant); m
     half-steps are its matrix power, cached per (h, m) as block rows
@@ -361,10 +362,10 @@ class _RadialDiffusion:
         return self._apply(sigma, step, halves, out)
 
     def _apply(self, sigma: np.ndarray, step: float, halves: int, out: np.ndarray) -> np.ndarray:
-        n = math.ceil(step / self.dt0 * (1.0 - 1e-12))  # round-off: a step of dt0 is one
-        if n == 0:
+        if step <= 0.0:
             out[...] = sigma
             return out
+        n = _steps(step, self.dt0)
         x, y = np.ascontiguousarray(sigma).view(float), out.view(float)
         for rows, cols, block in self.blocks(0.5 * (step / n), halves * n):
             np.matmul(block, x[..., cols, :], out=y[..., rows, :])

@@ -28,7 +28,7 @@ from gemdiff import (
 from gemdiff.model import stark_residual
 from gemdiff import solver1d
 from gemdiff.pulses import ControlProfile, control_rabi, sample_temporal
-from gemdiff.transverse import TransverseGrid, run_cycle_realspace
+from gemdiff.transverse import TransverseGrid, _RadialDiffusion, run_cycle_realspace
 from gemdiff.solver1d import (
     StepKernels,
     _field,
@@ -1185,6 +1185,47 @@ def test_a_snapshot_off_the_step_grid_cuts_the_driven_piece(bench_params, bench_
         bench_params, proto, bench_signal, sigma_times=(t,), n_medium=64, steps_per_width=8.0
     )
     assert [time for time, _ in rec.sigma_frames] == [t]
+
+
+def test_snapshot_times_within_round_off_make_one_boundary(bench_params, bench_signal):
+    # two requests 5e-13 s apart, in the driven write and in the undriven
+    # hold, cut each span once: no 5e-13 s piece, and the cycle is bit for
+    # bit the cycle with one of the two times, both frames at its boundary
+    proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=2e-6)
+    plan_of = partial(
+        solver1d._cycle_plan, [bench_params], [proto], bench_signal, steps_per_width=8.0
+    )
+    for t in (-3.3e-6, 1e-6):
+        pair = (t, t + 5e-13)
+        _, plan, _ = plan_of(cut_times=pair)
+        assert plan == plan_of(cut_times=(t,))[1]
+        assert [a for _, spans in plan for *_, pieces in spans for a, _, _ in pieces].count(t) == 1
+        one, both = (
+            run_cycle(bench_params, proto, bench_signal, sigma_times=times, **BATCH)
+            for times in ((t,), pair)
+        )
+        assert efficiency_1d(both) == efficiency_1d(one)
+        assert [time for time, _ in both.sigma_frames] == list(pair)
+        assert np.array_equal(both.sigma_frames[1][1], one.sigma_frames[0][1])
+
+
+def test_a_driven_span_counts_its_steps_to_round_off(bench_params, bench_signal):
+    # a 14 us write at 8 steps per width is 112.00000000000001 steps of
+    # 0.125 us in double precision: the write and the read take 112, not 113,
+    # and the radial operator takes as many sub-steps for the same length
+    signal = replace(bench_signal, t_lead=10e-6)
+    proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=2e-6)
+    window, dt0 = proto.write_window(signal), signal.t_width / 8.0
+    assert window == pytest.approx(14e-6, rel=1e-15) and window / dt0 > 112.0
+    _, plan, _ = solver1d._cycle_plan([bench_params], [proto], signal, steps_per_width=8.0)
+    (_, (write,)), _, (_, (read,)) = plan
+    assert [n for *_, n in write[-1]] == [n for *_, n in read[-1]] == [112]
+    radial = _RadialDiffusion(TransverseGrid.radial(signal.waist, n_r=8), 0.004, dt0)
+    taken = []
+    blocks = radial.blocks
+    radial.blocks = lambda h, m: taken.append(m) or blocks(h, m)
+    radial.propagate(np.ones((8, 4), dtype=complex), window, 1)
+    assert taken == [112]
 
 
 def test_snapshot_times_outside_the_cycle_are_refused(bench_params, bench_signal):

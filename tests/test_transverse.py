@@ -571,18 +571,18 @@ def test_snapshots_inside_fused_steps_leave_the_cycle_unchanged(bench_params, be
 
     plan_of = partial(solver1d._cycle_plan, [bench_params], [proto], bench_signal)
     (_, (write,)), *_ = plan_of(steps_per_width=FAST["steps_per_width"], cut_times=(t_w, flip))[1]
-    assert [a for a, _, _ in write[-1]] == [-window, t_w]
+    assert [(a, n) for a, _, n in write[-1]] == [(-window, 7), (t_w, n_write - 7)]
     base, written = run(proto, (flip,)), run(proto, (t_w, flip))
     extra = run(proto, (t_w, t_h, flip))
     # the two pieces step the uncut step to round-off and share one drive
     # build (_Propagators matches steps to 1e-12), taken at the first
     # piece's step, which differs from the uncut one in its last bits.  So
-    # the cycle moves by round-off: a build's, about 1e-13 of its largest
-    # entry, over the write's steps.  Measured: 1.1e-14 of the efficiency,
-    # 1.9e-15 of the peak intensity, 2.5e-12 of the peak exit field
+    # the cycle moves by round-off, a build's (about 1e-13 of its largest
+    # entry) and the settled boundary's.  Measured: 8.3e-15 of the
+    # efficiency, 6.9e-15 of the peak intensity, 8.4e-15 of the peak exit field
     assert written.efficiency == pytest.approx(base.efficiency, rel=1e-12)
     assert np.max(np.abs(written.intensity - base.intensity)) <= 1e-12 * np.max(base.intensity)
-    assert np.max(np.abs(written.f_out - base.f_out)) <= 1e-10 * np.max(np.abs(base.f_out))
+    assert np.max(np.abs(written.f_out - base.f_out)) <= 1e-12 * np.max(np.abs(base.f_out))
     (time_w, frame_w), (time_h, frame_h), _ = extra.sigma_frames
     assert time_w == pytest.approx(t_w, rel=1e-12)
     assert time_h == pytest.approx(t_h, rel=1e-12)
@@ -602,7 +602,7 @@ def test_snapshots_inside_fused_steps_leave_the_cycle_unchanged(bench_params, be
     )
     # a hold that flips at t_h ends its first piece there, so its frame at
     # t_h is the settled state that the cut hold's frame at t_h must match
-    settled = run(replace(proto, hold_flip_time=t_h), (t_w, t_h)).sigma_frames[1][1]
+    settled = run(replace(proto, hold_flip_time=t_h), (t_h,)).sigma_frames[0][1]
     assert np.max(np.abs(frame_h - settled)) <= 1e-12 * np.max(np.abs(settled))
 
 
