@@ -192,19 +192,14 @@ class Quasi1DRecord:
         """
         return [cls(base, grid, base.params.diffusivity * grid.kx**2) for base in bases]
 
-    def _decay(self, rate: float) -> np.ndarray:
-        """exp(-rate gamma (2 t + t_hold)), shape (n, t)."""
+    def efficiency_kspace(self) -> float:
+        """Cycle efficiency by quadrature over the mode spectrum, one axis at a
+        time: each axis keeps weights @ exp(-2 gamma (2 t + t_hold)) of the
+        power at each read sample, (2, t)."""
         exposure = 2.0 * self.base.t_read + self.base.protocol.t_hold
-        return np.exp(-rate * self.gamma[:, None] * exposure)
-
-    def _efficiency(self, kept: np.ndarray) -> float:
-        """Efficiency from each axis's share of power kept per read sample, (2, t)."""
+        kept = self.mode_grid.weights @ np.exp(-2.0 * self.gamma[:, None] * exposure)
         out = np.trapezoid(kept[0] * kept[1] * np.abs(self.base.f_out) ** 2, self.base.t_read)
         return float(out) / self.base.input_energy
-
-    def efficiency_kspace(self) -> float:
-        """Cycle efficiency by quadrature over the mode spectrum, one axis at a time."""
-        return self._efficiency(self.mode_grid.weights @ self._decay(2.0))
 
 
 def run_cycle_quasi1d(
