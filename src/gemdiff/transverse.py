@@ -305,14 +305,15 @@ class _RadialDiffusion:
     dt0, and hands it each piece's step.  A step of length T runs as
     n = _steps(T, dt0) Crank-Nicolson steps of T / n, counted to round-off
     as the plan counts a driven piece's steps (a driven step, never longer
-    than dt0, is one), so a half of it is n half-steps of h = T / (2 n).  The half-step is the real n_r x n_r propagator
-    (I - A)^-1 (I + A), built by one tridiagonal solve per h (solve_banded,
-    the Thomas algorithm: I - A is strictly diagonally dominant); m
-    half-steps are its matrix power, cached per (h, m) as block rows
-    (_block_band) and applied as one real GEMM per block row on the
-    complex state viewed as float.  A short step's power is nearly banded (P^2 at 128 cells is
-    below 1e-18 beyond 8 cells from the diagonal), so its blocks multiply
-    only the band; a long hold's power is dense and keeps full bands.
+    than dt0, is one), so a half of it is n half-steps of h = T / (2 n).
+    The half-step is the real n_r x n_r propagator (I - A)^-1 (I + A),
+    built by one tridiagonal solve per h (solve_banded, the Thomas
+    algorithm: I - A is strictly diagonally dominant); m half-steps are its
+    matrix power, cached per (h, m) as block rows (_block_band) and applied
+    as one real GEMM per block row on the complex state viewed as float.  A
+    short step's power is nearly banded (P^2 at 128 cells is below 1e-18
+    beyond 8 cells from the diagonal), so its blocks multiply only the
+    band; a long hold's power is dense and keeps full bands.
     """
 
     def __init__(self, grid: TransverseGrid, diffusivity: float, dt0: float):
