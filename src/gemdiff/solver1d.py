@@ -25,12 +25,13 @@ the step's only time error is the input's quadratic interpolation over
 it: steps_per_width is a sampling rate, not an accuracy setting.  The core
 applies it to every row at once as a causal convolution, one FFT pair
 (_Drive).  That is the one drive core of every route.  A real-space call
-steps rows of its own choosing (transverse._stepped_rows): one per
-radial mode under a homogeneous control with diffusion (a row whose
-residual carries the mode's decay as its imaginary part), which the
-driver maps back onto the columns by a synthesis matrix, and otherwise
-its radial columns, coupled by a transverse operator between the drive's
-steps under a varying control with diffusion.  The rotation sub-flow is
+steps rows of its own choosing (transverse._stepped_rows): under a
+homogeneous control one per radial mode with diffusion (a row whose
+residual carries the mode's decay as its imaginary part) and one row
+without it, which the driver maps back onto the columns by a synthesis
+matrix (without diffusion, the input profile), and otherwise its radial
+columns, coupled by a transverse operator between the drive's steps
+under a varying control with diffusion.  The rotation sub-flow is
 exact, and phase boundaries land exactly because the step size is
 re-fitted to each phase.
 
@@ -411,7 +412,8 @@ class _Propagators:
     Over a driven piece each row has one constant generator on the
     medium, L = diag(-i (eta z + residual)) - kappa S, kappa = g^2 N dz /
     (2 c) with g the row's coupling, residual its light-shift residual (a
-    1D call's one row's; a radial column's own under a Gaussian control;
+    1D call's one row's, as a homogeneous real-space call's one row
+    without diffusion; a radial column's own under a Gaussian control;
     under a homogeneous one with diffusion, a radial mode's, whose
     imaginary part is minus its transverse decay rate), and S the running
     sum of slave_field as a matrix: lower triangular, since the field at z

@@ -17,10 +17,12 @@ Two complementary routes:
   control).  It runs on the shared cycle driver of solver1d, one group
   per protocol (protocols that differ only in t_hold share one write),
   with energies and frames by run_cycle's rules and every row's drive
-  exact in time.  _stepped_rows picks the rows: with diffusion under a
-  homogeneous control one per radial mode the input excites, its decay
-  the imaginary part of its light-shift residual; otherwise the columns,
-  which under a varying control with diffusion are coupled by
+  exact in time.  _stepped_rows picks the rows: under a homogeneous
+  control with diffusion one per radial mode the input excites, its decay
+  the imaginary part of its light-shift residual, and without diffusion
+  one row, mapped onto the columns by the input profile (every mode's
+  decay is then 0, so all share one drive); under a varying control the
+  columns, which with diffusion are coupled by
   conservative Crank-Nicolson diffusion on the finite-volume grid
   (_radial_operator), whose half-steps the driver applies around each
   step core, merged across every boundary inside a piece.  Without
@@ -399,16 +401,20 @@ def _stepped_rows(
     Rows of control Rabi frequency rabi, decay rate decay and input weight
     entry, mapped onto the columns by synthesis and coupled between steps
     by coupling (None: the columns themselves; no decay; nothing couples
-    them), by the call's own diffusivity D and control.  With diffusion
-    under a homogeneous control the coupling and light shift are every
-    column's, so diffusion only damps each radial mode (_radial_modes), at
-    D rate_m.  With diffusion under a varying control, the columns under
-    Crank-Nicolson; without diffusion, the columns alone.
+    them), by the call's own diffusivity D and control.  Under a
+    homogeneous control the coupling and light shift are every column's,
+    so diffusion only damps each radial mode (_radial_modes), at D rate_m;
+    without diffusion every mode shares one undamped drive, so one row of
+    input weight 1 is stepped and the input profile is its synthesis.
+    Under a varying control, the columns: with diffusion under
+    Crank-Nicolson, without it alone.
     """
     profile = sample_transverse(signal, tgrid.r[:, None], 0.0)  # (n_cols, 1)
     rabi = control_rabi(control, tgrid.r)[:, None]  # column-local control
     diffusivity = params.diffusivity
-    if diffusivity > 0.0 and np.all(rabi == rabi[0]):
+    if np.all(rabi == rabi[0]):
+        if diffusivity == 0.0:  # every mode's decay D rate_m is 0: one drive serves them all
+            return rabi[:1], None, np.ones((1, 1)), profile, None
         rates, entry, synthesis = _radial_modes(tgrid, profile)
         return rabi[:1], diffusivity * rates, entry, synthesis, None
     coupling = partial(_RadialDiffusion, tgrid, diffusivity) if diffusivity > 0.0 else None

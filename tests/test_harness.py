@@ -404,6 +404,18 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
             sigma_times=(rotating.flip_time(),),
             **fast,
         ),
+        # its homogeneous reference call: without diffusion one row serves
+        # every column
+        partial(
+            run_cycle_realspace,
+            still,
+            rotating,
+            cfg.signal,
+            ControlProfile.homogeneous(cfg.params.rabi_control),
+            tgrid,
+            sigma_times=(rotating.flip_time(),),
+            **fast,
+        ),
         # beam-width's homogeneous call: with diffusion the rows are the 29
         # radial modes that the input excites on a 40-cell grid
         partial(
@@ -434,6 +446,8 @@ def test_cost_estimate_sums_the_steps_the_solver_takes(bench_config, monkeypatch
     n_z = Grid1D.build(cfg.params.half_length, fast["n_medium"]).n_z
     solved_cells(exact_calls[-1])  # the mode rows
     assert {size // n_z for size in cells} == {29}
+    solved_cells(exact_calls[-2])  # the reference's one row, not tgrid.n_cols
+    assert {size // n_z for size in cells} == {1}
     dt0 = cfg.signal.t_width / fast["steps_per_width"]
     write_steps = math.ceil(groups[0].write_window(cfg.signal) / dt0)
     # the grouped call writes once on one group and fans out at the hold
