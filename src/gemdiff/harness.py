@@ -14,22 +14,7 @@ and writes its artifacts into ``<out>/<experiment>/``:
 The process exits 0 only when every analytic-vs-numeric tolerance check
 passes, so the command doubles as an acceptance runner.
 
-Fidelity presets (longitudinal cells / steps per pulse width; beam width
-adds its radial cell count, phase profile its Gauss-Legendre nodes inside
-and outside the fit band, the quasi-1D mode grids their Gauss-Hermite
-nodes per axis)::
-
-              1d sweeps     single cycle   beam width        phase profile       modes
-    coarse    256 /  6      192 /  6       128 /  6 /  96    128 /  6 /  8 +  8    32
-    standard  384 /  8      256 /  8       160 /  8 / 128    192 /  8 / 12 + 12    64
-    fine      512 / 16      384 / 16       256 / 16 / 160    256 / 16 / 16 + 16    96
-
-Every route's drive is exact in time (solver1d), so steps per width are a
-sampling rate, set from a convergence table of every check.  beam-width's
-real space diffuses across its columns, and under its Gaussian control
-splits each step into radial Crank-Nicolson halves around the drive; at
-8 steps per width its widths lie within 7e-5 of 64's, far inside the
-spread between its grids.
+Each fidelity preset is one Resolution record in RESOLUTIONS.
 
 Environment overrides (command-line flags win)::
 
@@ -111,22 +96,30 @@ from .transverse import (
 CSV_FORMAT = "gem-csv/1"
 JSON_FORMAT = "gem-json/1"
 
-FIDELITY_NAMES = ("coarse", "standard", "fine")
 
-# steps per signal width at each fidelity: every route's drive is exact in
-# time, so this is the rate at which it samples the fields, one for all routes
-_STEPS_PER_WIDTH = {"coarse": 6.0, "standard": 8.0, "fine": 16.0}
-# medium cells (n_medium) for the 1D collapse sweeps and for single quasi-1D
-# cycles; (n_medium, n_r) for beam-width's real-space runs; (n_medium, band
-# nodes, outer nodes) for phase-profile's, whose fit is converged in r from
-# 8 band nodes on (to 1e-6 of the curvature), so its error is n_medium's
-_SWEEP_GRID = {"coarse": 256, "standard": 384, "fine": 512}
-_CYCLE_GRID = {"coarse": 192, "standard": 256, "fine": 384}
-_SPACE_GRID = {"coarse": (128, 96), "standard": (160, 128), "fine": (256, 160)}
-_PHASE_GRID = {"coarse": (128, 8, 8), "standard": (192, 12, 12), "fine": (256, 16, 16)}
-# Gauss-Hermite nodes per axis of the quasi-1D mode grids, which hold every
-# order up to (n - 24) / 2.5 (transverse.ModeGrid): 3 at coarse
-_MODE_NODES = {"coarse": 32, "standard": 64, "fine": 96}
+@dataclass(frozen=True)
+class Resolution:
+    """The grids every experiment runs at one fidelity preset."""
+
+    # every route's drive is exact in time (solver1d), so this is the rate
+    # at which it samples the fields, one for all routes
+    steps_per_width: float
+    sweep_cells: int  # n_medium of the 1D collapse sweeps
+    cycle_cells: int  # n_medium of single quasi-1D cycles and spinwave-kspace
+    beam_grid: tuple[int, int]  # beam-width's (n_medium, n_r)
+    # phase-profile's (n_medium, band nodes, outer nodes): its fit is converged
+    # in r from 8 band nodes on (to 1e-6 of the curvature), so its error is n_medium's
+    phase_grid: tuple[int, int, int]
+    # Gauss-Hermite nodes per axis of the quasi-1D mode grids, which hold every
+    # order up to (n - 24) / 2.5 (transverse.ModeGrid): 3 at coarse
+    mode_nodes: int
+
+
+RESOLUTIONS = {
+    "coarse": Resolution(6.0, 256, 192, (128, 96), (128, 8, 8), 32),
+    "standard": Resolution(8.0, 384, 256, (160, 128), (192, 12, 12), 64),
+    "fine": Resolution(16.0, 512, 384, (256, 160), (256, 16, 16), 96),
+}
 
 _DEFAULT_CELL_STEP_CAP = 5e9
 
@@ -153,10 +146,9 @@ class ExperimentSpec:
                 "unknown experiment %r; choose from %s"
                 % (self.experiment, ", ".join(sorted(EXPERIMENTS)))
             )
-        if self.fidelity not in FIDELITY_NAMES:
+        if self.fidelity not in RESOLUTIONS:
             raise ParameterError(
-                "unknown fidelity %r; presets are %s"
-                % (self.fidelity, ", ".join(FIDELITY_NAMES))
+                "unknown fidelity %r; presets are %s" % (self.fidelity, ", ".join(RESOLUTIONS))
             )
         if self.threads < 1:
             raise ParameterError("threads must be at least 1")
@@ -459,7 +451,7 @@ def _baseline_ratios(spec: ExperimentSpec, cases, phase: str) -> list:
     cases are (protocol, signal, diffusivities); each runs as one batch with
     a D = 0 baseline row, since its points share a time grid.
     """
-    n_medium, steps = _SWEEP_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
+    res = RESOLUTIONS[spec.fidelity]
     batches = _solve(
         spec,
         [
@@ -468,8 +460,8 @@ def _baseline_ratios(spec: ExperimentSpec, cases, phase: str) -> list:
                 [spec.config.params.with_diffusivity(diff) for diff in [0.0] + diffs],
                 protocol,
                 signal,
-                n_medium=n_medium,
-                steps_per_width=steps,
+                n_medium=res.sweep_cells,
+                steps_per_width=res.steps_per_width,
                 diffusion_phases=(phase,),
             )
             for protocol, signal, diffs in cases
@@ -574,8 +566,7 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
     The shared 1D solve runs diffusion-free (the per-mode transverse
     factors carry all the diffusion), so each run is its own baseline.
     """
-    cfg = spec.config
-    n_medium, steps = _SWEEP_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
+    cfg, res = spec.config, RESOLUTIONS[spec.fidelity]
     diff = cfg.params.diffusivity
     if diff <= 0.0:
         raise ParameterError("transverse sweep needs diffusivity > 0 in the config")
@@ -593,9 +584,8 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
             )
         return t_hold
 
-    n_modes = _MODE_NODES[spec.fidelity]
-    mode_grid = ModeGrid.build(signal, n=n_modes)
-    hg_grid = ModeGrid.build(replace(signal, mode=(1, 1)), n=n_modes)
+    mode_grid = ModeGrid.build(signal, n=res.mode_nodes)
+    hg_grid = ModeGrid.build(replace(signal, mode=(1, 1)), n=res.mode_nodes)
 
     # one batch over every hold time: the diffusion-free write is solved
     # once, the exact hold fans it out, and each (0,0)/(1,1) HG pair
@@ -614,8 +604,8 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
                 params,
                 protocols,
                 mode_grid,
-                n_medium=n_medium,
-                steps_per_width=steps,
+                n_medium=res.sweep_cells,
+                steps_per_width=res.steps_per_width,
                 diffusion_phases=(),
             )
         ],
@@ -657,9 +647,8 @@ def _exp_sweep_transverse(spec: ExperimentSpec):
 
 def _config_cycles(spec: ExperimentSpec, diffusivities) -> list:
     """Quasi-1D cycles of the config's protocol and signal, one per diffusivity."""
-    cfg = spec.config
-    n_medium, steps = _CYCLE_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
-    mode_grid = ModeGrid.build(cfg.signal, n=_MODE_NODES[spec.fidelity])
+    cfg, res = spec.config, RESOLUTIONS[spec.fidelity]
+    mode_grid = ModeGrid.build(cfg.signal, n=res.mode_nodes)
     (records,) = _solve(
         spec,
         [
@@ -668,12 +657,20 @@ def _config_cycles(spec: ExperimentSpec, diffusivities) -> list:
                 [cfg.params.with_diffusivity(diff) for diff in diffusivities],
                 cfg.protocol,
                 mode_grid,
-                n_medium=n_medium,
-                steps_per_width=steps,
+                n_medium=res.cycle_cells,
+                steps_per_width=res.steps_per_width,
             )
         ],
     )
     return records
+
+
+def _mode_total(totals, mode, tau_perp: float) -> float:
+    """The closed-form total of HG mode `mode`: totals.full, whose transverse
+    factor is the (0,0) mode's 1/(1 + tau_perp), with the mode's own swapped in."""
+    if mode == (0, 0):
+        return totals.full
+    return totals.full * (1.0 + tau_perp) * hg_efficiency(mode, tau_perp)
 
 
 def _exp_storage_cycle(spec: ExperimentSpec):
@@ -694,10 +691,7 @@ def _exp_storage_cycle(spec: ExperimentSpec):
     eps_h, alpha_h, tau_h = eff_hold(cfg.params, cfg.protocol, cfg.signal)
     eps_w_exact = eff_write_exact(cfg.params, cfg.protocol, cfg.signal)
     eps_perp = hg_efficiency(cfg.signal.mode, groups.tau_perp)
-    expected = totals.full
-    if cfg.signal.mode != (0, 0):
-        # swap the (0,0) transverse factor of the full form for the mode's own
-        expected = totals.full * (1.0 + groups.tau_perp) * eps_perp
+    expected = _mode_total(totals, cfg.signal.mode, groups.tau_perp)
 
     ratio_1d = efficiency_1d(rec_d.base) / efficiency_1d(rec_0.base)
     ratio_3d = rec_d.efficiency_kspace() / rec_0.efficiency_kspace()
@@ -788,8 +782,7 @@ def _exp_spinwave_kspace(spec: ExperimentSpec):
     drifts at exactly -eta_write until the flip; the late-write frames are
     fitted for that slope.
     """
-    cfg = spec.config
-    n_medium, steps = _CYCLE_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
+    cfg, res = spec.config, RESOLUTIONS[spec.fidelity]
     params, protocol, signal = cfg.params, cfg.protocol, cfg.signal
     window = protocol.write_window(signal)
     margin = 0.02 * window
@@ -813,8 +806,8 @@ def _exp_spinwave_kspace(spec: ExperimentSpec):
                 params,
                 protocol,
                 signal,
-                n_medium=n_medium,
-                steps_per_width=steps,
+                n_medium=res.cycle_cells,
+                steps_per_width=res.steps_per_width,
                 sigma_times=times,
             )
         ],
@@ -911,14 +904,14 @@ def _exp_beam_width(spec: ExperimentSpec):
     Gaussian control beam the imprinted transverse phase curvature
     refocuses the beam and the apparent rate D_eff drops by about half.
     """
-    cfg = spec.config
+    cfg, res = spec.config, RESOLUTIONS[spec.fidelity]
     _require_gaussian_control(spec)
     if cfg.params.diffusivity <= 0.0:
         raise ParameterError(
             "beam-width checks the width growth against the config diffusivity; "
             "set diffusivity > 0"
         )
-    (n_medium, n_r), steps = _SPACE_GRID[spec.fidelity], _STEPS_PER_WIDTH[spec.fidelity]
+    n_medium, n_r = res.beam_grid
     signal = replace(cfg.signal, t_lead=2e-6, mode=(0, 0))
     tgrid = TransverseGrid.radial(signal.waist, n_r=n_r)
     controls = (
@@ -938,7 +931,7 @@ def _exp_beam_width(spec: ExperimentSpec):
             control,
             tgrid,
             n_medium=n_medium,
-            steps_per_width=steps,
+            steps_per_width=res.steps_per_width,
         )
         for _, control in controls
     ]
@@ -1060,7 +1053,7 @@ def _exp_phase_profile(spec: ExperimentSpec):
     holds for a control waist well above the signal waist, so one below
     twice the signal waist is refused before any solve.
     """
-    cfg = spec.config
+    cfg, res = spec.config, RESOLUTIONS[spec.fidelity]
     _require_gaussian_control(spec)
     waist_c = cfg.control.waist
     if waist_c < 2.0 * cfg.signal.waist:
@@ -1068,7 +1061,7 @@ def _exp_phase_profile(spec: ExperimentSpec):
             "phase-profile's closed form needs a control waist of at least twice the "
             "signal waist (control_waist = %.3g m, waist = %.3g m)" % (waist_c, cfg.signal.waist)
         )
-    n_medium, n_band, n_outer = _PHASE_GRID[spec.fidelity]
+    n_medium, n_band, n_outer = res.phase_grid
     params = cfg.params.with_diffusivity(0.0)
     signal = replace(cfg.signal, t_width=0.35e-6, t_lead=2e-6, mode=(0, 0))
     protocol = StorageProtocol.gradient_through_hold(cfg.protocol.eta_write, 16e-6)
@@ -1087,7 +1080,7 @@ def _exp_phase_profile(spec: ExperimentSpec):
                 control,
                 tgrid,
                 n_medium=n_medium,
-                steps_per_width=_STEPS_PER_WIDTH[spec.fidelity],
+                steps_per_width=res.steps_per_width,
                 sigma_times=(protocol.flip_time(),),  # the mid-hold frame extract_phase reads
             )
             for control in (cfg.control, ControlProfile.homogeneous(cfg.params.rabi_control))
@@ -1157,7 +1150,7 @@ def _exp_efficiency_budget(spec: ExperimentSpec):
     Sweeps the diffusivity at fixed timing and tabulates the full closed
     form, the per-phase product, the small-decay linearized budget and the
     protocol-level upper bound next to the numeric quasi-1D ratio
-    eps(D)/eps(0).
+    eps(D)/eps(0), which is checked against the config mode's total.
     """
     cfg = spec.config
     if cfg.params.diffusivity <= 0.0:
@@ -1175,6 +1168,7 @@ def _exp_efficiency_budget(spec: ExperimentSpec):
         params = cfg.params.with_diffusivity(diff)
         groups = derive_groups(params, cfg.protocol, cfg.signal)
         totals = eff_total(params, cfg.protocol, cfg.signal)
+        expected = _mode_total(totals, cfg.signal.mode, groups.tau_perp)
         ratio = eff / effs[0]
         rows.append(
             (
@@ -1188,7 +1182,7 @@ def _exp_efficiency_budget(spec: ExperimentSpec):
                 totals.linearized,
                 totals.bound,
                 ratio,
-                ratio - totals.full,
+                ratio - expected,
             )
         )
         if totals.bound is not None:
@@ -1197,7 +1191,7 @@ def _exp_efficiency_budget(spec: ExperimentSpec):
             _check(
                 "budget_vs_numeric[%d]" % (len(rows) - 1),
                 ratio,
-                totals.full,
+                expected,
                 0.02,
                 "numeric eps(D)/eps(0) against the closed-form total",
                 kind="abs",
@@ -1385,7 +1379,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--fidelity",
-        choices=FIDELITY_NAMES,
+        choices=tuple(RESOLUTIONS),
         default=os.environ.get("GEM_FIDELITY", "standard"),
     )
     parser.add_argument(

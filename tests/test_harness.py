@@ -250,6 +250,62 @@ def test_solve_hands_the_costliest_call_to_the_caller_and_returns_call_order(
     assert seen["results"] == [homogeneous, gaussian]
 
 
+# the n_medium each experiment's solver calls take from its preset record
+_CELLS = {
+    "sweep-write": lambda res: res.sweep_cells,
+    "sweep-hold": lambda res: res.sweep_cells,
+    "sweep-transverse": lambda res: res.sweep_cells,
+    "storage-cycle": lambda res: res.cycle_cells,
+    "efficiency-budget": lambda res: res.cycle_cells,
+    "spinwave-kspace": lambda res: res.cycle_cells,
+    "beam-width": lambda res: res.beam_grid[0],
+    "phase-profile": lambda res: res.phase_grid[0],
+}
+
+
+@pytest.mark.parametrize("fidelity", ["coarse", "standard", "fine"])
+@pytest.mark.parametrize("experiment", sorted(_CELLS))
+def test_each_experiment_runs_on_its_presets_grids(
+    bench_config, tmp_path, monkeypatch, experiment, fidelity
+):
+    # the calls _solve receives, and every mode grid built on the way, carry
+    # the preset record's values; _solve raises, so nothing is solved
+    res = harness.RESOLUTIONS[fidelity]
+    seen = {"grids": []}
+    build = ModeGrid.build.__func__
+
+    class Captured(Exception):
+        pass
+
+    def spy_build(cls, signal, n=64):
+        seen["grids"].append(build(cls, signal, n))
+        return seen["grids"][-1]
+
+    def capture(spec, calls):
+        seen["calls"] = calls
+        raise Captured
+
+    monkeypatch.setattr(ModeGrid, "build", classmethod(spy_build))
+    monkeypatch.setattr(harness, "_solve", capture)
+    spec = ExperimentSpec(
+        experiment=experiment, config=bench_config, out_dir=tmp_path, fidelity=fidelity
+    )
+    with pytest.raises(Captured):
+        run_experiment(spec)
+    n_cols = {"beam-width": res.beam_grid[1], "phase-profile": sum(res.phase_grid[1:])}
+    for call in seen["calls"]:
+        assert call.keywords["n_medium"] == _CELLS[experiment](res)
+        assert call.keywords["steps_per_width"] == res.steps_per_width
+        if call.func is run_cycle_realspace:
+            assert call.args[4].n_cols == n_cols[experiment]
+        if call.func is run_cycle_quasi1d:
+            assert call.args[2].n == res.mode_nodes
+    # sweep-transverse builds its HG (1,1) grid besides the one it solves on
+    n_grids = {"sweep-transverse": 2, "storage-cycle": 1, "efficiency-budget": 1}
+    assert len(seen["grids"]) == n_grids.get(experiment, 0)
+    assert all(grid.n == res.mode_nodes for grid in seen["grids"])
+
+
 def test_cost_estimate_and_budget(bench_config, tmp_path, monkeypatch):
     cfg = bench_config
     coarse = dict(n_medium=128, steps_per_width=32.0)
@@ -693,6 +749,19 @@ def test_storage_cycle_runs_the_configs_higher_modes(tmp_path, mode):
     argv = ["storage-cycle", "--config", str(CONFIG), "--out", str(tmp_path)]
     argv += ["--fidelity", "coarse", "--threads", "1"]
     assert main(argv + ["--set", "mode_m=%d" % mode[0], "--set", "mode_n=%d" % mode[1]]) == 0
+
+
+def test_efficiency_budget_checks_a_higher_mode_against_its_own_total(tmp_path):
+    # the (1,0) mode's transverse factor is not the (0,0) closed form's
+    # 1/(1 + tau_perp): the budget swaps in the mode's own, as storage-cycle does
+    argv = ["efficiency-budget", "--config", str(CONFIG), "--out", str(tmp_path)]
+    assert main(argv + ["--fidelity", "coarse", "--threads", "1", "--set", "mode_m=1"]) == 0
+    summary = json.loads((tmp_path / "efficiency-budget" / "summary.json").read_text())
+    assert summary["passed"] and len(summary["checks"]) == 10
+    # the dev column is the numeric ratio less the same mode total
+    rows = np.loadtxt(tmp_path / "efficiency-budget" / "budget.csv", delimiter=",")
+    targets = [check["target"] for check in summary["checks"][: len(rows)]]
+    assert rows[:, -1] == pytest.approx(rows[:, -2] - targets, rel=0.0, abs=1e-11)
 
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
