@@ -26,7 +26,6 @@ from .analytic import (
     EffTotals,
     eff_hold,
     eff_total,
-    eff_transverse,
     eff_write_approx,
     eff_write_exact,
     hg_efficiency,
@@ -94,7 +93,6 @@ __all__ = [
     "echo_leakage",
     "eff_hold",
     "eff_total",
-    "eff_transverse",
     "eff_write_approx",
     "eff_write_exact",
     "efficiency_1d",

@@ -8,9 +8,10 @@ width and phase formulas the solvers are tested against.
 Efficiency conventions: an efficiency is a ratio of time-integrated output
 to input intensity, so a single phase with amplitude decay d contributes
 d^2.  The write and read phases share one exposure tau_write; the hold
-phase has exposure tau_hold; the transverse factor depends only on
-tau_perp.  All "approx" forms drop terms of order (D eta^2 t_width^3)^2
-and (gamma_k t_width)^2 as documented per function.
+phase has exposure tau_hold; the transverse factor depends on tau_perp
+and the signal's Hermite-Gauss mode, and eff_total alone applies it.  All
+"approx" forms drop terms of order (D eta^2 t_width^3)^2 and
+(gamma_k t_width)^2 as documented per function.
 """
 
 from __future__ import annotations
@@ -371,35 +372,22 @@ def eff_write_exact(
     return float(w @ (envelope_sq * decay)) / float(w @ envelope_sq)
 
 
-def eff_transverse(
-    params: PhysicalParams, protocol: StorageProtocol, signal: SignalSpec
-) -> tuple[float, float]:
-    """Transverse efficiency of the fundamental Gaussian: (eps, tau_perp).
-
-    eps = 1 / (1 + tau_perp) to O((gamma_k t_width)^2), for the (0,0)
-    transverse mode; higher modes go through hg_efficiency.
-    """
-    if signal.mode != (0, 0):
-        raise ParameterError(
-            "closed-form transverse efficiency covers the (0,0) mode only; "
-            "use hg_efficiency for mode %r" % (signal.mode,)
-        )
-    groups = derive_groups(params, protocol, signal)
-    return 1.0 / (1.0 + groups.tau_perp), groups.tau_perp
-
-
 @dataclass(frozen=True)
 class EffTotals:
-    """The four printed forms of the cycle efficiency.
+    """The four printed forms of the cycle efficiency of HG mode (m, n).
 
     full:       sqrt(1/(1/alpha_hold + 2/alpha_write - 2))
-                * e^(-2 tau_write) e^(-2 tau_hold) / (1 + tau_perp)
+                * e^(-2 tau_write) e^(-2 tau_hold) * eps_perp
     product:    eps_write * eps_hold * eps_read * eps_perp
     linearized: small-decay budget, valid with the held wavenumber parked
                 near zero (t_lead close to k_initial / eta)
     bound:      protocol-level upper bound; None when its preconditions
                 (|eta t_width| > 1/L and t_lead > t_width) fail, with the
                 reason in bound_note
+
+    eps_perp is hg_efficiency((m, n), tau_perp), 1/(1 + tau_perp) at (0,0).
+    linearized and bound keep its slope at tau_perp = 0: their transverse
+    exposure term is scaled by m + n + 1, each axis's <s^2> = m + 1/2.
     """
 
     full: float
@@ -412,7 +400,7 @@ class EffTotals:
 def eff_total(
     params: PhysicalParams, protocol: StorageProtocol, signal: SignalSpec
 ) -> EffTotals:
-    """All closed-form totals for one parameter set.
+    """All closed-form totals for one parameter set and the signal's mode.
 
     Raises when the combined width-correction prefactor of the full form is
     singular (diffusion corrections no longer perturbative).
@@ -424,23 +412,26 @@ def eff_total(
             "alpha prefactor singular (1/alpha_hold + 2/alpha_write - 2 = "
             "%.3g <= 0)" % denom
         )
+    # the mode's transverse factor and its slope -d eps_perp / d tau_perp at 0
+    eps_perp = hg_efficiency(signal.mode, groups.tau_perp)
+    slope = sum(signal.mode) + 1
     full = (
         math.sqrt(1.0 / denom)
         * math.exp(-2.0 * groups.tau_write)
         * math.exp(-2.0 * groups.tau_hold)
-        / (1.0 + groups.tau_perp)
+        * eps_perp
     )
 
     eps_w = eff_write_approx(params, protocol, signal)[0]
     eps_h = eff_hold(params, protocol, signal)[0]
-    product = eps_w * eps_h * eps_w / (1.0 + groups.tau_perp)
+    product = eps_w * eps_h * eps_w * eps_perp
 
     diff = params.diffusivity
     linearized = (
         1.0
         - 4.0 * diff * groups.k_initial**2 * signal.t_lead / 3.0
         - diff * protocol.t_hold * protocol.eta_write**2 * signal.t_width**2 / 2.0
-        - 4.0 * diff * (protocol.t_hold + 2.0 * signal.t_lead) / signal.waist**2
+        - 4.0 * diff * (protocol.t_hold + 2.0 * signal.t_lead) / signal.waist**2 * slope
     )
 
     bound: float | None
@@ -457,7 +448,7 @@ def eff_total(
             1.0
             - 4.0 * diff * signal.t_width / (3.0 * half_length**2)
             - diff * protocol.t_hold / (2.0 * half_length**2)
-            - 4.0 * diff * (protocol.t_hold + 2.0 * signal.t_width) / signal.waist**2
+            - 4.0 * diff * (protocol.t_hold + 2.0 * signal.t_width) / signal.waist**2 * slope
         )
     return EffTotals(
         full=full,

@@ -69,6 +69,7 @@ from .analytic import (
     eff_write_exact,
     hg_efficiency,
     hg_ratio,
+    output_width,
     phase_theta,
 )
 from .solver1d import (
@@ -665,14 +666,6 @@ def _config_cycles(spec: ExperimentSpec, diffusivities) -> list:
     return records
 
 
-def _mode_total(totals, mode, tau_perp: float) -> float:
-    """The closed-form total of HG mode `mode`: totals.full, whose transverse
-    factor is the (0,0) mode's 1/(1 + tau_perp), with the mode's own swapped in."""
-    if mode == (0, 0):
-        return totals.full
-    return totals.full * (1.0 + tau_perp) * hg_efficiency(mode, tau_perp)
-
-
 def _exp_storage_cycle(spec: ExperimentSpec):
     """One full cycle at the config parameters: traces and efficiency budget.
 
@@ -691,7 +684,6 @@ def _exp_storage_cycle(spec: ExperimentSpec):
     eps_h, alpha_h, tau_h = eff_hold(cfg.params, cfg.protocol, cfg.signal)
     eps_w_exact = eff_write_exact(cfg.params, cfg.protocol, cfg.signal)
     eps_perp = hg_efficiency(cfg.signal.mode, groups.tau_perp)
-    expected = _mode_total(totals, cfg.signal.mode, groups.tau_perp)
 
     ratio_1d = efficiency_1d(rec_d.base) / efficiency_1d(rec_0.base)
     ratio_3d = rec_d.efficiency_kspace() / rec_0.efficiency_kspace()
@@ -712,7 +704,6 @@ def _exp_storage_cycle(spec: ExperimentSpec):
         ("eps_read", eps_w),
         ("eps_perp", eps_perp),
         ("eff_full", totals.full),
-        ("eff_expected_mode", expected),
         ("eff_product", totals.product),
         ("eff_linearized", totals.linearized),
         ("eff_bound", totals.bound),
@@ -752,11 +743,12 @@ def _exp_storage_cycle(spec: ExperimentSpec):
         _check(
             "numeric_vs_full",
             ratio_3d,
-            expected,
+            totals.full,
             0.02,
             "eps_tot(D)/eps_tot(0) against the closed-form total "
             "sqrt(1/(1/alpha_hold + 2/alpha_write - 2)) "
-            "exp(-2 tau_write - 2 tau_hold) / (1 + tau_perp)",
+            "exp(-2 tau_write - 2 tau_hold) hg_efficiency(%r, tau_perp)"
+            % (cfg.signal.mode,),
             kind="abs",
         ),
         _check(
@@ -937,15 +929,15 @@ def _exp_beam_width(spec: ExperimentSpec):
     ]
 
     diff = cfg.params.diffusivity
-    w0_sq = signal.waist**2 / 4.0 + diff * 2.0 * signal.t_lead
+    w_sq = [output_width(cfg.params, protocol, signal) ** 2 for protocol in protocols]
     rows, widths = [], {}
     # fits run serially after the gather; the solver releases the GIL in
     # its FFT work, the fitter does not
     for (name, _), records in zip(controls, _solve(spec, calls)):
         widths[name] = []
-        for t_hold, rec in zip(_WIDTH_HOLDS, records):
+        for t_hold, law, rec in zip(_WIDTH_HOLDS, w_sq, records):
             prof = intensity_and_width(rec)
-            analytic = w0_sq + diff * t_hold if name == "homogeneous" else math.nan
+            analytic = law if name == "homogeneous" else math.nan
             row = (name, t_hold, prof.width, prof.width**2, prof.width_moment, analytic)
             rows.append((len(rows), *row, prof.fit_ok))
             widths[name].append(prof.width**2)
@@ -979,7 +971,7 @@ def _exp_beam_width(spec: ExperimentSpec):
         [
             ("homogeneous", holds, widths["homogeneous"], "markers"),
             ("gaussian control", holds, widths["gaussian"], "markers"),
-            ("w0^2 + D t_hold", holds, w0_sq + diff * holds, "dashed"),
+            ("w0^2 + D t_hold", holds, w_sq, "dashed"),
         ],
     )
 
@@ -1147,10 +1139,10 @@ _BUDGET_SCALES = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 def _exp_efficiency_budget(spec: ExperimentSpec):
     """Closed-form efficiency budget against the numeric cycle over D.
 
-    Sweeps the diffusivity at fixed timing and tabulates the full closed
-    form, the per-phase product, the small-decay linearized budget and the
+    Sweeps the diffusivity at fixed timing and tabulates the config mode's
+    full closed form, per-phase product, small-decay linearized budget and
     protocol-level upper bound next to the numeric quasi-1D ratio
-    eps(D)/eps(0), which is checked against the config mode's total.
+    eps(D)/eps(0), which is checked against the full form.
     """
     cfg = spec.config
     if cfg.params.diffusivity <= 0.0:
@@ -1168,7 +1160,6 @@ def _exp_efficiency_budget(spec: ExperimentSpec):
         params = cfg.params.with_diffusivity(diff)
         groups = derive_groups(params, cfg.protocol, cfg.signal)
         totals = eff_total(params, cfg.protocol, cfg.signal)
-        expected = _mode_total(totals, cfg.signal.mode, groups.tau_perp)
         ratio = eff / effs[0]
         rows.append(
             (
@@ -1182,7 +1173,7 @@ def _exp_efficiency_budget(spec: ExperimentSpec):
                 totals.linearized,
                 totals.bound,
                 ratio,
-                ratio - expected,
+                ratio - totals.full,
             )
         )
         if totals.bound is not None:
@@ -1191,7 +1182,7 @@ def _exp_efficiency_budget(spec: ExperimentSpec):
             _check(
                 "budget_vs_numeric[%d]" % (len(rows) - 1),
                 ratio,
-                expected,
+                totals.full,
                 0.02,
                 "numeric eps(D)/eps(0) against the closed-form total",
                 kind="abs",

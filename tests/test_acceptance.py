@@ -26,7 +26,6 @@ from gemdiff import (
     derive_groups,
     eff_hold,
     eff_total,
-    eff_transverse,
     eff_write_approx,
     efficiency_1d,
     hg_efficiency,
@@ -317,7 +316,7 @@ def _monotone_closed_forms(params, protocol, signal):
             totals.product,
             eff_write_approx(p, proto, signal)[0],
             eff_hold(p, proto, signal)[0],
-            eff_transverse(p, proto, signal)[0],
+            hg_efficiency(signal.mode, derive_groups(p, proto, signal).tau_perp),
         )
 
     over_d = [factors(params.with_diffusivity(d), held) for d in

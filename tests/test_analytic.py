@@ -21,7 +21,6 @@ from gemdiff import (
     derive_groups,
     eff_hold,
     eff_total,
-    eff_transverse,
     eff_write_approx,
     eff_write_exact,
     hg_efficiency,
@@ -39,6 +38,7 @@ from gemdiff.analytic import (
     hold_rotation_phase,
     kspace_write_solution,
 )
+from gemdiff.harness import _BUDGET_SCALES
 from gemdiff.pulses import ControlProfile
 
 TAU = 2.0 * math.pi
@@ -339,18 +339,41 @@ def test_hold_efficiency_is_exact_gaussian_quadrature(bench_params, bench_signal
     )
 
 
-def test_transverse_efficiency_closed_form(bench_params, bench_signal):
+def _second_order_slope(mode, h=1e-6):
+    """-d hg_efficiency / d tau_perp at 0, by a one-sided second-order
+    difference (hg_efficiency refuses tau_perp < 0)."""
+    f0, f1, f2 = (hg_efficiency(mode, k * h) for k in range(3))
+    return (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
+
+
+@pytest.mark.parametrize("mode", [(1, 0), (1, 1), (2, 1), (0, 3)])
+def test_eff_total_applies_the_signal_modes_transverse_factor(
+    bench_params, bench_protocol, bench_signal, mode
+):
     proto = StorageProtocol.standard(eta_write=-TAU * 10e6, t_hold=30e-6)
-    eps, tau = eff_transverse(bench_params, proto, bench_signal)
-    g = derive_groups(bench_params, proto, bench_signal)
-    assert tau == g.tau_perp
-    assert eps == pytest.approx(1.0 / (1.0 + g.tau_perp), rel=1e-14)
-    with pytest.raises(ParameterError, match="\\(0,0\\)"):
-        eff_transverse(
-            bench_params,
-            proto,
-            SignalSpec(1.0, 1e-6, 5e-6, 1.45e-3, mode=(1, 1)),
-        )
+    higher = replace(bench_signal, mode=mode)
+    base = eff_total(bench_params, proto, bench_signal)
+    tot = eff_total(bench_params, proto, higher)
+    tau = derive_groups(bench_params, proto, higher).tau_perp
+    # full and product: the (0,0) forms with 1/(1 + tau_perp) swapped for the mode's factor
+    swap = (1.0 + tau) * hg_efficiency(mode, tau)
+    for got, fundamental in ((tot.full, base.full), (tot.product, base.product)):
+        assert abs(got - fundamental * swap) <= 4 * math.ulp(got)
+    # linearized and bound: the transverse exposure term scaled by the
+    # factor's slope at tau_perp = 0, m + n + 1
+    d, a = bench_params.diffusivity, bench_signal.waist
+    exposures = (
+        (tot.linearized, base.linearized, 4.0 * d * (proto.t_hold + 2.0 * higher.t_lead) / a**2),
+        (tot.bound, base.bound, 4.0 * d * (proto.t_hold + 2.0 * higher.t_width) / a**2),
+    )
+    slope = _second_order_slope(mode)
+    assert slope == pytest.approx(sum(mode) + 1, rel=1e-6)
+    for got, fundamental, exposure in exposures:
+        assert 1.0 + (fundamental - got) / exposure == pytest.approx(slope, rel=1e-6)
+    # the bound stays above the full form on the efficiency budget's D ladder
+    for scale in _BUDGET_SCALES:
+        ladder = eff_total(bench_params.with_diffusivity(scale * d), bench_protocol, higher)
+        assert ladder.bound >= ladder.full
 
 
 def test_headline_total_for_the_benchmark(bench_params, bench_protocol, bench_signal):

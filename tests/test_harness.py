@@ -751,17 +751,25 @@ def test_storage_cycle_runs_the_configs_higher_modes(tmp_path, mode):
     assert main(argv + ["--set", "mode_m=%d" % mode[0], "--set", "mode_n=%d" % mode[1]]) == 0
 
 
-def test_efficiency_budget_checks_a_higher_mode_against_its_own_total(tmp_path):
-    # the (1,0) mode's transverse factor is not the (0,0) closed form's
-    # 1/(1 + tau_perp): the budget swaps in the mode's own, as storage-cycle does
+@pytest.mark.parametrize("mode", [(1, 0), (0, 3)])
+def test_efficiency_budget_checks_a_higher_mode_against_its_own_total(tmp_path, mode):
+    # a higher mode's transverse factor is not the (0,0) mode's
+    # 1/(1 + tau_perp): eff_total applies the mode's own, and the budget's
+    # columns, plot and checks all read it
     argv = ["efficiency-budget", "--config", str(CONFIG), "--out", str(tmp_path)]
-    assert main(argv + ["--fidelity", "coarse", "--threads", "1", "--set", "mode_m=1"]) == 0
+    argv += ["--fidelity", "coarse", "--threads", "1"]
+    assert main(argv + ["--set", "mode_m=%d" % mode[0], "--set", "mode_n=%d" % mode[1]]) == 0
     summary = json.loads((tmp_path / "efficiency-budget" / "summary.json").read_text())
     assert summary["passed"] and len(summary["checks"]) == 10
-    # the dev column is the numeric ratio less the same mode total
-    rows = np.loadtxt(tmp_path / "efficiency-budget" / "budget.csv", delimiter=",")
+    # the eff_full column is each row's target, and dev the numeric ratio less it
+    path = tmp_path / "efficiency-budget" / "budget.csv"
+    header = [line for line in path.read_text().splitlines() if line.startswith("# columns: ")]
+    columns = header[0][len("# columns: "):].split(",")
+    rows = np.loadtxt(path, delimiter=",")
+    full, ratio, dev = (rows[:, columns.index(name)] for name in ("eff_full", "numeric_ratio", "dev"))
     targets = [check["target"] for check in summary["checks"][: len(rows)]]
-    assert rows[:, -1] == pytest.approx(rows[:, -2] - targets, rel=0.0, abs=1e-11)
+    assert full == pytest.approx(targets, rel=1e-11, abs=0.0)
+    assert dev == pytest.approx(ratio - full, rel=0.0, abs=1e-11)
 
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys, monkeypatch):
